@@ -27,8 +27,6 @@ def main(argv=None):
                         default=None)
     parser.add_argument("--charge-window", dest="charge_window", default=None)
     parser.add_argument("--index-window", dest="index_window", default=None)
-    parser.add_argument("--cache-dir", dest="cache_dir", default=None)
-    parser.add_argument("--no-cache", dest="no_cache", action="store_true")
     parser.add_argument("--json", dest="json", action="store_true")
     parser.add_argument("--jobs", dest="jobs", type=int, default=None)
     parser.add_argument("--fuzz", type=int, default=100,
@@ -45,8 +43,7 @@ def main(argv=None):
                               cfg.index_window),
         elimination_fuzz_report(instances=args.fuzz),
     ]
-    reports.extend(run_tasks(_default_suite(cfg, cfg.effective_cache_dir),
-                             jobs=cfg.jobs))
+    reports.extend(run_tasks(_default_suite(cfg), jobs=cfg.jobs))
     elapsed = time.time() - t0
 
     passed = all(r.passed for r in reports)

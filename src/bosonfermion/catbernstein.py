@@ -38,6 +38,7 @@ from .branching import (
     move_cup_pq,
     word_module,
 )
+from .errors import ChainComplexError
 from .fock import BosonState
 from .homalg import (
     ChainMap,
@@ -511,7 +512,7 @@ def _euler_obj(f):
 # --------------------------------------------------------------------------
 
 
-def specht_creation_check(lam, reduce_intermediate=True, cache_dir=None):
+def specht_creation_check(lam, reduce_intermediate=True):
     """Creation word of a partition applied to the charge-0 vacuum module:
     homology must be the corresponding irreducible in degree 0."""
     lam = Partition(lam)
@@ -544,7 +545,7 @@ def specht_creation_check(lam, reduce_intermediate=True, cache_dir=None):
     return report
 
 
-def specht_annihilation_check(lam, cache_dir=None):
+def specht_annihilation_check(lam):
     """Annihilation word applied to the matching irreducible: homology
     must be one copy of the degree-0 vacuum module in degree 0."""
     lam = Partition(lam)
@@ -553,7 +554,7 @@ def specht_annihilation_check(lam, cache_dir=None):
         config={"partition": format_partition(lam)},
     )
     word = annihilation_word(lam)
-    cx = compose_bernstein(word, specht_module(lam, cache_dir=cache_dir))
+    cx = compose_bernstein(word, specht_module(lam))
     betti = cx.betti()
     report.add("homology is one vacuum copy in degree 0",
                betti == {0: 1}, betti=_betti_obj(cx))
@@ -614,8 +615,9 @@ def _counit_chain_map(a, m, check=True):
     Q^(a+1+x) P^x Q^(1^x) P^(x+a+1) over M; flattening each cell into
     that plain word and contracting all strand pairs with nested caps
     (the inner P block against the outer Q block first, then the outer
-    pairs) gives one block of the evaluation; a per-cell alternating
-    sign makes it a chain map.
+    pairs) gives one block of the evaluation.  The blocks side by side,
+    with no per-cell sign, are the chain map; ChainComplexError is raised
+    if they do not commute with the differential.
     """
     inner_op = _BernsteinOp(a + 1, star=True)
     outer_op = _BernsteinOp(a + 1, star=False)
@@ -634,28 +636,21 @@ def _counit_chain_map(a, m, check=True):
         inner_cell = inner_cells[y][0]
         blocks.append(_pair_evaluation(outer_cell, inner_cell, a))
 
-    for pattern in ("id", "alt", "alt2", "alt2b"):
-        cols = []
-        for (x, y), blk in zip(cells0, blocks):
-            sgn = _triangle_sign(pattern, x)
-            cols.append(blk if sgn == 1 else blk.scale(sgn * ONE))
-        f0 = SMat.hstack(cols) if cols else SMat.zeros(m.dim, 0)
-        if (f0 @ total.d(1)).nnz():
-            continue
-        mats = {0: f0} if f0.nnz() else {}
-        return ChainMap(total, target, mats, check=check), total
-    raise AssertionError("no alternating sign pattern makes the "
-                         "evaluation a chain map")
-
-
-def _triangle_sign(pattern, x):
-    if pattern == "id":
-        return 1
-    if pattern == "alt":
-        return -1 if x % 2 else 1
-    if pattern == "alt2":
-        return -1 if (x * (x + 1) // 2) % 2 else 1
-    return -1 if (x * (x - 1) // 2) % 2 else 1
+    f0 = SMat.hstack(blocks) if blocks else SMat.zeros(m.dim, 0)
+    bad = f0 @ total.d(1)
+    if bad.nnz():
+        cols = {j for row in bad.rows for j in row}
+        cells1 = sorted(xy for xy in modules if xy[0] + xy[1] == 1)
+        hit, off = [], 0
+        for xy in cells1:
+            if any(off <= j < off + modules[xy].dim for j in cols):
+                hit.append(xy)
+            off += modules[xy].dim
+        raise ChainComplexError(
+            f"evaluation is not a chain map: f0 @ d_1 is nonzero on the "
+            f"degree-1 cells {hit} (degree-0 cells {cells0})")
+    mats = {0: f0} if f0.nnz() else {}
+    return ChainMap(total, target, mats, check=check), total
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):

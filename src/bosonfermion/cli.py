@@ -12,14 +12,15 @@ Subcommands::
 
 Module specifiers: ``trivial:n`` (one-dimensional trivial module on n
 letters), ``S:λ`` (irreducible labelled by a partition, e.g. ``S:2,1``),
-``reg:n`` (regular module, n ≤ small).
+``reg:n`` (regular module, n ≤ 4).  The degree is read from the specifier
+text and checked against the caps before the module is built.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
 input, 3 a requested instance exceeds the configured caps.
 
 Common flags (see ``config`` for the matching environment variables):
 ``--max-degree``, ``--charge-window lo:hi``, ``--index-window lo:hi``,
-``--cache-dir``, ``--no-cache``, ``--json``, ``--jobs``.
+``--json``, ``--jobs``.
 """
 
 from __future__ import annotations
@@ -60,23 +61,38 @@ class CapExceeded(Exception):
     """A requested instance is larger than the configured degree cap."""
 
 
-def parse_module_spec(spec, cache_dir=None):
-    """Build a symmetric-group module from ``kind:argument`` text."""
+def _split_module_spec(spec):
+    """Parse ``kind:argument`` text without building anything: the kind
+    and its argument (a degree, or a partition for ``S``)."""
     kind, sep, arg = str(spec).partition(":")
     if not sep:
         raise ValueError(f"module spec must look like 'kind:arg', got {spec!r}")
-    if kind == "trivial":
-        return trivial_module(_nonneg_int(arg, spec))
     if kind == "S":
-        return specht_module(parse_partition(arg), cache_dir=cache_dir)
-    if kind == "reg":
-        n = _nonneg_int(arg, spec)
-        if n > REGULAR_DEGREE_CAP:
-            raise CapExceeded(f"regular module degree {n} exceeds "
-                              f"{REGULAR_DEGREE_CAP}")
-        return regular_module(n)
-    raise ValueError(f"unknown module kind {kind!r} in {spec!r} "
-                     "(expected trivial:n, S:λ, or reg:n)")
+        return kind, parse_partition(arg)
+    if kind not in ("trivial", "reg"):
+        raise ValueError(f"unknown module kind {kind!r} in {spec!r} "
+                         "(expected trivial:n, S:λ, or reg:n)")
+    n = _nonneg_int(arg, spec)
+    if kind == "reg" and n > REGULAR_DEGREE_CAP:
+        raise CapExceeded(f"regular module degree {n} exceeds "
+                          f"{REGULAR_DEGREE_CAP}")
+    return kind, n
+
+
+def module_spec_degree(spec):
+    """The degree of the module a spec names, read from the text alone."""
+    kind, arg = _split_module_spec(spec)
+    return arg.size() if kind == "S" else arg
+
+
+def parse_module_spec(spec):
+    """Build a symmetric-group module from ``kind:argument`` text."""
+    kind, arg = _split_module_spec(spec)
+    if kind == "trivial":
+        return trivial_module(arg)
+    if kind == "S":
+        return specht_module(arg)
+    return regular_module(arg)
 
 
 def _nonneg_int(text, spec):
@@ -107,33 +123,31 @@ def _task_correspondence(cfg_obj):
                                  inject_sign_flip=cfg_obj.get("flip", False))
 
 
-def _task_specht_creation(lam_text, cache_dir):
-    return specht_creation_check(parse_partition(lam_text),
-                                 cache_dir=cache_dir)
+def _task_specht_creation(lam_text):
+    return specht_creation_check(parse_partition(lam_text))
 
 
-def _task_specht_annihilation(lam_text, cache_dir):
-    return specht_annihilation_check(parse_partition(lam_text),
-                                     cache_dir=cache_dir)
+def _task_specht_annihilation(lam_text):
+    return specht_annihilation_check(parse_partition(lam_text))
 
 
-def _task_sigma(module_spec, cache_dir):
-    m = parse_module_spec(module_spec, cache_dir)
+def _task_sigma(module_spec):
+    m = parse_module_spec(module_spec)
     rep = sigma_idempotence_check(m)
     rep.extend(sigma_vanishing_check(m))
     rep.config["module"] = module_spec
     return rep
 
 
-def _task_bb(a, b, star, module_spec, cache_dir):
-    m = parse_module_spec(module_spec, cache_dir)
+def _task_bb(a, b, star, module_spec):
+    m = parse_module_spec(module_spec)
     rep = relation_suite_bb(a, b, m, star=star)
     rep.config["module"] = module_spec
     return rep
 
 
-def _task_bbstar(a, b, module_spec, cache_dir):
-    m = parse_module_spec(module_spec, cache_dir)
+def _task_bbstar(a, b, module_spec):
+    m = parse_module_spec(module_spec)
     rep = relation_suite_bbstar(a, b, m)
     rep.config["module"] = module_spec
     return rep
@@ -208,7 +222,6 @@ def cmd_clifford(cfg, inject_sign_flip=False):
 
 def cmd_cat(cfg, args):
     """Categorified-operator suites at the configured caps."""
-    cache = cfg.effective_cache_dir
     mode = args.mode
     if mode == "specht":
         if args.partition is None:
@@ -218,33 +231,32 @@ def cmd_cat(cfg, args):
             raise CapExceeded(f"partition size {lam.size()} exceeds "
                               f"--max-degree {cfg.max_degree}")
         text = format_partition(lam)
-        descs = [("specht_creation", (text, cache)),
-                 ("specht_annihilation", (text, cache))]
+        descs = [("specht_creation", (text,)),
+                 ("specht_annihilation", (text,))]
     elif mode == "sigma":
-        m = parse_module_spec(args.module, cache)
-        if m.degree > cfg.max_degree:
-            raise CapExceeded(f"module degree {m.degree} exceeds "
+        degree = module_spec_degree(args.module)
+        if degree > cfg.max_degree:
+            raise CapExceeded(f"module degree {degree} exceeds "
                               f"--max-degree {cfg.max_degree}")
-        descs = [("sigma", (args.module, cache))]
+        descs = [("sigma", (args.module,))]
     elif mode in ("bb", "bbstar"):
-        m = parse_module_spec(args.module, cache)
-        reach = m.degree + max(abs(args.a), abs(args.b)) + 1
+        reach = module_spec_degree(args.module) + max(abs(args.a),
+                                                      abs(args.b)) + 1
         if reach > cfg.max_degree:
             raise CapExceeded(f"instance reaches degree {reach}, beyond "
                               f"--max-degree {cfg.max_degree}")
         if mode == "bb":
-            descs = [("bb", (args.a, args.b, bool(args.star),
-                             args.module, cache))]
+            descs = [("bb", (args.a, args.b, bool(args.star), args.module))]
         else:
-            descs = [("bbstar", (args.a, args.b, args.module, cache))]
+            descs = [("bbstar", (args.a, args.b, args.module))]
     elif mode == "suite":
-        descs = _default_suite(cfg, cache)
+        descs = _default_suite(cfg)
     else:
         raise ValueError(f"unknown cat mode {mode!r}")
     return run_tasks(descs, cfg.jobs), None
 
 
-def _default_suite(cfg, cache):
+def _default_suite(cfg):
     """The default categorical battery, bounded by the degree cap."""
     from .partition_core import enumerate_partitions
 
@@ -252,17 +264,17 @@ def _default_suite(cfg, cache):
     for k in range(1, min(cfg.max_degree, 4) + 1):
         for lam in enumerate_partitions(k):
             text = format_partition(lam)
-            descs.append(("specht_creation", (text, cache)))
+            descs.append(("specht_creation", (text,)))
             if k <= 3:
-                descs.append(("specht_annihilation", (text, cache)))
+                descs.append(("specht_annihilation", (text,)))
     for spec in ("trivial:0", "trivial:1", "S:2"):
-        descs.append(("sigma", (spec, cache)))
+        descs.append(("sigma", (spec,)))
     for a, b, spec in ((1, 1, "S:1"), (2, 1, "trivial:0"),
                        (0, 1, "trivial:0")):
-        descs.append(("bb", (a, b, False, spec, cache)))
-        descs.append(("bb", (a, b, True, spec, cache)))
+        descs.append(("bb", (a, b, False, spec)))
+        descs.append(("bb", (a, b, True, spec)))
     for a, b in ((0, 0), (1, 1), (1, 0), (0, 1)):
-        descs.append(("bbstar", (a, b, "S:1", cache)))
+        descs.append(("bbstar", (a, b, "S:1")))
     descs.append(("fermionic", (2,)))
     return descs
 
@@ -319,10 +331,6 @@ def build_parser():
     common.add_argument("--index-window", dest="index_window",
                         default=None, metavar="LO:HI",
                         help="inclusive generator-index range (same syntax)")
-    common.add_argument("--cache-dir", dest="cache_dir", default=None,
-                        metavar="DIR", help="on-disk module cache directory")
-    common.add_argument("--no-cache", dest="no_cache", action="store_true",
-                        help="ignore the cache even if a directory is set")
     common.add_argument("--json", dest="json", action="store_true",
                         help="emit one canonical JSON document")
     common.add_argument("--jobs", dest="jobs", type=int, default=None,

@@ -11,8 +11,6 @@ Environment variables::
     BOSONFERMION_MAX_DEGREE     positive int     partition-size / degree cap
     BOSONFERMION_CHARGE_WINDOW  "lo:hi" or "k"   charge range, inclusive
     BOSONFERMION_INDEX_WINDOW   "lo:hi" or "k"   generator-index range
-    BOSONFERMION_CACHE_DIR      path             on-disk module cache
-    BOSONFERMION_NO_CACHE       1/true/yes       disable the cache
     BOSONFERMION_JSON           1/true/yes       emit JSON instead of text
     BOSONFERMION_JOBS           positive int     parallel worker count
 
@@ -76,8 +74,6 @@ class RunConfig:
     max_degree: int = DEFAULT_MAX_DEGREE
     charge_window: tuple = DEFAULT_CHARGE_WINDOW
     index_window: tuple = DEFAULT_INDEX_WINDOW
-    cache_dir: str | None = None
-    use_cache: bool = True
     json_output: bool = False
     jobs: int = DEFAULT_JOBS
 
@@ -91,16 +87,11 @@ class RunConfig:
             if not (isinstance(lo, int) and isinstance(hi, int)):
                 raise ValueError(f"window bounds must be integers, got {w!r}")
 
-    @property
-    def effective_cache_dir(self):
-        """Cache directory actually handed to the module builders."""
-        return self.cache_dir if self.use_cache else None
-
     def to_json_obj(self):
         """The parameters that determine the run's mathematical content.
 
-        Execution mechanics (worker count, cache location) are excluded on
-        purpose: two runs with equal output from this method must produce
+        Execution mechanics (the worker count) are excluded on purpose:
+        two runs with equal output from this method must produce
         byte-identical reports.
         """
         return {
@@ -115,8 +106,8 @@ class RunConfig:
         """Merge parsed CLI flags over environment variables over defaults.
 
         ``args`` is any object with optional attributes ``max_degree``,
-        ``charge_window``, ``index_window``, ``cache_dir``, ``no_cache``,
-        ``json`` and ``jobs`` (missing or ``None`` means "not given").
+        ``charge_window``, ``index_window``, ``json`` and ``jobs`` (missing
+        or ``None`` means "not given").
         Raises ValueError on malformed values.
         """
         env = os.environ if env is None else env
@@ -135,10 +126,7 @@ class RunConfig:
                              DEFAULT_CHARGE_WINDOW, _as_window)
         index_window = pick("index_window", "INDEX_WINDOW",
                             DEFAULT_INDEX_WINDOW, _as_window)
-        cache_dir = pick("cache_dir", "CACHE_DIR", None, str)
         jobs = pick("jobs", "JOBS", DEFAULT_JOBS, int)
-        no_cache = bool(getattr(args, "no_cache", False)) or \
-            _env_flag(env, "NO_CACHE")
         json_output = bool(getattr(args, "json", False)) or \
             _env_flag(env, "JSON")
         return RunConfig(
@@ -146,8 +134,6 @@ class RunConfig:
             max_degree=max_degree,
             charge_window=charge_window,
             index_window=index_window,
-            cache_dir=cache_dir,
-            use_cache=not no_cache,
             json_output=json_output,
             jobs=jobs,
         )

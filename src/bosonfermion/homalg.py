@@ -128,14 +128,6 @@ class Complex:
             check=False,
         )
 
-    def scaled_differential(self, c):
-        return Complex(
-            self.group_degree,
-            dict(self.modules),
-            {k: mat.scale(c) for k, mat in self.diffs.items()},
-            check=False,
-        )
-
     # -- homology ----------------------------------------------------------------
 
     def _boundary_basis(self, k):

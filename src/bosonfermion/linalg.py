@@ -287,15 +287,10 @@ def solve(a, b):
     assert a.nrows == b.nrows
     aug = SMat.hstack([a, b])
     el = _Eliminator(aug).reduce(upto_col=a.ncols)
-    # rows never chosen as pivots must have empty A-part; a nonzero B-part
-    # there means the system is inconsistent.
+    # rows never chosen as pivots have an empty A-part after the reduction;
+    # a nonzero B-part there means the system is inconsistent.
     for i in range(a.nrows):
-        if i in el.used:
-            continue
-        row = el.rows[i]
-        if any(j < a.ncols for j in row):
-            continue  # unreachable after full reduction; defensive
-        if row:
+        if i not in el.used and el.rows[i]:
             raise ValueError("inconsistent linear system")
     rows = [{} for _ in range(a.ncols)]
     for r, c in el.pivots:

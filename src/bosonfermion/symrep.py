@@ -15,8 +15,6 @@ added (resp. removed) letters.
 
 from __future__ import annotations
 
-import json
-import os
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 
@@ -27,8 +25,7 @@ from .partition_core import (
     centralizer_order,
     cycle_type_representative,
     enumerate_partitions,
-    format_partition,
-    parse_partition,
+    enumerate_syt,
     row_reading_tableau,
     syt_count,
 )
@@ -38,8 +35,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 REGULAR_DEGREE_CAP = 9
-
-SPECHT_CACHE_FORMAT = 1
 
 
 # -- permutations ------------------------------------------------------------------
@@ -313,8 +308,8 @@ def regular_module(n):
     """The group algebra with generators acting by right translation.
 
     Right translation commutes with left translation, so left multiplication
-    by any group-algebra element is an endomorphism of this module; that is
-    what the irreducible-constituent construction below exploits.
+    by any group-algebra element (``left_mult_matrix``) is an endomorphism
+    of this module, and the image of an idempotent is a submodule.
     """
     _check_regular_cap(n)
     elems = sorted(iter_permutations(range(1, n + 1)))
@@ -341,78 +336,38 @@ def left_mult_matrix(elem):
     return SMat.from_entries(len(elems), len(elems), entries)
 
 
-def specht_module(lam, cache_dir=None):
-    """The irreducible module for lam: the image of left multiplication by
-    the lam idempotent on the group algebra, carrying the right-translation
-    action.  Optionally cached on disk as JSON."""
-    lam = Partition(lam)
-    if cache_dir is not None:
-        cached = _specht_cache_load(lam, cache_dir)
-        if cached is not None:
-            return cached
-    n = lam.size()
-    if n == 0:
-        return trivial_module(0)
-    e = young_idempotent(lam, check=False)
-    reg = regular_module(n)
-    iota, pi = idempotent_image(left_mult_matrix(e))
-    gens = [pi @ g @ iota for g in reg.gens]
-    mod = RepModule(n, iota.ncols, gens)
-    assert mod.dim == syt_count(lam)
-    if cache_dir is not None:
-        _specht_cache_store(lam, mod, cache_dir)
-    return mod
+def specht_module(lam):
+    """The irreducible module for lam in Young's seminormal form
+    (Okounkov-Vershik, "A new approach to representation theory of
+    symmetric groups").
 
-
-def _specht_cache_path(lam, cache_dir):
-    name = format_partition(lam).replace(",", "_")
-    return os.path.join(
-        cache_dir, f"specht-v{SPECHT_CACHE_FORMAT}-{name}.json")
-
-
-def _mat_to_json(m):
-    return {
-        "nrows": m.nrows,
-        "ncols": m.ncols,
-        "entries": [[i, j, str(v)] for i, row in enumerate(m.rows)
-                    for j, v in sorted(row.items())],
-    }
-
-
-def _mat_from_json(obj):
-    return SMat.from_entries(
-        obj["nrows"], obj["ncols"],
-        [(i, j, Fraction(v)) for i, j, v in obj["entries"]])
-
-
-def _specht_cache_load(lam, cache_dir):
-    path = _specht_cache_path(lam, cache_dir)
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format") != SPECHT_CACHE_FORMAT:
-        return None
-    if parse_partition(obj["partition"]) != Partition(lam):
-        return None
-    return RepModule(obj["degree"], obj["dim"],
-                     [_mat_from_json(g) for g in obj["gens"]])
-
-
-def _specht_cache_store(lam, mod, cache_dir):
-    os.makedirs(cache_dir, exist_ok=True)
-    obj = {
-        "format": SPECHT_CACHE_FORMAT,
-        "partition": format_partition(lam),
-        "degree": mod.degree,
-        "dim": mod.dim,
-        "gens": [_mat_to_json(g) for g in mod.gens],
-    }
-    path = _specht_cache_path(lam, cache_dir)
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-    os.replace(tmp, path)
+    The basis is the standard tableaux of shape lam.  Let rho = c(i+1) -
+    c(i) be the axial distance in T, where c is the content (column - row)
+    of an entry.  Then s_i has the diagonal entry 1/rho at T.  When
+    |rho| != 1, i and i+1 are not adjacent, and s_i also links T and s_i T
+    by the off-diagonal pair 1 and 1 - 1/rho^2; the 1 sits in the column
+    of the tableau whose i+1 is in the lower row.
+    """
+    tabs = enumerate_syt(lam)
+    index = {t.rows: k for k, t in enumerate(tabs)}
+    boxes = [{x: (r, c) for r, row in enumerate(t.rows)
+              for c, x in enumerate(row)} for t in tabs]
+    n, dim = Partition(lam).size(), len(tabs)
+    gens = []
+    for i in range(1, n):
+        swap = {i: i + 1, i + 1: i}
+        entries = []
+        for k, (t, box) in enumerate(zip(tabs, boxes)):
+            (r0, c0), (r1, c1) = box[i], box[i + 1]
+            rho = (c1 - r1) - (c0 - r0)
+            entries.append((k, k, Fraction(1, rho)))
+            if abs(rho) != 1:
+                other = tuple(tuple(swap.get(x, x) for x in row)
+                              for row in t.rows)
+                coeff = ONE if r1 > r0 else 1 - Fraction(1, rho * rho)
+                entries.append((index[other], k, coeff))
+        gens.append(SMat.from_entries(dim, dim, entries))
+    return RepModule(n, dim, gens)
 
 
 # -- module maps -------------------------------------------------------------------

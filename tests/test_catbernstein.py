@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion import catbernstein
 from bosonfermion.catbernstein import (
     ChargedComplexVector,
     annihilation_word,
@@ -30,6 +31,7 @@ from bosonfermion.catbernstein import (
     vacuum_vector,
     word_character,
 )
+from bosonfermion.errors import ChainComplexError
 from bosonfermion.fock import BosonState, boson_psi, boson_psi_star
 from bosonfermion.homalg import single_module_complex
 from bosonfermion.partition_core import enumerate_partitions, syt_count
@@ -249,6 +251,18 @@ class TestPairRelations:
         for a, m in [(0, pool["S1"]), (0, pool["S2"]), (1, pool["S2"])]:
             rep = relation_suite_bbstar(a, a, m)
             assert rep.passed, rep.render_text()
+
+    def test_evaluation_sign_error_raises(self, pool, monkeypatch):
+        # flipping the sign of the odd-x blocks must break the chain map
+        original = catbernstein._pair_evaluation
+
+        def flipped(outer_cell, inner_cell, a):
+            blk = original(outer_cell, inner_cell, a)
+            return blk.scale(-1) if outer_cell.label % 2 else blk
+
+        monkeypatch.setattr(catbernstein, "_pair_evaluation", flipped)
+        with pytest.raises(ChainComplexError, match=r"degree-1 cells"):
+            relation_suite_bbstar(0, 0, pool["S2"])
 
 
 class TestVerificationReports:

@@ -42,18 +42,16 @@ class TestRunConfig:
         assert cfg.max_degree == 6
         assert cfg.charge_window == (-2, 2)
         assert cfg.index_window == (-4, 4)
-        assert cfg.use_cache and not cfg.json_output and cfg.jobs == 1
+        assert not cfg.json_output and cfg.jobs == 1
 
     def test_env_overrides_default(self):
         env = {"BOSONFERMION_MAX_DEGREE": "3",
                "BOSONFERMION_CHARGE_WINDOW": "0:1",
-               "BOSONFERMION_NO_CACHE": "1",
                "BOSONFERMION_JSON": "true",
                "BOSONFERMION_JOBS": "2"}
         cfg = RunConfig.resolve("cat", argparse.Namespace(), env=env)
         assert cfg.max_degree == 3
         assert cfg.charge_window == (0, 1)
-        assert not cfg.use_cache
         assert cfg.json_output
         assert cfg.jobs == 2
 
@@ -68,12 +66,6 @@ class TestRunConfig:
             RunConfig("cat", max_degree=0)
         with pytest.raises(ValueError):
             RunConfig("cat", jobs=0)
-
-    def test_cache_dir_only_active_with_use_cache(self):
-        on = RunConfig("cat", cache_dir="/tmp/x", use_cache=True)
-        off = RunConfig("cat", cache_dir="/tmp/x", use_cache=False)
-        assert on.effective_cache_dir == "/tmp/x"
-        assert off.effective_cache_dir is None
 
 
 class TestModuleSpecs:
@@ -171,15 +163,33 @@ class TestCatCommand:
         assert code == EXIT_CAP_EXCEEDED
         assert "cap exceeded" in err
 
+    def test_module_degree_checked_before_build(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("module built before the degree check")
+
+        for name in ("specht_module", "regular_module", "trivial_module"):
+            monkeypatch.setattr(f"bosonfermion.cli.{name}", build)
+        for argv in (("sigma", "--module", "S:5,5"),
+                     ("sigma", "--module", "S:7"),
+                     ("sigma", "--module", "trivial:7"),
+                     ("bb", "--module", "S:6"),
+                     ("bbstar", "--a", "2", "--module", "S:4")):
+            code, _, err = run(capsys, "cat", *argv)
+            assert code == EXIT_CAP_EXCEEDED, argv
+            assert "cap exceeded" in err
+        code, _, _ = run(capsys, "cat", "sigma", "--module", "reg:5")
+        assert code == EXIT_CAP_EXCEEDED
+
     def test_bb_reach_cap(self, capsys):
         code, _, _ = run(capsys, "cat", "bb", "--a", "3", "--b", "1",
                          "--module", "S:2", "--max-degree", "4")
         assert code == EXIT_CAP_EXCEEDED
 
     def test_unknown_flag_is_parse_error(self, capsys):
-        code = main(["cat", "specht", "2", "--frobnicate"])
-        capsys.readouterr()
-        assert code == EXIT_PARSE_ERROR
+        for flag in ("--frobnicate", "--cache-dir=x", "--no-cache"):
+            code = main(["cat", "specht", "2", flag])
+            capsys.readouterr()
+            assert code == EXIT_PARSE_ERROR, flag
 
 
 class TestDeterminismAndCache:
@@ -193,15 +203,6 @@ class TestDeterminismAndCache:
         _, serial, _ = run(capsys, *args, "--jobs", "1")
         _, parallel, _ = run(capsys, *args, "--jobs", "3")
         assert serial == parallel
-
-    def test_cache_on_off_identical(self, capsys, tmp_path):
-        cache = str(tmp_path / "cache")
-        args = ["cat", "specht", "2,1", "--json"]
-        _, cold, _ = run(capsys, *args, "--cache-dir", cache)
-        _, warm, _ = run(capsys, *args, "--cache-dir", cache)
-        _, off, _ = run(capsys, *args, "--no-cache", "--cache-dir", cache)
-        assert cold == warm == off
-        assert list((tmp_path / "cache").iterdir())
 
     def test_env_json_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("BOSONFERMION_JSON", "1")

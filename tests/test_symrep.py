@@ -10,7 +10,7 @@ from bosonfermion.branching import (
     word_module,
 )
 from bosonfermion.errors import DimensionCapExceeded
-from bosonfermion.linalg import SMat
+from bosonfermion.linalg import SMat, idempotent_image, nullspace
 from bosonfermion.partition_core import (
     Partition,
     enumerate_partitions,
@@ -20,6 +20,7 @@ from bosonfermion.partition_core import (
 from bosonfermion.symfunc import multiply, schur, skew
 from bosonfermion.symrep import (
     GroupAlgebraElement,
+    RepModule,
     adjacent_transposition,
     coset_rep,
     counit_pq,
@@ -31,6 +32,7 @@ from bosonfermion.symrep import (
     induce,
     induce_map,
     jucys_murphy_map,
+    left_mult_matrix,
     left_twist_curl,
     p_lambda,
     perm_inverse,
@@ -138,11 +140,36 @@ class TestYoungIdempotents:
                 syt_count(lam), math.factorial(n))
 
 
+def regular_route_specht(lam):
+    """The former construction, kept as an oracle: the image of the Young
+    idempotent acting by left multiplication on the regular module."""
+    reg = regular_module(Partition(lam).size())
+    e = young_idempotent(lam, check=False)
+    iota, pi = idempotent_image(left_mult_matrix(e))
+    return RepModule(reg.degree, iota.ncols, [pi @ g @ iota for g in reg.gens])
+
+
+def intertwiner_space_dim(old, new):
+    """Dimension of {X : X g_old = g_new X} over all generators."""
+    d = old.dim
+    entries, eq = [], 0
+    for g_old, g_new in zip(old.gens, new.gens):
+        for r in range(d):
+            for c in range(d):
+                for k in range(d):
+                    entries.append((eq, r * d + k, g_old.rows[k].get(c, 0)))
+                for k, v in g_new.rows[r].items():
+                    entries.append((eq, k * d + c, -v))
+                eq += 1
+    return nullspace(SMat.from_entries(eq, d * d, entries)).ncols
+
+
 class TestModules:
     def test_basic_modules_validate(self):
-        for m in (trivial_module(3), sign_module(3), regular_module(3),
-                  specht_module([2, 1])):
+        for m in (trivial_module(3), sign_module(3), regular_module(3)):
             m.validate()
+        for lam in partitions_up_to(8):
+            specht_module(lam).validate()
 
     def test_specht_dimensions_match_tableau_counts(self):
         for lam in partitions_up_to(5):
@@ -151,10 +178,19 @@ class TestModules:
             assert specht_module(lam).dim == syt_count(lam), lam
 
     def test_specht_characters_are_single_schur_functions(self):
-        for lam in partitions_up_to(5):
+        for lam in partitions_up_to(6):
             if lam.size() == 0:
                 continue
             assert frobenius_char(specht_module(lam)) == schur(lam), lam
+
+    def test_specht_matches_regular_route(self):
+        for lam in partitions_up_to(5):
+            if lam.size() < 2:
+                continue
+            old, new = regular_route_specht(lam), specht_module(lam)
+            assert frobenius_char(old) == frobenius_char(new), lam
+            # Schur's lemma: irreducibles are isomorphic iff Hom is a line
+            assert intertwiner_space_dim(old, new) == 1, lam
 
     def test_regular_module_character(self):
         # multiplicity of each irreducible in the free module is its dimension
@@ -169,14 +205,6 @@ class TestModules:
     def test_regular_module_cap(self):
         with pytest.raises(DimensionCapExceeded):
             regular_module(10)
-
-    def test_specht_disk_cache_roundtrip(self, tmp_path):
-        first = specht_module([2, 1], cache_dir=tmp_path)
-        assert list(tmp_path.glob("*.json"))
-        second = specht_module([2, 1], cache_dir=tmp_path)
-        assert first.dim == second.dim
-        assert all(a == b for a, b in zip(first.gens, second.gens))
-        second.validate()
 
 
 class TestInduceRestrict:
