@@ -72,32 +72,30 @@ class PlainWord:
                          self.letters[:i] + insert + self.letters[i + drop:])
 
 
-def _kron_blocks(f, s_blocks, t_blocks):
+def _kron_blocks(f, blocks):
     """Lift a map through one induction stage: identity on blocks."""
-    if f.nnz() == 0:
-        return SMat.zeros(t_blocks * f.nrows, s_blocks * f.ncols)
-    assert s_blocks == t_blocks
     entries = []
-    for b in range(s_blocks):
+    for b in range(blocks):
         for r, row in enumerate(f.rows):
             for c, v in row.items():
                 entries.append((b * f.nrows + r, b * f.ncols + c, v))
-    return SMat.from_entries(s_blocks * f.nrows, s_blocks * f.ncols, entries)
+    return SMat.from_entries(blocks * f.nrows, blocks * f.ncols, entries)
 
 
-def _lift_matrix(mat, s_mod, t_mod, rest):
+def _lift_matrix(mat, degree, rest):
+    """Whisker a map between two modules of S_degree through the letters
+    ``rest``: P takes degree + 1 identity blocks and raises the degree, Q
+    keeps the matrix and lowers the degree.  Q at degree 0 kills the word,
+    as ``restrict`` does: the map becomes 0 x 0 and the degree stays 0."""
     f = mat
-    s, t = s_mod, t_mod
     for ch in rest:
         if ch == "P":
-            f = _kron_blocks(f, s.degree + 1, t.degree + 1)
-            s, t = induce(s), induce(t)
+            degree += 1
+            f = _kron_blocks(f, degree)
+        elif degree:
+            degree -= 1
         else:
-            s2, t2 = restrict(s), restrict(t)
-            if s2.dim != s.dim or t2.dim != t.dim:
-                # a stage restricted past degree zero: the word dies here
-                f = SMat.zeros(t2.dim, s2.dim)
-            s, t = s2, t2
+            f = SMat.zeros(0, 0)
     return f
 
 
@@ -106,7 +104,7 @@ def _move(word, i, drop, insert, mm):
     producing ``insert``), whiskered through the remaining letters."""
     new_word = word.replaced(i, drop, insert)
     rest = word.letters[i + drop:]
-    f = _lift_matrix(mm.matrix, mm.source, mm.target, rest)
+    f = _lift_matrix(mm.matrix, mm.source.degree, rest)
     return new_word, f
 
 
@@ -186,9 +184,8 @@ def _p_box(word, start, lam):
     w_in = word.stages[start]
     letters_emb = added_letters_embedding(lam, w_in.degree)
     elem = embedded_young_element(lam, letters_emb, w_in.degree + k)
-    mm = right_mult_map(w_in, k, elem)
-    return _lift_matrix(mm.matrix, word.stages[start + k],
-                        word.stages[start + k], word.letters[start + k:])
+    return _lift_matrix(right_mult_map(w_in, k, elem), w_in.degree + k,
+                        word.letters[start + k:])
 
 
 def _q_box(word, start, lam):
@@ -204,7 +201,7 @@ def _q_box(word, start, lam):
         letters_emb = removed_letters_embedding(lam, w_in.degree)
         elem = embedded_young_element(lam, letters_emb, w_in.degree)
         f = w_in.act_algebra(elem)
-    return _lift_matrix(f, out_stage, out_stage, word.letters[start + k:])
+    return _lift_matrix(f, out_stage.degree, word.letters[start + k:])
 
 
 def word_module(atoms, base):
@@ -286,7 +283,7 @@ def q_route_element(n_letters, top_degree, swaps):
 
 def _right_mult_on_plain(base, n_letters, perm):
     elem = GroupAlgebraElement(base.degree + n_letters, {perm: ONE})
-    return right_mult_map(base, n_letters, elem).matrix
+    return right_mult_map(base, n_letters, elem)
 
 
 def _symmetrizer_box(size):
@@ -368,15 +365,23 @@ class SplitFamily:
         return report
 
 
-def qp_swap_family(q_size, p_size, base):
-    """Q^(q) P^(p)  ≅  ⊕_s P^(p-s) Q^(q-s), s = 0..min(p,q): cross the
-    cables sideways, capping s innermost pairs."""
+def _swap_family(kind, cable, q_size, p_size, base, scalars):
+    """Q^cable(q) P^(p)  ≅  ⊕_s P^(p-s) Q^cable(q-s), one summand per
+    documented scalar: cross the cables sideways, capping s innermost
+    pairs.  ``cable(w)`` is the down-cable box of width w.
+
+    QP-swap has a row cable and s = 0..min(p,q) with scalar C(p,s)·C(q,s)·s!.
+    Q*P-swap has a column cable and at most one cap (two antisymmetrized
+    strands cannot both cap against a symmetrizer), with scalars 1 and q·p;
+    a zero-width cable leaves only the first summand.
+    """
     src, s_iota, s_pi, word0 = word_module(
-        [("P", [p_size]), ("Q", [q_size])], base)
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
-    for s in range(min(q_size, p_size) + 1):
+        [("P", [p_size]), ("Q", cable(q_size))], base)
+    labels, targets, iotas, rhos = [], [], [], []
+    for s, scal in enumerate(scalars):
         tq, tp = q_size - s, p_size - s
-        tgt, t_iota, t_pi, _ = word_module([("Q", [tq]), ("P", [tp])], base)
+        tgt, t_iota, t_pi, _ = word_module(
+            [("Q", cable(tq)), ("P", [tp])], base)
         # projection: cap s innermost pairs, then cross the remainders
         w = word0
         f = SMat.identity(word0.top.dim)
@@ -394,51 +399,11 @@ def qp_swap_family(q_size, p_size, base):
         for c in range(s):
             w2, g2 = move_cup_qp(w2, tp + c)
             f2 = g2 @ f2
-        scal = Fraction(comb(p_size, s) * comb(q_size, s) * factorial(s))
-        iota = (s_pi @ f2 @ t_iota).scale(scal)
         labels.append(f"s={s}")
         targets.append(tgt)
-        iotas.append(iota)
+        iotas.append((s_pi @ f2 @ t_iota).scale(scal))
         rhos.append(rho)
-        documented.append(scal)
-    return SplitFamily("QP-swap", src, labels, targets, iotas, rhos, documented)
-
-
-def qstar_p_swap_family(n_size, p_size, base):
-    """Q^(n)t P^(p)  ≅  P^(p) Q^(n)t  ⊕  P^(p-1) Q^(n-1)t: same moves as
-    the symmetric swap but with the column box on the down cable and at
-    most one cap (two antisymmetrized strands cannot both cap against a
-    symmetrizer)."""
-    src, s_iota, s_pi, word0 = word_module(
-        [("P", [p_size]), ("Q", [1] * n_size)], base)
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
-    for s in (0, 1):
-        tq, tp = n_size - s, p_size - s
-        tgt, t_iota, t_pi, _ = word_module(
-            [("Q", [1] * tq), ("P", [tp])], base)
-        w = word0
-        f = SMat.identity(word0.top.dim)
-        for c in range(s):
-            w, g = move_cap_qp(w, p_size - c - 1)
-            f = g @ f
-        w, g = slide_p_right(w)
-        f = g @ f
-        rho = t_pi @ f @ s_iota
-        w2 = PlainWord(base, "Q" * tq + "P" * tp)
-        f2 = SMat.identity(w2.top.dim)
-        w2, g2 = slide_p_left(w2)
-        f2 = g2 @ f2
-        for c in range(s):
-            w2, g2 = move_cup_qp(w2, tp + c)
-            f2 = g2 @ f2
-        scal = Fraction(n_size * p_size) if s == 1 else ONE
-        iota = (s_pi @ f2 @ t_iota).scale(scal)
-        labels.append(f"s={s}")
-        targets.append(tgt)
-        iotas.append(iota)
-        rhos.append(rho)
-        documented.append(scal)
-    return SplitFamily("Q*P-swap", src, labels, targets, iotas, rhos, documented)
+    return SplitFamily(kind, src, labels, targets, iotas, rhos, scalars)
 
 
 def pp_star_merge_family(n_size, m_size, base):
@@ -634,7 +599,7 @@ def p_lambda_p_family(lam, base):
             row_letters = [base.degree + n + 1 - j
                            for j in range(sums[s - 1] + 1, sums[s] + 1)]
             emb = box.relabel(row_letters, base.degree + n)
-            f = _right_mult_elem(base, n, emb) @ f
+            f = right_mult_map(base, n, emb) @ f
         w_route = p_route_element(n, base.degree, _route_swaps(n, r_s + 1))
         f = _right_mult_on_plain(base, n, w_route) @ f
         rho = t_pi @ f @ s_iota
@@ -642,7 +607,7 @@ def p_lambda_p_family(lam, base):
         box2 = _symmetrizer_box(row_len + 1)
         row2 = [base.degree + n + 1 - j
                 for j in range(sums[s - 1] + 1, sums[s - 1] + row_len + 2)]
-        f2 = _right_mult_elem(base, n, box2.relabel(row2, base.degree + n))
+        f2 = right_mult_map(base, n, box2.relabel(row2, base.degree + n))
         w_out = p_route_element(n, base.degree, _route_swaps(r_s + 1, n))
         f2 = _right_mult_on_plain(base, n, w_out) @ f2
         iota = s_pi @ f2 @ t_iota
@@ -652,10 +617,6 @@ def p_lambda_p_family(lam, base):
         rhos.append(rho)
         documented.append(ONE)
     return SplitFamily("PlambdaP", src, labels, targets, iotas, rhos, documented)
-
-
-def _right_mult_elem(base, n_letters, elem):
-    return right_mult_map(base, n_letters, elem).matrix
 
 
 def q_lambda_q_family(lam, base):
@@ -712,8 +673,13 @@ def branching_iso_check(which, sizes, base):
     four and a partition for the last three.
     """
     builders = {
-        "QP-swap": lambda: qp_swap_family(sizes[0], sizes[1], base),
-        "Q*P-swap": lambda: qstar_p_swap_family(sizes[0], sizes[1], base),
+        "QP-swap": lambda: _swap_family(
+            which, lambda w: [w], *sizes, base,
+            [Fraction(comb(sizes[0], s) * comb(sizes[1], s) * factorial(s))
+             for s in range(min(sizes) + 1)]),
+        "Q*P-swap": lambda: _swap_family(
+            which, lambda w: [1] * w, *sizes, base,
+            [ONE, Fraction(sizes[0] * sizes[1])][:min(sizes) + 1]),
         "PP*-merge": lambda: pp_star_merge_family(sizes[0], sizes[1], base),
         "PP-merge": lambda: pp_merge_family(sizes[0], sizes[1], base),
         "QlambdaP": lambda: q_lambda_p_family(sizes, base),

@@ -286,7 +286,7 @@ def _sigma_cell(m, k):
         full = _top_letters_perm(w, n, k)
         term = (_right_mult_on_plain(stage_q, k, full)
                 @ _lift_matrix(m.act_perm(perm_inverse(full)),
-                               stage_q, stage_q, "P" * k))
+                               stage_q.degree, "P" * k))
         if _perm_sign(w) < 0:
             term = term.scale(-ONE)
         acc = acc + term
@@ -338,7 +338,7 @@ def _operator_complex(op, m, check=True):
     return Complex(gd, modules, diffs, check=check), cells
 
 
-def _functor_on_map(src_cells, tgt_cells, f, m_src, m_tgt):
+def _functor_on_map(src_cells, tgt_cells, f, degree):
     """Apply the word functors of matched cells to a module map.
 
     Cell lists must be label-aligned (they are: cells depend only on the
@@ -353,7 +353,7 @@ def _functor_on_map(src_cells, tgt_cells, f, m_src, m_tgt):
     for cs, ct in zip(src_cells, tgt_cells):
         assert cs.label == ct.label and cs.word.letters == ct.word.letters
         if cs.sub.dim and ct.sub.dim:
-            blk = ct.pi @ _lift_matrix(f, m_src, m_tgt, cs.word.letters) @ cs.iota
+            blk = ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
             for r, row in enumerate(blk.rows):
                 for c, v in row.items():
                     entries.append((roff + r, coff + c, v))
@@ -394,9 +394,8 @@ def _apply_operator(op, cx, check=True, return_columns=False):
         f = cx.d(y)
         if not f.nnz():
             continue
-        m_src, m_tgt = cx.module(y), cx.module(y - 1)
         for k, cl in columns[y].items():
-            mat = _functor_on_map(cl, columns[y - 1][k], f, m_src, m_tgt)
+            mat = _functor_on_map(cl, columns[y - 1][k], f, cx.group_degree)
             if mat.nnz():
                 d_v[(k, y)] = mat
     out = totalize(modules, d_h, d_v, gd, check=check)
@@ -659,8 +658,8 @@ def _pair_evaluation(outer_cell, inner_cell, a):
     x = outer_cell.label
     y2 = x + a + 1
     flat = PlainWord(m, inner_cell.word.letters + outer_cell.word.letters)
-    lift = _lift_matrix(inner_cell.iota, inner_cell.sub,
-                        inner_cell.word.top, outer_cell.word.letters)
+    lift = _lift_matrix(inner_cell.iota, inner_cell.sub.degree,
+                        outer_cell.word.letters)
     mat = lift @ outer_cell.iota
     word = flat
     for c in range(x):

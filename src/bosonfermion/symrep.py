@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
+from math import prod
 
 from .errors import DimensionCapExceeded
 from .linalg import SMat, idempotent_image
@@ -593,7 +594,8 @@ def _iterated_block_index(keys, dims_per_level, base_dim):
 
 def right_mult_map(m, levels, elem):
     """Right multiplication by a group-algebra element supported on the top
-    ``levels`` letters, as an endomorphism of induce^levels(M).
+    ``levels`` letters, as the matrix of an endomorphism of induce^levels(M)
+    (of size dim(M)·(n+1)···(n+levels) with n = deg M).
 
     Any w = r_{k_levels} ... r_{k_1} * g refactors with new block keys and a
     residual permutation acting through M; this is exactly how crossings and
@@ -601,11 +603,8 @@ def right_mult_map(m, levels, elem):
     """
     n, d = m.degree, m.dim
     assert elem.degree == n + levels
-    spaces = [m]
-    for _ in range(levels):
-        spaces.append(induce(spaces[-1]))
-    top = spaces[-1]
     blocks_per_level = [n + lvl + 1 for lvl in range(levels)]
+    dim = d * prod(blocks_per_level)
 
     # enumerate blocks by their key tuples (k_1, ..., k_levels)
     def gen_keys(prefix, lvl):
@@ -633,8 +632,7 @@ def right_mult_map(m, levels, elem):
             for r, row in enumerate(block.rows):
                 for c, v in row.items():
                     entries.append((row_base + r, col_base + c, coeff * v))
-    out = SMat.from_entries(top.dim, top.dim, entries)
-    return ModuleMap(top, top, out)
+    return SMat.from_entries(dim, dim, entries)
 
 
 def crossing(m):
@@ -642,7 +640,9 @@ def crossing(m):
     by the adjacent transposition of the two new letters."""
     n = m.degree
     s = adjacent_transposition(n + 1, n + 2)
-    return right_mult_map(m, 2, GroupAlgebraElement(n + 2, {s: ONE}))
+    top = induce(induce(m))
+    return ModuleMap(top, top, right_mult_map(
+        m, 2, GroupAlgebraElement(n + 2, {s: ONE})))
 
 
 def right_twist_curl(m):
@@ -679,7 +679,9 @@ def jucys_murphy_map(m):
         img = list(range(1, n + 2))
         img[i - 1], img[n] = n + 1, i
         terms[tuple(img)] = ONE
-    return right_mult_map(m, 1, GroupAlgebraElement(n + 1, terms))
+    top = induce(m)
+    return ModuleMap(top, top, right_mult_map(
+        m, 1, GroupAlgebraElement(n + 1, terms)))
 
 
 # -- idempotent-image functors -------------------------------------------------------
@@ -705,7 +707,7 @@ def embedded_young_element(lam, letters, degree):
     return young_idempotent(lam, check=False).relabel(letters, degree)
 
 
-def p_lambda(lam, m, dim_cap=None):
+def p_lambda(lam, m):
     """The lam-isotypic creation functor: (module, inclusion, projection)
     with inclusion into induce^{|lam|}(M)."""
     lam = Partition(lam)
@@ -713,21 +715,17 @@ def p_lambda(lam, m, dim_cap=None):
     amb = m
     for _ in range(k):
         amb = induce(amb)
-    if dim_cap is not None and amb.dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"induce^{k} has dimension {amb.dim} > cap {dim_cap}")
     if k == 0:
         return m, identity_map(m), identity_map(m)
     letters = added_letters_embedding(lam, m.degree)
     elem = embedded_young_element(lam, letters, m.degree + k)
-    op = right_mult_map(m, k, elem)
-    iota_m, pi_m = idempotent_image(op.matrix)
+    iota_m, pi_m = idempotent_image(right_mult_map(m, k, elem))
     sub = RepModule(amb.degree, iota_m.ncols,
                     [pi_m @ g @ iota_m for g in amb.gens])
     return sub, ModuleMap(sub, amb, iota_m), ModuleMap(amb, sub, pi_m)
 
 
-def q_lambda(lam, m, dim_cap=None):
+def q_lambda(lam, m):
     """The lam-isotypic annihilation functor: (module, inclusion, projection)
     with inclusion into restrict^{|lam|}(M); zero module if |lam| exceeds
     the degree."""
@@ -740,9 +738,6 @@ def q_lambda(lam, m, dim_cap=None):
     amb = m
     for _ in range(k):
         amb = restrict(amb)
-    if dim_cap is not None and amb.dim > dim_cap:
-        raise DimensionCapExceeded(
-            f"restrict^{k} has dimension {amb.dim} > cap {dim_cap}")
     if k == 0:
         return m, identity_map(m), identity_map(m)
     letters = removed_letters_embedding(lam, m.degree)

@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonfermion.branching import (
+    _lift_matrix,
     branching_iso_check,
     qp_dimension_identity,
     word_module,
@@ -42,6 +44,7 @@ from bosonfermion.symrep import (
     regular_module,
     restrict,
     restrict_map,
+    right_mult_map,
     right_twist_curl,
     sideways_pq_to_qp,
     sideways_qp_to_pq,
@@ -376,6 +379,71 @@ class TestWordModules:
         assert sub.dim == 0
 
 
+def module_route_lift(mat, s_mod, t_mod, rest):
+    """The former whiskering, kept as an oracle: it builds both endpoint
+    modules at every letter and reads the block count and the death of the
+    word off them."""
+    f, s, t = mat, s_mod, t_mod
+    for ch in rest:
+        if ch == "P":
+            blocks = s.degree + 1
+            entries = [(b * f.nrows + r, b * f.ncols + c, v)
+                       for b in range(blocks)
+                       for r, row in enumerate(f.rows)
+                       for c, v in row.items()]
+            f = SMat.from_entries(blocks * f.nrows, blocks * f.ncols, entries)
+            s, t = induce(s), induce(t)
+        else:
+            s2, t2 = restrict(s), restrict(t)
+            if s2.dim != s.dim or t2.dim != t.dim:
+                f = SMat.zeros(t2.dim, s2.dim)
+            s, t = s2, t2
+    return f
+
+
+LIFT_BASES = {
+    "trivial:0": lambda: trivial_module(0),
+    "trivial:1": lambda: trivial_module(1),
+    "S:2,1": lambda: specht_module([2, 1]),
+    "reg:2": lambda: regular_module(2),
+}
+
+
+class TestDegreeLift:
+    @pytest.mark.parametrize("key", sorted(LIFT_BASES))
+    def test_matches_module_route_on_short_words(self, key):
+        m = LIFT_BASES[key]()
+        if m.degree >= 2:
+            endo = m.act_perm(adjacent_transposition(1, m.degree))
+        else:
+            endo = SMat.identity(m.dim).scale(-3)
+        cup = unit_qp(m)
+        maps = [(endo, m, m), (cup.matrix, cup.source, cup.target)]
+        for length in range(5):
+            for rest in map("".join, product("PQ", repeat=length)):
+                for mat, src, tgt in maps:
+                    old = module_route_lift(mat, src, tgt, rest)
+                    new = _lift_matrix(mat, src.degree, rest)
+                    assert new == old, (key, rest)  # shapes and entries
+
+    def test_restricting_past_degree_zero_kills_the_word(self):
+        m = trivial_module(1)
+        for rest in ("QQ", "QQP", "QQPP", "QPQQ"):
+            old = module_route_lift(SMat.identity(1), m, m, rest)
+            new = _lift_matrix(SMat.identity(1), m.degree, rest)
+            assert new == old == SMat.zeros(0, 0), rest
+
+    @pytest.mark.parametrize("key", sorted(LIFT_BASES))
+    def test_right_mult_size_is_induced_dimension(self, key):
+        m = LIFT_BASES[key]()
+        tower = m
+        for k in range(3):
+            mat = right_mult_map(m, k, GroupAlgebraElement.unit(m.degree + k))
+            assert mat.nrows == mat.ncols == tower.dim
+            assert mat == SMat.identity(tower.dim)
+            tower = induce(tower)
+
+
 BRANCHING_CASES = [
     ("QP-swap", (1, 1), "reg1"),
     ("QP-swap", (2, 1), "S(2)"),
@@ -405,6 +473,9 @@ BRANCHING_CASES = [
     ("QlambdaQ", (2,), "S(3,1)"),
     ("QlambdaQ", (1, 1), "reg3"),
     ("QlambdaQ", (2,), "triv2"),
+    # zero-width cables leave one summand (appended to keep the case ids)
+    ("Q*P-swap", (1, 0), "triv1"),
+    ("Q*P-swap", (0, 1), "triv1"),
 ]
 
 BRANCHING_BASES = {
