@@ -72,31 +72,21 @@ class PlainWord:
                          self.letters[:i] + insert + self.letters[i + drop:])
 
 
-def _kron_blocks(f, blocks):
-    """Lift a map through one induction stage: identity on blocks."""
-    entries = []
-    for b in range(blocks):
-        for r, row in enumerate(f.rows):
-            for c, v in row.items():
-                entries.append((b * f.nrows + r, b * f.ncols + c, v))
-    return SMat.from_entries(blocks * f.nrows, blocks * f.ncols, entries)
-
-
 def _lift_matrix(mat, degree, rest):
     """Whisker a map between two modules of S_degree through the letters
     ``rest``: P takes degree + 1 identity blocks and raises the degree, Q
     keeps the matrix and lowers the degree.  Q at degree 0 kills the word,
-    as ``restrict`` does: the map becomes 0 x 0 and the degree stays 0."""
-    f = mat
+    as ``restrict`` does: no copies are left and the degree stays 0."""
+    copies = 1
     for ch in rest:
         if ch == "P":
             degree += 1
-            f = _kron_blocks(f, degree)
+            copies *= degree
         elif degree:
             degree -= 1
         else:
-            f = SMat.zeros(0, 0)
-    return f
+            copies = 0
+    return SMat.block_diag([mat] * copies)
 
 
 def _move(word, i, drop, insert, mm):
@@ -408,14 +398,21 @@ def _swap_family(kind, cable, q_size, p_size, base, scalars):
 
 def pp_star_merge_family(n_size, m_size, base):
     """P^(n) P^(m)t  ≅  P^(n,1^m)  ⊕  P^(n+1,1^(m-1)): bare idempotent
-    sandwiches on the shared plain space."""
+    sandwiches on the shared plain space, with scalars 1 and m.
+
+    Only the hooks that exist are summands: a zero-width column cable
+    (m = 0) leaves P^(n) with scalar 1, and a zero-width row cable
+    (n = 0) leaves P^(1^m) with scalar m.
+    """
     src, s_iota, s_pi, _ = word_module(
         [("P", [1] * m_size), ("P", [n_size])], base)
-    hooks = [
-        Partition([n_size] + [1] * m_size),
-        Partition([n_size + 1] + [1] * (m_size - 1)),
-    ]
-    documented = [ONE, Fraction(m_size)]
+    hooks, documented = [], []
+    if n_size or not m_size:
+        hooks.append(Partition([n_size] + [1] * m_size))
+        documented.append(ONE)
+    if m_size:
+        hooks.append(Partition([n_size + 1] + [1] * (m_size - 1)))
+        documented.append(Fraction(m_size))
     labels, targets, iotas, rhos = [], [], [], []
     for hook, scal in zip(hooks, documented):
         tgt, t_iota, t_pi, _ = word_module([("P", hook)], base)
@@ -428,7 +425,9 @@ def pp_star_merge_family(n_size, m_size, base):
 
 def pp_merge_family(m_size, n_size, base):
     """P^(m) P^(n)  ≅  ⊕_s P^(m+n-s, s): bare sandwiches when the left
-    cable is at least as wide, with a cable crossing inserted otherwise."""
+    cable is at least as wide, with a cable crossing inserted otherwise.
+    The documented scalar is the narrower width, or 1 when a zero-width
+    cable leaves the single summand P^(m+n)."""
     src, s_iota, s_pi, word0 = word_module(
         [("P", [n_size]), ("P", [m_size])], base)
     total = m_size + n_size
@@ -447,7 +446,7 @@ def pp_merge_family(m_size, n_size, base):
     for s in range(min(m_size, n_size) + 1):
         lam = Partition([total - s, s]) if s else Partition([total])
         tgt, t_iota, t_pi, _ = word_module([("P", lam)], base)
-        scal = Fraction(m_size if crossed else n_size)
+        scal = Fraction(min(m_size, n_size) or 1)
         if crossed:
             iota = (s_pi @ cross_in @ e_ws @ t_iota).scale(scal)
             rho = t_pi @ e_ws @ cross_out @ s_iota

@@ -136,23 +136,10 @@ def _assemble_block_matrix(src_cells, tgt_cells, block):
     ``block(src_cell, tgt_cell)`` returns an SMat or None; cells of
     dimension zero are skipped but still occupy (empty) block positions.
     """
-    nrows = sum(c.sub.dim for c in tgt_cells)
-    ncols = sum(c.sub.dim for c in src_cells)
-    entries = []
-    coff = 0
-    for cs in src_cells:
-        roff = 0
-        for ct in tgt_cells:
-            if cs.sub.dim and ct.sub.dim:
-                blk = block(cs, ct)
-                if blk is not None:
-                    assert blk.nrows == ct.sub.dim and blk.ncols == cs.sub.dim
-                    for r, row in enumerate(blk.rows):
-                        for c, v in row.items():
-                            entries.append((roff + r, coff + c, v))
-            roff += ct.sub.dim
-        coff += cs.sub.dim
-    return SMat.from_entries(nrows, ncols, entries)
+    grid = [[block(cs, ct) if cs.sub.dim and ct.sub.dim else None
+             for cs in src_cells] for ct in tgt_cells]
+    return SMat.block(grid, [c.sub.dim for c in tgt_cells],
+                      [c.sub.dim for c in src_cells])
 
 
 # --------------------------------------------------------------------------
@@ -318,24 +305,11 @@ def sigma_cell_dims(m):
 
 
 def _operator_complex(op, m, check=True):
-    """One-step complex of ``op`` on a single module, plus its cell data."""
-    cells = op.cells(m)
-    gd = op.out_degree(m.degree)
-    modules = {}
-    diffs = {}
-    for k, cl in cells.items():
-        ds = module_direct_sum([c.sub for c in cl], gd)
-        if ds.dim:
-            modules[k] = ds
-    for k, cl in cells.items():
-        if (k - 1) not in cells:
-            continue
-        mat = op.diff_blocks(cl, cells[k - 1])
-        if mat.nnz():
-            diffs[k] = mat
-    if not modules:
-        return zero_complex(max(gd, 0)), cells
-    return Complex(gd, modules, diffs, check=check), cells
+    """One-step complex of ``op`` on a single module, plus its cells keyed
+    by inner degree."""
+    cx, columns, _ = _apply_operator(op, single_module_complex(m),
+                                     check=check, return_columns=True)
+    return cx, columns.get(0, {})
 
 
 def _functor_on_map(src_cells, tgt_cells, f, degree):
@@ -345,21 +319,15 @@ def _functor_on_map(src_cells, tgt_cells, f, degree):
     operator and the group degree, which all modules of a complex share).
     """
     assert len(src_cells) == len(tgt_cells)
-    nrows = sum(c.sub.dim for c in tgt_cells)
-    ncols = sum(c.sub.dim for c in src_cells)
-    entries = []
-    roff = 0
-    coff = 0
+    blocks = []
     for cs, ct in zip(src_cells, tgt_cells):
         assert cs.label == ct.label and cs.word.letters == ct.word.letters
         if cs.sub.dim and ct.sub.dim:
-            blk = ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
-            for r, row in enumerate(blk.rows):
-                for c, v in row.items():
-                    entries.append((roff + r, coff + c, v))
-        roff += ct.sub.dim
-        coff += cs.sub.dim
-    return SMat.from_entries(nrows, ncols, entries)
+            blocks.append(
+                ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota)
+        else:
+            blocks.append(SMat.zeros(ct.sub.dim, cs.sub.dim))
+    return SMat.block_diag(blocks)
 
 
 def _apply_operator(op, cx, check=True, return_columns=False):

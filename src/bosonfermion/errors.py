@@ -1,10 +1,6 @@
 """Shared exception types."""
 
 
-class DegreeCapExceeded(Exception):
-    """An operation would produce terms above the caller's degree cap."""
-
-
 class DimensionCapExceeded(Exception):
     """A construction would materialize a space above the caller's dimension cap."""
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from .errors import ChainComplexError
 from .linalg import (
     SMat,
     bareiss_rank,
@@ -35,20 +36,10 @@ ONE = Fraction(1)
 
 def module_direct_sum(mods, group_degree):
     """Block-diagonal direct sum of modules of one group degree."""
-    mods = [m for m in mods]
-    dim = sum(m.dim for m in mods)
-    gens = []
-    for i in range(max(0, group_degree - 1)):
-        entries = []
-        off = 0
-        for m in mods:
-            g = m.gens[i]
-            for r, row in enumerate(g.rows):
-                for c, v in row.items():
-                    entries.append((off + r, off + c, v))
-            off += m.dim
-        gens.append(SMat.from_entries(dim, dim, entries))
-    return RepModule(group_degree, dim, gens)
+    mods = list(mods)
+    gens = [SMat.block_diag([m.gens[i] for m in mods])
+            for i in range(max(0, group_degree - 1))]
+    return RepModule(group_degree, sum(m.dim for m in mods), gens)
 
 
 class Complex:
@@ -61,14 +52,19 @@ class Complex:
         self.group_degree = int(group_degree)
         self.modules = {}
         for k, m in modules.items():
-            assert m.degree == self.group_degree, (m.degree, self.group_degree)
+            if m.degree != self.group_degree:
+                raise ChainComplexError(
+                    f"chain group in degree {k} is a module of S_{m.degree}, "
+                    f"not of S_{self.group_degree}")
             if m.dim > 0:
                 self.modules[int(k)] = m
         self.diffs = {}
         for k, mat in (diffs or {}).items():
             k = int(k)
-            assert mat.nrows == self.dim(k - 1) and mat.ncols == self.dim(k), (
-                k, mat.nrows, mat.ncols, self.dim(k - 1), self.dim(k))
+            if (mat.nrows, mat.ncols) != (self.dim(k - 1), self.dim(k)):
+                raise ChainComplexError(
+                    f"differential at degree {k} is {mat.nrows}x{mat.ncols}, "
+                    f"expected {self.dim(k - 1)}x{self.dim(k)}")
             if mat.nnz():
                 self.diffs[k] = mat
         if check:
@@ -103,8 +99,9 @@ class Complex:
 
     def check_differential(self):
         for k in self.diffs:
-            if (k + 1) in self.diffs:
-                assert (self.d(k) @ self.d(k + 1)).is_zero(), (
+            if (k + 1) in self.diffs and not (
+                    self.d(k) @ self.d(k + 1)).is_zero():
+                raise ChainComplexError(
                     f"d∘d != 0 between degrees {k + 1} and {k - 1}")
 
     def validate(self):
@@ -113,7 +110,9 @@ class Complex:
         for k, mat in self.diffs.items():
             src, tgt = self.module(k), self.module(k - 1)
             for gs, gt in zip(src.gens, tgt.gens):
-                assert gt @ mat == mat @ gs, f"differential at {k} not equivariant"
+                if gt @ mat != mat @ gs:
+                    raise ChainComplexError(
+                        f"differential at degree {k} is not equivariant")
 
     # -- constructions -----------------------------------------------------------
 
@@ -225,16 +224,7 @@ def direct_sum(complexes, group_degree=None):
                                     group_degree)
     for k in keys + [keys[-1] + 1 if keys else 0]:
         if any((k in c.diffs) for c in complexes):
-            blocks = [c.d(k) for c in complexes]
-            entries = []
-            roff = coff = 0
-            for bmat in blocks:
-                for r, row in enumerate(bmat.rows):
-                    for c_, v in row.items():
-                        entries.append((roff + r, coff + c_, v))
-                roff += bmat.nrows
-                coff += bmat.ncols
-            diffs[k] = SMat.from_entries(roff, coff, entries)
+            diffs[k] = SMat.block_diag([c.d(k) for c in complexes])
     return Complex(group_degree, mods, diffs, check=False)
 
 
@@ -249,7 +239,10 @@ class ChainMap:
         self.mats = {}
         for k, mat in mats.items():
             k = int(k)
-            assert mat.nrows == target.dim(k) and mat.ncols == source.dim(k)
+            if (mat.nrows, mat.ncols) != (target.dim(k), source.dim(k)):
+                raise ChainComplexError(
+                    f"chain map at degree {k} is {mat.nrows}x{mat.ncols}, "
+                    f"expected {target.dim(k)}x{source.dim(k)}")
             if mat.nnz():
                 self.mats[k] = mat
         if check:
@@ -266,7 +259,9 @@ class ChainMap:
         for k in keys:
             lhs = self.target.d(k) @ self.mat(k)
             rhs = self.mat(k - 1) @ self.source.d(k)
-            assert lhs == rhs, f"chain map does not commute at degree {k}"
+            if lhs != rhs:
+                raise ChainComplexError(
+                    f"chain map does not commute at degree {k}")
 
 
 def cone(f):
@@ -280,26 +275,10 @@ def cone(f):
         mods[k] = module_direct_sum([a.module(k - 1), b.module(k)], gd)
     all_k = sorted({k for k in keys} | {k + 1 for k in keys})
     for k in all_k:
-        da = a.d(k - 1).scale(-1)
-        fm = f.mat(k - 1)
-        db = b.d(k)
-        nr = a.dim(k - 2) + b.dim(k - 1)
-        nc = a.dim(k - 1) + b.dim(k)
-        if nr == 0 or nc == 0:
-            continue
-        entries = []
-        for r, row in enumerate(da.rows):
-            for c, v in row.items():
-                entries.append((r, c, v))
-        roff = a.dim(k - 2)
-        for r, row in enumerate(fm.rows):
-            for c, v in row.items():
-                entries.append((roff + r, c, v))
-        coff = a.dim(k - 1)
-        for r, row in enumerate(db.rows):
-            for c, v in row.items():
-                entries.append((roff + r, coff + c, v))
-        mat = SMat.from_entries(nr, nc, entries)
+        mat = SMat.block([[a.d(k - 1).scale(-1), None],
+                          [f.mat(k - 1), b.d(k)]],
+                         [a.dim(k - 2), b.dim(k - 1)],
+                         [a.dim(k - 1), b.dim(k)])
         if mat.nnz():
             diffs[k] = mat
     return Complex(gd, mods, diffs)
@@ -314,45 +293,26 @@ def totalize(modules, d_h, d_v, group_degree, check=True):
     """
     cells = {xy: m for xy, m in modules.items() if m.dim > 0}
     by_total = {}
-    for (x, y), m in cells.items():
+    for x, y in sorted(cells, key=lambda xy: (sum(xy), xy)):
         by_total.setdefault(x + y, []).append((x, y))
-    for k in by_total:
-        by_total[k].sort()
-    offsets, mods = {}, {}
-    for k, cell_list in sorted(by_total.items()):
-        off = 0
-        for xy in cell_list:
-            offsets[xy] = off
-            off += cells[xy].dim
-        mods[k] = module_direct_sum([cells[xy] for xy in cell_list],
-                                    group_degree)
+    mods = {k: module_direct_sum([cells[xy] for xy in cell_list],
+                                 group_degree)
+            for k, cell_list in by_total.items()}
+
+    def block(src, tgt):
+        x, y = src
+        if tgt == (x - 1, y):
+            return d_h.get(src)
+        if tgt == (x, y - 1) and src in d_v:
+            return d_v[src] if x % 2 == 0 else -d_v[src]
+        return None
+
     diffs = {}
-    for k in sorted(by_total):
-        if (k - 1) not in by_total and not any(
-                (x - 1, y) in cells or (x, y - 1) in cells
-                for x, y in by_total[k]):
-            continue
-        nr = sum(cells[xy].dim for xy in by_total.get(k - 1, []))
-        nc = sum(cells[xy].dim for xy in by_total[k])
-        if nr == 0 or nc == 0:
-            continue
-        entries = []
-        for (x, y) in by_total[k]:
-            coff = offsets[(x, y)]
-            hmat = d_h.get((x, y))
-            if hmat is not None and (x - 1, y) in offsets:
-                roff = offsets[(x - 1, y)]
-                for r, row in enumerate(hmat.rows):
-                    for c, v in row.items():
-                        entries.append((roff + r, coff + c, v))
-            vmat = d_v.get((x, y))
-            if vmat is not None and (x, y - 1) in offsets:
-                roff = offsets[(x, y - 1)]
-                sign = ONE if x % 2 == 0 else -ONE
-                for r, row in enumerate(vmat.rows):
-                    for c, v in row.items():
-                        entries.append((roff + r, coff + c, sign * v))
-        mat = SMat.from_entries(nr, nc, entries)
+    for k, src_cells in by_total.items():
+        tgt_cells = by_total.get(k - 1, [])
+        mat = SMat.block([[block(s, t) for s in src_cells] for t in tgt_cells],
+                         [cells[t].dim for t in tgt_cells],
+                         [cells[s].dim for s in src_cells])
         if mat.nnz():
             diffs[k] = mat
     return Complex(group_degree, mods, diffs, check=check)
@@ -490,14 +450,11 @@ def random_complex_with_known_homology(rng, span=4):
         p = pairs[k]
         if p == 0 or dims[k] == 0 or dims[k - 1] == 0:
             continue
-        entries = []
         # pair block sits after the planted block in degree k, and after
         # planted + incoming-pair blocks in degree k - 1
-        roff = planted[k - 1] + pairs.get(k - 1, 0)
-        coff = planted[k]
-        for i in range(p):
-            entries.append((roff + i, coff + i, ONE))
-        diffs[k] = SMat.from_entries(dims[k - 1], dims[k], entries)
+        diffs[k] = SMat.block(
+            [[None, None, None], [None, SMat.identity(p), None]],
+            [dims[k - 1] - p, p], [planted[k], p, dims[k] - planted[k] - p])
     basis = {k: _random_invertible(rng, dims[k]) for k in range(span)}
     scrambled = {}
     for k, mat in diffs.items():

@@ -158,44 +158,52 @@ class SMat:
 
     @staticmethod
     def vstack(blocks):
-        ncols = blocks[0].ncols
-        rows = []
-        for b in blocks:
-            assert b.ncols == ncols
-            rows.extend(dict(r) for r in b.rows)
-        return SMat(len(rows), ncols, rows)
+        return SMat.block([[b] for b in blocks], [b.nrows for b in blocks],
+                          [blocks[0].ncols])
 
     @staticmethod
     def hstack(blocks):
-        nrows = blocks[0].nrows
-        assert all(b.nrows == nrows for b in blocks)
-        rows = [{} for _ in range(nrows)]
-        off = 0
-        for b in blocks:
-            for i, r in enumerate(b.rows):
-                for j, v in r.items():
-                    rows[i][off + j] = v
-            off += b.ncols
-        return SMat(nrows, off, rows)
+        return SMat.block([blocks], [blocks[0].nrows],
+                          [b.ncols for b in blocks])
 
     @staticmethod
     def block(grid, row_dims, col_dims):
-        """Assemble a block matrix; None entries are zero blocks."""
-        rows = [{} for _ in range(sum(row_dims))]
-        roff = 0
-        for bi, rdim in enumerate(row_dims):
+        """Assemble a block matrix; None entries are zero blocks.
+
+        ``grid[i][j]`` must be ``row_dims[i] x col_dims[j]`` (ValueError
+        otherwise).  The result has fresh rows: it shares no dict with the
+        blocks.
+        """
+        rows = []
+        for bi, (line, rdim) in enumerate(zip(grid, row_dims, strict=True)):
+            band = [{} for _ in range(rdim)]
             coff = 0
-            for bj, cdim in enumerate(col_dims):
-                blk = grid[bi][bj]
+            for bj, (blk, cdim) in enumerate(zip(line, col_dims, strict=True)):
                 if blk is not None:
-                    assert blk.nrows == rdim and blk.ncols == cdim, (
-                        bi, bj, blk.nrows, blk.ncols, rdim, cdim)
-                    for i, r in enumerate(blk.rows):
-                        for j, v in r.items():
-                            rows[roff + i][coff + j] = v
+                    if (blk.nrows, blk.ncols) != (rdim, cdim):
+                        raise ValueError(
+                            f"block ({bi}, {bj}) is {blk.nrows}x{blk.ncols}, "
+                            f"expected {rdim}x{cdim}")
+                    for row, r in zip(band, blk.rows):
+                        row.update(_shifted(r, coff))
                 coff += cdim
-            roff += rdim
-        return SMat(sum(row_dims), sum(col_dims), rows)
+            rows.extend(band)
+        return SMat(len(rows), sum(col_dims), rows)
+
+    @staticmethod
+    def block_diag(mats):
+        """Block-diagonal matrix of ``mats``; 0 x 0 for an empty list."""
+        rows = []
+        coff = 0
+        for m in mats:
+            rows.extend(_shifted(r, coff) for r in m.rows)
+            coff += m.ncols
+        return SMat(len(rows), coff, rows)
+
+
+def _shifted(row, coff):
+    """A fresh copy of a sparse row with its columns moved right by coff."""
+    return {coff + j: v for j, v in row.items()} if coff else dict(row)
 
 
 # -- elimination engine -------------------------------------------------------

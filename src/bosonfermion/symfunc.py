@@ -18,7 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DegreeCapExceeded
 from .partition_core import (
     Partition,
     centralizer_order,
@@ -410,16 +409,10 @@ def _acc(d, k, v):
 # -- products and skews --------------------------------------------------------
 
 
-def _check_cap(degree, cap):
-    if cap is not None and degree is not None and degree > cap:
-        raise DegreeCapExceeded(f"result degree {degree} exceeds cap {cap}")
-
-
-def multiply(f, g, degree_cap=None):
+def multiply(f, g):
     """Product f*g: expand g into the h basis, then iterated Pieri on f."""
     if f.is_zero() or g.is_zero():
         return SymFunc.zero()
-    _check_cap(f.degree() + g.degree(), degree_cap)
     out = SymFunc.zero()
     for lam, c in g.terms.items():
         for mu, d in _schur_to_h(lam):
@@ -454,10 +447,9 @@ def skew(g, f):
 # -- Heisenberg-type operators ---------------------------------------------------
 
 
-def heis_p(n, f, degree_cap=None):
+def heis_p(n, f):
     """Row-symmetric raising operator: multiplication by h_n."""
     assert n >= 0
-    _check_cap(None if f.is_zero() else f.degree() + n, degree_cap)
     return _mult_h(n, f)
 
 
@@ -467,10 +459,9 @@ def heis_q(n, f):
     return _skew_h(n, f)
 
 
-def heis_p_col(n, f, degree_cap=None):
+def heis_p_col(n, f):
     """Column (antisymmetric) raising operator: multiplication by e_n."""
     assert n >= 0
-    _check_cap(None if f.is_zero() else f.degree() + n, degree_cap)
     return _mult_e(n, f)
 
 
@@ -480,17 +471,16 @@ def heis_q_col(n, f):
     return _skew_e(n, f)
 
 
-def heis_alpha(k, f, degree_cap=None):
+def heis_alpha(k, f):
     """Oscillator operators: k<0 acts by |k|·p_{|k|}·(−), k>0 by p_k^⊥."""
     assert k != 0
     if k < 0:
         n = -k
-        _check_cap(None if f.is_zero() else f.degree() + n, degree_cap)
         return multiply(f, _power_sum_schur(n)).scale(n)
     return skew(_power_sum_schur(k), f)
 
 
-def gamma_half(sign, k, f, inverse=False, degree_cap=None):
+def gamma_half(sign, k, f, inverse=False):
     """Coefficient of z^k of a half vertex operator.
 
     sign "-" raises degree: h_k·f, or (−1)^k e_k·f for the inverse half.
@@ -499,7 +489,6 @@ def gamma_half(sign, k, f, inverse=False, degree_cap=None):
     assert sign in ("+", "-")
     assert k >= 0
     if sign == "-":
-        _check_cap(None if f.is_zero() else f.degree() + k, degree_cap)
         if inverse:
             return _mult_e(k, f).scale((-1) ** k)
         return _mult_h(k, f)
@@ -511,12 +500,11 @@ def gamma_half(sign, k, f, inverse=False, degree_cap=None):
 # -- Bernstein operators ---------------------------------------------------------
 
 
-def bernstein(a, f, degree_cap=None):
+def bernstein(a, f):
     """The Schur-function creation operator:
     B_a f = Σ_{m ≥ max(0,−a)} (−1)^m h_{a+m} · (e_m^⊥ f)."""
     if f.is_zero():
         return SymFunc.zero()
-    _check_cap(f.degree() + a if f.degree() + a >= 0 else None, degree_cap)
     max_m = max((len(l.parts) for l in f.terms), default=0)
     out = SymFunc.zero()
     for m in range(max(0, -a), max_m + 1):
@@ -528,7 +516,7 @@ def bernstein(a, f, degree_cap=None):
     return out
 
 
-def bernstein_star(a, f, degree_cap=None):
+def bernstein_star(a, f):
     """The adjoint (annihilation) operator:
     B*_a f = Σ_{n ≥ max(0,−a)} (−1)^n e_n · (h_{n+a}^⊥ f)."""
     if f.is_zero():

@@ -437,28 +437,20 @@ def induce(m):
     representatives r_1, ..., r_n, r_{n+1} = identity (identity last),
     block k at rows/cols (k-1)*dim .. k*dim - 1."""
     n, d = m.degree, m.dim
-    blocks = n + 1
-    dim = blocks * d
+    eye = SMat.identity(d)
     gens = []
     for i in range(1, n + 1):
-        entries = []
-        for k in range(1, blocks + 1):
-            if k == i:
-                # s_i r_i = r_{i+1}: move block i to block i+1
-                for j in range(d):
-                    entries.append((i * d + j, (k - 1) * d + j, ONE))
-            elif k == i + 1:
-                # s_i r_{i+1} = r_i: move block i+1 to block i
-                for j in range(d):
-                    entries.append(((i - 1) * d + j, (k - 1) * d + j, ONE))
-            else:
-                # s_i r_k = r_k s_i (k > i+1) or r_k s_{i-1} (k < i)
-                tau = m.act_gen(i) if k > i + 1 else m.act_gen(i - 1)
-                for r, row in enumerate(tau.rows):
-                    for c, v in row.items():
-                        entries.append(((k - 1) * d + r, (k - 1) * d + c, v))
-        gens.append(SMat.from_entries(dim, dim, entries))
-    return RepModule(n + 1, dim, gens)
+        # grid[row][col], block k at index k - 1
+        grid = [[None] * (n + 1) for _ in range(n + 1)]
+        # s_i r_i = r_{i+1} and s_i r_{i+1} = r_i: swap blocks i and i+1
+        grid[i][i - 1] = grid[i - 1][i] = eye
+        # s_i r_k = r_k s_i (k > i+1) or r_k s_{i-1} (k < i)
+        for k in range(1, i):
+            grid[k - 1][k - 1] = m.act_gen(i - 1)
+        for k in range(i + 2, n + 2):
+            grid[k - 1][k - 1] = m.act_gen(i)
+        gens.append(SMat.block(grid, [d] * (n + 1), [d] * (n + 1)))
+    return RepModule(n + 1, (n + 1) * d, gens)
 
 
 def restrict(m):
@@ -472,33 +464,13 @@ def restrict(m):
 
 def induce_map(f):
     """Apply the induction functor to a map: block-diagonal extension."""
-    blocks = f.source.degree + 1
-    src = induce(f.source)
-    tgt = induce(f.target)
-    entries = []
-    for k in range(blocks):
-        for r, row in enumerate(f.matrix.rows):
-            for c, v in row.items():
-                entries.append((k * f.target.dim + r, k * f.source.dim + c, v))
-    return ModuleMap(src, tgt, SMat.from_entries(tgt.dim, src.dim, entries))
+    return ModuleMap(induce(f.source), induce(f.target),
+                     SMat.block_diag([f.matrix] * (f.source.degree + 1)))
 
 
 def restrict_map(f):
     """Apply the restriction functor to a map: same matrix, lower degree."""
     return ModuleMap(restrict(f.source), restrict(f.target), f.matrix)
-
-
-def _block_include(m, ind, k):
-    """Inclusion of the k-th block copy of m into ind = induce-shaped space."""
-    d = m.dim
-    entries = [((k - 1) * d + j, j, ONE) for j in range(d)]
-    return SMat.from_entries(ind.dim, d, entries)
-
-
-def _block_project(m, ind, k):
-    d = m.dim
-    entries = [(j, (k - 1) * d + j, ONE) for j in range(d)]
-    return SMat.from_entries(d, ind.dim, entries)
 
 
 def counit_pq(m):
@@ -529,15 +501,15 @@ def unit_pq(m):
 def unit_qp(m):
     """M -> restrict(induce(M)): into the identity-representative block."""
     tgt = restrict(induce(m))
-    ind = induce(m)
-    return ModuleMap(m, tgt, _block_include(m, ind, m.degree + 1))
+    return ModuleMap(m, tgt, SMat.block(
+        [[None], [SMat.identity(m.dim)]], [tgt.dim - m.dim, m.dim], [m.dim]))
 
 
 def counit_qp(m):
     """restrict(induce(M)) -> M: project onto the identity block."""
     src = restrict(induce(m))
-    ind = induce(m)
-    return ModuleMap(src, m, _block_project(m, ind, m.degree + 1))
+    return ModuleMap(src, m, SMat.block(
+        [[None, SMat.identity(m.dim)]], [m.dim], [src.dim - m.dim, m.dim]))
 
 
 def sideways_qp_to_pq(m):
@@ -548,8 +520,8 @@ def sideways_qp_to_pq(m):
     if n == 0:
         return ModuleMap(src, zero_module(0), SMat.zeros(0, src.dim))
     tgt = induce(restrict(m))
-    entries = [(x, x, ONE) for x in range(n * d)]
-    return ModuleMap(src, tgt, SMat.from_entries(tgt.dim, src.dim, entries))
+    return ModuleMap(src, tgt, SMat.block(
+        [[SMat.identity(n * d), None]], [n * d], [n * d, d]))
 
 
 def sideways_pq_to_qp(m):
@@ -559,8 +531,8 @@ def sideways_pq_to_qp(m):
     if n == 0:
         return ModuleMap(zero_module(0), tgt, SMat.zeros(tgt.dim, 0))
     src = induce(restrict(m))
-    entries = [(x, x, ONE) for x in range(n * d)]
-    return ModuleMap(src, tgt, SMat.from_entries(tgt.dim, src.dim, entries))
+    return ModuleMap(src, tgt, SMat.block(
+        [[SMat.identity(n * d)], [None]], [n * d, d], [n * d]))
 
 
 # -- right multiplication on iterated inductions ------------------------------------

@@ -1,5 +1,7 @@
 import argparse
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -197,6 +199,22 @@ class TestDeterminismAndCache:
         _, out1, _ = run(capsys, "cat", "specht", "2,1", "--json")
         _, out2, _ = run(capsys, "cat", "specht", "2,1", "--json")
         assert out1 == out2
+
+    # sha256 of the reports at the commit that introduced this pin; a
+    # refactor must keep them byte-identical.
+    @pytest.mark.parametrize("argv,digest", [
+        (("cat", "suite", "--json"),
+         "ac1c917ee557c9df9d509c3ae54a4575f1c490979775d4511c1f4ffce5c1d845"),
+        (("cat", "specht", "3,2", "--json"),
+         "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
+    ])
+    def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
+        for key in list(os.environ):
+            if key.startswith("BOSONFERMION_"):
+                monkeypatch.delenv(key)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_worker_count_does_not_change_output(self, capsys):
         args = ["cat", "suite", "--max-degree", "2", "--json"]

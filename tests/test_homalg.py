@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion.errors import ChainComplexError
 from bosonfermion.homalg import (
     ChainMap,
     Complex,
@@ -32,6 +37,8 @@ from bosonfermion.symrep import (
 
 import random
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 
 def augmentation_complex():
     """0 -> k[S_2] -> triv -> 0 with the sum-of-coordinates augmentation."""
@@ -49,11 +56,11 @@ class TestComplexBasics:
     def test_d_squared_gate(self):
         m = plain(1)
         eye = SMat.identity(1)
-        with pytest.raises(AssertionError):
+        with pytest.raises(ChainComplexError, match="degrees 2 and 0"):
             Complex(0, {0: m, 1: m, 2: m}, {1: eye, 2: eye})
 
     def test_shapes_gate(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(ChainComplexError, match="at degree 1 is 1x1"):
             Complex(0, {0: plain(2), 1: plain(1)},
                     {1: SMat.identity(1)})
 
@@ -62,6 +69,26 @@ class TestComplexBasics:
         assert c.dims() == {}
         assert c.betti() == {}
         assert c.d(5).is_zero()
+
+    def test_d_squared_gate_survives_optimized_python(self):
+        # python -O strips assert statements; the gate must still raise
+        code = (
+            "from bosonfermion.errors import ChainComplexError\n"
+            "from bosonfermion.homalg import Complex\n"
+            "from bosonfermion.linalg import SMat\n"
+            "from bosonfermion.symrep import RepModule\n"
+            "m = RepModule(0, 1, [])\n"
+            "eye = SMat.identity(1)\n"
+            "try:\n"
+            "    Complex(0, {0: m, 1: m, 2: m}, {1: eye, 2: eye})\n"
+            "except ChainComplexError as exc:\n"
+            "    print(exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert "degrees 2 and 0" in out.stdout
 
     def test_validate_equivariance(self):
         c = augmentation_complex()
@@ -72,7 +99,7 @@ class TestComplexBasics:
         sgn = sign_module(2)
         bad = Complex(2, {0: sgn, 1: reg},
                       {1: SMat.from_entries(1, 2, [(0, 0, 1), (0, 1, 1)])})
-        with pytest.raises(AssertionError):
+        with pytest.raises(ChainComplexError, match="degree 1"):
             bad.validate()
 
 
@@ -131,7 +158,7 @@ class TestConesAndMaps:
     def test_chain_map_gate(self):
         c = augmentation_complex()
         bad = {0: SMat.identity(1).scale(2), 1: SMat.identity(2)}
-        with pytest.raises(AssertionError):
+        with pytest.raises(ChainComplexError, match="degree 1"):
             ChainMap(c, c, bad)
 
     def test_cone_of_identity_is_acyclic(self):
@@ -175,7 +202,7 @@ class TestTotalize:
         eye = SMat.identity(1)
         d_h = {(1, 0): eye, (1, 1): eye}
         d_v = {(0, 1): eye, (1, 1): eye.scale(-1)}  # pre-twisted: now wrong
-        with pytest.raises(AssertionError):
+        with pytest.raises(ChainComplexError, match="degrees 2 and 0"):
             totalize(cells, d_h, d_v, 0)
 
     def test_single_column_totalization(self):

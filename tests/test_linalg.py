@@ -62,6 +62,78 @@ class TestBasics:
         assert a.submatrix([1], [0, 2]).to_dense() == [[F(4), F(6)]]
 
 
+def reference_block(grid, row_dims, col_dims):
+    """Block placement as one entry list summed by from_entries: the layout
+    every block-matrix builder used before SMat.block, kept as the oracle."""
+    entries = []
+    roff = 0
+    for line, rdim in zip(grid, row_dims):
+        coff = 0
+        for blk, cdim in zip(line, col_dims):
+            if blk is not None:
+                for r, row in enumerate(blk.rows):
+                    for c, v in row.items():
+                        entries.append((roff + r, coff + c, v))
+            coff += cdim
+        roff += rdim
+    return SMat.from_entries(sum(row_dims), sum(col_dims), entries)
+
+
+def sized(nrows, ncols):
+    """Matrices of a fixed shape, 0 x n and n x 0 included."""
+    return st.lists(st.lists(small_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(
+        lambda data: SMat.from_entries(nrows, ncols, [
+            (i, j, v) for i, row in enumerate(data) for j, v in enumerate(row)]))
+
+
+@st.composite
+def block_grids(draw):
+    row_dims = draw(st.lists(st.integers(0, 3), max_size=3))
+    col_dims = draw(st.lists(st.integers(0, 3), max_size=3))
+    grid = [[draw(st.none() | sized(r, c)) for c in col_dims]
+            for r in row_dims]
+    return grid, row_dims, col_dims
+
+
+def shares_no_row(result, blocks):
+    ids = {id(r) for b in blocks if b is not None for r in b.rows}
+    return not ids & {id(r) for r in result.rows}
+
+
+class TestBlockPlacement:
+    @given(block_grids())
+    @settings(max_examples=60, deadline=None)
+    def test_block_matches_entry_placement(self, case):
+        grid, row_dims, col_dims = case
+        got = SMat.block(grid, row_dims, col_dims)
+        want = reference_block(grid, row_dims, col_dims)
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got == want
+        assert shares_no_row(got, [b for line in grid for b in line])
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: sized(*shape)), max_size=4))
+    @settings(max_examples=60, deadline=None)
+    def test_block_diag_matches_entry_placement(self, mats):
+        grid = [[m if i == j else None for j in range(len(mats))]
+                for i, m in enumerate(mats)]
+        got = SMat.block_diag(mats)
+        want = reference_block(grid, [m.nrows for m in mats],
+                               [m.ncols for m in mats])
+        assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got == want
+        assert shares_no_row(got, mats)
+
+    def test_empty_block_diag_is_zero_by_zero(self):
+        got = SMat.block_diag([])
+        assert (got.nrows, got.ncols) == (0, 0)
+
+    def test_block_of_wrong_shape_raises(self):
+        with pytest.raises(ValueError, match="block \\(0, 1\\) is 1x2"):
+            SMat.block([[dense([[1]]), dense([[1, 2]])]], [1], [1, 1])
+
+
 class TestRankAndSpans:
     def test_rank_examples(self):
         assert rank(dense([[1, 2], [2, 4]])) == 1

@@ -3,10 +3,8 @@ Bernstein operators, Heisenberg operators, generating-series identities."""
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from bosonfermion.errors import DegreeCapExceeded
 from bosonfermion.partition_core import (
     Partition,
     centralizer_order,
@@ -333,18 +331,7 @@ def test_exponential_forms_degreewise():
         assert etotal == elementary(d), d
 
 
-# -- degree caps and serialization ------------------------------------------------------
-
-
-def test_degree_cap_errors():
-    with pytest.raises(DegreeCapExceeded):
-        multiply(s(2), s(2), degree_cap=3)
-    with pytest.raises(DegreeCapExceeded):
-        heis_p(3, s(2), degree_cap=4)
-    with pytest.raises(DegreeCapExceeded):
-        bernstein(4, s(1), degree_cap=4)
-    # within cap: fine
-    assert multiply(s(2), s(2), degree_cap=4) is not None
+# -- serialization -----------------------------------------------------------------
 
 
 def test_json_round_trip():

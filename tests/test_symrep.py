@@ -476,6 +476,10 @@ BRANCHING_CASES = [
     # zero-width cables leave one summand (appended to keep the case ids)
     ("Q*P-swap", (1, 0), "triv1"),
     ("Q*P-swap", (0, 1), "triv1"),
+    ("PP-merge", (0, 1), "triv1"),
+    ("PP-merge", (1, 0), "triv1"),
+    ("PP*-merge", (1, 0), "triv1"),
+    ("PP*-merge", (0, 1), "triv1"),
 ]
 
 BRANCHING_BASES = {
