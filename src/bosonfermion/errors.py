@@ -7,3 +7,11 @@ class DimensionCapExceeded(Exception):
 
 class ChainComplexError(Exception):
     """A would-be complex fails d*d = 0 or equivariance; carries diagnostics."""
+
+
+class IdempotentError(Exception):
+    """A would-be idempotent fails e*e = e or projection∘inclusion = id."""
+
+
+class CharacterError(Exception):
+    """A Frobenius character has a negative or non-integral multiplicity."""

@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import defaultdict
 from fractions import Fraction
 
+from .errors import IdempotentError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -25,7 +27,9 @@ class SMat:
         if rows is None:
             self.rows = [{} for _ in range(nrows)]
         else:
-            assert len(rows) == nrows
+            if len(rows) != nrows:
+                raise ValueError(
+                    f"{len(rows)} rows given for a {nrows}x{ncols} matrix")
             self.rows = rows
 
     # -- constructors -------------------------------------------------------
@@ -43,8 +47,10 @@ class SMat:
         nrows = len(data)
         ncols = len(data[0]) if nrows else 0
         rows = []
-        for r in data:
-            assert len(r) == ncols
+        for i, r in enumerate(data):
+            if len(r) != ncols:
+                raise ValueError(
+                    f"row {i} has {len(r)} entries, row 0 has {ncols}")
             rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
         return SMat(nrows, ncols, rows)
 
@@ -90,7 +96,8 @@ class SMat:
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
-        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
+            raise ValueError(f"cannot add {self!r} and {other!r}")
         rows = []
         for a, b in zip(self.rows, other.rows):
             r = dict(a)
@@ -120,7 +127,8 @@ class SMat:
         )
 
     def __matmul__(self, other):
-        assert self.ncols == other.nrows, (self, other)
+        if self.ncols != other.nrows:
+            raise ValueError(f"cannot multiply {self!r} by {other!r}")
         rows = []
         orows = other.rows
         for a in self.rows:
@@ -320,7 +328,8 @@ def idempotent_image(e, check=True):
 
     iota's columns are independent columns of E (a basis of the image);
     pi expresses E-applied vectors in that basis.
-    Returns (iota, pi); the image dimension is iota.ncols.
+    Returns (iota, pi); the image dimension is iota.ncols.  With ``check``
+    on, IdempotentError is raised unless pi @ iota is the identity.
     """
     assert e.nrows == e.ncols
     cols = independent_columns(e)
@@ -332,8 +341,9 @@ def idempotent_image(e, check=True):
     assert len(piv_rows) == r
     block = iota.submatrix(piv_rows, range(r))
     pi = inverse(block) @ e.submatrix(piv_rows, range(e.ncols))
-    if check:
-        assert (pi @ iota) == SMat.identity(r), "projection/inclusion mismatch"
+    if check and (pi @ iota) != SMat.identity(r):
+        raise IdempotentError(
+            f"pi @ iota is not the identity on the rank-{r} image")
     return iota, pi
 
 

@@ -6,7 +6,8 @@ Permutations are image tuples: ``p[i-1] = p(i)`` on letters 1..n.  A
 generator matrices for the adjacent transpositions.  Induction uses the
 coset representatives r_k (the cycle k -> k+1 -> ... -> n+1 -> k, so that
 r_k sends the top letter to k), laid out block-by-block with the identity
-representative last.  On top of the two functors live the cap/cup
+representative last; iterated-induction cosets are peeled by arithmetic
+on the values of image tuples.  On top of the two functors live the cap/cup
 adjunction maps, the strand crossing (right multiplication by the first
 added-letter transposition), sideways crossings, and idempotent-image
 functors cutting out one irreducible constituent per partition on the
@@ -17,9 +18,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import permutations as iter_permutations
-from math import prod
+from itertools import product
+from math import factorial, prod
 
-from .errors import DimensionCapExceeded
+from .errors import CharacterError, DimensionCapExceeded, IdempotentError
 from .linalg import SMat, idempotent_image
 from .partition_core import (
     Partition,
@@ -87,14 +89,6 @@ def reduced_word(p):
                 changed = True
     # p * s_{c_1} * ... * s_{c_r} = id, hence p = s_{c_r} ∘ ... ∘ s_{c_1}
     return list(reversed(collected))
-
-
-def embed_perm(p, n, offset=0):
-    """View p (on letters 1..k) inside S_n on letters offset+1..offset+k."""
-    out = list(range(1, n + 1))
-    for i, v in enumerate(p, start=1):
-        out[offset + i - 1] = offset + v
-    return tuple(out)
 
 
 def relabel_perm(p, letters, degree):
@@ -203,7 +197,7 @@ def young_idempotent(lam, check=None):
     signed column symmetrizer of the row-reading filling.
 
     The normalization #SYT(lam)/n! is exactly what makes the element
-    idempotent; this is asserted for small degrees.
+    idempotent; ``check`` (default: n <= 5) raises IdempotentError if not.
     """
     lam = Partition(lam)
     n = lam.size()
@@ -215,19 +209,17 @@ def young_idempotent(lam, check=None):
         cols.append(col)
     a = _stabilizer_sum(rows, n, signed=False)
     b = _stabilizer_sum(cols, n, signed=True)
-    e = (a * b).scale(Fraction(syt_count(lam), _factorial(n)))
+    e = (a * b).scale(Fraction(syt_count(lam), factorial(n)))
     if check is None:
         check = n <= 5
-    if check:
-        assert e * e == e, f"young idempotent not idempotent for {lam}"
+    if check and (sq := e * e) != e:
+        p = min(p for p in sq.terms.keys() | e.terms.keys()
+                if sq.terms.get(p) != e.terms.get(p))
+        raise IdempotentError(
+            f"young idempotent for {lam} has e*e != e: coefficient "
+            f"{sq.terms.get(p, ZERO)} of {p} in e*e, "
+            f"{e.terms.get(p, ZERO)} in e")
     return e
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 # -- modules -----------------------------------------------------------------------
@@ -538,30 +530,31 @@ def sideways_pq_to_qp(m):
 # -- right multiplication on iterated inductions ------------------------------------
 
 
-def _peel(w, base_degree, levels):
-    """Factor w in S_{base_degree + levels} as r_{k_levels} ... r_{k_1} * tau
-    with tau in S_{base_degree}; returns (keys, tau) with keys[0] = k_1."""
-    keys = []
-    for lvl in range(levels, 0, -1):
-        top = base_degree + lvl
-        k = w[top - 1]
-        keys.append(k)
-        w = perm_mult(perm_inverse(embed_perm(coset_rep(k, top), len(w))), w)
-    keys.reverse()
-    tau = tuple(w[:base_degree])
-    assert all(w[i] == i + 1 for i in range(base_degree, len(w))), w
-    return keys, tau
+def _coset_word(keys, n, strides):
+    """(w, offset): the image list of w = r_{k_levels} ··· r_{k_1} (r_{k_i}
+    in S_{n+i}), built from the identity of S_n by raising every value >= k
+    and appending k, and the mixed-radix offset Σ (k_i - 1)·strides[i-1] of
+    its block (k_1 least significant)."""
+    w = list(range(1, n + 1))
+    offset = 0
+    for k, stride in zip(keys, strides):
+        w = [v + (v >= k) for v in w]
+        w.append(k)
+        offset += (k - 1) * stride
+    return w, offset
 
 
-def _iterated_block_index(keys, dims_per_level, base_dim):
-    """Index of the block selected by keys (k_1 innermost) in the iterated
-    induction layout; returns (offset multiplier stack handled directly)."""
-    idx = 0
-    stride = base_dim
-    for lvl, k in enumerate(keys):
-        idx += (k - 1) * stride
-        stride *= dims_per_level[lvl]
-    return idx
+def _peel_cosets(w, strides):
+    """Inverse of _coset_word: factor w = r_{k_levels} ··· r_{k_1} tau, tau in
+    S_n, into (offset of the keys' block, tau).  From the top, k is the top
+    value; drop it and lower every value above k by one."""
+    v = list(w)
+    offset = 0
+    for stride in reversed(strides):
+        k = v.pop()
+        v = [x - (x > k) for x in v]
+        offset += (k - 1) * stride
+    return offset, tuple(v)
 
 
 def right_mult_map(m, levels, elem):
@@ -569,41 +562,25 @@ def right_mult_map(m, levels, elem):
     ``levels`` letters, as the matrix of an endomorphism of induce^levels(M)
     (of size dim(M)·(n+1)···(n+levels) with n = deg M).
 
-    Any w = r_{k_levels} ... r_{k_1} * g refactors with new block keys and a
-    residual permutation acting through M; this is exactly how crossings and
-    added-strand idempotent boxes act.
+    Block (k_1, ..., k_levels) holds the coset of w = r_{k_levels} ··· r_{k_1};
+    g sends it to the block of w g = r_{k'_levels} ··· r_{k'_1} tau, with tau
+    acting through M (how crossings and added-strand idempotent boxes act).
+    Both w and the peeling of w g are value arithmetic on image tuples.
     """
     n, d = m.degree, m.dim
     assert elem.degree == n + levels
-    blocks_per_level = [n + lvl + 1 for lvl in range(levels)]
-    dim = d * prod(blocks_per_level)
-
-    # enumerate blocks by their key tuples (k_1, ..., k_levels)
-    def gen_keys(prefix, lvl):
-        if lvl == levels:
-            yield tuple(prefix)
-            return
-        for k in range(1, blocks_per_level[lvl] + 1):
-            prefix.append(k)
-            yield from gen_keys(prefix, lvl + 1)
-            prefix.pop()
-
+    radices = range(n + 1, n + levels + 1)
+    strides = [d * prod(radices[:lvl]) for lvl in range(levels)]
+    dim = d * prod(radices)
     entries = []
-    deg_top = n + levels
-    for keys in gen_keys([], 0):
-        w = identity_perm(deg_top)
-        for lvl in range(levels, 0, -1):
-            w = perm_mult(w, embed_perm(coset_rep(keys[lvl - 1], n + lvl),
-                                        deg_top))
-        col_base = _iterated_block_index(keys, blocks_per_level, d)
+    # key tuples (k_1, ..., k_levels) with k_1 outermost
+    for keys in product(*(range(1, b + 1) for b in radices)):
+        w, col_base = _coset_word(keys, n, strides)
         for g, coeff in elem.terms.items():
-            wg = perm_mult(w, g)
-            new_keys, tau = _peel(wg, n, levels)
-            row_base = _iterated_block_index(new_keys, blocks_per_level, d)
-            block = m.act_perm(tau)
-            for r, row in enumerate(block.rows):
-                for c, v in row.items():
-                    entries.append((row_base + r, col_base + c, coeff * v))
+            row_base, tau = _peel_cosets([w[i - 1] for i in g], strides)
+            for r, row in enumerate(m.act_perm(tau).rows):
+                for c, x in row.items():
+                    entries.append((row_base + r, col_base + c, coeff * x))
     return SMat.from_entries(dim, dim, entries)
 
 
@@ -741,6 +718,7 @@ def frobenius_char(m):
             coeffs[mu] = tr / centralizer_order(mu)
     f = from_basis("powersum", coeffs)
     for lam, c in f.terms.items():
-        assert c.denominator == 1 and c >= 0, (
-            f"non-integral or negative multiplicity {c} at {lam}")
+        if c.denominator != 1 or c < 0:
+            raise CharacterError(
+                f"non-integral or negative multiplicity {c} at {lam}")
     return f

@@ -2,6 +2,9 @@ import argparse
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +17,8 @@ from bosonfermion.cli import (
     parse_module_spec,
 )
 from bosonfermion.config import RunConfig, parse_window
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run(capsys, *argv):
@@ -215,6 +220,19 @@ class TestDeterminismAndCache:
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_optimized_python_prints_the_pinned_report(self):
+        # python -O strips assert statements; the report must not change
+        env = {k: v for k, v in os.environ.items()
+               if not k.startswith("BOSONFERMION_")}
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "bosonfermion.cli",
+             "cat", "specht", "3,2", "--json"],
+            env=env, capture_output=True, check=True)
+        assert hashlib.sha256(out.stdout).hexdigest() == (
+            "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c")
 
     def test_worker_count_does_not_change_output(self, capsys):
         args = ["cat", "suite", "--max-degree", "2", "--json"]

@@ -1,10 +1,15 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion.errors import IdempotentError
 from bosonfermion.linalg import (
     SMat,
     bareiss_rank,
@@ -18,6 +23,7 @@ from bosonfermion.linalg import (
 )
 
 F = Fraction
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def dense(data):
@@ -239,5 +245,48 @@ class TestIdempotentImage:
             assert (pi @ iota) == SMat.identity(r)
 
     def test_rejects_non_idempotent(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(IdempotentError, match="rank-1 image"):
             idempotent_image(dense([[2]]))
+
+
+class TestGatesUnderOptimizedPython:
+    def test_shape_checks_name_both_shapes(self):
+        with pytest.raises(ValueError, match=r"multiply SMat\(2x2, nnz=2\) by SMat\(3x3"):
+            SMat.identity(2) @ SMat.identity(3)
+        with pytest.raises(ValueError, match=r"add SMat\(2x2, nnz=2\) and SMat\(3x3"):
+            SMat.identity(2) + SMat.identity(3)
+        with pytest.raises(ValueError, match="1 rows given for a 2x2"):
+            SMat(2, 2, [{}])
+        with pytest.raises(ValueError, match="row 1 has 1 entries"):
+            dense([[1, 2], [3]])
+
+    def test_gates_survive_optimized_python(self):
+        # python -O strips assert statements; every gate must still raise
+        code = (
+            "from bosonfermion.errors import IdempotentError\n"
+            "from bosonfermion.linalg import SMat, idempotent_image\n"
+            "cases = [\n"
+            "    lambda: SMat.identity(2) @ SMat.identity(3),\n"
+            "    lambda: SMat.identity(2) + SMat.identity(3),\n"
+            "    lambda: SMat(2, 2, [{}]),\n"
+            "    lambda: SMat.from_dense([[1, 2], [3]]),\n"
+            "    lambda: idempotent_image(SMat.from_dense([[2]])),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "    except (ValueError, IdempotentError) as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "ValueError cannot multiply SMat(2x2, nnz=2) by SMat(3x3, nnz=3)",
+            "ValueError cannot add SMat(2x2, nnz=2) and SMat(3x3, nnz=3)",
+            "ValueError 1 rows given for a 2x2 matrix",
+            "ValueError row 1 has 1 entries, row 0 has 2",
+            "IdempotentError pi @ iota is not the identity "
+            "on the rank-1 image",
+        ]

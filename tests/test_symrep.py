@@ -1,17 +1,23 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion import symrep
 from bosonfermion.branching import (
     _lift_matrix,
     branching_iso_check,
     qp_dimension_identity,
     word_module,
 )
-from bosonfermion.errors import DimensionCapExceeded
+from bosonfermion.errors import (
+    CharacterError,
+    DimensionCapExceeded,
+    IdempotentError,
+)
 from bosonfermion.linalg import SMat, idempotent_image, nullspace
 from bosonfermion.partition_core import (
     Partition,
@@ -23,11 +29,15 @@ from bosonfermion.symfunc import multiply, schur, skew
 from bosonfermion.symrep import (
     GroupAlgebraElement,
     RepModule,
+    _coset_word,
+    _peel_cosets,
+    added_letters_embedding,
     adjacent_transposition,
     coset_rep,
     counit_pq,
     counit_qp,
     crossing,
+    embedded_young_element,
     frobenius_char,
     identity_map,
     identity_perm,
@@ -130,6 +140,13 @@ class TestYoungIdempotents:
                 e = young_idempotent(lam, check=False)
                 assert e * e == e, lam
 
+    def test_failed_idempotence_names_the_partition(self, monkeypatch):
+        # a wrong normalization breaks e*e = e; the gate is a raise, not an
+        # assert, so it also holds under python -O
+        monkeypatch.setattr(symrep, "syt_count", lambda lam: 1)
+        with pytest.raises(IdempotentError, match="2,1 .* coefficient 1/12"):
+            young_idempotent([2, 1])
+
     def test_identity_coefficient_is_syt_ratio(self):
         # row and column groups intersect trivially, so the only way to
         # write the identity is id*id and the unit coefficient is f^lam/n!
@@ -204,6 +221,13 @@ class TestModules:
     def test_trivial_and_sign_characters(self):
         assert frobenius_char(trivial_module(4)) == schur([4])
         assert frobenius_char(sign_module(4)) == schur([1, 1, 1, 1])
+
+    def test_fractional_multiplicity_is_rejected(self):
+        # s_1 acting by 0 is no representation: its character is
+        # (s_2 + s_11)/2, and the gate names the partition and the 1/2
+        bogus = RepModule(2, 1, [SMat.zeros(1, 1)])
+        with pytest.raises(CharacterError, match="multiplicity 1/2 at 2$"):
+            frobenius_char(bogus)
 
     def test_regular_module_cap(self):
         with pytest.raises(DimensionCapExceeded):
@@ -442,6 +466,133 @@ class TestDegreeLift:
             assert mat.nrows == mat.ncols == tower.dim
             assert mat == SMat.identity(tower.dim)
             tower = induce(tower)
+
+
+def embed_perm(p, n):
+    """View p (on letters 1..k) inside S_n, fixing the letters above k."""
+    return tuple(p) + tuple(range(len(p) + 1, n + 1))
+
+
+def coset_route_peel(w, base_degree, levels):
+    """Factor w in S_{base_degree + levels} as r_{k_levels} ... r_{k_1} * tau
+    by multiplying with r_k^{-1}; returns (keys, tau) with keys[0] = k_1."""
+    keys = []
+    for lvl in range(levels, 0, -1):
+        top = base_degree + lvl
+        k = w[top - 1]
+        keys.append(k)
+        w = perm_mult(perm_inverse(embed_perm(coset_rep(k, top), len(w))), w)
+    keys.reverse()
+    tau = tuple(w[:base_degree])
+    assert all(w[i] == i + 1 for i in range(base_degree, len(w))), w
+    return keys, tau
+
+
+def coset_route_block_index(keys, blocks_per_level, base_dim):
+    idx = 0
+    stride = base_dim
+    for lvl, k in enumerate(keys):
+        idx += (k - 1) * stride
+        stride *= blocks_per_level[lvl]
+    return idx
+
+
+def coset_route_right_mult(m, levels, elem):
+    """The former right multiplication, kept as an oracle: it composes the
+    coset representatives of every block as permutation tuples and peels
+    w g by left multiplication with r_k^{-1}, one level at a time."""
+    n, d = m.degree, m.dim
+    blocks_per_level = [n + lvl + 1 for lvl in range(levels)]
+    dim = d * prod(blocks_per_level)
+
+    def gen_keys(prefix, lvl):
+        if lvl == levels:
+            yield tuple(prefix)
+            return
+        for k in range(1, blocks_per_level[lvl] + 1):
+            prefix.append(k)
+            yield from gen_keys(prefix, lvl + 1)
+            prefix.pop()
+
+    entries = []
+    deg_top = n + levels
+    for keys in gen_keys([], 0):
+        w = identity_perm(deg_top)
+        for lvl in range(levels, 0, -1):
+            w = perm_mult(w, embed_perm(coset_rep(keys[lvl - 1], n + lvl),
+                                        deg_top))
+        col_base = coset_route_block_index(keys, blocks_per_level, d)
+        for g, coeff in elem.terms.items():
+            new_keys, tau = coset_route_peel(perm_mult(w, g), n, levels)
+            row_base = coset_route_block_index(new_keys, blocks_per_level, d)
+            block = m.act_perm(tau)
+            for r, row in enumerate(block.rows):
+                for c, v in row.items():
+                    entries.append((row_base + r, col_base + c, coeff * v))
+    return SMat.from_entries(dim, dim, entries)
+
+
+def ordered_rows(mat):
+    """Shape and every row's entries in insertion order, which fixes the
+    pivots that elimination picks downstream."""
+    return mat.nrows, mat.ncols, [list(r.items()) for r in mat.rows]
+
+
+def top_letter_elements(n, k):
+    """The unit, each transposition of the k top letters, and the embedded
+    Young idempotent of every partition of k."""
+    out = [GroupAlgebraElement.unit(n + k)]
+    for i, j in combinations(range(n + 1, n + k + 1), 2):
+        img = list(identity_perm(n + k))
+        img[i - 1], img[j - 1] = j, i
+        out.append(GroupAlgebraElement(n + k, {tuple(img): ONE}))
+    for lam in enumerate_partitions(k):
+        out.append(embedded_young_element(
+            lam, added_letters_embedding(lam, n), n + k))
+    return out
+
+
+class TestRightMultiplication:
+    @pytest.mark.parametrize("levels", [1, 2, 3])
+    @pytest.mark.parametrize("key", sorted(LIFT_BASES))
+    def test_matches_coset_route(self, key, levels):
+        m = LIFT_BASES[key]()
+        for elem in top_letter_elements(m.degree, levels):
+            new = right_mult_map(m, levels, elem)
+            old = coset_route_right_mult(m, levels, elem)
+            assert ordered_rows(new) == ordered_rows(old), (key, elem.terms)
+
+    @given(key=st.sampled_from(sorted(LIFT_BASES)), levels=st.integers(1, 3),
+           data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_matches_coset_route_on_random_combinations(self, key, levels,
+                                                        data):
+        m = LIFT_BASES[key]()
+        top = m.degree + levels
+        terms = data.draw(st.dictionaries(
+            perms_st(top).map(tuple), st.fractions(min_value=-3, max_value=3,
+                                        max_denominator=4),
+            min_size=1, max_size=4))
+        elem = GroupAlgebraElement(top, terms)
+        assert (ordered_rows(right_mult_map(m, levels, elem))
+                == ordered_rows(coset_route_right_mult(m, levels, elem)))
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(5)
+                                     for k in range(1, 6 - n)])
+    def test_peel_inverts_coset_word(self, n, k):
+        radices = range(n + 1, n + k + 1)
+        strides = [prod(radices[:lvl]) for lvl in range(k)]
+        seen = set()
+        for w in permutations(range(1, n + k + 1)):
+            offset, tau = _peel_cosets(w, strides)
+            assert sorted(tau) == list(range(1, n + 1))
+            keys = [offset // s % b + 1 for s, b in zip(strides, radices)]
+            word, word_offset = _coset_word(keys, n, strides)
+            assert word_offset == offset
+            assert tuple(word[t - 1] for t in tau) + tuple(word[n:]) == w
+            seen.add((offset, tau))
+        # every block and residual permutation is hit exactly once
+        assert len(seen) == factorial(n + k)
 
 
 BRANCHING_CASES = [
