@@ -20,16 +20,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import SMat, idempotent_image
+from .linalg import SMat, idempotent_image, joint_eigenspace
 from .partition_core import Partition, format_partition
 from .reports import Report
 from .symrep import (
     GroupAlgebraElement,
     RepModule,
     added_letters_embedding,
+    adjacent_transposition,
     counit_pq,
     counit_qp,
-    embedded_young_element,
     identity_perm,
     induce,
     perm_mult,
@@ -55,11 +55,11 @@ class PlainWord:
 
     __slots__ = ("base", "letters", "stages")
 
-    def __init__(self, base, letters):
+    def __init__(self, base, letters, prefix=None):
         self.base = base
         self.letters = str(letters)
-        self.stages = [base]
-        for ch in self.letters:
+        self.stages = list(prefix or [base])
+        for ch in self.letters[len(self.stages) - 1:]:
             prev = self.stages[-1]
             self.stages.append(induce(prev) if ch == "P" else restrict(prev))
 
@@ -68,8 +68,10 @@ class PlainWord:
         return self.stages[-1]
 
     def replaced(self, i, drop, insert):
+        """Replace letters [i, i + drop) by ``insert``, sharing stages 0..i."""
         return PlainWord(self.base,
-                         self.letters[:i] + insert + self.letters[i + drop:])
+                         self.letters[:i] + insert + self.letters[i + drop:],
+                         self.stages[:i + 1])
 
 
 def _lift_matrix(mat, degree, rest):
@@ -167,30 +169,29 @@ def slide_p_left(word):
 # -- embedded idempotent boxes --------------------------------------------------------
 
 
-def _p_box(word, start, lam):
-    """Right multiplication by the lam box on the P-cable occupying letter
-    indices [start, start+|lam|), whiskered to the top of the word."""
-    k = lam.size()
+def _p_box(word, start, elem):
+    """Right multiplication by ``elem`` (on the cable's letters 1..k) on the
+    P-cable at letter indices [start, start+k), whiskered to the top."""
+    k = elem.degree
     w_in = word.stages[start]
-    letters_emb = added_letters_embedding(lam, w_in.degree)
-    elem = embedded_young_element(lam, letters_emb, w_in.degree + k)
-    return _lift_matrix(right_mult_map(w_in, k, elem), w_in.degree + k,
+    degree = w_in.degree + k
+    emb = elem.relabel(added_letters_embedding(k, w_in.degree), degree)
+    return _lift_matrix(right_mult_map(w_in, k, emb), degree,
                         word.letters[start + k:])
 
 
-def _q_box(word, start, lam):
-    """Module action of the lam box on the Q-cable occupying letter indices
-    [start, start+|lam|), whiskered to the top of the word."""
-    k = lam.size()
+def _q_box(word, start, elem):
+    """Module action of ``elem`` (on the cable's letters 1..k) on the
+    Q-cable at letter indices [start, start+k), whiskered to the top."""
+    k = elem.degree
     w_in = word.stages[start]
     out_stage = word.stages[start + k]
     if w_in.degree < k or out_stage.dim != w_in.dim:
         # the word dies inside or before this cable
         f = SMat.zeros(out_stage.dim, out_stage.dim)
     else:
-        letters_emb = removed_letters_embedding(lam, w_in.degree)
-        elem = embedded_young_element(lam, letters_emb, w_in.degree)
-        f = w_in.act_algebra(elem)
+        f = w_in.act_algebra(elem.relabel(
+            removed_letters_embedding(k, w_in.degree), w_in.degree))
     return _lift_matrix(f, out_stage.degree, word.letters[start + k:])
 
 
@@ -198,24 +199,36 @@ def word_module(atoms, base):
     """Decorated word: (module, inclusion, projection, plain word).
 
     ``atoms`` is a list of (side, partition) in application order (first
-    entry applied first); empty cables are skipped.
+    entry applied first); empty cables are skipped.  The word is the image
+    of the product of the cables' Young idempotent boxes.  If every cable is
+    one row (box: symmetrizer) or one column (antisymmetrizer), that image
+    is the joint +1 or -1 eigenspace of the cables' adjacent transpositions,
+    cut out by ``joint_eigenspace`` without forming any k!-term box; any
+    other shape keeps the box product and ``idempotent_image``.
     """
-    clean = []
+    cables, letters = [], ""
     for side, lam in atoms:
         lam = Partition(lam)
         if lam.size() > 0:
-            clean.append((side, lam))
-    letters = "".join(
-        ("P" if side == "P" else "Q") * lam.size() for side, lam in clean)
+            box = _p_box if side == "P" else _q_box
+            cables.append((box, len(letters), lam))
+            letters += ("P" if side == "P" else "Q") * lam.size()
     word = PlainWord(base, letters)
     top = word.top
-    e_total = SMat.identity(top.dim)
-    idx = 0
-    for side, lam in clean:
-        box = _p_box(word, idx, lam) if side == "P" else _q_box(word, idx, lam)
-        e_total = box @ e_total
-        idx += lam.size()
-    iota, pi = idempotent_image(e_total)
+    if all(len(lam.parts) == 1 or lam.parts[0] == 1 for _, _, lam in cables):
+        gens = []
+        for box, start, lam in cables:
+            k, eps = lam.size(), 1 if len(lam.parts) == 1 else -1
+            for i in range(1, k):
+                s_i = GroupAlgebraElement(k, {adjacent_transposition(i, k): 1})
+                gens.append((box(word, start, s_i), eps))
+        iota, pi = joint_eigenspace(top.dim, gens)
+    else:
+        e_total = SMat.identity(top.dim)
+        for box, start, lam in cables:
+            e_total = box(word, start,
+                          young_idempotent(lam, check=False)) @ e_total
+        iota, pi = idempotent_image(e_total)
     sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
     return sub, iota, pi, word
 
@@ -434,8 +447,9 @@ def pp_merge_family(m_size, n_size, base):
     crossed = m_size < n_size
     if crossed:
         # idempotent of the swapped word P^(n) P^(m) on the same plain space
-        e_ws = (_p_box(word0, 0, Partition([m_size]))
-                @ _p_box(word0, m_size, Partition([n_size])))
+        e_ws = (_p_box(word0, 0, young_idempotent([m_size], check=False))
+                @ _p_box(word0, m_size,
+                         young_idempotent([n_size], check=False)))
         w_in = p_route_element(total, base.degree,
                                _cable_cross_swaps(n_size, m_size))
         w_out = p_route_element(total, base.degree,

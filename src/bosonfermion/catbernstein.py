@@ -25,10 +25,6 @@ graded comparisons are tolerance-zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from itertools import permutations
-from math import factorial
-
 from .branching import (
     PlainWord,
     _lift_matrix,
@@ -49,7 +45,7 @@ from .homalg import (
     totalize,
     zero_complex,
 )
-from .linalg import SMat, idempotent_image
+from .linalg import SMat, joint_eigenspace
 from .partition_core import (
     Partition,
     enumerate_partitions,
@@ -60,16 +56,15 @@ from .reports import Report
 from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skew
 from .symrep import (
     RepModule,
+    adjacent_transposition,
     frobenius_char,
     induce,
     p_lambda,
-    perm_inverse,
     restrict,
     specht_module,
     trivial_module,
 )
 
-ONE = Fraction(1)
 
 __all__ = [
     "ChargedComplexVector",
@@ -196,17 +191,18 @@ class _SigmaOp:
 
     The degree-``k`` chain group is the image of the signed diagonal
     projector  (1/k!) sum_w sgn(w) (w on the added letters)(w on the
-    removed letters)  inside the flat word  Q^k P^k; it is canonically
-    isomorphic to the sum, over partitions of k, of the cells pairing a
-    partition-shaped row cable with its transposed column cable (the
-    dimension identity is asserted by the idempotence report).  The
-    differential contracts the innermost strand pair with one cap
-    (sign -1, non-negative degrees) or inserts one with a cup (sign +1,
-    non-positive degrees).  No edge scalars are needed: the boundary cap
-    pairs equal letter labels on the two cables, double contraction is
-    invariant under swapping the contracted pairs on both cables at
-    once, and the projector is antisymmetric under that swap, so the
-    square of the differential cancels exactly.
+    removed letters)  inside the flat word  Q^k P^k, cut out as a joint
+    eigenspace by ``_sigma_cell``; it is canonically isomorphic to the sum,
+    over partitions of k, of the cells pairing a partition-shaped row
+    cable with its transposed column cable (the dimension identity is
+    asserted by the idempotence report).  The differential contracts the
+    innermost strand pair with one cap (sign -1, non-negative degrees) or
+    inserts one with a cup (sign +1, non-positive degrees).  No edge
+    scalars are needed: the boundary cap pairs equal letter labels on the
+    two cables, double contraction is invariant under swapping the
+    contracted pairs on both cables at once, and the projector is
+    antisymmetric under that swap, so the square of the differential
+    cancels exactly.
     """
 
     def __init__(self, sign):
@@ -236,49 +232,24 @@ class _SigmaOp:
         return _assemble_block_matrix(src_cells, tgt_cells, block)
 
 
-def _perm_sign(w):
-    inv = 0
-    for i in range(len(w)):
-        for j in range(i + 1, len(w)):
-            if w[i] > w[j]:
-                inv += 1
-    return -1 if inv % 2 else 1
-
-
-def _top_letters_perm(w, n, k):
-    """Extend a permutation of 1..k to degree n, acting on the top k letters."""
-    full = list(range(1, n + 1))
-    for i, wi in enumerate(w, start=1):
-        full[n - k + i - 1] = n - k + wi
-    return tuple(full)
-
-
 def _sigma_cell(m, k):
     """Image of the signed diagonal projector on the flat word Q^k P^k.
 
     The two cables carry the top k letters in mirrored orders, so acting
     by a letter permutation on both at once maps cap-contraction pairs
     to cap-contraction pairs; the module-side factor uses the inverse
-    permutation so that the diagonal terms compose multiplicatively.
+    permutation so that the diagonal terms compose multiplicatively.  The
+    image is the joint (-1)-eigenspace of the k-1 diagonal adjacent
+    transpositions (``joint_eigenspace``): the k! terms are never formed.
     """
     word = PlainWord(m, "Q" * k + "P" * k)
     top = word.top
-    if k == 0:
-        ident = SMat.identity(top.dim)
-        return WordCell(0, top, ident, ident, word)
     n = m.degree
     stage_q = word.stages[k]
-    acc = SMat.zeros(top.dim, top.dim)
-    for w in permutations(range(1, k + 1)):
-        full = _top_letters_perm(w, n, k)
-        term = (_right_mult_on_plain(stage_q, k, full)
-                @ _lift_matrix(m.act_perm(perm_inverse(full)),
-                               stage_q.degree, "P" * k))
-        if _perm_sign(w) < 0:
-            term = term.scale(-ONE)
-        acc = acc + term
-    proj = acc.scale(Fraction(1, factorial(k)))
-    iota, pi = idempotent_image(proj)
+    gens = [(_right_mult_on_plain(stage_q, k, adjacent_transposition(i, n))
+             @ _lift_matrix(m.act_gen(i), stage_q.degree, "P" * k), -1)
+            for i in range(n - k + 1, n)]
+    iota, pi = joint_eigenspace(top.dim, gens)
     sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
     return WordCell(k, sub, iota, pi, word)
 

@@ -52,11 +52,6 @@ def parse_window(text):
     raise ValueError(f"window must look like 'lo:hi' or 'k', got {text!r}")
 
 
-def format_window(window):
-    lo, hi = window
-    return f"{lo}:{hi}"
-
-
 def _env(env, key):
     return env.get(ENV_PREFIX + key)
 

@@ -13,5 +13,9 @@ class IdempotentError(Exception):
     """A would-be idempotent fails e*e = e or projection∘inclusion = id."""
 
 
+class RepresentationError(Exception):
+    """A module breaks a Coxeter relation or a map fails to intertwine."""
+
+
 class CharacterError(Exception):
     """A Frobenius character has a negative or non-integral multiplicity."""

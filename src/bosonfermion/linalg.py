@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from math import lcm
 
 from .errors import IdempotentError
 
@@ -62,9 +63,6 @@ class SMat:
             rows[i][j] += v
         clean = [{j: v for j, v in r.items() if v} for r in rows]
         return SMat(nrows, ncols, clean)
-
-    def copy(self):
-        return SMat(self.nrows, self.ncols, [dict(r) for r in self.rows])
 
     # -- elementary queries --------------------------------------------------
 
@@ -285,22 +283,20 @@ def independent_columns(mat):
 def nullspace(mat):
     """Matrix whose columns are a basis of the kernel (ncols x nullity)."""
     el = _Eliminator(mat).reduce()
-    pivot_col_to_row = {c: r for r, c in el.pivots}
-    pivot_cols = set(pivot_col_to_row)
-    free_cols = [j for j in range(mat.ncols) if j not in pivot_cols]
-    rows = [{} for _ in range(mat.ncols)]
-    for k, f in enumerate(free_cols):
-        rows[f][k] = ONE
-        for c, r in pivot_col_to_row.items():
-            v = el.rows[r].get(f, ZERO)
-            if v:
-                rows[c][k] = -v
-    return SMat(mat.ncols, len(free_cols), rows)
+    pivot_cols = {c for _, c in el.pivots}
+    free = {f: k for k, f in enumerate(
+        j for j in range(mat.ncols) if j not in pivot_cols)}
+    rows = [{free[j]: ONE} if j in free else {} for j in range(mat.ncols)]
+    # a reduced pivot row is zero on the other pivot columns
+    for r, c in el.pivots:
+        rows[c] = {free[j]: -v for j, v in el.rows[r].items() if j in free}
+    return SMat(mat.ncols, len(free), rows)
 
 
 def solve(a, b):
-    """One exact solution X of A @ X = B; raises ValueError if inconsistent."""
-    assert a.nrows == b.nrows
+    """One exact solution X of A @ X = B; ValueError if none or misshapen."""
+    if a.nrows != b.nrows:
+        raise ValueError(f"cannot solve {a!r} @ X = {b!r}")
     aug = SMat.hstack([a, b])
     el = _Eliminator(aug).reduce(upto_col=a.ncols)
     # rows never chosen as pivots have an empty A-part after the reduction;
@@ -317,9 +313,16 @@ def solve(a, b):
 
 
 def inverse(mat):
-    assert mat.nrows == mat.ncols
-    x = solve(mat, SMat.identity(mat.nrows))
-    assert (mat @ x) == SMat.identity(mat.nrows), "matrix not invertible"
+    """Exact inverse; ValueError if mat is not square or is singular."""
+    if mat.nrows != mat.ncols:
+        raise ValueError(f"cannot invert non-square {mat!r}")
+    eye = SMat.identity(mat.nrows)
+    try:
+        x = solve(mat, eye)
+    except ValueError:
+        x = None
+    if x is None or mat @ x != eye:
+        raise ValueError(f"{mat!r} is singular")
     return x
 
 
@@ -331,12 +334,11 @@ def idempotent_image(e, check=True):
     Returns (iota, pi); the image dimension is iota.ncols.  With ``check``
     on, IdempotentError is raised unless pi @ iota is the identity.
     """
-    assert e.nrows == e.ncols
+    if e.nrows != e.ncols:
+        raise ValueError(f"idempotent {e!r} is not square")
     cols = independent_columns(e)
     iota = e.columns(cols)
     r = len(cols)
-    if r == 0:
-        return SMat.zeros(e.nrows, 0), SMat.zeros(0, e.nrows)
     piv_rows = independent_columns(iota.transpose())
     assert len(piv_rows) == r
     block = iota.submatrix(piv_rows, range(r))
@@ -347,15 +349,29 @@ def idempotent_image(e, check=True):
     return iota, pi
 
 
+def joint_eigenspace(dim, gens):
+    """(iota, pi) for {v : g v = eps v for every (g, eps) in gens}, with
+    pi = (dual @ iota)^-1 @ dual for dual's rows spanning the eigenspace of
+    the transposes.  When eps is a linear character of the group the g
+    generate, iota @ pi is its projector (1/|G|) sum eps(w) w."""
+    eye = SMat.identity(dim)
+    if not gens:
+        return eye, eye
+    blocks = [g - eye.scale(eps) for g, eps in gens]
+    stack, dual_stack = SMat.vstack(blocks), SMat.hstack(blocks).transpose()
+    iota = nullspace(stack)
+    # symmetric generators (permutation bases) pose the same problem twice
+    dual = (iota if dual_stack == stack else nullspace(dual_stack)).transpose()
+    return iota, inverse(dual @ iota) @ dual
+
+
 def bareiss_rank(mat):
     """Rank by dense fraction-free (Bareiss) elimination on a cleared-denominator
     integer matrix.  Cross-check route for the sparse rational elimination."""
     dense = []
     for i in range(mat.nrows):
         row = [mat.entry(i, j) for j in range(mat.ncols)]
-        den = 1
-        for v in row:
-            den = den * v.denominator // _gcd(den, v.denominator)
+        den = lcm(*(v.denominator for v in row))
         dense.append([int(v * den) for v in row])
     m, n = len(dense), mat.ncols
     r = 0
@@ -376,9 +392,3 @@ def bareiss_rank(mat):
         prev = dense[r][col]
         r += 1
     return r
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -21,7 +21,12 @@ from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial, prod
 
-from .errors import CharacterError, DimensionCapExceeded, IdempotentError
+from .errors import (
+    CharacterError,
+    DimensionCapExceeded,
+    IdempotentError,
+    RepresentationError,
+)
 from .linalg import SMat, idempotent_image
 from .partition_core import (
     Partition,
@@ -242,16 +247,19 @@ class RepModule:
             self.validate()
 
     def validate(self):
-        eye = SMat.identity(self.dim)
-        for i, g in enumerate(self.gens, start=1):
-            assert g @ g == eye, f"s_{i}^2 != id"
-        for i in range(1, len(self.gens)):
-            a, b = self.gens[i - 1], self.gens[i]
-            assert a @ b @ a == b @ a @ b, f"braid fails at s_{i}"
-        for i in range(len(self.gens)):
-            for j in range(i + 2, len(self.gens)):
-                a, b = self.gens[i], self.gens[j]
-                assert a @ b == b @ a, f"s_{i+1}, s_{j+1} do not commute"
+        """Coxeter relations; RepresentationError names the failing s_i."""
+        eye, s = SMat.identity(self.dim), [None] + self.gens
+        for i in range(1, len(s)):
+            if s[i] @ s[i] != eye:
+                raise RepresentationError(f"{self!r}: s_{i}^2 != id")
+        for i in range(1, len(s) - 1):
+            if s[i] @ s[i + 1] @ s[i] != s[i + 1] @ s[i] @ s[i + 1]:
+                raise RepresentationError(f"{self!r}: braid fails at s_{i}")
+        for i in range(1, len(s)):
+            for j in range(i + 2, len(s)):
+                if s[i] @ s[j] != s[j] @ s[i]:
+                    raise RepresentationError(
+                        f"{self!r}: s_{i}s_{j} != s_{j}s_{i}")
 
     def act_gen(self, i):
         return self.gens[i - 1]
@@ -382,8 +390,12 @@ class ModuleMap:
             self.validate()
 
     def validate(self):
-        for gs, gt in zip(self.source.gens, self.target.gens):
-            assert gt @ self.matrix == self.matrix @ gs, "not an intertwiner"
+        """RepresentationError names the first s_i not intertwined."""
+        pairs = zip(self.source.gens, self.target.gens)
+        for i, (gs, gt) in enumerate(pairs, start=1):
+            if gt @ self.matrix != self.matrix @ gs:
+                raise RepresentationError(
+                    f"{self!r} does not intertwine s_{i}")
 
     def __matmul__(self, other):
         assert other.target.dim == self.source.dim
@@ -636,24 +648,18 @@ def jucys_murphy_map(m):
 # -- idempotent-image functors -------------------------------------------------------
 
 
-def added_letters_embedding(lam, base_degree):
-    """Letters for a box on |lam| added strands: abstract letter j sits on
+def added_letters_embedding(k, base_degree):
+    """Letters for a box on k added strands: abstract letter j sits on
     strand j (left to right); strand i carries letter base+k+1-i, so the
-    embedding reverses: abstract j -> base_degree + |lam| + 1 - j."""
-    k = Partition(lam).size()
+    embedding reverses: abstract j -> base_degree + k + 1 - j."""
     return [base_degree + k + 1 - j for j in range(1, k + 1)]
 
 
-def removed_letters_embedding(lam, top_degree):
-    """Letters for a box on |lam| removed strands: abstract letter j sits on
+def removed_letters_embedding(k, top_degree):
+    """Letters for a box on k removed strands: abstract letter j sits on
     strand j; strand i carries letter top-k+i, ascending:
-    abstract j -> top_degree - |lam| + j."""
-    k = Partition(lam).size()
+    abstract j -> top_degree - k + j."""
     return [top_degree - k + j for j in range(1, k + 1)]
-
-
-def embedded_young_element(lam, letters, degree):
-    return young_idempotent(lam, check=False).relabel(letters, degree)
 
 
 def p_lambda(lam, m):
@@ -666,8 +672,8 @@ def p_lambda(lam, m):
         amb = induce(amb)
     if k == 0:
         return m, identity_map(m), identity_map(m)
-    letters = added_letters_embedding(lam, m.degree)
-    elem = embedded_young_element(lam, letters, m.degree + k)
+    letters = added_letters_embedding(k, m.degree)
+    elem = young_idempotent(lam, check=False).relabel(letters, m.degree + k)
     iota_m, pi_m = idempotent_image(right_mult_map(m, k, elem))
     sub = RepModule(amb.degree, iota_m.ncols,
                     [pi_m @ g @ iota_m for g in amb.gens])
@@ -689,8 +695,8 @@ def q_lambda(lam, m):
         amb = restrict(amb)
     if k == 0:
         return m, identity_map(m), identity_map(m)
-    letters = removed_letters_embedding(lam, m.degree)
-    elem = embedded_young_element(lam, letters, m.degree)
+    letters = removed_letters_embedding(k, m.degree)
+    elem = young_idempotent(lam, check=False).relabel(letters, m.degree)
     op = m.act_algebra(elem)
     iota_m, pi_m = idempotent_image(op)
     sub = RepModule(amb.degree, iota_m.ncols,

@@ -212,6 +212,8 @@ class TestDeterminismAndCache:
          "ac1c917ee557c9df9d509c3ae54a4575f1c490979775d4511c1f4ffce5c1d845"),
         (("cat", "specht", "3,2", "--json"),
          "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
+        (("cat", "sigma", "--module", "S:2,1", "--json"),
+         "5ba1a106511adf3e9d922cb95751f81fe4e27d2a2fd8ef3b26b53835798b0264"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

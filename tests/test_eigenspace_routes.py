@@ -1,0 +1,200 @@
+"""Joint-eigenspace cells against the k!-term idempotents they replace.
+
+Sigma cells and decorated words with only one-row and one-column cables
+are cut out by ``linalg.joint_eigenspace``.  The routes they replaced are
+kept here as oracles: the signed diagonal projector summed over all k!
+letter permutations, and the product of embedded Young idempotents.  Each
+differential test compares the new ``iota @ pi`` with the old projector
+entry for entry (same image and same kernel).
+"""
+
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
+
+import pytest
+
+from bosonfermion.branching import (
+    PlainWord,
+    _lift_matrix,
+    _right_mult_on_plain,
+    word_module,
+)
+from bosonfermion.catbernstein import _sigma_cell
+from bosonfermion.linalg import SMat, inverse, joint_eigenspace
+from bosonfermion.partition_core import Partition
+from bosonfermion.symrep import (
+    RepModule,
+    added_letters_embedding,
+    perm_inverse,
+    regular_module,
+    removed_letters_embedding,
+    right_mult_map,
+    specht_module,
+    trivial_module,
+    young_idempotent,
+)
+
+MODULES = {
+    "trivial:0": lambda: trivial_module(0),
+    "trivial:1": lambda: trivial_module(1),
+    "trivial:2": lambda: trivial_module(2),
+    "trivial:3": lambda: trivial_module(3),
+    "S:2": lambda: specht_module([2]),
+    "S:1,1": lambda: specht_module([1, 1]),
+    "S:2,1": lambda: specht_module([2, 1]),
+    "S:3,1": lambda: specht_module([3, 1]),
+    "reg:2": lambda: regular_module(2),
+    "reg:3": lambda: regular_module(3),
+}
+
+
+# -- the replaced routes -------------------------------------------------------
+
+
+def _perm_sign(w):
+    inv = sum(1 for i in range(len(w)) for j in range(i + 1, len(w))
+              if w[i] > w[j])
+    return -1 if inv % 2 else 1
+
+
+def signed_diagonal_projector(m, k):
+    """(1/k!) sum_w sgn(w) R(w) L(w^-1) on the flat word Q^k P^k: the k!-term
+    projector the sigma cells were the idempotent image of."""
+    word = PlainWord(m, "Q" * k + "P" * k)
+    n = m.degree
+    stage_q = word.stages[k]
+    acc = SMat.zeros(word.top.dim, word.top.dim)
+    for w in permutations(range(1, k + 1)):
+        full = list(range(1, n + 1))
+        for i, wi in enumerate(w, start=1):
+            full[n - k + i - 1] = n - k + wi
+        full = tuple(full)
+        term = (_right_mult_on_plain(stage_q, k, full)
+                @ _lift_matrix(m.act_perm(perm_inverse(full)),
+                               stage_q.degree, "P" * k))
+        acc = acc + term.scale(_perm_sign(w))
+    return acc.scale(Fraction(1, factorial(k)))
+
+
+def young_product(atoms, base):
+    """The product of embedded Young idempotent boxes, one per cable, on the
+    plain word: the projector every decorated word was the image of."""
+    clean = [(side, Partition(lam)) for side, lam in atoms
+             if Partition(lam).size()]
+    word = PlainWord(base, "".join(side * lam.size() for side, lam in clean))
+    e_total = SMat.identity(word.top.dim)
+    start = 0
+    for side, lam in clean:
+        k = lam.size()
+        w_in = word.stages[start]
+        rest = word.letters[start + k:]
+        if side == "P":
+            elem = young_idempotent(lam, check=False).relabel(
+                added_letters_embedding(k, w_in.degree), w_in.degree + k)
+            box = _lift_matrix(right_mult_map(w_in, k, elem),
+                               w_in.degree + k, rest)
+        else:
+            out = word.stages[start + k]
+            if w_in.degree < k or out.dim != w_in.dim:
+                f = SMat.zeros(out.dim, out.dim)
+            else:
+                elem = young_idempotent(lam, check=False).relabel(
+                    removed_letters_embedding(k, w_in.degree), w_in.degree)
+                f = w_in.act_algebra(elem)
+            box = _lift_matrix(f, out.degree, rest)
+        e_total = box @ e_total
+        start += k
+    return e_total
+
+
+# -- the helper ----------------------------------------------------------------
+
+
+class TestJointEigenspace:
+    def test_no_generators_is_the_identity_pair(self):
+        for dim in (0, 3):
+            iota, pi = joint_eigenspace(dim, [])
+            assert iota == pi == SMat.identity(dim)
+
+    def test_swap_splits_into_sum_and_difference(self):
+        swap = SMat.from_dense([[0, 1], [1, 0]])
+        half = Fraction(1, 2)
+        for eps in (1, -1):
+            iota, pi = joint_eigenspace(2, [(swap, eps)])
+            assert pi @ iota == SMat.identity(1)
+            assert iota @ pi == SMat.from_dense(
+                [[half, eps * half], [eps * half, half]])
+
+    @pytest.mark.parametrize("eps", [1, -1])
+    def test_non_symmetric_generators_give_the_character_projector(self, eps):
+        # conjugating the regular module of S_3 by a triangular matrix makes
+        # its generators non-symmetric, so the dual eigenspace is not the
+        # transposed inclusion
+        reg = regular_module(3)
+        t = SMat.from_dense([[1 if j >= i else 0 for j in range(6)]
+                             for i in range(6)])
+        t_inv = inverse(t)
+        m = RepModule(3, 6, [t @ g @ t_inv for g in reg.gens])
+        assert any(g.transpose() != g for g in m.gens)
+        iota, pi = joint_eigenspace(m.dim, [(g, eps) for g in m.gens])
+        want = SMat.zeros(m.dim, m.dim)
+        for w in permutations(range(1, 4)):
+            want = want + m.act_perm(w).scale(_perm_sign(w) if eps < 0 else 1)
+        assert iota.ncols == 1
+        assert iota @ pi == want.scale(Fraction(1, 6))
+        assert pi @ iota == SMat.identity(1)
+
+
+# -- differential tests ---------------------------------------------------------
+
+
+SIGMA_MODULES = ["trivial:0", "trivial:1", "trivial:2", "trivial:3", "S:2",
+                 "S:1,1", "S:2,1", "reg:2", "reg:3"]
+
+
+@pytest.mark.parametrize("key", SIGMA_MODULES)
+def test_sigma_cells_match_the_signed_diagonal_projector(key):
+    m = MODULES[key]()
+    for k in range(m.degree + 1):
+        cell = _sigma_cell(m, k)
+        assert cell.iota @ cell.pi == signed_diagonal_projector(m, k), k
+        assert cell.pi @ cell.iota == SMat.identity(cell.sub.dim), k
+
+
+def row_column_atom_lists(size):
+    """Every list of one-row and one-column cables, on either side, with
+    ``size`` letters in all."""
+    if size == 0:
+        yield []
+        return
+    for k in range(1, size + 1):
+        shapes = [(k,)] if k == 1 else [(k,), (1,) * k]
+        for side in "PQ":
+            for lam in shapes:
+                for rest in row_column_atom_lists(size - k):
+                    yield [(side, lam)] + rest
+
+
+# Total degree = base degree + letters, so no stage passes S_6.  Over
+# trivial:0, trivial:1 and reg:2, total degree 6 adds 236 words of
+# dimension 720 with 4- to 6-letter boxes, which take the oracle over a
+# minute; these bases stop at total degree 5.  reg:3 still reaches
+# dimension 720 at total degree 6.
+WORD_BASES = [("trivial:0", 5), ("trivial:1", 5), ("trivial:2", 6),
+              ("trivial:3", 6), ("S:1,1", 6), ("S:2,1", 6), ("S:3,1", 6),
+              ("reg:2", 5), ("reg:3", 6)]
+
+
+@pytest.mark.parametrize("key,total_degree", WORD_BASES)
+def test_row_column_words_match_the_young_product(key, total_degree):
+    base = MODULES[key]()
+    dead = 0
+    for size in range(total_degree - base.degree + 1):
+        for atoms in row_column_atom_lists(size):
+            sub, iota, pi, word = word_module(atoms, base)
+            assert iota @ pi == young_product(atoms, base), atoms
+            assert pi @ iota == SMat.identity(sub.dim), atoms
+            dead += word.top.dim == 0
+    if total_degree - base.degree > base.degree:
+        assert dead  # words that restrict past degree 0 are among them

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from bosonfermion.errors import IdempotentError
 from bosonfermion.linalg import (
     SMat,
+    _Eliminator,
     bareiss_rank,
     idempotent_image,
     independent_columns,
@@ -140,6 +141,23 @@ class TestBlockPlacement:
             SMat.block([[dense([[1]]), dense([[1, 2]])]], [1], [1, 1])
 
 
+def reference_nullspace(mat):
+    """Kernel basis assembled one free column at a time, probing every pivot
+    row for it: the assembly nullspace used before it read the pivot rows'
+    entries directly, kept as the oracle."""
+    el = _Eliminator(mat).reduce()
+    pivot_col_to_row = {c: r for r, c in el.pivots}
+    free_cols = [j for j in range(mat.ncols) if j not in pivot_col_to_row]
+    rows = [{} for _ in range(mat.ncols)]
+    for k, f in enumerate(free_cols):
+        rows[f][k] = F(1)
+        for c, r in pivot_col_to_row.items():
+            v = el.rows[r].get(f, F(0))
+            if v:
+                rows[c][k] = -v
+    return SMat(mat.ncols, len(free_cols), rows)
+
+
 class TestRankAndSpans:
     def test_rank_examples(self):
         assert rank(dense([[1, 2], [2, 4]])) == 1
@@ -172,6 +190,11 @@ class TestRankAndSpans:
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, m):
         assert rank(m) + nullspace(m).ncols == m.ncols
+
+    @given(matrices(6))
+    @settings(max_examples=60, deadline=None)
+    def test_nullspace_matches_column_by_column_assembly(self, m):
+        assert nullspace(m) == reference_nullspace(m)
 
 
 class TestSolveInverse:
@@ -259,18 +282,31 @@ class TestGatesUnderOptimizedPython:
             SMat(2, 2, [{}])
         with pytest.raises(ValueError, match="row 1 has 1 entries"):
             dense([[1, 2], [3]])
+        with pytest.raises(ValueError, match=r"nnz=4\) is singular"):
+            inverse(dense([[1, 2], [2, 4]]))
+        with pytest.raises(ValueError, match=r"non-square SMat\(1x2"):
+            inverse(dense([[1, 2]]))
+        with pytest.raises(ValueError, match=r"cannot solve SMat\(1x1"):
+            solve(dense([[1]]), dense([[1], [2]]))
+        with pytest.raises(ValueError, match=r"SMat\(1x2, nnz=2\) is not"):
+            idempotent_image(dense([[1, 2]]))
 
     def test_gates_survive_optimized_python(self):
         # python -O strips assert statements; every gate must still raise
         code = (
             "from bosonfermion.errors import IdempotentError\n"
-            "from bosonfermion.linalg import SMat, idempotent_image\n"
+            "from bosonfermion.linalg import SMat, idempotent_image, inverse\n"
+            "from bosonfermion.linalg import solve\n"
             "cases = [\n"
             "    lambda: SMat.identity(2) @ SMat.identity(3),\n"
             "    lambda: SMat.identity(2) + SMat.identity(3),\n"
             "    lambda: SMat(2, 2, [{}]),\n"
             "    lambda: SMat.from_dense([[1, 2], [3]]),\n"
             "    lambda: idempotent_image(SMat.from_dense([[2]])),\n"
+            "    lambda: idempotent_image(SMat.from_dense([[1, 2]])),\n"
+            "    lambda: inverse(SMat.from_dense([[1, 2], [2, 4]])),\n"
+            "    lambda: inverse(SMat.from_dense([[1, 2]])),\n"
+            "    lambda: solve(SMat.identity(1), SMat.identity(2)),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
@@ -289,4 +325,8 @@ class TestGatesUnderOptimizedPython:
             "ValueError row 1 has 1 entries, row 0 has 2",
             "IdempotentError pi @ iota is not the identity "
             "on the rank-1 image",
+            "ValueError idempotent SMat(1x2, nnz=2) is not square",
+            "ValueError SMat(2x2, nnz=4) is singular",
+            "ValueError cannot invert non-square SMat(1x2, nnz=2)",
+            "ValueError cannot solve SMat(1x1, nnz=1) @ X = SMat(2x2, nnz=2)",
         ]

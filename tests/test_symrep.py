@@ -1,6 +1,10 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import factorial, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from bosonfermion import symrep
 from bosonfermion.branching import (
+    PlainWord,
     _lift_matrix,
     branching_iso_check,
     qp_dimension_identity,
@@ -17,6 +22,7 @@ from bosonfermion.errors import (
     CharacterError,
     DimensionCapExceeded,
     IdempotentError,
+    RepresentationError,
 )
 from bosonfermion.linalg import SMat, idempotent_image, nullspace
 from bosonfermion.partition_core import (
@@ -28,6 +34,7 @@ from bosonfermion.partition_core import (
 from bosonfermion.symfunc import multiply, schur, skew
 from bosonfermion.symrep import (
     GroupAlgebraElement,
+    ModuleMap,
     RepModule,
     _coset_word,
     _peel_cosets,
@@ -37,7 +44,6 @@ from bosonfermion.symrep import (
     counit_pq,
     counit_qp,
     crossing,
-    embedded_young_element,
     frobenius_char,
     identity_map,
     identity_perm,
@@ -69,6 +75,7 @@ from bosonfermion.symrep import (
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def perms_st(n):
@@ -232,6 +239,53 @@ class TestModules:
     def test_regular_module_cap(self):
         with pytest.raises(DimensionCapExceeded):
             regular_module(10)
+
+    def test_failed_relations_name_the_generator(self):
+        with pytest.raises(RepresentationError, match=r"s_1\^2 != id"):
+            RepModule(2, 1, [SMat.identity(1).scale(2)]).validate()
+        swap = SMat.from_dense([[0, 1], [1, 0]])
+        flip = SMat.from_dense([[1, 0], [0, -1]])
+        with pytest.raises(RepresentationError,
+                           match="braid fails at s_1"):
+            RepModule(3, 2, [swap, flip]).validate()
+        # s_3 = s_2 s_1 s_2 of S_3 braids with s_2 but not commutes with s_1
+        a, b = specht_module([2, 1]).gens
+        with pytest.raises(RepresentationError,
+                           match="s_1s_3 != s_3s_1"):
+            RepModule(4, 2, [a, b, b @ a @ b]).validate()
+        with pytest.raises(RepresentationError,
+                           match="does not intertwine s_1"):
+            ModuleMap(sign_module(2), trivial_module(2),
+                      SMat.identity(1)).validate()
+
+    def test_module_gates_survive_optimized_python(self):
+        # python -O strips assert statements; both gates must still raise
+        code = (
+            "from bosonfermion.errors import RepresentationError\n"
+            "from bosonfermion.linalg import SMat\n"
+            "from bosonfermion.symrep import (ModuleMap, RepModule,\n"
+            "                                 sign_module, trivial_module)\n"
+            "cases = [\n"
+            "    lambda: ModuleMap(sign_module(2), trivial_module(2),\n"
+            "                      SMat.identity(1)).validate(),\n"
+            "    lambda: RepModule(2, 1, [SMat.identity(1).scale(2)])"
+            ".validate(),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "    except RepresentationError as exc:\n"
+            "        print(exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "ModuleMap(RepModule(degree=2, dim=1) -> RepModule(degree=2, "
+            "dim=1), nnz=1) does not intertwine s_1",
+            "RepModule(degree=2, dim=1): s_1^2 != id",
+        ]
 
 
 class TestInduceRestrict:
@@ -402,6 +456,21 @@ class TestWordModules:
         sub = word_module([("Q", [2, 1]), ("P", [1])], trivial_module(1))[0]
         assert sub.dim == 0
 
+    @pytest.mark.parametrize("i,drop,insert", [
+        (0, 0, "QP"), (1, 2, ""), (2, 2, "QP"), (3, 0, "PQ"), (4, 0, "P")])
+    def test_replaced_word_matches_a_fresh_word(self, i, drop, insert):
+        word = PlainWord(specht_module([2, 1]), "PPQP")
+        new = word.replaced(i, drop, insert)
+        fresh = PlainWord(word.base, new.letters)
+        assert new.letters == word.letters[:i] + insert + word.letters[
+            i + drop:]
+        assert len(new.stages) == len(fresh.stages)
+        for got, want in zip(new.stages, fresh.stages):
+            assert (got.degree, got.dim) == (want.degree, want.dim)
+            assert got.gens == want.gens
+        # the prefix is shared, not rebuilt
+        assert all(a is b for a, b in zip(new.stages[:i + 1], word.stages))
+
 
 def module_route_lift(mat, s_mod, t_mod, rest):
     """The former whiskering, kept as an oracle: it builds both endpoint
@@ -547,8 +616,8 @@ def top_letter_elements(n, k):
         img[i - 1], img[j - 1] = j, i
         out.append(GroupAlgebraElement(n + k, {tuple(img): ONE}))
     for lam in enumerate_partitions(k):
-        out.append(embedded_young_element(
-            lam, added_letters_embedding(lam, n), n + k))
+        out.append(young_idempotent(lam, check=False).relabel(
+            added_letters_embedding(k, n), n + k))
     return out
 
 
