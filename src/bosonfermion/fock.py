@@ -9,9 +9,20 @@ mode psi(j) inserts the code j-1 (if free) with sign (-1)^{number of
 occupied codes above}, and psi_star(j) removes it (if present) at 1-based
 slot s with sign (-1)^{s+1}.
 
+Both modes are closed forms on the parts of lambda, found by one scan:
+
+- inserting a free code t with a occupied codes above it gives
+  (lambda_1 - 1, ..., lambda_a - 1, t - c + a, lambda_{a+1}, ...) at
+  charge c + 1, with sign (-1)^a (trailing zeros dropped);
+- removing the code at slot r gives
+  (lambda_1 + 1, ..., lambda_{r-1} + 1, lambda_{r+1}, ...) at charge c - 1,
+  with sign (-1)^{r+1}.  When the slot lies in the vacuum tail
+  (r > l(lambda)), the gap shows up as r - 1 - l(lambda) trailing ones.
+
 The bosonic side is a charge-indexed family of symmetric functions; the
 dictionary sends (c, lambda) to t^c s_lambda, fermionic modes to the
-charge-shifted creation/annihilation operators.
+charge-shifted creation/annihilation operators.  The two sides share no
+code, so ``verify_correspondence`` compares two independent routes.
 """
 
 from __future__ import annotations
@@ -48,10 +59,20 @@ class FermionBasisVector:
         )
 
     def __hash__(self):
-        return hash(("FermionBasisVector", self.charge, self.shape))
+        return hash((self.charge, self.shape.parts))
 
     def __repr__(self):
         return f"FermionBasisVector({self.charge}, {self.shape.parts})"
+
+
+def _vector(charge, parts):
+    """A basis vector from a tuple already known to be a partition."""
+    shape = Partition.__new__(Partition)
+    shape.parts = parts
+    vec = FermionBasisVector.__new__(FermionBasisVector)
+    vec.charge = charge
+    vec.shape = shape
+    return vec
 
 
 def vacuum(charge):
@@ -94,14 +115,8 @@ class FermionState:
     def __add__(self, other):
         out = dict(self.terms)
         for v, c in other.terms.items():
-            w = out.get(v, ZERO) + c
-            if w:
-                out[v] = w
-            else:
-                out.pop(v, None)
-        res = FermionState.__new__(FermionState)
-        res.terms = out
-        return res
+            _acc(out, v, c)
+        return _state(out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -110,9 +125,7 @@ class FermionState:
         c = Fraction(c)
         if not c:
             return FermionState.zero()
-        res = FermionState.__new__(FermionState)
-        res.terms = {v: c * w for v, w in self.terms.items()}
-        return res
+        return _state({v: c * w for v, w in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, FermionState) and self.terms == other.terms
@@ -125,56 +138,80 @@ class FermionState:
         return "FermionState(" + " + ".join(bits) + ")"
 
 
-def _as_state(v):
+def _state(terms):
+    """Wrap an accumulator dict whose coefficients are nonzero Fractions."""
+    res = FermionState.__new__(FermionState)
+    res.terms = terms
+    return res
+
+
+def _acc(out, vec, c):
+    """Add c * vec into the accumulator dict ``out``, dropping zeros."""
+    w = out.get(vec, ZERO) + c
+    if w:
+        out[vec] = w
+    else:
+        out.pop(vec, None)
+
+
+def _terms(v):
     if isinstance(v, FermionBasisVector):
-        return FermionState.of(v)
-    return v
+        return ((v, ONE),)
+    return v.terms.items()
 
 
 def _insert_code(vec, t):
     """Insert code t into vec's occupied set; (sign, new vector) or None if occupied."""
-    lam, c = vec.shape, vec.charge
-    depth = len(lam.parts) + max(0, c - t) + 2
-    codes = vec.codes(depth)
-    if t in codes or t <= c - depth:
-        return None
-    above = sum(1 for m in codes if m > t)
-    new_codes = sorted(codes + [t], reverse=True)
-    new_charge = c + 1
-    parts = []
-    for s, m in enumerate(new_codes, start=1):
-        parts.append(m - new_charge + s)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    assert all(p > 0 for p in parts), (vec, t, parts)
-    return (-1) ** above, FermionBasisVector(new_charge, parts)
+    parts, d = vec.shape.parts, t - vec.charge
+    a = 0  # occupied codes above t
+    for p in parts:
+        gap = p - a - 1 - d  # m_{a+1} - t
+        if gap <= 0:
+            if gap == 0:
+                return None
+            break
+        a += 1
+    else:
+        if d <= -a - 1:  # inside the vacuum tail
+            return None
+    new = [p - 1 for p in parts[:a]]
+    new.append(d + a)
+    new.extend(parts[a:])
+    while new and new[-1] == 0:
+        new.pop()
+    return (-1 if a & 1 else 1), _vector(vec.charge + 1, tuple(new))
 
 
 def _remove_code(vec, t):
     """Remove code t; (sign, new vector) or None if absent."""
-    lam, c = vec.shape, vec.charge
-    depth = len(lam.parts) + max(0, c - t) + 2
-    codes = vec.codes(depth)
-    if t not in codes:
-        if t <= c - depth:
-            # deep inside the vacuum tail: occupied, but removing it would
-            # need more depth; extend
-            depth = c - t + 2
-            codes = vec.codes(depth)
-        else:
+    parts, d = vec.shape.parts, t - vec.charge
+    for r, p in enumerate(parts, start=1):
+        gap = p - r - d  # m_r - t
+        if gap <= 0:
+            if gap < 0:
+                return None
+            new = tuple(q + 1 for q in parts[:r - 1]) + parts[r:]
+            break
+    else:
+        r = -d  # the slot of t in the vacuum tail
+        if r <= len(parts):
             return None
-    if t not in codes:
-        return None
-    slot = codes.index(t) + 1  # 1-based
-    new_codes = [m for m in codes if m != t]
-    new_charge = c - 1
-    parts = []
-    for s, m in enumerate(new_codes, start=1):
-        parts.append(m - new_charge + s)
-    while parts and parts[-1] == 0:
-        parts.pop()
-    assert all(p > 0 for p in parts), (vec, t, parts)
-    return (-1) ** (slot + 1), FermionBasisVector(new_charge, parts)
+        new = tuple(q + 1 for q in parts) + (1,) * (r - 1 - len(parts))
+    return (1 if r & 1 else -1), _vector(vec.charge - 1, new)
+
+
+def _apply_mode(move, t, v, flip_sign=False):
+    """Apply ``move`` (insert or remove code t) to every term of v."""
+    out = {}
+    for vec, coeff in _terms(v):
+        hit = move(vec, t)
+        if hit is None:
+            continue
+        sign, new_vec = hit
+        if flip_sign:
+            sign = -sign
+        _acc(out, new_vec, coeff if sign > 0 else -coeff)
+    return _state(out)
 
 
 def psi(j, v, _flip_sign=False):
@@ -183,28 +220,12 @@ def psi(j, v, _flip_sign=False):
     ``_flip_sign`` is a test hook that deliberately corrupts the sign, used
     by the mutation check of ``verify_correspondence``.
     """
-    out = FermionState.zero()
-    for vec, coeff in _as_state(v).terms.items():
-        hit = _insert_code(vec, j - 1)
-        if hit is None:
-            continue
-        sign, new_vec = hit
-        if _flip_sign:
-            sign = -sign
-        out = out + FermionState.of(new_vec, coeff * sign)
-    return out
+    return _apply_mode(_insert_code, j - 1, v, _flip_sign)
 
 
 def psi_star(j, v):
     """The fermionic annihilation mode: removes energy j - 1/2."""
-    out = FermionState.zero()
-    for vec, coeff in _as_state(v).terms.items():
-        hit = _remove_code(vec, j - 1)
-        if hit is None:
-            continue
-        sign, new_vec = hit
-        out = out + FermionState.of(new_vec, coeff * sign)
-    return out
+    return _apply_mode(_remove_code, j - 1, v)
 
 
 # -- bosonic side ---------------------------------------------------------------
@@ -265,7 +286,7 @@ class BosonState:
 def sigma_iso(v):
     """The charge-graded isomorphism: (c, lambda) -> t^c s_lambda."""
     out = {}
-    for vec, coeff in _as_state(v).terms.items():
+    for vec, coeff in _terms(v):
         c = vec.charge
         add = schur(vec.shape).scale(coeff)
         out[c] = out.get(c, SymFunc.zero()) + add
@@ -273,11 +294,11 @@ def sigma_iso(v):
 
 
 def sigma_inv(b):
-    out = FermionState.zero()
+    out = {}
     for c, f in b.terms.items():
         for lam, coeff in f.terms.items():
-            out = out + FermionState.of(FermionBasisVector(c, lam), coeff)
-    return out
+            _acc(out, FermionBasisVector(c, lam), coeff)
+    return _state(out)
 
 
 def boson_psi(i, b):
@@ -302,7 +323,7 @@ def boson_psi_star(i, b):
 def fermion_state_to_json(v):
     recs = []
     for vec, c in sorted(
-        _as_state(v).terms.items(),
+        _terms(v),
         key=lambda t: (t[0].charge, t[0].shape.sort_key()),
     ):
         recs.append(
@@ -316,11 +337,11 @@ def fermion_state_to_json(v):
 
 
 def fermion_state_from_json(recs):
-    out = FermionState.zero()
+    out = {}
     for r in recs:
         vec = FermionBasisVector(int(r["charge"]), parse_partition(r["partition"]))
-        out = out + FermionState.of(vec, Fraction(r["coefficient"]))
-    return out
+        _acc(out, vec, Fraction(r["coefficient"]))
+    return _state(out)
 
 
 def boson_state_to_json(b):
@@ -411,20 +432,21 @@ def clifford_relation_report(max_degree, charge_window, index_window):
     total = 0
     for c in _window(charge_window):
         for lam in shapes:
-            vec = FermionBasisVector(c, lam)
-            state = FermionState.of(vec)
+            state = FermionState.of(FermionBasisVector(c, lam))
+            up = {j: psi(j, state) for j in idx}
+            down = {j: psi_star(j, state) for j in idx}
             for i in idx:
                 for j in idx:
                     total += 3
-                    acc = psi(i, psi(j, state)) + psi(j, psi(i, state))
+                    acc = psi(i, up[j]) + psi(j, up[i])
                     if not acc.is_zero():
                         bad += 1
                         report.add(f"psi-psi i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = psi_star(i, psi_star(j, state)) + psi_star(j, psi_star(i, state))
+                    acc = psi_star(i, down[j]) + psi_star(j, down[i])
                     if not acc.is_zero():
                         bad += 1
                         report.add(f"psi*-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = psi(i, psi_star(j, state)) + psi_star(j, psi(i, state))
+                    acc = psi(i, down[j]) + psi_star(j, up[i])
                     expect = state if i == j else FermionState.zero()
                     if acc != expect:
                         bad += 1
@@ -439,7 +461,8 @@ def alpha_window_sum(vec):
     c, lam = vec.charge, vec.shape
     lo = c - len(lam.parts) - 1
     hi = c + lam.row(1) + 1
-    out = FermionState.zero()
+    out = {}
     for j in range(lo, hi + 1):
-        out = out + psi(j + 1, psi_star(j, FermionState.of(vec)))
-    return out
+        for w, coeff in psi(j + 1, psi_star(j, vec)).terms.items():
+            _acc(out, w, coeff)
+    return _state(out)

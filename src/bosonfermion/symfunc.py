@@ -447,33 +447,39 @@ def skew(g, f):
 # -- Heisenberg-type operators ---------------------------------------------------
 
 
+def _check_order(n):
+    if n < 0:
+        raise ValueError(f"operator order must be >= 0, got {n}")
+
+
 def heis_p(n, f):
     """Row-symmetric raising operator: multiplication by h_n."""
-    assert n >= 0
+    _check_order(n)
     return _mult_h(n, f)
 
 
 def heis_q(n, f):
     """Row-symmetric lowering operator: h_n^⊥."""
-    assert n >= 0
+    _check_order(n)
     return _skew_h(n, f)
 
 
 def heis_p_col(n, f):
     """Column (antisymmetric) raising operator: multiplication by e_n."""
-    assert n >= 0
+    _check_order(n)
     return _mult_e(n, f)
 
 
 def heis_q_col(n, f):
     """Column lowering operator: e_n^⊥."""
-    assert n >= 0
+    _check_order(n)
     return _skew_e(n, f)
 
 
 def heis_alpha(k, f):
     """Oscillator operators: k<0 acts by |k|·p_{|k|}·(−), k>0 by p_k^⊥."""
-    assert k != 0
+    if k == 0:
+        raise ValueError("oscillator mode k must be nonzero")
     if k < 0:
         n = -k
         return multiply(f, _power_sum_schur(n)).scale(n)
@@ -486,8 +492,9 @@ def gamma_half(sign, k, f, inverse=False):
     sign "-" raises degree: h_k·f, or (−1)^k e_k·f for the inverse half.
     sign "+" lowers degree: h_k^⊥f, or (−1)^k e_k^⊥f for the inverse half.
     """
-    assert sign in ("+", "-")
-    assert k >= 0
+    if sign not in ("+", "-"):
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+    _check_order(k)
     if sign == "-":
         if inverse:
             return _mult_e(k, f).scale((-1) ** k)
@@ -500,36 +507,59 @@ def gamma_half(sign, k, f, inverse=False):
 # -- Bernstein operators ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _bernstein_schur(a, lam):
+    """B_a s_lam in the Schur basis: the Pieri loop of ``bernstein`` on s_lam,
+    Σ_m (−1)^m Σ_{ν ∈ e_m^⊥ s_lam} h_{a+m} s_ν, read off the kernel tables."""
+    out = {}
+    for m in range(max(0, -a), len(lam.parts) + 1):
+        sign = -1 if m % 2 else 1
+        for nu in _copieri_e(m, lam):
+            for mu in _pieri_h(a + m, nu):
+                out[mu] = out.get(mu, 0) + sign
+    return tuple((mu, c) for mu, c in out.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _bernstein_star_schur(a, lam):
+    """B*_a s_lam in the Schur basis: the Pieri loop of ``bernstein_star`` on
+    s_lam, Σ_n (−1)^n Σ_{ν ∈ h_{n+a}^⊥ s_lam} e_n s_ν, from the kernel tables."""
+    out = {}
+    for n in range(max(0, -a), lam.row(1) - a + 1):
+        sign = -1 if n % 2 else 1
+        for nu in _copieri_h(n + a, lam):
+            for mu in _pieri_e(n, nu):
+                out[mu] = out.get(mu, 0) + sign
+    return tuple((mu, c) for mu, c in out.items() if c)
+
+
+def _linear_extension(table, a, f):
+    """Extend the per-Schur memo ``table(a, lam)`` linearly to f."""
+    out = {}
+    for lam, c in f.terms.items():
+        for mu, d in table(a, lam):
+            _acc(out, mu, c * d)
+    res = SymFunc.__new__(SymFunc)
+    res.terms = out
+    return res
+
+
 def bernstein(a, f):
     """The Schur-function creation operator:
-    B_a f = Σ_{m ≥ max(0,−a)} (−1)^m h_{a+m} · (e_m^⊥ f)."""
-    if f.is_zero():
-        return SymFunc.zero()
-    max_m = max((len(l.parts) for l in f.terms), default=0)
-    out = SymFunc.zero()
-    for m in range(max(0, -a), max_m + 1):
-        sk = _skew_e(m, f)
-        if sk.is_zero():
-            continue
-        term = _mult_h(a + m, sk)
-        out = out + (term if m % 2 == 0 else -term)
-    return out
+    B_a f = Σ_{m ≥ max(0,−a)} (−1)^m h_{a+m} · (e_m^⊥ f).
+
+    B_a s_λ is computed once per (a, λ) and memoized (like the Pieri
+    kernels); B_a f is its linear extension."""
+    return _linear_extension(_bernstein_schur, a, f)
 
 
 def bernstein_star(a, f):
     """The adjoint (annihilation) operator:
-    B*_a f = Σ_{n ≥ max(0,−a)} (−1)^n e_n · (h_{n+a}^⊥ f)."""
-    if f.is_zero():
-        return SymFunc.zero()
-    max_row = max((l.row(1) for l in f.terms), default=0)
-    out = SymFunc.zero()
-    for n in range(max(0, -a), max_row - a + 1):
-        sk = _skew_h(n + a, f)
-        if sk.is_zero():
-            continue
-        term = _mult_e(n, sk)
-        out = out + (term if n % 2 == 0 else -term)
-    return out
+    B*_a f = Σ_{n ≥ max(0,−a)} (−1)^n e_n · (h_{n+a}^⊥ f).
+
+    B*_a s_λ is computed once per (a, λ) and memoized (like the Pieri
+    kernels); B*_a f is its linear extension."""
+    return _linear_extension(_bernstein_star_schur, a, f)
 
 
 # -- serialization ----------------------------------------------------------------

@@ -240,9 +240,13 @@ class RepModule:
         self.dim = int(dim)
         self.gens = list(gens)
         self._perm_cache = {}
-        assert len(self.gens) == max(0, self.degree - 1)
-        for g in self.gens:
-            assert g.nrows == self.dim and g.ncols == self.dim
+        if len(self.gens) != max(0, self.degree - 1):
+            raise RepresentationError(
+                f"{self!r} needs {max(0, self.degree - 1)} generators, "
+                f"got {len(self.gens)}")
+        for i, g in enumerate(self.gens, start=1):
+            if g.nrows != self.dim or g.ncols != self.dim:
+                raise ValueError(f"{self!r}: s_{i} is {g!r}")
         if validate:
             self.validate()
 
@@ -380,9 +384,12 @@ class ModuleMap:
     __slots__ = ("source", "target", "matrix")
 
     def __init__(self, source, target, matrix, validate=False):
-        assert source.degree == target.degree, (source.degree, target.degree)
-        assert matrix.nrows == target.dim and matrix.ncols == source.dim, (
-            matrix.nrows, matrix.ncols, target.dim, source.dim)
+        if source.degree != target.degree:
+            raise RepresentationError(
+                f"no map between degrees: {source!r} -> {target!r}")
+        if matrix.nrows != target.dim or matrix.ncols != source.dim:
+            raise ValueError(
+                f"{matrix!r} does not map {source!r} -> {target!r}")
         self.source = source
         self.target = target
         self.matrix = matrix
@@ -398,7 +405,8 @@ class ModuleMap:
                     f"{self!r} does not intertwine s_{i}")
 
     def __matmul__(self, other):
-        assert other.target.dim == self.source.dim
+        if other.target.dim != self.source.dim:
+            raise ValueError(f"cannot compose {self!r} after {other!r}")
         return ModuleMap(other.source, self.target,
                          self.matrix @ other.matrix)
 

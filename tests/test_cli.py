@@ -214,6 +214,8 @@ class TestDeterminismAndCache:
          "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
         (("cat", "sigma", "--module", "S:2,1", "--json"),
          "5ba1a106511adf3e9d922cb95751f81fe4e27d2a2fd8ef3b26b53835798b0264"),
+        (("clifford", "--json"),
+         "095a1091a974d312fb715aedc10cbb742c3cb60eabe85b84add2718fe6eb400a"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):
@@ -229,12 +231,16 @@ class TestDeterminismAndCache:
                if not k.startswith("BOSONFERMION_")}
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [SRC, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-O", "-m", "bosonfermion.cli",
-             "cat", "specht", "3,2", "--json"],
-            env=env, capture_output=True, check=True)
-        assert hashlib.sha256(out.stdout).hexdigest() == (
-            "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c")
+        for argv, digest in [
+            (("cat", "specht", "3,2", "--json"),
+             "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
+            (("clifford", "--json"),
+             "095a1091a974d312fb715aedc10cbb742c3cb60eabe85b84add2718fe6eb400a"),
+        ]:
+            out = subprocess.run(
+                [sys.executable, "-O", "-m", "bosonfermion.cli", *argv],
+                env=env, capture_output=True, check=True)
+            assert hashlib.sha256(out.stdout).hexdigest() == digest, argv
 
     def test_worker_count_does_not_change_output(self, capsys):
         args = ["cat", "suite", "--max-degree", "2", "--json"]

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bosonfermion.fock import (
+    _insert_code,
+    _remove_code,
     BosonState,
     FermionBasisVector,
     FermionState,
@@ -71,6 +73,68 @@ class TestModesOnVacuum:
         # inserting k slots above the top of the charge-0 vacuum makes a row
         got = psi(3, vacuum(0))
         assert got == FermionState.of(basis(1, [2]))
+
+
+# -- reference routes: the occupied-code lists the closed forms replaced --------
+
+
+def _insert_code_by_codes(vec, t):
+    lam, c = vec.shape, vec.charge
+    depth = len(lam.parts) + max(0, c - t) + 2
+    codes = vec.codes(depth)
+    if t in codes or t <= c - depth:
+        return None
+    above = sum(1 for m in codes if m > t)
+    new_codes = sorted(codes + [t], reverse=True)
+    new_charge = c + 1
+    parts = [m - new_charge + s for s, m in enumerate(new_codes, start=1)]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    assert all(p > 0 for p in parts), (vec, t, parts)
+    return (-1) ** above, FermionBasisVector(new_charge, parts)
+
+
+def _remove_code_by_codes(vec, t):
+    lam, c = vec.shape, vec.charge
+    depth = len(lam.parts) + max(0, c - t) + 2
+    codes = vec.codes(depth)
+    if t not in codes:
+        if t <= c - depth:
+            depth = c - t + 2
+            codes = vec.codes(depth)
+        else:
+            return None
+    if t not in codes:
+        return None
+    slot = codes.index(t) + 1
+    new_codes = [m for m in codes if m != t]
+    new_charge = c - 1
+    parts = [m - new_charge + s for s, m in enumerate(new_codes, start=1)]
+    while parts and parts[-1] == 0:
+        parts.pop()
+    assert all(p > 0 for p in parts), (vec, t, parts)
+    return (-1) ** (slot + 1), FermionBasisVector(new_charge, parts)
+
+
+class TestClosedFormsMatchCodeLists:
+    def test_every_small_vector_and_code(self):
+        seen = {"occupied": 0, "free": 0, "tail removal": 0}
+        for c in range(-4, 5):
+            for lam in partitions_up_to(7):
+                vec = basis(c, lam)
+                for t in range(c - len(lam.parts) - 10, c + lam.row(1) + 11):
+                    ins, want_ins = _insert_code(vec, t), _insert_code_by_codes(vec, t)
+                    rem, want_rem = _remove_code(vec, t), _remove_code_by_codes(vec, t)
+                    assert ins == want_ins, (vec, t)
+                    assert rem == want_rem, (vec, t)
+                    # the vectors are well-formed partitions, not just equal
+                    for hit in (ins, rem):
+                        if hit is not None:
+                            assert hit[1].shape == Partition(hit[1].shape.parts)
+                    seen["occupied" if ins is None else "free"] += 1
+                    if rem is not None and t < c - len(lam.parts):
+                        seen["tail removal"] += 1
+        assert all(seen.values()), seen
 
 
 class TestCliffordRelations:

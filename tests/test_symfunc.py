@@ -1,7 +1,11 @@
 """Symmetric-function engine: Pieri/skew oracles, basis conversions,
 Bernstein operators, Heisenberg operators, generating-series identities."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import given, settings, strategies as st
 
@@ -41,6 +45,8 @@ from bosonfermion.symfunc import (
 )
 
 one = SymFunc.one()
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def s(*parts):
@@ -242,6 +248,42 @@ def test_bernstein_star_examples():
     assert bernstein_star(1, s(2)) == SymFunc.zero()
 
 
+def _bernstein_pieri(a, f):
+    """Reference route: the Pieri loop applied to the whole of f."""
+    max_m = max((len(l.parts) for l in f.terms), default=0)
+    out = SymFunc.zero()
+    for m in range(max(0, -a), max_m + 1):
+        term = sf._mult_h(a + m, sf._skew_e(m, f))
+        out = out + (term if m % 2 == 0 else -term)
+    return out
+
+
+def _bernstein_star_pieri(a, f):
+    """Reference route for the adjoint, on the whole of f."""
+    max_row = max((l.row(1) for l in f.terms), default=0)
+    out = SymFunc.zero()
+    for n in range(max(0, -a), max_row - a + 1):
+        term = sf._mult_e(n, sf._skew_h(n + a, f))
+        out = out + (term if n % 2 == 0 else -term)
+    return out
+
+
+def rational_symfunc_st(max_deg=5):
+    shapes = [p for d in range(max_deg + 1) for p in enumerate_partitions(d)]
+    return st.dictionaries(
+        st.sampled_from(shapes),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        max_size=5,
+    ).map(SymFunc)
+
+
+@given(rational_symfunc_st(), st.integers(-7, 7))
+@settings(max_examples=150, deadline=None)
+def test_memoized_bernstein_matches_pieri_loop(f, a):
+    assert bernstein(a, f) == _bernstein_pieri(a, f)
+    assert bernstein_star(a, f) == _bernstein_star_pieri(a, f)
+
+
 def _clifford_identities_hold(i, j, c, f):
     # creation/annihilation anticommutators, transported to charge c
     lhs1 = bernstein(i - c, bernstein_star(j - c, f)) + bernstein_star(
@@ -300,6 +342,43 @@ def test_gamma_half():
     assert gamma_half("-", 2, one, inverse=True) == elementary(2)
     assert gamma_half("+", 2, s(2)) == one
     assert gamma_half("+", 1, s(2), inverse=True) == -s(1)
+
+
+def test_operator_arguments_checked_under_optimized_python():
+    # python -O strips assert statements; bad arguments must still raise
+    code = (
+        "from bosonfermion.symfunc import (gamma_half, heis_alpha, heis_p,\n"
+        "                                  heis_p_col, heis_q, heis_q_col,\n"
+        "                                  schur)\n"
+        "f = schur((2, 1))\n"
+        "cases = [\n"
+        "    lambda: heis_p(-1, f),\n"
+        "    lambda: heis_q(-2, f),\n"
+        "    lambda: heis_p_col(-1, f),\n"
+        "    lambda: heis_q_col(-1, f),\n"
+        "    lambda: heis_alpha(0, f),\n"
+        "    lambda: gamma_half('x', 1, f),\n"
+        "    lambda: gamma_half('+', -1, f),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        print('returned', case())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "operator order must be >= 0, got -1",
+        "operator order must be >= 0, got -2",
+        "operator order must be >= 0, got -1",
+        "operator order must be >= 0, got -1",
+        "oscillator mode k must be nonzero",
+        "sign must be '+' or '-', got 'x'",
+        "operator order must be >= 0, got -1",
+    ]
 
 
 def test_h_e_alternating_identity():

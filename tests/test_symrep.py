@@ -287,6 +287,47 @@ class TestModules:
             "RepModule(degree=2, dim=1): s_1^2 != id",
         ]
 
+    def test_shape_gates_survive_optimized_python(self):
+        # python -O strips assert statements; the shape gates must raise
+        code = (
+            "from bosonfermion.errors import RepresentationError\n"
+            "from bosonfermion.linalg import SMat\n"
+            "from bosonfermion.symrep import (ModuleMap, RepModule,\n"
+            "                                 trivial_module)\n"
+            "t2 = trivial_module(2)\n"
+            "cases = [\n"
+            "    lambda: RepModule(3, 1, []),\n"
+            "    lambda: RepModule(2, 2, [SMat.identity(1)]),\n"
+            "    lambda: ModuleMap(t2, trivial_module(3), SMat.identity(1)),\n"
+            "    lambda: ModuleMap(t2, t2, SMat.identity(2)),\n"
+            "    lambda: ModuleMap(t2, t2, SMat.identity(1))\n"
+            "            @ ModuleMap(t2, RepModule(2, 2, [SMat.identity(2)]),\n"
+            "                        SMat.from_dense([[1], [1]])),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        print('built', case())\n"
+            "    except (RepresentationError, ValueError) as exc:\n"
+            "        print(type(exc).__name__, exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "RepresentationError RepModule(degree=3, dim=1) needs 2 "
+            "generators, got 0",
+            "ValueError RepModule(degree=2, dim=2): s_1 is SMat(1x1, nnz=1)",
+            "RepresentationError no map between degrees: "
+            "RepModule(degree=2, dim=1) -> RepModule(degree=3, dim=1)",
+            "ValueError SMat(2x2, nnz=2) does not map "
+            "RepModule(degree=2, dim=1) -> RepModule(degree=2, dim=1)",
+            "ValueError cannot compose ModuleMap(RepModule(degree=2, dim=1) "
+            "-> RepModule(degree=2, dim=1), nnz=1) after "
+            "ModuleMap(RepModule(degree=2, dim=1) -> RepModule(degree=2, "
+            "dim=2), nnz=2)",
+        ]
+
 
 class TestInduceRestrict:
     def test_induced_dimension_and_validity(self, pool):
