@@ -18,4 +18,6 @@ class RepresentationError(Exception):
 
 
 class CharacterError(Exception):
-    """A Frobenius character has a negative or non-integral multiplicity."""
+    """A Frobenius character has a negative or non-integral multiplicity, a
+    character table entry is not an integer, or a basis-change table mixes
+    degrees."""

@@ -435,14 +435,16 @@ def clifford_relation_report(max_degree, charge_window, index_window):
             state = FermionState.of(FermionBasisVector(c, lam))
             up = {j: psi(j, state) for j in idx}
             down = {j: psi_star(j, state) for j in idx}
+            upup = {(i, j): psi(i, up[j]) for i in idx for j in idx}
+            downdown = {(i, j): psi_star(i, down[j]) for i in idx for j in idx}
             for i in idx:
                 for j in idx:
                     total += 3
-                    acc = psi(i, up[j]) + psi(j, up[i])
+                    acc = upup[i, j] + upup[j, i]
                     if not acc.is_zero():
                         bad += 1
                         report.add(f"psi-psi i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = psi_star(i, down[j]) + psi_star(j, down[i])
+                    acc = downdown[i, j] + downdown[j, i]
                     if not acc.is_zero():
                         bad += 1
                         report.add(f"psi*-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)

@@ -158,9 +158,11 @@ class Complex:
         return RepModule(self.group_degree, h, gens)
 
     def betti(self):
+        # d_k enters the homology of degrees k and k - 1: rank it once
+        ranks = {k: rank(d) for k, d in self.diffs.items()}
         out = {}
         for k in self._support_range():
-            h = self.homology_dim(k)
+            h = self.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             if h:
                 out[k] = h
         return out
@@ -192,8 +194,7 @@ class Complex:
 
     def homology_characters(self):
         return {k: frobenius_char(self.homology_module(k))
-                for k in self._support_range()
-                if self.homology_dim(k)}
+                for k in self.betti()}
 
     def euler_frobenius(self):
         """Alternating sum of chain-group characters (equals the alternating

@@ -3,13 +3,17 @@
 Everything downstream (module maps, differentials, homology) runs through this
 module.  Matrices are stored row-sparse: a list of ``{col: Fraction}`` dicts.
 All arithmetic is exact; there are no tolerances anywhere.
+
+Entries are rationals, but products and elimination run fraction-free on
+Python ints: each row is scaled by the lcm of its denominators once, the work
+is done on integers, and a ``Fraction`` is built only for each entry returned.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import IdempotentError
 
@@ -109,10 +113,11 @@ class SMat:
         return SMat(self.nrows, self.ncols, rows)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + -other
 
     def __neg__(self):
-        return self.scale(-1)
+        return SMat(self.nrows, self.ncols,
+                    [{j: -v for j, v in r.items()} for r in self.rows])
 
     def scale(self, c):
         c = Fraction(c)
@@ -127,18 +132,22 @@ class SMat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
+        # B over one common denominator, each row of A over its own
+        bden = lcm(*(v.denominator for r in other.rows for v in r.values()))
+        orows = [_cleared(r, bden) for r in other.rows]
         rows = []
-        orows = other.rows
         for a in self.rows:
+            aden = lcm(*(v.denominator for v in a.values()))
             acc = {}
             for j, av in a.items():
+                x = av.numerator * (aden // av.denominator)
                 for l, bv in orows[j].items():
-                    w = acc.get(l, ZERO) + av * bv
+                    w = acc.get(l, 0) + x * bv
                     if w:
                         acc[l] = w
                     else:
                         acc.pop(l, None)
-            rows.append(acc)
+            rows.append(_rational(acc, aden * bden))
         return SMat(self.nrows, other.ncols, rows)
 
     def transpose(self):
@@ -212,15 +221,48 @@ def _shifted(row, coff):
     return {coff + j: v for j, v in row.items()} if coff else dict(row)
 
 
+def _cleared(row, den):
+    """The int row den * row; den must be a multiple of every denominator."""
+    if den == 1:
+        return {j: v.numerator for j, v in row.items()}
+    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+
+
+def _primitive(row):
+    """The rational row as ints: times the lcm of its denominators, then
+    divided by the gcd of the results.  Same columns, same order."""
+    ints = _cleared(row, lcm(*(v.denominator for v in row.values())))
+    g = gcd(*ints.values())
+    return {j: v // g for j, v in ints.items()} if g > 1 else ints
+
+
+def _rational(row, den):
+    """The rational row row / den of an int row."""
+    if den == 1:
+        return {j: Fraction(v) for j, v in row.items()}
+    return {j: Fraction(v, den) for j, v in row.items()}
+
+
 # -- elimination engine -------------------------------------------------------
 
 
 class _Eliminator:
-    """Row reduction to reduced echelon form, tracking column occupancy."""
+    """Fraction-free row reduction to reduced echelon form, tracking column
+    occupancy.
+
+    Rows are primitive int rows (``_primitive``).  A pivot p is made positive
+    and never normalized; a row with entry f in the pivot column becomes
+    (p/g)·row − (f/g)·pivot_row with g = gcd(p, f), and, when p/g ≠ 1, is
+    divided by the gcd of its entries (one-step fraction-free elimination,
+    Bareiss 1968).  Every row stays a positive multiple of the row rational
+    elimination would hold, so the sparsity pattern, and with it every pivot
+    choice, is the same at each step.  For a pivot ``(r, c)`` the reduced
+    rational row is ``rows[r][j] / rows[r][c]``.
+    """
 
     def __init__(self, mat):
         self.ncols = mat.ncols
-        self.rows = [dict(r) for r in mat.rows]
+        self.rows = [_primitive(r) for r in mat.rows]
         self.occ = defaultdict(set)
         for i, r in enumerate(self.rows):
             for j in r:
@@ -230,34 +272,42 @@ class _Eliminator:
 
     def reduce(self, upto_col=None):
         limit = self.ncols if upto_col is None else upto_col
+        rows, occ, used = self.rows, self.occ, self.used
         for col in range(limit):
-            cand = [i for i in self.occ.get(col, ()) if i not in self.used]
+            cand = [i for i in occ.get(col, ()) if i not in used]
             if not cand:
                 continue
-            r = min(cand, key=lambda i: len(self.rows[i]))
-            self.used.add(r)
+            r = min(cand, key=lambda i: len(rows[i]))
+            used.add(r)
             self.pivots.append((r, col))
-            piv = self.rows[r][col]
-            if piv != ONE:
-                inv = ONE / piv
-                for j in list(self.rows[r]):
-                    self.rows[r][j] *= inv
-            prow = self.rows[r]
-            for i in list(self.occ[col]):
+            prow = rows[r]
+            p = prow[col]
+            if p < 0:
+                prow = rows[r] = {j: -v for j, v in prow.items()}
+                p = -p
+            for i in list(occ[col]):
                 if i == r:
                     continue
-                irow = self.rows[i]
-                factor = irow[col]
+                irow = rows[i]
+                f = irow[col]
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                if a != 1:
+                    irow = rows[i] = {j: a * v for j, v in irow.items()}
                 for j, v in prow.items():
-                    w = irow.get(j, ZERO) - factor * v
+                    w = irow.get(j, 0) - b * v
                     if w:
                         if j not in irow:
-                            self.occ[j].add(i)
+                            occ[j].add(i)
                         irow[j] = w
                     else:
                         if j in irow:
                             del irow[j]
-                            self.occ[j].discard(i)
+                            occ[j].discard(i)
+                if a != 1:
+                    c = gcd(*irow.values())
+                    if c > 1:
+                        rows[i] = {j: v // c for j, v in irow.items()}
         return self
 
 
@@ -268,16 +318,15 @@ def rank(mat):
 def rref(mat):
     """Reduced row echelon form; returns (SMat, pivot_columns)."""
     el = _Eliminator(mat).reduce()
-    order = [r for r, _ in el.pivots] + [
-        i for i in range(mat.nrows) if i not in el.used
-    ]
-    rows = [dict(el.rows[i]) for i in order]
+    # rows never chosen as pivots are empty after a full reduction
+    rows = [_rational(el.rows[r], el.rows[r][c]) for r, c in el.pivots]
+    rows += [{} for _ in range(mat.nrows - len(rows))]
     return SMat(mat.nrows, mat.ncols, rows), [c for _, c in el.pivots]
 
 
 def independent_columns(mat):
     """Indices of a maximal independent set of columns (RREF pivot columns)."""
-    return rref(mat)[1]
+    return [c for _, c in _Eliminator(mat).reduce().pivots]
 
 
 def nullspace(mat):
@@ -289,7 +338,9 @@ def nullspace(mat):
     rows = [{free[j]: ONE} if j in free else {} for j in range(mat.ncols)]
     # a reduced pivot row is zero on the other pivot columns
     for r, c in el.pivots:
-        rows[c] = {free[j]: -v for j, v in el.rows[r].items() if j in free}
+        p = el.rows[r][c]
+        rows[c] = {free[j]: Fraction(-v, p)
+                   for j, v in el.rows[r].items() if j in free}
     return SMat(mat.ncols, len(free), rows)
 
 
@@ -306,9 +357,10 @@ def solve(a, b):
             raise ValueError("inconsistent linear system")
     rows = [{} for _ in range(a.ncols)]
     for r, c in el.pivots:
+        p = el.rows[r][c]
         for j, v in el.rows[r].items():
             if j >= a.ncols:
-                rows[c][j - a.ncols] = v
+                rows[c][j - a.ncols] = Fraction(v, p)
     return SMat(a.ncols, b.ncols, rows)
 
 
@@ -340,7 +392,9 @@ def idempotent_image(e, check=True):
     iota = e.columns(cols)
     r = len(cols)
     piv_rows = independent_columns(iota.transpose())
-    assert len(piv_rows) == r
+    if len(piv_rows) != r:
+        raise IdempotentError(
+            f"{len(piv_rows)} independent rows in a rank-{r} image")
     block = iota.submatrix(piv_rows, range(r))
     pi = inverse(block) @ e.submatrix(piv_rows, range(e.ncols))
     if check and (pi @ iota) != SMat.identity(r):
@@ -367,7 +421,7 @@ def joint_eigenspace(dim, gens):
 
 def bareiss_rank(mat):
     """Rank by dense fraction-free (Bareiss) elimination on a cleared-denominator
-    integer matrix.  Cross-check route for the sparse rational elimination."""
+    integer matrix.  Cross-check route for the sparse elimination."""
     dense = []
     for i in range(mat.nrows):
         row = [mat.entry(i, j) for j in range(mat.ncols)]

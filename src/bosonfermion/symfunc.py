@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import CharacterError
 from .partition_core import (
     Partition,
     centralizer_order,
@@ -163,11 +164,7 @@ def elementary(mu):
 
 def powersum(mu):
     """p_mu = prod of power sums p_{mu_i}."""
-    mu = _as_partition_arg(mu)
-    out = SymFunc.one()
-    for k in mu.parts:
-        out = multiply(_power_sum_schur(k), out)
-    return out
+    return SymFunc(dict(_p_to_schur(_as_partition_arg(mu))))
 
 
 def monomial(mu):
@@ -288,7 +285,11 @@ def _schur_to_h(lam):
                     coeffs[mu] = w
                 else:
                     coeffs.pop(mu, None)
-    assert all(m.size() == n for m in coeffs)
+    wrong = [m for m in coeffs if m.size() != n]
+    if wrong:
+        raise CharacterError(
+            f"s_{format_partition(lam)} in the h basis has a term "
+            f"h_{format_partition(wrong[0])} of another degree")
     return tuple(sorted(coeffs.items(), key=lambda t: t[0].sort_key()))
 
 
@@ -314,10 +315,16 @@ def _p_to_schur(mu):
 def character(lam, mu):
     """The symmetric-group character value chi^lam(mu) = <s_lam, p_mu>."""
     lam, mu = Partition(lam), Partition(mu)
-    assert lam.size() == mu.size()
+    if lam.size() != mu.size():
+        raise ValueError(
+            f"chi^{format_partition(lam)} at cycle type "
+            f"{format_partition(mu)}: the sizes differ")
     for l, c in _p_to_schur(mu):
         if l == lam:
-            assert c.denominator == 1
+            if c.denominator != 1:
+                raise CharacterError(
+                    f"chi^{format_partition(lam)}({format_partition(mu)}) "
+                    f"= {c} is not an integer")
             return int(c)
     return 0
 

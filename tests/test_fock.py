@@ -1,9 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion import fock
 from bosonfermion.fock import (
     _insert_code,
     _remove_code,
@@ -141,6 +143,19 @@ class TestCliffordRelations:
     def test_relation_battery(self):
         rep = clifford_relation_report(3, (-1, 1), (-3, 3))
         assert rep.passed, rep.render_text()
+
+    def test_battery_applies_each_mode_once_per_image(self):
+        # per basis vector: psi_j v for each j, then psi_i psi_j v and
+        # psi_i psi*_j v for each ordered pair; psi* likewise
+        states, width = 3 * len(partitions_up_to(3)), 7
+        with mock.patch.object(fock, "psi", wraps=fock.psi) as up, \
+                mock.patch.object(fock, "psi_star",
+                                  wraps=fock.psi_star) as down:
+            rep = clifford_relation_report(3, (-1, 1), (-3, 3))
+        assert rep.passed
+        assert rep.checks[-1].details["checked"] == 3 * states * width ** 2
+        assert up.call_count == states * (width + 2 * width ** 2)
+        assert down.call_count == states * (width + 2 * width ** 2)
 
     @given(small_charges, small_partitions,
            st.integers(-3, 3), st.integers(-3, 3))

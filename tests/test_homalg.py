@@ -3,11 +3,13 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosonfermion import homalg
 from bosonfermion.errors import ChainComplexError
 from bosonfermion.homalg import (
     ChainMap,
@@ -242,6 +244,16 @@ class TestReduction:
         red = reduce_complex(c)
         assert not red.diffs
         assert red.dims() == planted
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_betti_ranks_each_differential_once(self, seed):
+        c, planted = random_complex_with_known_homology(random.Random(seed))
+        with mock.patch.object(homalg, "rank", wraps=homalg.rank) as spy:
+            assert c.betti() == planted
+        assert spy.call_count == len(c.diffs)
+        assert planted == {k: c.homology_dim(k) for k in c.degrees()
+                           if c.homology_dim(k)}
 
     def test_fuzz_report_passes(self):
         rep = elimination_fuzz_report(instances=25, seed=7)

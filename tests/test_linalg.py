@@ -2,17 +2,17 @@ import os
 import random
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bosonfermion.errors import IdempotentError
 from bosonfermion.linalg import (
     SMat,
-    _Eliminator,
     bareiss_rank,
     idempotent_image,
     independent_columns,
@@ -86,9 +86,9 @@ def reference_block(grid, row_dims, col_dims):
     return SMat.from_entries(sum(row_dims), sum(col_dims), entries)
 
 
-def sized(nrows, ncols):
+def sized(nrows, ncols, entries=small_entries):
     """Matrices of a fixed shape, 0 x n and n x 0 included."""
-    return st.lists(st.lists(small_entries, min_size=ncols, max_size=ncols),
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
                     min_size=nrows, max_size=nrows).map(
         lambda data: SMat.from_entries(nrows, ncols, [
             (i, j, v) for i, row in enumerate(data) for j, v in enumerate(row)]))
@@ -141,11 +141,84 @@ class TestBlockPlacement:
             SMat.block([[dense([[1]]), dense([[1, 2]])]], [1], [1, 1])
 
 
+class ReferenceEliminator:
+    """Row reduction on Fraction rows, each pivot row divided by its pivot
+    before it is used: the rational elimination the fraction-free
+    _Eliminator replaced, kept as the oracle.  Its rows are the reduced
+    rational rows themselves."""
+
+    def __init__(self, mat):
+        self.ncols = mat.ncols
+        self.rows = [dict(r) for r in mat.rows]
+        self.occ = defaultdict(set)
+        for i, r in enumerate(self.rows):
+            for j in r:
+                self.occ[j].add(i)
+        self.pivots = []
+        self.used = set()
+
+    def reduce(self, upto_col=None):
+        limit = self.ncols if upto_col is None else upto_col
+        for col in range(limit):
+            cand = [i for i in self.occ.get(col, ()) if i not in self.used]
+            if not cand:
+                continue
+            r = min(cand, key=lambda i: len(self.rows[i]))
+            self.used.add(r)
+            self.pivots.append((r, col))
+            piv = self.rows[r][col]
+            if piv != 1:
+                inv = 1 / piv
+                for j in list(self.rows[r]):
+                    self.rows[r][j] *= inv
+            prow = self.rows[r]
+            for i in list(self.occ[col]):
+                if i == r:
+                    continue
+                irow = self.rows[i]
+                factor = irow[col]
+                for j, v in prow.items():
+                    w = irow.get(j, F(0)) - factor * v
+                    if w:
+                        if j not in irow:
+                            self.occ[j].add(i)
+                        irow[j] = w
+                    else:
+                        if j in irow:
+                            del irow[j]
+                            self.occ[j].discard(i)
+        return self
+
+
+def reference_matmul(a, b):
+    """The Fraction product loop SMat.__matmul__ replaced, kept as the oracle."""
+    assert a.ncols == b.nrows
+    rows = []
+    for ar in a.rows:
+        acc = {}
+        for j, av in ar.items():
+            for l, bv in b.rows[j].items():
+                w = acc.get(l, F(0)) + av * bv
+                if w:
+                    acc[l] = w
+                else:
+                    acc.pop(l, None)
+        rows.append(acc)
+    return SMat(a.nrows, b.ncols, rows)
+
+
+def reference_rref(mat):
+    el = ReferenceEliminator(mat).reduce()
+    order = [r for r, _ in el.pivots] + [
+        i for i in range(mat.nrows) if i not in el.used]
+    return (SMat(mat.nrows, mat.ncols, [dict(el.rows[i]) for i in order]),
+            [c for _, c in el.pivots])
+
+
 def reference_nullspace(mat):
     """Kernel basis assembled one free column at a time, probing every pivot
-    row for it: the assembly nullspace used before it read the pivot rows'
-    entries directly, kept as the oracle."""
-    el = _Eliminator(mat).reduce()
+    row of the rational elimination for it, kept as the oracle."""
+    el = ReferenceEliminator(mat).reduce()
     pivot_col_to_row = {c: r for r, c in el.pivots}
     free_cols = [j for j in range(mat.ncols) if j not in pivot_col_to_row]
     rows = [{} for _ in range(mat.ncols)]
@@ -156,6 +229,36 @@ def reference_nullspace(mat):
             if v:
                 rows[c][k] = -v
     return SMat(mat.ncols, len(free_cols), rows)
+
+
+def reference_solve(a, b):
+    """Solve on the rational elimination; None when inconsistent."""
+    el = ReferenceEliminator(SMat.hstack([a, b])).reduce(upto_col=a.ncols)
+    if any(el.rows[i] for i in range(a.nrows) if i not in el.used):
+        return None
+    rows = [{} for _ in range(a.ncols)]
+    for r, c in el.pivots:
+        for j, v in el.rows[r].items():
+            if j >= a.ncols:
+                rows[c][j - a.ncols] = v
+    return SMat(a.ncols, b.ncols, rows)
+
+
+def reference_inverse(mat):
+    """Inverse on the rational routes; None when singular."""
+    eye = SMat.identity(mat.nrows)
+    x = reference_solve(mat, eye)
+    return x if x is not None and reference_matmul(mat, x) == eye else None
+
+
+def reference_idempotent_image(e):
+    cols = reference_rref(e)[1]
+    iota = e.columns(cols)
+    piv_rows = reference_rref(iota.transpose())[1]
+    block = iota.submatrix(piv_rows, range(len(cols)))
+    pi = reference_matmul(reference_inverse(block),
+                          e.submatrix(piv_rows, range(e.ncols)))
+    return iota, pi
 
 
 class TestRankAndSpans:
@@ -195,6 +298,120 @@ class TestRankAndSpans:
     @settings(max_examples=60, deadline=None)
     def test_nullspace_matches_column_by_column_assembly(self, m):
         assert nullspace(m) == reference_nullspace(m)
+
+
+wide_entries = st.fractions(min_value=-7, max_value=7, max_denominator=7)
+unit_entries = st.sampled_from([F(-1), F(0), F(1)])
+
+
+@st.composite
+def mixed_matrices(draw, nrows=None, ncols=None, max_dim=6):
+    """0 x n and n x 0 shapes included: signed permutation matrices, or
+    entries with denominators up to 3, up to 7, or in {-1, 0, 1}, dense or
+    about half zero; in either case some rows may be zeroed."""
+    if nrows is None:
+        nrows = draw(st.integers(0, max_dim))
+    if ncols is None:
+        ncols = draw(st.integers(0, max_dim))
+    if nrows == ncols and draw(st.booleans()):
+        perm = draw(st.permutations(range(nrows)))
+        signs = draw(st.lists(st.sampled_from([F(-1), F(1)]),
+                              min_size=nrows, max_size=nrows))
+        m = SMat.from_entries(nrows, ncols, [
+            (i, j, v) for i, (j, v) in enumerate(zip(perm, signs))])
+    else:
+        entries = draw(st.sampled_from(
+            [small_entries, wide_entries, unit_entries]))
+        if draw(st.booleans()):
+            entries = st.just(F(0)) | entries
+        m = draw(sized(nrows, ncols, entries))
+    if nrows:
+        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            m.rows[i] = {}
+    return m
+
+
+def same(got, want):
+    """Equal matrices whose rows also list their columns in the same order."""
+    return got == want and all(
+        list(a) == list(b) for a, b in zip(got.rows, want.rows))
+
+
+@st.composite
+def systems(draw):
+    """(A, B): B = A @ X for a drawn X (consistent), or drawn freely."""
+    n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
+    a = draw(mixed_matrices(n, k))
+    if draw(st.booleans()):
+        return a, reference_matmul(a, draw(mixed_matrices(k, m)))
+    return a, draw(mixed_matrices(n, m))
+
+
+@st.composite
+def idempotents(draw):
+    """g @ d @ g^-1 for an invertible g and a 0/1 diagonal d."""
+    n = draw(st.integers(0, 5))
+    g = draw(sized(n, n, wide_entries) | sized(n, n, unit_entries)
+             | mixed_matrices(n, n))
+    ginv = reference_inverse(g)
+    assume(ginv is not None)
+    mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    d = SMat.from_entries(n, n, [(i, i, F(1)) for i in range(n) if mask[i]])
+    return reference_matmul(reference_matmul(g, d), ginv)
+
+
+class TestIntegerRoutesMatchRational:
+    """The fraction-free elimination and the int product against the
+    Fraction routes they replaced: the same results, exactly."""
+
+    @given(mixed_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_elimination(self, m):
+        want, want_piv = reference_rref(m)
+        got, piv = rref(m)
+        assert piv == want_piv
+        assert same(got, want)
+        assert rank(m) == len(want_piv)
+        assert independent_columns(m) == want_piv
+        # the oracle assembles column by column: same entries, other order
+        assert nullspace(m) == reference_nullspace(m)
+
+    @given(st.tuples(*[st.integers(0, 5)] * 3).flatmap(
+        lambda s: st.tuples(mixed_matrices(s[0], s[1]),
+                            mixed_matrices(s[1], s[2]))))
+    @settings(max_examples=200, deadline=None)
+    def test_matmul(self, pair):
+        a, b = pair
+        assert same(a @ b, reference_matmul(a, b))
+
+    @given(systems())
+    @settings(max_examples=150, deadline=None)
+    def test_solve(self, system):
+        a, b = system
+        want = reference_solve(a, b)
+        if want is None:
+            with pytest.raises(ValueError, match="inconsistent"):
+                solve(a, b)
+        else:
+            assert same(solve(a, b), want)
+
+    @given(st.integers(0, 5).flatmap(lambda n: mixed_matrices(n, n)))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, m):
+        want = reference_inverse(m)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                inverse(m)
+        else:
+            assert same(inverse(m), want)
+
+    @given(idempotents())
+    @settings(max_examples=80, deadline=None)
+    def test_idempotent_image(self, e):
+        iota, pi = idempotent_image(e)
+        want_iota, want_pi = reference_idempotent_image(e)
+        assert same(iota, want_iota)
+        assert same(pi, want_pi)
 
 
 class TestSolveInverse:
@@ -312,6 +529,26 @@ class TestGatesUnderOptimizedPython:
             "    try:\n"
             "        case()\n"
             "    except (ValueError, IdempotentError) as exc:\n"
+            "        print(type(exc).__name__, exc)\n"
+            # gates on internal consistency, reached by corrupting a table
+            "from fractions import Fraction\n"
+            "from bosonfermion import linalg, symfunc\n"
+            "from bosonfermion.errors import CharacterError\n"
+            "from bosonfermion.partition_core import Partition\n"
+            "pivots = iter([[0, 1], [0]])\n"
+            "linalg.independent_columns = lambda m: next(pivots)\n"
+            "symfunc._p_to_schur = lambda mu: ((mu, Fraction(1, 2)),)\n"
+            "symfunc._h_to_schur = lambda lam: ((lam, 1), (Partition((5,)), 1))\n"
+            "cases = [\n"
+            "    lambda: linalg.idempotent_image(SMat.identity(2)),\n"
+            "    lambda: symfunc.character((2, 1), (2,)),\n"
+            "    lambda: symfunc.character((2,), (2,)),\n"
+            "    lambda: symfunc._schur_to_h(Partition((2,))),\n"
+            "]\n"
+            "for case in cases:\n"
+            "    try:\n"
+            "        case()\n"
+            "    except (ValueError, IdempotentError, CharacterError) as exc:\n"
             "        print(type(exc).__name__, exc)\n")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -329,4 +566,9 @@ class TestGatesUnderOptimizedPython:
             "ValueError SMat(2x2, nnz=4) is singular",
             "ValueError cannot invert non-square SMat(1x2, nnz=2)",
             "ValueError cannot solve SMat(1x1, nnz=1) @ X = SMat(2x2, nnz=2)",
+            "IdempotentError 1 independent rows in a rank-2 image",
+            "ValueError chi^2,1 at cycle type 2: the sizes differ",
+            "CharacterError chi^2(2) = 1/2 is not an integer",
+            "CharacterError s_2 in the h basis has a term h_5 of another "
+            "degree",
         ]

@@ -93,6 +93,17 @@ def test_h_e_p_single_degree():
     assert complete(0) == one
 
 
+def test_powersum_matches_product_of_power_sums():
+    # powersum reads the memoized p-to-Schur table; the oracle multiplies
+    # the single power sums p_k = sum of signed hooks, as powersum once did
+    for n in range(8):
+        for mu in enumerate_partitions(n):
+            want = one
+            for k in mu.parts:
+                want = multiply(sf._power_sum_schur(k), want)
+            assert powersum(mu) == want
+
+
 def test_pieri_examples():
     assert multiply(complete(2), s(1)) == s(3) + s(2, 1)
     assert multiply(elementary(2), s(1)) == s(2, 1) + s(1, 1, 1)
