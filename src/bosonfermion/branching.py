@@ -9,6 +9,13 @@ remaining stages.  Composing these according to the swap/merge recipes
 yields explicit inclusions/projections realizing each direct-sum
 decomposition; they are verified by a biorthogonality battery.
 
+Cable elements: a group-algebra element acting on a cable of k strands is
+written on the cable's own letters 1..k (strand i, left to right, carries
+letter i), and only ``_p_box``/``_q_box`` embed it into a word.  On a
+P-cable it acts by right multiplication, which reverses products; on a
+Q-cable by the module action, which keeps them.  A strand route is a list
+of adjacent swaps, turned into one cable element by ``_strand_route``.
+
 Scalar policy: each inclusion is built with its documented scalar.  The
 battery computes projection∘inclusion = c·id; if c is neither 0 nor 1 the
 inclusion is rescaled by 1/c and the rescaling is recorded in the report.
@@ -170,8 +177,11 @@ def slide_p_left(word):
 
 
 def _p_box(word, start, elem):
-    """Right multiplication by ``elem`` (on the cable's letters 1..k) on the
-    P-cable at letter indices [start, start+k), whiskered to the top."""
+    """Right multiplication by the cable element ``elem`` on the P-cable at
+    letter indices [start, start+k), whiskered to the top.  The cable's
+    strands carry the element's letters 1..k left to right (strand i is
+    group letter base+k+1-i).  Right multiplication reverses products:
+    _p_box(a*b) = _p_box(b) @ _p_box(a)."""
     k = elem.degree
     w_in = word.stages[start]
     degree = w_in.degree + k
@@ -181,8 +191,11 @@ def _p_box(word, start, elem):
 
 
 def _q_box(word, start, elem):
-    """Module action of ``elem`` (on the cable's letters 1..k) on the
-    Q-cable at letter indices [start, start+k), whiskered to the top."""
+    """Module action of the cable element ``elem`` on the Q-cable at letter
+    indices [start, start+k), whiskered to the top.  The cable's strands
+    carry the element's letters 1..k left to right (strand i is group
+    letter top-k+i).  The action keeps products:
+    _q_box(a*b) = _q_box(a) @ _q_box(b)."""
     k = elem.degree
     w_in = word.stages[start]
     out_stage = word.stages[start + k]
@@ -220,8 +233,7 @@ def word_module(atoms, base):
         for box, start, lam in cables:
             k, eps = lam.size(), 1 if len(lam.parts) == 1 else -1
             for i in range(1, k):
-                s_i = GroupAlgebraElement(k, {adjacent_transposition(i, k): 1})
-                gens.append((box(word, start, s_i), eps))
+                gens.append((box(word, start, _strand_route(k, [i])), eps))
         iota, pi = joint_eigenspace(top.dim, gens)
     else:
         e_total = SMat.identity(top.dim)
@@ -233,20 +245,25 @@ def word_module(atoms, base):
     return sub, iota, pi, word
 
 
-# -- strand routing on single-sided cables --------------------------------------------
+# -- cable elements -------------------------------------------------------------------
 
 
-def _transposition(x, y, degree):
-    img = list(range(1, degree + 1))
-    img[x - 1], img[y - 1] = y, x
-    return tuple(img)
+def _strand_route(n, swaps):
+    """The cable element s_{p_r} ⋯ s_{p_1} of S_n for the swap list
+    (p_1, ..., p_r): swap p exchanges the strands on cable letters p and
+    p+1, and p_1 is performed first, so the element sends each letter to
+    the position the swaps carry its strand to."""
+    w = identity_perm(n)
+    for p in swaps:
+        w = perm_mult(adjacent_transposition(p, n), w)
+    return GroupAlgebraElement(n, {w: ONE})
 
 
-def _route_swaps(from_pos, to_pos):
-    """Adjacent-position swaps carrying the strand at from_pos to to_pos."""
-    if from_pos > to_pos:
-        return list(range(from_pos - 1, to_pos - 1, -1))
-    return list(range(from_pos, to_pos))
+def _row_symmetrizer(n, lo, hi):
+    """(1/m!) Σ w over the m! permutations w of cable letters lo..hi in S_n
+    (m = hi - lo + 1 >= 1): the symmetrizer box of one row."""
+    return young_idempotent([hi - lo + 1], check=False).relabel(
+        range(lo, hi + 1), n)
 
 
 def _cable_cross_swaps(a, b):
@@ -255,42 +272,6 @@ def _cable_cross_swaps(a, b):
     for i in range(a, 0, -1):
         seq.extend(range(i, i + b))
     return seq
-
-
-def p_route_element(n_letters, base_degree, swaps):
-    """Group element for right multiplication realizing a sequence of
-    adjacent strand crossings on an all-P word; positions carry letters
-    base+n, ..., base+1 from left to right, evolving as strands cross."""
-    degree = base_degree + n_letters
-    letters_at = [base_degree + n_letters - p for p in range(n_letters)]
-    w = identity_perm(degree)
-    for p in swaps:
-        x, y = letters_at[p - 1], letters_at[p]
-        w = perm_mult(w, _transposition(x, y, degree))
-        letters_at[p - 1], letters_at[p] = y, x
-    return w
-
-
-def q_route_element(n_letters, top_degree, swaps):
-    """Group element for the module action realizing adjacent down-strand
-    crossings; positions carry letters top-n+1, ..., top from left to
-    right, evolving as strands cross."""
-    letters_at = [top_degree - n_letters + 1 + p for p in range(n_letters)]
-    w = identity_perm(top_degree)
-    for p in swaps:
-        x, y = letters_at[p - 1], letters_at[p]
-        w = perm_mult(_transposition(x, y, top_degree), w)
-        letters_at[p - 1], letters_at[p] = y, x
-    return w
-
-
-def _right_mult_on_plain(base, n_letters, perm):
-    elem = GroupAlgebraElement(base.degree + n_letters, {perm: ONE})
-    return right_mult_map(base, n_letters, elem)
-
-
-def _symmetrizer_box(size):
-    return young_idempotent([size], check=False) if size >= 1 else None
 
 
 # -- the splitting families -----------------------------------------------------------
@@ -450,12 +431,10 @@ def pp_merge_family(m_size, n_size, base):
         e_ws = (_p_box(word0, 0, young_idempotent([m_size], check=False))
                 @ _p_box(word0, m_size,
                          young_idempotent([n_size], check=False)))
-        w_in = p_route_element(total, base.degree,
-                               _cable_cross_swaps(n_size, m_size))
-        w_out = p_route_element(total, base.degree,
-                                _cable_cross_swaps(m_size, n_size))
-        cross_in = _right_mult_on_plain(base, total, w_in)
-        cross_out = _right_mult_on_plain(base, total, w_out)
+        cross_in = _p_box(word0, 0, _strand_route(
+            total, _cable_cross_swaps(n_size, m_size)))
+        cross_out = _p_box(word0, 0, _strand_route(
+            total, _cable_cross_swaps(m_size, n_size)))
     labels, targets, iotas, rhos, documented = [], [], [], [], []
     for s in range(min(m_size, n_size) + 1):
         lam = Partition([total - s, s]) if s else Partition([total])
@@ -534,35 +513,26 @@ def q_lambda_p_family(mu, base):
     rhos.append(rho0)
     documented.append(ONE)
     # removable rows
-    w1 = word0.stages[1]
     for s in _removable_rows(mu):
-        row_len = mu.parts[s - 1]
+        lo, hi = sums[s - 1] + 1, sums[s]
         smaller = _with_removed_box(mu, s)
         tgt, t_iota, t_pi, _ = word_module([("Q", smaller)], base)
         # projection: row box, slide the up strand inward, cap
-        box = _symmetrizer_box(row_len)
-        row_letters = [w1.degree - n + j
-                       for j in range(sums[s - 1] + 1, sums[s] + 1)]
-        f_box = w1.act_algebra(box.relabel(row_letters, w1.degree))
         w = word0
-        f = f_box
-        for i in range(n - sums[s]):
+        f = _q_box(word0, 1, _row_symmetrizer(n, lo, hi))
+        for i in range(n - hi):
             w, g = move_x(w, i)
             f = g @ f
-        w, g = move_cap_qp(w, n - sums[s])
+        w, g = move_cap_qp(w, n - hi)
         f = g @ f
         rho = t_pi @ f @ s_iota
         # inclusion: smaller row box, cup, slide the up strand back out
         w2 = PlainWord(base, "Q" * (n - 1))
-        f2 = SMat.identity(w2.top.dim)
-        if row_len - 1 >= 1:
-            box2 = _symmetrizer_box(row_len - 1)
-            row2 = [base.degree - (n - 1) + j
-                    for j in range(sums[s - 1] + 1, sums[s])]
-            f2 = base.act_algebra(box2.relabel(row2, base.degree)) @ f2
-        w2, g2 = move_cup_qp(w2, n - sums[s])
+        f2 = (_q_box(w2, 0, _row_symmetrizer(n - 1, lo, hi - 1))
+              if hi > lo else SMat.identity(w2.top.dim))
+        w2, g2 = move_cup_qp(w2, n - hi)
         f2 = g2 @ f2
-        for i in range(n - sums[s] - 1, -1, -1):
+        for i in range(n - hi - 1, -1, -1):
             w2, g2 = move_xp(w2, i)
             f2 = g2 @ f2
         iota = s_pi @ f2 @ t_iota
@@ -592,87 +562,45 @@ def _with_added_box(lam, s):
     return Partition(parts)
 
 
-def p_lambda_p_family(lam, base):
-    """P^lam P  ≅  ⊕_{row s addable} P^(lam + box at s): symmetrize row s
-    with the loose strand routed to/from the innermost position."""
+def row_merge_family(kind, side, lam, base):
+    """X^lam X  ≅  ⊕_{row s addable} X^(lam + box at s) for X = ``side``
+    (P: PlambdaP, Q: QlambdaQ): symmetrize row s with the loose strand
+    routed to/from the end of the row.
+
+    On the n-letter cable of the plain word the lam-cable fills letters
+    1..n-1 row by row and the loose strand is letter n.  With row s on
+    letters lo..hi, the projection applies the row symmetrizer and then the
+    route of swaps (hi+1, ..., n-1); the inclusion applies the symmetrizer
+    on lo..hi+1 and then the reversed route.  Both sides embed the same
+    cable elements through their box.  A Q word that restricts past degree
+    zero gives the dead family.
+    """
     lam = Partition(lam)
     n = lam.size() + 1
-    src, s_iota, s_pi, word0 = word_module([("P", [1]), ("P", lam)], base)
+    box = _p_box if side == "P" else _q_box
+    src, s_iota, s_pi, word0 = word_module([(side, [1]), (side, lam)], base)
+    rows = _addable_rows(lam)
+    biggers = [_with_added_box(lam, s) for s in rows]
+    labels = [format_partition(mu) for mu in biggers]
+    if side == "Q" and base.degree < n:
+        return _dead_family(kind, src, labels,
+                            [[("Q", mu)] for mu in biggers], base)
     sums = _partial_sums(lam)
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
-    for s in _addable_rows(lam):
-        bigger = _with_added_box(lam, s)
-        row_len = lam.parts[s - 1] if s <= len(lam.parts) else 0
-        r_s = sums[s] if s <= len(lam.parts) else lam.size()
-        tgt, t_iota, t_pi, _ = word_module([("P", bigger)], base)
-        # projection: row box on lam, route the loose strand inward
-        f = SMat.identity(word0.top.dim)
-        if row_len >= 1:
-            box = _symmetrizer_box(row_len)
-            row_letters = [base.degree + n + 1 - j
-                           for j in range(sums[s - 1] + 1, sums[s] + 1)]
-            emb = box.relabel(row_letters, base.degree + n)
-            f = right_mult_map(base, n, emb) @ f
-        w_route = p_route_element(n, base.degree, _route_swaps(n, r_s + 1))
-        f = _right_mult_on_plain(base, n, w_route) @ f
-        rho = t_pi @ f @ s_iota
-        # inclusion: bigger row box, route the strand back out
-        box2 = _symmetrizer_box(row_len + 1)
-        row2 = [base.degree + n + 1 - j
-                for j in range(sums[s - 1] + 1, sums[s - 1] + row_len + 2)]
-        f2 = right_mult_map(base, n, box2.relabel(row2, base.degree + n))
-        w_out = p_route_element(n, base.degree, _route_swaps(r_s + 1, n))
-        f2 = _right_mult_on_plain(base, n, w_out) @ f2
-        iota = s_pi @ f2 @ t_iota
-        labels.append(format_partition(bigger))
+    targets, iotas, rhos = [], [], []
+    for s, bigger in zip(rows, biggers):
+        # row s on letters lo..hi, empty (hi = lo - 1) for a new row
+        lo, hi = sums[s - 1] + 1, sums[min(s, len(lam.parts))]
+        tgt, t_iota, t_pi, _ = word_module([(side, bigger)], base)
+        f = box(word0, 0, _strand_route(n, range(hi + 1, n)))
+        if hi >= lo:
+            f = f @ box(word0, 0, _row_symmetrizer(n, lo, hi))
+        f2 = (box(word0, 0, _strand_route(n, range(n - 1, hi, -1)))
+              @ box(word0, 0, _row_symmetrizer(n, lo, hi + 1)))
         targets.append(tgt)
-        iotas.append(iota)
-        rhos.append(rho)
-        documented.append(ONE)
-    return SplitFamily("PlambdaP", src, labels, targets, iotas, rhos, documented)
-
-
-def q_lambda_q_family(lam, base):
-    """Q^lam Q  ≅  ⊕_{row s addable} Q^(lam + box at s): the mirror of the
-    upward merge, acting through the module."""
-    lam = Partition(lam)
-    n = lam.size() + 1
-    src, s_iota, s_pi, word0 = word_module([("Q", [1]), ("Q", lam)], base)
-    if base.degree < n:
-        labels = [format_partition(_with_added_box(lam, s))
-                  for s in _addable_rows(lam)]
-        atoms = [[("Q", _with_added_box(lam, s))] for s in _addable_rows(lam)]
-        return _dead_family("QlambdaQ", src, labels, atoms, base)
-    sums = _partial_sums(lam)
-    top_deg = base.degree
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
-    for s in _addable_rows(lam):
-        bigger = _with_added_box(lam, s)
-        row_len = lam.parts[s - 1] if s <= len(lam.parts) else 0
-        r_s = sums[s] if s <= len(lam.parts) else lam.size()
-        tgt, t_iota, t_pi, _ = word_module([("Q", bigger)], base)
-        f = SMat.identity(base.dim)
-        if row_len >= 1:
-            box = _symmetrizer_box(row_len)
-            row_letters = [top_deg - n + j
-                           for j in range(sums[s - 1] + 1, sums[s] + 1)]
-            f = base.act_algebra(box.relabel(row_letters, top_deg)) @ f
-        w_route = q_route_element(n, top_deg, _route_swaps(n, r_s + 1))
-        f = base.act_perm(w_route) @ f
-        rho = t_pi @ f @ s_iota
-        box2 = _symmetrizer_box(row_len + 1)
-        row2 = [top_deg - n + j
-                for j in range(sums[s - 1] + 1, sums[s - 1] + row_len + 2)]
-        f2 = base.act_algebra(box2.relabel(row2, top_deg))
-        w_out = q_route_element(n, top_deg, _route_swaps(r_s + 1, n))
-        f2 = base.act_perm(w_out) @ f2
-        iota = s_pi @ f2 @ t_iota
-        labels.append(format_partition(bigger))
-        targets.append(tgt)
-        iotas.append(iota)
-        rhos.append(rho)
-        documented.append(ONE)
-    return SplitFamily("QlambdaQ", src, labels, targets, iotas, rhos, documented)
+        iotas.append(s_pi @ f2 @ t_iota)
+        rhos.append(t_pi @ f @ s_iota)
+    return SplitFamily(kind, src, labels, targets, iotas, rhos,
+                       [ONE] * len(labels))
 
 
 # -- entry points ---------------------------------------------------------------------
@@ -696,8 +624,8 @@ def branching_iso_check(which, sizes, base):
         "PP*-merge": lambda: pp_star_merge_family(sizes[0], sizes[1], base),
         "PP-merge": lambda: pp_merge_family(sizes[0], sizes[1], base),
         "QlambdaP": lambda: q_lambda_p_family(sizes, base),
-        "PlambdaP": lambda: p_lambda_p_family(sizes, base),
-        "QlambdaQ": lambda: q_lambda_q_family(sizes, base),
+        "PlambdaP": lambda: row_merge_family(which, "P", sizes, base),
+        "QlambdaQ": lambda: row_merge_family(which, "Q", sizes, base),
     }
     if which not in builders:
         raise ValueError(f"unknown branching check {which!r}")

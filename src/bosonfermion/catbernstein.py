@@ -28,7 +28,8 @@ from __future__ import annotations
 from .branching import (
     PlainWord,
     _lift_matrix,
-    _right_mult_on_plain,
+    _p_box,
+    _strand_route,
     move_cap_pq,
     move_cap_qp,
     move_cup_pq,
@@ -56,7 +57,6 @@ from .reports import Report
 from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skew
 from .symrep import (
     RepModule,
-    adjacent_transposition,
     frobenius_char,
     induce,
     p_lambda,
@@ -241,13 +241,14 @@ def _sigma_cell(m, k):
     permutation so that the diagonal terms compose multiplicatively.  The
     image is the joint (-1)-eigenspace of the k-1 diagonal adjacent
     transpositions (``joint_eigenspace``): the k! terms are never formed.
+    Group letters i, i+1 are P-cable letters n-i+1, n-i, so the diagonal
+    generator pairs s_i on the module with s_{n-i} in the P box.
     """
     word = PlainWord(m, "Q" * k + "P" * k)
     top = word.top
     n = m.degree
-    stage_q = word.stages[k]
-    gens = [(_right_mult_on_plain(stage_q, k, adjacent_transposition(i, n))
-             @ _lift_matrix(m.act_gen(i), stage_q.degree, "P" * k), -1)
+    gens = [(_p_box(word, k, _strand_route(k, [n - i]))
+             @ _lift_matrix(m.act_gen(i), n - k, "P" * k), -1)
             for i in range(n - k + 1, n)]
     iota, pi = joint_eigenspace(top.dim, gens)
     sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])

@@ -408,15 +408,31 @@ def joint_eigenspace(dim, gens):
     pi = (dual @ iota)^-1 @ dual for dual's rows spanning the eigenspace of
     the transposes.  When eps is a linear character of the group the g
     generate, iota @ pi is its projector (1/|G|) sum eps(w) w."""
-    eye = SMat.identity(dim)
     if not gens:
-        return eye, eye
-    blocks = [g - eye.scale(eps) for g, eps in gens]
+        return SMat.identity(dim), SMat.identity(dim)
+    for g, _ in gens:
+        if (g.nrows, g.ncols) != (dim, dim):
+            raise ValueError(f"{g!r} does not act on dimension {dim}")
+    blocks = [_minus_diagonal(g, eps) for g, eps in gens]
     stack, dual_stack = SMat.vstack(blocks), SMat.hstack(blocks).transpose()
     iota = nullspace(stack)
     # symmetric generators (permutation bases) pose the same problem twice
     dual = (iota if dual_stack == stack else nullspace(dual_stack)).transpose()
     return iota, inverse(dual @ iota) @ dual
+
+
+def _minus_diagonal(g, eps):
+    """g - eps*I: copies of g's rows with only the diagonal entry shifted."""
+    rows = []
+    for i, row in enumerate(g.rows):
+        row = dict(row)
+        w = row.get(i, ZERO) - eps
+        if w:
+            row[i] = w
+        else:
+            row.pop(i, None)
+        rows.append(row)
+    return SMat(g.nrows, g.ncols, rows)
 
 
 def bareiss_rank(mat):

@@ -269,7 +269,9 @@ class RepModule:
         return self.gens[i - 1]
 
     def act_perm(self, p):
-        assert len(p) == self.degree
+        if len(p) != self.degree:
+            raise ValueError(f"a permutation of degree {len(p)} cannot act "
+                             f"on a module of degree {self.degree}")
         p = tuple(p)
         hit = self._perm_cache.get(p)
         if hit is not None:
@@ -281,7 +283,9 @@ class RepModule:
         return out
 
     def act_algebra(self, elem):
-        assert elem.degree == self.degree
+        if elem.degree != self.degree:
+            raise ValueError(f"an element of degree {elem.degree} cannot act "
+                             f"on a module of degree {self.degree}")
         out = SMat.zeros(self.dim, self.dim)
         for p, c in elem.terms.items():
             out = out + self.act_perm(p).scale(c)
@@ -588,7 +592,10 @@ def right_mult_map(m, levels, elem):
     Both w and the peeling of w g are value arithmetic on image tuples.
     """
     n, d = m.degree, m.dim
-    assert elem.degree == n + levels
+    if elem.degree != n + levels:
+        raise ValueError(f"right multiplication on {levels} inductions of a "
+                         f"degree-{n} module needs degree {n + levels}, got "
+                         f"an element of degree {elem.degree}")
     radices = range(n + 1, n + levels + 1)
     strides = [d * prod(radices[:lvl]) for lvl in range(levels)]
     dim = d * prod(radices)

@@ -14,16 +14,17 @@ from math import factorial
 
 import pytest
 
-from bosonfermion.branching import (
-    PlainWord,
-    _lift_matrix,
-    _right_mult_on_plain,
-    word_module,
-)
+from bosonfermion.branching import PlainWord, _lift_matrix, word_module
 from bosonfermion.catbernstein import _sigma_cell
-from bosonfermion.linalg import SMat, inverse, joint_eigenspace
+from bosonfermion.linalg import (
+    SMat,
+    _minus_diagonal,
+    inverse,
+    joint_eigenspace,
+)
 from bosonfermion.partition_core import Partition
 from bosonfermion.symrep import (
+    GroupAlgebraElement,
     RepModule,
     added_letters_embedding,
     perm_inverse,
@@ -70,7 +71,7 @@ def signed_diagonal_projector(m, k):
         for i, wi in enumerate(w, start=1):
             full[n - k + i - 1] = n - k + wi
         full = tuple(full)
-        term = (_right_mult_on_plain(stage_q, k, full)
+        term = (right_mult_map(stage_q, k, GroupAlgebraElement(n, {full: 1}))
                 @ _lift_matrix(m.act_perm(perm_inverse(full)),
                                stage_q.degree, "P" * k))
         acc = acc + term.scale(_perm_sign(w))
@@ -144,6 +145,22 @@ class TestJointEigenspace:
         assert iota.ncols == 1
         assert iota @ pi == want.scale(Fraction(1, 6))
         assert pi @ iota == SMat.identity(1)
+
+    def test_generators_of_another_dimension_are_refused(self):
+        with pytest.raises(ValueError, match="does not act on dimension 3"):
+            joint_eigenspace(3, [(SMat.identity(2), 1)])
+
+    @pytest.mark.parametrize("key", ["S:2,1", "S:3,1", "reg:3"])
+    def test_diagonal_shift_matches_subtracting_the_scaled_identity(self, key):
+        # the old g - eps*I, down to the order of each row's entries
+        m = MODULES[key]()
+        eye = SMat.identity(m.dim)
+        for g in m.gens + [m.act_perm(tuple(range(m.degree, 0, -1)))]:
+            for eps in (1, -1):
+                want = g - eye.scale(eps)
+                got = _minus_diagonal(g, eps)
+                assert ([list(r.items()) for r in got.rows]
+                        == [list(r.items()) for r in want.rows])
 
 
 # -- differential tests ---------------------------------------------------------

@@ -288,13 +288,16 @@ class TestModules:
         ]
 
     def test_shape_gates_survive_optimized_python(self):
-        # python -O strips assert statements; the shape gates must raise
+        # python -O strips assert statements; the shape and degree gates
+        # must raise
         code = (
             "from bosonfermion.errors import RepresentationError\n"
             "from bosonfermion.linalg import SMat\n"
-            "from bosonfermion.symrep import (ModuleMap, RepModule,\n"
+            "from bosonfermion.symrep import (GroupAlgebraElement, ModuleMap,\n"
+            "                                 RepModule, right_mult_map,\n"
             "                                 trivial_module)\n"
             "t2 = trivial_module(2)\n"
+            "e3 = GroupAlgebraElement.unit(3)\n"
             "cases = [\n"
             "    lambda: RepModule(3, 1, []),\n"
             "    lambda: RepModule(2, 2, [SMat.identity(1)]),\n"
@@ -303,6 +306,9 @@ class TestModules:
             "    lambda: ModuleMap(t2, t2, SMat.identity(1))\n"
             "            @ ModuleMap(t2, RepModule(2, 2, [SMat.identity(2)]),\n"
             "                        SMat.from_dense([[1], [1]])),\n"
+            "    lambda: t2.act_perm((1, 2, 3)),\n"
+            "    lambda: t2.act_algebra(e3),\n"
+            "    lambda: right_mult_map(t2, 2, e3),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
@@ -326,6 +332,12 @@ class TestModules:
             "-> RepModule(degree=2, dim=1), nnz=1) after "
             "ModuleMap(RepModule(degree=2, dim=1) -> RepModule(degree=2, "
             "dim=2), nnz=2)",
+            "ValueError a permutation of degree 3 cannot act on a module of "
+            "degree 2",
+            "ValueError an element of degree 3 cannot act on a module of "
+            "degree 2",
+            "ValueError right multiplication on 2 inductions of a degree-2 "
+            "module needs degree 4, got an element of degree 3",
         ]
 
 
@@ -741,6 +753,14 @@ BRANCHING_CASES = [
     ("PP-merge", (1, 0), "triv1"),
     ("PP*-merge", (1, 0), "triv1"),
     ("PP*-merge", (0, 1), "triv1"),
+    # multi-swap strand routes (appended to keep the case ids)
+    ("PlambdaP", (1, 1, 1), "triv0"),
+    ("PlambdaP", (1, 1, 1), "triv1"),
+    ("PlambdaP", (1, 1, 1), "S(2)"),
+    ("PlambdaP", (2, 2), "triv0"),
+    ("PlambdaP", (2, 1, 1), "triv0"),
+    ("PlambdaP", (1, 1, 1, 1), "triv0"),
+    ("QlambdaQ", (1, 1, 1), "S(3,1)"),
 ]
 
 BRANCHING_BASES = {
