@@ -21,7 +21,8 @@ Layers, bottom to top:
 - ``reports`` / ``config`` / ``cli``: deterministic check reports, run
   configuration, and the command-line entry point.
 
-All arithmetic is exact (``fractions.Fraction``); nothing is floating point.
+All arithmetic is exact (``int`` and ``fractions.Fraction``); nothing is
+floating point.
 """
 
 __version__ = "0.1.0"

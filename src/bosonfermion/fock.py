@@ -31,10 +31,7 @@ from fractions import Fraction
 
 from .partition_core import Partition, format_partition, parse_partition, partitions_up_to
 from .reports import Report
-from .symfunc import SymFunc, bernstein, bernstein_star, schur
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .symfunc import SymFunc, _coeff, bernstein, bernstein_star, schur
 
 
 class FermionBasisVector:
@@ -89,20 +86,22 @@ def principal_degree(v):
 
 
 class FermionState:
-    """A finite rational linear combination of basis vectors."""
+    """A finite rational linear combination of basis vectors, stored as
+    ``{FermionBasisVector: coefficient}``.  Clifford signs are ±1, so a
+    coefficient stays a plain ``int`` unless a ``Fraction`` was passed in."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         clean = {}
         for vec, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coeff(c)
             if c:
                 clean[vec] = c
         self.terms = clean
 
     @staticmethod
-    def of(vec, coeff=ONE):
+    def of(vec, coeff=1):
         return FermionState({vec: coeff})
 
     @staticmethod
@@ -119,10 +118,13 @@ class FermionState:
         return _state(out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for v, c in other.terms.items():
+            _acc(out, v, -c)
+        return _state(out)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return FermionState.zero()
         return _state({v: c * w for v, w in self.terms.items()})
@@ -139,7 +141,7 @@ class FermionState:
 
 
 def _state(terms):
-    """Wrap an accumulator dict whose coefficients are nonzero Fractions."""
+    """Wrap an accumulator dict whose coefficients are already nonzero."""
     res = FermionState.__new__(FermionState)
     res.terms = terms
     return res
@@ -147,7 +149,7 @@ def _state(terms):
 
 def _acc(out, vec, c):
     """Add c * vec into the accumulator dict ``out``, dropping zeros."""
-    w = out.get(vec, ZERO) + c
+    w = out.get(vec, 0) + c
     if w:
         out[vec] = w
     else:
@@ -156,7 +158,7 @@ def _acc(out, vec, c):
 
 def _terms(v):
     if isinstance(v, FermionBasisVector):
-        return ((v, ONE),)
+        return ((v, 1),)
     return v.terms.items()
 
 
@@ -268,7 +270,7 @@ class BosonState:
         return BosonState(out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        return self + BosonState({c: -f for c, f in other.terms.items()})
 
     def scale(self, c):
         return BosonState({k: f.scale(c) for k, f in self.terms.items()})

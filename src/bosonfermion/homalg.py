@@ -338,7 +338,10 @@ def eliminate_entry(c, k, r, col):
     """
     dmat = c.d(k)
     alpha = dmat.entry(r, col)
-    assert alpha != 0
+    if alpha == 0:
+        raise ValueError(
+            f"d_{k}[{r}, {col}] is zero; only an invertible entry can be "
+            f"eliminated")
     keep_cols = _drop_indices(c.dim(k), col)
     keep_rows = _drop_indices(c.dim(k - 1), r)
     # Schur complement on d_k

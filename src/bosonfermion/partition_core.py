@@ -209,7 +209,10 @@ def syt_count(lam):
         for h in row:
             den *= h
     q, r = divmod(num, den)
-    assert r == 0, (lam, num, den)
+    if r:
+        raise ValueError(
+            f"hook-length quotient {num}/{den} for {format_partition(lam)} "
+            f"is not an integer")
     return q
 
 
@@ -222,12 +225,16 @@ class StandardTableau:
         self.rows = tuple(tuple(int(x) for x in row) for row in rows)
         n = sum(len(r) for r in self.rows)
         seen = sorted(x for row in self.rows for x in row)
-        assert seen == list(range(1, n + 1)), f"entries must be 1..{n}: {rows}"
+        if seen != list(range(1, n + 1)):
+            raise ValueError(f"entries must be 1..{n}: {self.rows}")
         for row in self.rows:
-            assert all(a < b for a, b in zip(row, row[1:])), rows
+            if any(a >= b for a, b in zip(row, row[1:])):
+                raise ValueError(f"row {row} does not increase: {self.rows}")
         for r1, r2 in zip(self.rows, self.rows[1:]):
-            assert len(r1) >= len(r2), rows
-            assert all(r1[j] < r2[j] for j in range(len(r2))), rows
+            if len(r1) < len(r2):
+                raise ValueError(f"rows are not a partition shape: {self.rows}")
+            if any(r1[j] >= r2[j] for j in range(len(r2))):
+                raise ValueError(f"a column does not increase: {self.rows}")
 
     def shape(self):
         return Partition(len(r) for r in self.rows)
@@ -378,7 +385,9 @@ def cycle_type_representative(mu, n=None):
     """
     mu = Partition(mu)
     n = mu.size() if n is None else n
-    assert n >= mu.size()
+    if n < mu.size():
+        raise ValueError(
+            f"cycle type {format_partition(mu)} does not fit in S_{n}")
     img = list(range(1, n + 1))
     start = 1
     for part in mu.parts:

@@ -4,7 +4,10 @@ working basis, and the operators acting on it: multiplication, skewing
 (Bernstein) operators, and the Heisenberg-type operators.
 
 Representation: a symmetric function is a finite Q-linear combination of
-Schur functions, stored as ``{Partition: Fraction}``.  Products expand one
+Schur functions, stored as ``{Partition: coefficient}``.  A coefficient is a
+plain ``int`` wherever it is integral by construction (Pieri and Kostka
+tables, Bernstein signs) and a ``Fraction`` only where a quotient arises or
+was passed in; ``_coeff`` is the one normalisation.  Products expand one
 factor into the complete-homogeneous basis (inverse Kostka, a triangular
 solve along the canonical order refining dominance) and then apply iterated
 Pieri rules.  Skewing is the adjoint pairing against the Schur basis.
@@ -32,9 +35,6 @@ from .partition_core import (
     _subdiagrams_with_size,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 BASES = ("schur", "complete", "elementary", "powersum", "monomial")
 _BASIS_ALIASES = {"s": "schur", "h": "complete", "e": "elementary",
                   "p": "powersum", "m": "monomial"}
@@ -48,6 +48,12 @@ def _basis_name(b):
     return b
 
 
+def _coeff(c):
+    """A coefficient as stored: an ``int`` stays an ``int``; anything else
+    (a ``Fraction``, a ``bool``, a ``float``) becomes a ``Fraction``."""
+    return c if type(c) is int else Fraction(c)
+
+
 class SymFunc:
     """A symmetric function: finite Schur-basis linear combination."""
 
@@ -56,7 +62,7 @@ class SymFunc:
     def __init__(self, terms=None):
         clean = {}
         for lam, c in (terms or {}).items():
-            c = Fraction(c)
+            c = _coeff(c)
             if c:
                 clean[Partition(lam)] = c
         self.terms = clean
@@ -67,13 +73,13 @@ class SymFunc:
 
     @staticmethod
     def one():
-        return SymFunc({Partition(()): ONE})
+        return _symfunc({Partition(()): 1})
 
     def is_zero(self):
         return not self.terms
 
     def coefficient(self, lam):
-        return self.terms.get(Partition(lam), ZERO)
+        return self.terms.get(Partition(lam), 0)
 
     def support(self):
         return sorted(self.terms, key=Partition.sort_key)
@@ -83,40 +89,35 @@ class SymFunc:
         return max((l.size() for l in self.terms), default=None)
 
     def homogeneous_component(self, d):
-        return SymFunc({l: c for l, c in self.terms.items() if l.size() == d})
+        return _symfunc({l: c for l, c in self.terms.items() if l.size() == d})
 
     def components(self):
         """Nonzero homogeneous components, as {degree: SymFunc}."""
         out = {}
         for l, c in self.terms.items():
             out.setdefault(l.size(), {})[l] = c
-        return {d: SymFunc(t) for d, t in sorted(out.items())}
+        return {d: _symfunc(t) for d, t in sorted(out.items())}
 
     def __add__(self, other):
         out = dict(self.terms)
         for l, c in other.terms.items():
-            w = out.get(l, ZERO) + c
-            if w:
-                out[l] = w
-            else:
-                out.pop(l, None)
-        res = SymFunc.__new__(SymFunc)
-        res.terms = out
-        return res
+            _acc(out, l, c)
+        return _symfunc(out)
 
     def __sub__(self, other):
-        return self + other.scale(-1)
+        out = dict(self.terms)
+        for l, c in other.terms.items():
+            _acc(out, l, -c)
+        return _symfunc(out)
 
     def __neg__(self):
-        return self.scale(-1)
+        return _symfunc({l: -c for l, c in self.terms.items()})
 
     def scale(self, c):
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             return SymFunc.zero()
-        res = SymFunc.__new__(SymFunc)
-        res.terms = {l: c * v for l, v in self.terms.items()}
-        return res
+        return _symfunc({l: c * v for l, v in self.terms.items()})
 
     def __eq__(self, other):
         return isinstance(other, SymFunc) and self.terms == other.terms
@@ -134,8 +135,15 @@ class SymFunc:
         return "SymFunc(" + " + ".join(bits) + ")"
 
 
+def _symfunc(terms):
+    """Wrap a {Partition: nonzero coefficient} dict without re-checking it."""
+    res = SymFunc.__new__(SymFunc)
+    res.terms = terms
+    return res
+
+
 def schur(lam):
-    return SymFunc({Partition(lam): ONE})
+    return _symfunc({Partition(lam): 1})
 
 
 def _as_partition_arg(mu):
@@ -164,25 +172,25 @@ def elementary(mu):
 
 def powersum(mu):
     """p_mu = prod of power sums p_{mu_i}."""
-    return SymFunc(dict(_p_to_schur(_as_partition_arg(mu))))
+    return _symfunc(dict(_p_to_schur(_as_partition_arg(mu))))
 
 
 def monomial(mu):
     """The monomial symmetric function m_mu."""
     mu = _as_partition_arg(mu)
-    return SymFunc(dict(_m_to_schur(mu)))
+    return _symfunc(dict(_m_to_schur(mu)))
 
 
 def inner(f, g):
     """Hall inner product (Schur functions orthonormal)."""
     if len(f.terms) > len(g.terms):
         f, g = g, f
-    return sum((c * g.terms.get(l, ZERO) for l, c in f.terms.items()), ZERO)
+    return sum(c * g.terms.get(l, 0) for l, c in f.terms.items())
 
 
 def omega(f):
     """The degree-preserving involution transposing every partition."""
-    return SymFunc({l.conjugate(): c for l, c in f.terms.items()})
+    return _symfunc({l.conjugate(): c for l, c in f.terms.items()})
 
 
 # -- Pieri kernels (cached at the partition level) ----------------------------
@@ -208,45 +216,33 @@ def _copieri_e(k, lam):
     return tuple(vertical_strips_below(lam, k))
 
 
-def _mult_h(k, f):
+def _strip_sum(strips, k, f):
+    """Σ_λ c_λ Σ_{μ ∈ strips(k, λ)} s_μ for f = Σ_λ c_λ s_λ: one Pieri
+    product or skew, read off a kernel table."""
     if k == 0:
         return f
     out = {}
     for lam, c in f.terms.items():
-        for mu in _pieri_h(k, lam):
-            out[mu] = out.get(mu, ZERO) + c
-    return SymFunc(out)
+        for mu in strips(k, lam):
+            out[mu] = out.get(mu, 0) + c
+    return _symfunc({mu: c for mu, c in out.items() if c})
+
+
+def _mult_h(k, f):
+    return _strip_sum(_pieri_h, k, f)
 
 
 def _mult_e(k, f):
-    if k == 0:
-        return f
-    out = {}
-    for lam, c in f.terms.items():
-        for mu in _pieri_e(k, lam):
-            out[mu] = out.get(mu, ZERO) + c
-    return SymFunc(out)
+    return _strip_sum(_pieri_e, k, f)
 
 
 def _skew_h(k, f):
     """h_k^⊥ f: the pairing ⟨f, h_k s_ν⟩ evaluated by the transposed Pieri incidence."""
-    if k == 0:
-        return f
-    out = {}
-    for lam, c in f.terms.items():
-        for mu in _copieri_h(k, lam):
-            out[mu] = out.get(mu, ZERO) + c
-    return SymFunc(out)
+    return _strip_sum(_copieri_h, k, f)
 
 
 def _skew_e(k, f):
-    if k == 0:
-        return f
-    out = {}
-    for lam, c in f.terms.items():
-        for mu in _copieri_e(k, lam):
-            out[mu] = out.get(mu, ZERO) + c
-    return SymFunc(out)
+    return _strip_sum(_copieri_e, k, f)
 
 
 # -- basis conversions ---------------------------------------------------------
@@ -275,16 +271,12 @@ def _schur_to_h(lam):
     """s_lam in the h basis, by back-substitution along the canonical order
     (which refines dominance, the triangularity direction of Kostka)."""
     n = lam.size()
-    coeffs = {lam: ONE}
+    coeffs = {lam: 1}
     for l, c in _h_to_schur(lam):
         if l != lam:
             # h_lam = s_lam + sum_{l > lam in dominance} K_{l,lam} s_l
             for mu, d in _schur_to_h(l):
-                w = coeffs.get(mu, ZERO) - c * d
-                if w:
-                    coeffs[mu] = w
-                else:
-                    coeffs.pop(mu, None)
+                _acc(coeffs, mu, -c * d)
     wrong = [m for m in coeffs if m.size() != n]
     if wrong:
         raise CharacterError(
@@ -300,8 +292,8 @@ def _power_sum_schur(k):
         return SymFunc.one()
     out = {}
     for j in range(k):
-        out[Partition((k - j,) + (1,) * j)] = ONE if j % 2 == 0 else -ONE
-    return SymFunc(out)
+        out[Partition((k - j,) + (1,) * j)] = -1 if j % 2 else 1
+    return _symfunc(out)
 
 
 @lru_cache(maxsize=None)
@@ -333,23 +325,22 @@ def character(lam, mu):
 def _m_to_schur(mu):
     """m_mu in the Schur basis: invert s_lam = sum_mu K_{lam,mu} m_mu, ascending."""
     # from s_mu = m_mu + sum_{nu strictly dominated by mu} K_{mu,nu} m_nu
-    out = {mu: ONE}
+    out = {mu: 1}
     for nu in enumerate_partitions(mu.size()):
         if nu == mu:
             continue
         k = kostka(mu, nu)
         if k and nu.sort_key() > mu.sort_key():
             for l, c in _m_to_schur(nu):
-                w = out.get(l, ZERO) - k * c
-                if w:
-                    out[l] = w
-                else:
-                    out.pop(l, None)
+                _acc(out, l, -k * c)
     return tuple(sorted(out.items(), key=lambda t: t[0].sort_key()))
 
 
 def to_basis(f, basis):
-    """Coefficients of f in the named basis, as {Partition: Fraction}."""
+    """Coefficients of f in the named basis, as {Partition: coefficient}.
+
+    The power-sum coefficients are ``Fraction``s (each is a character sum
+    divided by z_mu); the other bases keep f's ``int`` coefficients integral."""
     basis = _basis_name(basis)
     if basis == "schur":
         return dict(f.terms)
@@ -369,11 +360,9 @@ def to_basis(f, basis):
             comp = f.homogeneous_component(n)
             for mu in enumerate_partitions(n):
                 z = centralizer_order(mu)
-                val = sum(
-                    (c * character(lam, mu) for lam, c in comp.terms.items()),
-                    ZERO,
-                )
-                _acc(out, mu, val / z)
+                val = sum(c * character(lam, mu)
+                          for lam, c in comp.terms.items())
+                _acc(out, mu, Fraction(val, z))
     elif basis == "monomial":
         for lam, c in f.terms.items():
             for mu in enumerate_partitions(lam.size()):
@@ -389,11 +378,11 @@ def from_basis(basis, coeffs):
     out = SymFunc.zero()
     for mu, c in coeffs.items():
         mu = Partition(mu)
-        c = Fraction(c)
+        c = _coeff(c)
         if not c:
             continue
         if basis == "schur":
-            out = out + SymFunc({mu: c})
+            out = out + _symfunc({mu: c})
         elif basis == "complete":
             out = out + complete(mu).scale(c)
         elif basis == "elementary":
@@ -406,7 +395,7 @@ def from_basis(basis, coeffs):
 
 
 def _acc(d, k, v):
-    w = d.get(k, ZERO) + v
+    w = d.get(k, 0) + v
     if w:
         d[k] = w
     else:
@@ -448,7 +437,7 @@ def skew(g, f):
                 val = inner(fcomp, multiply(gcomp, schur(nu)))
                 if val:
                     _acc(out, nu, val)
-    return SymFunc(out)
+    return _symfunc(out)
 
 
 # -- Heisenberg-type operators ---------------------------------------------------
@@ -546,9 +535,7 @@ def _linear_extension(table, a, f):
     for lam, c in f.terms.items():
         for mu, d in table(a, lam):
             _acc(out, mu, c * d)
-    res = SymFunc.__new__(SymFunc)
-    res.terms = out
-    return res
+    return _symfunc(out)
 
 
 def bernstein(a, f):
@@ -599,7 +586,7 @@ def from_json_records(records):
         lam = parse_partition(rec["partition"])
         c = Fraction(rec["numerator"], rec["denominator"])
         by_basis.setdefault(b, {})
-        by_basis[b][lam] = by_basis[b].get(lam, ZERO) + c
+        by_basis[b][lam] = by_basis[b].get(lam, 0) + c
     for b, coeffs in by_basis.items():
         total = total + from_basis(b, coeffs)
     return total

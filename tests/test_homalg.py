@@ -229,6 +229,30 @@ class TestReduction:
                                 for k in c.degrees()})
         assert reduce_complex(cone(ident)).dims() == {}
 
+    def test_zero_pivot_is_refused_under_optimized_python(self):
+        # python -O strips assert statements; a zero pivot must still raise
+        code = (
+            "from bosonfermion.homalg import Complex, eliminate_entry\n"
+            "from bosonfermion.linalg import SMat\n"
+            "from bosonfermion.symrep import RepModule\n"
+            "d1 = SMat.from_entries(1, 2, [(0, 0, 1)])\n"
+            "c = Complex(0, {0: RepModule(0, 1, []), 1: RepModule(0, 2, [])},\n"
+            "            {1: d1})\n"
+            "print(eliminate_entry(c, 1, 0, 0).dims())\n"
+            "try:\n"
+            "    eliminate_entry(c, 1, 0, 1)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.splitlines() == [
+            "{1: 1}",
+            "d_1[0, 1] is zero; only an invertible entry can be eliminated",
+        ]
+
     def test_forget_action_keeps_differential(self):
         c = augmentation_complex()
         f = forget_action(c)

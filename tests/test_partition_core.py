@@ -1,7 +1,11 @@
 """Partitions, tableaux, strips: oracle and property tests."""
 
 import itertools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +32,8 @@ from bosonfermion.partition_core import (
     vertical_strips,
     vertical_strips_below,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 partitions_st = st.integers(0, 8).flatmap(
     lambda n: st.sampled_from(enumerate_partitions(n)) if n else st.just(Partition(()))
@@ -209,3 +215,44 @@ def test_centralizer_order():
 def test_partitions_up_to():
     ps = partitions_up_to(3)
     assert [p.parts for p in ps] == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]
+
+
+def test_gates_survive_optimized_python():
+    # python -O strips assert statements; bad tableaux, a cycle type larger
+    # than n and a non-integral hook-length quotient must still raise
+    code = (
+        "from bosonfermion import partition_core as pc\n"
+        "cases = [\n"
+        "    lambda: pc.StandardTableau([[1, 3], [3]]),\n"
+        "    lambda: pc.StandardTableau([[2, 1]]),\n"
+        "    lambda: pc.StandardTableau([[1], [2, 3]]),\n"
+        "    lambda: pc.StandardTableau([[1, 2], [3, 4]]).rows,\n"
+        "    lambda: pc.StandardTableau([[1, 3], [2, 4]]).rows,\n"
+        "    lambda: pc.StandardTableau([[2, 3], [1]]),\n"
+        "    lambda: pc.cycle_type_representative((2, 2), 3),\n"
+        "]\n"
+        "for case in cases:\n"
+        "    try:\n"
+        "        print('returned', case())\n"
+        "    except ValueError as exc:\n"
+        "        print(exc)\n"
+        "pc.hook_lengths = lambda lam: [[4, 1], [1]]\n"
+        "try:\n"
+        "    print('returned', pc.syt_count((2, 1)))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "entries must be 1..3: ((1, 3), (3,))",
+        "row (2, 1) does not increase: ((2, 1),)",
+        "rows are not a partition shape: ((1,), (2, 3))",
+        "returned ((1, 2), (3, 4))",
+        "returned ((1, 3), (2, 4))",
+        "a column does not increase: ((2, 3), (1,))",
+        "cycle type 2,2 does not fit in S_3",
+        "hook-length quotient 6/4 for 2,1 is not an integer",
+    ]

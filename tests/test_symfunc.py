@@ -1,19 +1,24 @@
 """Symmetric-function engine: Pieri/skew oracles, basis conversions,
 Bernstein operators, Heisenberg operators, generating-series identities."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from bosonfermion.catbernstein import sigma_character
 from bosonfermion.partition_core import (
     Partition,
     centralizer_order,
     enumerate_partitions,
     horizontal_strips,
+    parse_partition,
     vertical_strips,
 )
 from bosonfermion import symfunc as sf
@@ -441,3 +446,68 @@ def test_json_round_trip():
 def test_warm_up_populates():
     sf.warm_up(4)
     assert kostka((2, 1, 1), (1, 1, 1, 1)) == 3
+
+
+# -- pinned coefficient output ------------------------------------------------------
+
+# sha256 of the canonical JSON of ``to_json_records`` output at the commit
+# that introduced these pins; a change of coefficient representation must
+# keep every record byte-identical.  sigma_character(s_lam, 6) is zero for
+# every lam |- 6, so each digest covers all truncations n = 0..6.
+SIGMA_CHARACTER_DIGESTS = {
+    "6": "dc1aeb6843efb83c4806f94d5d9e42c50b9749d48d065bb93890f67ff9ba0b9a",
+    "5,1": "0d3da41146702e55c5d285029fdb284aca005de8ff25097a5c35eb8fccf9bb1e",
+    "4,2": "48843fb728c1bbb86dad5cc90a7fc74f45351cf71afa33fa4d90da5c8f828f5d",
+    "4,1,1": "11e2c628b848997ff5c488b83a1cbb746a27dabffead9a0027382924f764e6a7",
+    "3,3": "08ff5b550a36131cb010ef2a2981b92476a4f23d49143ce99d2de7bb0f2e4ba8",
+    "3,2,1": "324bf5973dd8c976f8fea8c53348046261bf3486200e4dfbd4be4381568d7c77",
+    "3,1,1,1": "22bcd1adf72cdc3d0b2566f69e4781e531b10a70971e0a63849c50cc5978e052",
+    "2,2,2": "6f97729f3139d22c6da72874b61f0ef1f60af92e0c22b336d4ff4a8243568cea",
+    "2,2,1,1": "0452395509a2301440604780e3f9501570e50820203c247883d43b52bd8560c3",
+    "2,1,1,1,1": "ec266b637a330171392f9dbb8e68142e0205a568678cc23d49dd26a6c196b1bc",
+    "1,1,1,1,1,1": "f4d3616bee969adcfc8cfd0c574b902f68e1f51383455e13a678f153e47cd695",
+}
+
+MIXED_DEGREE = {
+    "a": s(3, 1).scale(Fraction(2, 3)) - s(2, 2) + one,
+    "b": s(4, 2).scale(3) - s(2, 1, 1).scale(2) + s(1),
+    "c": (s(3).scale(Fraction(-5, 2)) + s(1, 1, 1, 1).scale(7) + s(2)
+          + s(5).scale(Fraction(1, 6))),
+}
+
+BASIS_DIGESTS = {
+    ("a", "schur"): "cdd9a83fd37dd40f01f180b276bc2aaa047b27022cab5ac21a358f831bdbc7d3",
+    ("a", "complete"): "787f72a4283e42976a22d055cbccc8e00a26d6d234db7b623ab921483018ab03",
+    ("a", "elementary"): "4bb93bc0466262f62b7cce2b90d9fc70741691164128a4f2bc3eab94bb268c8c",
+    ("a", "powersum"): "ecbbd71101d1d94fc3ec2080e150b3233f731fea24d7f5e3fb5151482b7c44d3",
+    ("a", "monomial"): "1489fc0eeb3417faa3632bd8589e7156e2f6acfac27d30f4a7efbadb37788ce0",
+    ("b", "schur"): "1cd7e7d3a9a88e82d7b1cec50b3275691ace44f638156a8d849905828778c598",
+    ("b", "complete"): "ca7bd8bb3caa05079c2487abaabe01774760b3def5c0c0c4ec678a02a496f5d7",
+    ("b", "elementary"): "d76087f1fc491f499fb5dcb5e21b0b31fa8ec45f8e42ee4711238ad748e6faaa",
+    ("b", "powersum"): "2ba86bc96804964d6e7d984f73879cc31c6ed2a8174cfbcd3240fc6c3b4cb2b1",
+    ("b", "monomial"): "c4366bfb3025ced6dea907b233964d840fbc0f80cfa053b125c4c115fa1238e3",
+    ("c", "schur"): "fbdbaad9625ee56bec8f79739e9f2f665c475a4a0ceea32860ae1d0d85cd4d83",
+    ("c", "complete"): "6bddb62679358e95245355abc4844806313dfa22de51574ba106c23a893a3ed7",
+    ("c", "elementary"): "aaa0fbdfa8e7eb8a0ec603a409017c6d407d0944abff7488661f113de898553c",
+    ("c", "powersum"): "2f47cfbba2bb97aaccf1bcf21065c69ed4b95389b18e59c6baca34a4947ec7a9",
+    ("c", "monomial"): "8c5269a564298ac26c111e2729169b9d42f7b3c018966b3ac626f2d59151a4cc",
+}
+
+
+def _records_digest(recs):
+    text = json.dumps(recs, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("lam", sorted(SIGMA_CHARACTER_DIGESTS))
+def test_pinned_sigma_character_records(lam):
+    f = schur(parse_partition(lam))
+    recs = [to_json_records(sigma_character(f, n)) for n in range(7)]
+    assert recs[6] == []
+    assert _records_digest(recs) == SIGMA_CHARACTER_DIGESTS[lam]
+
+
+@pytest.mark.parametrize("name,basis", sorted(BASIS_DIGESTS))
+def test_pinned_basis_records(name, basis):
+    recs = to_json_records(MIXED_DEGREE[name], basis)
+    assert _records_digest(recs) == BASIS_DIGESTS[name, basis]
