@@ -25,11 +25,13 @@ graded comparisons are tolerance-zero.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import factorial
+
 from .branching import (
     PlainWord,
     _lift_matrix,
-    _p_box,
-    _strand_route,
     move_cap_pq,
     move_cap_qp,
     move_cup_pq,
@@ -46,7 +48,7 @@ from .homalg import (
     totalize,
     zero_complex,
 )
-from .linalg import SMat, joint_eigenspace
+from .linalg import SMat
 from .partition_core import (
     Partition,
     enumerate_partitions,
@@ -57,9 +59,11 @@ from .reports import Report
 from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skew
 from .symrep import (
     RepModule,
+    _peel_cosets,
     frobenius_char,
     induce,
     p_lambda,
+    perm_inverse,
     restrict,
     specht_module,
     trivial_module,
@@ -104,33 +108,40 @@ class WordCell:
 
     Bundles the summand with its inclusion/projection into the ambient
     word and the word itself, so differentials can be compiled as
-    ``pi_target @ (strand moves on the ambient word) @ iota_source``.
+    ``pi_target @ (strand moves on the ambient word) @ iota_source``.  A
+    sigma cell also lists the ambient ``rows`` that ``pi`` reads on its image.
     """
 
-    __slots__ = ("label", "sub", "iota", "pi", "word")
+    __slots__ = ("label", "sub", "iota", "pi", "word", "rows")
 
-    def __init__(self, label, sub, iota, pi, word):
+    def __init__(self, label, sub, iota, pi, word, rows=None):
         self.label = label
         self.sub = sub
         self.iota = iota
         self.pi = pi
         self.word = word
+        self.rows = rows
 
     def __repr__(self):
         return f"WordCell(label={self.label!r}, dim={self.sub.dim})"
 
 
-def _cell(label, atoms, base):
-    sub, iota, pi, word = word_module(atoms, base)
-    return WordCell(label, sub, iota, pi, word)
+def _differential(op, src_cells, tgt_cells):
+    """The differential from per-cell blocks  pi_t @ g @ iota_s, with ``(word,
+    g) = op.move(source cell)``; cells of dimension zero still occupy (empty)
+    block positions.  A sigma target reads a cap block off its representative
+    rows.  A cup (``op.cup``) raises k and its image is not (-1)-isotypic for
+    S_{k+1}, so a cup block keeps the full projection."""
+    def block(cs, ct):
+        word, g = op.move(cs)
+        if word.letters != ct.word.letters:
+            raise ChainComplexError(
+                f"differential lands in the word {word.letters!r}, but the "
+                f"target cell {ct.label!r} carries {ct.word.letters!r}")
+        if op.cup or ct.rows is None:
+            return ct.pi @ g @ cs.iota
+        return _rep_rows(ct.rows, g) @ cs.iota
 
-
-def _assemble_block_matrix(src_cells, tgt_cells, block):
-    """Assemble a full differential from per-cell blocks.
-
-    ``block(src_cell, tgt_cell)`` returns an SMat or None; cells of
-    dimension zero are skipped but still occupy (empty) block positions.
-    """
     grid = [[block(cs, ct) if cs.sub.dim and ct.sub.dim else None
              for cs in src_cells] for ct in tgt_cells]
     return SMat.block(grid, [c.sub.dim for c in tgt_cells],
@@ -154,7 +165,7 @@ class _BernsteinOp:
 
     def __init__(self, a, star=False):
         self.a = int(a)
-        self.star = bool(star)
+        self.star = self.cup = bool(star)
 
     def out_degree(self, n):
         return n - self.a if self.star else n + self.a
@@ -170,20 +181,13 @@ class _BernsteinOp:
                 atoms = [("Q", row), ("P", (1,) * x)]
             else:
                 atoms = [("Q", (1,) * x), ("P", row)]
-            out[-x if self.star else x] = [_cell(x, atoms, m)]
+            out[-x if self.star else x] = [WordCell(x, *word_module(atoms, m))]
         return out
 
-    def diff_blocks(self, src_cells, tgt_cells):
-        def block(cs, ct):
-            x = cs.label
-            if self.star:
-                word2, g = move_cup_pq(cs.word, x + self.a)
-            else:
-                word2, g = move_cap_pq(cs.word, x - 1)
-            assert word2.letters == ct.word.letters
-            return ct.pi @ g @ cs.iota
-
-        return _assemble_block_matrix(src_cells, tgt_cells, block)
+    def move(self, cs):
+        if self.star:
+            return move_cup_pq(cs.word, cs.label + self.a)
+        return move_cap_pq(cs.word, cs.label - 1)
 
 
 class _SigmaOp:
@@ -191,25 +195,26 @@ class _SigmaOp:
 
     The degree-``k`` chain group is the image of the signed diagonal
     projector  (1/k!) sum_w sgn(w) (w on the added letters)(w on the
-    removed letters)  inside the flat word  Q^k P^k, cut out as a joint
-    eigenspace by ``_sigma_cell``; it is canonically isomorphic to the sum,
-    over partitions of k, of the cells pairing a partition-shaped row
-    cable with its transposed column cable (the dimension identity is
-    asserted by the idempotence report).  The differential contracts the
-    innermost strand pair with one cap (sign -1, non-negative degrees) or
-    inserts one with a cup (sign +1, non-positive degrees).  No edge
-    scalars are needed: the boundary cap pairs equal letter labels on the
-    two cables, double contraction is invariant under swapping the
-    contracted pairs on both cables at once, and the projector is
-    antisymmetric under that swap, so the square of the differential
-    cancels exactly.
+    removed letters)  inside the flat word  Q^k P^k, built in closed form
+    from signed orbit sums of coset blocks by ``_sigma_cell``; it is
+    canonically isomorphic to the sum, over partitions of k, of the cells
+    pairing a partition-shaped row cable with its transposed column cable
+    (the dimension identity is asserted by the idempotence report).  The
+    differential contracts the innermost strand pair with one cap (sign -1,
+    non-negative degrees) or inserts one with a cup (sign +1, non-positive
+    degrees).  No edge scalars are needed: the boundary cap pairs equal
+    letter labels on the two cables, double contraction is invariant under
+    swapping the contracted pairs on both cables at once, and the projector
+    is antisymmetric under that swap, so the square of the differential
+    cancels exactly.  A cap commutes with the diagonal action of the k-1
+    letters it keeps, so it maps a cell into the next one's image.
     """
 
     def __init__(self, sign):
         if sign in (1, "+", "plus"):
-            self.plus = True
+            self.cup = True
         elif sign in (-1, "-", "minus"):
-            self.plus = False
+            self.cup = False
         else:
             raise ValueError(f"sigma sign must be +1 or -1, got {sign!r}")
 
@@ -217,56 +222,86 @@ class _SigmaOp:
         return n
 
     def cells(self, m):
-        return {(-k if self.plus else k): [_sigma_cell(m, k)]
+        return {(-k if self.cup else k): [_sigma_cell(m, k)]
                 for k in range(m.degree + 1)}
 
-    def diff_blocks(self, src_cells, tgt_cells):
-        def block(cs, ct):
-            if self.plus:
-                word2, g = move_cup_pq(cs.word, cs.label)
-            else:
-                word2, g = move_cap_pq(cs.word, cs.label - 1)
-            assert word2.letters == ct.word.letters
-            return ct.pi @ g @ cs.iota
-
-        return _assemble_block_matrix(src_cells, tgt_cells, block)
+    def move(self, cs):
+        if self.cup:
+            return move_cup_pq(cs.word, cs.label)
+        return move_cap_pq(cs.word, cs.label - 1)
 
 
 def _sigma_cell(m, k):
-    """Image of the signed diagonal projector on the flat word Q^k P^k.
+    """Image of the signed diagonal projector  (1/k!) sum_h sgn(h) R(h) A_h^-1
+    on the flat word Q^k P^k: h permutes the top k letters, R(h) multiplies
+    the P cable by h on the right, and A_h acts through m in every block.
 
-    The two cables carry the top k letters in mirrored orders, so acting
-    by a letter permutation on both at once maps cap-contraction pairs
-    to cap-contraction pairs; the module-side factor uses the inverse
-    permutation so that the diagonal terms compose multiplicatively.  The
-    image is the joint (-1)-eigenspace of the k-1 diagonal adjacent
-    transpositions (``joint_eigenspace``): the k! terms are never formed.
-    Group letters i, i+1 are P-cable letters n-i+1, n-i, so the diagonal
-    generator pairs s_i on the module with s_{n-i} in the P box.
+    A coset word lists its first n-k values in increasing order and R(h)
+    keeps them, so S_k permutes the blocks freely, with one orbit per
+    k-subset of the values; the representative b0 lists the subset last,
+    in increasing order.  The image has the closed basis
+    iota(b0, v) = sum_h sgn(h) (b0·h, A_h^-1 e_v), and pi sends (b0·h, u) to
+    sgn(h)/k! (b0, A_h u).  On the image, pi reads the rows of the blocks
+    b0, which the cell records as ``rows``.
     """
     word = PlainWord(m, "Q" * k + "P" * k)
-    top = word.top
-    n = m.degree
-    gens = [(_p_box(word, k, _strand_route(k, [n - i]))
-             @ _lift_matrix(m.act_gen(i), n - k, "P" * k), -1)
-            for i in range(n - k + 1, n)]
-    iota, pi = joint_eigenspace(top.dim, gens)
-    sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
-    return WordCell(k, sub, iota, pi, word)
+    n, d = m.degree, m.dim
+    keep = tuple(range(1, n - k + 1))
+    strides = [d * factorial(n - k + lvl) // factorial(n - k)
+               for lvl in range(k)]
+    moves = []
+    for w in permutations(range(k)):
+        h = keep + tuple(n - k + 1 + i for i in w)
+        sgn = (-1) ** sum(a > b for a, b in combinations(w, 2))
+        moves.append((w, m.act_perm(perm_inverse(h)).scale(sgn).rows,
+                      m.act_perm(h).scale(Fraction(sgn, factorial(k))).rows))
+    iota_rows = [None] * word.top.dim
+    pi_rows, rows = [], []
+    for subset in combinations(range(1, n + 1), k):
+        rest = [v for v in range(1, n + 1) if v not in subset]
+        col = len(pi_rows)
+        first = _peel_cosets(rest + list(subset), strides)[0]
+        rows.extend(range(first, first + d))
+        block = [{} for _ in range(d)]
+        for w, inv_rows, fwd_rows in moves:
+            image = rest + [subset[i] for i in w]
+            off, tau = _peel_cosets(image, strides)
+            if tau != keep:
+                raise ChainComplexError(
+                    f"the coset word {image} of Q^{k} P^{k} over {m!r} is "
+                    f"not a block of the layout (tau = {tau})")
+            for u, r in enumerate(inv_rows):
+                iota_rows[off + u] = {col + v: x for v, x in r.items()}
+            for row, r in zip(block, fwd_rows):
+                row.update({off + u: x for u, x in r.items()})
+        pi_rows.extend(block)
+    iota = SMat(word.top.dim, len(pi_rows), iota_rows)
+    pi = SMat(len(pi_rows), word.top.dim, pi_rows)
+    sub = RepModule(n, len(rows), [_rep_rows(rows, g) @ iota
+                                   for g in word.top.gens])
+    return WordCell(k, sub, iota, pi, word, rows)
+
+
+def _rep_rows(rows, mat):
+    """``cell.pi @ mat`` for a sigma cell's rows and columns in its image."""
+    return SMat(len(rows), mat.ncols, [mat.rows[r] for r in rows])
 
 
 def sigma_cell_dims(m):
     """Dimensions of the partition-labelled cells (row cable of shape
     ``lam`` over the transposed column cable) the projector chain groups
-    decompose into, keyed by degree then partition."""
+    decompose into, keyed by degree then partition.  The cell of ``lam``
+    has the character s_lam s_{lam'}^perp ch(m) = sum_mu c_mu s_mu, so its
+    dimension is sum_mu c_mu f^mu."""
+    ch = frobenius_char(m)
     out = {}
     for k in range(m.degree + 1):
         row = {}
         for lam in sorted(enumerate_partitions(k)):
-            sub, _, _, _ = word_module(
-                [("Q", tuple(lam.conjugate())), ("P", tuple(lam))], m)
-            if sub.dim:
-                row[format_partition(lam)] = sub.dim
+            cell = multiply(skew(schur(lam.conjugate()), ch), schur(lam))
+            dim = sum(c * syt_count(mu) for mu, c in cell.terms.items())
+            if dim:
+                row[format_partition(lam)] = dim
         out[k] = row
     return out
 
@@ -289,14 +324,20 @@ def _functor_on_map(src_cells, tgt_cells, f, degree):
 
     Cell lists must be label-aligned (they are: cells depend only on the
     operator and the group degree, which all modules of a complex share).
+    The lifted map commutes with the diagonal action of a sigma cell, so a
+    sigma target reads its block off its representative rows.
     """
-    assert len(src_cells) == len(tgt_cells)
+    labels = [[(c.label, c.word.letters) for c in cells]
+              for cells in (src_cells, tgt_cells)]
+    if labels[0] != labels[1]:
+        raise ChainComplexError("source cells (label, word) {} are not "
+                                "aligned with target cells {}".format(*labels))
     blocks = []
     for cs, ct in zip(src_cells, tgt_cells):
-        assert cs.label == ct.label and cs.word.letters == ct.word.letters
         if cs.sub.dim and ct.sub.dim:
-            blocks.append(
-                ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota)
+            lift = _lift_matrix(f, degree, cs.word.letters)
+            blocks.append((ct.pi @ lift if ct.rows is None
+                           else _rep_rows(ct.rows, lift)) @ cs.iota)
         else:
             blocks.append(SMat.zeros(ct.sub.dim, cs.sub.dim))
     return SMat.block_diag(blocks)
@@ -325,7 +366,7 @@ def _apply_operator(op, cx, check=True, return_columns=False):
             if ds.dim:
                 modules[(k, y)] = ds
             if (k - 1) in cells:
-                mat = op.diff_blocks(cl, cells[k - 1])
+                mat = _differential(op, cl, cells[k - 1])
                 if mat.nnz():
                     d_h[(k, y)] = mat
     for y in cx.degrees():
@@ -608,7 +649,10 @@ def _pair_evaluation(outer_cell, inner_cell, a):
     for c in range(y2):
         word, g = move_cap_pq(word, y2 - c - 1)
         mat = g @ mat
-    assert word.letters == "" and mat.nrows == m.dim
+    if word.letters or mat.nrows != m.dim:
+        raise ChainComplexError(
+            f"contracting cell {x} over cell {inner_cell.label} leaves the "
+            f"word {word.letters!r}, not the base")
     return mat
 
 

@@ -31,7 +31,8 @@ from fractions import Fraction
 
 from .partition_core import Partition, format_partition, parse_partition, partitions_up_to
 from .reports import Report
-from .symfunc import SymFunc, _coeff, bernstein, bernstein_star, schur
+from .symfunc import (SymFunc, _coeff, _integral, bernstein, bernstein_star,
+                      schur)
 
 
 class FermionBasisVector:
@@ -343,7 +344,7 @@ def fermion_state_from_json(recs):
     for r in recs:
         vec = FermionBasisVector(int(r["charge"]), parse_partition(r["partition"]))
         _acc(out, vec, Fraction(r["coefficient"]))
-    return _state(out)
+    return _state({v: _integral(c) for v, c in out.items()})
 
 
 def boson_state_to_json(b):
@@ -362,13 +363,12 @@ def boson_state_to_json(b):
 
 
 def boson_state_from_json(recs):
-    out = BosonState.zero()
+    terms = {}
     for r in recs:
-        out = out + BosonState.of(
-            int(r["charge"]),
-            schur(parse_partition(r["partition"])).scale(Fraction(r["coefficient"])),
-        )
-    return out
+        _acc(terms.setdefault(int(r["charge"]), {}),
+             parse_partition(r["partition"]), Fraction(r["coefficient"]))
+    return BosonState({c: SymFunc({l: _integral(x) for l, x in f.items()})
+                       for c, f in terms.items()})
 
 
 # -- verification suites -------------------------------------------------------------

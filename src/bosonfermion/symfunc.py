@@ -54,6 +54,11 @@ def _coeff(c):
     return c if type(c) is int else Fraction(c)
 
 
+def _integral(c):
+    """An exact coefficient, as an ``int`` when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class SymFunc:
     """A symmetric function: finite Schur-basis linear combination."""
 
@@ -582,14 +587,12 @@ def from_json_records(records):
     total = SymFunc.zero()
     by_basis = {}
     for rec in records:
-        b = _basis_name(rec["basis"])
-        lam = parse_partition(rec["partition"])
-        c = Fraction(rec["numerator"], rec["denominator"])
-        by_basis.setdefault(b, {})
-        by_basis[b][lam] = by_basis[b].get(lam, 0) + c
+        _acc(by_basis.setdefault(_basis_name(rec["basis"]), {}),
+             parse_partition(rec["partition"]),
+             Fraction(rec["numerator"], rec["denominator"]))
     for b, coeffs in by_basis.items():
         total = total + from_basis(b, coeffs)
-    return total
+    return _symfunc({l: _integral(c) for l, c in total.terms.items()})
 
 
 def warm_up(max_degree):

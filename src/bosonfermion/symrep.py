@@ -742,4 +742,4 @@ def frobenius_char(m):
         if c.denominator != 1 or c < 0:
             raise CharacterError(
                 f"non-integral or negative multiplicity {c} at {lam}")
-    return f
+    return SymFunc({lam: c.numerator for lam, c in f.terms.items()})

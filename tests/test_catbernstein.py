@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -43,6 +47,8 @@ from bosonfermion.symrep import (
     specht_module,
     trivial_module,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -326,3 +332,51 @@ class TestChargedLayer:
         fast = fermionic_apply(1, v)
         slow = fermionic_apply(1, v, reduce=False)
         assert fast.betti() == slow.betti()
+
+
+def test_misaligned_cells_are_refused_under_optimized_python():
+    # python -O strips assert statements; a cell mismatch must still raise
+    code = (
+        "from bosonfermion.catbernstein import (\n"
+        "    _BernsteinOp, _SigmaOp, _apply_operator, _differential,\n"
+        "    _functor_on_map, _operator_complex, _pair_evaluation,\n"
+        "    _sigma_cell)\n"
+        "from bosonfermion.errors import ChainComplexError\n"
+        "from bosonfermion.linalg import SMat\n"
+        "from bosonfermion.symrep import trivial_module\n"
+        "m = trivial_module(2)\n"
+        "cells = _BernsteinOp(1).cells(m)\n"
+        "sigma = [_sigma_cell(m, k) for k in range(3)]\n"
+        "inner_cx, inner = _operator_complex(\n"
+        "    _BernsteinOp(1, star=True), trivial_module(1))\n"
+        "_, columns, _ = _apply_operator(\n"
+        "    _BernsteinOp(1), inner_cx, return_columns=True)\n"
+        "eye = SMat.identity(1)\n"
+        "for attempt in (\n"
+        "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"
+        "        lambda: _differential(_SigmaOp(-1), sigma[2:], sigma[2:]),\n"
+        "        lambda: _functor_on_map([sigma[1]], [], eye, 2),\n"
+        "        lambda: _functor_on_map([sigma[1]], [sigma[2]], eye, 2),\n"
+        "        lambda: _pair_evaluation(columns[0][0][0], inner[0][0], -1)):\n"
+        "    try:\n"
+        "        attempt()\n"
+        "    except ChainComplexError as exc:\n"
+        "        print(exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "differential lands in the word 'P', but the target cell 1 carries "
+        "'QPP'",
+        "differential lands in the word 'QP', but the target cell 2 carries "
+        "'QQPP'",
+        "source cells (label, word) [(1, 'QP')] are not aligned with target "
+        "cells []",
+        "source cells (label, word) [(1, 'QP')] are not aligned with target "
+        "cells [(2, 'QQPP')]",
+        "contracting cell 0 over cell 0 leaves the word 'QP', not the base",
+    ]

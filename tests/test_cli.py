@@ -216,6 +216,8 @@ class TestDeterminismAndCache:
          "5ba1a106511adf3e9d922cb95751f81fe4e27d2a2fd8ef3b26b53835798b0264"),
         (("clifford", "--json"),
          "095a1091a974d312fb715aedc10cbb742c3cb60eabe85b84add2718fe6eb400a"),
+        (("cat", "sigma", "--module", "trivial:4", "--json"),
+         "96a8646311630651704adfc414541ecbc1ab54c477541e8614884002138d5f63"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):
@@ -236,6 +238,8 @@ class TestDeterminismAndCache:
              "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
             (("clifford", "--json"),
              "095a1091a974d312fb715aedc10cbb742c3cb60eabe85b84add2718fe6eb400a"),
+            (("cat", "sigma", "--module", "S:2,1", "--json"),
+             "5ba1a106511adf3e9d922cb95751f81fe4e27d2a2fd8ef3b26b53835798b0264"),
         ]:
             out = subprocess.run(
                 [sys.executable, "-O", "-m", "bosonfermion.cli", *argv],

@@ -58,6 +58,13 @@ from bosonfermion.symfunc import (
     to_basis,
     to_json_records,
 )
+from bosonfermion.symrep import (
+    frobenius_char,
+    induce,
+    regular_module,
+    specht_module,
+    trivial_module,
+)
 
 SHAPES = partitions_up_to(4)
 
@@ -252,5 +259,17 @@ def test_integral_inputs_keep_int_coefficients(f, v):
     for a in range(-3, 4):
         outs += [bernstein(a, f), bernstein_star(a, f), psi(a, v),
                  psi_star(a, v), boson_psi(a, b), boson_psi_star(a, b)]
+    # read back from JSON, through every basis (powersum records are
+    # quotients whose sums are integral)
+    outs += [from_json_records(to_json_records(f, basis)) for basis in BASES]
+    outs += [fermion_state_from_json(fermion_state_to_json(v)),
+             boson_state_from_json(boson_state_to_json(b))]
     for out in outs:
         assert all(type(c) is int for c in _coefficients(out))
+
+
+def test_frobenius_characters_have_int_coefficients():
+    for m in (trivial_module(0), trivial_module(3), specht_module((2, 1)),
+              regular_module(3), induce(specht_module((2, 1)))):
+        ch = frobenius_char(m)
+        assert ch.terms and all(type(c) is int for c in ch.terms.values())
