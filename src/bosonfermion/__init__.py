@@ -8,7 +8,8 @@ Layers, bottom to top:
   Heisenberg and Bernstein operators.
 - ``fock``: charged fermionic Fock space, Clifford operators, and the
   charge-graded isomorphism onto symmetric functions.
-- ``linalg``: sparse exact rational matrices.
+- ``linalg``: sparse exact rational matrices, stored as ``int`` rows over
+  one denominator per matrix; ``entry`` and ``to_dense`` give ``Fraction``s.
 - ``symrep``: symmetric-group modules, induction/restriction towers,
   Young idempotents, and the functors cut out by them.
 - ``branching``: words of induction/restriction boxes, the sliding moves

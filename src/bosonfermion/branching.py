@@ -107,22 +107,30 @@ def _move(word, i, drop, insert, mm):
     return new_word, f
 
 
+def _expect(word, i, pair, move):
+    """ValueError unless the word has the letters ``pair`` at i, i + 1."""
+    found = word.letters[i:i + 2] if i >= 0 else ""
+    if found != pair:
+        raise ValueError(f"{move} needs the letters {pair} at position {i} "
+                         f"of the word {word.letters!r}, found {found!r}")
+
+
 def move_x(word, i):
     """Sideways crossing at letters (P,Q) -> (Q,P): the up strand passes
     the down strand, killing the identity block."""
-    assert word.letters[i] == "P" and word.letters[i + 1] == "Q"
+    _expect(word, i, "PQ", "move_x")
     return _move(word, i, 2, "QP", sideways_qp_to_pq(word.stages[i]))
 
 
 def move_xp(word, i):
     """Sideways crossing at letters (Q,P) -> (P,Q): block inclusion."""
-    assert word.letters[i] == "Q" and word.letters[i + 1] == "P"
+    _expect(word, i, "QP", "move_xp")
     return _move(word, i, 2, "PQ", sideways_pq_to_qp(word.stages[i]))
 
 
 def move_cap_qp(word, i):
     """Cap an adjacent (P,Q) pair: project onto the identity block."""
-    assert word.letters[i] == "P" and word.letters[i + 1] == "Q"
+    _expect(word, i, "PQ", "move_cap_qp")
     return _move(word, i, 2, "", counit_qp(word.stages[i]))
 
 
@@ -133,7 +141,7 @@ def move_cup_qp(word, i):
 
 def move_cap_pq(word, i):
     """Cap an adjacent (Q,P) pair: the action map (k, v) -> r_k v."""
-    assert word.letters[i] == "Q" and word.letters[i + 1] == "P"
+    _expect(word, i, "QP", "move_cap_pq")
     return _move(word, i, 2, "", counit_pq(word.stages[i]))
 
 
@@ -146,31 +154,19 @@ def slide_p_right(word):
     """Sideways-cross every up strand past every down strand to its right
     (in application order: sort letters Q-first)."""
     f = SMat.identity(word.top.dim)
-    while True:
-        idx = None
-        for i in range(len(word.letters) - 2, -1, -1):
-            if word.letters[i] == "P" and word.letters[i + 1] == "Q":
-                idx = i
-                break
-        if idx is None:
-            return word, f
-        word, g = move_x(word, idx)
+    while (i := word.letters.rfind("PQ")) >= 0:
+        word, g = move_x(word, i)
         f = g @ f
+    return word, f
 
 
 def slide_p_left(word):
     """Inverse-direction sideways crossings (sort letters P-first)."""
     f = SMat.identity(word.top.dim)
-    while True:
-        idx = None
-        for i in range(len(word.letters) - 1):
-            if word.letters[i] == "Q" and word.letters[i + 1] == "P":
-                idx = i
-                break
-        if idx is None:
-            return word, f
-        word, g = move_xp(word, idx)
+    while (i := word.letters.find("QP")) >= 0:
+        word, g = move_xp(word, i)
         f = g @ f
+    return word, f
 
 
 # -- embedded idempotent boxes --------------------------------------------------------

@@ -25,9 +25,8 @@ graded comparisons are tolerance-zero.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, lcm
 
 from .branching import (
     PlainWord,
@@ -253,8 +252,10 @@ def _sigma_cell(m, k):
     for w in permutations(range(k)):
         h = keep + tuple(n - k + 1 + i for i in w)
         sgn = (-1) ** sum(a > b for a, b in combinations(w, 2))
-        moves.append((w, m.act_perm(perm_inverse(h)).scale(sgn).rows,
-                      m.act_perm(h).scale(Fraction(sgn, factorial(k))).rows))
+        moves.append((w, sgn, m.act_perm(perm_inverse(h)), m.act_perm(h)))
+    # h and h^-1 run over one group: iota is over the lcm of the A_h
+    # denominators, and pi over k! times it
+    den = lcm(*(fwd.den for *_, fwd in moves))
     iota_rows = [None] * word.top.dim
     pi_rows, rows = [], []
     for subset in combinations(range(1, n + 1), k):
@@ -263,20 +264,22 @@ def _sigma_cell(m, k):
         first = _peel_cosets(rest + list(subset), strides)[0]
         rows.extend(range(first, first + d))
         block = [{} for _ in range(d)]
-        for w, inv_rows, fwd_rows in moves:
+        for w, sgn, inv, fwd in moves:
             image = rest + [subset[i] for i in w]
             off, tau = _peel_cosets(image, strides)
             if tau != keep:
                 raise ChainComplexError(
                     f"the coset word {image} of Q^{k} P^{k} over {m!r} is "
                     f"not a block of the layout (tau = {tau})")
-            for u, r in enumerate(inv_rows):
-                iota_rows[off + u] = {col + v: x for v, x in r.items()}
-            for row, r in zip(block, fwd_rows):
-                row.update({off + u: x for u, x in r.items()})
+            x = sgn * (den // inv.den)
+            for u, r in enumerate(inv.rows):
+                iota_rows[off + u] = {col + v: x * y for v, y in r.items()}
+            x = sgn * (den // fwd.den)
+            for row, r in zip(block, fwd.rows):
+                row.update({off + u: x * y for u, y in r.items()})
         pi_rows.extend(block)
-    iota = SMat(word.top.dim, len(pi_rows), iota_rows)
-    pi = SMat(len(pi_rows), word.top.dim, pi_rows)
+    iota = SMat(word.top.dim, len(pi_rows), iota_rows, den)
+    pi = SMat(len(pi_rows), word.top.dim, pi_rows, factorial(k) * den)
     sub = RepModule(n, len(rows), [_rep_rows(rows, g) @ iota
                                    for g in word.top.gens])
     return WordCell(k, sub, iota, pi, word, rows)
@@ -284,7 +287,7 @@ def _sigma_cell(m, k):
 
 def _rep_rows(rows, mat):
     """``cell.pi @ mat`` for a sigma cell's rows and columns in its image."""
-    return SMat(len(rows), mat.ncols, [mat.rows[r] for r in rows])
+    return SMat(len(rows), mat.ncols, [mat.rows[r] for r in rows], mat.den)
 
 
 def sigma_cell_dims(m):

@@ -15,7 +15,6 @@ bounded complex, terminates in a complex with zero differential).
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .errors import ChainComplexError
 from .linalg import (
@@ -30,8 +29,6 @@ from .linalg import (
 from .reports import Report
 from .symfunc import SymFunc
 from .symrep import RepModule, frobenius_char, zero_module
-
-ONE = Fraction(1)
 
 
 def module_direct_sum(mods, group_degree):
@@ -119,11 +116,10 @@ class Complex:
     def shifted(self, s):
         """Degree shift: the result has chain group C_{k-s} in degree k and
         differential scaled by (-1)^s."""
-        sign = ONE if s % 2 == 0 else -ONE
         return Complex(
             self.group_degree,
             {k + s: m for k, m in self.modules.items()},
-            {k + s: mat.scale(sign) for k, mat in self.diffs.items()},
+            {k + s: mat.scale((-1) ** s) for k, mat in self.diffs.items()},
             check=False,
         )
 
@@ -349,7 +345,7 @@ def eliminate_entry(c, k, r, col):
     col_part = dmat.submatrix(keep_rows, [col])
     row_part = dmat.submatrix([r], keep_cols)
     corr = col_part @ row_part
-    new_dk = new_dk - corr.scale(ONE / alpha)
+    new_dk = new_dk - corr.scale(1 / alpha)
     mods = dict(c.modules)
     diffs = dict(c.diffs)
 
@@ -419,24 +415,15 @@ def reduce_complex(c):
 def _random_invertible(rng, n):
     """A product of elementary row operations and a permutation: exactly
     invertible with small integer entries."""
-    mat = SMat.identity(n)
     order = list(range(n))
     rng.shuffle(order)
-    mat = mat.submatrix(order, range(n))
+    mat = SMat.identity(n).submatrix(order, range(n))
     for _ in range(2 * n):
         i, j = rng.randrange(n), rng.randrange(n)
-        if i == j:
-            continue
-        cval = Fraction(rng.choice([-2, -1, 1, 2]))
-        add = {j: cval}
-        rows = [dict(rr) for rr in mat.rows]
-        for col, v in list(rows[j].items()):
-            w = rows[i].get(col, Fraction(0)) + cval * v
-            if w:
-                rows[i][col] = w
-            else:
-                rows[i].pop(col, None)
-        mat = SMat(n, n, rows)
+        if i != j:
+            # add a multiple of row j to row i
+            add = SMat.from_entries(n, n, [(i, j, rng.choice([-2, -1, 1, 2]))])
+            mat = (SMat.identity(n) + add) @ mat
     return mat
 
 

@@ -1,12 +1,14 @@
 """Sparse exact linear algebra over the rationals.
 
 Everything downstream (module maps, differentials, homology) runs through this
-module.  Matrices are stored row-sparse: a list of ``{col: Fraction}`` dicts.
-All arithmetic is exact; there are no tolerances anywhere.
+module.  A matrix is stored row-sparse over one denominator: a list of
+``{col: int}`` dicts and a positive int ``den``, entry (i, j) being
+``rows[i][j] / den``.  ``den`` is coprime to the gcd of the entries, so equal
+matrices have equal rows and denominators.  All arithmetic is exact; there are
+no tolerances anywhere.
 
-Entries are rationals, but products and elimination run fraction-free on
-Python ints: each row is scaled by the lcm of its denominators once, the work
-is done on integers, and a ``Fraction`` is built only for each entry returned.
+Sums, products and elimination run on Python ints, elimination fraction-free
+(Bareiss 1968); ``entry`` and ``to_dense`` return each entry as a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -17,31 +19,31 @@ from math import gcd, lcm
 
 from .errors import IdempotentError
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 class SMat:
-    """A sparse matrix of Fractions."""
+    """A sparse rational matrix: ``{col: int}`` rows, without zeros, over one
+    denominator; the constructor divides out the gcd of den and the entries."""
 
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "rows", "den")
 
-    def __init__(self, nrows, ncols, rows=None):
+    def __init__(self, nrows, ncols, rows=None, den=1):
         self.nrows = nrows
         self.ncols = ncols
         if rows is None:
-            self.rows = [{} for _ in range(nrows)]
-        else:
-            if len(rows) != nrows:
-                raise ValueError(
-                    f"{len(rows)} rows given for a {nrows}x{ncols} matrix")
-            self.rows = rows
+            rows = [{} for _ in range(nrows)]
+        elif len(rows) != nrows:
+            raise ValueError(
+                f"{len(rows)} rows given for a {nrows}x{ncols} matrix")
+        if den != 1:
+            rows, den = _lowest_terms(rows, den)
+        self.rows = rows
+        self.den = den
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def identity(n):
-        return SMat(n, n, [{i: ONE} for i in range(n)])
+        return SMat(n, n, [{i: 1} for i in range(n)])
 
     @staticmethod
     def zeros(nrows, ncols):
@@ -49,35 +51,37 @@ class SMat:
 
     @staticmethod
     def from_dense(data):
-        nrows = len(data)
-        ncols = len(data[0]) if nrows else 0
-        rows = []
+        ncols = len(data[0]) if data else 0
         for i, r in enumerate(data):
             if len(r) != ncols:
                 raise ValueError(
                     f"row {i} has {len(r)} entries, row 0 has {ncols}")
-            rows.append({j: Fraction(v) for j, v in enumerate(r) if v})
-        return SMat(nrows, ncols, rows)
+        return SMat.from_entries(len(data), ncols, [
+            (i, j, Fraction(v)) for i, r in enumerate(data)
+            for j, v in enumerate(r)])
 
     @staticmethod
-    def from_entries(nrows, ncols, entries):
-        """Build from an iterable of (row, col, value) with repeats summed."""
-        rows = [defaultdict(lambda: ZERO) for _ in range(nrows)]
+    def from_entries(nrows, ncols, entries, den=1):
+        """Build from an iterable of (row, col, value) with repeats summed;
+        values are ints or Fractions, and each sum is divided by ``den``."""
+        rows = [{} for _ in range(nrows)]
         for i, j, v in entries:
-            rows[i][j] += v
-        clean = [{j: v for j, v in r.items() if v} for r in rows]
-        return SMat(nrows, ncols, clean)
+            r = rows[i]
+            r[j] = r.get(j, 0) + v
+        # int rows over the lcm d of the sums' denominators, zeros dropped
+        d = lcm(*(v.denominator for r in rows for v in r.values()))
+        return SMat(nrows, ncols, [
+            {j: v.numerator * (d // v.denominator) for j, v in r.items() if v}
+            for r in rows], den * d)
 
     # -- elementary queries --------------------------------------------------
 
     def to_dense(self):
-        return [
-            [self.rows[i].get(j, ZERO) for j in range(self.ncols)]
-            for i in range(self.nrows)
-        ]
+        return [[Fraction(r.get(j, 0), self.den) for j in range(self.ncols)]
+                for r in self.rows]
 
     def entry(self, i, j):
-        return self.rows[i].get(j, ZERO)
+        return Fraction(self.rows[i].get(j, 0), self.den)
 
     def nnz(self):
         return sum(len(r) for r in self.rows)
@@ -88,9 +92,9 @@ class SMat:
     def __eq__(self, other):
         if not isinstance(other, SMat):
             return NotImplemented
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            return False
-        return all(a == b for a, b in zip(self.rows, other.rows))
+        return ((self.nrows, self.ncols, self.den)
+                == (other.nrows, other.ncols, other.den)
+                and self.rows == other.rows)
 
     def __repr__(self):
         return f"SMat({self.nrows}x{self.ncols}, nnz={self.nnz()})"
@@ -100,62 +104,59 @@ class SMat:
     def __add__(self, other):
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError(f"cannot add {self!r} and {other!r}")
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
         rows = []
-        for a, b in zip(self.rows, other.rows):
-            r = dict(a)
-            for j, v in b.items():
-                w = r.get(j, ZERO) + v
+        for ra, rb in zip(self.rows, other.rows):
+            r = _shifted(ra, 0, a)
+            for j, v in rb.items():
+                w = r.get(j, 0) + b * v
                 if w:
                     r[j] = w
                 else:
                     r.pop(j, None)
             rows.append(r)
-        return SMat(self.nrows, self.ncols, rows)
+        return SMat(self.nrows, self.ncols, rows, den)
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
         return SMat(self.nrows, self.ncols,
-                    [{j: -v for j, v in r.items()} for r in self.rows])
+                    [{j: -v for j, v in r.items()} for r in self.rows],
+                    self.den)
 
     def scale(self, c):
         c = Fraction(c)
         if not c:
             return SMat.zeros(self.nrows, self.ncols)
-        return SMat(
-            self.nrows,
-            self.ncols,
-            [{j: c * v for j, v in r.items()} for r in self.rows],
-        )
+        return SMat(self.nrows, self.ncols,
+                    [_shifted(r, 0, c.numerator) for r in self.rows],
+                    self.den * c.denominator)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError(f"cannot multiply {self!r} by {other!r}")
-        # B over one common denominator, each row of A over its own
-        bden = lcm(*(v.denominator for r in other.rows for v in r.values()))
-        orows = [_cleared(r, bden) for r in other.rows]
+        orows = other.rows
         rows = []
         for a in self.rows:
-            aden = lcm(*(v.denominator for v in a.values()))
             acc = {}
-            for j, av in a.items():
-                x = av.numerator * (aden // av.denominator)
-                for l, bv in orows[j].items():
-                    w = acc.get(l, 0) + x * bv
+            for j, x in a.items():
+                for l, y in orows[j].items():
+                    w = acc.get(l, 0) + x * y
                     if w:
                         acc[l] = w
                     else:
                         acc.pop(l, None)
-            rows.append(_rational(acc, aden * bden))
-        return SMat(self.nrows, other.ncols, rows)
+            rows.append(acc)
+        return SMat(self.nrows, other.ncols, rows, self.den * other.den)
 
     def transpose(self):
         rows = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):
             for j, v in r.items():
                 rows[j][i] = v
-        return SMat(self.ncols, self.nrows, rows)
+        return SMat(self.ncols, self.nrows, rows, self.den)
 
     # -- slicing / stacking ---------------------------------------------------
 
@@ -166,7 +167,7 @@ class SMat:
             rows.append(
                 {col_pos[j]: v for j, v in self.rows[i].items() if j in col_pos}
             )
-        return SMat(len(row_idx), len(col_idx), rows)
+        return SMat(len(row_idx), len(col_idx), rows, self.den)
 
     def columns(self, col_idx):
         return self.submatrix(range(self.nrows), col_idx)
@@ -183,12 +184,14 @@ class SMat:
 
     @staticmethod
     def block(grid, row_dims, col_dims):
-        """Assemble a block matrix; None entries are zero blocks.
+        """Assemble a block matrix over the lcm of the blocks' denominators;
+        None entries are zero blocks.
 
         ``grid[i][j]`` must be ``row_dims[i] x col_dims[j]`` (ValueError
         otherwise).  The result has fresh rows: it shares no dict with the
         blocks.
         """
+        den = lcm(*(b.den for line in grid for b in line if b is not None))
         rows = []
         for bi, (line, rdim) in enumerate(zip(grid, row_dims, strict=True)):
             band = [{} for _ in range(rdim)]
@@ -200,47 +203,51 @@ class SMat:
                             f"block ({bi}, {bj}) is {blk.nrows}x{blk.ncols}, "
                             f"expected {rdim}x{cdim}")
                     for row, r in zip(band, blk.rows):
-                        row.update(_shifted(r, coff))
+                        row.update(_shifted(r, coff, den // blk.den))
                 coff += cdim
             rows.extend(band)
-        return SMat(len(rows), sum(col_dims), rows)
+        return SMat(len(rows), sum(col_dims), rows, den)
 
     @staticmethod
     def block_diag(mats):
         """Block-diagonal matrix of ``mats``; 0 x 0 for an empty list."""
+        den = lcm(*(m.den for m in mats))
         rows = []
         coff = 0
         for m in mats:
-            rows.extend(_shifted(r, coff) for r in m.rows)
+            rows.extend(_shifted(r, coff, den // m.den) for r in m.rows)
             coff += m.ncols
-        return SMat(len(rows), coff, rows)
+        return SMat(len(rows), coff, rows, den)
 
 
-def _shifted(row, coff):
-    """A fresh copy of a sparse row with its columns moved right by coff."""
+def _lowest_terms(rows, den):
+    """(rows, den) divided by the gcd of den and every entry, den made
+    positive; the rows are fresh dicts only when something changed."""
+    if not den:
+        raise ValueError("a matrix denominator must be nonzero")
+    g = abs(den)
+    for r in rows:
+        if g == 1:
+            break
+        g = gcd(g, *r.values())
+    g = g if den > 0 else -g
+    if g == 1:
+        return rows, den
+    return [{j: v // g for j, v in r.items()} for r in rows], den // g
+
+
+def _shifted(row, coff, mult=1):
+    """A fresh copy of an int row with its columns moved right by coff and
+    its entries multiplied by mult."""
+    if mult != 1:
+        return {coff + j: mult * v for j, v in row.items()}
     return {coff + j: v for j, v in row.items()} if coff else dict(row)
 
 
-def _cleared(row, den):
-    """The int row den * row; den must be a multiple of every denominator."""
-    if den == 1:
-        return {j: v.numerator for j, v in row.items()}
-    return {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-
-
 def _primitive(row):
-    """The rational row as ints: times the lcm of its denominators, then
-    divided by the gcd of the results.  Same columns, same order."""
-    ints = _cleared(row, lcm(*(v.denominator for v in row.values())))
-    g = gcd(*ints.values())
-    return {j: v // g for j, v in ints.items()} if g > 1 else ints
-
-
-def _rational(row, den):
-    """The rational row row / den of an int row."""
-    if den == 1:
-        return {j: Fraction(v) for j, v in row.items()}
-    return {j: Fraction(v, den) for j, v in row.items()}
+    """A fresh copy of an int row divided by the gcd of its entries."""
+    g = gcd(*row.values())
+    return {j: v // g for j, v in row.items()} if g > 1 else dict(row)
 
 
 # -- elimination engine -------------------------------------------------------
@@ -250,10 +257,10 @@ class _Eliminator:
     """Fraction-free row reduction to reduced echelon form, tracking column
     occupancy.
 
-    Rows are primitive int rows (``_primitive``).  A pivot p is made positive
-    and never normalized; a row with entry f in the pivot column becomes
-    (p/g)·row − (f/g)·pivot_row with g = gcd(p, f), and, when p/g ≠ 1, is
-    divided by the gcd of its entries (one-step fraction-free elimination,
+    Rows are the matrix's int rows divided by their gcds.  A pivot p is made
+    positive and never normalized; a row with entry f in the pivot column
+    becomes (p/g)·row − (f/g)·pivot_row with g = gcd(p, f), and, when
+    p/g ≠ 1, is divided by the gcd of its entries (one-step fraction-free elimination,
     Bareiss 1968).  Every row stays a positive multiple of the row rational
     elimination would hold, so the sparsity pattern, and with it every pivot
     choice, is the same at each step.  For a pivot ``(r, c)`` the reduced
@@ -318,10 +325,13 @@ def rank(mat):
 def rref(mat):
     """Reduced row echelon form; returns (SMat, pivot_columns)."""
     el = _Eliminator(mat).reduce()
+    # each reduced row rows[r] / rows[r][c] is an int row over the lcm
+    den = lcm(*(el.rows[r][c] for r, c in el.pivots))
     # rows never chosen as pivots are empty after a full reduction
-    rows = [_rational(el.rows[r], el.rows[r][c]) for r, c in el.pivots]
+    rows = [_shifted(el.rows[r], 0, den // el.rows[r][c])
+            for r, c in el.pivots]
     rows += [{} for _ in range(mat.nrows - len(rows))]
-    return SMat(mat.nrows, mat.ncols, rows), [c for _, c in el.pivots]
+    return SMat(mat.nrows, mat.ncols, rows, den), [c for _, c in el.pivots]
 
 
 def independent_columns(mat):
@@ -332,16 +342,16 @@ def independent_columns(mat):
 def nullspace(mat):
     """Matrix whose columns are a basis of the kernel (ncols x nullity)."""
     el = _Eliminator(mat).reduce()
+    den = lcm(*(el.rows[r][c] for r, c in el.pivots))
     pivot_cols = {c for _, c in el.pivots}
     free = {f: k for k, f in enumerate(
         j for j in range(mat.ncols) if j not in pivot_cols)}
-    rows = [{free[j]: ONE} if j in free else {} for j in range(mat.ncols)]
+    rows = [{free[j]: den} if j in free else {} for j in range(mat.ncols)]
     # a reduced pivot row is zero on the other pivot columns
     for r, c in el.pivots:
-        p = el.rows[r][c]
-        rows[c] = {free[j]: Fraction(-v, p)
-                   for j, v in el.rows[r].items() if j in free}
-    return SMat(mat.ncols, len(free), rows)
+        x = -den // el.rows[r][c]
+        rows[c] = {free[j]: x * v for j, v in el.rows[r].items() if j in free}
+    return SMat(mat.ncols, len(free), rows, den)
 
 
 def solve(a, b):
@@ -355,13 +365,13 @@ def solve(a, b):
     for i in range(a.nrows):
         if i not in el.used and el.rows[i]:
             raise ValueError("inconsistent linear system")
+    den = lcm(*(el.rows[r][c] for r, c in el.pivots))
     rows = [{} for _ in range(a.ncols)]
     for r, c in el.pivots:
-        p = el.rows[r][c]
-        for j, v in el.rows[r].items():
-            if j >= a.ncols:
-                rows[c][j - a.ncols] = Fraction(v, p)
-    return SMat(a.ncols, b.ncols, rows)
+        x = den // el.rows[r][c]
+        rows[c] = {j - a.ncols: x * v
+                   for j, v in el.rows[r].items() if j >= a.ncols}
+    return SMat(a.ncols, b.ncols, rows, den)
 
 
 def inverse(mat):
@@ -422,28 +432,26 @@ def joint_eigenspace(dim, gens):
 
 
 def _minus_diagonal(g, eps):
-    """g - eps*I: copies of g's rows with only the diagonal entry shifted."""
+    """g - eps*I for an int eps: copies of g's rows with only the diagonal
+    entry shifted, by eps * den."""
+    shift = eps * g.den
     rows = []
     for i, row in enumerate(g.rows):
         row = dict(row)
-        w = row.get(i, ZERO) - eps
+        w = row.get(i, 0) - shift
         if w:
             row[i] = w
         else:
             row.pop(i, None)
         rows.append(row)
-    return SMat(g.nrows, g.ncols, rows)
+    return SMat(g.nrows, g.ncols, rows, g.den)
 
 
 def bareiss_rank(mat):
-    """Rank by dense fraction-free (Bareiss) elimination on a cleared-denominator
-    integer matrix.  Cross-check route for the sparse elimination."""
-    dense = []
-    for i in range(mat.nrows):
-        row = [mat.entry(i, j) for j in range(mat.ncols)]
-        den = lcm(*(v.denominator for v in row))
-        dense.append([int(v * den) for v in row])
-    m, n = len(dense), mat.ncols
+    """Rank by dense fraction-free (Bareiss) elimination on the int rows.
+    Cross-check route for the sparse elimination."""
+    m, n = mat.nrows, mat.ncols
+    dense = [[r.get(j, 0) for j in range(n)] for r in mat.rows]
     r = 0
     prev = 1
     for col in range(n):

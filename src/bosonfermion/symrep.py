@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations as iter_permutations
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import (
     CharacterError,
@@ -78,22 +78,6 @@ def coset_rep(k, n):
         out[i - 1] = i + 1
     out[n - 1] = k
     return tuple(out)
-
-
-def reduced_word(p):
-    """Indices i with p = s_{i_1} ∘ ... ∘ s_{i_r} (leftmost applied last)."""
-    p = list(p)
-    collected = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(p) - 1):
-            if p[i] > p[i + 1]:
-                collected.append(i + 1)
-                p[i], p[i + 1] = p[i + 1], p[i]
-                changed = True
-    # p * s_{c_1} * ... * s_{c_r} = id, hence p = s_{c_r} ∘ ... ∘ s_{c_1}
-    return list(reversed(collected))
 
 
 def relabel_perm(p, letters, degree):
@@ -276,9 +260,14 @@ class RepModule:
         hit = self._perm_cache.get(p)
         if hit is not None:
             return hit
-        out = SMat.identity(self.dim)
-        for i in reduced_word(p):
-            out = out @ self.gens[i - 1]
+        # p = p' s_i for its first descent i, with p' one letter shorter:
+        # one product on the cached p' per new p
+        i = next((i for i in range(1, len(p)) if p[i - 1] > p[i]), None)
+        if i is None:
+            out = SMat.identity(self.dim)
+        else:
+            out = self.act_perm(perm_mult(
+                p, adjacent_transposition(i, self.degree))) @ self.gens[i - 1]
         self._perm_cache[p] = out
         return out
 
@@ -599,16 +588,22 @@ def right_mult_map(m, levels, elem):
     radices = range(n + 1, n + levels + 1)
     strides = [d * prod(radices[:lvl]) for lvl in range(levels)]
     dim = d * prod(radices)
-    entries = []
+    blocks = []
     # key tuples (k_1, ..., k_levels) with k_1 outermost
     for keys in product(*(range(1, b + 1) for b in radices)):
         w, col_base = _coset_word(keys, n, strides)
         for g, coeff in elem.terms.items():
             row_base, tau = _peel_cosets([w[i - 1] for i in g], strides)
-            for r, row in enumerate(m.act_perm(tau).rows):
-                for c, x in row.items():
-                    entries.append((row_base + r, col_base + c, coeff * x))
-    return SMat.from_entries(dim, dim, entries)
+            blocks.append((row_base, col_base, coeff, m.act_perm(tau)))
+    # int numerators over the lcm of the coefficient and block denominators
+    den = lcm(*(coeff.denominator * a.den for _, _, coeff, a in blocks))
+    entries = []
+    for row_base, col_base, coeff, a in blocks:
+        mult = coeff.numerator * (den // (coeff.denominator * a.den))
+        for r, row in enumerate(a.rows):
+            for c, x in row.items():
+                entries.append((row_base + r, col_base + c, mult * x))
+    return SMat.from_entries(dim, dim, entries, den=den)
 
 
 def crossing(m):
@@ -731,10 +726,9 @@ def frobenius_char(m):
     coeffs = {}
     for mu in enumerate_partitions(n):
         rep = cycle_type_representative(mu, n)
-        tr = ZERO
         mat = m.act_perm(rep)
-        for i, row in enumerate(mat.rows):
-            tr += row.get(i, ZERO)
+        tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(mat.rows)),
+                      mat.den)
         if tr:
             coeffs[mu] = tr / centralizer_order(mu)
     f = from_basis("powersum", coeffs)

@@ -380,3 +380,24 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "cells [(2, 'QQPP')]",
         "contracting cell 0 over cell 0 leaves the word 'QP', not the base",
     ]
+
+
+def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
+    # SMat stores {col: int} rows over one den >= 1 coprime to the entries
+    from bosonfermion.linalg import SMat
+    from test_linalg import in_lowest_terms
+
+    init, seen, bad = SMat.__init__, [0, 0], []
+
+    def checked(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        seen[0] += 1
+        seen[1] += self.den > 1
+        if not in_lowest_terms(self) and len(bad) < 5:
+            bad.append((self, self.rows[:3], self.den))
+
+    monkeypatch.setattr(SMat, "__init__", checked)
+    assert specht_creation_check((2, 1)).passed
+    assert sigma_idempotence_check(specht_module([2, 1])).passed
+    assert not bad
+    assert seen[0] > 500 and seen[1] > 100, seen

@@ -218,6 +218,8 @@ class TestDeterminismAndCache:
          "095a1091a974d312fb715aedc10cbb742c3cb60eabe85b84add2718fe6eb400a"),
         (("cat", "sigma", "--module", "trivial:4", "--json"),
          "96a8646311630651704adfc414541ecbc1ab54c477541e8614884002138d5f63"),
+        (("cat", "sigma", "--module", "S:2,2", "--json"),
+         "83e55d76a7bcebc945750e8749baf570d2ca544f689b6a288faedf11447d8bae"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

@@ -220,6 +220,7 @@ class TestJointEigenspace:
             for eps in (1, -1):
                 want = g - eye.scale(eps)
                 got = _minus_diagonal(g, eps)
+                assert got == want
                 assert ([list(r.items()) for r in got.rows]
                         == [list(r.items()) for r in want.rows])
 

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import defaultdict
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from bosonfermion.linalg import (
     idempotent_image,
     independent_columns,
     inverse,
+    joint_eigenspace,
     nullspace,
     rank,
     rref,
@@ -68,6 +70,165 @@ class TestBasics:
             [F(1), F(4)], [F(2), F(5)], [F(3), F(6)]]
         assert a.submatrix([1], [0, 2]).to_dense() == [[F(4), F(6)]]
 
+    def test_int_rows_over_one_denominator(self):
+        m = dense([[F(1, 2), 1], [0, F(-3, 4)]])
+        assert (m.rows, m.den) == ([{0: 2, 1: 4}, {1: -3}], 4)
+        assert m.entry(0, 1) == 1 and type(m.entry(0, 1)) is Fraction
+        assert all(type(v) is Fraction for row in m.to_dense() for v in row)
+        m4 = m.scale(4)
+        assert (m4.rows, m4.den) == ([{0: 2, 1: 4}, {1: -3}], 1)
+
+    def test_equal_matrices_over_different_denominators(self):
+        m = SMat(2, 2, [{0: 6, 1: -4}, {1: 2}], -4)
+        assert (m.rows, m.den) == ([{0: -3, 1: 2}, {1: -1}], 2)
+        assert m == dense([[F(-3, 2), 1], [0, F(-1, 2)]])
+        assert SMat(2, 3, [{}, {}], 7) == SMat.zeros(2, 3)
+        assert SMat.zeros(2, 3).den == 1
+        with pytest.raises(ValueError, match="nonzero"):
+            SMat(1, 1, [{0: 1}], 0)
+
+
+class FracMat:
+    """The matrix of Fraction rows that SMat was before it stored int rows
+    over one denominator, kept as the oracle for every operation."""
+
+    def __init__(self, nrows, ncols, rows=None):
+        self.nrows = nrows
+        self.ncols = ncols
+        self.rows = [{} for _ in range(nrows)] if rows is None else rows
+
+    @staticmethod
+    def identity(n):
+        return FracMat(n, n, [{i: F(1)} for i in range(n)])
+
+    def __eq__(self, other):
+        return ((self.nrows, self.ncols) == (other.nrows, other.ncols)
+                and self.rows == other.rows)
+
+    def __add__(self, other):
+        assert (self.nrows, self.ncols) == (other.nrows, other.ncols)
+        rows = []
+        for a, b in zip(self.rows, other.rows):
+            r = dict(a)
+            for j, v in b.items():
+                w = r.get(j, F(0)) + v
+                if w:
+                    r[j] = w
+                else:
+                    r.pop(j, None)
+            rows.append(r)
+        return FracMat(self.nrows, self.ncols, rows)
+
+    def __neg__(self):
+        return FracMat(self.nrows, self.ncols,
+                       [{j: -v for j, v in r.items()} for r in self.rows])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def scale(self, c):
+        c = F(c)
+        if not c:
+            return FracMat(self.nrows, self.ncols)
+        return FracMat(self.nrows, self.ncols,
+                       [{j: c * v for j, v in r.items()} for r in self.rows])
+
+    def __matmul__(self, other):
+        assert self.ncols == other.nrows
+        rows = []
+        for ar in self.rows:
+            acc = {}
+            for j, av in ar.items():
+                for l, bv in other.rows[j].items():
+                    w = acc.get(l, F(0)) + av * bv
+                    if w:
+                        acc[l] = w
+                    else:
+                        acc.pop(l, None)
+            rows.append(acc)
+        return FracMat(self.nrows, other.ncols, rows)
+
+    def transpose(self):
+        rows = [{} for _ in range(self.ncols)]
+        for i, r in enumerate(self.rows):
+            for j, v in r.items():
+                rows[j][i] = v
+        return FracMat(self.ncols, self.nrows, rows)
+
+    def submatrix(self, row_idx, col_idx):
+        col_pos = {j: p for p, j in enumerate(col_idx)}
+        return FracMat(len(row_idx), len(col_idx), [
+            {col_pos[j]: v for j, v in self.rows[i].items() if j in col_pos}
+            for i in row_idx])
+
+    def columns(self, col_idx):
+        return self.submatrix(range(self.nrows), col_idx)
+
+    @staticmethod
+    def block(grid, row_dims, col_dims):
+        rows = []
+        for line, rdim in zip(grid, row_dims):
+            band = [{} for _ in range(rdim)]
+            coff = 0
+            for blk, cdim in zip(line, col_dims):
+                if blk is not None:
+                    for row, r in zip(band, blk.rows):
+                        row.update({coff + j: v for j, v in r.items()})
+                coff += cdim
+            rows.extend(band)
+        return FracMat(len(rows), sum(col_dims), rows)
+
+    @staticmethod
+    def vstack(blocks):
+        return FracMat.block([[b] for b in blocks], [b.nrows for b in blocks],
+                             [blocks[0].ncols])
+
+    @staticmethod
+    def hstack(blocks):
+        return FracMat.block([blocks], [blocks[0].nrows],
+                             [b.ncols for b in blocks])
+
+    @staticmethod
+    def block_diag(mats):
+        grid = [[m if i == j else None for j in range(len(mats))]
+                for i, m in enumerate(mats)]
+        return FracMat.block(grid, [m.nrows for m in mats],
+                             [m.ncols for m in mats])
+
+
+def frac(m):
+    """The FracMat of an SMat, read through ``entry``, columns in row order."""
+    return FracMat(m.nrows, m.ncols, [{j: m.entry(i, j) for j in r}
+                                      for i, r in enumerate(m.rows)])
+
+
+def smat(f):
+    """The SMat of a FracMat, columns in row order."""
+    return SMat.from_entries(f.nrows, f.ncols, [
+        (i, j, v) for i, r in enumerate(f.rows) for j, v in r.items()])
+
+
+def in_lowest_terms(m):
+    """Nonzero int (not bool) entries over an int den >= 1 coprime to them."""
+    values = [v for r in m.rows for v in r.values()]
+    return (type(m.den) is int and m.den >= 1
+            and all(type(v) is int and v for v in values)
+            and gcd(m.den, *values) == 1 and len(m.rows) == m.nrows)
+
+
+def agrees(got, want):
+    """The SMat got, in lowest terms, holds the FracMat want's values."""
+    return (in_lowest_terms(got)
+            and (got.nrows, got.ncols) == (want.nrows, want.ncols)
+            and got.to_dense() == [[r.get(j, F(0)) for j in range(want.ncols)]
+                                   for r in want.rows])
+
+
+def same(got, want):
+    """agrees, and every row also lists its columns in want's order."""
+    return agrees(got, want) and all(
+        list(a) == list(b) for a, b in zip(got.rows, want.rows))
+
 
 def reference_block(grid, row_dims, col_dims):
     """Block placement as one entry list summed by from_entries: the layout
@@ -79,8 +240,8 @@ def reference_block(grid, row_dims, col_dims):
         for blk, cdim in zip(line, col_dims):
             if blk is not None:
                 for r, row in enumerate(blk.rows):
-                    for c, v in row.items():
-                        entries.append((roff + r, coff + c, v))
+                    for c in row:
+                        entries.append((roff + r, coff + c, blk.entry(r, c)))
             coff += cdim
         roff += rdim
     return SMat.from_entries(sum(row_dims), sum(col_dims), entries)
@@ -116,6 +277,7 @@ class TestBlockPlacement:
         got = SMat.block(grid, row_dims, col_dims)
         want = reference_block(grid, row_dims, col_dims)
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got.to_dense() == want.to_dense()
         assert got == want
         assert shares_no_row(got, [b for line in grid for b in line])
 
@@ -129,6 +291,7 @@ class TestBlockPlacement:
         want = reference_block(grid, [m.nrows for m in mats],
                                [m.ncols for m in mats])
         assert (got.nrows, got.ncols) == (want.nrows, want.ncols)
+        assert got.to_dense() == want.to_dense()
         assert got == want
         assert shares_no_row(got, mats)
 
@@ -190,28 +353,14 @@ class ReferenceEliminator:
         return self
 
 
-def reference_matmul(a, b):
-    """The Fraction product loop SMat.__matmul__ replaced, kept as the oracle."""
-    assert a.ncols == b.nrows
-    rows = []
-    for ar in a.rows:
-        acc = {}
-        for j, av in ar.items():
-            for l, bv in b.rows[j].items():
-                w = acc.get(l, F(0)) + av * bv
-                if w:
-                    acc[l] = w
-                else:
-                    acc.pop(l, None)
-        rows.append(acc)
-    return SMat(a.nrows, b.ncols, rows)
+# The oracles below take and return FracMat.
 
 
 def reference_rref(mat):
     el = ReferenceEliminator(mat).reduce()
     order = [r for r, _ in el.pivots] + [
         i for i in range(mat.nrows) if i not in el.used]
-    return (SMat(mat.nrows, mat.ncols, [dict(el.rows[i]) for i in order]),
+    return (FracMat(mat.nrows, mat.ncols, [dict(el.rows[i]) for i in order]),
             [c for _, c in el.pivots])
 
 
@@ -228,12 +377,12 @@ def reference_nullspace(mat):
             v = el.rows[r].get(f, F(0))
             if v:
                 rows[c][k] = -v
-    return SMat(mat.ncols, len(free_cols), rows)
+    return FracMat(mat.ncols, len(free_cols), rows)
 
 
 def reference_solve(a, b):
     """Solve on the rational elimination; None when inconsistent."""
-    el = ReferenceEliminator(SMat.hstack([a, b])).reduce(upto_col=a.ncols)
+    el = ReferenceEliminator(FracMat.hstack([a, b])).reduce(upto_col=a.ncols)
     if any(el.rows[i] for i in range(a.nrows) if i not in el.used):
         return None
     rows = [{} for _ in range(a.ncols)]
@@ -241,14 +390,14 @@ def reference_solve(a, b):
         for j, v in el.rows[r].items():
             if j >= a.ncols:
                 rows[c][j - a.ncols] = v
-    return SMat(a.ncols, b.ncols, rows)
+    return FracMat(a.ncols, b.ncols, rows)
 
 
 def reference_inverse(mat):
     """Inverse on the rational routes; None when singular."""
-    eye = SMat.identity(mat.nrows)
+    eye = FracMat.identity(mat.nrows)
     x = reference_solve(mat, eye)
-    return x if x is not None and reference_matmul(mat, x) == eye else None
+    return x if x is not None and mat @ x == eye else None
 
 
 def reference_idempotent_image(e):
@@ -256,9 +405,24 @@ def reference_idempotent_image(e):
     iota = e.columns(cols)
     piv_rows = reference_rref(iota.transpose())[1]
     block = iota.submatrix(piv_rows, range(len(cols)))
-    pi = reference_matmul(reference_inverse(block),
-                          e.submatrix(piv_rows, range(e.ncols)))
+    pi = reference_inverse(block) @ e.submatrix(piv_rows, range(e.ncols))
     return iota, pi
+
+
+def reference_joint_eigenspace(dim, gens):
+    """joint_eigenspace on the rational routes; None when dual @ iota is
+    singular."""
+    if not gens:
+        return FracMat.identity(dim), FracMat.identity(dim)
+    eye = FracMat.identity(dim)
+    blocks = [g - eye.scale(eps) for g, eps in gens]
+    stack = FracMat.vstack(blocks)
+    dual_stack = FracMat.hstack(blocks).transpose()
+    iota = reference_nullspace(stack)
+    dual = (iota if dual_stack == stack
+            else reference_nullspace(dual_stack)).transpose()
+    inv = reference_inverse(dual @ iota)
+    return None if inv is None else (iota, inv @ dual)
 
 
 class TestRankAndSpans:
@@ -297,7 +461,7 @@ class TestRankAndSpans:
     @given(matrices(6))
     @settings(max_examples=60, deadline=None)
     def test_nullspace_matches_column_by_column_assembly(self, m):
-        assert nullspace(m) == reference_nullspace(m)
+        assert agrees(nullspace(m), reference_nullspace(frac(m)))
 
 
 wide_entries = st.fractions(min_value=-7, max_value=7, max_denominator=7)
@@ -317,24 +481,21 @@ def mixed_matrices(draw, nrows=None, ncols=None, max_dim=6):
         perm = draw(st.permutations(range(nrows)))
         signs = draw(st.lists(st.sampled_from([F(-1), F(1)]),
                               min_size=nrows, max_size=nrows))
-        m = SMat.from_entries(nrows, ncols, [
-            (i, j, v) for i, (j, v) in enumerate(zip(perm, signs))])
+        entries = [(i, j, v) for i, (j, v) in enumerate(zip(perm, signs))]
     else:
-        entries = draw(st.sampled_from(
+        values = draw(st.sampled_from(
             [small_entries, wide_entries, unit_entries]))
         if draw(st.booleans()):
-            entries = st.just(F(0)) | entries
-        m = draw(sized(nrows, ncols, entries))
+            values = st.just(F(0)) | values
+        data = draw(st.lists(st.lists(values, min_size=ncols, max_size=ncols),
+                             min_size=nrows, max_size=nrows))
+        entries = [(i, j, v) for i, row in enumerate(data)
+                   for j, v in enumerate(row)]
+    zeroed = set()
     if nrows:
-        for i in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
-            m.rows[i] = {}
-    return m
-
-
-def same(got, want):
-    """Equal matrices whose rows also list their columns in the same order."""
-    return got == want and all(
-        list(a) == list(b) for a, b in zip(got.rows, want.rows))
+        zeroed = draw(st.sets(st.integers(0, nrows - 1), max_size=2))
+    return SMat.from_entries(nrows, ncols, [
+        (i, j, v) for i, j, v in entries if i not in zeroed])
 
 
 @st.composite
@@ -343,21 +504,45 @@ def systems(draw):
     n, k, m = (draw(st.integers(0, 5)) for _ in range(3))
     a = draw(mixed_matrices(n, k))
     if draw(st.booleans()):
-        return a, reference_matmul(a, draw(mixed_matrices(k, m)))
+        return a, smat(frac(a) @ frac(draw(mixed_matrices(k, m))))
     return a, draw(mixed_matrices(n, m))
+
+
+def invertibles(n):
+    """Invertible n x n matrices with their FracMat inverses."""
+    return (sized(n, n, wide_entries) | sized(n, n, unit_entries)
+            | mixed_matrices(n, n)).map(
+        lambda g: (g, reference_inverse(frac(g)))).filter(
+        lambda pair: pair[1] is not None)
 
 
 @st.composite
 def idempotents(draw):
     """g @ d @ g^-1 for an invertible g and a 0/1 diagonal d."""
     n = draw(st.integers(0, 5))
-    g = draw(sized(n, n, wide_entries) | sized(n, n, unit_entries)
-             | mixed_matrices(n, n))
-    ginv = reference_inverse(g)
-    assume(ginv is not None)
+    g, ginv = draw(invertibles(n))
     mask = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    d = SMat.from_entries(n, n, [(i, i, F(1)) for i in range(n) if mask[i]])
-    return reference_matmul(reference_matmul(g, d), ginv)
+    d = FracMat(n, n, [{i: F(1)} if mask[i] else {} for i in range(n)])
+    return smat(frac(g) @ d @ ginv)
+
+
+@st.composite
+def involution_families(draw):
+    """(dim, [(g, eps)]): up to three conjugates t @ d @ t^-1 of diagonal
+    sign matrices d by one invertible t, each with a sign eps, or one
+    generator drawn freely with an eigenvalue in {-1, 0, 1, 2}."""
+    n = draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        g = draw(mixed_matrices(n, n))
+        return n, [(g, draw(st.sampled_from([-1, 0, 1, 2])))]
+    t, tinv = draw(invertibles(n))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n,
+                              max_size=n))
+        d = FracMat(n, n, [{i: F(s)} for i, s in enumerate(signs)])
+        gens.append((smat(frac(t) @ d @ tinv), draw(st.sampled_from([-1, 1]))))
+    return n, gens
 
 
 class TestIntegerRoutesMatchRational:
@@ -367,14 +552,14 @@ class TestIntegerRoutesMatchRational:
     @given(mixed_matrices())
     @settings(max_examples=200, deadline=None)
     def test_elimination(self, m):
-        want, want_piv = reference_rref(m)
+        want, want_piv = reference_rref(frac(m))
         got, piv = rref(m)
         assert piv == want_piv
         assert same(got, want)
         assert rank(m) == len(want_piv)
         assert independent_columns(m) == want_piv
         # the oracle assembles column by column: same entries, other order
-        assert nullspace(m) == reference_nullspace(m)
+        assert agrees(nullspace(m), reference_nullspace(frac(m)))
 
     @given(st.tuples(*[st.integers(0, 5)] * 3).flatmap(
         lambda s: st.tuples(mixed_matrices(s[0], s[1]),
@@ -382,13 +567,13 @@ class TestIntegerRoutesMatchRational:
     @settings(max_examples=200, deadline=None)
     def test_matmul(self, pair):
         a, b = pair
-        assert same(a @ b, reference_matmul(a, b))
+        assert same(a @ b, frac(a) @ frac(b))
 
     @given(systems())
     @settings(max_examples=150, deadline=None)
     def test_solve(self, system):
         a, b = system
-        want = reference_solve(a, b)
+        want = reference_solve(frac(a), frac(b))
         if want is None:
             with pytest.raises(ValueError, match="inconsistent"):
                 solve(a, b)
@@ -398,7 +583,7 @@ class TestIntegerRoutesMatchRational:
     @given(st.integers(0, 5).flatmap(lambda n: mixed_matrices(n, n)))
     @settings(max_examples=150, deadline=None)
     def test_inverse(self, m):
-        want = reference_inverse(m)
+        want = reference_inverse(frac(m))
         if want is None:
             with pytest.raises(ValueError, match="singular"):
                 inverse(m)
@@ -409,9 +594,93 @@ class TestIntegerRoutesMatchRational:
     @settings(max_examples=80, deadline=None)
     def test_idempotent_image(self, e):
         iota, pi = idempotent_image(e)
-        want_iota, want_pi = reference_idempotent_image(e)
+        want_iota, want_pi = reference_idempotent_image(frac(e))
         assert same(iota, want_iota)
         assert same(pi, want_pi)
+
+    @given(involution_families())
+    @settings(max_examples=80, deadline=None)
+    def test_joint_eigenspace(self, case):
+        dim, gens = case
+        want = reference_joint_eigenspace(
+            dim, [(frac(g), eps) for g, eps in gens])
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                joint_eigenspace(dim, gens)
+        else:
+            # the oracle's kernel lists its columns in another order
+            iota, pi = joint_eigenspace(dim, gens)
+            assert agrees(iota, want[0])
+            assert agrees(pi, want[1])
+
+
+scalars = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+class TestFractionRowsOracle:
+    """Every SMat operation against the Fraction-rows matrix it replaced:
+    the same values in lowest terms, every row's columns in the same order."""
+
+    @given(st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+        lambda s: st.tuples(mixed_matrices(*s), mixed_matrices(*s))))
+    @settings(max_examples=60, deadline=None)
+    def test_sum_and_difference(self, pair):
+        a, b = pair
+        assert same(a + b, frac(a) + frac(b))
+        assert same(a - b, frac(a) - frac(b))
+        assert same(-a, -frac(a))
+        assert (a - a).is_zero() and (a - a).den == 1
+
+    @given(mixed_matrices(), scalars)
+    @settings(max_examples=60, deadline=None)
+    def test_scale(self, m, c):
+        assert same(m.scale(c), frac(m).scale(c))
+
+    @given(mixed_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_transpose_and_submatrix(self, m, data):
+        assert same(m.transpose(), frac(m).transpose())
+        row_idx = data.draw(st.lists(st.integers(0, m.nrows - 1), max_size=6)
+                            if m.nrows else st.just([]))
+        col_idx = data.draw(st.permutations(range(m.ncols)).flatmap(
+            lambda p: st.integers(0, m.ncols).map(lambda k: p[:k])))
+        assert same(m.submatrix(row_idx, col_idx),
+                    frac(m).submatrix(row_idx, col_idx))
+
+    @given(block_grids())
+    @settings(max_examples=50, deadline=None)
+    def test_block(self, case):
+        grid, row_dims, col_dims = case
+        want = FracMat.block([[b and frac(b) for b in line] for line in grid],
+                             row_dims, col_dims)
+        assert same(SMat.block(grid, row_dims, col_dims), want)
+
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+        lambda shape: mixed_matrices(*shape)), max_size=4))
+    @settings(max_examples=50, deadline=None)
+    def test_block_diag(self, mats):
+        assert same(SMat.block_diag(mats),
+                    FracMat.block_diag([frac(m) for m in mats]))
+
+    @given(mixed_matrices(), st.integers(-6, 6).filter(bool))
+    @settings(max_examples=50, deadline=None)
+    def test_same_matrix_over_another_denominator(self, m, k):
+        other = SMat(m.nrows, m.ncols,
+                     [{j: k * v for j, v in r.items()} for r in m.rows],
+                     k * m.den)
+        assert other == m
+        assert in_lowest_terms(other) and (other.rows, other.den) == (
+            m.rows, m.den)
+
+    @given(mixed_matrices())
+    @settings(max_examples=50, deadline=None)
+    def test_entries_read_as_fractions(self, m):
+        want = frac(m)
+        assert m.to_dense() == [[r.get(j, F(0)) for j in range(m.ncols)]
+                                for r in want.rows]
+        assert all(type(m.entry(i, j)) is Fraction
+                   for i in range(m.nrows) for j in range(m.ncols))
+        assert smat(want) == m
 
 
 class TestSolveInverse:

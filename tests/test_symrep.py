@@ -56,7 +56,6 @@ from bosonfermion.symrep import (
     perm_inverse,
     perm_mult,
     q_lambda,
-    reduced_word,
     regular_module,
     restrict,
     restrict_map,
@@ -80,6 +79,31 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 def perms_st(n):
     return st.permutations(tuple(range(1, n + 1)))
+
+
+def reduced_word(p):
+    """Indices i with p = s_{i_1} ∘ ... ∘ s_{i_r} (leftmost applied last)."""
+    p = list(p)
+    collected = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(p) - 1):
+            if p[i] > p[i + 1]:
+                collected.append(i + 1)
+                p[i], p[i + 1] = p[i + 1], p[i]
+                changed = True
+    # p * s_{c_1} * ... * s_{c_r} = id, hence p = s_{c_r} ∘ ... ∘ s_{c_1}
+    return list(reversed(collected))
+
+
+def word_route_act_perm(m, p):
+    """The former act_perm, kept as the oracle: the product of the
+    generators along the whole reduced word of p, from the identity."""
+    out = SMat.identity(m.dim)
+    for i in reduced_word(p):
+        out = out @ m.gens[i - 1]
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +154,23 @@ class TestPermutations:
         for i in reduced_word(p):
             w = perm_mult(w, adjacent_transposition(i, 5))
         assert w == p
+
+    @pytest.mark.parametrize("make", [
+        lambda: specht_module([2, 1]), lambda: specht_module([3, 1]),
+        lambda: specht_module([2, 2, 1]), lambda: regular_module(3),
+        lambda: induce(specht_module([2, 1])), lambda: trivial_module(4)])
+    def test_act_perm_matches_the_reduced_word_product(self, make):
+        # act_perm peels the first descent of p, which is the last letter
+        # of its reduced word, and multiplies the cached rest by one
+        # generator: every permutation, in any order of requests
+        m = make()
+        perms = list(permutations(range(1, m.degree + 1)))
+        for p in reversed(perms):
+            word = reduced_word(p)
+            if word:
+                assert word[-1] == next(
+                    i for i in range(1, len(p)) if p[i - 1] > p[i])
+            assert m.act_perm(p) == word_route_act_perm(m, p), p
 
 
 class TestYoungIdempotents:
@@ -184,9 +225,9 @@ def intertwiner_space_dim(old, new):
         for r in range(d):
             for c in range(d):
                 for k in range(d):
-                    entries.append((eq, r * d + k, g_old.rows[k].get(c, 0)))
-                for k, v in g_new.rows[r].items():
-                    entries.append((eq, k * d + c, -v))
+                    entries.append((eq, r * d + k, g_old.entry(k, c)))
+                for k in g_new.rows[r]:
+                    entries.append((eq, k * d + c, -g_new.entry(r, k)))
                 eq += 1
     return nullspace(SMat.from_entries(eq, d * d, entries)).ncols
 
@@ -524,6 +565,36 @@ class TestWordModules:
         # the prefix is shared, not rebuilt
         assert all(a is b for a, b in zip(new.stages[:i + 1], word.stages))
 
+    @pytest.mark.parametrize("move,letters,i,found", [
+        ("move_x", "QPQ", 0, "QP"),
+        ("move_xp", "PQ", 0, "PQ"),
+        ("move_cap_qp", "PPQ", 0, "PP"),
+        ("move_cap_pq", "QP", 1, "P"),
+    ])
+    def test_move_letter_gate_survives_optimized_python(self, move, letters,
+                                                        i, found):
+        # python -O strips assert statements; a move must still refuse a
+        # position that does not hold its pair of letters
+        code = (
+            "from bosonfermion import branching\n"
+            "from bosonfermion.symrep import trivial_module\n"
+            f"word = branching.PlainWord(trivial_module(2), {letters!r})\n"
+            "try:\n"
+            f"    branching.{move}(word, {i})\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+            "else:\n"
+            "    print('accepted')\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        pair = "PQ" if move in ("move_x", "move_cap_qp") else "QP"
+        assert out.stdout.splitlines() == [
+            f"{move} needs the letters {pair} at position {i} of the word "
+            f"{letters!r}, found {found!r}"]
+
 
 def module_route_lift(mat, s_mod, t_mod, rest):
     """The former whiskering, kept as an oracle: it builds both endpoint
@@ -533,10 +604,10 @@ def module_route_lift(mat, s_mod, t_mod, rest):
     for ch in rest:
         if ch == "P":
             blocks = s.degree + 1
-            entries = [(b * f.nrows + r, b * f.ncols + c, v)
+            entries = [(b * f.nrows + r, b * f.ncols + c, f.entry(r, c))
                        for b in range(blocks)
                        for r, row in enumerate(f.rows)
-                       for c, v in row.items()]
+                       for c in row]
             f = SMat.from_entries(blocks * f.nrows, blocks * f.ncols, entries)
             s, t = induce(s), induce(t)
         else:
@@ -649,15 +720,17 @@ def coset_route_right_mult(m, levels, elem):
             row_base = coset_route_block_index(new_keys, blocks_per_level, d)
             block = m.act_perm(tau)
             for r, row in enumerate(block.rows):
-                for c, v in row.items():
-                    entries.append((row_base + r, col_base + c, coeff * v))
+                for c in row:
+                    entries.append((row_base + r, col_base + c,
+                                    coeff * block.entry(r, c)))
     return SMat.from_entries(dim, dim, entries)
 
 
 def ordered_rows(mat):
     """Shape and every row's entries in insertion order, which fixes the
     pivots that elimination picks downstream."""
-    return mat.nrows, mat.ncols, [list(r.items()) for r in mat.rows]
+    return mat.nrows, mat.ncols, [[(j, mat.entry(i, j)) for j in r]
+                                  for i, r in enumerate(mat.rows)]
 
 
 def top_letter_elements(n, k):
