@@ -565,14 +565,14 @@ class TestWordModules:
         # the prefix is shared, not rebuilt
         assert all(a is b for a, b in zip(new.stages[:i + 1], word.stages))
 
-    @pytest.mark.parametrize("move,letters,i,found", [
-        ("move_x", "QPQ", 0, "QP"),
-        ("move_xp", "PQ", 0, "PQ"),
-        ("move_cap_qp", "PPQ", 0, "PP"),
-        ("move_cap_pq", "QP", 1, "P"),
+    @pytest.mark.parametrize("move,pair,letters,i,found", [
+        ("move_x", "PQ", "QPQ", 0, "QP"),
+        ("move_xp", "QP", "PQ", 0, "PQ"),
+        ("move_cap_qp", "PQ", "PPQ", 0, "PP"),
+        ("move_cap_pq", "QP", "QP", 1, "P"),
     ])
-    def test_move_letter_gate_survives_optimized_python(self, move, letters,
-                                                        i, found):
+    def test_move_letter_gate_survives_optimized_python(self, move, pair,
+                                                        letters, i, found):
         # python -O strips assert statements; a move must still refuse a
         # position that does not hold its pair of letters
         code = (
@@ -590,7 +590,6 @@ class TestWordModules:
             filter(None, [SRC, env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True)
-        pair = "PQ" if move in ("move_x", "move_cap_qp") else "QP"
         assert out.stdout.splitlines() == [
             f"{move} needs the letters {pair} at position {i} of the word "
             f"{letters!r}, found {found!r}"]
