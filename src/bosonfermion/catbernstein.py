@@ -210,12 +210,9 @@ class _SigmaOp:
     """
 
     def __init__(self, sign):
-        if sign in (1, "+", "plus"):
-            self.cup = True
-        elif sign in (-1, "-", "minus"):
-            self.cup = False
-        else:
+        if sign not in (1, -1):
             raise ValueError(f"sigma sign must be +1 or -1, got {sign!r}")
+        self.cup = sign == 1
 
     def out_degree(self, n):
         return n
@@ -314,11 +311,11 @@ def sigma_cell_dims(m):
 # --------------------------------------------------------------------------
 
 
-def _operator_complex(op, m, check=True):
+def _operator_complex(op, m):
     """One-step complex of ``op`` on a single module, plus its cells keyed
     by inner degree."""
     cx, columns, _ = _apply_operator(op, single_module_complex(m),
-                                     check=check, return_columns=True)
+                                     return_columns=True)
     return cx, columns.get(0, {})
 
 
@@ -346,7 +343,7 @@ def _functor_on_map(src_cells, tgt_cells, f, degree):
     return SMat.block_diag(blocks)
 
 
-def _apply_operator(op, cx, check=True, return_columns=False):
+def _apply_operator(op, cx, return_columns=False):
     """Apply a one-step operator to a whole complex and totalize.
 
     The bicomplex has the operator's inner degree horizontally and the
@@ -382,7 +379,7 @@ def _apply_operator(op, cx, check=True, return_columns=False):
             mat = _functor_on_map(cl, columns[y - 1][k], f, cx.group_degree)
             if mat.nnz():
                 d_v[(k, y)] = mat
-    out = totalize(modules, d_h, d_v, gd, check=check)
+    out = totalize(modules, d_h, d_v, gd)
     if not out.modules:
         out = zero_complex(max(gd, 0))
     if return_columns:
@@ -390,39 +387,39 @@ def _apply_operator(op, cx, check=True, return_columns=False):
     return out
 
 
-def bernstein_complex(a, m, check=True):
+def bernstein_complex(a, m):
     """Chain-complex lift of the charge-``a`` creation operator on ``m``."""
-    cx, _ = _operator_complex(_BernsteinOp(a, star=False), m, check=check)
+    cx, _ = _operator_complex(_BernsteinOp(a, star=False), m)
     return cx
 
 
-def bernstein_star_complex(a, m, check=True):
+def bernstein_star_complex(a, m):
     """Chain-complex lift of the charge-``a`` annihilation operator on ``m``."""
-    cx, _ = _operator_complex(_BernsteinOp(a, star=True), m, check=check)
+    cx, _ = _operator_complex(_BernsteinOp(a, star=True), m)
     return cx
 
 
-def sigma_complex(sign, m, check=True):
+def sigma_complex(sign, m):
     """Partition-indexed projector complex (sign -1: corner removal
     differentials in non-negative degrees; sign +1: the mirror with
     corner insertions in non-positive degrees)."""
-    cx, _ = _operator_complex(_SigmaOp(sign), m, check=check)
+    cx, _ = _operator_complex(_SigmaOp(sign), m)
     return cx
 
 
-def apply_bernstein(a, cx, check=True):
+def apply_bernstein(a, cx):
     """Creation operator applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_BernsteinOp(a, star=False), cx, check=check)
+    return _apply_operator(_BernsteinOp(a, star=False), cx)
 
 
-def apply_bernstein_star(a, cx, check=True):
+def apply_bernstein_star(a, cx):
     """Annihilation operator applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_BernsteinOp(a, star=True), cx, check=check)
+    return _apply_operator(_BernsteinOp(a, star=True), cx)
 
 
-def apply_sigma(sign, cx, check=True):
+def apply_sigma(sign, cx):
     """Projector complex applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_SigmaOp(sign), cx, check=check)
+    return _apply_operator(_SigmaOp(sign), cx)
 
 
 # --------------------------------------------------------------------------
@@ -430,7 +427,7 @@ def apply_sigma(sign, cx, check=True):
 # --------------------------------------------------------------------------
 
 
-def compose_bernstein(word, seed, reduce_intermediate=True, check=True):
+def compose_bernstein(word, seed, reduce_intermediate=True):
     """Iterate creation/annihilation operators over a seed module.
 
     ``word`` is a list of ``(charge, star)`` pairs applied right to left
@@ -442,7 +439,7 @@ def compose_bernstein(word, seed, reduce_intermediate=True, check=True):
     cx = single_module_complex(seed)
     steps = list(word)
     for i, (a, star) in enumerate(reversed(steps)):
-        cx = _apply_operator(_BernsteinOp(a, star=star), cx, check=check)
+        cx = _apply_operator(_BernsteinOp(a, star=star), cx)
         if reduce_intermediate and i < len(steps) - 1:
             cx = cx.homology_complex()
     return cx
@@ -495,18 +492,17 @@ def _euler_obj(f):
 # --------------------------------------------------------------------------
 
 
-def specht_creation_check(lam, reduce_intermediate=True):
+def specht_creation_check(lam):
     """Creation word of a partition applied to the charge-0 vacuum module:
     homology must be the corresponding irreducible in degree 0."""
     lam = Partition(lam)
     report = Report(
         "categorified creation word",
         config={"partition": format_partition(lam),
-                "reduce_intermediate": bool(reduce_intermediate)},
+                "reduce_intermediate": True},
     )
     word = creation_word(lam)
-    cx = compose_bernstein(word, trivial_module(0),
-                           reduce_intermediate=reduce_intermediate)
+    cx = compose_bernstein(word, trivial_module(0))
     betti = cx.betti()
     report.add("homology concentrated in degree 0",
                set(betti) <= {0}, betti=_betti_obj(cx))
@@ -591,7 +587,7 @@ def relation_suite_bb(a, b, m, star=False):
     return report
 
 
-def _counit_chain_map(a, m, check=True):
+def _counit_chain_map(a, m):
     """Evaluation map  (creation at a+1)(annihilation at a+1)(M) -> [M].
 
     Total degree 0 of the composite is a sum of cells carrying the word
@@ -604,13 +600,13 @@ def _counit_chain_map(a, m, check=True):
     """
     inner_op = _BernsteinOp(a + 1, star=True)
     outer_op = _BernsteinOp(a + 1, star=False)
-    inner_cx, inner_cells = _operator_complex(inner_op, m, check=check)
+    inner_cx, inner_cells = _operator_complex(inner_op, m)
     total, columns, modules = _apply_operator(
-        outer_op, inner_cx, check=check, return_columns=True)
+        outer_op, inner_cx, return_columns=True)
     target = single_module_complex(m)
     if total.is_zero_complex():
         total = zero_complex(m.degree)
-        return ChainMap(total, target, {}, check=check), total
+        return ChainMap(total, target, {}), total
 
     cells0 = sorted(xy for xy in modules if xy[0] + xy[1] == 0)
     blocks = []
@@ -633,7 +629,7 @@ def _counit_chain_map(a, m, check=True):
             f"evaluation is not a chain map: f0 @ d_1 is nonzero on the "
             f"degree-1 cells {hit} (degree-0 cells {cells0})")
     mats = {0: f0} if f0.nnz() else {}
-    return ChainMap(total, target, mats, check=check), total
+    return ChainMap(total, target, mats), total
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):
@@ -709,7 +705,7 @@ def restricted_complex(cx):
     if cx.group_degree == 0:
         return zero_complex(0)
     mods = {k: restrict(mod) for k, mod in cx.modules.items()}
-    return Complex(cx.group_degree - 1, mods, dict(cx.diffs), check=False)
+    return Complex(cx.group_degree - 1, mods, dict(cx.diffs))
 
 
 def sigma_idempotence_check(m):
@@ -742,22 +738,22 @@ def sigma_idempotence_check(m):
     return report
 
 
-def sigma_vanishing_check(m, lams=((1,), (2,))):
+def sigma_vanishing_check(m):
     """The projector complex annihilates anything induced: after one
     induction, after a row-cable projector, and after restriction of the
     result, the complex must be acyclic."""
+    cables = (Partition((1,)), Partition((2,)))
     report = Report(
         "projector vanishing",
         config={"module_degree": m.degree, "module_dim": m.dim,
-                "cables": [format_partition(Partition(l)) for l in lams]},
+                "cables": [format_partition(lam) for lam in cables]},
     )
     ind = sigma_complex(-1, induce(m))
     report.add("acyclic after one induction",
                not ind.betti(), betti=_betti_obj(ind))
     report.add("restriction of the induced instance is acyclic",
                not restricted_complex(ind).betti())
-    for lam in lams:
-        lam = Partition(lam)
+    for lam in cables:
         sub, _, _ = p_lambda(lam, m)
         cx = sigma_complex(-1, sub)
         report.add(
@@ -810,13 +806,12 @@ def vacuum_vector(charge=0):
         {charge: single_module_complex(trivial_module(0))})
 
 
-def fermionic_apply(i, v, reduce=True, check=True):
+def fermionic_apply(i, v, reduce=True):
     """Charged creation generator: on the charge-``c`` slot it acts as the
     creation operator of charge ``i - (c + 1)`` and lands in charge c+1."""
     out = {}
     for c, cx in v.components.items():
-        nxt = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx,
-                              check=check)
+        nxt = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx)
         if reduce:
             nxt = nxt.homology_complex()
         if nxt.modules:
@@ -824,12 +819,12 @@ def fermionic_apply(i, v, reduce=True, check=True):
     return ChargedComplexVector(out)
 
 
-def fermionic_star_apply(i, v, reduce=True, check=True):
+def fermionic_star_apply(i, v, reduce=True):
     """Charged annihilation generator: on the charge-``c`` slot it acts as
     the annihilation operator of charge ``i - c`` and lands in charge c-1."""
     out = {}
     for c, cx in v.components.items():
-        nxt = _apply_operator(_BernsteinOp(i - c, star=True), cx, check=check)
+        nxt = _apply_operator(_BernsteinOp(i - c, star=True), cx)
         if reduce:
             nxt = nxt.homology_complex()
         if nxt.modules:

@@ -43,6 +43,7 @@ from .catbernstein import (
     word_character,
 )
 from .config import RunConfig
+from .errors import DimensionCapExceeded
 from .fock import clifford_relation_report, verify_correspondence
 from .partition_core import format_partition, parse_partition
 from .reports import Report
@@ -57,8 +58,11 @@ EXIT_CAP_EXCEEDED = 3
 REGULAR_DEGREE_CAP = 4
 
 
-class CapExceeded(Exception):
-    """A requested instance is larger than the configured degree cap."""
+def _admit(what, size, cap, cap_name="--max-degree"):
+    """Refuse a request before anything is built: DimensionCapExceeded
+    naming the cap when ``size`` is above it."""
+    if size > cap:
+        raise DimensionCapExceeded(f"{what} {size} exceeds {cap_name} {cap}")
 
 
 def _split_module_spec(spec):
@@ -73,9 +77,9 @@ def _split_module_spec(spec):
         raise ValueError(f"unknown module kind {kind!r} in {spec!r} "
                          "(expected trivial:n, S:λ, or reg:n)")
     n = _nonneg_int(arg, spec)
-    if kind == "reg" and n > REGULAR_DEGREE_CAP:
-        raise CapExceeded(f"regular module degree {n} exceeds "
-                          f"{REGULAR_DEGREE_CAP}")
+    if kind == "reg":
+        _admit("regular module degree", n, REGULAR_DEGREE_CAP,
+               "the reg:n limit")
     return kind, n
 
 
@@ -119,8 +123,7 @@ def _task_clifford(cfg_obj):
 def _task_correspondence(cfg_obj):
     return verify_correspondence(cfg_obj["max_degree"],
                                  tuple(cfg_obj["charge_window"]),
-                                 tuple(cfg_obj["index_window"]),
-                                 inject_sign_flip=cfg_obj.get("flip", False))
+                                 tuple(cfg_obj["index_window"]))
 
 
 def _task_specht_creation(lam_text):
@@ -198,9 +201,7 @@ def run_tasks(descs, jobs=1):
 def cmd_schur(cfg, partition_text):
     """Creation-operator word applied to 1, compared with the Schur basis."""
     lam = parse_partition(partition_text)
-    if lam.size() > cfg.max_degree:
-        raise CapExceeded(f"partition size {lam.size()} exceeds "
-                          f"--max-degree {cfg.max_degree}")
+    _admit("partition size", lam.size(), cfg.max_degree)
     computed = word_character(creation_word(lam), schur(()))
     expected = schur(lam)
     report = Report("creation word in the function basis",
@@ -212,10 +213,9 @@ def cmd_schur(cfg, partition_text):
     return [report], _symfunc_text(computed)
 
 
-def cmd_clifford(cfg, inject_sign_flip=False):
+def cmd_clifford(cfg):
     """Anticommutator battery and correspondence window as one run."""
     cfg_obj = cfg.to_json_obj()
-    cfg_obj["flip"] = bool(inject_sign_flip)
     descs = [("clifford", (cfg_obj,)), ("correspondence", (cfg_obj,))]
     return run_tasks(descs, cfg.jobs), None
 
@@ -227,24 +227,18 @@ def cmd_cat(cfg, args):
         if args.partition is None:
             raise ValueError("cat specht needs a partition argument")
         lam = parse_partition(args.partition)
-        if lam.size() > cfg.max_degree:
-            raise CapExceeded(f"partition size {lam.size()} exceeds "
-                              f"--max-degree {cfg.max_degree}")
+        _admit("partition size", lam.size(), cfg.max_degree)
         text = format_partition(lam)
         descs = [("specht_creation", (text,)),
                  ("specht_annihilation", (text,))]
     elif mode == "sigma":
-        degree = module_spec_degree(args.module)
-        if degree > cfg.max_degree:
-            raise CapExceeded(f"module degree {degree} exceeds "
-                              f"--max-degree {cfg.max_degree}")
+        _admit("module degree", module_spec_degree(args.module),
+               cfg.max_degree)
         descs = [("sigma", (args.module,))]
     elif mode in ("bb", "bbstar"):
         reach = module_spec_degree(args.module) + max(abs(args.a),
                                                       abs(args.b)) + 1
-        if reach > cfg.max_degree:
-            raise CapExceeded(f"instance reaches degree {reach}, beyond "
-                              f"--max-degree {cfg.max_degree}")
+        _admit("degree reached", reach, cfg.max_degree)
         if mode == "bb":
             descs = [("bb", (args.a, args.b, bool(args.star), args.module))]
         else:
@@ -347,11 +341,9 @@ def build_parser():
         help="apply a creation-operator word to 1 and compare")
     p_schur.add_argument("partition", help="partition, e.g. 3,1 (0 = empty)")
 
-    p_cliff = sub.add_parser(
+    sub.add_parser(
         "clifford", parents=[common],
         help="anticommutator battery + correspondence window")
-    p_cliff.add_argument("--inject-sign-flip", action="store_true",
-                         help="test hook: corrupt one sign and expect failure")
 
     p_cat = sub.add_parser(
         "cat", parents=[common],
@@ -384,11 +376,10 @@ def main(argv=None):
         if args.command == "schur":
             reports, line = cmd_schur(cfg, args.partition)
         elif args.command == "clifford":
-            reports, line = cmd_clifford(
-                cfg, inject_sign_flip=args.inject_sign_flip)
+            reports, line = cmd_clifford(cfg)
         else:
             reports, line = cmd_cat(cfg, args)
-    except CapExceeded as exc:
+    except DimensionCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
     except ValueError as exc:

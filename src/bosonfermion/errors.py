@@ -2,7 +2,9 @@
 
 
 class DimensionCapExceeded(Exception):
-    """A construction would materialize a space above the caller's dimension cap."""
+    """A request or construction is above a cap: the command line's admission
+    checks (``--max-degree``, the ``reg:n`` limit) and library guards such as
+    ``symrep.REGULAR_DEGREE_CAP``.  The command line exits with code 3."""
 
 
 class ChainComplexError(Exception):

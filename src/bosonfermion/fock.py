@@ -203,7 +203,7 @@ def _remove_code(vec, t):
     return (1 if r & 1 else -1), _vector(vec.charge - 1, new)
 
 
-def _apply_mode(move, t, v, flip_sign=False):
+def _apply_mode(move, t, v):
     """Apply ``move`` (insert or remove code t) to every term of v."""
     out = {}
     for vec, coeff in _terms(v):
@@ -211,19 +211,13 @@ def _apply_mode(move, t, v, flip_sign=False):
         if hit is None:
             continue
         sign, new_vec = hit
-        if flip_sign:
-            sign = -sign
         _acc(out, new_vec, coeff if sign > 0 else -coeff)
     return _state(out)
 
 
-def psi(j, v, _flip_sign=False):
-    """The fermionic creation mode: inserts energy j - 1/2.
-
-    ``_flip_sign`` is a test hook that deliberately corrupts the sign, used
-    by the mutation check of ``verify_correspondence``.
-    """
-    return _apply_mode(_insert_code, j - 1, v, _flip_sign)
+def psi(j, v):
+    """The fermionic creation mode: inserts energy j - 1/2."""
+    return _apply_mode(_insert_code, j - 1, v)
 
 
 def psi_star(j, v):
@@ -379,7 +373,7 @@ def _window(pair):
     return range(lo, hi + 1)
 
 
-def verify_correspondence(max_degree, charge_window, index_window, inject_sign_flip=False):
+def verify_correspondence(max_degree, charge_window, index_window):
     """Check that the charge-partition dictionary intertwines the fermionic
     modes with the charge-shifted creation/annihilation operators, vector by
     vector.  Mismatches become report entries; the report passes iff none."""
@@ -397,7 +391,7 @@ def verify_correspondence(max_degree, charge_window, index_window, inject_sign_f
             vec = FermionBasisVector(c, lam)
             bos = sigma_iso(vec)
             for i in _window(index_window):
-                lhs = sigma_iso(psi(i, vec, _flip_sign=inject_sign_flip))
+                lhs = sigma_iso(psi(i, vec))
                 rhs = boson_psi(i, bos)
                 name = f"psi[i={i}] on (c={c}, {format_partition(lam)})"
                 if lhs != rhs:

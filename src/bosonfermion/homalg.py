@@ -41,11 +41,12 @@ def module_direct_sum(mods, group_degree):
 
 class Complex:
     """A bounded chain complex; ``modules[k]`` has ``diffs[k]`` mapping it
-    to ``modules[k-1]``."""
+    to ``modules[k-1]``.  Construction checks shapes and d∘d = 0 and raises
+    ChainComplexError on either; no argument turns the gate off."""
 
     __slots__ = ("group_degree", "modules", "diffs")
 
-    def __init__(self, group_degree, modules, diffs=None, check=True):
+    def __init__(self, group_degree, modules, diffs=None):
         self.group_degree = int(group_degree)
         self.modules = {}
         for k, m in modules.items():
@@ -64,8 +65,7 @@ class Complex:
                     f"expected {self.dim(k - 1)}x{self.dim(k)}")
             if mat.nnz():
                 self.diffs[k] = mat
-        if check:
-            self.check_differential()
+        self.check_differential()
 
     # -- structure ---------------------------------------------------------------
 
@@ -120,7 +120,6 @@ class Complex:
             self.group_degree,
             {k + s: m for k, m in self.modules.items()},
             {k + s: mat.scale((-1) ** s) for k, mat in self.diffs.items()},
-            check=False,
         )
 
     # -- homology ----------------------------------------------------------------
@@ -186,7 +185,7 @@ class Complex:
             hm = self.homology_module(k)
             if hm.dim:
                 mods[k] = hm
-        return Complex(self.group_degree, mods, {}, check=False)
+        return Complex(self.group_degree, mods, {})
 
     def homology_characters(self):
         return {k: frobenius_char(self.homology_module(k))
@@ -203,11 +202,11 @@ class Complex:
 
 
 def zero_complex(group_degree):
-    return Complex(group_degree, {}, {}, check=False)
+    return Complex(group_degree, {}, {})
 
 
 def single_module_complex(m, at=0):
-    return Complex(m.degree, {at: m}, {}, check=False)
+    return Complex(m.degree, {at: m}, {})
 
 
 def direct_sum(complexes, group_degree=None):
@@ -222,15 +221,17 @@ def direct_sum(complexes, group_degree=None):
     for k in keys + [keys[-1] + 1 if keys else 0]:
         if any((k in c.diffs) for c in complexes):
             diffs[k] = SMat.block_diag([c.d(k) for c in complexes])
-    return Complex(group_degree, mods, diffs, check=False)
+    return Complex(group_degree, mods, diffs)
 
 
 class ChainMap:
-    """A degree-preserving map of complexes commuting with differentials."""
+    """A degree-preserving map of complexes commuting with differentials.
+    Construction checks shapes and d∘f = f∘d and raises ChainComplexError
+    on either; no argument turns the gate off."""
 
     __slots__ = ("source", "target", "mats")
 
-    def __init__(self, source, target, mats, check=True):
+    def __init__(self, source, target, mats):
         self.source = source
         self.target = target
         self.mats = {}
@@ -242,8 +243,7 @@ class ChainMap:
                     f"expected {target.dim(k)}x{source.dim(k)}")
             if mat.nnz():
                 self.mats[k] = mat
-        if check:
-            self.check_commutes()
+        self.check_commutes()
 
     def mat(self, k):
         got = self.mats.get(int(k))
@@ -281,7 +281,7 @@ def cone(f):
     return Complex(gd, mods, diffs)
 
 
-def totalize(modules, d_h, d_v, group_degree, check=True):
+def totalize(modules, d_h, d_v, group_degree):
     """Total complex of a bicomplex with commuting squares.
 
     ``modules[(x, y)]`` sits in total degree x + y; ``d_h[(x, y)]`` maps to
@@ -312,7 +312,7 @@ def totalize(modules, d_h, d_v, group_degree, check=True):
                          [cells[s].dim for s in src_cells])
         if mat.nnz():
             diffs[k] = mat
-    return Complex(group_degree, mods, diffs, check=check)
+    return Complex(group_degree, mods, diffs)
 
 
 # -- reduction by invertible-entry cancellation ---------------------------------------
@@ -373,7 +373,7 @@ def eliminate_entry(c, k, r, col):
             diffs[k - 1] = down
         else:
             del diffs[k - 1]
-    return Complex(0, mods, diffs, check=False)
+    return Complex(0, mods, diffs)
 
 
 def forget_action(c):
@@ -382,7 +382,6 @@ def forget_action(c):
         0,
         {k: RepModule(0, m.dim, []) for k, m in c.modules.items()},
         dict(c.diffs),
-        check=False,
     )
 
 

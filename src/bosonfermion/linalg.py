@@ -388,13 +388,14 @@ def inverse(mat):
     return x
 
 
-def idempotent_image(e, check=True):
+def idempotent_image(e):
     """For an exact idempotent E, a factorization E = iota @ pi with pi @ iota = id.
 
     iota's columns are independent columns of E (a basis of the image);
     pi expresses E-applied vectors in that basis.
-    Returns (iota, pi); the image dimension is iota.ncols.  With ``check``
-    on, IdempotentError is raised unless pi @ iota is the identity.
+    Returns (iota, pi); the image dimension is iota.ncols.  IdempotentError
+    is raised unless pi @ iota is the identity; no argument turns this
+    gate off.
     """
     if e.nrows != e.ncols:
         raise ValueError(f"idempotent {e!r} is not square")
@@ -407,7 +408,7 @@ def idempotent_image(e, check=True):
             f"{len(piv_rows)} independent rows in a rank-{r} image")
     block = iota.submatrix(piv_rows, range(r))
     pi = inverse(block) @ e.submatrix(piv_rows, range(e.ncols))
-    if check and (pi @ iota) != SMat.identity(r):
+    if pi @ iota != SMat.identity(r):
         raise IdempotentError(
             f"pi @ iota is not the identity on the rank-{r} image")
     return iota, pi

@@ -11,9 +11,6 @@ was passed in; ``_coeff`` is the one normalisation.  Products expand one
 factor into the complete-homogeneous basis (inverse Kostka, a triangular
 solve along the canonical order refining dominance) and then apply iterated
 Pieri rules.  Skewing is the adjoint pairing against the Schur basis.
-
-Memo tables (`warm_up`) are filled by a single writer; afterwards all reads
-are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -594,19 +591,3 @@ def from_json_records(records):
         total = total + from_basis(b, coeffs)
     return _symfunc({l: _integral(c) for l, c in total.terms.items()})
 
-
-def warm_up(max_degree):
-    """Single-writer warm-up of the partition-level memo tables, so that
-    subsequent concurrent reads never write."""
-    for n in range(max_degree + 1):
-        for lam in enumerate_partitions(n):
-            _h_to_schur(lam)
-            _schur_to_h(lam)
-            _p_to_schur(lam)
-            _m_to_schur(lam)
-            for k in range(0, max_degree - n + 1):
-                _pieri_h(k, lam)
-                _pieri_e(k, lam)
-            for k in range(0, n + 1):
-                _copieri_h(k, lam)
-                _copieri_e(k, lam)

@@ -219,7 +219,7 @@ class RepModule:
 
     __slots__ = ("degree", "dim", "gens", "_perm_cache")
 
-    def __init__(self, degree, dim, gens, validate=False):
+    def __init__(self, degree, dim, gens):
         self.degree = int(degree)
         self.dim = int(dim)
         self.gens = list(gens)
@@ -231,8 +231,6 @@ class RepModule:
         for i, g in enumerate(self.gens, start=1):
             if g.nrows != self.dim or g.ncols != self.dim:
                 raise ValueError(f"{self!r}: s_{i} is {g!r}")
-        if validate:
-            self.validate()
 
     def validate(self):
         """Coxeter relations; RepresentationError names the failing s_i."""
@@ -376,7 +374,7 @@ class ModuleMap:
 
     __slots__ = ("source", "target", "matrix")
 
-    def __init__(self, source, target, matrix, validate=False):
+    def __init__(self, source, target, matrix):
         if source.degree != target.degree:
             raise RepresentationError(
                 f"no map between degrees: {source!r} -> {target!r}")
@@ -386,8 +384,6 @@ class ModuleMap:
         self.source = source
         self.target = target
         self.matrix = matrix
-        if validate:
-            self.validate()
 
     def validate(self):
         """RepresentationError names the first s_i not intertwined."""

@@ -8,6 +8,10 @@ through the full test listing.
 
 import re
 
+import pytest
+
+from bosonfermion import fock
+
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
 
@@ -31,3 +35,15 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         slug, label, elapsed = rows[num]
         terminalreporter.write_line(
             f"criterion {num:02d} ({slug}): {label}  [{elapsed:.1f}s]")
+
+
+@pytest.fixture
+def psi_sign_flipped(monkeypatch):
+    """Corrupt ``fock.psi`` by negating the sign of every inserted code."""
+    insert = fock._insert_code
+
+    def flipped(vec, t):
+        hit = insert(vec, t)
+        return None if hit is None else (-hit[0], hit[1])
+
+    monkeypatch.setattr(fock, "_insert_code", flipped)

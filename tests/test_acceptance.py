@@ -199,7 +199,7 @@ def test_criterion_08_categorical_pair_relations():
 def test_criterion_09_projector_properties():
     for mk in (lambda: trivial_module(0), lambda: regular_module(1),
                lambda: specht_module([2])):
-        rep = sigma_vanishing_check(mk(), lams=((1,), (2,)))
+        rep = sigma_vanishing_check(mk())
         assert rep.passed, rep.render_text()
         rep = sigma_idempotence_check(mk())
         assert rep.passed, rep.render_text()
@@ -212,12 +212,12 @@ def test_criterion_10_decategorification_square():
     for k in range(0, 6):
         for lam in enumerate_partitions(k):
             word = creation_word(lam)
-            cx = compose_bernstein(word, vac, check=False)
+            cx = compose_bernstein(word, vac)
             assert cx.euler_frobenius() == word_character(word, schur(()))
     for k in range(1, 5):
         for lam in enumerate_partitions(k):
             word = annihilation_word(lam)
-            cx = compose_bernstein(word, specht_module(lam), check=False)
+            cx = compose_bernstein(word, specht_module(lam))
             assert cx.euler_frobenius() == word_character(word, schur(lam))
     for _, mk in PAIR_MODULES:
         m = mk()
@@ -231,14 +231,14 @@ def test_criterion_10_decategorification_square():
             words.append([(a + 1, True), (b, True)])
             words.append([(b, True), (a, False)])
         for word in words:
-            cx = compose_bernstein(word, m, check=False)
+            cx = compose_bernstein(word, m)
             assert cx.euler_frobenius() == word_character(word, ch), word
     for mk in (lambda: trivial_module(0), lambda: regular_module(1),
                lambda: specht_module([2])):
         m = mk()
         want = sigma_character(frobenius_char(m), m.degree)
-        assert sigma_complex(-1, m, check=False).euler_frobenius() == want
-        assert sigma_complex(1, m, check=False).euler_frobenius() == want
+        assert sigma_complex(-1, m).euler_frobenius() == want
+        assert sigma_complex(1, m).euler_frobenius() == want
 
 
 def test_criterion_11_infrastructure():

@@ -99,7 +99,7 @@ class TestCreationComplexes:
     @given(a=st.integers(min_value=-1, max_value=3))
     def test_euler_matches_operator_shadow(self, a):
         m = specht_module([2])
-        cx = bernstein_complex(a, m, check=False)
+        cx = bernstein_complex(a, m)
         assert cx.euler_frobenius() == bernstein(a, frobenius_char(m))
 
 
@@ -123,7 +123,7 @@ class TestAnnihilationComplexes:
     @given(a=st.integers(min_value=0, max_value=3))
     def test_euler_matches_operator_shadow(self, a):
         m = specht_module([2, 1])
-        cx = bernstein_star_complex(a, m, check=False)
+        cx = bernstein_star_complex(a, m)
         assert cx.euler_frobenius() == bernstein_star(a, frobenius_char(m))
 
 
@@ -146,6 +146,11 @@ class TestSigmaComplexes:
         plus = sigma_complex(1, pool["S2"])
         assert plus.dims() == {-2: 1, -1: 2, 0: 1}
         assert plus.betti() == {}
+
+    @pytest.mark.parametrize("sign", ["+", "plus", "-", "minus", 0, 2])
+    def test_sign_is_one_or_minus_one(self, sign):
+        with pytest.raises(ValueError):
+            sigma_complex(sign, trivial_module(1))
 
     def test_chain_groups_split_by_partition_cells(self, pool):
         m = pool["S21"]

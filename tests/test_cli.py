@@ -119,10 +119,9 @@ class TestCliffordCommand:
         assert code == EXIT_OK
         assert "clifford anticommutators" in out
 
-    def test_sign_flip_hook_fails(self, capsys):
+    def test_sign_flip_hook_fails(self, capsys, psi_sign_flipped):
         code, _, _ = run(capsys, "clifford", "--max-degree", "2",
-                         "--charge-window", "1", "--index-window", "2",
-                         "--inject-sign-flip")
+                         "--charge-window", "1", "--index-window", "2")
         assert code == EXIT_CHECK_FAILED
 
     def test_empty_window_gives_empty_report(self, capsys):
@@ -197,6 +196,9 @@ class TestCatCommand:
             code = main(["cat", "specht", "2", flag])
             capsys.readouterr()
             assert code == EXIT_PARSE_ERROR, flag
+        code = main(["clifford", "--inject-sign-flip"])
+        capsys.readouterr()
+        assert code == EXIT_PARSE_ERROR
 
 
 class TestDeterminismAndCache:

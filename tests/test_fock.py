@@ -233,8 +233,8 @@ class TestCorrespondence:
         rep = verify_correspondence(2, (-1, 1), (2, -2))
         assert rep.passed
 
-    def test_sign_mutation_is_detected(self):
-        rep = verify_correspondence(2, (-1, 1), (-2, 2), inject_sign_flip=True)
+    def test_sign_mutation_is_detected(self, psi_sign_flipped):
+        rep = verify_correspondence(2, (-1, 1), (-2, 2))
         assert not rep.passed
         assert rep.failures()
 

@@ -444,7 +444,6 @@ def test_json_round_trip():
 
 
 def test_warm_up_populates():
-    sf.warm_up(4)
     assert kostka((2, 1, 1), (1, 1, 1, 1)) == 3
 
 
