@@ -11,12 +11,13 @@ differential) is the composite; iterated composites categorify products of
 the corresponding symmetric-function operators, which is checked through
 the Euler characteristic on every construction.
 
-Also here: the partition-indexed projector complexes (a full row cable
-against the transposed column cable for every partition, with
-corner-removal differentials assembled from row boxes, strand routing and
-a single cap), homology-level relation suites for the commutation rules
-between the lifted operators, and charge-indexed families of complexes
-that realize the fermionic generators one charge slot at a time.
+Also here: the projector complexes, summed over the partitions of each
+degree k into one chain group, the module induced from S_{n-k} x S_k with
+the top k letters twisted by the sign, whose cap and cup differentials and
+functor blocks are closed forms in the k-subsets of {1..n};
+homology-level relation suites for the commutation rules between the
+lifted operators; and charge-indexed families of complexes that realize
+the fermionic generators one charge slot at a time.
 
 Everything is exact: differentials pass a ``d^2 = 0`` gate on
 construction, homology is computed by exact column reduction, and all
@@ -25,8 +26,9 @@ graded comparisons are tolerance-zero.
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
-from math import factorial, lcm
+from collections import namedtuple
+from fractions import Fraction
+from itertools import combinations
 
 from .branching import (
     PlainWord,
@@ -58,11 +60,11 @@ from .reports import Report
 from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skew
 from .symrep import (
     RepModule,
-    _peel_cosets,
     frobenius_char,
     induce,
     p_lambda,
     perm_inverse,
+    perm_mult,
     restrict,
     specht_module,
     trivial_module,
@@ -107,41 +109,26 @@ class WordCell:
 
     Bundles the summand with its inclusion/projection into the ambient
     word and the word itself, so differentials can be compiled as
-    ``pi_target @ (strand moves on the ambient word) @ iota_source``.  A
-    sigma cell also lists the ambient ``rows`` that ``pi`` reads on its image.
+    ``pi_target @ (strand moves on the ambient word) @ iota_source``.
     """
 
-    __slots__ = ("label", "sub", "iota", "pi", "word", "rows")
+    __slots__ = ("label", "sub", "iota", "pi", "word")
 
-    def __init__(self, label, sub, iota, pi, word, rows=None):
+    def __init__(self, label, sub, iota, pi, word):
         self.label = label
         self.sub = sub
         self.iota = iota
         self.pi = pi
         self.word = word
-        self.rows = rows
 
     def __repr__(self):
         return f"WordCell(label={self.label!r}, dim={self.sub.dim})"
 
 
 def _differential(op, src_cells, tgt_cells):
-    """The differential from per-cell blocks  pi_t @ g @ iota_s, with ``(word,
-    g) = op.move(source cell)``; cells of dimension zero still occupy (empty)
-    block positions.  A sigma target reads a cap block off its representative
-    rows.  A cup (``op.cup``) raises k and its image is not (-1)-isotypic for
-    S_{k+1}, so a cup block keeps the full projection."""
-    def block(cs, ct):
-        word, g = op.move(cs)
-        if word.letters != ct.word.letters:
-            raise ChainComplexError(
-                f"differential lands in the word {word.letters!r}, but the "
-                f"target cell {ct.label!r} carries {ct.word.letters!r}")
-        if op.cup or ct.rows is None:
-            return ct.pi @ g @ cs.iota
-        return _rep_rows(ct.rows, g) @ cs.iota
-
-    grid = [[block(cs, ct) if cs.sub.dim and ct.sub.dim else None
+    """The differential from per-cell blocks ``op.block(cs, ct)``; cells of
+    dimension zero still occupy (empty) block positions."""
+    grid = [[op.block(cs, ct) if cs.sub.dim and ct.sub.dim else None
              for cs in src_cells] for ct in tgt_cells]
     return SMat.block(grid, [c.sub.dim for c in tgt_cells],
                       [c.sub.dim for c in src_cells])
@@ -164,7 +151,7 @@ class _BernsteinOp:
 
     def __init__(self, a, star=False):
         self.a = int(a)
-        self.star = self.cup = bool(star)
+        self.star = bool(star)
 
     def out_degree(self, n):
         return n - self.a if self.star else n + self.a
@@ -183,10 +170,24 @@ class _BernsteinOp:
             out[-x if self.star else x] = [WordCell(x, *word_module(atoms, m))]
         return out
 
-    def move(self, cs):
+    def block(self, cs, ct):
         if self.star:
-            return move_cup_pq(cs.word, cs.label + self.a)
-        return move_cap_pq(cs.word, cs.label - 1)
+            word, g = move_cup_pq(cs.word, cs.label + self.a)
+        else:
+            word, g = move_cap_pq(cs.word, cs.label - 1)
+        if word.letters != ct.word.letters:
+            raise ChainComplexError(
+                f"differential lands in the word {word.letters!r}, but the "
+                f"target cell {ct.label!r} carries {ct.word.letters!r}")
+        return ct.pi @ g @ cs.iota
+
+    def lift(self, cs, ct, f, degree):
+        return ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
+
+
+# the degree-``label`` projector chain group over ``base``, with the basis
+# (S, v): S a subset in ``subsets`` order, v a basis vector of ``base``
+SigmaCell = namedtuple("SigmaCell", "label sub base subsets")
 
 
 class _SigmaOp:
@@ -194,19 +195,20 @@ class _SigmaOp:
 
     The degree-``k`` chain group is the image of the signed diagonal
     projector  (1/k!) sum_w sgn(w) (w on the added letters)(w on the
-    removed letters)  inside the flat word  Q^k P^k, built in closed form
-    from signed orbit sums of coset blocks by ``_sigma_cell``; it is
-    canonically isomorphic to the sum, over partitions of k, of the cells
-    pairing a partition-shaped row cable with its transposed column cable
-    (the dimension identity is asserted by the idempotence report).  The
-    differential contracts the innermost strand pair with one cap (sign -1,
-    non-negative degrees) or inserts one with a cup (sign +1, non-positive
-    degrees).  No edge scalars are needed: the boundary cap pairs equal
-    letter labels on the two cables, double contraction is invariant under
-    swapping the contracted pairs on both cables at once, and the projector
-    is antisymmetric under that swap, so the square of the differential
-    cancels exactly.  A cap commutes with the diagonal action of the k-1
-    letters it keeps, so it maps a cell into the next one's image.
+    removed letters)  inside the flat word  Q^k P^k: the module induced
+    from S_{n-k} x S_k with the top k letters twisted by the sign, of
+    dimension dim(M)·C(n, k), which ``_sigma_cell`` builds without the word.
+    It is canonically isomorphic to the sum, over partitions of k, of the
+    cells pairing a partition-shaped row cable with its transposed column
+    cable (the dimension identity is asserted by the idempotence report).
+    The differential contracts the innermost strand pair with one cap
+    (sign -1, non-negative degrees) or inserts one with a cup (sign +1,
+    non-positive degrees), both closed forms on the cell basis.  No edge
+    scalars are needed: the boundary cap pairs equal letter labels on the
+    two cables, double contraction is invariant under swapping the
+    contracted pairs on both cables at once, and the projector is
+    antisymmetric under that swap, so the square of the differential
+    cancels exactly.
     """
 
     def __init__(self, sign):
@@ -221,70 +223,67 @@ class _SigmaOp:
         return {(-k if self.cup else k): [_sigma_cell(m, k)]
                 for k in range(m.degree + 1)}
 
-    def move(self, cs):
-        if self.cup:
-            return move_cup_pq(cs.word, cs.label)
-        return move_cap_pq(cs.word, cs.label - 1)
+    def block(self, cs, ct):
+        """A cap sends (S, v) to the sum over j in S of
+        (-1)^S.index(j) (S - j, b_{S-j}^-1 b_S v); a cup sends it to the sum
+        over j not in S of (-1)^T.index(j)/(k+1) (T, b_T^-1 b_S v), T = S + j."""
+        step = 1 if self.cup else -1
+        if ct.label != cs.label + step:
+            raise ChainComplexError(
+                f"a sigma {'cup' if self.cup else 'cap'} maps cell "
+                f"{cs.label} to cell {cs.label + step}, not {ct.label}")
+        m, n = cs.base, cs.base.degree
+        index = {t: p for p, t in enumerate(ct.subsets)}
+        grid = [[None] * len(cs.subsets) for _ in ct.subsets]
+        for p, s in enumerate(cs.subsets):
+            for j in range(1, n + 1):
+                if (j in s) == self.cup:
+                    continue
+                t = tuple(sorted(set(s) ^ {j}))
+                big = t if self.cup else s
+                grid[index[t]][p] = m.act_perm(perm_mult(
+                    perm_inverse(_sigma_perm(n, t)), _sigma_perm(n, s))
+                ).scale(Fraction((-1) ** big.index(j),
+                                 len(big) if self.cup else 1))
+        return SMat.block(grid, [m.dim] * len(ct.subsets),
+                          [m.dim] * len(cs.subsets))
+
+    def lift(self, cs, ct, f, degree):
+        # every complex built here has S_n-equivariant differentials, so the
+        # lift is f on each subset
+        return SMat.block_diag([f] * len(cs.subsets))
+
+
+def _sigma_perm(n, subset):
+    """b_S: the image tuple listing the values outside S, then S, ascending."""
+    return tuple(v for v in range(1, n + 1) if v not in subset) + subset
 
 
 def _sigma_cell(m, k):
-    """Image of the signed diagonal projector  (1/k!) sum_h sgn(h) R(h) A_h^-1
-    on the flat word Q^k P^k: h permutes the top k letters, R(h) multiplies
-    the P cable by h on the right, and A_h acts through m in every block.
-
-    A coset word lists its first n-k values in increasing order and R(h)
-    keeps them, so S_k permutes the blocks freely, with one orbit per
-    k-subset of the values; the representative b0 lists the subset last,
-    in increasing order.  The image has the closed basis
-    iota(b0, v) = sum_h sgn(h) (b0·h, A_h^-1 e_v), and pi sends (b0·h, u) to
-    sgn(h)/k! (b0, A_h u).  On the image, pi reads the rows of the blocks
-    b0, which the cell records as ``rows``.
+    """The degree-``k`` sigma cell over ``m``: the module induced from
+    S_{n-k} x S_k, with m restricted and the top k letters twisted by the
+    sign.  On the basis (S, v), s_i exchanges i and i+1 in S when exactly
+    one of them lies in S; otherwise s_i b_S = b_S s_j for the position j of
+    i in b_S, acting as m.act_gen(j), negated when both letters lie in S.
     """
-    word = PlainWord(m, "Q" * k + "P" * k)
     n, d = m.degree, m.dim
-    keep = tuple(range(1, n - k + 1))
-    strides = [d * factorial(n - k + lvl) // factorial(n - k)
-               for lvl in range(k)]
-    moves = []
-    for w in permutations(range(k)):
-        h = keep + tuple(n - k + 1 + i for i in w)
-        sgn = (-1) ** sum(a > b for a, b in combinations(w, 2))
-        moves.append((w, sgn, m.act_perm(perm_inverse(h)), m.act_perm(h)))
-    # h and h^-1 run over one group: iota is over the lcm of the A_h
-    # denominators, and pi over k! times it
-    den = lcm(*(fwd.den for *_, fwd in moves))
-    iota_rows = [None] * word.top.dim
-    pi_rows, rows = [], []
-    for subset in combinations(range(1, n + 1), k):
-        rest = [v for v in range(1, n + 1) if v not in subset]
-        col = len(pi_rows)
-        first = _peel_cosets(rest + list(subset), strides)[0]
-        rows.extend(range(first, first + d))
-        block = [{} for _ in range(d)]
-        for w, sgn, inv, fwd in moves:
-            image = rest + [subset[i] for i in w]
-            off, tau = _peel_cosets(image, strides)
-            if tau != keep:
-                raise ChainComplexError(
-                    f"the coset word {image} of Q^{k} P^{k} over {m!r} is "
-                    f"not a block of the layout (tau = {tau})")
-            x = sgn * (den // inv.den)
-            for u, r in enumerate(inv.rows):
-                iota_rows[off + u] = {col + v: x * y for v, y in r.items()}
-            x = sgn * (den // fwd.den)
-            for row, r in zip(block, fwd.rows):
-                row.update({off + u: x * y for u, y in r.items()})
-        pi_rows.extend(block)
-    iota = SMat(word.top.dim, len(pi_rows), iota_rows, den)
-    pi = SMat(len(pi_rows), word.top.dim, pi_rows, factorial(k) * den)
-    sub = RepModule(n, len(rows), [_rep_rows(rows, g) @ iota
-                                   for g in word.top.gens])
-    return WordCell(k, sub, iota, pi, word, rows)
-
-
-def _rep_rows(rows, mat):
-    """``cell.pi @ mat`` for a sigma cell's rows and columns in its image."""
-    return SMat(len(rows), mat.ncols, [mat.rows[r] for r in rows], mat.den)
+    subsets = list(combinations(range(1, n + 1), k))
+    index = {s: p for p, s in enumerate(subsets)}
+    gens = []
+    for i in range(1, n):
+        grid = [[None] * len(subsets) for _ in subsets]
+        for p, s in enumerate(subsets):
+            below = sum(x < i for x in s)
+            if (i in s) != (i + 1 in s):
+                t = tuple(i + 1 if x == i else i if x == i + 1 else x
+                          for x in s)
+                grid[index[t]][p] = SMat.identity(d)
+            elif i in s:
+                grid[p][p] = -m.act_gen(n - k + below + 1)
+            else:
+                grid[p][p] = m.act_gen(i - below)
+        gens.append(SMat.block(grid, [d] * len(subsets), [d] * len(subsets)))
+    return SigmaCell(k, RepModule(n, d * len(subsets), gens), m, subsets)
 
 
 def sigma_cell_dims(m):
@@ -319,28 +318,21 @@ def _operator_complex(op, m):
     return cx, columns.get(0, {})
 
 
-def _functor_on_map(src_cells, tgt_cells, f, degree):
-    """Apply the word functors of matched cells to a module map.
+def _functor_on_map(op, src_cells, tgt_cells, f, degree):
+    """Apply the functors of matched cells to a module map, one block
+    ``op.lift(cs, ct, f, degree)`` per cell.
 
     Cell lists must be label-aligned (they are: cells depend only on the
     operator and the group degree, which all modules of a complex share).
-    The lifted map commutes with the diagonal action of a sigma cell, so a
-    sigma target reads its block off its representative rows.
     """
-    labels = [[(c.label, c.word.letters) for c in cells]
-              for cells in (src_cells, tgt_cells)]
+    labels = [[c.label for c in cells] for cells in (src_cells, tgt_cells)]
     if labels[0] != labels[1]:
-        raise ChainComplexError("source cells (label, word) {} are not "
-                                "aligned with target cells {}".format(*labels))
-    blocks = []
-    for cs, ct in zip(src_cells, tgt_cells):
-        if cs.sub.dim and ct.sub.dim:
-            lift = _lift_matrix(f, degree, cs.word.letters)
-            blocks.append((ct.pi @ lift if ct.rows is None
-                           else _rep_rows(ct.rows, lift)) @ cs.iota)
-        else:
-            blocks.append(SMat.zeros(ct.sub.dim, cs.sub.dim))
-    return SMat.block_diag(blocks)
+        raise ChainComplexError("source cell labels {} are not aligned with "
+                                "target cell labels {}".format(*labels))
+    return SMat.block_diag([
+        op.lift(cs, ct, f, degree) if cs.sub.dim and ct.sub.dim
+        else SMat.zeros(ct.sub.dim, cs.sub.dim)
+        for cs, ct in zip(src_cells, tgt_cells)])
 
 
 def _apply_operator(op, cx, return_columns=False):
@@ -376,7 +368,8 @@ def _apply_operator(op, cx, return_columns=False):
         if not f.nnz():
             continue
         for k, cl in columns[y].items():
-            mat = _functor_on_map(cl, columns[y - 1][k], f, cx.group_degree)
+            mat = _functor_on_map(op, cl, columns[y - 1][k], f,
+                                  cx.group_degree)
             if mat.nnz():
                 d_v[(k, y)] = mat
     out = totalize(modules, d_h, d_v, gd)
@@ -616,9 +609,11 @@ def _counit_chain_map(a, m):
         blocks.append(_pair_evaluation(outer_cell, inner_cell, a))
 
     f0 = SMat.hstack(blocks) if blocks else SMat.zeros(m.dim, 0)
-    bad = f0 @ total.d(1)
-    if bad.nnz():
-        cols = {j for row in bad.rows for j in row}
+    try:
+        return ChainMap(total, target, {0: f0}), total
+    except ChainComplexError as exc:
+        # only degree 1 can fail: name the cells where f0 @ d_1 is nonzero
+        cols = {j for row in (f0 @ total.d(1)).rows for j in row}
         cells1 = sorted(xy for xy in modules if xy[0] + xy[1] == 1)
         hit, off = [], 0
         for xy in cells1:
@@ -627,9 +622,7 @@ def _counit_chain_map(a, m):
             off += modules[xy].dim
         raise ChainComplexError(
             f"evaluation is not a chain map: f0 @ d_1 is nonzero on the "
-            f"degree-1 cells {hit} (degree-0 cells {cells0})")
-    mats = {0: f0} if f0.nnz() else {}
-    return ChainMap(total, target, mats), total
+            f"degree-1 cells {hit} (degree-0 cells {cells0})") from exc
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):

@@ -360,8 +360,9 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "for attempt in (\n"
         "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"
         "        lambda: _differential(_SigmaOp(-1), sigma[2:], sigma[2:]),\n"
-        "        lambda: _functor_on_map([sigma[1]], [], eye, 2),\n"
-        "        lambda: _functor_on_map([sigma[1]], [sigma[2]], eye, 2),\n"
+        "        lambda: _functor_on_map(_SigmaOp(-1), [sigma[1]], [], eye, 2),\n"
+        "        lambda: _functor_on_map(\n"
+        "            _SigmaOp(-1), [sigma[1]], [sigma[2]], eye, 2),\n"
         "        lambda: _pair_evaluation(columns[0][0][0], inner[0][0], -1)):\n"
         "    try:\n"
         "        attempt()\n"
@@ -377,12 +378,9 @@ def test_misaligned_cells_are_refused_under_optimized_python():
     assert out.stdout.splitlines() == [
         "differential lands in the word 'P', but the target cell 1 carries "
         "'QPP'",
-        "differential lands in the word 'QP', but the target cell 2 carries "
-        "'QQPP'",
-        "source cells (label, word) [(1, 'QP')] are not aligned with target "
-        "cells []",
-        "source cells (label, word) [(1, 'QP')] are not aligned with target "
-        "cells [(2, 'QQPP')]",
+        "a sigma cap maps cell 2 to cell 1, not 2",
+        "source cell labels [1] are not aligned with target cell labels []",
+        "source cell labels [1] are not aligned with target cell labels [2]",
         "contracting cell 0 over cell 0 leaves the word 'QP', not the base",
     ]
 
@@ -404,5 +402,6 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     monkeypatch.setattr(SMat, "__init__", checked)
     assert specht_creation_check((2, 1)).passed
     assert sigma_idempotence_check(specht_module([2, 1])).passed
+    assert sigma_vanishing_check(specht_module([2, 1])).passed
     assert not bad
     assert seen[0] > 500 and seen[1] > 100, seen

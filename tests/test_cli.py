@@ -222,6 +222,12 @@ class TestDeterminismAndCache:
          "96a8646311630651704adfc414541ecbc1ab54c477541e8614884002138d5f63"),
         (("cat", "sigma", "--module", "S:2,2", "--json"),
          "83e55d76a7bcebc945750e8749baf570d2ca544f689b6a288faedf11447d8bae"),
+        (("cat", "sigma", "--module", "S:3,1", "--json"),
+         "445f65c069816385cc4ee3cfdab107f41642002205d88810eed3ba7dc0e2cfd6"),
+        (("cat", "sigma", "--module", "trivial:5", "--json"),
+         "7097c6d4a5170e271b6312016526423f697a2856d0ce76d50521e0d9252af132"),
+        (("cat", "sigma", "--module", "S:3,2", "--json"),
+         "163af4f1ebacc783657e866ff7ecb8c575b395e83c03f092f2ecee7f074d266f"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

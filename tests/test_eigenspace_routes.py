@@ -1,24 +1,25 @@
 """Closed-form and joint-eigenspace cells against the routes they replace.
 
 Decorated words with only one-row and one-column cables are cut out by
-``linalg.joint_eigenspace``; sigma cells are built in closed form from the
-signed orbit sums of their coset blocks, and read their differentials off
-the rows of the orbit representatives.  The routes they replaced are kept
-here as oracles: the signed diagonal projector summed over all k! letter
-permutations, the joint (-1)-eigenspace of the diagonal transpositions,
-the product of embedded Young idempotents, multiplication by ``pi``, and
-cell dimensions read from decorated words.  Each differential test
-compares the new ``iota @ pi`` with the old projector entry for entry
-(same image and same kernel).
+``linalg.joint_eigenspace``; sigma cells are modules induced from
+S_{n-k} x S_k, with closed-form generators, caps, cups and lifts, and no
+ambient word.  The routes they replaced are kept here as oracles: the
+signed diagonal projector summed over all k! letter permutations, the joint
+(-1)-eigenspace of the diagonal transpositions, the signed orbit-sum cell
+inside the flat word Q^k P^k with its cap and cup moves, the product of
+embedded Young idempotents, and cell dimensions read from decorated words.
+The projector tests compare ``iota @ pi`` entry for entry (same image and
+same kernel); the sigma tests demand that every closed-form matrix equals
+the oracle's ``pi @ (ambient map) @ iota`` exactly.
 """
 
+from collections import namedtuple
 from fractions import Fraction
-from itertools import permutations
-from math import factorial
+from itertools import combinations, permutations
+from math import comb, factorial, lcm
 
 import pytest
 
-from bosonfermion import catbernstein
 from bosonfermion.branching import (
     PlainWord,
     _lift_matrix,
@@ -30,15 +31,11 @@ from bosonfermion.branching import (
 )
 from bosonfermion.catbernstein import (
     _SigmaOp,
-    _differential,
     _functor_on_map,
-    _rep_rows,
     _sigma_cell,
     sigma_cell_dims,
     sigma_complex,
 )
-from bosonfermion.errors import ChainComplexError
-from bosonfermion.homalg import single_module_complex
 from bosonfermion.linalg import (
     SMat,
     _minus_diagonal,
@@ -53,6 +50,7 @@ from bosonfermion.partition_core import (
 from bosonfermion.symrep import (
     GroupAlgebraElement,
     RepModule,
+    _peel_cosets,
     added_letters_embedding,
     frobenius_char,
     induce,
@@ -122,6 +120,60 @@ def eigenspace_sigma_cell(m, k):
     iota, pi = joint_eigenspace(word.top.dim, gens)
     sub = RepModule(n, iota.ncols, [pi @ g @ iota for g in word.top.gens])
     return sub, iota, pi
+
+
+OrbitSumCell = namedtuple("OrbitSumCell", "sub iota pi word rows")
+
+
+def orbit_sum_sigma_cell(m, k):
+    """The sigma cell inside the flat word Q^k P^k, as the image of
+    (1/k!) sum_h sgn(h) R(h) A_h^-1: h permutes the top k letters, R(h)
+    multiplies the P cable by h on the right, and A_h acts through m in
+    every block.  The image has the basis
+    iota(b_S, v) = sum_h sgn(h) (b_S·h, A_h^-1 e_v), for b_S the coset word
+    listing the values outside S and then S, ascending; pi sends
+    (b_S·h, u) to sgn(h)/k! (b_S, A_h u), and ``rows`` lists the rows of
+    the blocks b_S."""
+    word = PlainWord(m, "Q" * k + "P" * k)
+    n, d = m.degree, m.dim
+    keep = tuple(range(1, n - k + 1))
+    strides = [d * factorial(n - k + lvl) // factorial(n - k)
+               for lvl in range(k)]
+    moves = []
+    for w in permutations(range(k)):
+        h = keep + tuple(n - k + 1 + i for i in w)
+        moves.append((w, _perm_sign(w), m.act_perm(perm_inverse(h)),
+                      m.act_perm(h)))
+    # h and h^-1 run over one group: iota is over the lcm of the A_h
+    # denominators, and pi over k! times it
+    den = lcm(*(fwd.den for *_, fwd in moves))
+    iota_rows = [None] * word.top.dim
+    pi_rows, rows = [], []
+    for subset in combinations(range(1, n + 1), k):
+        rest = [v for v in range(1, n + 1) if v not in subset]
+        col = len(pi_rows)
+        first = _peel_cosets(rest + list(subset), strides)[0]
+        rows.extend(range(first, first + d))
+        block = [{} for _ in range(d)]
+        for w, sgn, inv, fwd in moves:
+            off, tau = _peel_cosets(rest + [subset[i] for i in w], strides)
+            assert tau == keep
+            x = sgn * (den // inv.den)
+            for u, r in enumerate(inv.rows):
+                iota_rows[off + u] = {col + v: x * y for v, y in r.items()}
+            x = sgn * (den // fwd.den)
+            for row, r in zip(block, fwd.rows):
+                row.update({off + u: x * y for u, y in r.items()})
+        pi_rows.extend(block)
+    iota = SMat(word.top.dim, len(pi_rows), iota_rows, den)
+    pi = SMat(len(pi_rows), word.top.dim, pi_rows, factorial(k) * den)
+    sub = RepModule(n, len(pi_rows), [pi @ g @ iota for g in word.top.gens])
+    return OrbitSumCell(sub, iota, pi, word, rows)
+
+
+def rep_rows(rows, mat):
+    """The rows ``rows`` of ``mat``: pi @ mat on a (-1)-isotypic image."""
+    return SMat(len(rows), mat.ncols, [mat.rows[r] for r in rows], mat.den)
 
 
 def word_cell_dims(m):
@@ -236,13 +288,97 @@ SIGMA_MODULES = ["trivial:0", "trivial:1", "trivial:2", "trivial:3", "S:2",
 def test_sigma_cells_match_the_signed_diagonal_projector(key):
     m = MODULES[key]()
     for k in range(m.degree + 1):
-        cell = _sigma_cell(m, k)
+        cell = orbit_sum_sigma_cell(m, k)
         sub, iota, pi = eigenspace_sigma_cell(m, k)
         assert cell.iota @ cell.pi == signed_diagonal_projector(m, k), k
         assert cell.iota @ cell.pi == iota @ pi, k
         assert cell.pi @ cell.iota == SMat.identity(cell.sub.dim), k
         assert frobenius_char(cell.sub) == frobenius_char(sub), k
+
+
+# the closed-form sigma route against the orbit-sum oracle: every module of
+# SIGMA_MODULES, plus two degree-4 Specht modules
+CLOSED_FORM_MODULES = SIGMA_MODULES + ["S:2,2", "S:3,1"]
+
+
+@pytest.mark.parametrize("key", CLOSED_FORM_MODULES)
+def test_closed_form_generators_match_the_orbit_sum_cell(key):
+    m = MODULES[key]()
+    for k in range(m.degree + 1):
+        cell, oracle = _sigma_cell(m, k), orbit_sum_sigma_cell(m, k)
+        assert cell.sub.dim == m.dim * comb(m.degree, k), k
+        assert cell.sub.gens == [oracle.pi @ g @ oracle.iota
+                                 for g in oracle.word.top.gens], k
         cell.sub.validate()
+
+
+@pytest.mark.parametrize("key", CLOSED_FORM_MODULES)
+def test_sigma_caps_and_cups_match_the_ambient_moves(key):
+    m = MODULES[key]()
+    minus, plus = sigma_complex(-1, m), sigma_complex(1, m)
+    cells = [orbit_sum_sigma_cell(m, k) for k in range(m.degree + 1)]
+    for k in range(1, m.degree + 1):
+        big, small = cells[k], cells[k - 1]
+        _, g = move_cap_pq(big.word, k - 1)
+        assert minus.d(k) == small.pi @ g @ big.iota, k
+        _, g = move_cup_pq(small.word, k - 1)
+        assert plus.d(1 - k) == big.pi @ g @ small.iota, k
+    assert len(minus.diffs) == len(plus.diffs) == m.degree
+
+
+def _sigma_lifts(m):
+    """(y, k, closed-form lift, source and target oracle cells, ambient
+    lift) for every functor block of apply_sigma(-1, sigma_complex(-1, m))."""
+    op, minus = _SigmaOp(-1), sigma_complex(-1, m)
+    for y in minus.diffs:
+        f, src, tgt = minus.d(y), minus.module(y), minus.module(y - 1)
+        for k in range(m.degree + 1):
+            lift = _functor_on_map(op, [_sigma_cell(src, k)],
+                                   [_sigma_cell(tgt, k)], f, m.degree)
+            cs, ct = orbit_sum_sigma_cell(src, k), orbit_sum_sigma_cell(tgt, k)
+            yield y, k, lift, cs, ct, _lift_matrix(f, m.degree, cs.word.letters)
+
+
+@pytest.mark.parametrize("key", CLOSED_FORM_MODULES)
+def test_sigma_lifts_match_the_whiskered_map(key):
+    m = MODULES[key]()
+    checked = 0
+    for y, k, lift, cs, ct, ambient in _sigma_lifts(m):
+        assert lift == ct.pi @ ambient @ cs.iota, (y, k)
+        checked += 1
+    assert checked == m.degree * (m.degree + 1)
+
+
+@pytest.mark.parametrize("key", SIGMA_MODULES)
+def test_row_readout_matches_multiplying_by_pi(key):
+    # the top generators, the caps and the lifted maps commute with the
+    # diagonal S_k, so pi reads their images off the rows of the orbit
+    # representatives: one block per subset, as the closed forms have
+    m = MODULES[key]()
+    cells = [orbit_sum_sigma_cell(m, k) for k in range(m.degree + 1)]
+    for k, cell in enumerate(cells):
+        for g in cell.word.top.gens:
+            assert (rep_rows(cell.rows, g) @ cell.iota
+                    == cell.pi @ g @ cell.iota), k
+        if k:
+            _, g = move_cap_pq(cell.word, k - 1)
+            assert (rep_rows(cells[k - 1].rows, g) @ cell.iota
+                    == cells[k - 1].pi @ g @ cell.iota), k
+    for y, k, _, cs, ct, ambient in _sigma_lifts(m):
+        assert (rep_rows(ct.rows, ambient) @ cs.iota
+                == ct.pi @ ambient @ cs.iota), (y, k)
+
+
+def test_a_cup_image_is_not_read_off_rows():
+    # a cup raises k, so its image is not (-1)-isotypic for S_(k+1): the
+    # closed-form cup sums over the k+1 subsets it reaches, with 1/(k+1)
+    m = MODULES["trivial:3"]()
+    misses = 0
+    for k in range(m.degree):
+        cs, ct = orbit_sum_sigma_cell(m, k), orbit_sum_sigma_cell(m, k + 1)
+        _, g = move_cup_pq(cs.word, k)
+        misses += rep_rows(ct.rows, g) @ cs.iota != ct.pi @ g @ cs.iota
+    assert misses
 
 
 def row_column_atom_lists(size):
@@ -281,67 +417,6 @@ def test_row_column_words_match_the_young_product(key, total_degree):
             dead += word.top.dim == 0
     if total_degree - base.degree > base.degree:
         assert dead  # words that restrict past degree 0 are among them
-
-
-def _checked_blocks(cx):
-    """Check every cap block and every functor block of the sign -1
-    projector complex applied to ``cx`` against ``ct.pi @ X``; return how
-    many blocks were checked."""
-    op = _SigmaOp(-1)
-    columns = {y: op.cells(cx.module(y)) for y in cx.degrees()}
-    checked = 0
-    for y, cells in columns.items():
-        for k in range(1, len(cells)):
-            cs, ct = cells[k][0], cells[k - 1][0]
-            if cs.sub.dim and ct.sub.dim:
-                _, g = move_cap_pq(cs.word, k - 1)
-                assert (_differential(op, [cs], [ct])
-                        == ct.pi @ g @ cs.iota), (y, k)
-                checked += 1
-        if y - 1 not in columns:
-            continue
-        for k, cl in cells.items():
-            cs, ct = cl[0], columns[y - 1][k][0]
-            if cs.sub.dim and ct.sub.dim:
-                lift = _lift_matrix(cx.d(y), cx.group_degree, cs.word.letters)
-                assert (_functor_on_map([cs], [ct], cx.d(y), cx.group_degree)
-                        == ct.pi @ lift @ cs.iota), (y, k)
-                checked += 1
-    return checked
-
-
-@pytest.mark.parametrize("key", SIGMA_MODULES)
-def test_row_readout_matches_multiplying_by_pi(key):
-    m = MODULES[key]()
-    minus = sigma_complex(-1, m)
-    caps = _checked_blocks(single_module_complex(m))
-    assert caps == m.degree
-    # apply_sigma(-1, minus): the caps of every column and the functor blocks
-    assert _checked_blocks(minus) > caps or not m.degree
-
-
-def test_a_cup_image_is_not_read_off_rows():
-    # a cup raises k, so its image is not (-1)-isotypic for S_(k+1): only
-    # the full projection gives the differential of the sign +1 complex
-    m = MODULES["trivial:3"]()
-    misses = 0
-    for k in range(m.degree):
-        cs, ct = _sigma_cell(m, k), _sigma_cell(m, k + 1)
-        _, g = move_cup_pq(cs.word, k)
-        misses += _rep_rows(ct.rows, g) @ cs.iota != ct.pi @ g @ cs.iota
-    assert misses
-
-
-def test_a_block_layout_that_moves_inside_blocks_is_refused(monkeypatch):
-    peel = catbernstein._peel_cosets
-
-    def reversed_tau(w, strides):
-        offset, tau = peel(w, strides)
-        return offset, tau[::-1]
-
-    monkeypatch.setattr(catbernstein, "_peel_cosets", reversed_tau)
-    with pytest.raises(ChainComplexError, match=r"not a block .*\(2, 1\)"):
-        _sigma_cell(MODULES["trivial:3"](), 1)
 
 
 CELL_DIM_MODULES = ["trivial:0", "trivial:1", "trivial:2", "trivial:3",
