@@ -162,14 +162,6 @@ class Complex:
                 out[k] = h
         return out
 
-    def homology_dim(self, k):
-        cdim = self.dim(k)
-        if cdim == 0:
-            return 0
-        out_rank = rank(self.d(k)) if k in self.diffs else 0
-        in_rank = rank(self.d(k + 1)) if (k + 1) in self.diffs else 0
-        return cdim - out_rank - in_rank
-
     def _support_range(self):
         if not self.modules:
             return range(0)

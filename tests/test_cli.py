@@ -228,6 +228,21 @@ class TestDeterminismAndCache:
          "7097c6d4a5170e271b6312016526423f697a2856d0ce76d50521e0d9252af132"),
         (("cat", "sigma", "--module", "S:3,2", "--json"),
          "163af4f1ebacc783657e866ff7ecb8c575b395e83c03f092f2ecee7f074d266f"),
+        (("cat", "bb", "--a", "2", "--b", "1", "--module", "S:2,1", "--json"),
+         "ebfbfbd0338496bc31a555ba193d84c0dd8318b93f06c67a1db93f75cb1b571a"),
+        (("cat", "bb", "--a", "1", "--b", "1", "--module", "S:2,1", "--json"),
+         "294072d06d1285710fb079bc1aa8a50efabb47cc9e49949f4e668fe0d00454b8"),
+        (("cat", "bb", "--a", "2", "--b", "1", "--star", "--module", "S:2,1",
+          "--json"),
+         "6e06436c0be78999ac48445aa5000bffafa6cac0921e21e5646c1706e8d7b6e5"),
+        (("cat", "bbstar", "--a", "2", "--b", "1", "--module", "S:2,1",
+          "--json"),
+         "8b8fd9e02b8a9210d0a9d6eb2d9440a1be66390163b3dfb10b1b7eaf374b85f7"),
+        (("cat", "bbstar", "--a", "1", "--b", "1", "--module", "S:2,1",
+          "--json"),
+         "3f4aadf0605597bcc174669e9ae4ebc6ed98f2eee83ea6174e5654c5fe4a080e"),
+        (("cat", "sigma", "--module", "trivial:6", "--json"),
+         "d3d9144cde369f50e8fe04550df4712b03290818a305adec7fef76d491bb9c29"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

@@ -333,8 +333,8 @@ def _sigma_lifts(m):
     for y in minus.diffs:
         f, src, tgt = minus.d(y), minus.module(y), minus.module(y - 1)
         for k in range(m.degree + 1):
-            lift = _functor_on_map(op, [_sigma_cell(src, k)],
-                                   [_sigma_cell(tgt, k)], f, m.degree)
+            lift = _functor_on_map(op, _sigma_cell(src, k),
+                                   _sigma_cell(tgt, k), f, m.degree)
             cs, ct = orbit_sum_sigma_cell(src, k), orbit_sum_sigma_cell(tgt, k)
             yield y, k, lift, cs, ct, _lift_matrix(f, m.degree, cs.word.letters)
 

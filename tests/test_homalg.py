@@ -276,8 +276,6 @@ class TestReduction:
         with mock.patch.object(homalg, "rank", wraps=homalg.rank) as spy:
             assert c.betti() == planted
         assert spy.call_count == len(c.diffs)
-        assert planted == {k: c.homology_dim(k) for k in c.degrees()
-                           if c.homology_dim(k)}
 
     def test_fuzz_report_passes(self):
         rep = elimination_fuzz_report(instances=25, seed=7)
