@@ -13,8 +13,9 @@ the Euler characteristic on every construction.
 
 Also here: the projector complexes, summed over the partitions of each
 degree k into one chain group, the module induced from S_{n-k} x S_k with
-the top k letters twisted by the sign, whose cap and cup differentials and
-functor blocks are closed forms in the k-subsets of {1..n};
+the top k letters twisted by the sign, which ``symrep.induce`` builds on
+its (S, v) basis of k-subsets of {1..n}, with ``symrep.subset_move`` caps
+and cups as differentials and f on every subset as functor blocks;
 homology-level relation suites for the commutation rules between the
 lifted operators; and charge-indexed families of complexes that realize
 the fermionic generators one charge slot at a time.
@@ -27,8 +28,7 @@ graded comparisons are tolerance-zero.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
-from itertools import combinations
+from math import comb
 
 from .branching import (
     PlainWord,
@@ -61,11 +61,9 @@ from .symrep import (
     RepModule,
     frobenius_char,
     induce,
-    p_lambda,
-    perm_inverse,
-    perm_mult,
     restrict,
     specht_module,
+    subset_move,
     trivial_module,
 )
 
@@ -168,9 +166,10 @@ class _BernsteinOp:
         return ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
 
 
-# the degree-``label`` projector chain group over ``base``, with the basis
-# (S, v): S a subset in ``subsets`` order, v a basis vector of ``base``
-SigmaCell = namedtuple("SigmaCell", "label sub base subsets")
+# the degree-``label`` projector chain group over ``base``, on the (S, v)
+# basis of ``symrep.induce``: S a ``label``-subset of {1..n}, v a basis
+# vector of ``base``
+SigmaCell = namedtuple("SigmaCell", "label sub base")
 
 
 class _SigmaOp:
@@ -180,15 +179,16 @@ class _SigmaOp:
     projector  (1/k!) sum_w sgn(w) (w on the added letters)(w on the
     removed letters)  inside the flat word  Q^k P^k: the module induced
     from S_{n-k} x S_k with the top k letters twisted by the sign, of
-    dimension dim(M)·C(n, k), which ``_sigma_cell`` builds without the word.
+    dimension dim(M)·C(n, k), which ``_sigma_cell`` builds with
+    ``symrep.induce`` on its (S, v) basis, without the word.
     It is canonically isomorphic to the sum, over partitions of k, of the
     cells pairing a partition-shaped row cable with its transposed column
     cable (the dimension identity is asserted by the idempotence report).
     The differential contracts the innermost strand pair with one cap
     (sign -1, non-negative degrees) or inserts one with a cup (sign +1,
-    non-positive degrees), both closed forms on the cell basis.  No edge
-    scalars are needed: the boundary cap pairs equal letter labels on the
-    two cables, double contraction is invariant under swapping the
+    non-positive degrees): ``symrep.subset_move`` on the cell basis.  No
+    edge scalars are needed: the boundary cap pairs equal letter labels on
+    the two cables, double contraction is invariant under swapping the
     contracted pairs on both cables at once, and the projector is
     antisymmetric under that swap, so the square of the differential
     cancels exactly.
@@ -207,66 +207,26 @@ class _SigmaOp:
                 for k in range(m.degree + 1)}
 
     def block(self, cs, ct):
-        """A cap sends (S, v) to the sum over j in S of
-        (-1)^S.index(j) (S - j, b_{S-j}^-1 b_S v); a cup sends it to the sum
-        over j not in S of (-1)^T.index(j)/(k+1) (T, b_T^-1 b_S v), T = S + j."""
         step = 1 if self.cup else -1
         if ct.label != cs.label + step:
             raise ChainComplexError(
                 f"a sigma {'cup' if self.cup else 'cap'} maps cell "
                 f"{cs.label} to cell {cs.label + step}, not {ct.label}")
-        m, n = cs.base, cs.base.degree
-        index = {t: p for p, t in enumerate(ct.subsets)}
-        grid = [[None] * len(cs.subsets) for _ in ct.subsets]
-        for p, s in enumerate(cs.subsets):
-            for j in range(1, n + 1):
-                if (j in s) == self.cup:
-                    continue
-                t = tuple(sorted(set(s) ^ {j}))
-                big = t if self.cup else s
-                grid[index[t]][p] = m.act_perm(perm_mult(
-                    perm_inverse(_sigma_perm(n, t)), _sigma_perm(n, s))
-                ).scale(Fraction((-1) ** big.index(j),
-                                 len(big) if self.cup else 1))
-        return SMat.block(grid, [m.dim] * len(ct.subsets),
-                          [m.dim] * len(cs.subsets))
+        return subset_move(cs.base, cs.label, self.cup)
 
     def lift(self, cs, ct, f, degree):
         # every complex built here has S_n-equivariant differentials, so the
         # lift is f on each subset
-        return SMat.block_diag([f] * len(cs.subsets))
-
-
-def _sigma_perm(n, subset):
-    """b_S: the image tuple listing the values outside S, then S, ascending."""
-    return tuple(v for v in range(1, n + 1) if v not in subset) + subset
+        return SMat.block_diag([f] * comb(cs.base.degree, cs.label))
 
 
 def _sigma_cell(m, k):
     """The degree-``k`` sigma cell over ``m``: the module induced from
-    S_{n-k} x S_k, with m restricted and the top k letters twisted by the
-    sign.  On the basis (S, v), s_i exchanges i and i+1 in S when exactly
-    one of them lies in S; otherwise s_i b_S = b_S s_j for the position j of
-    i in b_S, acting as m.act_gen(j), negated when both letters lie in S.
-    """
-    n, d = m.degree, m.dim
-    subsets = list(combinations(range(1, n + 1), k))
-    index = {s: p for p, s in enumerate(subsets)}
-    gens = []
-    for i in range(1, n):
-        grid = [[None] * len(subsets) for _ in subsets]
-        for p, s in enumerate(subsets):
-            below = sum(x < i for x in s)
-            if (i in s) != (i + 1 in s):
-                t = tuple(i + 1 if x == i else i if x == i + 1 else x
-                          for x in s)
-                grid[index[t]][p] = SMat.identity(d)
-            elif i in s:
-                grid[p][p] = -m.act_gen(n - k + below + 1)
-            else:
-                grid[p][p] = m.act_gen(i - below)
-        gens.append(SMat.block(grid, [d] * len(subsets), [d] * len(subsets)))
-    return SigmaCell(k, RepModule(n, d * len(subsets), gens), m, subsets)
+    S_{n-k} x S_k of m restricted to it, with the top k letters twisted by
+    the sign (S_k acts by m's top k-1 generators, negated)."""
+    n = m.degree
+    low = RepModule(n - k, m.dim, m.gens[:max(0, n - k - 1)])
+    return SigmaCell(k, induce(low, k, [-g for g in m.gens[n - k:]]), m)
 
 
 def sigma_cell_dims(m):
@@ -704,13 +664,13 @@ def sigma_idempotence_check(m):
 
 def sigma_vanishing_check(m):
     """The projector complex annihilates anything induced: after one
-    induction, after a row-cable projector, and after restriction of the
-    result, the complex must be acyclic."""
-    cables = (Partition((1,)), Partition((2,)))
+    induction, after restriction of the result, and on the row cables of
+    width 1 and 2 (``induce(m, k)``), the complex must be acyclic."""
+    cables = (1, 2)
     report = Report(
         "projector vanishing",
         config={"module_degree": m.degree, "module_dim": m.dim,
-                "cables": [format_partition(lam) for lam in cables]},
+                "cables": [str(k) for k in cables]},
     )
     ind = sigma_complex(-1, induce(m))
     betti = ind.betti()
@@ -718,12 +678,13 @@ def sigma_vanishing_check(m):
                not betti, betti=_betti_obj(betti))
     report.add("restriction of the induced instance is acyclic",
                not restricted_complex(ind).betti())
-    for lam in cables:
-        sub, _, _ = p_lambda(lam, m)
-        betti = sigma_complex(-1, sub).betti()
-        report.add(
-            f"acyclic after the {format_partition(lam)} row-cable projector",
-            not betti, betti=_betti_obj(betti))
+    for k in cables:
+        # the row cable of width k is induce(m, k); at k = 1 that is
+        # induce(m), whose complex is ranked above
+        if k > 1:
+            betti = sigma_complex(-1, induce(m, k)).betti()
+        report.add(f"acyclic after the {k} row-cable projector",
+                   not betti, betti=_betti_obj(betti))
     return report
 
 

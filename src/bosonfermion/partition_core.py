@@ -329,15 +329,24 @@ def vertical_strips(lam, k):
 
 
 def horizontal_strips_below(lam, k):
-    """Partitions mu <= lam with lam/mu a horizontal strip of size k."""
+    """Partitions mu <= lam with lam/mu a horizontal strip of size k, i.e.
+    lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...  Returned in canonical order."""
     lam = Partition(lam)
-    if k < 0:
-        return []
-    return sorted(
-        (mu for mu in _subdiagrams_with_size(lam, lam.size() - k)
-         if _is_horizontal_strip(lam, mu)),
-        key=Partition.sort_key,
-    )
+    parts = lam.parts + (0,)
+    out = []
+
+    def extend(i, remaining, built):
+        if i == len(lam.parts):
+            if remaining == 0:
+                out.append(Partition(built))
+            return
+        lo = max(parts[i + 1], parts[i] - remaining)
+        for val in range(parts[i], lo - 1, -1):
+            extend(i + 1, remaining - (parts[i] - val), built + [val])
+
+    extend(0, k, [])
+    out.sort(key=Partition.sort_key)
+    return out
 
 
 def vertical_strips_below(lam, k):
@@ -346,36 +355,6 @@ def vertical_strips_below(lam, k):
         (m.conjugate() for m in horizontal_strips_below(lam.conjugate(), k)),
         key=Partition.sort_key,
     )
-
-
-def _subdiagrams_with_size(lam, m):
-    """All mu contained in lam with |mu| = m."""
-    lam = Partition(lam)
-    out = []
-
-    def extend(i, remaining, built):
-        if remaining == 0:
-            out.append(Partition(built))
-            return
-        if i > len(lam.parts):
-            return
-        hi = min(lam.row(i), built[-1] if built else remaining, remaining)
-        for val in range(hi, 0, -1):
-            if remaining - val <= sum(
-                min(lam.row(j), val) for j in range(i + 1, len(lam.parts) + 1)
-            ):
-                extend(i + 1, remaining - val, built + [val])
-
-    extend(1, m, [])
-    return out
-
-
-def _is_horizontal_strip(lam, mu):
-    """Whether lam/mu is a horizontal strip (mu inside lam, interleaved rows)."""
-    lam, mu = Partition(lam), Partition(mu)
-    if not lam.contains(mu):
-        return False
-    return all(lam.row(i + 1) <= mu.row(i) for i in range(1, len(lam.parts)))
 
 
 def cycle_type_representative(mu, n=None):

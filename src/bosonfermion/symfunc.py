@@ -10,7 +10,8 @@ tables, Bernstein signs) and a ``Fraction`` only where a quotient arises or
 was passed in; ``_coeff`` is the one normalisation.  Products expand one
 factor into the complete-homogeneous basis (inverse Kostka, a triangular
 solve along the canonical order refining dominance) and then apply iterated
-Pieri rules.  Skewing is the adjoint pairing against the Schur basis.
+Pieri rules; skewing, the adjoint of multiplication, expands the skewing
+function the same way and applies iterated co-Pieri rules.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .partition_core import (
     parse_partition,
     vertical_strips,
     vertical_strips_below,
-    _subdiagrams_with_size,
 )
 
 BASES = ("schur", "complete", "elementary", "powersum", "monomial")
@@ -407,8 +407,9 @@ def _acc(d, k, v):
 # -- products and skews --------------------------------------------------------
 
 
-def multiply(f, g):
-    """Product f*g: expand g into the h basis, then iterated Pieri on f."""
+def _over_h_basis(step, f, g):
+    """Σ_μ c_μ step^μ(f) for g = Σ_μ c_μ h_μ, where step^μ applies
+    ``step(k, -)`` once for each part k of μ."""
     if f.is_zero() or g.is_zero():
         return SymFunc.zero()
     out = SymFunc.zero()
@@ -416,30 +417,20 @@ def multiply(f, g):
         for mu, d in _schur_to_h(lam):
             piece = f.scale(c * d)
             for k in mu.parts:
-                piece = _mult_h(k, piece)
+                piece = step(k, piece)
             out = out + piece
     return out
 
 
+def multiply(f, g):
+    """Product f*g: expand g into the h basis, then iterated Pieri on f."""
+    return _over_h_basis(_mult_h, f, g)
+
+
 def skew(g, f):
-    """g^⊥ f, defined by ⟨g^⊥f, s_ν⟩ = ⟨f, g·s_ν⟩ for every partition ν."""
-    if f.is_zero() or g.is_zero():
-        return SymFunc.zero()
-    out = {}
-    for dg, gcomp in g.components().items():
-        for df, fcomp in f.components().items():
-            target = df - dg
-            if target < 0:
-                continue
-            # candidate ν must sit inside some λ in the support of f
-            cands = set()
-            for lam in fcomp.terms:
-                cands.update(_subdiagrams_with_size(lam, target))
-            for nu in cands:
-                val = inner(fcomp, multiply(gcomp, schur(nu)))
-                if val:
-                    _acc(out, nu, val)
-    return _symfunc(out)
+    """g^⊥ f, defined by ⟨g^⊥f, s_ν⟩ = ⟨f, g·s_ν⟩ for every partition ν:
+    expand g into the h basis, then iterated co-Pieri skews h_k^⊥ on f."""
+    return _over_h_basis(_skew_h, f, g)
 
 
 # -- Heisenberg-type operators ---------------------------------------------------

@@ -3,20 +3,26 @@ induction/restriction calculus on them.
 
 Permutations are image tuples: ``p[i-1] = p(i)`` on letters 1..n.  A
 ``RepModule`` is a degree (which symmetric group), a dimension, and exact
-generator matrices for the adjacent transpositions.  Induction uses the
-coset representatives r_k (the cycle k -> k+1 -> ... -> n+1 -> k, so that
-r_k sends the top letter to k), laid out block-by-block with the identity
-representative last; iterated-induction cosets are peeled by arithmetic
-on the values of image tuples.  On top of the two functors live the cap/cup
-adjunction maps, the strand crossing (right multiplication by the first
-added-letter transposition), sideways crossings, and idempotent-image
-functors cutting out one irreducible constituent per partition on the
-added (resp. removed) letters.
+generator matrices for the adjacent transpositions.  Induction from a Young
+subgroup S_n x S_k (``induce``) lays the induced module out on the basis
+(S, v): one block per k-subset S of {1..n+k} in ``combinations`` order,
+standing for the coset of b_S, which lists the values outside S and then
+S.  A single induction is k = 1: b_{j} is the coset representative r_j
+(the cycle j -> j+1 -> ... -> n+1 -> j, so that r_j sends the top letter
+to j), and the identity representative comes last; iterated-induction
+cosets are peeled by arithmetic on the values of image tuples.
+``subset_move`` gives the caps and cups between the layouts of k and k-1
+subsets: the pq adjunction maps and the projector differentials.  On top
+of the two functors also live the qp adjunction maps, the strand crossing
+(right multiplication by the first added-letter transposition), sideways
+crossings, and idempotent-image functors cutting out one irreducible
+constituent per partition on the added (resp. removed) letters.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import factorial, lcm, prod
@@ -54,7 +60,7 @@ def identity_perm(n):
 
 def perm_mult(p, q):
     """(p*q)(i) = p(q(i))."""
-    return tuple(p[q[i] - 1] for i in range(len(p)))
+    return tuple([p[x - 1] for x in q])
 
 
 def perm_inverse(p):
@@ -433,25 +439,43 @@ def zero_map(source, target):
 # -- induction and restriction ------------------------------------------------------
 
 
-def induce(m):
-    """Induction along S_n -> S_{n+1}; basis blocks indexed by the coset
-    representatives r_1, ..., r_n, r_{n+1} = identity (identity last),
-    block k at rows/cols (k-1)*dim .. k*dim - 1."""
+def induce(m, k=1, high=None):
+    """Induction along S_n x S_k -> S_{n+k} of m ⊠ H (n = deg m).  H is
+    trivial, or, when ``high`` is given, S_k acts on m's own space by the
+    matrices ``high`` for its adjacent transpositions (they must commute
+    with m's generators).
+
+    The basis is (S, v), block S at rows/cols p*dim .. (p+1)*dim - 1 for
+    the position p of S: S runs over the k-subsets of {1..n+k} in
+    ``combinations`` order, and stands for the coset b_S (S_n x S_k), b_S
+    listing the values outside S, then S, ascending.  s_i exchanges i and
+    i+1 in S when exactly one of them lies in S; otherwise it acts on block
+    S by m.act_gen(i - below) or high[below], below = #{x in S : x < i}.
+    At k = 1, b_{j} is the coset representative r_j, so the blocks run
+    r_1, ..., r_n, r_{n+1} = identity."""
     n, d = m.degree, m.dim
+    # S as a bit mask: bit x is set when x lies in S
+    masks = [sum(s) for s in combinations(
+        [1 << x for x in range(1, n + k + 1)], k)]
+    index = {mask: p for p, mask in enumerate(masks)}
     eye = SMat.identity(d)
+    low = [None] + m.gens
+    top = [eye] * k if high is None else high
+    dims = [d] * len(masks)
     gens = []
-    for i in range(1, n + 1):
-        # grid[row][col], block k at index k - 1
-        grid = [[None] * (n + 1) for _ in range(n + 1)]
-        # s_i r_i = r_{i+1} and s_i r_{i+1} = r_i: swap blocks i and i+1
-        grid[i][i - 1] = grid[i - 1][i] = eye
-        # s_i r_k = r_k s_i (k > i+1) or r_k s_{i-1} (k < i)
-        for k in range(1, i):
-            grid[k - 1][k - 1] = m.act_gen(i - 1)
-        for k in range(i + 2, n + 2):
-            grid[k - 1][k - 1] = m.act_gen(i)
-        gens.append(SMat.block(grid, [d] * (n + 1), [d] * (n + 1)))
-    return RepModule(n + 1, (n + 1) * d, gens)
+    for i in range(1, n + k):
+        pair, lower = 3 << i, (1 << i) - 1
+        grid = [[None] * len(masks) for _ in masks]
+        for p, mask in enumerate(masks):
+            both = mask & pair
+            if both == pair:
+                grid[p][p] = top[(mask & lower).bit_count()]
+            elif both:
+                grid[index[mask ^ pair]][p] = eye
+            else:
+                grid[p][p] = low[i - (mask & lower).bit_count()]
+        gens.append(SMat.block(grid, dims, dims))
+    return RepModule(n + k, d * len(masks), gens)
 
 
 def restrict(m):
@@ -474,29 +498,56 @@ def restrict_map(f):
     return ModuleMap(restrict(f.source), restrict(f.target), f.matrix)
 
 
+def subset_move(m, k, cup):
+    """The cap (``cup`` false) from the k-subsets of {1..n} to the
+    (k-1)-subsets, or the cup to the (k+1)-subsets, on the (S, v) layout of
+    ``induce`` (n = deg m), with blocks acting through m.
+
+    Let B run over the larger subsets and S = B minus its entry j at
+    position p.  The cap sends (B, v) to (S, (-1)^p b_S^-1 b_B v) and the
+    cup sends (S, v) to (B, (-1)^p/|B| b_B^-1 b_S v), summed over all such
+    pairs."""
+    letters = range(1, m.degree + 1)
+    size = k + 1 if cup else k
+    big = list(combinations(letters, size))
+    small = list(combinations(letters, size - 1))
+    rows, cols = (big, small) if cup else (small, big)
+
+    def coset(s):
+        return tuple([v for v in letters if v not in s]) + s
+
+    inverse = {t: perm_inverse(coset(t)) for t in rows}
+    forward = {s: coset(s) for s in cols}
+    row_at = {t: q for q, t in enumerate(rows)}
+    col_at = {s: p for p, s in enumerate(cols)}
+    grid = [[None] * len(cols) for _ in rows]
+    for b in big:
+        for pos in range(size):
+            s = b[:pos] + b[pos + 1:]
+            src, tgt = (s, b) if cup else (b, s)
+            a = m.act_perm(perm_mult(inverse[tgt], forward[src]))
+            c = -1 if pos % 2 else 1
+            if cup and size > 1:
+                c = Fraction(c, size)
+            grid[row_at[tgt]][col_at[src]] = a if c == 1 else a.scale(c)
+    return SMat.block(grid, [m.dim] * len(rows), [m.dim] * len(cols))
+
+
 def counit_pq(m):
-    """induce(restrict(M)) -> M, the action map: block k maps by r_k.
-    At degree 0 the source is the zero module (nothing to restrict)."""
-    n = m.degree
-    if n == 0:
+    """induce(restrict(M)) -> M, the action map: block k maps by r_k (the
+    cap from the 1-subsets).  At degree 0 the source is the zero module
+    (nothing to restrict)."""
+    if m.degree == 0:
         return ModuleMap(zero_module(0), m, SMat.zeros(m.dim, 0))
-    src = induce(restrict(m))
-    cols = []
-    for k in range(1, n + 1):
-        cols.append(m.act_perm(coset_rep(k, n)))
-    return ModuleMap(src, m, SMat.hstack(cols))
+    return ModuleMap(induce(restrict(m)), m, subset_move(m, 1, cup=False))
 
 
 def unit_pq(m):
-    """M -> induce(restrict(M)): m ↦ Σ_k r_k ⊗ r_k^{-1} m."""
-    n = m.degree
-    if n == 0:
+    """M -> induce(restrict(M)): m ↦ Σ_k r_k ⊗ r_k^{-1} m (the cup from
+    the empty subset)."""
+    if m.degree == 0:
         return ModuleMap(m, zero_module(0), SMat.zeros(0, m.dim))
-    tgt = induce(restrict(m))
-    rows = []
-    for k in range(1, n + 1):
-        rows.append(m.act_perm(perm_inverse(coset_rep(k, n))))
-    return ModuleMap(m, tgt, SMat.vstack(rows))
+    return ModuleMap(m, induce(restrict(m)), subset_move(m, 0, cup=True))
 
 
 def unit_qp(m):

@@ -243,6 +243,10 @@ class TestDeterminismAndCache:
          "3f4aadf0605597bcc174669e9ae4ebc6ed98f2eee83ea6174e5654c5fe4a080e"),
         (("cat", "sigma", "--module", "trivial:6", "--json"),
          "d3d9144cde369f50e8fe04550df4712b03290818a305adec7fef76d491bb9c29"),
+        (("cat", "sigma", "--module", "reg:3", "--json"),
+         "e1198ad89d06423c9416f13ae4bb74e4485a6e41aa36493161f5ebce67101a6a"),
+        (("cat", "sigma", "--module", "S:2,1,1", "--json"),
+         "83d363b350b3eb1ad114280ec888ee124b1d5de38c957f34417d76422598fb0e"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):
