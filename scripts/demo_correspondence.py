@@ -39,6 +39,11 @@ def show(f):
     return " + ".join(bits)
 
 
+def mismatch(level, got, want):
+    print(f"MISMATCH at {level}: got {got}, expected {want}")
+    return 1
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     lam = parse_partition(argv[0] if argv else "2,1")
@@ -49,7 +54,8 @@ def main(argv=None):
     for a, _ in reversed(creation_word(lam)):
         f = bernstein(a, f)
         print(f"  apply charge {a}: {show(f)}")
-    assert f == schur(lam)
+    if f != schur(lam):
+        return mismatch("level 1", show(f), show(schur(lam)))
     print(f"  word of charges {[a for a, _ in creation_word(lam)]} "
           f"applied to 1 gives s[{name}]")
 
@@ -64,7 +70,8 @@ def main(argv=None):
     print(f"  one fermionic generator raises the charge: "
           f"{ {c: show(g) for c, g in moved.terms.items()} }")
     back = sigma_inv(bos)
-    assert back.terms == {vec: 1}
+    if back.terms != {vec: 1}:
+        return mismatch("level 2", back.terms, {vec: 1})
 
     print(f"\n=== level 3: the categorified creation word ===")
     cx = compose_bernstein(creation_word(lam), trivial_module(0))
@@ -72,7 +79,9 @@ def main(argv=None):
     print(f"  homology: {cx.betti()}  (concentrated in degree 0)")
     print(f"  degree-0 character: {show(frobenius_char(cx.homology_module(0)))}")
     print(f"  Euler characteristic: {show(cx.euler_frobenius())}")
-    assert cx.euler_frobenius() == schur(lam)
+    if cx.euler_frobenius() != schur(lam):
+        return mismatch("level 3", show(cx.euler_frobenius()),
+                        show(schur(lam)))
 
     v = fermionic_apply(1, vacuum_vector())
     print(f"\n  charged layer: one generator on the vacuum family gives "

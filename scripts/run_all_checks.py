@@ -11,11 +11,10 @@ Usage:
 """
 
 import argparse
-import json
 import sys
 import time
 
-from bosonfermion.cli import _default_suite, run_tasks
+from bosonfermion.cli import _default_suite, emit, run_tasks
 from bosonfermion.config import RunConfig
 from bosonfermion.fock import clifford_relation_report, verify_correspondence
 from bosonfermion.homalg import elimination_fuzz_report
@@ -46,18 +45,15 @@ def main(argv=None):
     reports.extend(run_tasks(_default_suite(cfg), jobs=cfg.jobs))
     elapsed = time.time() - t0
 
-    passed = all(r.passed for r in reports)
     if cfg.json_output:
-        doc = {"config": cfg.to_json_obj(), "passed": passed,
-               "reports": [r.to_json_obj() for r in reports]}
-        print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
-    else:
-        for r in reports:
-            print(r.summary())
-        checks = sum(len(r.checks) for r in reports)
-        verdict = "PASS" if passed else "FAIL"
-        print(f"{verdict}: {len(reports)} reports, {checks} checks, "
-              f"{elapsed:.1f}s")
+        return emit(reports, cfg)
+    passed = all(r.passed for r in reports)
+    for r in reports:
+        print(r.summary())
+    checks = sum(len(r.checks) for r in reports)
+    verdict = "PASS" if passed else "FAIL"
+    print(f"{verdict}: {len(reports)} reports, {checks} checks, "
+          f"{elapsed:.1f}s")
     return 0 if passed else 1
 
 

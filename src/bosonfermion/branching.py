@@ -28,7 +28,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .linalg import SMat, idempotent_image, joint_eigenspace
-from .partition_core import Partition, format_partition
+from .partition_core import (
+    Partition,
+    boxes_added,
+    boxes_removed,
+    format_partition,
+)
 from .reports import Report
 from .symrep import (
     GroupAlgebraElement,
@@ -235,7 +240,7 @@ def word_module(atoms, base):
         e_total = SMat.identity(top.dim)
         for box, start, lam in cables:
             e_total = box(word, start,
-                          young_idempotent(lam, check=False)) @ e_total
+                          young_idempotent(lam)) @ e_total
         iota, pi = idempotent_image(e_total)
     sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
     return sub, iota, pi, word
@@ -258,7 +263,7 @@ def _strand_route(n, swaps):
 def _row_symmetrizer(n, lo, hi):
     """(1/m!) Σ w over the m! permutations w of cable letters lo..hi in S_n
     (m = hi - lo + 1 >= 1): the symmetrizer box of one row."""
-    return young_idempotent([hi - lo + 1], check=False).relabel(
+    return young_idempotent([hi - lo + 1]).relabel(
         range(lo, hi + 1), n)
 
 
@@ -424,9 +429,9 @@ def pp_merge_family(m_size, n_size, base):
     crossed = m_size < n_size
     if crossed:
         # idempotent of the swapped word P^(n) P^(m) on the same plain space
-        e_ws = (_p_box(word0, 0, young_idempotent([m_size], check=False))
+        e_ws = (_p_box(word0, 0, young_idempotent([m_size]))
                 @ _p_box(word0, m_size,
-                         young_idempotent([n_size], check=False)))
+                         young_idempotent([n_size])))
         cross_in = _p_box(word0, 0, _strand_route(
             total, _cable_cross_swaps(n_size, m_size)))
         cross_out = _p_box(word0, 0, _strand_route(
@@ -467,19 +472,6 @@ def _dead_family(kind, src, labels, target_atoms, base):
                        [ONE] * len(labels))
 
 
-def _removable_rows(mu):
-    rows = []
-    for s in range(1, len(mu.parts) + 1):
-        if s == len(mu.parts) or mu.parts[s - 1] > mu.parts[s]:
-            rows.append(s)
-    return rows
-
-
-def _with_removed_box(mu, s):
-    return Partition(
-        [p - (1 if i == s - 1 else 0) for i, p in enumerate(mu.parts)])
-
-
 def q_lambda_p_family(mu, base):
     """Q^mu P  ≅  P Q^mu  ⊕  ⊕_{row s removable} Q^(mu - box at s): the up
     strand either crosses the whole cable sideways or caps against the
@@ -490,9 +482,9 @@ def q_lambda_p_family(mu, base):
     if base.degree < n - 1:
         labels = ["s=0 (swap)"]
         atoms = [[("Q", mu), ("P", [1])]]
-        for s in _removable_rows(mu):
+        for smaller, s in boxes_removed(mu):
             labels.append(f"s={s} (cap row)")
-            atoms.append([("Q", _with_removed_box(mu, s))])
+            atoms.append([("Q", smaller)])
         return _dead_family("QlambdaP", src, labels, atoms, base)
     sums = _partial_sums(mu)
     labels, targets, iotas, rhos, documented = [], [], [], [], []
@@ -509,9 +501,8 @@ def q_lambda_p_family(mu, base):
     rhos.append(rho0)
     documented.append(ONE)
     # removable rows
-    for s in _removable_rows(mu):
+    for smaller, s in boxes_removed(mu):
         lo, hi = sums[s - 1] + 1, sums[s]
-        smaller = _with_removed_box(mu, s)
         tgt, t_iota, t_pi, _ = word_module([("Q", smaller)], base)
         # projection: row box, slide the up strand inward, cap
         w = word0
@@ -540,24 +531,6 @@ def q_lambda_p_family(mu, base):
     return SplitFamily("QlambdaP", src, labels, targets, iotas, rhos, documented)
 
 
-def _addable_rows(lam):
-    rows = []
-    for s in range(1, len(lam.parts) + 1):
-        if s == 1 or lam.parts[s - 1] < lam.parts[s - 2]:
-            rows.append(s)
-    rows.append(len(lam.parts) + 1)
-    return rows
-
-
-def _with_added_box(lam, s):
-    parts = list(lam.parts)
-    if s == len(parts) + 1:
-        parts.append(1)
-    else:
-        parts[s - 1] += 1
-    return Partition(parts)
-
-
 def row_merge_family(kind, side, lam, base):
     """X^lam X  ≅  ⊕_{row s addable} X^(lam + box at s) for X = ``side``
     (P: PlambdaP, Q: QlambdaQ): symmetrize row s with the loose strand
@@ -575,15 +548,14 @@ def row_merge_family(kind, side, lam, base):
     n = lam.size() + 1
     box = _p_box if side == "P" else _q_box
     src, s_iota, s_pi, word0 = word_module([(side, [1]), (side, lam)], base)
-    rows = _addable_rows(lam)
-    biggers = [_with_added_box(lam, s) for s in rows]
-    labels = [format_partition(mu) for mu in biggers]
+    added = boxes_added(lam)
+    labels = [format_partition(mu) for mu, _ in added]
     if side == "Q" and base.degree < n:
         return _dead_family(kind, src, labels,
-                            [[("Q", mu)] for mu in biggers], base)
+                            [[("Q", mu)] for mu, _ in added], base)
     sums = _partial_sums(lam)
     targets, iotas, rhos = [], [], []
-    for s, bigger in zip(rows, biggers):
+    for bigger, s in added:
         # row s on letters lo..hi, empty (hi = lo - 1) for a new row
         lo, hi = sums[s - 1] + 1, sums[min(s, len(lam.parts))]
         tgt, t_iota, t_pi, _ = word_module([(side, bigger)], base)

@@ -7,6 +7,10 @@ Conventions, fixed once and used everywhere:
 - The canonical order on partitions of the same size is descending
   lexicographic: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  It refines dominance.
 - Text form: comma-separated parts, with "0" for the empty partition.
+
+Every Pieri strip, above or below a partition, horizontal or vertical, and
+every added or removed box comes from one walk over weakly decreasing rows
+held between two bounds (``_bounded_rows``); only the bounds differ.
 """
 
 from __future__ import annotations
@@ -130,6 +134,12 @@ def dominates(lam, mu):
     return True
 
 
+def _changed_row(lam, mu):
+    """The 1-based row where two partitions first differ."""
+    pairs = itertools.zip_longest(lam.parts, mu.parts, fillvalue=0)
+    return next(s for s, (a, b) in enumerate(pairs, start=1) if a != b)
+
+
 def boxes_added(lam):
     """All partitions obtained by adding one box, as (Partition, row) pairs.
 
@@ -137,27 +147,15 @@ def boxes_added(lam):
     Listed top row first.
     """
     lam = Partition(lam)
-    out = []
-    for s in range(1, len(lam.parts) + 2):
-        above = lam.row(s - 1) if s > 1 else None
-        if s == 1 or above > lam.row(s):
-            new = list(lam.parts) + [0] * (s - len(lam.parts))
-            new[s - 1] += 1
-            out.append((Partition(new), s))
-    return out
+    return [(mu, _changed_row(lam, mu)) for mu in horizontal_strips(lam, 1)]
 
 
 def boxes_removed(lam):
-    """All partitions obtained by removing one corner box, as (Partition, row)."""
+    """All partitions obtained by removing one corner box, as (Partition, row).
+    Listed top row first."""
     lam = Partition(lam)
-    out = []
-    for s in range(1, len(lam.parts) + 1):
-        below = lam.row(s + 1)
-        if lam.row(s) > below:
-            new = list(lam.parts)
-            new[s - 1] -= 1
-            out.append((Partition(new), s))
-    return out
+    return [(mu, _changed_row(lam, mu))
+            for mu in reversed(horizontal_strips_below(lam, 1))]
 
 
 @lru_cache(maxsize=None)
@@ -287,6 +285,38 @@ def enumerate_syt(lam):
     return [StandardTableau(rows) for rows in build(lam.parts)]
 
 
+def _bounded_rows(lo, hi, size):
+    """Partitions of ``size`` with weakly decreasing rows lo[i] <= x[i] <= hi[i],
+    in canonical order.
+
+    ``lo`` and ``hi`` are weakly decreasing tuples of one length with
+    lo <= hi.  Each row takes its values from high to low and stops once the
+    later rows, capped by it, cannot absorb what is left, so no branch dies
+    and the rows come out in descending lexicographic order.
+    """
+    n, out = len(lo), []
+    room = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + hi[i] - lo[i]
+
+    def walk(i, cap, left, built):
+        if i == n:
+            if not left:
+                out.append(Partition(built))
+            return
+        for v in range(min(hi[i], cap, lo[i] + left), lo[i] - 1, -1):
+            rest, spare, j = left - (v - lo[i]), room[i + 1], i + 1
+            while j < n and hi[j] > v:
+                spare -= hi[j] - v
+                j += 1
+            if rest > spare:
+                break
+            walk(i + 1, v, rest, built + (v,))
+
+    walk(0, hi[0] if hi else 0, size - sum(lo), ())
+    return out
+
+
 def horizontal_strips(lam, k):
     """Partitions mu >= lam with |mu| = |lam| + k and mu/lam a horizontal strip.
 
@@ -294,67 +324,31 @@ def horizontal_strips(lam, k):
     mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...  Returned in canonical order.
     """
     lam = Partition(lam)
-    if k < 0:
-        return []
-    if k == 0:
-        return [lam]
-    rows = len(lam.parts) + 1
-    out = []
-
-    def extend(i, remaining, built):
-        if i > rows:
-            if remaining == 0:
-                out.append(Partition(built))
-            return
-        lo = lam.row(i)
-        hi = lam.row(i - 1) if i > 1 else lam.row(1) + remaining
-        hi = min(hi, lo + remaining)
-        if built:
-            hi = min(hi, built[-1])
-        for val in range(hi, lo - 1, -1):
-            extend(i + 1, remaining - (val - lo), built + [val])
-
-    extend(1, k, [])
-    out.sort(key=Partition.sort_key)
-    return out
+    hi = (lam.row(1) + k,) + lam.parts
+    return _bounded_rows(lam.parts + (0,), hi, lam.size() + k)
 
 
 def vertical_strips(lam, k):
-    """Partitions mu >= lam with mu/lam a vertical strip of size k (one box per row)."""
+    """Partitions mu >= lam with mu/lam a vertical strip of size k (one box per
+    row).  Returned in canonical order."""
     lam = Partition(lam)
-    return sorted(
-        (m.conjugate() for m in horizontal_strips(lam.conjugate(), k)),
-        key=Partition.sort_key,
-    )
+    lo = lam.parts + (0,) * k
+    return _bounded_rows(lo, tuple(p + 1 for p in lo), lam.size() + k)
 
 
 def horizontal_strips_below(lam, k):
     """Partitions mu <= lam with lam/mu a horizontal strip of size k, i.e.
     lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...  Returned in canonical order."""
     lam = Partition(lam)
-    parts = lam.parts + (0,)
-    out = []
-
-    def extend(i, remaining, built):
-        if i == len(lam.parts):
-            if remaining == 0:
-                out.append(Partition(built))
-            return
-        lo = max(parts[i + 1], parts[i] - remaining)
-        for val in range(parts[i], lo - 1, -1):
-            extend(i + 1, remaining - (parts[i] - val), built + [val])
-
-    extend(0, k, [])
-    out.sort(key=Partition.sort_key)
-    return out
+    return _bounded_rows((lam.parts + (0,))[1:], lam.parts, lam.size() - k)
 
 
 def vertical_strips_below(lam, k):
+    """Partitions mu <= lam with lam/mu a vertical strip of size k.  Returned
+    in canonical order."""
     lam = Partition(lam)
-    return sorted(
-        (m.conjugate() for m in horizontal_strips_below(lam.conjugate(), k)),
-        key=Partition.sort_key,
-    )
+    return _bounded_rows(tuple(p - 1 for p in lam.parts), lam.parts,
+                         lam.size() - k)
 
 
 def cycle_type_representative(mu, n=None):

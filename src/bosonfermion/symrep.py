@@ -186,13 +186,13 @@ def _stabilizer_sum(groups, n, signed):
     return elem
 
 
-def young_idempotent(lam, check=None):
+def young_idempotent(lam):
     """The classical idempotent cutting the lam-isotypic image out of the
     added/removed strands: normalized product of the row symmetrizer and the
     signed column symmetrizer of the row-reading filling.
 
     The normalization #SYT(lam)/n! is exactly what makes the element
-    idempotent; ``check`` (default: n <= 5) raises IdempotentError if not.
+    idempotent; for n <= 5 the e*e = e gate raises IdempotentError if not.
     """
     lam = Partition(lam)
     n = lam.size()
@@ -205,9 +205,7 @@ def young_idempotent(lam, check=None):
     a = _stabilizer_sum(rows, n, signed=False)
     b = _stabilizer_sum(cols, n, signed=True)
     e = (a * b).scale(Fraction(syt_count(lam), factorial(n)))
-    if check is None:
-        check = n <= 5
-    if check and (sq := e * e) != e:
+    if n <= 5 and (sq := e * e) != e:
         p = min(p for p in sq.terms.keys() | e.terms.keys()
                 if sq.terms.get(p) != e.terms.get(p))
         raise IdempotentError(
@@ -730,7 +728,7 @@ def p_lambda(lam, m):
     if k == 0:
         return m, identity_map(m), identity_map(m)
     letters = added_letters_embedding(k, m.degree)
-    elem = young_idempotent(lam, check=False).relabel(letters, m.degree + k)
+    elem = young_idempotent(lam).relabel(letters, m.degree + k)
     iota_m, pi_m = idempotent_image(right_mult_map(m, k, elem))
     sub = RepModule(amb.degree, iota_m.ncols,
                     [pi_m @ g @ iota_m for g in amb.gens])
@@ -753,7 +751,7 @@ def q_lambda(lam, m):
     if k == 0:
         return m, identity_map(m), identity_map(m)
     letters = removed_letters_embedding(k, m.degree)
-    elem = young_idempotent(lam, check=False).relabel(letters, m.degree)
+    elem = young_idempotent(lam).relabel(letters, m.degree)
     op = m.act_algebra(elem)
     iota_m, pi_m = idempotent_image(op)
     sub = RepModule(amb.degree, iota_m.ncols,

@@ -99,7 +99,7 @@ def test_criterion_05_idempotent_calculus():
     for lam in partitions_up_to(5):
         if lam.size() == 0:
             continue
-        e = young_idempotent(lam, check=False)
+        e = young_idempotent(lam)
         assert e * e == e, lam
     # sandwich orthogonality: a column-cut after a row-cut of the vacuum
     # survives exactly when the two labels agree

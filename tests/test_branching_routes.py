@@ -20,14 +20,10 @@ import pytest
 from bosonfermion.branching import (
     PlainWord,
     SplitFamily,
-    _addable_rows,
     _cable_cross_swaps,
     _dead_family,
     _p_box,
     _partial_sums,
-    _removable_rows,
-    _with_added_box,
-    _with_removed_box,
     branching_iso_check,
     move_cap_qp,
     move_cup_qp,
@@ -101,8 +97,39 @@ def _right_mult_on_plain(base, n_letters, perm):
     return right_mult_map(base, n_letters, elem)
 
 
+def _removable_rows(mu):
+    rows = []
+    for s in range(1, len(mu.parts) + 1):
+        if s == len(mu.parts) or mu.parts[s - 1] > mu.parts[s]:
+            rows.append(s)
+    return rows
+
+
+def _with_removed_box(mu, s):
+    return Partition(
+        [p - (1 if i == s - 1 else 0) for i, p in enumerate(mu.parts)])
+
+
+def _addable_rows(lam):
+    rows = []
+    for s in range(1, len(lam.parts) + 1):
+        if s == 1 or lam.parts[s - 1] < lam.parts[s - 2]:
+            rows.append(s)
+    rows.append(len(lam.parts) + 1)
+    return rows
+
+
+def _with_added_box(lam, s):
+    parts = list(lam.parts)
+    if s == len(parts) + 1:
+        parts.append(1)
+    else:
+        parts[s - 1] += 1
+    return Partition(parts)
+
+
 def _symmetrizer_box(size):
-    return young_idempotent([size], check=False) if size >= 1 else None
+    return young_idempotent([size]) if size >= 1 else None
 
 
 def pp_merge_family(m_size, n_size, base):
@@ -116,9 +143,9 @@ def pp_merge_family(m_size, n_size, base):
     crossed = m_size < n_size
     if crossed:
         # idempotent of the swapped word P^(n) P^(m) on the same plain space
-        e_ws = (_p_box(word0, 0, young_idempotent([m_size], check=False))
+        e_ws = (_p_box(word0, 0, young_idempotent([m_size]))
                 @ _p_box(word0, m_size,
-                         young_idempotent([n_size], check=False)))
+                         young_idempotent([n_size])))
         w_in = p_route_element(total, base.degree,
                                _cable_cross_swaps(n_size, m_size))
         w_out = p_route_element(total, base.degree,

@@ -204,7 +204,7 @@ def young_product(atoms, base):
         w_in = word.stages[start]
         rest = word.letters[start + k:]
         if side == "P":
-            elem = young_idempotent(lam, check=False).relabel(
+            elem = young_idempotent(lam).relabel(
                 added_letters_embedding(k, w_in.degree), w_in.degree + k)
             box = _lift_matrix(right_mult_map(w_in, k, elem),
                                w_in.degree + k, rest)
@@ -213,7 +213,7 @@ def young_product(atoms, base):
             if w_in.degree < k or out.dim != w_in.dim:
                 f = SMat.zeros(out.dim, out.dim)
             else:
-                elem = young_idempotent(lam, check=False).relabel(
+                elem = young_idempotent(lam).relabel(
                     removed_letters_embedding(k, w_in.degree), w_in.degree)
                 f = w_in.act_algebra(elem)
             box = _lift_matrix(f, out.degree, rest)

@@ -27,9 +27,6 @@ from bosonfermion.symrep import specht_module, trivial_module
 
 GATE_SWITCHES = {"check", "validate", "inject_sign_flip", "_flip_sign"}
 
-# its e·e = e gate costs (n!)² products and stays the callers' choice
-EXEMPT = {"young_idempotent"}
-
 
 def _callables(module):
     for name, obj in vars(module).items():
@@ -48,7 +45,7 @@ def _callables(module):
                                     fock, cli], ids=lambda m: m.__name__)
 def test_no_parameter_switches_a_gate_off(module):
     found = [(name, sorted(GATE_SWITCHES & set(inspect.signature(fn).parameters)))
-             for name, fn in _callables(module) if name not in EXEMPT]
+             for name, fn in _callables(module)]
     assert [hit for hit in found if hit[1]] == []
     assert found, "the walk found no functions"
 

@@ -185,7 +185,7 @@ class TestYoungIdempotents:
     def test_idempotent_through_degree_five(self):
         for n in range(1, 6):
             for lam in enumerate_partitions(n):
-                e = young_idempotent(lam, check=False)
+                e = young_idempotent(lam)
                 assert e * e == e, lam
 
     def test_failed_idempotence_names_the_partition(self, monkeypatch):
@@ -203,7 +203,7 @@ class TestYoungIdempotents:
             n = lam.size()
             if n == 0:
                 continue
-            e = young_idempotent(lam, check=False)
+            e = young_idempotent(lam)
             assert e.terms[identity_perm(n)] == Fraction(
                 syt_count(lam), math.factorial(n))
 
@@ -212,7 +212,7 @@ def regular_route_specht(lam):
     """The former construction, kept as an oracle: the image of the Young
     idempotent acting by left multiplication on the regular module."""
     reg = regular_module(Partition(lam).size())
-    e = young_idempotent(lam, check=False)
+    e = young_idempotent(lam)
     iota, pi = idempotent_image(left_mult_matrix(e))
     return RepModule(reg.degree, iota.ncols, [pi @ g @ iota for g in reg.gens])
 
@@ -741,7 +741,7 @@ def top_letter_elements(n, k):
         img[i - 1], img[j - 1] = j, i
         out.append(GroupAlgebraElement(n + k, {tuple(img): ONE}))
     for lam in enumerate_partitions(k):
-        out.append(young_idempotent(lam, check=False).relabel(
+        out.append(young_idempotent(lam).relabel(
             added_letters_embedding(k, n), n + k))
     return out
 
