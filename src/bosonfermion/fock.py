@@ -9,15 +9,12 @@ mode psi(j) inserts the code j-1 (if free) with sign (-1)^{number of
 occupied codes above}, and psi_star(j) removes it (if present) at 1-based
 slot s with sign (-1)^{s+1}.
 
-Both modes are closed forms on the parts of lambda, found by one scan:
-
-- inserting a free code t with a occupied codes above it gives
-  (lambda_1 - 1, ..., lambda_a - 1, t - c + a, lambda_{a+1}, ...) at
-  charge c + 1, with sign (-1)^a (trailing zeros dropped);
-- removing the code at slot r gives
-  (lambda_1 + 1, ..., lambda_{r-1} + 1, lambda_{r+1}, ...) at charge c - 1,
-  with sign (-1)^{r+1}.  When the slot lies in the vacuum tail
-  (r > l(lambda)), the gap shows up as r - 1 - l(lambda) trailing ones.
+Both modes act on the Maya diagram, kept as an int bitmask above a floor
+lo <= c - l(lambda): codes below lo are all occupied and never counted, bit
+m - lo is set iff code m is, and the charge is lo plus the set-bit count.
+A mode on code t >= lo toggles bit t - lo with one flip of sign (-1)^{set
+bits above}, which for a removal at slot s is the slot sign: psi needs the
+bit clear and psi_star needs it set.
 
 The bosonic side is a charge-indexed family of symmetric functions; the
 dictionary sends (c, lambda) to t^c s_lambda, fermionic modes to the
@@ -163,66 +160,73 @@ def _terms(v):
     return v.terms.items()
 
 
-def _insert_code(vec, t):
-    """Insert code t into vec's occupied set; (sign, new vector) or None if occupied."""
-    parts, d = vec.shape.parts, t - vec.charge
-    a = 0  # occupied codes above t
-    for p in parts:
-        gap = p - a - 1 - d  # m_{a+1} - t
-        if gap <= 0:
-            if gap == 0:
-                return None
+def _maya(vec, lo):
+    """The Maya mask of vec above the floor lo <= c - l(lambda)."""
+    c, parts = vec.charge, vec.shape.parts
+    mask = (1 << (c - len(parts) - lo)) - 1  # the vacuum codes from lo up
+    for s, p in enumerate(parts, start=1):
+        mask |= 1 << (p + c - s - lo)
+    return mask
+
+
+def _from_maya(mask, lo):
+    """The basis vector of a Maya mask above the floor lo."""
+    n = mask.bit_count()
+    charge, parts = lo + n, []
+    while mask:
+        b = mask.bit_length() - 1
+        n -= 1  # the set bits left below b
+        if b == n:  # they fill every bit: the vacuum tail
             break
-        a += 1
-    else:
-        if d <= -a - 1:  # inside the vacuum tail
-            return None
-    new = [p - 1 for p in parts[:a]]
-    new.append(d + a)
-    new.extend(parts[a:])
-    while new and new[-1] == 0:
-        new.pop()
-    return (-1 if a & 1 else 1), _vector(vec.charge + 1, tuple(new))
+        parts.append(b - n)
+        mask ^= 1 << b
+    return _vector(charge, tuple(parts))
 
 
-def _remove_code(vec, t):
-    """Remove code t; (sign, new vector) or None if absent."""
-    parts, d = vec.shape.parts, t - vec.charge
-    for r, p in enumerate(parts, start=1):
-        gap = p - r - d  # m_r - t
-        if gap <= 0:
-            if gap < 0:
-                return None
-            new = tuple(q + 1 for q in parts[:r - 1]) + parts[r:]
-            break
-    else:
-        r = -d  # the slot of t in the vacuum tail
-        if r <= len(parts):
-            return None
-        new = tuple(q + 1 for q in parts) + (1,) * (r - 1 - len(parts))
-    return (1 if r & 1 else -1), _vector(vec.charge - 1, new)
+def _flip(hit, b):
+    """Toggle bit b of hit = (coefficient, mask), times (-1)^{set bits above b}."""
+    c, mask = hit
+    return (-c if (mask >> (b + 1)).bit_count() & 1 else c), mask ^ (1 << b)
 
 
-def _apply_mode(move, t, v):
-    """Apply ``move`` (insert or remove code t) to every term of v."""
+def _insert_bit(hit, b):
+    """psi on a signed Maya mask (None is zero): set bit b, or None if set."""
+    return None if hit is None or hit[1] >> b & 1 else _flip(hit, b)
+
+
+def _remove_bit(hit, b):
+    """psi_star on a signed Maya mask (None is zero): clear bit b, or None."""
+    return _flip(hit, b) if hit is not None and hit[1] >> b & 1 else None
+
+
+def _signed_sum(*hits):
+    """The sum of signed masks (None is zero) as {mask: coefficient}."""
+    out = {}
+    for hit in hits:
+        if hit is not None:
+            _acc(out, hit[1], hit[0])
+    return out
+
+
+def _apply_mode(step, t, v):
+    """Apply a mask step at code t to every term of v, above the floor min(c - l, t)."""
     out = {}
     for vec, coeff in _terms(v):
-        hit = move(vec, t)
-        if hit is None:
-            continue
-        sign, new_vec = hit
-        _acc(out, new_vec, coeff if sign > 0 else -coeff)
+        lo = min(vec.charge - len(vec.shape.parts), t)
+        hit = step((coeff, _maya(vec, lo)), t - lo)
+        if hit is not None:
+            _acc(out, _from_maya(hit[1], lo), hit[0])
     return _state(out)
 
 
 def psi(j, v):
     """The fermionic creation mode: inserts energy j - 1/2."""
-    return _apply_mode(_insert_code, j - 1, v)
+    return _apply_mode(_insert_bit, j - 1, v)
 
 
 def psi_star(j, v):
     """The fermionic annihilation mode: removes energy j - 1/2."""
-    return _apply_mode(_remove_code, j - 1, v)
+    return _apply_mode(_remove_bit, j - 1, v)
 
 
 # -- bosonic side ---------------------------------------------------------------
@@ -243,10 +247,6 @@ class BosonState:
     @staticmethod
     def of(charge, f):
         return BosonState({charge: f})
-
-    @staticmethod
-    def zero():
-        return BosonState()
 
     def component(self, charge):
         return self.terms.get(charge, SymFunc.zero())
@@ -300,18 +300,12 @@ def sigma_inv(b):
 
 def boson_psi(i, b):
     """The bosonic realization of psi(i): t^c f -> t^{c+1} B_{i-(c+1)} f."""
-    out = BosonState.zero()
-    for c, f in b.terms.items():
-        out = out + BosonState.of(c + 1, bernstein(i - (c + 1), f))
-    return out
+    return BosonState({c + 1: bernstein(i - (c + 1), f) for c, f in b.terms.items()})
 
 
 def boson_psi_star(i, b):
     """The bosonic realization of psi_star(i): t^c f -> t^{c-1} B*_{i-c} f."""
-    out = BosonState.zero()
-    for c, f in b.terms.items():
-        out = out + BosonState.of(c - 1, bernstein_star(i - c, f))
-    return out
+    return BosonState({c - 1: bernstein_star(i - c, f) for c, f in b.terms.items()})
 
 
 # -- serialization -----------------------------------------------------------------
@@ -393,15 +387,15 @@ def verify_correspondence(max_degree, charge_window, index_window):
             for i in _window(index_window):
                 lhs = sigma_iso(psi(i, vec))
                 rhs = boson_psi(i, bos)
-                name = f"psi[i={i}] on (c={c}, {format_partition(lam)})"
                 if lhs != rhs:
-                    report.add(name, False, lhs=boson_state_to_json(lhs),
+                    report.add(f"psi[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs),
                                rhs=boson_state_to_json(rhs))
                 lhs2 = sigma_iso(psi_star(i, vec))
                 rhs2 = boson_psi_star(i, bos)
-                name2 = f"psi_star[i={i}] on (c={c}, {format_partition(lam)})"
                 if lhs2 != rhs2:
-                    report.add(name2, False, lhs=boson_state_to_json(lhs2),
+                    report.add(f"psi_star[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs2),
                                rhs=boson_state_to_json(rhs2))
     report.add(
         "correspondence window complete",
@@ -413,7 +407,8 @@ def verify_correspondence(max_degree, charge_window, index_window):
 
 
 def clifford_relation_report(max_degree, charge_window, index_window):
-    """Anticommutator battery on basis vectors in the window."""
+    """Anticommutator battery on basis vectors in the window, run on their
+    Maya masks with the mask steps that ``psi`` and ``psi_star`` apply."""
     report = Report(
         "clifford anticommutators",
         config={
@@ -428,27 +423,26 @@ def clifford_relation_report(max_degree, charge_window, index_window):
     total = 0
     for c in _window(charge_window):
         for lam in shapes:
-            state = FermionState.of(FermionBasisVector(c, lam))
-            up = {j: psi(j, state) for j in idx}
-            down = {j: psi_star(j, state) for j in idx}
-            upup = {(i, j): psi(i, up[j]) for i in idx for j in idx}
-            downdown = {(i, j): psi_star(i, down[j]) for i in idx for j in idx}
+            lo = min(c - len(lam.parts), index_window[0] - 1)
+            v = (1, _maya(FermionBasisVector(c, lam), lo))
+            state = _signed_sum(v)
+            bit = {j: j - 1 - lo for j in idx}
+            up = {j: _insert_bit(v, bit[j]) for j in idx}
+            down = {j: _remove_bit(v, bit[j]) for j in idx}
+            upup = {(i, j): _insert_bit(up[j], bit[i]) for i in idx for j in idx}
+            downdown = {(i, j): _remove_bit(down[j], bit[i]) for i in idx for j in idx}
             for i in idx:
                 for j in idx:
-                    total += 3
-                    acc = upup[i, j] + upup[j, i]
-                    if not acc.is_zero():
-                        bad += 1
-                        report.add(f"psi-psi i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = downdown[i, j] + downdown[j, i]
-                    if not acc.is_zero():
-                        bad += 1
-                        report.add(f"psi*-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = psi(i, down[j]) + psi_star(j, up[i])
-                    expect = state if i == j else FermionState.zero()
-                    if acc != expect:
-                        bad += 1
-                        report.add(f"psi-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
+                    for name, acc, expect in (
+                            ("psi-psi", _signed_sum(upup[i, j], upup[j, i]), {}),
+                            ("psi*-psi*", _signed_sum(downdown[i, j], downdown[j, i]), {}),
+                            ("psi-psi*", _signed_sum(_insert_bit(down[j], bit[i]),
+                                                     _remove_bit(up[i], bit[j])),
+                             state if i == j else {})):
+                        total += 1
+                        if acc != expect:
+                            bad += 1
+                            report.add(f"{name} i={i} j={j} c={c} lam={format_partition(lam)}", False)
     report.add("clifford relations", bad == 0, checked=total, failed=bad)
     return report
 

@@ -22,6 +22,7 @@ constituent per partition on the added (resp. removed) letters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product
@@ -193,8 +194,13 @@ def young_idempotent(lam):
 
     The normalization #SYT(lam)/n! is exactly what makes the element
     idempotent; for n <= 5 the e*e = e gate raises IdempotentError if not.
+    It is built and gated once per shape and shared: callers must not mutate it.
     """
-    lam = Partition(lam)
+    return _young_idempotent(Partition(lam))
+
+
+@lru_cache(maxsize=None)
+def _young_idempotent(lam):
     n = lam.size()
     tab = row_reading_tableau(lam)
     rows = [list(r) for r in tab.rows]

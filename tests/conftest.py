@@ -39,11 +39,14 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def psi_sign_flipped(monkeypatch):
-    """Corrupt ``fock.psi`` by negating the sign of every inserted code."""
-    insert = fock._insert_code
+    """Corrupt the one insertion step on Maya masks by negating its sign,
+    so that ``fock.psi`` and the Clifford battery both apply the fault.
+    (Negating ``_flip`` would corrupt removals too, and the two signs would
+    cancel in the mixed anticommutator.)"""
+    insert = fock._insert_bit
 
-    def flipped(vec, t):
-        hit = insert(vec, t)
+    def flipped(mask, b):
+        hit = insert(mask, b)
         return None if hit is None else (-hit[0], hit[1])
 
-    monkeypatch.setattr(fock, "_insert_code", flipped)
+    monkeypatch.setattr(fock, "_insert_bit", flipped)

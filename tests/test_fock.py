@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from bosonfermion import fock
 from bosonfermion.fock import (
-    _insert_code,
-    _remove_code,
     BosonState,
     FermionBasisVector,
     FermionState,
@@ -29,7 +27,9 @@ from bosonfermion.fock import (
     vacuum,
     verify_correspondence,
 )
-from bosonfermion.partition_core import Partition, partitions_up_to
+from bosonfermion.partition_core import (Partition, format_partition,
+                                         partitions_up_to)
+from bosonfermion.reports import Report
 from bosonfermion.symfunc import SymFunc, multiply, powersum, schur
 
 
@@ -77,7 +77,7 @@ class TestModesOnVacuum:
         assert got == FermionState.of(basis(1, [2]))
 
 
-# -- reference routes: the occupied-code lists the closed forms replaced --------
+# -- reference routes: each mode on an explicit occupied-code list -----------
 
 
 def _insert_code_by_codes(vec, t):
@@ -118,15 +118,25 @@ def _remove_code_by_codes(vec, t):
     return (-1) ** (slot + 1), FermionBasisVector(new_charge, parts)
 
 
+def _as_hit(state):
+    """A one-term state as (sign, vector); the zero state as None."""
+    if state.is_zero():
+        return None
+    ((vec, coeff),) = state.terms.items()
+    return coeff, vec
+
+
 class TestClosedFormsMatchCodeLists:
     def test_every_small_vector_and_code(self):
+        # each mode goes through the Maya mask and back (psi(j) acts on code
+        # j - 1), so this also checks _maya/_from_maya on every shape
         seen = {"occupied": 0, "free": 0, "tail removal": 0}
         for c in range(-4, 5):
             for lam in partitions_up_to(7):
                 vec = basis(c, lam)
                 for t in range(c - len(lam.parts) - 10, c + lam.row(1) + 11):
-                    ins, want_ins = _insert_code(vec, t), _insert_code_by_codes(vec, t)
-                    rem, want_rem = _remove_code(vec, t), _remove_code_by_codes(vec, t)
+                    ins, want_ins = _as_hit(psi(t + 1, vec)), _insert_code_by_codes(vec, t)
+                    rem, want_rem = _as_hit(psi_star(t + 1, vec)), _remove_code_by_codes(vec, t)
                     assert ins == want_ins, (vec, t)
                     assert rem == want_rem, (vec, t)
                     # the vectors are well-formed partitions, not just equal
@@ -139,18 +149,88 @@ class TestClosedFormsMatchCodeLists:
         assert all(seen.values()), seen
 
 
+def dict_route_battery(max_degree, charge_window, index_window):
+    """The former battery body, kept as an oracle: every image is a
+    ``FermionState`` built by ``psi``/``psi_star`` and summed as a dict."""
+    report = Report(
+        "clifford anticommutators",
+        config={
+            "max_degree": max_degree,
+            "charge_window": list(charge_window),
+            "index_window": list(index_window),
+        },
+    )
+    shapes = partitions_up_to(max_degree)
+    idx = list(range(index_window[0], index_window[1] + 1))
+    bad = 0
+    total = 0
+    for c in range(charge_window[0], charge_window[1] + 1):
+        for lam in shapes:
+            state = FermionState.of(FermionBasisVector(c, lam))
+            up = {j: psi(j, state) for j in idx}
+            down = {j: psi_star(j, state) for j in idx}
+            upup = {(i, j): psi(i, up[j]) for i in idx for j in idx}
+            downdown = {(i, j): psi_star(i, down[j]) for i in idx for j in idx}
+            for i in idx:
+                for j in idx:
+                    total += 3
+                    acc = upup[i, j] + upup[j, i]
+                    if not acc.is_zero():
+                        bad += 1
+                        report.add(f"psi-psi i={i} j={j} c={c} lam={format_partition(lam)}", False)
+                    acc = downdown[i, j] + downdown[j, i]
+                    if not acc.is_zero():
+                        bad += 1
+                        report.add(f"psi*-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
+                    acc = psi(i, down[j]) + psi_star(j, up[i])
+                    expect = state if i == j else FermionState.zero()
+                    if acc != expect:
+                        bad += 1
+                        report.add(f"psi-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
+    report.add("clifford relations", bad == 0, checked=total, failed=bad)
+    return report
+
+
+BATTERY_WINDOWS = [
+    (3, (-1, 1), (-3, 3)),
+    (4, (-3, 3), (-6, 5)),
+    (2, (0, 0), (3, 3)),
+    (2, (1, 0), (-2, 2)),   # empty charge window
+    (2, (-1, 1), (2, -2)),  # reversed index window
+    (0, (-2, 2), (-1, 1)),
+]
+
+
 class TestCliffordRelations:
     def test_relation_battery(self):
         rep = clifford_relation_report(3, (-1, 1), (-3, 3))
         assert rep.passed, rep.render_text()
 
+    @pytest.mark.parametrize("window", BATTERY_WINDOWS)
+    def test_mask_battery_matches_dict_route(self, window):
+        assert (clifford_relation_report(*window).to_json()
+                == dict_route_battery(*window).to_json())
+
+    @pytest.mark.parametrize("window", BATTERY_WINDOWS[:3])
+    def test_mask_battery_matches_dict_route_under_sign_flip(
+            self, window, psi_sign_flipped):
+        # a negated insertion sign cancels in psi-psi and never enters
+        # psi*-psi*, so only the mixed relations fail, in both routes
+        got = clifford_relation_report(*window)
+        names = [chk.name for chk in got.failures()]
+        assert names[-1] == "clifford relations"
+        assert names[:-1] and all(n.startswith("psi-psi* ") for n in names[:-1])
+        assert got.to_json() == dict_route_battery(*window).to_json()
+
     def test_battery_applies_each_mode_once_per_image(self):
-        # per basis vector: psi_j v for each j, then psi_i psi_j v and
-        # psi_i psi*_j v for each ordered pair; psi* likewise
+        # per basis vector: each mask step on v for each j, then on each
+        # first-level image (zero ones included) for each index, as psi_i
+        # psi_j v and psi_i psi*_j v for each ordered pair; psi* likewise
         states, width = 3 * len(partitions_up_to(3)), 7
-        with mock.patch.object(fock, "psi", wraps=fock.psi) as up, \
-                mock.patch.object(fock, "psi_star",
-                                  wraps=fock.psi_star) as down:
+        with mock.patch.object(fock, "_insert_bit",
+                               wraps=fock._insert_bit) as up, \
+                mock.patch.object(fock, "_remove_bit",
+                                  wraps=fock._remove_bit) as down:
             rep = clifford_relation_report(3, (-1, 1), (-3, 3))
         assert rep.passed
         assert rep.checks[-1].details["checked"] == 3 * states * width ** 2

@@ -190,10 +190,20 @@ class TestYoungIdempotents:
 
     def test_failed_idempotence_names_the_partition(self, monkeypatch):
         # a wrong normalization breaks e*e = e; the gate is a raise, not an
-        # assert, so it also holds under python -O
+        # assert, so it also holds under python -O.  The element is memoized
+        # per shape, so the cache is cleared on both sides of the corruption.
         monkeypatch.setattr(symrep, "syt_count", lambda lam: 1)
-        with pytest.raises(IdempotentError, match="2,1 .* coefficient 1/12"):
-            young_idempotent([2, 1])
+        symrep._young_idempotent.cache_clear()
+        try:
+            with pytest.raises(IdempotentError,
+                               match="2,1 .* coefficient 1/12"):
+                young_idempotent([2, 1])
+        finally:
+            symrep._young_idempotent.cache_clear()
+
+    def test_built_once_per_shape(self):
+        # lists, tuples and partitions of one shape share one gated element
+        assert young_idempotent([2, 1]) is young_idempotent(Partition((2, 1)))
 
     def test_identity_coefficient_is_syt_ratio(self):
         # row and column groups intersect trivially, so the only way to
