@@ -2,10 +2,10 @@
 
 A *plain word* is a sequence of single induction (P) and restriction (Q)
 steps applied to a base module; a *decorated word* cuts out one isotypic
-piece per cable with an embedded idempotent box, realized as an explicit
-idempotent image.  Between plain words live elementary structure maps —
-sideways crossings, caps, cups, strand crossings — whiskered through the
-remaining stages.  Composing these according to the swap/merge recipes
+piece per cable, with ``symrep.p_lambda``/``q_lambda``, out of the module
+the cables before it left.  Between plain words live elementary structure
+maps — sideways crossings, caps, cups, strand crossings — whiskered through
+the remaining stages.  Composing these according to the swap/merge recipes
 yields explicit inclusions/projections realizing each direct-sum
 decomposition; they are verified by a biorthogonality battery.
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .linalg import SMat, idempotent_image, joint_eigenspace
+from .linalg import SMat
 from .partition_core import (
     Partition,
     boxes_added,
@@ -37,14 +37,15 @@ from .partition_core import (
 from .reports import Report
 from .symrep import (
     GroupAlgebraElement,
-    RepModule,
     added_letters_embedding,
     adjacent_transposition,
     counit_pq,
     counit_qp,
     identity_perm,
     induce,
+    p_lambda,
     perm_mult,
+    q_lambda,
     removed_letters_embedding,
     restrict,
     right_mult_map,
@@ -212,38 +213,23 @@ def _q_box(word, start, elem):
 def word_module(atoms, base):
     """Decorated word: (module, inclusion, projection, plain word).
 
-    ``atoms`` is a list of (side, partition) in application order (first
-    entry applied first); empty cables are skipped.  The word is the image
-    of the product of the cables' Young idempotent boxes.  If every cable is
-    one row (box: symmetrizer) or one column (antisymmetrizer), that image
-    is the joint +1 or -1 eigenspace of the cables' adjacent transpositions,
-    cut out by ``joint_eigenspace`` without forming any k!-term box; any
-    other shape keeps the box product and ``idempotent_image``.
+    ``atoms`` lists (side, partition) in application order.  Each cable is
+    cut by ``p_lambda``/``q_lambda`` out of the module the cables before it
+    left, and the inclusions and projections compose by whiskering.  Boxes
+    of different cables commute (P boxes multiply on the right, Q boxes act
+    on other letters), so inclusion∘projection is the product of the
+    cables' Young idempotent boxes on the plain word.
     """
-    cables, letters = [], ""
+    sub, letters = base, ""
+    iota = pi = SMat.identity(base.dim)
     for side, lam in atoms:
         lam = Partition(lam)
-        if lam.size() > 0:
-            box = _p_box if side == "P" else _q_box
-            cables.append((box, len(letters), lam))
-            letters += ("P" if side == "P" else "Q") * lam.size()
-    word = PlainWord(base, letters)
-    top = word.top
-    if all(len(lam.parts) == 1 or lam.parts[0] == 1 for _, _, lam in cables):
-        gens = []
-        for box, start, lam in cables:
-            k, eps = lam.size(), 1 if len(lam.parts) == 1 else -1
-            for i in range(1, k):
-                gens.append((box(word, start, _strand_route(k, [i])), eps))
-        iota, pi = joint_eigenspace(top.dim, gens)
-    else:
-        e_total = SMat.identity(top.dim)
-        for box, start, lam in cables:
-            e_total = box(word, start,
-                          young_idempotent(lam)) @ e_total
-        iota, pi = idempotent_image(e_total)
-    sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
-    return sub, iota, pi, word
+        cable = side * lam.size()
+        cut, i_c, p_c = (p_lambda if side == "P" else q_lambda)(lam, sub)
+        iota = _lift_matrix(iota, sub.degree, cable) @ i_c.matrix
+        pi = p_c.matrix @ _lift_matrix(pi, sub.degree, cable)
+        sub, letters = cut, letters + cable
+    return sub, iota, pi, PlainWord(base, letters)
 
 
 # -- cable elements -------------------------------------------------------------------

@@ -256,8 +256,7 @@ def sigma_cell_dims(m):
 def _operator_complex(op, m):
     """One-step complex of ``op`` on a single module, plus its cells keyed
     by inner degree."""
-    cx, columns, _ = _apply_operator(op, single_module_complex(m),
-                                     return_columns=True)
+    cx, columns = _apply_operator(op, single_module_complex(m))
     return cx, columns.get(0, {})
 
 
@@ -277,8 +276,9 @@ def _functor_on_map(op, cs, ct, f, degree):
     return SMat.zeros(ct.sub.dim, cs.sub.dim)
 
 
-def _apply_operator(op, cx, return_columns=False):
-    """Apply a one-step operator to a whole complex and totalize.
+def _apply_operator(op, cx):
+    """Apply a one-step operator to a whole complex and totalize:
+    (complex, cells keyed by chain degree y and then inner degree k).
 
     The bicomplex has the operator's inner degree horizontally and the
     input's chain degree vertically, with the module of cell ``k`` over
@@ -287,8 +287,7 @@ def _apply_operator(op, cx, return_columns=False):
     """
     gd = op.out_degree(cx.group_degree)
     if cx.is_zero_complex():
-        out = zero_complex(max(gd, 0))
-        return (out, {}, {}) if return_columns else out
+        return zero_complex(max(gd, 0)), {}
     columns = {y: op.cells(cx.module(y)) for y in cx.degrees()}
     modules, d_h, d_v = {}, {}, {}
     for y, cells in columns.items():
@@ -307,9 +306,7 @@ def _apply_operator(op, cx, return_columns=False):
     out = totalize(modules, d_h, d_v, gd)
     if not out.modules:
         out = zero_complex(max(gd, 0))
-    if return_columns:
-        return out, columns, modules
-    return out
+    return out, columns
 
 
 def bernstein_complex(a, m):
@@ -334,17 +331,17 @@ def sigma_complex(sign, m):
 
 def apply_bernstein(a, cx):
     """Creation operator applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_BernsteinOp(a, star=False), cx)
+    return _apply_operator(_BernsteinOp(a, star=False), cx)[0]
 
 
 def apply_bernstein_star(a, cx):
     """Annihilation operator applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_BernsteinOp(a, star=True), cx)
+    return _apply_operator(_BernsteinOp(a, star=True), cx)[0]
 
 
 def apply_sigma(sign, cx):
     """Projector complex applied to a complex (totalized bicomplex)."""
-    return _apply_operator(_SigmaOp(sign), cx)
+    return _apply_operator(_SigmaOp(sign), cx)[0]
 
 
 # --------------------------------------------------------------------------
@@ -364,7 +361,7 @@ def compose_bernstein(word, seed, reduce_intermediate=True):
     cx = single_module_complex(seed)
     steps = list(word)
     for i, (a, star) in enumerate(reversed(steps)):
-        cx = _apply_operator(_BernsteinOp(a, star=star), cx)
+        cx, _ = _apply_operator(_BernsteinOp(a, star=star), cx)
         if reduce_intermediate and i < len(steps) - 1:
             cx = cx.homology_complex()
     return cx
@@ -528,14 +525,15 @@ def _counit_chain_map(a, m):
     inner_op = _BernsteinOp(a + 1, star=True)
     outer_op = _BernsteinOp(a + 1, star=False)
     inner_cx, inner_cells = _operator_complex(inner_op, m)
-    total, columns, modules = _apply_operator(
-        outer_op, inner_cx, return_columns=True)
+    total, columns = _apply_operator(outer_op, inner_cx)
     target = single_module_complex(m)
     if total.is_zero_complex():
         total = zero_complex(m.degree)
         return ChainMap(total, target, {}), total
 
-    cells0 = sorted(xy for xy in modules if xy[0] + xy[1] == 0)
+    dims = {(x, y): cell.sub.dim for y, cells in columns.items()
+            for x, cell in cells.items() if cell.sub.dim}
+    cells0 = sorted(xy for xy in dims if xy[0] + xy[1] == 0)
     blocks = [_pair_evaluation(columns[y][x], inner_cells[y], a)
               for x, y in cells0]
 
@@ -545,12 +543,12 @@ def _counit_chain_map(a, m):
     except ChainComplexError as exc:
         # only degree 1 can fail: name the cells where f0 @ d_1 is nonzero
         cols = {j for row in (f0 @ total.d(1)).rows for j in row}
-        cells1 = sorted(xy for xy in modules if xy[0] + xy[1] == 1)
+        cells1 = sorted(xy for xy in dims if xy[0] + xy[1] == 1)
         hit, off = [], 0
         for xy in cells1:
-            if any(off <= j < off + modules[xy].dim for j in cols):
+            if any(off <= j < off + dims[xy] for j in cols):
                 hit.append(xy)
-            off += modules[xy].dim
+            off += dims[xy]
         raise ChainComplexError(
             f"evaluation is not a chain map: f0 @ d_1 is nonzero on the "
             f"degree-1 cells {hit} (degree-0 cells {cells0})") from exc
@@ -737,7 +735,7 @@ def fermionic_apply(i, v, reduce=True):
     creation operator of charge ``i - (c + 1)`` and lands in charge c+1."""
     out = {}
     for c, cx in v.components.items():
-        nxt = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx)
+        nxt, _ = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx)
         if reduce:
             nxt = nxt.homology_complex()
         if nxt.modules:
@@ -750,7 +748,7 @@ def fermionic_star_apply(i, v, reduce=True):
     the annihilation operator of charge ``i - c`` and lands in charge c-1."""
     out = {}
     for c, cx in v.components.items():
-        nxt = _apply_operator(_BernsteinOp(i - c, star=True), cx)
+        nxt, _ = _apply_operator(_BernsteinOp(i - c, star=True), cx)
         if reduce:
             nxt = nxt.homology_complex()
         if nxt.modules:

@@ -15,8 +15,9 @@ cosets are peeled by arithmetic on the values of image tuples.
 subsets: the pq adjunction maps and the projector differentials.  On top
 of the two functors also live the qp adjunction maps, the strand crossing
 (right multiplication by the first added-letter transposition), sideways
-crossings, and idempotent-image functors cutting out one irreducible
-constituent per partition on the added (resp. removed) letters.
+crossings, and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
+one irreducible constituent per partition on the added (resp. removed)
+letters: a joint eigenspace for a row or a column, an idempotent image else.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .errors import (
     IdempotentError,
     RepresentationError,
 )
-from .linalg import SMat, idempotent_image
+from .linalg import SMat, idempotent_image, joint_eigenspace
 from .partition_core import (
     Partition,
     centralizer_order,
@@ -706,7 +707,7 @@ def jucys_murphy_map(m):
         m, 1, GroupAlgebraElement(n + 1, terms)))
 
 
-# -- idempotent-image functors -------------------------------------------------------
+# -- isotypic functors --------------------------------------------------------------
 
 
 def added_letters_embedding(k, base_degree):
@@ -723,28 +724,44 @@ def removed_letters_embedding(k, top_degree):
     return [top_degree - k + j for j in range(1, k + 1)]
 
 
+def _isotypic_cut(lam, amb, box):
+    """(sub, inclusion, projection) of the lam-isotypic part of ``amb``;
+    ``box`` turns an element on the cable's letters 1..|lam| into a matrix
+    on amb.  A row or a column is the joint +1 or -1 eigenspace of its
+    adjacent transpositions, with no k!-term box; any other shape is the
+    image of its Young idempotent.  Either way inclusion∘projection is the
+    box of the Young idempotent."""
+    k = lam.size()
+    if k < 2:
+        return amb, identity_map(amb), identity_map(amb)
+    if len(lam.parts) == 1 or lam.parts[0] == 1:
+        eps = 1 if len(lam.parts) == 1 else -1
+        iota, pi = joint_eigenspace(amb.dim, [
+            (box(GroupAlgebraElement(k, {adjacent_transposition(i, k): ONE})),
+             eps) for i in range(1, k)])
+    else:
+        iota, pi = idempotent_image(box(young_idempotent(lam)))
+    sub = RepModule(amb.degree, iota.ncols, [pi @ g @ iota for g in amb.gens])
+    return sub, ModuleMap(sub, amb, iota), ModuleMap(amb, sub, pi)
+
+
 def p_lambda(lam, m):
     """The lam-isotypic creation functor: (module, inclusion, projection)
-    with inclusion into induce^{|lam|}(M)."""
+    with inclusion into induce^{|lam|}(M), cut on the added letters."""
     lam = Partition(lam)
     k = lam.size()
     amb = m
     for _ in range(k):
         amb = induce(amb)
-    if k == 0:
-        return m, identity_map(m), identity_map(m)
     letters = added_letters_embedding(k, m.degree)
-    elem = young_idempotent(lam).relabel(letters, m.degree + k)
-    iota_m, pi_m = idempotent_image(right_mult_map(m, k, elem))
-    sub = RepModule(amb.degree, iota_m.ncols,
-                    [pi_m @ g @ iota_m for g in amb.gens])
-    return sub, ModuleMap(sub, amb, iota_m), ModuleMap(amb, sub, pi_m)
+    return _isotypic_cut(lam, amb, lambda e: right_mult_map(
+        m, k, e.relabel(letters, amb.degree)))
 
 
 def q_lambda(lam, m):
     """The lam-isotypic annihilation functor: (module, inclusion, projection)
-    with inclusion into restrict^{|lam|}(M); zero module if |lam| exceeds
-    the degree."""
+    with inclusion into restrict^{|lam|}(M), cut on the removed letters;
+    zero module if |lam| exceeds the degree."""
     lam = Partition(lam)
     k = lam.size()
     if k > m.degree:
@@ -754,15 +771,9 @@ def q_lambda(lam, m):
     amb = m
     for _ in range(k):
         amb = restrict(amb)
-    if k == 0:
-        return m, identity_map(m), identity_map(m)
     letters = removed_letters_embedding(k, m.degree)
-    elem = young_idempotent(lam).relabel(letters, m.degree)
-    op = m.act_algebra(elem)
-    iota_m, pi_m = idempotent_image(op)
-    sub = RepModule(amb.degree, iota_m.ncols,
-                    [pi_m @ g @ iota_m for g in amb.gens])
-    return sub, ModuleMap(sub, amb, iota_m), ModuleMap(amb, sub, pi_m)
+    return _isotypic_cut(lam, amb, lambda e: m.act_algebra(
+        e.relabel(letters, m.degree)))
 
 
 # -- characters ----------------------------------------------------------------------

@@ -388,8 +388,7 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "sigma = [_sigma_cell(m, k) for k in range(3)]\n"
         "inner_cx, inner = _operator_complex(\n"
         "    _BernsteinOp(1, star=True), trivial_module(1))\n"
-        "_, columns, _ = _apply_operator(\n"
-        "    _BernsteinOp(1), inner_cx, return_columns=True)\n"
+        "_, columns = _apply_operator(_BernsteinOp(1), inner_cx)\n"
         "eye = SMat.identity(1)\n"
         "for attempt in (\n"
         "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"

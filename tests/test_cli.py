@@ -247,6 +247,10 @@ class TestDeterminismAndCache:
          "e1198ad89d06423c9416f13ae4bb74e4485a6e41aa36493161f5ebce67101a6a"),
         (("cat", "sigma", "--module", "S:2,1,1", "--json"),
          "83d363b350b3eb1ad114280ec888ee124b1d5de38c957f34417d76422598fb0e"),
+        (("cat", "specht", "4,3", "--max-degree", "8", "--json"),
+         "e159acb1d6773131d11ba6368da7b4884a2311975c3505b88764ad9f5ab586e1"),
+        (("cat", "specht", "3,2,2", "--max-degree", "8", "--json"),
+         "afe2132b6ac80d2c9174d17071ceee1b6d6526770ccb7185c7e0f449029a4042"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

@@ -1,13 +1,15 @@
 """Closed-form and joint-eigenspace cells against the routes they replace.
 
-Decorated words with only one-row and one-column cables are cut out by
-``linalg.joint_eigenspace``; sigma cells are modules induced from
-S_{n-k} x S_k, with closed-form generators, caps, cups and lifts, and no
-ambient word.  The routes they replaced are kept here as oracles: the
-signed diagonal projector summed over all k! letter permutations, the joint
-(-1)-eigenspace of the diagonal transpositions, the signed orbit-sum cell
-inside the flat word Q^k P^k with its cap and cup moves, the product of
-embedded Young idempotents, and cell dimensions read from decorated words.
+Decorated words are cut one cable at a time by ``symrep.p_lambda``/
+``q_lambda``, a one-row or one-column cable as a ``linalg.joint_eigenspace``;
+sigma cells are modules induced from S_{n-k} x S_k, with closed-form
+generators, caps, cups and lifts, and no ambient word.  The routes they
+replaced are kept here as oracles: the whole decorated word cut in one
+elimination on the top of its plain word, the signed diagonal projector
+summed over all k! letter permutations, the joint (-1)-eigenspace of the
+diagonal transpositions, the signed orbit-sum cell inside the flat word
+Q^k P^k with its cap and cup moves, the product of embedded Young
+idempotents, and cell dimensions read from decorated words.
 The projector tests compare ``iota @ pi`` entry for entry (same image and
 same kernel); the sigma tests demand that every closed-form matrix equals
 the oracle's ``pi @ (ambient map) @ iota`` exactly.
@@ -20,10 +22,12 @@ from math import comb, factorial, lcm
 
 import pytest
 
+from bosonfermion import linalg
 from bosonfermion.branching import (
     PlainWord,
     _lift_matrix,
     _p_box,
+    _q_box,
     _strand_route,
     move_cap_pq,
     move_cup_pq,
@@ -39,6 +43,7 @@ from bosonfermion.catbernstein import (
 from bosonfermion.linalg import (
     SMat,
     _minus_diagonal,
+    idempotent_image,
     inverse,
     joint_eigenspace,
 )
@@ -56,6 +61,8 @@ from bosonfermion.symrep import (
     induce,
     perm_inverse,
     regular_module,
+    p_lambda,
+    q_lambda,
     removed_letters_embedding,
     right_mult_map,
     specht_module,
@@ -77,6 +84,7 @@ MODULES = {
     "reg:2": lambda: regular_module(2),
     "reg:3": lambda: regular_module(3),
     "induce(S:2,1)": lambda: induce(specht_module([2, 1])),
+    "S:1,1,1,1": lambda: specht_module([1, 1, 1, 1]),
 }
 
 
@@ -220,6 +228,36 @@ def young_product(atoms, base):
         e_total = box @ e_total
         start += k
     return e_total
+
+
+def stacked_word_module(atoms, base):
+    """The decorated word cut in one elimination on the top of its plain
+    word: the joint eigenspace of every cable's adjacent transpositions when
+    every cable is one row or one column, else the image of the product of
+    every cable's Young idempotent box.  Same return as ``word_module``."""
+    cables, letters = [], ""
+    for side, lam in atoms:
+        lam = Partition(lam)
+        if lam.size() > 0:
+            box = _p_box if side == "P" else _q_box
+            cables.append((box, len(letters), lam))
+            letters += side * lam.size()
+    word = PlainWord(base, letters)
+    top = word.top
+    if all(len(lam.parts) == 1 or lam.parts[0] == 1 for _, _, lam in cables):
+        gens = []
+        for box, start, lam in cables:
+            k, eps = lam.size(), 1 if len(lam.parts) == 1 else -1
+            for i in range(1, k):
+                gens.append((box(word, start, _strand_route(k, [i])), eps))
+        iota, pi = joint_eigenspace(top.dim, gens)
+    else:
+        e_total = SMat.identity(top.dim)
+        for box, start, lam in cables:
+            e_total = box(word, start, young_idempotent(lam)) @ e_total
+        iota, pi = idempotent_image(e_total)
+    sub = RepModule(top.degree, iota.ncols, [pi @ g @ iota for g in top.gens])
+    return sub, iota, pi, word
 
 
 # -- the helper ----------------------------------------------------------------
@@ -430,3 +468,96 @@ def test_cell_dims_from_characters_match_the_word_route(key):
     dims = sigma_cell_dims(m)
     assert dims == word_cell_dims(m)
     assert all(type(d) is int for row in dims.values() for d in row.values())
+
+
+def atom_lists(size):
+    """Every list of cables of any shape, on either side, with ``size``
+    letters in all."""
+    if size == 0:
+        yield []
+        return
+    for k in range(1, size + 1):
+        for lam in enumerate_partitions(k):
+            for side in "PQ":
+                for rest in atom_lists(size - k):
+                    yield [(side, tuple(lam.parts))] + rest
+
+
+def _row_or_column(lam):
+    return len(lam) == 1 or lam[0] == 1
+
+
+# Total degree = base degree + letters <= 5, so every list holds one of the
+# shapes (2,1), (3,1), (2,2), (2,1,1) next to at most two more letters.
+MIXED_BASES = ["trivial:0", "trivial:1", "trivial:2", "S:1,1", "reg:2"]
+
+
+@pytest.mark.parametrize("key", MIXED_BASES)
+def test_mixed_shape_words_match_the_stacked_route(key):
+    base = MODULES[key]()
+    checked = 0
+    for size in range(3, 6 - base.degree):
+        for atoms in atom_lists(size):
+            if all(_row_or_column(lam) for _, lam in atoms):
+                continue
+            sub, iota, pi, word = word_module(atoms, base)
+            want, _, _, want_word = stacked_word_module(atoms, base)
+            assert word.letters == want_word.letters, atoms
+            assert iota @ pi == young_product(atoms, base), atoms
+            assert pi @ iota == SMat.identity(sub.dim), atoms
+            assert frobenius_char(sub) == frobenius_char(want), atoms
+            checked += 1
+    assert checked
+
+
+def _row_column_shapes(k):
+    return [(k,), (1,) * k] if k > 1 else [(k,)]
+
+
+@pytest.mark.parametrize("key", ["trivial:0", "trivial:1", "S:1,1"])
+def test_p_lambda_rows_and_columns_match_the_young_box(key):
+    m = MODULES[key]()
+    for k in range(1, 5):
+        for lam in _row_column_shapes(k):
+            sub, inc, prj = p_lambda(lam, m)
+            box = right_mult_map(m, k, young_idempotent(lam).relabel(
+                added_letters_embedding(k, m.degree), m.degree + k))
+            assert inc.matrix @ prj.matrix == box, lam
+            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
+            assert sub.gens == [prj.matrix @ g @ inc.matrix
+                                for g in inc.target.gens], lam
+
+
+@pytest.mark.parametrize("key", ["trivial:4", "S:3,1", "S:2,2",
+                                 "S:1,1,1,1", "induce(S:2,1)"])
+def test_q_lambda_rows_and_columns_match_the_young_box(key):
+    m = MODULES[key]()
+    for k in range(1, 5):
+        for lam in _row_column_shapes(k):
+            sub, inc, prj = q_lambda(lam, m)
+            box = m.act_algebra(young_idempotent(lam).relabel(
+                removed_letters_embedding(k, m.degree), m.degree))
+            assert inc.matrix @ prj.matrix == box, lam
+            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
+            assert sub.gens == [prj.matrix @ g @ inc.matrix
+                                for g in inc.target.gens], lam
+
+
+@pytest.mark.parametrize("atoms", [
+    [("Q", (1, 1)), ("P", (2,))],
+    [("Q", (2,)), ("P", (1, 1))],
+    [("Q", (2,)), ("P", (2, 1))],
+])
+def test_two_cable_words_run_no_elimination_as_wide_as_the_word(
+        monkeypatch, atoms):
+    widths = []
+
+    class Recording(linalg._Eliminator):
+        def __init__(self, mat):
+            widths.append(mat.ncols)
+            super().__init__(mat)
+
+    monkeypatch.setattr(linalg, "_Eliminator", Recording)
+    sub, _, _, word = word_module(atoms, specht_module([2, 1]))
+    assert 0 < sub.dim < word.top.dim
+    assert widths and max(widths) < word.top.dim

@@ -71,6 +71,7 @@ from bosonfermion.symrep import (
     young_idempotent,
     zero_module,
 )
+from test_eigenspace_routes import stacked_word_module
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -534,17 +535,19 @@ class TestIsotypicFunctors:
 
 class TestWordModules:
     def test_single_cable_words_match_isotypic_functors(self):
-        base = trivial_module(1)
-        for lam in ([2], [1, 1], [2, 1]):
-            via_word = word_module([("P", lam)], base)[0]
-            via_functor = p_lambda(lam, base)[0]
-            assert via_word.dim == via_functor.dim
-            assert frobenius_char(via_word) == frobenius_char(via_functor)
-        reg = regular_module(3)
-        for lam in ([1], [2], [1, 1]):
-            via_word = word_module([("Q", lam)], reg)[0]
-            via_functor = q_lambda(lam, reg)[0]
-            assert via_word.dim == via_functor.dim
+        # word_module cuts a one-cable word with p_lambda/q_lambda itself,
+        # so both are checked against the whole-word elimination
+        for side, base, shapes in (
+                ("P", trivial_module(1), ([2], [1, 1], [2, 1])),
+                ("Q", regular_module(3), ([1], [2], [1, 1], [2, 1]))):
+            functor = p_lambda if side == "P" else q_lambda
+            for lam in shapes:
+                want, w_iota, w_pi, _ = stacked_word_module([(side, lam)], base)
+                sub, iota, pi, _ = word_module([(side, lam)], base)
+                via_functor, inc, prj = functor(lam, base)
+                assert iota @ pi == inc.matrix @ prj.matrix == w_iota @ w_pi
+                assert sub.dim == via_functor.dim == want.dim
+                assert frobenius_char(sub) == frobenius_char(want)
 
     def test_mixed_word_characters_compose(self):
         m = specht_module([2, 1])
