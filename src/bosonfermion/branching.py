@@ -1,13 +1,16 @@
 """Exact splittings of composite induction/restriction functors.
 
 A *plain word* is a sequence of single induction (P) and restriction (Q)
-steps applied to a base module; a *decorated word* cuts out one isotypic
-piece per cable, with ``symrep.p_lambda``/``q_lambda``, out of the module
-the cables before it left.  Between plain words live elementary structure
-maps — sideways crossings, caps, cups, strand crossings — whiskered through
-the remaining stages.  Composing these according to the swap/merge recipes
-yields explicit inclusions/projections realizing each direct-sum
-decomposition; they are verified by a biorthogonality battery.
+steps applied to a base module, built stage by stage only as far as a
+move or a box reads it; a *decorated word* cuts out one isotypic piece per
+cable, with ``symrep.p_lambda``/``q_lambda``, out of the module the cables
+before it left.  Between plain words live elementary structure maps —
+sideways crossings, caps, cups, strand crossings — each built at the one
+stage it acts on and whiskered through the remaining letters.  Composing
+these according to the swap/merge recipes yields explicit
+inclusions/projections realizing each direct-sum decomposition, assembled
+on the plain words ``word_module`` returns; they are verified by a
+biorthogonality battery.
 
 Cable elements: a group-algebra element acting on a cable of k strands is
 written on the cable's own letters 1..k (strand i, left to right, carries
@@ -64,27 +67,34 @@ ONE = Fraction(1)
 
 class PlainWord:
     """A base module with a string of single P (induce) / Q (restrict)
-    steps, applied left to right, realized stage by stage."""
+    steps, applied left to right.  Stage i, the module after the first i
+    letters, is built when something first reads it, so a move or a box
+    builds the word only as far as the stage it acts on."""
 
-    __slots__ = ("base", "letters", "stages")
+    __slots__ = ("base", "letters", "_stages")
 
     def __init__(self, base, letters, prefix=None):
         self.base = base
         self.letters = str(letters)
-        self.stages = list(prefix or [base])
-        for ch in self.letters[len(self.stages) - 1:]:
-            prev = self.stages[-1]
-            self.stages.append(induce(prev) if ch == "P" else restrict(prev))
+        self._stages = list(prefix or [base])
+
+    def stage(self, i):
+        stages = self._stages
+        for ch in self.letters[len(stages) - 1:i]:
+            prev = stages[-1]
+            stages.append(induce(prev) if ch == "P" else restrict(prev))
+        return stages[i]
 
     @property
     def top(self):
-        return self.stages[-1]
+        return self.stage(len(self.letters))
 
     def replaced(self, i, drop, insert):
-        """Replace letters [i, i + drop) by ``insert``, sharing stages 0..i."""
+        """Replace letters [i, i + drop) by ``insert``, sharing the stages
+        0..i already built."""
         return PlainWord(self.base,
                          self.letters[:i] + insert + self.letters[i + drop:],
-                         self.stages[:i + 1])
+                         self._stages[:i + 1])
 
 
 def _lift_matrix(mat, degree, rest):
@@ -125,35 +135,35 @@ def move_x(word, i):
     """Sideways crossing at letters (P,Q) -> (Q,P): the up strand passes
     the down strand, killing the identity block."""
     _expect(word, i, "PQ", "move_x")
-    return _move(word, i, 2, "QP", sideways_qp_to_pq(word.stages[i]))
+    return _move(word, i, 2, "QP", sideways_qp_to_pq(word.stage(i)))
 
 
 def move_xp(word, i):
     """Sideways crossing at letters (Q,P) -> (P,Q): block inclusion."""
     _expect(word, i, "QP", "move_xp")
-    return _move(word, i, 2, "PQ", sideways_pq_to_qp(word.stages[i]))
+    return _move(word, i, 2, "PQ", sideways_pq_to_qp(word.stage(i)))
 
 
 def move_cap_qp(word, i):
     """Cap an adjacent (P,Q) pair: project onto the identity block."""
     _expect(word, i, "PQ", "move_cap_qp")
-    return _move(word, i, 2, "", counit_qp(word.stages[i]))
+    return _move(word, i, 2, "", counit_qp(word.stage(i)))
 
 
 def move_cup_qp(word, i):
     """Cup creating a (P,Q) pair at position i."""
-    return _move(word, i, 0, "PQ", unit_qp(word.stages[i]))
+    return _move(word, i, 0, "PQ", unit_qp(word.stage(i)))
 
 
 def move_cap_pq(word, i):
     """Cap an adjacent (Q,P) pair: the action map (k, v) -> r_k v."""
     _expect(word, i, "QP", "move_cap_pq")
-    return _move(word, i, 2, "", counit_pq(word.stages[i]))
+    return _move(word, i, 2, "", counit_pq(word.stage(i)))
 
 
 def move_cup_pq(word, i):
     """Cup creating a (Q,P) pair at position i: v -> sum_k (k, r_k^{-1} v)."""
-    return _move(word, i, 0, "QP", unit_pq(word.stages[i]))
+    return _move(word, i, 0, "QP", unit_pq(word.stage(i)))
 
 
 def slide_p_right(word):
@@ -185,7 +195,7 @@ def _p_box(word, start, elem):
     group letter base+k+1-i).  Right multiplication reverses products:
     _p_box(a*b) = _p_box(b) @ _p_box(a)."""
     k = elem.degree
-    w_in = word.stages[start]
+    w_in = word.stage(start)
     degree = w_in.degree + k
     emb = elem.relabel(added_letters_embedding(k, w_in.degree), degree)
     return _lift_matrix(right_mult_map(w_in, k, emb), degree,
@@ -197,17 +207,15 @@ def _q_box(word, start, elem):
     indices [start, start+k), whiskered to the top.  The cable's strands
     carry the element's letters 1..k left to right (strand i is group
     letter top-k+i).  The action keeps products:
-    _q_box(a*b) = _q_box(a) @ _q_box(b)."""
+    _q_box(a*b) = _q_box(a) @ _q_box(b).  The word dies inside the cable
+    exactly when the stage where it starts has degree below k."""
     k = elem.degree
-    w_in = word.stages[start]
-    out_stage = word.stages[start + k]
-    if w_in.degree < k or out_stage.dim != w_in.dim:
-        # the word dies inside or before this cable
-        f = SMat.zeros(out_stage.dim, out_stage.dim)
-    else:
-        f = w_in.act_algebra(elem.relabel(
-            removed_letters_embedding(k, w_in.degree), w_in.degree))
-    return _lift_matrix(f, out_stage.degree, word.letters[start + k:])
+    w_in = word.stage(start)
+    if w_in.degree < k:
+        return SMat.zeros(0, 0)
+    f = w_in.act_algebra(elem.relabel(
+        removed_letters_embedding(k, w_in.degree), w_in.degree))
+    return _lift_matrix(f, w_in.degree - k, word.letters[start + k:])
 
 
 def word_module(atoms, base):
@@ -218,7 +226,8 @@ def word_module(atoms, base):
     left, and the inclusions and projections compose by whiskering.  Boxes
     of different cables commute (P boxes multiply on the right, Q boxes act
     on other letters), so inclusion∘projection is the product of the
-    cables' Young idempotent boxes on the plain word.
+    cables' Young idempotent boxes on the plain word.  The plain word is
+    returned unbuilt: a move or a box builds it as far as it reads.
     """
     sub, letters = base, ""
     iota = pi = SMat.identity(base.dim)
@@ -336,6 +345,25 @@ class SplitFamily:
         return report
 
 
+def _split_family(kind, source, summands):
+    """SplitFamily on the decorated word ``source`` (a ``word_module``
+    tuple) from summands (label, target, out, into, scalar): ``target`` is
+    the summand's ``word_module`` tuple, ``out`` a map on the source's
+    plain word and ``into`` one on the target's, None for an identity.
+    The projection is t_pi @ out @ s_iota and the inclusion
+    scalar · s_pi @ into @ t_iota."""
+    src, s_iota, s_pi, _ = source
+    labels, targets, iotas, rhos, scalars = [], [], [], [], []
+    for label, (tgt, t_iota, t_pi, _), out, into, scal in summands:
+        labels.append(label)
+        targets.append(tgt)
+        rhos.append(t_pi @ s_iota if out is None else t_pi @ out @ s_iota)
+        iota = s_pi @ t_iota if into is None else s_pi @ into @ t_iota
+        iotas.append(iota.scale(scal))
+        scalars.append(scal)
+    return SplitFamily(kind, src, labels, targets, iotas, rhos, scalars)
+
+
 def _swap_family(kind, cable, q_size, p_size, base, scalars):
     """Q^cable(q) P^(p)  ≅  ⊕_s P^(p-s) Q^cable(q-s), one summand per
     documented scalar: cross the cables sideways, capping s innermost
@@ -346,35 +374,25 @@ def _swap_family(kind, cable, q_size, p_size, base, scalars):
     strands cannot both cap against a symmetrizer), with scalars 1 and q·p;
     a zero-width cable leaves only the first summand.
     """
-    src, s_iota, s_pi, word0 = word_module(
-        [("P", [p_size]), ("Q", cable(q_size))], base)
-    labels, targets, iotas, rhos = [], [], [], []
+    source = word_module([("P", [p_size]), ("Q", cable(q_size))], base)
+    summands = []
     for s, scal in enumerate(scalars):
         tq, tp = q_size - s, p_size - s
-        tgt, t_iota, t_pi, _ = word_module(
-            [("Q", cable(tq)), ("P", [tp])], base)
+        target = word_module([("Q", cable(tq)), ("P", [tp])], base)
         # projection: cap s innermost pairs, then cross the remainders
-        w = word0
-        f = SMat.identity(word0.top.dim)
+        w = source[3]
+        f = SMat.identity(w.top.dim)
         for c in range(s):
             w, g = move_cap_qp(w, p_size - c - 1)
             f = g @ f
         w, g = slide_p_right(w)
-        f = g @ f
-        rho = t_pi @ f @ s_iota
         # inclusion: cross back, then cup s pairs
-        w2 = PlainWord(base, "Q" * tq + "P" * tp)
-        f2 = SMat.identity(w2.top.dim)
-        w2, g2 = slide_p_left(w2)
-        f2 = g2 @ f2
+        w2, f2 = slide_p_left(target[3])
         for c in range(s):
             w2, g2 = move_cup_qp(w2, tp + c)
             f2 = g2 @ f2
-        labels.append(f"s={s}")
-        targets.append(tgt)
-        iotas.append((s_pi @ f2 @ t_iota).scale(scal))
-        rhos.append(rho)
-    return SplitFamily(kind, src, labels, targets, iotas, rhos, scalars)
+        summands.append((f"s={s}", target, g @ f, f2, scal))
+    return _split_family(kind, source, summands)
 
 
 def pp_star_merge_family(n_size, m_size, base):
@@ -385,23 +403,15 @@ def pp_star_merge_family(n_size, m_size, base):
     (m = 0) leaves P^(n) with scalar 1, and a zero-width row cable
     (n = 0) leaves P^(1^m) with scalar m.
     """
-    src, s_iota, s_pi, _ = word_module(
-        [("P", [1] * m_size), ("P", [n_size])], base)
-    hooks, documented = [], []
+    source = word_module([("P", [1] * m_size), ("P", [n_size])], base)
+    summands = []
     if n_size or not m_size:
-        hooks.append(Partition([n_size] + [1] * m_size))
-        documented.append(ONE)
+        summands.append(([n_size] + [1] * m_size, ONE))
     if m_size:
-        hooks.append(Partition([n_size + 1] + [1] * (m_size - 1)))
-        documented.append(Fraction(m_size))
-    labels, targets, iotas, rhos = [], [], [], []
-    for hook, scal in zip(hooks, documented):
-        tgt, t_iota, t_pi, _ = word_module([("P", hook)], base)
-        labels.append(format_partition(hook))
-        targets.append(tgt)
-        iotas.append((s_pi @ t_iota).scale(scal))
-        rhos.append(t_pi @ s_iota)
-    return SplitFamily("PP*-merge", src, labels, targets, iotas, rhos, documented)
+        summands.append(([n_size + 1] + [1] * (m_size - 1), Fraction(m_size)))
+    return _split_family("PP*-merge", source, [
+        (format_partition(Partition(hook)), word_module([("P", hook)], base),
+         None, None, scal) for hook, scal in summands])
 
 
 def pp_merge_family(m_size, n_size, base):
@@ -409,36 +419,26 @@ def pp_merge_family(m_size, n_size, base):
     cable is at least as wide, with a cable crossing inserted otherwise.
     The documented scalar is the narrower width, or 1 when a zero-width
     cable leaves the single summand P^(m+n)."""
-    src, s_iota, s_pi, word0 = word_module(
-        [("P", [n_size]), ("P", [m_size])], base)
+    source = word_module([("P", [n_size]), ("P", [m_size])], base)
+    word0 = source[3]
     total = m_size + n_size
-    crossed = m_size < n_size
-    if crossed:
+    out = into = None
+    if m_size < n_size:
         # idempotent of the swapped word P^(n) P^(m) on the same plain space
         e_ws = (_p_box(word0, 0, young_idempotent([m_size]))
                 @ _p_box(word0, m_size,
                          young_idempotent([n_size])))
-        cross_in = _p_box(word0, 0, _strand_route(
-            total, _cable_cross_swaps(n_size, m_size)))
-        cross_out = _p_box(word0, 0, _strand_route(
+        into = _p_box(word0, 0, _strand_route(
+            total, _cable_cross_swaps(n_size, m_size))) @ e_ws
+        out = e_ws @ _p_box(word0, 0, _strand_route(
             total, _cable_cross_swaps(m_size, n_size)))
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
+    scal = Fraction(min(m_size, n_size) or 1)
+    summands = []
     for s in range(min(m_size, n_size) + 1):
         lam = Partition([total - s, s]) if s else Partition([total])
-        tgt, t_iota, t_pi, _ = word_module([("P", lam)], base)
-        scal = Fraction(min(m_size, n_size) or 1)
-        if crossed:
-            iota = (s_pi @ cross_in @ e_ws @ t_iota).scale(scal)
-            rho = t_pi @ e_ws @ cross_out @ s_iota
-        else:
-            iota = (s_pi @ t_iota).scale(scal)
-            rho = t_pi @ s_iota
-        labels.append(format_partition(lam))
-        targets.append(tgt)
-        iotas.append(iota)
-        rhos.append(rho)
-        documented.append(scal)
-    return SplitFamily("PP-merge", src, labels, targets, iotas, rhos, documented)
+        summands.append((format_partition(lam),
+                         word_module([("P", lam)], base), out, into, scal))
+    return _split_family("PP-merge", source, summands)
 
 
 def _partial_sums(lam):
@@ -464,32 +464,24 @@ def q_lambda_p_family(mu, base):
     symmetrized row-s strands."""
     mu = Partition(mu)
     n = mu.size()
-    src, s_iota, s_pi, word0 = word_module([("P", [1]), ("Q", mu)], base)
+    source = word_module([("P", [1]), ("Q", mu)], base)
+    word0 = source[3]
     if base.degree < n - 1:
         labels = ["s=0 (swap)"]
         atoms = [[("Q", mu), ("P", [1])]]
         for smaller, s in boxes_removed(mu):
             labels.append(f"s={s} (cap row)")
             atoms.append([("Q", smaller)])
-        return _dead_family("QlambdaP", src, labels, atoms, base)
+        return _dead_family("QlambdaP", source[0], labels, atoms, base)
     sums = _partial_sums(mu)
-    labels, targets, iotas, rhos, documented = [], [], [], [], []
     # s = 0: full sideways crossing
-    tgt0, t_iota0, t_pi0, _ = word_module([("Q", mu), ("P", [1])], base)
-    w, f = slide_p_right(word0)
-    rho0 = t_pi0 @ f @ s_iota
-    w2 = PlainWord(base, "Q" * n + "P")
-    w2, f2 = slide_p_left(w2)
-    iota0 = s_pi @ f2 @ t_iota0
-    labels.append("s=0 (swap)")
-    targets.append(tgt0)
-    iotas.append(iota0)
-    rhos.append(rho0)
-    documented.append(ONE)
+    target = word_module([("Q", mu), ("P", [1])], base)
+    summands = [("s=0 (swap)", target, slide_p_right(word0)[1],
+                 slide_p_left(target[3])[1], ONE)]
     # removable rows
     for smaller, s in boxes_removed(mu):
         lo, hi = sums[s - 1] + 1, sums[s]
-        tgt, t_iota, t_pi, _ = word_module([("Q", smaller)], base)
+        target = word_module([("Q", smaller)], base)
         # projection: row box, slide the up strand inward, cap
         w = word0
         f = _q_box(word0, 1, _row_symmetrizer(n, lo, hi))
@@ -497,10 +489,8 @@ def q_lambda_p_family(mu, base):
             w, g = move_x(w, i)
             f = g @ f
         w, g = move_cap_qp(w, n - hi)
-        f = g @ f
-        rho = t_pi @ f @ s_iota
         # inclusion: smaller row box, cup, slide the up strand back out
-        w2 = PlainWord(base, "Q" * (n - 1))
+        w2 = target[3]
         f2 = (_q_box(w2, 0, _row_symmetrizer(n - 1, lo, hi - 1))
               if hi > lo else SMat.identity(w2.top.dim))
         w2, g2 = move_cup_qp(w2, n - hi)
@@ -508,13 +498,8 @@ def q_lambda_p_family(mu, base):
         for i in range(n - hi - 1, -1, -1):
             w2, g2 = move_xp(w2, i)
             f2 = g2 @ f2
-        iota = s_pi @ f2 @ t_iota
-        labels.append(f"s={s} (cap row)")
-        targets.append(tgt)
-        iotas.append(iota)
-        rhos.append(rho)
-        documented.append(ONE)
-    return SplitFamily("QlambdaP", src, labels, targets, iotas, rhos, documented)
+        summands.append((f"s={s} (cap row)", target, g @ f, f2, ONE))
+    return _split_family("QlambdaP", source, summands)
 
 
 def row_merge_family(kind, side, lam, base):
@@ -533,28 +518,26 @@ def row_merge_family(kind, side, lam, base):
     lam = Partition(lam)
     n = lam.size() + 1
     box = _p_box if side == "P" else _q_box
-    src, s_iota, s_pi, word0 = word_module([(side, [1]), (side, lam)], base)
+    source = word_module([(side, [1]), (side, lam)], base)
+    word0 = source[3]
     added = boxes_added(lam)
-    labels = [format_partition(mu) for mu, _ in added]
     if side == "Q" and base.degree < n:
-        return _dead_family(kind, src, labels,
+        return _dead_family(kind, source[0],
+                            [format_partition(mu) for mu, _ in added],
                             [[("Q", mu)] for mu, _ in added], base)
     sums = _partial_sums(lam)
-    targets, iotas, rhos = [], [], []
+    summands = []
     for bigger, s in added:
         # row s on letters lo..hi, empty (hi = lo - 1) for a new row
         lo, hi = sums[s - 1] + 1, sums[min(s, len(lam.parts))]
-        tgt, t_iota, t_pi, _ = word_module([(side, bigger)], base)
         f = box(word0, 0, _strand_route(n, range(hi + 1, n)))
         if hi >= lo:
             f = f @ box(word0, 0, _row_symmetrizer(n, lo, hi))
         f2 = (box(word0, 0, _strand_route(n, range(n - 1, hi, -1)))
               @ box(word0, 0, _row_symmetrizer(n, lo, hi + 1)))
-        targets.append(tgt)
-        iotas.append(s_pi @ f2 @ t_iota)
-        rhos.append(t_pi @ f @ s_iota)
-    return SplitFamily(kind, src, labels, targets, iotas, rhos,
-                       [ONE] * len(labels))
+        summands.append((format_partition(bigger),
+                         word_module([(side, bigger)], base), f, f2, ONE))
+    return _split_family(kind, source, summands)
 
 
 # -- entry points ---------------------------------------------------------------------

@@ -200,7 +200,7 @@ def q_lambda_p_family(mu, base):
     rhos.append(rho0)
     documented.append(ONE)
     # removable rows
-    w1 = word0.stages[1]
+    w1 = word0.stage(1)
     for s in _removable_rows(mu):
         row_len = mu.parts[s - 1]
         smaller = _with_removed_box(mu, s)

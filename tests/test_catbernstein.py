@@ -436,3 +436,23 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     assert sigma_vanishing_check(specht_module([2, 1])).passed
     assert not bad
     assert seen[0] > 500 and seen[1] > 100, seen
+
+
+def test_chain_cells_build_no_induced_stage_of_their_plain_words(monkeypatch):
+    # a creation cap and an annihilation cup act at a stage that only
+    # restricts the base, and a lift reads only the letters, so the plain
+    # word under a chain cell never induces
+    from bosonfermion import branching
+
+    induced = []
+
+    def counted(m, *args, **kwargs):
+        induced.append(m.dim)
+        return induce(m, *args, **kwargs)
+
+    monkeypatch.setattr(branching, "induce", counted)
+    for n in range(5):
+        for lam in enumerate_partitions(n):
+            assert specht_creation_check(lam).passed
+    assert specht_annihilation_check((3, 1)).passed
+    assert induced == []

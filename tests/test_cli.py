@@ -251,6 +251,12 @@ class TestDeterminismAndCache:
          "e159acb1d6773131d11ba6368da7b4884a2311975c3505b88764ad9f5ab586e1"),
         (("cat", "specht", "3,2,2", "--max-degree", "8", "--json"),
          "afe2132b6ac80d2c9174d17071ceee1b6d6526770ccb7185c7e0f449029a4042"),
+        (("cat", "bbstar", "--a", "2", "--b", "2", "--module", "S:2,2",
+          "--max-degree", "8", "--json"),
+         "9168936ce9f4712f37dc98b72ae2b53df29de67b59bc8ce0d02a075e93775df5"),
+        (("cat", "bb", "--a", "2", "--b", "1", "--module", "S:2,2",
+          "--max-degree", "8", "--json"),
+         "449521e6555022c56567ad76381fe77aeb64d1a9897a28ec08cb7846bea86bf8"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

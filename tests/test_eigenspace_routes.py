@@ -102,7 +102,7 @@ def signed_diagonal_projector(m, k):
     projector the sigma cells were the idempotent image of."""
     word = PlainWord(m, "Q" * k + "P" * k)
     n = m.degree
-    stage_q = word.stages[k]
+    stage_q = word.stage(k)
     acc = SMat.zeros(word.top.dim, word.top.dim)
     for w in permutations(range(1, k + 1)):
         full = list(range(1, n + 1))
@@ -209,7 +209,7 @@ def young_product(atoms, base):
     start = 0
     for side, lam in clean:
         k = lam.size()
-        w_in = word.stages[start]
+        w_in = word.stage(start)
         rest = word.letters[start + k:]
         if side == "P":
             elem = young_idempotent(lam).relabel(
@@ -217,7 +217,7 @@ def young_product(atoms, base):
             box = _lift_matrix(right_mult_map(w_in, k, elem),
                                w_in.degree + k, rest)
         else:
-            out = word.stages[start + k]
+            out = word.stage(start + k)
             if w_in.degree < k or out.dim != w_in.dim:
                 f = SMat.zeros(out.dim, out.dim)
             else:

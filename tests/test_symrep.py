@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonfermion import symrep
+from bosonfermion import branching, symrep
 from bosonfermion.branching import (
     PlainWord,
     _lift_matrix,
@@ -565,18 +565,29 @@ class TestWordModules:
 
     @pytest.mark.parametrize("i,drop,insert", [
         (0, 0, "QP"), (1, 2, ""), (2, 2, "QP"), (3, 0, "PQ"), (4, 0, "P")])
-    def test_replaced_word_matches_a_fresh_word(self, i, drop, insert):
+    def test_replaced_word_matches_a_fresh_word(self, i, drop, insert,
+                                                monkeypatch):
         word = PlainWord(specht_module([2, 1]), "PPQP")
+        built = [word.stage(j) for j in range(len(word.letters) + 1)]
+
+        def refuse(m):
+            raise AssertionError("replaced built a stage")
+
+        # the prefix is shared, not rebuilt, and nothing else is built
+        monkeypatch.setattr(branching, "induce", refuse)
+        monkeypatch.setattr(branching, "restrict", refuse)
         new = word.replaced(i, drop, insert)
+        assert all(new.stage(j) is built[j] for j in range(i + 1))
+        monkeypatch.undo()
         fresh = PlainWord(word.base, new.letters)
         assert new.letters == word.letters[:i] + insert + word.letters[
             i + drop:]
-        assert len(new.stages) == len(fresh.stages)
-        for got, want in zip(new.stages, fresh.stages):
+        for j in range(len(new.letters) + 1):
+            got, want = new.stage(j), fresh.stage(j)
             assert (got.degree, got.dim) == (want.degree, want.dim)
             assert got.gens == want.gens
-        # the prefix is shared, not rebuilt
-        assert all(a is b for a, b in zip(new.stages[:i + 1], word.stages))
+        with pytest.raises(IndexError):
+            new.stage(len(new.letters) + 1)
 
     @pytest.mark.parametrize("move,pair,letters,i,found", [
         ("move_x", "PQ", "QPQ", 0, "QP"),
@@ -800,6 +811,35 @@ class TestRightMultiplication:
             seen.add((offset, tau))
         # every block and residual permutation is hit exactly once
         assert len(seen) == factorial(n + k)
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: trivial_module(2), id="trivial:2"),
+        pytest.param(lambda: specht_module([2, 1]), id="S:2,1"),
+        pytest.param(lambda: specht_module([2, 2]), id="S:2,2"),
+        pytest.param(lambda: regular_module(3), id="reg:3"),
+        pytest.param(lambda: specht_module([3, 1]), id="S:3,1"),
+    ])
+    def test_added_letter_boxes_never_act_through_the_module(self, make):
+        # b_S w keeps the low letters in order for w on the added letters,
+        # so every residual tau is the identity: the matrix on M is the one
+        # on the trivial module of the same degree, each entry spread over
+        # dim M diagonal copies in block-major order
+        m = make()
+        n, d = m.degree, m.dim
+        for k in range(1, 4):
+            elems = [young_idempotent(lam) for lam in enumerate_partitions(k)]
+            elems += [
+                GroupAlgebraElement(k, {adjacent_transposition(i, k): ONE})
+                for i in range(1, k)]
+            for e in elems:
+                e = e.relabel(added_letters_embedding(k, n), n + k)
+                t = right_mult_map(trivial_module(n), k, e)
+                spread = SMat.block(
+                    [[SMat.identity(d).scale(t.entry(r, c)) if c in row
+                      else None for c in range(t.ncols)]
+                     for r, row in enumerate(t.rows)],
+                    [d] * t.nrows, [d] * t.ncols)
+                assert right_mult_map(m, k, e) == spread, (k, e.terms)
 
 
 BRANCHING_CASES = [
