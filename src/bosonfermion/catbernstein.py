@@ -518,9 +518,16 @@ def _counit_chain_map(a, m):
     Q^(a+1+x) P^x Q^(1^x) P^(x+a+1) over M; flattening each cell into
     that plain word and contracting all strand pairs with nested caps
     (the inner P block against the outer Q block first, then the outer
-    pairs) gives one block of the evaluation.  The blocks side by side,
-    with no per-cell sign, are the chain map; ChainComplexError is raised
-    if they do not commute with the differential.
+    pairs) gives one block of the evaluation.  Block x carries the sign
+    (−1)^(x(x−1)/2).  d_1 sends the degree-1 cell with x outer pairs to
+    blocks x − 1 (outer cap) and x (inner cup) only, so f0 @ d_1 = 0 fixes
+    each block's sign relative to the one before; it is (−1)^(x−1), and the
+    product over 1..x is the sign of the permutation reversing x letters.
+    On the antisymmetrized inner column that reversal acts by this very
+    sign, so a signed block closes the column's letters in the opposite
+    order.  The signed blocks side by side are the chain map;
+    ChainComplexError is raised if they do not commute with the
+    differential.
     """
     inner_op = _BernsteinOp(a + 1, star=True)
     outer_op = _BernsteinOp(a + 1, star=False)
@@ -555,7 +562,8 @@ def _counit_chain_map(a, m):
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):
-    """One block of the evaluation map: flatten and contract all strands."""
+    """One block of the evaluation map: flatten and contract all strands,
+    with the sign (−1)^(x(x−1)/2) of reversing the x column letters."""
     m = inner_cell.word.base
     x = outer_cell.label
     y2 = x + a + 1
@@ -574,7 +582,7 @@ def _pair_evaluation(outer_cell, inner_cell, a):
         raise ChainComplexError(
             f"contracting cell {x} over cell {inner_cell.label} leaves the "
             f"word {word.letters!r}, not the base")
-    return mat
+    return mat.scale((-1) ** (x * (x - 1) // 2))
 
 
 def relation_suite_bbstar(a, b, m):

@@ -15,8 +15,9 @@ letters), ``S:λ`` (irreducible labelled by a partition, e.g. ``S:2,1``),
 ``reg:n`` (regular module, n ≤ 4).  The degree is read from the specifier
 text and checked against the caps before the module is built.
 
-Exit codes: 0 all checks passed, 1 at least one check failed, 2 malformed
-input, 3 a requested instance exceeds the configured caps.
+Exit codes: 0 all checks passed, 1 at least one check failed (a report
+check, or a gate raising one of ``GATE_ERRORS``), 2 malformed input, 3 a
+requested instance exceeds the configured caps.
 
 Common flags (see ``config`` for the matching environment variables):
 ``--max-degree``, ``--charge-window lo:hi``, ``--index-window lo:hi``,
@@ -43,7 +44,13 @@ from .catbernstein import (
     word_character,
 )
 from .config import RunConfig
-from .errors import DimensionCapExceeded
+from .errors import (
+    CharacterError,
+    ChainComplexError,
+    DimensionCapExceeded,
+    IdempotentError,
+    RepresentationError,
+)
 from .fock import clifford_relation_report, verify_correspondence
 from .partition_core import format_partition, parse_partition
 from .reports import Report
@@ -56,6 +63,11 @@ EXIT_PARSE_ERROR = 2
 EXIT_CAP_EXCEEDED = 3
 
 REGULAR_DEGREE_CAP = 4
+
+# a construction that fails one of its exactness gates: the run stops with
+# "gate failed" and exit code 1, also when a worker process raised it
+GATE_ERRORS = (ChainComplexError, IdempotentError, RepresentationError,
+               CharacterError)
 
 
 def _admit(what, size, cap, cap_name="--max-degree"):
@@ -382,6 +394,9 @@ def main(argv=None):
     except DimensionCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
+    except GATE_ERRORS as exc:
+        print(f"gate failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR

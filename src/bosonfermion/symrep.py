@@ -17,7 +17,8 @@ of the two functors also live the qp adjunction maps, the strand crossing
 (right multiplication by the first added-letter transposition), sideways
 crossings, and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
-letters: a joint eigenspace for a row or a column, an idempotent image else.
+letters: signed orbit sums for a row or a column of added letters, a joint
+eigenspace for one of removed letters, an idempotent image else.
 """
 
 from __future__ import annotations
@@ -727,10 +728,10 @@ def removed_letters_embedding(k, top_degree):
 def _isotypic_cut(lam, amb, box):
     """(sub, inclusion, projection) of the lam-isotypic part of ``amb``;
     ``box`` turns an element on the cable's letters 1..|lam| into a matrix
-    on amb.  A row or a column is the joint +1 or -1 eigenspace of its
-    adjacent transpositions, with no k!-term box; any other shape is the
-    image of its Young idempotent.  Either way inclusion∘projection is the
-    box of the Young idempotent."""
+    on amb.  A row or a column, here only ever a Q cable, is the joint +1
+    or -1 eigenspace of its adjacent transpositions; any other shape is
+    the image of its Young idempotent.  Either way inclusion∘projection is
+    the box of the Young idempotent."""
     k = lam.size()
     if k < 2:
         return amb, identity_map(amb), identity_map(amb)
@@ -747,15 +748,38 @@ def _isotypic_cut(lam, amb, box):
 
 def p_lambda(lam, m):
     """The lam-isotypic creation functor: (module, inclusion, projection)
-    with inclusion into induce^{|lam|}(M), cut on the added letters."""
+    with inclusion into induce^{|lam|}(M), cut on the added letters.  A
+    row or a column of k >= 2 letters is ``induce(m, k, high)``, included
+    by signed orbit sums Σ_σ ε(σ) (b_S σ, v) and projected by their
+    transpose over k!: a box on the added letters never acts through M."""
     lam = Partition(lam)
-    k = lam.size()
+    k, n, d = lam.size(), m.degree, m.dim
     amb = m
     for _ in range(k):
         amb = induce(amb)
-    letters = added_letters_embedding(k, m.degree)
-    return _isotypic_cut(lam, amb, lambda e: right_mult_map(
-        m, k, e.relabel(letters, amb.degree)))
+    if k < 2 or len(lam.parts) > 1 and lam.parts[0] > 1:
+        letters = added_letters_embedding(k, n)
+        return _isotypic_cut(lam, amb, lambda e: right_mult_map(
+            m, k, e.relabel(letters, amb.degree)))
+    column = lam.parts[0] == 1
+    sub = induce(m, k, [-SMat.identity(d)] * (k - 1) if column else None)
+    strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k)]
+    # σ comes in Lehmer-code order (code_i = later letters below σ_i):
+    # peeling b_S σ keys level i by S[σ_i] - code_i; Σ code = inversions
+    orbit = [(t, (-1) ** sum(code) if column else 1,
+              sum((-1 - b) * st for b, st in zip(code, strides)))
+             for t, code in zip(iter_permutations(range(k)),
+                                product(*map(range, range(k, 0, -1))))]
+    entries = []
+    for p, s in enumerate(combinations(range(1, n + k + 1), k)):
+        for t, c, row in orbit:
+            row += sum(s[i] * st for i, st in zip(t, strides))
+            entries.extend((row + r, p * d + r, c) for r in range(d))
+    iota = SMat.from_entries(amb.dim, sub.dim, entries)
+    pi = iota.transpose().scale(Fraction(1, factorial(k)))
+    if pi @ iota != SMat.identity(sub.dim):
+        raise IdempotentError(f"{lam} orbit sums: pi @ iota != identity")
+    return sub, ModuleMap(sub, amb, iota), ModuleMap(amb, sub, pi)
 
 
 def q_lambda(lam, m):

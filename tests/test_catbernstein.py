@@ -35,10 +35,15 @@ from bosonfermion.catbernstein import (
     vacuum_vector,
     word_character,
 )
+from bosonfermion.cli import parse_module_spec
 from bosonfermion.errors import ChainComplexError
 from bosonfermion.fock import BosonState, boson_psi, boson_psi_star
 from bosonfermion.homalg import Complex, single_module_complex
-from bosonfermion.partition_core import enumerate_partitions, syt_count
+from bosonfermion.partition_core import (
+    enumerate_partitions,
+    format_partition,
+    syt_count,
+)
 from bosonfermion.symfunc import SymFunc, bernstein, bernstein_star, schur
 from bosonfermion.symrep import (
     frobenius_char,
@@ -262,6 +267,18 @@ class TestPairRelations:
         for a, m in [(0, pool["S1"]), (0, pool["S2"]), (1, pool["S2"])]:
             rep = relation_suite_bbstar(a, a, m)
             assert rep.passed, rep.render_text()
+
+    # every module of degree <= 4 whose degree-0 evaluation cells carry up
+    # to four strand pairs: unsigned blocks break the chain map from two on
+    @pytest.mark.parametrize("spec", [
+        "trivial:0", "reg:3", "reg:4",
+        *(f"S:{format_partition(lam)}"
+          for n in range(1, 5) for lam in enumerate_partitions(n))])
+    def test_evaluation_triangle_on_every_small_module(self, spec):
+        m = parse_module_spec(spec)
+        for a in range(3):
+            rep = relation_suite_bbstar(a, a, m)
+            assert rep.passed, (a, rep.render_text())
 
     def test_evaluation_sign_error_raises(self, pool, monkeypatch):
         # flipping the sign of the odd-x blocks must break the chain map

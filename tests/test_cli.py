@@ -8,11 +8,13 @@ from pathlib import Path
 
 import pytest
 
+from bosonfermion import catbernstein
 from bosonfermion.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CHECK_FAILED,
     EXIT_OK,
     EXIT_PARSE_ERROR,
+    GATE_ERRORS,
     main,
     parse_module_spec,
 )
@@ -201,6 +203,41 @@ class TestCatCommand:
         assert code == EXIT_PARSE_ERROR
 
 
+class TestGateFailures:
+    # a gate error is a failed check: one stderr line, exit 1, no traceback,
+    # whether the builder ran in this process or in a worker
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("error", GATE_ERRORS,
+                             ids=lambda e: e.__name__)
+    def test_builder_error_exits_one_without_traceback(
+            self, capfd, monkeypatch, error, jobs):
+        def broken(lam):
+            raise error(f"injected {error.__name__}")
+
+        monkeypatch.setattr("bosonfermion.cli.specht_creation_check", broken)
+        code = main(["cat", "specht", "2,1", "--jobs", jobs])
+        out, err = capfd.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert err == f"gate failed: injected {error.__name__}\n"
+        assert out == "" and "Traceback" not in err
+
+    def test_broken_evaluation_sign_is_a_failed_check(self, capfd,
+                                                      monkeypatch):
+        original = catbernstein._pair_evaluation
+
+        def flipped(outer_cell, inner_cell, a):
+            blk = original(outer_cell, inner_cell, a)
+            return blk.scale(-1) if outer_cell.label % 2 else blk
+
+        monkeypatch.setattr(catbernstein, "_pair_evaluation", flipped)
+        code = main(["cat", "bbstar", "--a", "0", "--b", "0",
+                     "--module", "S:2"])
+        out, err = capfd.readouterr()
+        assert code == EXIT_CHECK_FAILED
+        assert err.startswith("gate failed: evaluation is not a chain map")
+        assert out == "" and "Traceback" not in err
+
+
 class TestDeterminismAndCache:
     def test_identical_config_byte_identical_json(self, capsys):
         _, out1, _ = run(capsys, "cat", "specht", "2,1", "--json")
@@ -257,6 +294,18 @@ class TestDeterminismAndCache:
         (("cat", "bb", "--a", "2", "--b", "1", "--module", "S:2,2",
           "--max-degree", "8", "--json"),
          "449521e6555022c56567ad76381fe77aeb64d1a9897a28ec08cb7846bea86bf8"),
+        (("cat", "specht", "4,4", "--max-degree", "8", "--json"),
+         "b78eef4dcad5d2c81f53b13c75cb6a8f7faf789344c30b36ad909f4e891e9278"),
+        (("cat", "specht", "3,3,2", "--max-degree", "8", "--json"),
+         "1666d4048dd965b1666be8a09698893eee9d30231e5707c9e4bbda07f70d6623"),
+        # pinned after the evaluation-sign fix: before it, both runs
+        # stopped at a ChainComplexError
+        (("cat", "bbstar", "--a", "0", "--b", "0", "--module", "trivial:3",
+          "--max-degree", "8", "--json"),
+         "a95ad9496bcbea6eb02461e31d67959ac1a285ce438ec09f91ce89e946922db2"),
+        (("cat", "bbstar", "--a", "0", "--b", "0", "--module", "S:3,1",
+          "--max-degree", "8", "--json"),
+         "394b1c0fd9f743fcf81c7ea364426c372d72462b2749526f5c6b5c8cf6b60271"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         for key in list(os.environ):

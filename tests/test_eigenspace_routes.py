@@ -1,15 +1,17 @@
 """Closed-form and joint-eigenspace cells against the routes they replace.
 
 Decorated words are cut one cable at a time by ``symrep.p_lambda``/
-``q_lambda``, a one-row or one-column cable as a ``linalg.joint_eigenspace``;
-sigma cells are modules induced from S_{n-k} x S_k, with closed-form
-generators, caps, cups and lifts, and no ambient word.  The routes they
-replaced are kept here as oracles: the whole decorated word cut in one
-elimination on the top of its plain word, the signed diagonal projector
-summed over all k! letter permutations, the joint (-1)-eigenspace of the
-diagonal transpositions, the signed orbit-sum cell inside the flat word
-Q^k P^k with its cap and cup moves, the product of embedded Young
-idempotents, and cell dimensions read from decorated words.
+``q_lambda``: a one-row or one-column P cable as a module induced from
+S_n x S_k, included by signed orbit sums, and a one-row or one-column Q
+cable as a ``linalg.joint_eigenspace``; sigma cells are modules induced
+from S_{n-k} x S_k, with closed-form generators, caps, cups and lifts, and
+no ambient word.  The routes they replaced are kept here as oracles: the
+whole decorated word cut in one elimination on the top of its plain word,
+the joint eigenspace of ``right_mult_map`` on a P cable, the signed
+diagonal projector summed over all k! letter permutations, the joint
+(-1)-eigenspace of the diagonal transpositions, the signed orbit-sum cell
+inside the flat word Q^k P^k with its cap and cup moves, the product of
+embedded Young idempotents, and cell dimensions read from decorated words.
 The projector tests compare ``iota @ pi`` entry for entry (same image and
 same kernel); the sigma tests demand that every closed-form matrix equals
 the oracle's ``pi @ (ambient map) @ iota`` exactly.
@@ -128,6 +130,21 @@ def eigenspace_sigma_cell(m, k):
     iota, pi = joint_eigenspace(word.top.dim, gens)
     sub = RepModule(n, iota.ncols, [pi @ g @ iota for g in word.top.gens])
     return sub, iota, pi
+
+
+def eigenspace_p_cable(lam, m):
+    """(iota, pi) of a one-row or one-column P cable as the joint +1 or -1
+    eigenspace of the adjacent transpositions of the added letters, acting
+    on induce^k(M) by ``right_mult_map``."""
+    k = lam.size()
+    top = m
+    for _ in range(k):
+        top = induce(top)
+    letters = added_letters_embedding(k, m.degree)
+    eps = 1 if len(lam.parts) == 1 else -1
+    return joint_eigenspace(top.dim, [
+        (right_mult_map(m, k, _strand_route(k, [i]).relabel(
+            letters, top.degree)), eps) for i in range(1, k)])
 
 
 OrbitSumCell = namedtuple("OrbitSumCell", "sub iota pi word rows")
@@ -526,6 +543,21 @@ def test_p_lambda_rows_and_columns_match_the_young_box(key):
             assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
             assert sub.gens == [prj.matrix @ g @ inc.matrix
                                 for g in inc.target.gens], lam
+
+
+@pytest.mark.parametrize("key", ["trivial:0", "trivial:1", "trivial:2",
+                                 "trivial:3", "S:2,1", "S:2,2", "reg:3"])
+def test_closed_form_p_cables_match_the_eigenspace_route(key):
+    m = MODULES[key]()
+    for k in range(2, 5):
+        for lam in _row_column_shapes(k):
+            sub, inc, prj = p_lambda(lam, m)
+            iota, pi = eigenspace_p_cable(Partition(lam), m)
+            assert inc.matrix @ prj.matrix == iota @ pi, lam
+            assert sub.gens == [prj.matrix @ g @ inc.matrix
+                                for g in inc.target.gens], lam
+            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
+            assert sub.dim == m.dim * comb(m.degree + k, k), lam
 
 
 @pytest.mark.parametrize("key", ["trivial:4", "S:3,1", "S:2,2",
