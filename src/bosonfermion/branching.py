@@ -443,7 +443,7 @@ def pp_merge_family(m_size, n_size, base):
 
 def _partial_sums(lam):
     out = [0]
-    for part in lam.parts:
+    for part in lam:
         out.append(out[-1] + part)
     return out
 
@@ -529,7 +529,7 @@ def row_merge_family(kind, side, lam, base):
     summands = []
     for bigger, s in added:
         # row s on letters lo..hi, empty (hi = lo - 1) for a new row
-        lo, hi = sums[s - 1] + 1, sums[min(s, len(lam.parts))]
+        lo, hi = sums[s - 1] + 1, sums[min(s, len(lam))]
         f = box(word0, 0, _strand_route(n, range(hi + 1, n)))
         if hi >= lo:
             f = f @ box(word0, 0, _row_symmetrizer(n, lo, hi))

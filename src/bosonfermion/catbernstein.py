@@ -371,14 +371,14 @@ def creation_word(lam):
     """Creation word for a partition: parts in decreasing order, so the
     smallest part acts first (rightmost)."""
     lam = Partition(lam)
-    return [(int(p), False) for p in lam.parts]
+    return [(int(p), False) for p in lam]
 
 
 def annihilation_word(lam):
     """Annihilation word for a partition: parts in increasing order, so
     the largest part acts first (rightmost)."""
     lam = Partition(lam)
-    return [(int(p), True) for p in reversed(lam.parts)]
+    return [(int(p), True) for p in reversed(lam)]
 
 
 def word_character(word, f):

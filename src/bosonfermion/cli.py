@@ -296,7 +296,7 @@ def _symfunc_text(f):
     bits = []
     for lam in f.support():
         c = f.terms[lam]
-        if not lam.parts:
+        if not lam:
             bits.append(str(c))
             continue
         head = "" if c == 1 else f"{c}*"

@@ -54,20 +54,10 @@ class FermionBasisVector:
         )
 
     def __hash__(self):
-        return hash((self.charge, self.shape.parts))
+        return hash((self.charge, self.shape))
 
     def __repr__(self):
         return f"FermionBasisVector({self.charge}, {self.shape.parts})"
-
-
-def _vector(charge, parts):
-    """A basis vector from a tuple already known to be a partition."""
-    shape = Partition.__new__(Partition)
-    shape.parts = parts
-    vec = FermionBasisVector.__new__(FermionBasisVector)
-    vec.charge = charge
-    vec.shape = shape
-    return vec
 
 
 def vacuum(charge):
@@ -162,7 +152,7 @@ def _terms(v):
 
 def _maya(vec, lo):
     """The Maya mask of vec above the floor lo <= c - l(lambda)."""
-    c, parts = vec.charge, vec.shape.parts
+    c, parts = vec.charge, vec.shape
     mask = (1 << (c - len(parts) - lo)) - 1  # the vacuum codes from lo up
     for s, p in enumerate(parts, start=1):
         mask |= 1 << (p + c - s - lo)
@@ -172,7 +162,8 @@ def _maya(vec, lo):
 def _from_maya(mask, lo):
     """The basis vector of a Maya mask above the floor lo."""
     n = mask.bit_count()
-    charge, parts = lo + n, []
+    vec = FermionBasisVector.__new__(FermionBasisVector)
+    vec.charge, parts = lo + n, []
     while mask:
         b = mask.bit_length() - 1
         n -= 1  # the set bits left below b
@@ -180,7 +171,8 @@ def _from_maya(mask, lo):
             break
         parts.append(b - n)
         mask ^= 1 << b
-    return _vector(charge, tuple(parts))
+    vec.shape = tuple.__new__(Partition, parts)
+    return vec
 
 
 def _flip(hit, b):
@@ -199,20 +191,22 @@ def _remove_bit(hit, b):
     return _flip(hit, b) if hit is not None and hit[1] >> b & 1 else None
 
 
-def _signed_sum(*hits):
-    """The sum of signed masks (None is zero) as {mask: coefficient}."""
-    out = {}
-    for hit in hits:
-        if hit is not None:
-            _acc(out, hit[1], hit[0])
-    return out
+def _sum_is(a, b, want):
+    """Whether the signed masks a + b (None is zero) sum to ``want``, a
+    signed mask or None."""
+    if a is None or b is None:
+        return (b if a is None else a) == want
+    if a[1] != b[1]:
+        return False  # two distinct basis vectors
+    c = a[0] + b[0]
+    return (c, a[1]) == want if c else want is None
 
 
 def _apply_mode(step, t, v):
     """Apply a mask step at code t to every term of v, above the floor min(c - l, t)."""
     out = {}
     for vec, coeff in _terms(v):
-        lo = min(vec.charge - len(vec.shape.parts), t)
+        lo = min(vec.charge - len(vec.shape), t)
         hit = step((coeff, _maya(vec, lo)), t - lo)
         if hit is not None:
             _acc(out, _from_maya(hit[1], lo), hit[0])
@@ -367,10 +361,25 @@ def _window(pair):
     return range(lo, hi + 1)
 
 
+def _on_slot(state, charge, f):
+    """Whether a fermion state is t^charge f under the dictionary: every term
+    sits at that charge with f's coefficient of its shape, and no term of f
+    is missing."""
+    want = f.terms
+    return len(state.terms) == len(want) and all(
+        vec.charge == charge and want.get(vec.shape) == coeff
+        for vec, coeff in state.terms.items())
+
+
 def verify_correspondence(max_degree, charge_window, index_window):
     """Check that the charge-partition dictionary intertwines the fermionic
     modes with the charge-shifted creation/annihilation operators, vector by
-    vector.  Mismatches become report entries; the report passes iff none."""
+    vector: psi(i) on (c, lambda) must be t^{c+1} B_{i-(c+1)} s_lambda and
+    psi_star(i) must be t^{c-1} B*_{i-c} s_lambda.  Each fermionic image is
+    compared with the Schur expansion on its one charge slot; only a
+    mismatch builds the two ``BosonState``s (``sigma_iso`` of the image and
+    ``boson_psi``/``boson_psi_star`` of the vector), whose JSON becomes the
+    entry's lhs and rhs.  The report passes iff there is no mismatch."""
     report = Report(
         "fermion-boson correspondence",
         config={
@@ -383,20 +392,20 @@ def verify_correspondence(max_degree, charge_window, index_window):
     for c in _window(charge_window):
         for lam in shapes:
             vec = FermionBasisVector(c, lam)
-            bos = sigma_iso(vec)
+            f = schur(lam)
             for i in _window(index_window):
-                lhs = sigma_iso(psi(i, vec))
-                rhs = boson_psi(i, bos)
-                if lhs != rhs:
+                img = psi(i, vec)
+                if not _on_slot(img, c + 1, bernstein(i - (c + 1), f)):
+                    lhs, rhs = sigma_iso(img), boson_psi(i, sigma_iso(vec))
                     report.add(f"psi[i={i}] on (c={c}, {format_partition(lam)})",
                                False, lhs=boson_state_to_json(lhs),
                                rhs=boson_state_to_json(rhs))
-                lhs2 = sigma_iso(psi_star(i, vec))
-                rhs2 = boson_psi_star(i, bos)
-                if lhs2 != rhs2:
+                img = psi_star(i, vec)
+                if not _on_slot(img, c - 1, bernstein_star(i - c, f)):
+                    lhs, rhs = sigma_iso(img), boson_psi_star(i, sigma_iso(vec))
                     report.add(f"psi_star[i={i}] on (c={c}, {format_partition(lam)})",
-                               False, lhs=boson_state_to_json(lhs2),
-                               rhs=boson_state_to_json(rhs2))
+                               False, lhs=boson_state_to_json(lhs),
+                               rhs=boson_state_to_json(rhs))
     report.add(
         "correspondence window complete",
         True,
@@ -408,7 +417,10 @@ def verify_correspondence(max_degree, charge_window, index_window):
 
 def clifford_relation_report(max_degree, charge_window, index_window):
     """Anticommutator battery on basis vectors in the window, run on their
-    Maya masks with the mask steps that ``psi`` and ``psi_star`` apply."""
+    Maya masks with the mask steps that ``psi`` and ``psi_star`` apply.
+    Each step runs once per image; each anticommutator is decided on its two
+    signed masks (``_sum_is``) against zero or, for psi_i psi*_i +
+    psi*_i psi_i, the vector itself."""
     report = Report(
         "clifford anticommutators",
         config={
@@ -423,9 +435,8 @@ def clifford_relation_report(max_degree, charge_window, index_window):
     total = 0
     for c in _window(charge_window):
         for lam in shapes:
-            lo = min(c - len(lam.parts), index_window[0] - 1)
+            lo = min(c - len(lam), index_window[0] - 1)
             v = (1, _maya(FermionBasisVector(c, lam), lo))
-            state = _signed_sum(v)
             bit = {j: j - 1 - lo for j in idx}
             up = {j: _insert_bit(v, bit[j]) for j in idx}
             down = {j: _remove_bit(v, bit[j]) for j in idx}
@@ -433,14 +444,14 @@ def clifford_relation_report(max_degree, charge_window, index_window):
             downdown = {(i, j): _remove_bit(down[j], bit[i]) for i in idx for j in idx}
             for i in idx:
                 for j in idx:
-                    for name, acc, expect in (
-                            ("psi-psi", _signed_sum(upup[i, j], upup[j, i]), {}),
-                            ("psi*-psi*", _signed_sum(downdown[i, j], downdown[j, i]), {}),
-                            ("psi-psi*", _signed_sum(_insert_bit(down[j], bit[i]),
-                                                     _remove_bit(up[i], bit[j])),
-                             state if i == j else {})):
+                    for name, ok in (
+                            ("psi-psi", _sum_is(upup[i, j], upup[j, i], None)),
+                            ("psi*-psi*", _sum_is(downdown[i, j], downdown[j, i], None)),
+                            ("psi-psi*", _sum_is(_insert_bit(down[j], bit[i]),
+                                                 _remove_bit(up[i], bit[j]),
+                                                 v if i == j else None))):
                         total += 1
-                        if acc != expect:
+                        if not ok:
                             bad += 1
                             report.add(f"{name} i={i} j={j} c={c} lam={format_partition(lam)}", False)
     report.add("clifford relations", bad == 0, checked=total, failed=bad)
@@ -451,7 +462,7 @@ def alpha_window_sum(vec):
     """The bounded-window evaluation of the first lowering oscillator mode,
     sum_j psi(j+1) psi_star(j) over the window where it can act on ``vec``."""
     c, lam = vec.charge, vec.shape
-    lo = c - len(lam.parts) - 1
+    lo = c - len(lam) - 1
     hi = c + lam.row(1) + 1
     out = {}
     for j in range(lo, hi + 1):

@@ -3,7 +3,9 @@
 Conventions, fixed once and used everywhere:
 
 - A partition is a weakly decreasing tuple of positive integers; row 1 is the
-  longest row.  Rows are indexed 1-based.
+  longest row.  Rows are indexed 1-based.  ``Partition`` is a ``tuple``
+  subclass: it equals and hashes like the plain tuple of its parts, while
+  ``<``, ``>``, ``<=``, ``>=`` keep the canonical order below.
 - The canonical order on partitions of the same size is descending
   lexicographic: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  It refines dominance.
 - Text form: comma-separated parts, with "0" for the empty partition.
@@ -16,24 +18,34 @@ held between two bounds (``_bounded_rows``); only the bounds differ.
 from __future__ import annotations
 
 import itertools
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
 
-class Partition:
-    """An integer partition, stored as a weakly decreasing tuple of positive parts.
+def _by_sort_key(compare):
+    return lambda lam, mu: compare(lam.sort_key(), Partition(mu).sort_key())
 
-    Trailing zeros in the input are dropped, so ``Partition((3, 1, 0))`` equals
-    ``Partition((3, 1))``.
+
+class Partition(tuple):
+    """An integer partition: a ``tuple`` of weakly decreasing positive parts.
+
+    It equals and hashes like the plain tuple of its parts, so
+    ``Partition((3, 1)) == (3, 1)``, while ``<``, ``>``, ``<=``, ``>=``
+    follow the canonical order of ``sort_key``.  Trailing zeros in the input
+    are dropped; a part that is not an integer (``operator.index``), such as
+    a character or a float, is refused.  A ``Partition`` is returned as is.
     """
 
-    __slots__ = ("parts",)
+    __slots__ = ()
 
-    def __init__(self, parts=()):
-        if isinstance(parts, Partition):
-            self.parts = parts.parts
-            return
-        parts = tuple(int(p) for p in parts)
+    def __new__(cls, parts=()):
+        if type(parts) is Partition:
+            return parts
+        try:
+            parts = tuple(map(operator.index, parts))
+        except TypeError as exc:
+            raise ValueError(f"parts must be integers, got {parts!r}") from exc
         while parts and parts[-1] == 0:
             parts = parts[:-1]
         for a, b in zip(parts, parts[1:]):
@@ -41,59 +53,48 @@ class Partition:
                 raise ValueError(f"parts must be weakly decreasing, got {parts}")
         if parts and parts[-1] < 0:
             raise ValueError(f"parts must be nonnegative, got {parts}")
-        self.parts = parts
+        return tuple.__new__(cls, parts)
+
+    @property
+    def parts(self):
+        """The parts as a plain tuple."""
+        return tuple(self)
 
     def size(self):
-        return sum(self.parts)
-
-    def length(self):
-        return len(self.parts)
+        return sum(self)
 
     def row(self, s):
         """Length of row s (1-based); 0 beyond the last row."""
-        return self.parts[s - 1] if 1 <= s <= len(self.parts) else 0
+        return self[s - 1] if 1 <= s <= len(self) else 0
 
     def conjugate(self):
         """Transpose of the Young diagram."""
-        if not self.parts:
-            return Partition(())
-        cols = [0] * self.parts[0]
-        for p in self.parts:
+        if not self:
+            return self
+        cols = [0] * self[0]
+        for p in self:
             for j in range(p):
                 cols[j] += 1
-        return Partition(cols)
+        return tuple.__new__(Partition, cols)
 
     def contains(self, other):
         """Whether this diagram contains ``other`` (componentwise)."""
         other = Partition(other)
-        if len(other.parts) > len(self.parts):
+        if len(other) > len(self):
             return False
-        return all(a >= b for a, b in zip(self.parts, other.parts))
+        return all(a >= b for a, b in zip(self, other))
 
     def sort_key(self):
         """Key realizing the canonical order: by size, then descending lex."""
-        return (self.size(), tuple(-p for p in self.parts))
+        return (sum(self), tuple(-p for p in self))
 
-    def __eq__(self, other):
-        return isinstance(other, Partition) and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(("Partition", self.parts))
-
-    def __lt__(self, other):
-        return self.sort_key() < other.sort_key()
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
-
-    def __getitem__(self, i):
-        return self.parts[i]
+    __lt__ = _by_sort_key(operator.lt)
+    __le__ = _by_sort_key(operator.le)
+    __gt__ = _by_sort_key(operator.gt)
+    __ge__ = _by_sort_key(operator.ge)
 
     def __repr__(self):
-        return f"Partition({self.parts!r})"
+        return f"Partition({tuple(self)!r})"
 
     def __str__(self):
         return format_partition(self)
@@ -112,8 +113,8 @@ def parse_partition(text):
 
 
 def format_partition(lam):
-    parts = Partition(lam).parts
-    return ",".join(str(p) for p in parts) if parts else "0"
+    lam = Partition(lam)
+    return ",".join(map(str, lam)) if lam else "0"
 
 
 def conjugate(lam):
@@ -136,7 +137,7 @@ def dominates(lam, mu):
 
 def _changed_row(lam, mu):
     """The 1-based row where two partitions first differ."""
-    pairs = itertools.zip_longest(lam.parts, mu.parts, fillvalue=0)
+    pairs = itertools.zip_longest(lam, mu, fillvalue=0)
     return next(s for s, (a, b) in enumerate(pairs, start=1) if a != b)
 
 
@@ -159,22 +160,13 @@ def boxes_removed(lam):
 
 
 @lru_cache(maxsize=None)
-def _partitions_tuple(n, cap):
-    """All weakly decreasing tuples summing to n with parts <= cap, descending lex."""
-    if n == 0:
-        return ((),)
-    out = []
-    for first in range(min(n, cap), 0, -1):
-        for rest in _partitions_tuple(n - first, first):
-            out.append((first,) + rest)
-    return tuple(out)
+def _partitions_of(n):
+    return tuple(_bounded_rows((0,) * n, (n,) * n, n))
 
 
 def enumerate_partitions(n):
     """All partitions of n in canonical (descending lexicographic) order."""
-    if n < 0:
-        return []
-    return [Partition(t) for t in _partitions_tuple(n, n if n else 1)]
+    return list(_partitions_of(n)) if n >= 0 else []
 
 
 def partitions_up_to(n):
@@ -191,7 +183,7 @@ def hook_lengths(lam):
     conj = lam.conjugate()
     return [
         [lam.row(i) - j + conj.row(j) - i + 1 for j in range(1, lam.row(i) + 1)]
-        for i in range(1, len(lam.parts) + 1)
+        for i in range(1, len(lam) + 1)
     ]
 
 
@@ -254,7 +246,7 @@ def row_reading_tableau(lam):
     """The tableau filling 1..n along rows, top to bottom ("row reading")."""
     lam = Partition(lam)
     rows, next_entry = [], 1
-    for p in lam.parts:
+    for p in lam:
         rows.append(tuple(range(next_entry, next_entry + p)))
         next_entry += p
     return StandardTableau(rows)
@@ -274,7 +266,7 @@ def enumerate_syt(lam):
             return [()]
         out = []
         for sub, row in boxes_removed(Partition(shape)):
-            for rows in build(sub.parts):
+            for rows in build(sub):
                 new = [list(r) for r in rows]
                 while len(new) < row:
                     new.append([])
@@ -282,7 +274,7 @@ def enumerate_syt(lam):
                 out.append(tuple(tuple(r) for r in new))
         return out
 
-    return [StandardTableau(rows) for rows in build(lam.parts)]
+    return [StandardTableau(rows) for rows in build(lam)]
 
 
 def _bounded_rows(lo, hi, size):
@@ -292,17 +284,19 @@ def _bounded_rows(lo, hi, size):
     ``lo`` and ``hi`` are weakly decreasing tuples of one length with
     lo <= hi.  Each row takes its values from high to low and stops once the
     later rows, capped by it, cannot absorb what is left, so no branch dies
-    and the rows come out in descending lexicographic order.
+    and the rows come out in descending lexicographic order.  Once no boxes
+    are left, every later row sits at its lower bound, so the walk ends
+    there; zero rows are dropped.
     """
     n, out = len(lo), []
+    nonzero = n - lo.count(0)  # lo's zero rows come last
     room = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         room[i] = room[i + 1] + hi[i] - lo[i]
 
     def walk(i, cap, left, built):
-        if i == n:
-            if not left:
-                out.append(Partition(built))
+        if not left:
+            out.append(tuple.__new__(Partition, built + lo[i:nonzero]))
             return
         for v in range(min(hi[i], cap, lo[i] + left), lo[i] - 1, -1):
             rest, spare, j = left - (v - lo[i]), room[i + 1], i + 1
@@ -313,7 +307,9 @@ def _bounded_rows(lo, hi, size):
                 break
             walk(i + 1, v, rest, built + (v,))
 
-    walk(0, hi[0] if hi else 0, size - sum(lo), ())
+    left = size - sum(lo)
+    if n or not left:
+        walk(0, hi[0] if n else 0, left, ())
     return out
 
 
@@ -324,15 +320,15 @@ def horizontal_strips(lam, k):
     mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...  Returned in canonical order.
     """
     lam = Partition(lam)
-    hi = (lam.row(1) + k,) + lam.parts
-    return _bounded_rows(lam.parts + (0,), hi, lam.size() + k)
+    hi = (lam.row(1) + k,) + lam
+    return _bounded_rows(lam + (0,), hi, lam.size() + k)
 
 
 def vertical_strips(lam, k):
     """Partitions mu >= lam with mu/lam a vertical strip of size k (one box per
     row).  Returned in canonical order."""
     lam = Partition(lam)
-    lo = lam.parts + (0,) * k
+    lo = lam + (0,) * k
     return _bounded_rows(lo, tuple(p + 1 for p in lo), lam.size() + k)
 
 
@@ -340,15 +336,14 @@ def horizontal_strips_below(lam, k):
     """Partitions mu <= lam with lam/mu a horizontal strip of size k, i.e.
     lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...  Returned in canonical order."""
     lam = Partition(lam)
-    return _bounded_rows((lam.parts + (0,))[1:], lam.parts, lam.size() - k)
+    return _bounded_rows((lam + (0,))[1:], lam, lam.size() - k)
 
 
 def vertical_strips_below(lam, k):
     """Partitions mu <= lam with lam/mu a vertical strip of size k.  Returned
     in canonical order."""
     lam = Partition(lam)
-    return _bounded_rows(tuple(p - 1 for p in lam.parts), lam.parts,
-                         lam.size() - k)
+    return _bounded_rows(tuple(p - 1 for p in lam), lam, lam.size() - k)
 
 
 def cycle_type_representative(mu, n=None):
@@ -363,7 +358,7 @@ def cycle_type_representative(mu, n=None):
             f"cycle type {format_partition(mu)} does not fit in S_{n}")
     img = list(range(1, n + 1))
     start = 1
-    for part in mu.parts:
+    for part in mu:
         for j in range(start, start + part - 1):
             img[j - 1] = j + 1
         img[start + part - 2] = start
@@ -375,7 +370,7 @@ def centralizer_order(mu):
     """z_mu = prod_i i^{m_i} m_i!  (order of the centralizer of cycle type mu)."""
     mu = Partition(mu)
     mult = {}
-    for p in mu.parts:
+    for p in mu:
         mult[p] = mult.get(p, 0) + 1
     z = 1
     for i, m in mult.items():

@@ -156,20 +156,12 @@ def _as_partition_arg(mu):
 
 def complete(mu):
     """h_mu = prod of complete homogeneous h_{mu_i}."""
-    mu = _as_partition_arg(mu)
-    out = SymFunc.one()
-    for k in mu.parts:
-        out = _mult_h(k, out)
-    return out
+    return _symfunc(dict(_h_to_schur(_as_partition_arg(mu))))
 
 
 def elementary(mu):
-    """e_mu = prod of elementary e_{mu_i}."""
-    mu = _as_partition_arg(mu)
-    out = SymFunc.one()
-    for k in mu.parts:
-        out = _mult_e(k, out)
-    return out
+    """e_mu = prod of elementary e_{mu_i}, the involution omega of h_mu."""
+    return omega(complete(mu))
 
 
 def powersum(mu):
@@ -254,18 +246,14 @@ def _skew_e(k, f):
 def _h_to_schur(mu):
     """h_mu in the Schur basis (the Kostka numbers K_{lam,mu}), by iterated Pieri."""
     f = SymFunc.one()
-    for k in mu.parts:
+    for k in mu:
         f = _mult_h(k, f)
     return tuple(sorted(f.terms.items(), key=lambda t: t[0].sort_key()))
 
 
 def kostka(lam, mu):
     """K_{lam,mu} = coefficient of s_lam in h_mu."""
-    lam, mu = Partition(lam), Partition(mu)
-    for l, c in _h_to_schur(mu):
-        if l == lam:
-            return int(c)
-    return 0
+    return int(dict(_h_to_schur(Partition(mu))).get(Partition(lam), 0))
 
 
 @lru_cache(maxsize=None)
@@ -301,7 +289,7 @@ def _power_sum_schur(k):
 @lru_cache(maxsize=None)
 def _p_to_schur(mu):
     f = SymFunc.one()
-    for k in mu.parts:
+    for k in mu:
         f = multiply(f, _power_sum_schur(k))
     return tuple(sorted(f.terms.items(), key=lambda t: t[0].sort_key()))
 
@@ -376,23 +364,11 @@ def to_basis(f, basis):
 
 def from_basis(basis, coeffs):
     """Build a SymFunc from coefficients in the named basis."""
-    basis = _basis_name(basis)
+    build = dict(zip(BASES, (schur, complete, elementary, powersum,
+                             monomial)))[_basis_name(basis)]
     out = SymFunc.zero()
     for mu, c in coeffs.items():
-        mu = Partition(mu)
-        c = _coeff(c)
-        if not c:
-            continue
-        if basis == "schur":
-            out = out + _symfunc({mu: c})
-        elif basis == "complete":
-            out = out + complete(mu).scale(c)
-        elif basis == "elementary":
-            out = out + elementary(mu).scale(c)
-        elif basis == "powersum":
-            out = out + powersum(mu).scale(c)
-        elif basis == "monomial":
-            out = out + monomial(mu).scale(c)
+        out = out + build(Partition(mu)).scale(c)
     return out
 
 
@@ -409,17 +385,30 @@ def _acc(d, k, v):
 
 def _over_h_basis(step, f, g):
     """Σ_μ c_μ step^μ(f) for g = Σ_μ c_μ h_μ, where step^μ applies
-    ``step(k, -)`` once for each part k of μ."""
+    ``step(k, -)`` once for each part k of μ, in order.
+
+    The h-coefficients c_μ of g are collected first, so each μ is walked
+    once; the chains of distinct μ share their common prefixes, each applied
+    to f once within the call, and c_μ scales the end of the chain."""
     if f.is_zero() or g.is_zero():
         return SymFunc.zero()
-    out = SymFunc.zero()
+    coeffs = {}
     for lam, c in g.terms.items():
         for mu, d in _schur_to_h(lam):
-            piece = f.scale(c * d)
-            for k in mu.parts:
-                piece = step(k, piece)
-            out = out + piece
-    return out
+            _acc(coeffs, mu, c * d)
+    chains = {(): f}
+
+    def chain(mu):
+        piece = chains.get(mu)
+        if piece is None:
+            piece = chains[mu] = step(mu[-1], chain(mu[:-1]))
+        return piece
+
+    out = {}
+    for mu, c in coeffs.items():
+        for lam, d in chain(mu).terms.items():
+            _acc(out, lam, c * d)
+    return _symfunc(out)
 
 
 def multiply(f, g):
@@ -501,7 +490,7 @@ def _bernstein_schur(a, lam):
     """B_a s_lam in the Schur basis: the Pieri loop of ``bernstein`` on s_lam,
     Σ_m (−1)^m Σ_{ν ∈ e_m^⊥ s_lam} h_{a+m} s_ν, read off the kernel tables."""
     out = {}
-    for m in range(max(0, -a), len(lam.parts) + 1):
+    for m in range(max(0, -a), len(lam) + 1):
         sign = -1 if m % 2 else 1
         for nu in _copieri_e(m, lam):
             for mu in _pieri_h(a + m, nu):

@@ -735,8 +735,8 @@ def _isotypic_cut(lam, amb, box):
     k = lam.size()
     if k < 2:
         return amb, identity_map(amb), identity_map(amb)
-    if len(lam.parts) == 1 or lam.parts[0] == 1:
-        eps = 1 if len(lam.parts) == 1 else -1
+    if len(lam) == 1 or lam[0] == 1:
+        eps = 1 if len(lam) == 1 else -1
         iota, pi = joint_eigenspace(amb.dim, [
             (box(GroupAlgebraElement(k, {adjacent_transposition(i, k): ONE})),
              eps) for i in range(1, k)])
@@ -757,11 +757,11 @@ def p_lambda(lam, m):
     amb = m
     for _ in range(k):
         amb = induce(amb)
-    if k < 2 or len(lam.parts) > 1 and lam.parts[0] > 1:
+    if k < 2 or len(lam) > 1 and lam[0] > 1:
         letters = added_letters_embedding(k, n)
         return _isotypic_cut(lam, amb, lambda e: right_mult_map(
             m, k, e.relabel(letters, amb.degree)))
-    column = lam.parts[0] == 1
+    column = lam[0] == 1
     sub = induce(m, k, [-SMat.identity(d)] * (k - 1) if column else None)
     strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k)]
     # σ comes in Lehmer-code order (code_i = later letters below σ_i):

@@ -302,7 +302,85 @@ class TestSigma:
             -1, SymFunc.one())
 
 
+def boson_route_correspondence(max_degree, charge_window, index_window):
+    """The former ``verify_correspondence`` body, kept as an oracle: both
+    sides of every entry are ``BosonState``s, built by ``sigma_iso`` and
+    ``boson_psi``/``boson_psi_star`` and compared as a whole."""
+    report = Report(
+        "fermion-boson correspondence",
+        config={
+            "max_degree": max_degree,
+            "charge_window": list(charge_window),
+            "index_window": list(index_window),
+        },
+    )
+    shapes = partitions_up_to(max_degree)
+    charges = range(charge_window[0], charge_window[1] + 1)
+    indices = range(index_window[0], index_window[1] + 1)
+    for c in charges:
+        for lam in shapes:
+            vec = FermionBasisVector(c, lam)
+            bos = sigma_iso(vec)
+            for i in indices:
+                lhs = sigma_iso(psi(i, vec))
+                rhs = boson_psi(i, bos)
+                if lhs != rhs:
+                    report.add(f"psi[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs),
+                               rhs=boson_state_to_json(rhs))
+                lhs2 = sigma_iso(psi_star(i, vec))
+                rhs2 = boson_psi_star(i, bos)
+                if lhs2 != rhs2:
+                    report.add(f"psi_star[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs2),
+                               rhs=boson_state_to_json(rhs2))
+    report.add("correspondence window complete", True,
+               vectors=len(shapes) * len(charges), indices=len(indices))
+    return report
+
+
+CORRESPONDENCE_WINDOWS = [
+    (3, (-2, 2), (-3, 3)),
+    (4, (-1, 1), (-5, 4)),
+    (2, (0, 0), (3, 3)),
+    (2, (1, 0), (-2, 2)),   # empty charge window
+    (2, (-1, 1), (2, -2)),  # reversed index window
+    (0, (-2, 2), (-1, 1)),
+]
+
+
 class TestCorrespondence:
+    @pytest.mark.parametrize("window", CORRESPONDENCE_WINDOWS)
+    def test_slot_route_matches_boson_route(self, window):
+        assert (verify_correspondence(*window).to_json()
+                == boson_route_correspondence(*window).to_json())
+
+    @pytest.mark.parametrize("window", CORRESPONDENCE_WINDOWS[:3])
+    def test_slot_route_matches_boson_route_under_sign_flip(
+            self, window, psi_sign_flipped):
+        # the failing entries carry the same lhs/rhs JSON in both routes
+        got = verify_correspondence(*window)
+        failures = got.failures()
+        assert failures and all(chk.details["lhs"] != chk.details["rhs"]
+                                for chk in failures)
+        assert got.to_json() == boson_route_correspondence(*window).to_json()
+
+    def test_passing_window_builds_no_boson_state(self, monkeypatch):
+        built = []
+        init = BosonState.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BosonState, "__init__", counting)
+        rep = verify_correspondence(3, (-2, 2), (-3, 3))
+        assert rep.passed
+        assert not built
+        # the oracle route builds them, so the counter does see them
+        boson_route_correspondence(1, (0, 0), (0, 0))
+        assert built
+
     def test_window_passes(self):
         rep = verify_correspondence(3, (-2, 2), (-3, 3))
         assert rep.passed, rep.render_text()

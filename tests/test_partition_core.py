@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -47,6 +48,48 @@ def test_partition_validation():
         Partition((1, 2))
     with pytest.raises(ValueError):
         Partition((2, -1))
+    # every part must be an integer: no digit strings, floats or fractions
+    for bad in ("31", (2.7, 1), (Fraction(3, 2),)):
+        with pytest.raises(ValueError, match="integers"):
+            Partition(bad)
+
+
+def test_partition_is_a_tuple_with_the_canonical_order():
+    # equal to, and hashed like, the plain tuple of its parts
+    assert Partition((3, 1)) == (3, 1)
+    assert hash(Partition((3, 1))) == hash((3, 1))
+    assert isinstance(Partition((3, 1)), tuple)
+    lam = Partition((2, 2, 1))
+    assert Partition(lam) is lam
+    # the four comparisons follow sort_key, across sizes too, never tuple order
+    shapes = partitions_up_to(5)
+    for a in shapes:
+        for b in shapes:
+            ka, kb = a.sort_key(), b.sort_key()
+            assert (a < b, a > b, a <= b, a >= b) == (
+                ka < kb, ka > kb, ka <= kb, ka >= kb), (a, b)
+    assert Partition((3,)) < Partition((1, 1, 1, 1))  # (3) > (1,1,1,1) as tuples
+    assert sorted(shapes, reverse=True) == sorted(
+        shapes, key=Partition.sort_key, reverse=True)
+
+
+def test_partition_pickles_as_itself():
+    for lam in partitions_up_to(5):
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            back = pickle.loads(pickle.dumps(lam, protocol))
+            assert type(back) is Partition and back == lam
+            assert back.parts == lam.parts and back.size() == lam.size()
+
+
+def test_every_strip_is_a_partition_without_zero_rows():
+    for lam in partitions_up_to(5):
+        outs = [mu for mu, _ in boxes_added(lam) + boxes_removed(lam)]
+        for k in range(4):
+            for strips in (horizontal_strips, vertical_strips,
+                           horizontal_strips_below, vertical_strips_below):
+                outs.extend(strips(lam, k))
+        for mu in outs:
+            assert type(mu) is Partition and 0 not in mu, (lam, mu)
 
 
 def test_conjugate_examples():

@@ -154,6 +154,79 @@ def test_multiply_associative_spot():
     assert multiply(multiply(f, g), h) == multiply(f, multiply(g, h))
 
 
+# -- the h-basis walk: shared chains against the per-term route -----------------
+
+
+def _per_term_over_h_basis(step, f, g):
+    """The former ``_over_h_basis``, kept as an oracle: each pair of a Schur
+    term of g and an h-term of its expansion scales f and walks its own
+    chain of steps."""
+    if f.is_zero() or g.is_zero():
+        return SymFunc.zero()
+    out = SymFunc.zero()
+    for lam, c in g.terms.items():
+        for mu, d in sf._schur_to_h(lam):
+            piece = f.scale(c * d)
+            for k in mu:
+                piece = step(k, piece)
+            out = out + piece
+    return out
+
+
+def multiply_per_term(f, g):
+    return _per_term_over_h_basis(sf._mult_h, f, g)
+
+
+def skew_per_term(g, f):
+    return _per_term_over_h_basis(sf._skew_h, f, g)
+
+
+def multi_term_st(max_deg):
+    shapes = [p for d in range(max_deg + 1) for p in enumerate_partitions(d)]
+    return st.dictionaries(
+        st.sampled_from(shapes),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6).filter(bool),
+        min_size=2, max_size=4,
+    ).map(SymFunc)
+
+
+@given(multi_term_st(4), multi_term_st(4))
+@settings(max_examples=60, deadline=None)
+def test_multiply_matches_per_term_route(f, g):
+    got = multiply(f, g)
+    assert got == multiply_per_term(f, g)
+    assert to_json_records(got) == to_json_records(multiply_per_term(f, g))
+
+
+@given(multi_term_st(3), multi_term_st(6))
+@settings(max_examples=60, deadline=None)
+def test_skew_matches_per_term_route(g, f):
+    got = skew(g, f)
+    assert got == skew_per_term(g, f)
+    assert to_json_records(got) == to_json_records(skew_per_term(g, f))
+
+
+def test_multiply_steps_each_chain_prefix_once(monkeypatch):
+    f = s(2, 1) + s(1).scale(Fraction(1, 2)) + one
+    g = s(3, 1) + s(2, 2).scale(2) - s(2, 1, 1) + s(2) + s(1, 1).scale(3)
+    h_terms = to_basis(g, "complete")
+    prefixes = {mu[:n] for mu in h_terms for n in range(1, len(mu) + 1)}
+    calls = []
+    step = sf._mult_h
+
+    def counting(k, piece):
+        calls.append(k)
+        return step(k, piece)
+
+    monkeypatch.setattr(sf, "_mult_h", counting)
+    got = multiply(f, g)
+    assert len(calls) == len(prefixes)
+    # the per-term route walks every chain in full, once per Schur term of g
+    calls.clear()
+    assert got == multiply_per_term(f, g)
+    assert len(calls) > 2 * len(prefixes)
+
+
 # -- skew / adjointness ----------------------------------------------------------
 
 
@@ -504,6 +577,42 @@ def test_pinned_sigma_character_records(lam):
     recs = [to_json_records(sigma_character(f, n)) for n in range(7)]
     assert recs[6] == []
     assert _records_digest(recs) == SIGMA_CHARACTER_DIGESTS[lam]
+
+
+def test_sigma_character_is_the_constant_term_from_its_degree_on():
+    # sum_lam (-1)^|lam| s_lam s_{lam'}^perp f = f[X - X], the constant
+    # term of f, once the truncation n reaches the degree of f
+    for d in range(7):
+        want = one if d == 0 else SymFunc.zero()
+        for lam in enumerate_partitions(d):
+            for n in range(d, 7):
+                assert sigma_character(schur(lam), n) == want, (lam, n)
+
+
+def _sigma_character_per_term(f, n):
+    """sigma_character on the per-term multiply/skew route."""
+    total = SymFunc.zero()
+    for k in range(n + 1):
+        for lam in enumerate_partitions(k):
+            term = multiply_per_term(schur(lam),
+                                     skew_per_term(schur(lam.conjugate()), f))
+            total = total + (term.scale(-1) if k % 2 else term)
+    return total
+
+
+def test_truncated_sigma_characters_match_the_per_term_route():
+    # below the degree of f the truncation is nonzero: pin every such
+    # record for |lam| <= 6 against the per-term route
+    pinned = 0
+    for d in range(1, 7):
+        for lam in enumerate_partitions(d):
+            f = schur(lam)
+            for n in range(d):
+                recs = to_json_records(sigma_character(f, n))
+                assert recs, (lam, n)
+                assert recs == to_json_records(_sigma_character_per_term(f, n))
+                pinned += 1
+    assert pinned == 135
 
 
 @pytest.mark.parametrize("name,basis", sorted(BASIS_DIGESTS))
