@@ -11,6 +11,10 @@ Euler characteristic recovers level 1.
 
 Usage:
     python3 scripts/demo_correspondence.py [partition]   (default 2,1)
+
+The partition size is capped by ``BOSONFERMION_MAX_DEGREE`` (default 6).
+Exit codes as for the ``bosonfermion`` command: 0 all levels agree, 1 a
+mismatch or a failed gate, 2 malformed input, 3 above the cap.
 """
 
 import sys
@@ -22,6 +26,8 @@ from bosonfermion.catbernstein import (
     fermionic_apply,
     vacuum_vector,
 )
+from bosonfermion.cli import _admit, exit_code
+from bosonfermion.config import RunConfig
 from bosonfermion.fock import FermionBasisVector, boson_psi, sigma_inv, sigma_iso
 from bosonfermion.partition_core import format_partition, parse_partition
 from bosonfermion.symfunc import bernstein, schur
@@ -46,7 +52,14 @@ def mismatch(level, got, want):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
-    lam = parse_partition(argv[0] if argv else "2,1")
+    return exit_code(lambda: tour(argv[0] if argv else "2,1"))
+
+
+def tour(text):
+    cfg = RunConfig.resolve("demo", None)
+    lam = parse_partition(text)
+    _admit("partition size", lam.size(), cfg.max_degree,
+           "BOSONFERMION_MAX_DEGREE")
     name = format_partition(lam)
 
     print(f"=== level 1: creation operators on symmetric functions ===")

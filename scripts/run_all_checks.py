@@ -4,7 +4,8 @@
 This is the "is everything still true?" entry point: the fermionic
 anticommutators, the correspondence window, the homology-invariance fuzz
 battery, and the full categorified-operator suite, all at the configured
-caps.  Exits nonzero if any check fails.
+caps.  Exit codes as for the ``bosonfermion`` command: 0 all passed, 1 a
+check or a gate failed, 2 malformed input, 3 above a cap.
 
 Usage:
     python3 scripts/run_all_checks.py [--max-degree N] [--json] [--jobs K]
@@ -14,7 +15,7 @@ import argparse
 import sys
 import time
 
-from bosonfermion.cli import _default_suite, emit, run_tasks
+from bosonfermion.cli import _default_suite, emit, exit_code, run_tasks
 from bosonfermion.config import RunConfig
 from bosonfermion.fock import clifford_relation_report, verify_correspondence
 from bosonfermion.homalg import elimination_fuzz_report
@@ -32,8 +33,11 @@ def main(argv=None):
                         help="number of fuzzed complexes for the "
                              "elimination battery")
     args = parser.parse_args(argv)
-    cfg = RunConfig.resolve("all", args)
+    return exit_code(lambda: run(args))
 
+
+def run(args):
+    cfg = RunConfig.resolve("all", args)
     t0 = time.time()
     reports = [
         clifford_relation_report(cfg.max_degree, cfg.charge_window,

@@ -223,7 +223,8 @@ def word_module(atoms, base):
 
     ``atoms`` lists (side, partition) in application order.  Each cable is
     cut by ``p_lambda``/``q_lambda`` out of the module the cables before it
-    left, and the inclusions and projections compose by whiskering.  Boxes
+    left, and their inclusion and projection matrices compose by
+    whiskering; no ambient module of a cable is built.  Boxes
     of different cables commute (P boxes multiply on the right, Q boxes act
     on other letters), so inclusion∘projection is the product of the
     cables' Young idempotent boxes on the plain word.  The plain word is
@@ -235,8 +236,8 @@ def word_module(atoms, base):
         lam = Partition(lam)
         cable = side * lam.size()
         cut, i_c, p_c = (p_lambda if side == "P" else q_lambda)(lam, sub)
-        iota = _lift_matrix(iota, sub.degree, cable) @ i_c.matrix
-        pi = p_c.matrix @ _lift_matrix(pi, sub.degree, cable)
+        iota = _lift_matrix(iota, sub.degree, cable) @ i_c
+        pi = p_c @ _lift_matrix(pi, sub.degree, cable)
         sub, letters = cut, letters + cable
     return sub, iota, pi, PlainWord(base, letters)
 

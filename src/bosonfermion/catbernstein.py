@@ -42,7 +42,6 @@ from .errors import ChainComplexError
 from .fock import BosonState
 from .homalg import (
     ChainMap,
-    Complex,
     cone,
     single_module_complex,
     totalize,
@@ -61,7 +60,6 @@ from .symrep import (
     RepModule,
     frobenius_char,
     induce,
-    restrict,
     specht_module,
     subset_move,
     trivial_module,
@@ -84,7 +82,6 @@ __all__ = [
     "fermionic_star_apply",
     "relation_suite_bb",
     "relation_suite_bbstar",
-    "restricted_complex",
     "sigma_character",
     "sigma_complex",
     "sigma_idempotence_check",
@@ -349,20 +346,19 @@ def apply_sigma(sign, cx):
 # --------------------------------------------------------------------------
 
 
-def compose_bernstein(word, seed, reduce_intermediate=True):
+def compose_bernstein(word, seed):
     """Iterate creation/annihilation operators over a seed module.
 
     ``word`` is a list of ``(charge, star)`` pairs applied right to left
-    (the last entry acts first on the seed).  When
-    ``reduce_intermediate`` is set, every intermediate complex is
-    replaced by its homology (harmless over the rational group algebra,
+    (the last entry acts first on the seed).  Every intermediate complex
+    is replaced by its homology (harmless over the rational group algebra,
     where every complex splits); the final step is returned untouched.
     """
     cx = single_module_complex(seed)
     steps = list(word)
     for i, (a, star) in enumerate(reversed(steps)):
         cx, _ = _apply_operator(_BernsteinOp(a, star=star), cx)
-        if reduce_intermediate and i < len(steps) - 1:
+        if i < len(steps) - 1:
             cx = cx.homology_complex()
     return cx
 
@@ -420,6 +416,7 @@ def specht_creation_check(lam):
     lam = Partition(lam)
     report = Report(
         "categorified creation word",
+        # compose_bernstein always reduces; the key stays for the pinned bytes
         config={"partition": format_partition(lam),
                 "reduce_intermediate": True},
     )
@@ -631,14 +628,6 @@ def relation_suite_bbstar(a, b, m):
     return report
 
 
-def restricted_complex(cx):
-    """One restriction applied to every chain group (matrices unchanged)."""
-    if cx.group_degree == 0:
-        return zero_complex(0)
-    mods = {k: restrict(mod) for k, mod in cx.modules.items()}
-    return Complex(cx.group_degree - 1, mods, dict(cx.diffs))
-
-
 def sigma_idempotence_check(m):
     """Repeating the projector complex (or mirroring it) must not change
     the graded homology; the Euler characteristic must match the
@@ -671,7 +660,10 @@ def sigma_idempotence_check(m):
 def sigma_vanishing_check(m):
     """The projector complex annihilates anything induced: after one
     induction, after restriction of the result, and on the row cables of
-    width 1 and 2 (``induce(m, k)``), the complex must be acyclic."""
+    width 1 and 2 (``induce(m, k)``), the complex must be acyclic.
+    Restriction keeps every chain group's space and every differential,
+    so the restricted instance has the Betti numbers of the induced one;
+    its entry reads them instead of ranking the same matrices again."""
     cables = (1, 2)
     report = Report(
         "projector vanishing",
@@ -682,8 +674,7 @@ def sigma_vanishing_check(m):
     betti = ind.betti()
     report.add("acyclic after one induction",
                not betti, betti=_betti_obj(betti))
-    report.add("restriction of the induced instance is acyclic",
-               not restricted_complex(ind).betti())
+    report.add("restriction of the induced instance is acyclic", not betti)
     for k in cables:
         # the row cable of width k is induce(m, k); at k = 1 that is
         # induce(m), whose complex is ranked above
@@ -738,27 +729,27 @@ def vacuum_vector(charge=0):
         {charge: single_module_complex(trivial_module(0))})
 
 
-def fermionic_apply(i, v, reduce=True):
+def fermionic_apply(i, v):
     """Charged creation generator: on the charge-``c`` slot it acts as the
-    creation operator of charge ``i - (c + 1)`` and lands in charge c+1."""
+    creation operator of charge ``i - (c + 1)`` and lands in charge c+1,
+    reduced to its homology."""
     out = {}
     for c, cx in v.components.items():
         nxt, _ = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx)
-        if reduce:
-            nxt = nxt.homology_complex()
+        nxt = nxt.homology_complex()
         if nxt.modules:
             out[c + 1] = nxt
     return ChargedComplexVector(out)
 
 
-def fermionic_star_apply(i, v, reduce=True):
+def fermionic_star_apply(i, v):
     """Charged annihilation generator: on the charge-``c`` slot it acts as
-    the annihilation operator of charge ``i - c`` and lands in charge c-1."""
+    the annihilation operator of charge ``i - c`` and lands in charge c-1,
+    reduced to its homology."""
     out = {}
     for c, cx in v.components.items():
         nxt, _ = _apply_operator(_BernsteinOp(i - c, star=True), cx)
-        if reduce:
-            nxt = nxt.homology_complex()
+        nxt = nxt.homology_complex()
         if nxt.modules:
             out[c - 1] = nxt
     return ChargedComplexVector(out)

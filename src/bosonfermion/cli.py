@@ -373,24 +373,12 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
+def exit_code(run):
+    """The exit code ``run()`` returns, or the one for the error it raised,
+    with a one-line message on stderr: 3 for a cap, 1 for a failed gate,
+    2 for malformed input.  The scripts map their errors the same way."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_PARSE_ERROR
-    try:
-        cfg = RunConfig.resolve(args.command, args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    try:
-        if args.command == "schur":
-            reports, line = cmd_schur(cfg, args.partition)
-        elif args.command == "clifford":
-            reports, line = cmd_clifford(cfg)
-        else:
-            reports, line = cmd_cat(cfg, args)
+        return run()
     except DimensionCapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP_EXCEEDED
@@ -400,7 +388,26 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE_ERROR
+
+
+def _run(args):
+    cfg = RunConfig.resolve(args.command, args)
+    if args.command == "schur":
+        reports, line = cmd_schur(cfg, args.partition)
+    elif args.command == "clifford":
+        reports, line = cmd_clifford(cfg)
+    else:
+        reports, line = cmd_cat(cfg, args)
     return emit(reports, cfg, extra_line=line)
+
+
+def main(argv=None):
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if exc.code is not None else EXIT_PARSE_ERROR
+    return exit_code(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -17,8 +17,10 @@ of the two functors also live the qp adjunction maps, the strand crossing
 (right multiplication by the first added-letter transposition), sideways
 crossings, and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
-letters: signed orbit sums for a row or a column of added letters, a joint
-eigenspace for one of removed letters, an idempotent image else.
+letters, with plain inclusion and projection matrices: signed orbit sums
+for a row or a column of added letters (no ambient built), the joint
+eigenspace of M's top generators for one of removed letters, and a Young
+idempotent's image for the other shapes of the branching families.
 """
 
 from __future__ import annotations
@@ -726,44 +728,36 @@ def removed_letters_embedding(k, top_degree):
 
 
 def _isotypic_cut(lam, amb, box):
-    """(sub, inclusion, projection) of the lam-isotypic part of ``amb``;
-    ``box`` turns an element on the cable's letters 1..|lam| into a matrix
-    on amb.  A row or a column, here only ever a Q cable, is the joint +1
-    or -1 eigenspace of its adjacent transpositions; any other shape is
-    the image of its Young idempotent.  Either way inclusion∘projection is
-    the box of the Young idempotent."""
-    k = lam.size()
-    if k < 2:
-        return amb, identity_map(amb), identity_map(amb)
-    if len(lam) == 1 or lam[0] == 1:
-        eps = 1 if len(lam) == 1 else -1
-        iota, pi = joint_eigenspace(amb.dim, [
-            (box(GroupAlgebraElement(k, {adjacent_transposition(i, k): ONE})),
-             eps) for i in range(1, k)])
-    else:
-        iota, pi = idempotent_image(box(young_idempotent(lam)))
+    """(sub, iota, pi) of the lam-isotypic part of ``amb`` for a shape that
+    is neither a row nor a column: the image of the Young idempotent,
+    which ``box`` turns from an element on the cable's letters 1..|lam|
+    into a matrix on amb.  Only the branching families cut such shapes;
+    ``p_lambda`` and ``q_lambda`` cut rows and columns directly."""
+    iota, pi = idempotent_image(box(young_idempotent(lam)))
     sub = RepModule(amb.degree, iota.ncols, [pi @ g @ iota for g in amb.gens])
-    return sub, ModuleMap(sub, amb, iota), ModuleMap(amb, sub, pi)
+    return sub, iota, pi
 
 
 def p_lambda(lam, m):
-    """The lam-isotypic creation functor: (module, inclusion, projection)
-    with inclusion into induce^{|lam|}(M), cut on the added letters.  A
-    row or a column of k >= 2 letters is ``induce(m, k, high)``, included
-    by signed orbit sums Σ_σ ε(σ) (b_S σ, v) and projected by their
-    transpose over k!: a box on the added letters never acts through M."""
+    """(sub, iota, pi): the lam-isotypic creation functor on M, cut on the
+    added letters, with iota and pi ``SMat``s between sub and induce^k(M)
+    (k = |lam|).  A row or a column of any width is ``induce(m, k,
+    high)``, included by signed orbit sums Σ_σ ε(σ) (b_S σ, v) and
+    projected by their transpose over k!; the ambient is never built.  Any
+    other shape is the Young-idempotent image in the built ambient."""
     lam = Partition(lam)
     k, n, d = lam.size(), m.degree, m.dim
-    amb = m
-    for _ in range(k):
-        amb = induce(amb)
-    if k < 2 or len(lam) > 1 and lam[0] > 1:
+    if len(lam) > 1 and lam[0] > 1:
+        amb = m
+        for _ in range(k):
+            amb = induce(amb)
         letters = added_letters_embedding(k, n)
         return _isotypic_cut(lam, amb, lambda e: right_mult_map(
             m, k, e.relabel(letters, amb.degree)))
-    column = lam[0] == 1
+    column = len(lam) > 1
     sub = induce(m, k, [-SMat.identity(d)] * (k - 1) if column else None)
-    strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k)]
+    # strides[i] = dim induce^i(M); strides[k] is the ambient dimension
+    strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k + 1)]
     # σ comes in Lehmer-code order (code_i = later letters below σ_i):
     # peeling b_S σ keys level i by S[σ_i] - code_i; Σ code = inversions
     orbit = [(t, (-1) ** sum(code) if column else 1,
@@ -775,29 +769,32 @@ def p_lambda(lam, m):
         for t, c, row in orbit:
             row += sum(s[i] * st for i, st in zip(t, strides))
             entries.extend((row + r, p * d + r, c) for r in range(d))
-    iota = SMat.from_entries(amb.dim, sub.dim, entries)
+    iota = SMat.from_entries(strides[k], sub.dim, entries)
     pi = iota.transpose().scale(Fraction(1, factorial(k)))
     if pi @ iota != SMat.identity(sub.dim):
         raise IdempotentError(f"{lam} orbit sums: pi @ iota != identity")
-    return sub, ModuleMap(sub, amb, iota), ModuleMap(amb, sub, pi)
+    return sub, iota, pi
 
 
 def q_lambda(lam, m):
-    """The lam-isotypic annihilation functor: (module, inclusion, projection)
-    with inclusion into restrict^{|lam|}(M), cut on the removed letters;
-    zero module if |lam| exceeds the degree."""
+    """(sub, iota, pi): the lam-isotypic annihilation functor on M, cut on
+    the removed letters, with iota and pi ``SMat``s between sub and
+    restrict^k(M) (k = |lam|); the zero module if k exceeds the degree.  A
+    row or a column is the joint ±1 eigenspace of M's top k-1 generators;
+    any other shape is the Young-idempotent image."""
     lam = Partition(lam)
-    k = lam.size()
-    if k > m.degree:
+    k, n = lam.size(), m.degree
+    if k > n:
         # restrict^k passes through degree 0, which kills everything
-        z = zero_module(0)
-        return z, identity_map(z), identity_map(z)
-    amb = m
-    for _ in range(k):
-        amb = restrict(amb)
-    letters = removed_letters_embedding(k, m.degree)
-    return _isotypic_cut(lam, amb, lambda e: m.act_algebra(
-        e.relabel(letters, m.degree)))
+        return zero_module(0), SMat.identity(0), SMat.identity(0)
+    low = m.gens[:max(n - k - 1, 0)]  # the generators of restrict^k(M)
+    if len(lam) > 1 and lam[0] > 1:
+        letters = removed_letters_embedding(k, n)
+        return _isotypic_cut(lam, RepModule(n - k, m.dim, low), lambda e:
+                             m.act_algebra(e.relabel(letters, n)))
+    eps = -1 if len(lam) > 1 else 1
+    iota, pi = joint_eigenspace(m.dim, [(g, eps) for g in m.gens[n - k:]])
+    return RepModule(n - k, iota.ncols, [pi @ g @ iota for g in low]), iota, pi
 
 
 # -- characters ----------------------------------------------------------------------

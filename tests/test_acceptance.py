@@ -15,7 +15,6 @@ from bosonfermion.catbernstein import (
     creation_word,
     relation_suite_bb,
     relation_suite_bbstar,
-    restricted_complex,
     sigma_character,
     sigma_complex,
     sigma_idempotence_check,

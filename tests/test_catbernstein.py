@@ -13,6 +13,7 @@ from bosonfermion.catbernstein import (
     ChargedComplexVector,
     annihilation_word,
     apply_bernstein,
+    apply_bernstein_star,
     apply_sigma,
     bernstein_complex,
     bernstein_star_complex,
@@ -24,7 +25,6 @@ from bosonfermion.catbernstein import (
     fermionic_star_apply,
     relation_suite_bb,
     relation_suite_bbstar,
-    restricted_complex,
     sigma_cell_dims,
     sigma_character,
     sigma_complex,
@@ -54,6 +54,20 @@ from bosonfermion.symrep import (
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+# The unreduced routes: the operators chained without passing to homology
+# between steps, kept as oracles for compose_bernstein and fermionic_apply.
+def unreduced_compose(word, seed):
+    cx = single_module_complex(seed)
+    for a, star in reversed(list(word)):
+        cx = (apply_bernstein_star if star else apply_bernstein)(a, cx)
+    return cx
+
+
+def unreduced_fermionic_apply(i, v):
+    return ChargedComplexVector({c + 1: apply_bernstein(i - (c + 1), cx)
+                                 for c, cx in v.components.items()})
 
 
 @pytest.fixture(scope="module")
@@ -179,7 +193,6 @@ class TestSigmaComplexes:
     def test_vanishes_on_induced_modules(self, pool):
         ind = sigma_complex(-1, induce(pool["S1"]))
         assert ind.betti() == {}
-        assert restricted_complex(ind).betti() == {}
 
 
 class TestComposites:
@@ -198,8 +211,7 @@ class TestComposites:
     def test_reduction_does_not_change_homology(self, pool):
         word = creation_word((2, 1))
         fast = compose_bernstein(word, pool["triv0"])
-        slow = compose_bernstein(word, pool["triv0"],
-                                 reduce_intermediate=False)
+        slow = unreduced_compose(word, pool["triv0"])
         assert fast.betti() == slow.betti()
         assert fast.euler_frobenius() == slow.euler_frobenius()
 
@@ -386,7 +398,7 @@ class TestChargedLayer:
     def test_unreduced_application_same_homology(self):
         v = vacuum_vector()
         fast = fermionic_apply(1, v)
-        slow = fermionic_apply(1, v, reduce=False)
+        slow = unreduced_fermionic_apply(1, v)
         assert fast.betti() == slow.betti()
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from bosonfermion import catbernstein
+from bosonfermion import branching, catbernstein, linalg, symrep
 from bosonfermion.cli import (
     EXIT_CAP_EXCEEDED,
     EXIT_CHECK_FAILED,
@@ -27,6 +27,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+GENERAL_SHAPE_CUT = ("GroupAlgebraElement", "young_idempotent",
+                     "right_mult_map", "idempotent_image")
+
+
+def forbid_general_shape_cut(monkeypatch):
+    """Make the machinery of the Young-idempotent cut raise wherever a
+    module binds it: rows and columns must be cut without it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Young-idempotent cut")
+    for module in (symrep, branching, linalg, catbernstein):
+        for name in GENERAL_SHAPE_CUT:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+
+
+def clear_env(monkeypatch):
+    for key in list(os.environ):
+        if key.startswith("BOSONFERMION_"):
+            monkeypatch.delenv(key)
 
 
 class TestWindowParsing:
@@ -308,9 +329,21 @@ class TestDeterminismAndCache:
          "394b1c0fd9f743fcf81c7ea364426c372d72462b2749526f5c6b5c8cf6b60271"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
-        for key in list(os.environ):
-            if key.startswith("BOSONFERMION_"):
-                monkeypatch.delenv(key)
+        clear_env(monkeypatch)
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv,digest", [
+        (("cat", "suite", "--json"),
+         "ac1c917ee557c9df9d509c3ae54a4575f1c490979775d4511c1f4ffce5c1d845"),
+        (("cat", "specht", "3,2", "--json"),
+         "ba582254481fe8e30b340ee63448db02b0728a8295e31586661a1387125db75c"),
+    ])
+    def test_pinned_reports_cut_no_general_shape(self, capsys, monkeypatch,
+                                                 argv, digest):
+        clear_env(monkeypatch)
+        forbid_general_shape_cut(monkeypatch)
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -531,18 +531,23 @@ def _row_column_shapes(k):
     return [(k,), (1,) * k] if k > 1 else [(k,)]
 
 
+def _compressed_gens(prj, amb, inc):
+    """The generators of the ambient word module, compressed to a cut."""
+    return [prj @ g @ inc for g in amb.gens]
+
+
 @pytest.mark.parametrize("key", ["trivial:0", "trivial:1", "S:1,1"])
 def test_p_lambda_rows_and_columns_match_the_young_box(key):
     m = MODULES[key]()
-    for k in range(1, 5):
+    for k in range(5):
+        amb = PlainWord(m, "P" * k).top
         for lam in _row_column_shapes(k):
             sub, inc, prj = p_lambda(lam, m)
             box = right_mult_map(m, k, young_idempotent(lam).relabel(
                 added_letters_embedding(k, m.degree), m.degree + k))
-            assert inc.matrix @ prj.matrix == box, lam
-            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
-            assert sub.gens == [prj.matrix @ g @ inc.matrix
-                                for g in inc.target.gens], lam
+            assert inc @ prj == box, lam
+            assert prj @ inc == SMat.identity(sub.dim), lam
+            assert sub.gens == _compressed_gens(prj, amb, inc), lam
 
 
 @pytest.mark.parametrize("key", ["trivial:0", "trivial:1", "trivial:2",
@@ -550,13 +555,13 @@ def test_p_lambda_rows_and_columns_match_the_young_box(key):
 def test_closed_form_p_cables_match_the_eigenspace_route(key):
     m = MODULES[key]()
     for k in range(2, 5):
+        amb = PlainWord(m, "P" * k).top
         for lam in _row_column_shapes(k):
             sub, inc, prj = p_lambda(lam, m)
             iota, pi = eigenspace_p_cable(Partition(lam), m)
-            assert inc.matrix @ prj.matrix == iota @ pi, lam
-            assert sub.gens == [prj.matrix @ g @ inc.matrix
-                                for g in inc.target.gens], lam
-            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
+            assert inc @ prj == iota @ pi, lam
+            assert sub.gens == _compressed_gens(prj, amb, inc), lam
+            assert prj @ inc == SMat.identity(sub.dim), lam
             assert sub.dim == m.dim * comb(m.degree + k, k), lam
 
 
@@ -564,15 +569,20 @@ def test_closed_form_p_cables_match_the_eigenspace_route(key):
                                  "S:1,1,1,1", "induce(S:2,1)"])
 def test_q_lambda_rows_and_columns_match_the_young_box(key):
     m = MODULES[key]()
-    for k in range(1, 5):
+    for k in range(m.degree + 2):
+        amb = PlainWord(m, "Q" * k).top
         for lam in _row_column_shapes(k):
             sub, inc, prj = q_lambda(lam, m)
+            if k > m.degree:
+                # the word restricts past degree 0: nothing is left to cut
+                assert amb.dim == sub.dim == 0, lam
+                assert inc == prj == SMat.identity(0), lam
+                continue
             box = m.act_algebra(young_idempotent(lam).relabel(
                 removed_letters_embedding(k, m.degree), m.degree))
-            assert inc.matrix @ prj.matrix == box, lam
-            assert prj.matrix @ inc.matrix == SMat.identity(sub.dim), lam
-            assert sub.gens == [prj.matrix @ g @ inc.matrix
-                                for g in inc.target.gens], lam
+            assert inc @ prj == box, lam
+            assert prj @ inc == SMat.identity(sub.dim), lam
+            assert sub.gens == _compressed_gens(prj, amb, inc), lam
 
 
 @pytest.mark.parametrize("atoms", [

@@ -5,12 +5,15 @@ the (S, v) basis of k-subsets, and ``symrep.subset_move`` gives the caps and
 cups between those layouts.  The routes they replaced are kept here as
 oracles: induction on coset blocks (one block per coset representative
 r_k, identity last), the pq action map and its adjoint stacked block by
-block, and the row cable cut out of induce^k(M) by ``p_lambda``.  Matrices
-must be equal exactly.
+block, and the row cable cut out of the built induce^k(M) as a joint
+eigenspace.  Matrices must be equal exactly.
 """
+
+from math import prod
 
 import pytest
 
+from bosonfermion import symrep
 from bosonfermion.catbernstein import _sigma_cell, sigma_complex
 from bosonfermion.cli import parse_module_spec
 from bosonfermion.linalg import SMat
@@ -27,6 +30,8 @@ from bosonfermion.symrep import (
     trivial_module,
     unit_pq,
 )
+
+from test_eigenspace_routes import stacked_word_module
 
 POOL = ["trivial:0", "trivial:1", "trivial:3", "S:2,1", "S:3,1", "S:3,2",
         "S:2,2,1", "reg:3"]
@@ -93,7 +98,7 @@ def test_pq_adjunction_maps_equal_the_stacked_route(spec):
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_induce_k_is_the_row_cable_of_width_k(spec, k):
     m = parse_module_spec(spec)
-    fast, (slow, _, _) = induce(m, k), p_lambda((k,), m)
+    fast, slow = induce(m, k), stacked_word_module([("P", (k,))], m)[0]
     fast.validate()
     assert (fast.degree, fast.dim) == (slow.degree, slow.dim)
     assert frobenius_char(fast) == frobenius_char(slow)
@@ -101,6 +106,20 @@ def test_induce_k_is_the_row_cable_of_width_k(spec, k):
     if fast.degree <= 6:
         assert (sigma_complex(-1, fast).betti()
                 == sigma_complex(-1, slow).betti())
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_row_and_column_cuts_induce_once(monkeypatch, k):
+    # the cut is induce(m, k, high) alone: no tower of single inductions
+    calls = []
+    induce_once = symrep.induce
+    monkeypatch.setattr(symrep, "induce", lambda *args: calls.append(args)
+                        or induce_once(*args))
+    for lam in {(k,), (1,) * k}:
+        calls.clear()
+        _, inc, _ = p_lambda(lam, parse_module_spec("S:2,1"))
+        assert len(calls) == 1, lam
+        assert inc.nrows == 2 * prod(range(4, 4 + k)), lam
 
 
 @pytest.mark.parametrize("spec", POOL)

@@ -1,7 +1,8 @@
 """The two scripts, run as a user runs them.
 
 Both run under ``python -O``, which strips ``assert`` statements, with every
-``BOSONFERMION_*`` variable cleared; each must still check what it prints.
+``BOSONFERMION_*`` variable cleared; each must still check what it prints,
+and map its errors to the exit codes of the ``bosonfermion`` command.
 """
 
 import importlib.util
@@ -11,17 +12,35 @@ import subprocess
 import sys
 from pathlib import Path
 
+from bosonfermion.cli import (
+    EXIT_CAP_EXCEEDED,
+    EXIT_CHECK_FAILED,
+    EXIT_OK,
+    EXIT_PARSE_ERROR,
+)
+from bosonfermion.errors import ChainComplexError, IdempotentError
+
+from test_cli import clear_env, forbid_general_shape_cut
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
-def run_script(name, *argv):
+def run_script(name, *argv, **env_vars):
     env = {k: v for k, v in os.environ.items()
            if not k.startswith("BOSONFERMION_")}
+    env.update(env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-O", str(SCRIPTS / name), *argv],
-                          env=env, capture_output=True, text=True)
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_run_all_checks_passes_under_optimized_python():
@@ -40,12 +59,71 @@ def test_demo_agrees_under_optimized_python():
 
 
 def test_demo_reports_a_mismatch_and_exits_one(monkeypatch, capsys):
-    spec = importlib.util.spec_from_file_location(
-        "demo_correspondence", SCRIPTS / "demo_correspondence.py")
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = load_script("demo_correspondence")
     monkeypatch.setattr(demo, "bernstein", lambda a, f: f)
     assert demo.main(["2,1"]) == 1
     out = capsys.readouterr().out
     assert "MISMATCH at level 1: got 1, expected s[2,1]" in out
     assert "all three levels agree" not in out
+
+
+def _refused(out, code, prefix):
+    assert out.returncode == code, out.stderr
+    assert out.stderr.startswith(prefix), out.stderr
+    assert "Traceback" not in out.stderr
+
+
+def test_malformed_input_exits_two_without_a_traceback():
+    for argv in (("--max-degree", "0"), ("--charge-window", "x")):
+        _refused(run_script("run_all_checks.py", *argv), EXIT_PARSE_ERROR,
+                 "error: ")
+    for text in ("2,3", "x"):
+        _refused(run_script("demo_correspondence.py", text),
+                 EXIT_PARSE_ERROR, "error: ")
+    _refused(run_script("demo_correspondence.py",
+                        BOSONFERMION_MAX_DEGREE="z"), EXIT_PARSE_ERROR,
+             "error: ")
+
+
+def test_demo_refuses_a_partition_above_the_cap_before_any_level():
+    out = run_script("demo_correspondence.py", "6,6")
+    _refused(out, EXIT_CAP_EXCEEDED, "cap exceeded: ")
+    assert out.stdout == ""
+    out = run_script("demo_correspondence.py", "2,1",
+                     BOSONFERMION_MAX_DEGREE="2")
+    _refused(out, EXIT_CAP_EXCEEDED, "cap exceeded: ")
+    assert out.stdout == ""
+    out = run_script("demo_correspondence.py", "2,1",
+                     BOSONFERMION_MAX_DEGREE="3")
+    assert out.returncode == EXIT_OK, out.stderr
+
+
+def _raising(exc):
+    def fail(*args):
+        raise exc
+    return fail
+
+
+def test_a_failed_gate_exits_one_with_a_message(monkeypatch, capsys):
+    clear_env(monkeypatch)
+    checks = load_script("run_all_checks")
+    monkeypatch.setattr(checks, "clifford_relation_report",
+                        _raising(IdempotentError("pi @ iota != identity")))
+    assert checks.main(["--max-degree", "2", "--fuzz", "1"]) == \
+        EXIT_CHECK_FAILED
+    demo = load_script("demo_correspondence")
+    monkeypatch.setattr(demo, "compose_bernstein",
+                        _raising(ChainComplexError("d∘d != 0")))
+    assert demo.main(["2,1"]) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err.count("gate failed: ") == 2
+
+
+def test_scripts_cut_no_general_shape(monkeypatch, capsys):
+    clear_env(monkeypatch)
+    forbid_general_shape_cut(monkeypatch)
+    checks = load_script("run_all_checks")
+    assert checks.main(["--max-degree", "4", "--fuzz", "2"]) == EXIT_OK
+    assert load_script("demo_correspondence").main(["3,2"]) == EXIT_OK
+    assert capsys.readouterr().out.rstrip().endswith(
+        "all three levels agree.")
