@@ -15,20 +15,21 @@ import argparse
 import sys
 import time
 
-from bosonfermion.cli import _default_suite, emit, exit_code, run_tasks
+from bosonfermion.cli import (
+    _default_suite,
+    common_flags,
+    emit,
+    exit_code,
+    run_tasks,
+)
 from bosonfermion.config import RunConfig
 from bosonfermion.fock import clifford_relation_report, verify_correspondence
 from bosonfermion.homalg import elimination_fuzz_report
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-degree", dest="max_degree", type=int,
-                        default=None)
-    parser.add_argument("--charge-window", dest="charge_window", default=None)
-    parser.add_argument("--index-window", dest="index_window", default=None)
-    parser.add_argument("--json", dest="json", action="store_true")
-    parser.add_argument("--jobs", dest="jobs", type=int, default=None)
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
+                                     parents=[common_flags()])
     parser.add_argument("--fuzz", type=int, default=100,
                         help="number of fuzzed complexes for the "
                              "elimination battery")

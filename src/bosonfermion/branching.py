@@ -449,16 +449,6 @@ def _partial_sums(lam):
     return out
 
 
-def _dead_family(kind, src, labels, target_atoms, base):
-    """Family on a word that restricts past degree zero: every summand is
-    the zero module and every map is the empty matrix."""
-    targets = [word_module(atoms, base)[0] for atoms in target_atoms]
-    iotas = [SMat.zeros(src.dim, t.dim) for t in targets]
-    rhos = [SMat.zeros(t.dim, src.dim) for t in targets]
-    return SplitFamily(kind, src, labels, targets, iotas, rhos,
-                       [ONE] * len(labels))
-
-
 def q_lambda_p_family(mu, base):
     """Q^mu P  ≅  P Q^mu  ⊕  ⊕_{row s removable} Q^(mu - box at s): the up
     strand either crosses the whole cable sideways or caps against the
@@ -467,13 +457,6 @@ def q_lambda_p_family(mu, base):
     n = mu.size()
     source = word_module([("P", [1]), ("Q", mu)], base)
     word0 = source[3]
-    if base.degree < n - 1:
-        labels = ["s=0 (swap)"]
-        atoms = [[("Q", mu), ("P", [1])]]
-        for smaller, s in boxes_removed(mu):
-            labels.append(f"s={s} (cap row)")
-            atoms.append([("Q", smaller)])
-        return _dead_family("QlambdaP", source[0], labels, atoms, base)
     sums = _partial_sums(mu)
     # s = 0: full sideways crossing
     target = word_module([("Q", mu), ("P", [1])], base)
@@ -514,21 +497,16 @@ def row_merge_family(kind, side, lam, base):
     route of swaps (hi+1, ..., n-1); the inclusion applies the symmetrizer
     on lo..hi+1 and then the reversed route.  Both sides embed the same
     cable elements through their box.  A Q word that restricts past degree
-    zero gives the dead family.
+    zero has zero summands and empty maps.
     """
     lam = Partition(lam)
     n = lam.size() + 1
     box = _p_box if side == "P" else _q_box
     source = word_module([(side, [1]), (side, lam)], base)
     word0 = source[3]
-    added = boxes_added(lam)
-    if side == "Q" and base.degree < n:
-        return _dead_family(kind, source[0],
-                            [format_partition(mu) for mu, _ in added],
-                            [[("Q", mu)] for mu, _ in added], base)
     sums = _partial_sums(lam)
     summands = []
-    for bigger, s in added:
+    for bigger, s in boxes_added(lam):
         # row s on letters lo..hi, empty (hi = lo - 1) for a new row
         lo, hi = sums[s - 1] + 1, sums[min(s, len(lam))]
         f = box(word0, 0, _strand_route(n, range(hi + 1, n)))

@@ -196,7 +196,7 @@ def run_tasks(descs, jobs=1):
     does not depend on the worker count or completion order.
     """
     if jobs > 1 and len(descs) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(descs))) as pool:
             reports = list(pool.map(_run_one, descs))
     else:
         reports = [_run_one(d) for d in descs]
@@ -248,8 +248,8 @@ def cmd_cat(cfg, args):
                cfg.max_degree)
         descs = [("sigma", (args.module,))]
     elif mode in ("bb", "bbstar"):
-        reach = module_spec_degree(args.module) + max(abs(args.a),
-                                                      abs(args.b)) + 1
+        reach = module_spec_degree(args.module) + _pair_peak(
+            mode, args.a, args.b, args.star)
         _admit("degree reached", reach, cfg.max_degree)
         if mode == "bb":
             descs = [("bb", (args.a, args.b, bool(args.star), args.module))]
@@ -260,6 +260,21 @@ def cmd_cat(cfg, args):
     else:
         raise ValueError(f"unknown cat mode {mode!r}")
     return run_tasks(descs, cfg.jobs), None
+
+
+def _pair_peak(mode, a, b, star):
+    """How far above the module's degree a pair suite builds.  A word acts
+    right to left, creation at charge c adding c to the degree and
+    annihilation subtracting c, and peaks at its largest prefix: bb's words
+    (a-1)(b) and (b-1)(a) at b, a and a+b-1, with ``--star`` (a+1)*(b)*
+    and (b+1)*(a)* at -b, -a and -a-b-1, and bbstar's (b*)(a) and
+    (a+1)(b+1)* at a, -b-1 and a-b.  The evaluation that replaces the
+    latter at a = b stays at the module's degree."""
+    if mode == "bbstar":
+        return max(0, a, -b - 1, a - b)
+    if star:
+        a, b = -a, -b
+    return max(0, a, b, a + b - 1)
 
 
 def _default_suite(cfg):
@@ -324,7 +339,8 @@ def emit(reports, cfg, stream=None, extra_line=None):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def build_parser():
+def common_flags():
+    """The flags every command and script shares, as an argparse parent."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-degree", dest="max_degree", type=int,
                         default=None, metavar="N",
@@ -341,7 +357,11 @@ def build_parser():
                         help="emit one canonical JSON document")
     common.add_argument("--jobs", dest="jobs", type=int, default=None,
                         metavar="K", help="parallel worker count")
+    return common
 
+
+def build_parser():
+    common = common_flags()
     parser = argparse.ArgumentParser(
         prog="bosonfermion",
         description="exact checks for the boson-fermion correspondence "

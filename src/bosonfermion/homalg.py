@@ -2,9 +2,9 @@
 
 Chain groups are matrix representations of one fixed symmetric group; the
 differential lowers the chain degree by one and squares to zero exactly
-(checked on construction).  Homology inherits the group action: a basis of
-cycles-mod-boundaries is chosen by exact column reduction and the action is
-re-expressed in that basis.
+(checked on construction).  Homology inherits the group action: one pivot
+pass over the incoming differential and the cycles picks a boundary basis and
+the cycles completing it, and one solve re-expresses the action on them.
 
 Also here: shifts, direct sums, mapping cones, bicomplex totalization with
 the alternating-sign rule, and reduction by repeated cancellation of
@@ -124,33 +124,30 @@ class Complex:
 
     # -- homology ----------------------------------------------------------------
 
-    def _boundary_basis(self, k):
-        """Independent columns of the incoming differential d_{k+1}."""
-        if (k + 1) not in self.diffs:
-            return SMat.zeros(self.dim(k), 0)
-        mat = self.diffs[k + 1]
-        return mat.columns(independent_columns(mat))
-
     def homology_module(self, k):
-        """H_k with its inherited action."""
-        cdim = self.dim(k)
-        if cdim == 0:
+        """H_k with its inherited action.  One pivot pass over
+        [d_{k+1} | cycles] picks the boundary basis (its pivots among
+        d_{k+1}'s columns) and the cycles completing it; one solve
+        expresses every generator on that basis."""
+        if self.dim(k) == 0:
             return zero_module(self.group_degree)
         cycles = nullspace(self.d(k))
-        bounds = self._boundary_basis(k)
-        aug = SMat.hstack([bounds, cycles])
-        b = bounds.ncols
-        sel = [p - b for p in independent_columns(aug) if p >= b]
-        h = len(sel)
+        incoming = self.d(k + 1)
+        aug = SMat.hstack([incoming, cycles])
+        pivots = independent_columns(aug)
+        b = sum(1 for p in pivots if p < incoming.ncols)
+        h = len(pivots) - b
         if h == 0:
             return zero_module(self.group_degree)
-        basis = cycles.columns(sel)
-        mixed = SMat.hstack([bounds, basis])
-        gens = []
-        for g in self.module(k).gens:
-            coords = solve(mixed, g @ basis)
-            gens.append(coords.submatrix(range(b, b + h), range(h)))
-        return RepModule(self.group_degree, h, gens)
+        gens = self.module(k).gens
+        if not gens:
+            return RepModule(self.group_degree, h, [])
+        mixed = aug.columns(pivots)
+        basis = mixed.columns(range(b, b + h))
+        coords = solve(mixed, SMat.hstack([g @ basis for g in gens]))
+        return RepModule(self.group_degree, h, [
+            coords.submatrix(range(b, b + h), range(i * h, (i + 1) * h))
+            for i in range(len(gens))])
 
     def betti(self):
         # d_k enters the homology of degrees k and k - 1: rank it once

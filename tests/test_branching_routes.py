@@ -21,7 +21,6 @@ from bosonfermion.branching import (
     PlainWord,
     SplitFamily,
     _cable_cross_swaps,
-    _dead_family,
     _p_box,
     _partial_sums,
     branching_iso_check,
@@ -130,6 +129,16 @@ def _with_added_box(lam, s):
 
 def _symmetrizer_box(size):
     return young_idempotent([size]) if size >= 1 else None
+
+
+def _dead_family(kind, src, labels, target_atoms, base):
+    """Family on a word that restricts past degree zero: every summand is
+    the zero module and every map is the empty matrix."""
+    targets = [word_module(atoms, base)[0] for atoms in target_atoms]
+    iotas = [SMat.zeros(src.dim, t.dim) for t in targets]
+    rhos = [SMat.zeros(t.dim, src.dim) for t in targets]
+    return SplitFamily(kind, src, labels, targets, iotas, rhos,
+                       [ONE] * len(labels))
 
 
 def pp_merge_family(m_size, n_size, base):
@@ -343,10 +352,22 @@ MENDED = {
     ("PlambdaP", (1, 1, 1, 1), "triv0"),
 }
 
+# words that restrict past degree zero, which the old builders sent to
+# ``_dead_family``
+DEAD_CASES = [
+    ("QlambdaP", (2, 2), "triv0"),
+    ("QlambdaP", (2, 1, 1), "triv0"),
+    ("QlambdaQ", (2, 1), "triv1"),
+    ("QlambdaQ", (2, 1), "S(2)"),
+    ("QlambdaQ", (1, 1, 1), "triv1"),
+    ("QlambdaQ", (1, 1, 1), "S(2)"),
+]
+
 CASES = [
     pytest.param(which, sizes, BRANCHING_BASES[key],
                  (which, sizes, key) in MENDED, id=f"{which}-{sizes}-{key}")
-    for which, sizes, key in BRANCHING_CASES if which in OLD_BUILDERS
+    for which, sizes, key in BRANCHING_CASES + DEAD_CASES
+    if which in OLD_BUILDERS
 ] + [
     pytest.param(which, sizes, make_base, False, id=f"battery-{i}")
     for i, (which, sizes, make_base) in enumerate(BRANCHING_BATTERY)

@@ -201,8 +201,8 @@ class TestCatCommand:
         for argv in (("sigma", "--module", "S:5,5"),
                      ("sigma", "--module", "S:7"),
                      ("sigma", "--module", "trivial:7"),
-                     ("bb", "--module", "S:6"),
-                     ("bbstar", "--a", "2", "--module", "S:4")):
+                     ("bb", "--a", "1", "--module", "S:6"),
+                     ("bbstar", "--a", "3", "--module", "S:4")):
             code, _, err = run(capsys, "cat", *argv)
             assert code == EXIT_CAP_EXCEEDED, argv
             assert "cap exceeded" in err
@@ -213,6 +213,53 @@ class TestCatCommand:
         code, _, _ = run(capsys, "cat", "bb", "--a", "3", "--b", "1",
                          "--module", "S:2", "--max-degree", "4")
         assert code == EXIT_CAP_EXCEEDED
+        # peaks at degree 6 (a + b - 1 above the module's 4)
+        code, _, _ = run(capsys, "cat", "bb", "--a", "2", "--b", "1",
+                         "--module", "S:2,2", "--max-degree", "6")
+        assert code == EXIT_OK
+
+    def test_pair_modes_build_nothing_above_the_admitted_reach(
+            self, capsys, monkeypatch):
+        # the largest degree a request builds bounds its admission from
+        # below: a (positive) cap one under it refuses the request, and a
+        # cap at it admits the request unless the closed-form reach is
+        # loose.  It is loose once: annihilation at charge 0 kills S^(1),
+        # so nothing is built above degree 1
+        clear_env(monkeypatch)
+        built = [0]
+        init = symrep.RepModule.__init__
+
+        def record(self, degree, dim, gens):
+            init(self, degree, dim, gens)
+            if self.dim:
+                built[0] = max(built[0], self.degree)
+
+        monkeypatch.setattr(symrep.RepModule, "__init__", record)
+        sweep = []
+        for spec in ("trivial:0", "S:1"):
+            for mode, flags in (("bb", ()), ("bb", ("--star",)),
+                                ("bbstar", ())):
+                for a in range(-3, 4):
+                    for b in range(-3, 4):
+                        argv = ("cat", mode, "--a", str(a), "--b", str(b),
+                                "--module", spec, *flags)
+                        built[0] = 0
+                        code, _, _ = run(capsys, *argv, "--max-degree", "99")
+                        assert code == EXIT_OK, argv
+                        sweep.append((argv, built[0]))
+        monkeypatch.setattr("bosonfermion.cli.run_tasks",
+                            lambda descs, jobs=1: [])
+        loose = []
+        for argv, peak in sweep:
+            if peak > 1:
+                code, _, _ = run(capsys, *argv, "--max-degree", str(peak - 1))
+                assert code == EXIT_CAP_EXCEEDED, (argv, peak)
+            code, _, _ = run(capsys, *argv,
+                             "--max-degree", str(max(peak, 1)))
+            if code != EXIT_OK:
+                loose.append(argv)
+        assert loose == [("cat", "bbstar", "--a", "0", "--b", "-1",
+                          "--module", "S:1")]
 
     def test_unknown_flag_is_parse_error(self, capsys):
         for flag in ("--frobnicate", "--cache-dir=x", "--no-cache"):
@@ -372,6 +419,29 @@ class TestDeterminismAndCache:
         _, serial, _ = run(capsys, *args, "--jobs", "1")
         _, parallel, _ = run(capsys, *args, "--jobs", "3")
         assert serial == parallel
+
+    def test_worker_pool_has_no_more_processes_than_tasks(
+            self, capsys, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr("bosonfermion.cli.ProcessPoolExecutor",
+                            SerialPool)
+        code, _, _ = run(capsys, "cat", "specht", "2,1", "--jobs", "8")
+        assert code == EXIT_OK
+        assert sizes == [2]
 
     def test_env_json_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("BOSONFERMION_JSON", "1")

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonfermion import homalg
+from bosonfermion import homalg, linalg
+from bosonfermion.catbernstein import (
+    annihilation_word,
+    compose_bernstein,
+    creation_word,
+    sigma_complex,
+)
 from bosonfermion.errors import ChainComplexError
 from bosonfermion.homalg import (
     ChainMap,
@@ -25,7 +31,8 @@ from bosonfermion.homalg import (
     totalize,
     zero_complex,
 )
-from bosonfermion.linalg import SMat
+from bosonfermion.linalg import SMat, independent_columns, nullspace, solve
+from bosonfermion.partition_core import enumerate_partitions
 from bosonfermion.symfunc import SymFunc, schur
 from bosonfermion.symrep import (
     RepModule,
@@ -132,6 +139,81 @@ class TestHomology:
         h = c.homology_complex()
         assert not h.diffs
         assert h.dims() == {1: 1}
+
+
+def reference_homology_module(cx, k):
+    """The replaced route to H_k: eliminate d_{k+1} for its independent
+    columns, complete them by cycles in a second pass, then solve once per
+    generator."""
+    if cx.dim(k) == 0:
+        return zero_module(cx.group_degree)
+    cycles = nullspace(cx.d(k))
+    incoming = cx.d(k + 1)
+    bounds = incoming.columns(independent_columns(incoming))
+    b = bounds.ncols
+    aug = SMat.hstack([bounds, cycles])
+    sel = [p - b for p in independent_columns(aug) if p >= b]
+    h = len(sel)
+    if h == 0:
+        return zero_module(cx.group_degree)
+    basis = cycles.columns(sel)
+    mixed = SMat.hstack([bounds, basis])
+    return RepModule(cx.group_degree, h, [
+        solve(mixed, g @ basis).submatrix(range(b, b + h), range(h))
+        for g in cx.module(k).gens])
+
+
+def _route_complexes():
+    for n in range(6):
+        for lam in enumerate_partitions(n):
+            yield (f"creation-{lam}", lambda lam=lam: compose_bernstein(
+                creation_word(lam), trivial_module(0)))
+    for n in range(5):
+        for lam in enumerate_partitions(n):
+            yield (f"annihilation-{lam}", lambda lam=lam: compose_bernstein(
+                annihilation_word(lam), specht_module(lam)))
+    for name, make in (("trivial:3", lambda: trivial_module(3)),
+                       ("S:2,1", lambda: specht_module([2, 1])),
+                       ("reg:3", lambda: regular_module(3))):
+        yield (f"sigma-{name}", lambda make=make: sigma_complex(-1, make()))
+
+
+def assert_same_homology(cx):
+    for k in cx._support_range():
+        got, want = cx.homology_module(k), reference_homology_module(cx, k)
+        assert got.dim == want.dim, k
+        assert got.gens == want.gens, k
+
+
+class TestHomologyRoute:
+    @pytest.mark.parametrize(
+        "make", [pytest.param(make, id=name)
+                 for name, make in _route_complexes()])
+    def test_matches_the_reference_route(self, make):
+        assert_same_homology(make())
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_the_reference_route_on_random_complexes(self, seed):
+        c, _ = random_complex_with_known_homology(random.Random(seed))
+        assert_same_homology(c)
+
+    def test_three_eliminations_per_degree(self, monkeypatch):
+        # over S_4 with d_1 != 0 and a 2-dimensional H_0: the nullspace,
+        # one pivot pass and one solve, whatever the number of generators
+        cx = compose_bernstein(creation_word((2, 2)), trivial_module(0))
+        assert cx.group_degree == 4 and not cx.d(1).is_zero()
+        calls = []
+        reduce = linalg._Eliminator.reduce
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return reduce(self, *args, **kwargs)
+
+        monkeypatch.setattr(linalg._Eliminator, "reduce", counted)
+        h0 = cx.homology_module(0)
+        assert h0.dim == 2
+        assert len(calls) == 3
 
 
 class TestShiftAndSum:
