@@ -3,14 +3,14 @@
 A *plain word* is a sequence of single induction (P) and restriction (Q)
 steps applied to a base module, built stage by stage only as far as a
 move or a box reads it; a *decorated word* cuts out one isotypic piece per
-cable, with ``symrep.p_lambda``/``q_lambda``, out of the module the cables
-before it left.  Between plain words live elementary structure maps —
-sideways crossings, caps, cups, strand crossings — each built at the one
-stage it acts on and whiskered through the remaining letters.  Composing
-these according to the swap/merge recipes yields explicit
-inclusions/projections realizing each direct-sum decomposition, assembled
-on the plain words ``word_module`` returns; they are verified by a
-biorthogonality battery.
+cable out of the module the cables before it left: a row or a column of
+added letters by Kronecker products with ``symrep.orbit_table``, any other
+cable by ``symrep.p_lambda``/``q_lambda``.  Between plain words live
+elementary structure maps (sideways crossings, caps, cups, strand
+crossings), each built at the one stage it acts on and whiskered through
+the remaining letters; composed by the swap/merge recipes, they realize
+each direct-sum decomposition on the plain words ``word_module`` returns,
+verified by a biorthogonality battery.
 
 Cable elements: a group-algebra element acting on a cable of k strands is
 written on the cable's own letters 1..k (strand i, left to right, carries
@@ -28,7 +28,7 @@ c = 0 is a hard failure (the split collapsed).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .linalg import SMat
 from .partition_core import (
@@ -46,6 +46,7 @@ from .symrep import (
     counit_qp,
     identity_perm,
     induce,
+    orbit_table,
     p_lambda,
     perm_mult,
     q_lambda,
@@ -57,6 +58,7 @@ from .symrep import (
     unit_pq,
     unit_qp,
     young_idempotent,
+    zero_module,
 )
 
 ONE = Fraction(1)
@@ -100,8 +102,8 @@ class PlainWord:
 def _lift_matrix(mat, degree, rest):
     """Whisker a map between two modules of S_degree through the letters
     ``rest``: P takes degree + 1 identity blocks and raises the degree, Q
-    keeps the matrix and lowers the degree.  Q at degree 0 kills the word,
-    as ``restrict`` does: no copies are left and the degree stays 0."""
+    keeps the matrix and lowers the degree (I_copies ⊗ mat, and ``mat`` for
+    one copy).  Q at degree 0 kills the word, as ``restrict`` does."""
     copies = 1
     for ch in rest:
         if ch == "P":
@@ -111,7 +113,7 @@ def _lift_matrix(mat, degree, rest):
             degree -= 1
         else:
             copies = 0
-    return SMat.block_diag([mat] * copies)
+    return mat if copies == 1 else SMat.block_diag([mat] * copies)
 
 
 def _move(word, i, drop, insert, mm):
@@ -221,23 +223,33 @@ def _q_box(word, start, elem):
 def word_module(atoms, base):
     """Decorated word: (module, inclusion, projection, plain word).
 
-    ``atoms`` lists (side, partition) in application order.  Each cable is
-    cut by ``p_lambda``/``q_lambda`` out of the module the cables before it
-    left, and their inclusion and projection matrices compose by
-    whiskering; no ambient module of a cable is built.  Boxes
-    of different cables commute (P boxes multiply on the right, Q boxes act
-    on other letters), so inclusion∘projection is the product of the
-    cables' Young idempotent boxes on the plain word.  The plain word is
-    returned unbuilt: a move or a box builds it as far as it reads.
-    """
+    ``atoms`` lists (side, partition) in application order; each cable is
+    cut out of the module the cables before it left.  A row or column P
+    cable of k letters on a cut of degree n is included by O ⊗ I
+    (``orbit_table``), and whiskered through its letters the inclusion ι
+    so far is I ⊗ ι ((n+1)⋯(n+k) copies): so ι becomes (I ⊗ ι)(O ⊗ I) =
+    O ⊗ ι, and the projection π becomes O' ⊗ π.  Other cables are cut by
+    ``p_lambda``/``q_lambda``.  Boxes of different cables commute (P boxes
+    multiply on the right, Q boxes act on other letters), so the product of
+    the cables' Young idempotent boxes on the plain word, returned unbuilt,
+    is inclusion∘projection."""
     sub, letters = base, ""
     iota = pi = SMat.identity(base.dim)
     for side, lam in atoms:
-        lam = Partition(lam)
-        cable = side * lam.size()
-        cut, i_c, p_c = (p_lambda if side == "P" else q_lambda)(lam, sub)
-        iota = _lift_matrix(iota, sub.degree, cable) @ i_c
-        pi = p_c @ _lift_matrix(pi, sub.degree, cable)
+        lam, n = Partition(lam), sub.degree
+        k, cable = lam.size(), side * lam.size()
+        if not sub.dim:  # nothing is left to cut; only the word grows
+            cut = zero_module(n + k if side == "P" else max(n - k, 0))
+            dim = iota.nrows * (prod(range(n + 1, n + k + 1)) if side == "P"
+                                else k <= n)
+            iota, pi = SMat.zeros(dim, 0), SMat.zeros(0, dim)
+        elif side == "P" and (len(lam) < 2 or lam[0] == 1):
+            cut, table, proj = orbit_table(lam, sub)
+            iota, pi = table.kron(iota), proj.kron(pi)
+        else:
+            cut, i_c, p_c = (p_lambda if side == "P" else q_lambda)(lam, sub)
+            iota = _lift_matrix(iota, n, cable) @ i_c
+            pi = p_c @ _lift_matrix(pi, n, cable)
         sub, letters = cut, letters + cable
     return sub, iota, pi, PlainWord(base, letters)
 

@@ -151,6 +151,16 @@ class SMat:
             rows.append(acc)
         return SMat(self.nrows, other.ncols, rows, self.den * other.den)
 
+    def kron(self, other):
+        """The Kronecker product: block (i, j) is self[i, j] · other."""
+        q, rows = other.ncols, []
+        for a in self.rows:
+            shifts = [(j * q, x) for j, x in a.items()]
+            rows.extend({off + c: x * y for off, x in shifts
+                         for c, y in b.items()} for b in other.rows)
+        return SMat(self.nrows * other.nrows, self.ncols * q, rows,
+                    self.den * other.den)
+
     def transpose(self):
         rows = [{} for _ in range(self.ncols)]
         for i, r in enumerate(self.rows):

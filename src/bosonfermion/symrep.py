@@ -17,10 +17,10 @@ of the two functors also live the qp adjunction maps, the strand crossing
 (right multiplication by the first added-letter transposition), sideways
 crossings, and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
-letters, with plain inclusion and projection matrices: signed orbit sums
-for a row or a column of added letters (no ambient built), the joint
-eigenspace of M's top generators for one of removed letters, and a Young
-idempotent's image for the other shapes of the branching families.
+letters, with plain inclusion and projection matrices: O ⊗ I, O the
+signed orbit table (``orbit_table``), for a row or a column of added
+letters, the joint eigenspace of M's top generators for one of removed
+letters, and a Young idempotent's image for the other shapes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .partition_core import (
     row_reading_tableau,
     syt_count,
 )
-from .symfunc import SymFunc, from_basis
+from .symfunc import SymFunc, powersum
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -738,15 +738,49 @@ def _isotypic_cut(lam, amb, box):
     return sub, iota, pi
 
 
+def _orbit_table(n, k, column):
+    """The signed orbit table of k letters added to degree n, unchecked:
+    entry (row of b_S σ, S) is ε(σ) for a column, 1 for a row.  The outer
+    coset level keys the letter x placed last and the rest relabel the
+    other values in order, so the rows of j letters are n+j copies of those
+    of j-1, copy x lifting S past x and adding x, at sign (-1)^#(S > x)."""
+    rows = [(0, 1)]  # (S as a bit mask, sign) of each row; no letters
+    for j in range(1, k + 1):
+        rows = [((mask & (1 << x) - 1) | (mask >> x) << (x + 1) | 1 << x,
+                 -c if column and (mask >> x).bit_count() % 2 else c)
+                for x in range(1, n + j + 1) for mask, c in rows]
+    index = {sum(s): p for p, s in enumerate(
+        combinations([1 << x for x in range(1, n + k + 1)], k))}
+    return SMat.from_entries(len(rows), len(index), (
+        (i, index[mask], c) for i, (mask, c) in enumerate(rows)))
+
+
+def orbit_table(lam, m):
+    """(sub, O, O'): sub = ``induce(m, k, high)`` for a row or a column lam
+    of k added letters, with inclusion O ⊗ I and projection O' ⊗ I (O =
+    ``_orbit_table``, O' = Oᵀ/k!).  O has one entry per row, so OᵀO = k!·I
+    says the orbits are disjoint and full, and column sums Σ_σ ε(σ) (k! or
+    0) that the signs are right; IdempotentError otherwise."""
+    lam = Partition(lam)
+    k, column = lam.size(), len(lam) > 1
+    sub = induce(m, k, [-SMat.identity(m.dim)] * (k - 1) if column else None)
+    table = _orbit_table(m.degree, k, column)
+    tr, order = table.transpose(), factorial(k)
+    if tr @ table != SMat.identity(tr.nrows).scale(order) or any(
+            sum(r.values()) != (0 if column else order) for r in tr.rows):
+        raise IdempotentError(f"{lam} orbit sums: O^T O != {order}·I or a "
+                              f"column of O does not sum to Σ_σ ε(σ)")
+    return sub, table, tr.scale(Fraction(1, order))
+
+
 def p_lambda(lam, m):
     """(sub, iota, pi): the lam-isotypic creation functor on M, cut on the
     added letters, with iota and pi ``SMat``s between sub and induce^k(M)
-    (k = |lam|).  A row or a column of any width is ``induce(m, k,
-    high)``, included by signed orbit sums Σ_σ ε(σ) (b_S σ, v) and
-    projected by their transpose over k!; the ambient is never built.  Any
-    other shape is the Young-idempotent image in the built ambient."""
+    (k = |lam|).  A row or a column of any width is ``orbit_table``'s
+    O ⊗ I and O' ⊗ I; the ambient is never built.  Any other shape is the
+    Young-idempotent image in the built ambient."""
     lam = Partition(lam)
-    k, n, d = lam.size(), m.degree, m.dim
+    k, n = lam.size(), m.degree
     if len(lam) > 1 and lam[0] > 1:
         amb = m
         for _ in range(k):
@@ -754,26 +788,8 @@ def p_lambda(lam, m):
         letters = added_letters_embedding(k, n)
         return _isotypic_cut(lam, amb, lambda e: right_mult_map(
             m, k, e.relabel(letters, amb.degree)))
-    column = len(lam) > 1
-    sub = induce(m, k, [-SMat.identity(d)] * (k - 1) if column else None)
-    # strides[i] = dim induce^i(M); strides[k] is the ambient dimension
-    strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k + 1)]
-    # σ comes in Lehmer-code order (code_i = later letters below σ_i):
-    # peeling b_S σ keys level i by S[σ_i] - code_i; Σ code = inversions
-    orbit = [(t, (-1) ** sum(code) if column else 1,
-              sum((-1 - b) * st for b, st in zip(code, strides)))
-             for t, code in zip(iter_permutations(range(k)),
-                                product(*map(range, range(k, 0, -1))))]
-    entries = []
-    for p, s in enumerate(combinations(range(1, n + k + 1), k)):
-        for t, c, row in orbit:
-            row += sum(s[i] * st for i, st in zip(t, strides))
-            entries.extend((row + r, p * d + r, c) for r in range(d))
-    iota = SMat.from_entries(strides[k], sub.dim, entries)
-    pi = iota.transpose().scale(Fraction(1, factorial(k)))
-    if pi @ iota != SMat.identity(sub.dim):
-        raise IdempotentError(f"{lam} orbit sums: pi @ iota != identity")
-    return sub, iota, pi
+    sub, table, proj = orbit_table(lam, m)
+    return sub, *(f.kron(SMat.identity(m.dim)) for f in (table, proj))
 
 
 def q_lambda(lam, m):
@@ -801,22 +817,24 @@ def q_lambda(lam, m):
 
 
 def frobenius_char(m):
-    """The symmetric function Σ_mu z_mu^{-1} tr(sigma_mu) p_mu, expanded in
-    the irreducible basis; multiplicities must be nonnegative integers."""
+    """The symmetric function Σ_mu z_mu^{-1} tr(sigma_mu) p_mu in the Schur
+    basis, its multiplicities Σ_mu (n!/z_mu) tr(sigma_mu) chi^lam(mu) / n!
+    summed in ints; they must be nonnegative integers."""
     if m.dim == 0:
         return SymFunc.zero()
     n = m.degree
-    coeffs = {}
+    order, sums, terms = factorial(n), {}, {}
     for mu in enumerate_partitions(n):
-        rep = cycle_type_representative(mu, n)
-        mat = m.act_perm(rep)
+        mat = m.act_perm(cycle_type_representative(mu, n))
         tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(mat.rows)),
-                      mat.den)
+                      mat.den) * (order // centralizer_order(mu))
         if tr:
-            coeffs[mu] = tr / centralizer_order(mu)
-    f = from_basis("powersum", coeffs)
-    for lam, c in f.terms.items():
-        if c.denominator != 1 or c < 0:
-            raise CharacterError(
-                f"non-integral or negative multiplicity {c} at {lam}")
-    return SymFunc({lam: c.numerator for lam, c in f.terms.items()})
+            tr = tr.numerator if tr.denominator == 1 else tr
+            for lam, chi in powersum(mu).terms.items():
+                sums[lam] = sums.get(lam, 0) + tr * chi
+    for lam, c in sums.items():
+        terms[lam], rem = divmod(c, order)
+        if rem or c < 0:
+            raise CharacterError(f"non-integral or negative multiplicity "
+                                 f"{Fraction(c, order)} at {lam}")
+    return SymFunc(terms)

@@ -374,6 +374,10 @@ class TestDeterminismAndCache:
         (("cat", "bbstar", "--a", "0", "--b", "0", "--module", "S:3,1",
           "--max-degree", "8", "--json"),
          "394b1c0fd9f743fcf81c7ea364426c372d72462b2749526f5c6b5c8cf6b60271"),
+        # a column-heavy degree-7 word: its column P cables compose as
+        # Kronecker products of their orbit tables
+        (("cat", "specht", "2,2,2,1", "--max-degree", "8", "--json"),
+         "d6e70c6b689fa34f43125c3224300d539f74c19d96431c5b26373be2e73e539d"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         clear_env(monkeypatch)

@@ -1,9 +1,9 @@
 """Closed-form and joint-eigenspace cells against the routes they replace.
 
-Decorated words are cut one cable at a time by ``symrep.p_lambda``/
-``q_lambda``: a one-row or one-column P cable as a module induced from
-S_n x S_k, included by signed orbit sums, and a one-row or one-column Q
-cable as a ``linalg.joint_eigenspace``; sigma cells are modules induced
+Decorated words are cut one cable at a time: a one-row or one-column P
+cable (``symrep.orbit_table``) as a module induced from S_n x S_k,
+included by signed orbit sums, and a one-row or one-column Q cable
+(``symrep.q_lambda``) as a ``linalg.joint_eigenspace``; sigma cells are modules induced
 from S_{n-k} x S_k, with closed-form generators, caps, cups and lifts, and
 no ambient word.  The routes they replaced are kept here as oracles: the
 whole decorated word cut in one elimination on the top of its plain word,
@@ -11,7 +11,9 @@ the joint eigenspace of ``right_mult_map`` on a P cable, the signed
 diagonal projector summed over all k! letter permutations, the joint
 (-1)-eigenspace of the diagonal transpositions, the signed orbit-sum cell
 inside the flat word Q^k P^k with its cap and cup moves, the product of
-embedded Young idempotents, and cell dimensions read from decorated words.
+embedded Young idempotents, cell dimensions read from decorated words, the
+P cable's orbit sums written out entry by entry, and the composition of
+cuts by whiskering and multiplying, which the Kronecker products replaced.
 The projector tests compare ``iota @ pi`` entry for entry (same image and
 same kernel); the sigma tests demand that every closed-form matrix equals
 the oracle's ``pi @ (ambient map) @ iota`` exactly.
@@ -19,12 +21,12 @@ the oracle's ``pi @ (ambient map) @ iota`` exactly.
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
-from math import comb, factorial, lcm
+from itertools import combinations, permutations, product
+from math import comb, factorial, lcm, prod
 
 import pytest
 
-from bosonfermion import linalg
+from bosonfermion import catbernstein, linalg, symrep
 from bosonfermion.branching import (
     PlainWord,
     _lift_matrix,
@@ -42,6 +44,7 @@ from bosonfermion.catbernstein import (
     sigma_cell_dims,
     sigma_complex,
 )
+from bosonfermion.errors import IdempotentError
 from bosonfermion.linalg import (
     SMat,
     _minus_diagonal,
@@ -277,6 +280,48 @@ def stacked_word_module(atoms, base):
     return sub, iota, pi, word
 
 
+def entries_built_p_cable(lam, m):
+    """(sub, iota, pi) of a one-row or one-column P cable with every orbit
+    entry of induce^k(M) written out: dim(M) entries for each coset b_S σ
+    of each k-subset S, from a k!-entry orbit list (σ, ε(σ), Lehmer-code
+    offset).  ``symrep.p_lambda`` built its inclusion this way before it
+    became a Kronecker product of the orbit table with the identity."""
+    k, n, d = lam.size(), m.degree, m.dim
+    column = len(lam.parts) > 1
+    sub = induce(m, k, [-SMat.identity(d)] * (k - 1) if column else None)
+    strides = [d * prod(range(n + 1, n + i + 1)) for i in range(k + 1)]
+    orbit = [(t, (-1) ** sum(code) if column else 1,
+              sum((-1 - b) * st for b, st in zip(code, strides)))
+             for t, code in zip(permutations(range(k)),
+                                product(*map(range, range(k, 0, -1))))]
+    entries = []
+    for p, s in enumerate(combinations(range(1, n + k + 1), k)):
+        for t, c, row in orbit:
+            row += sum(s[i] * st for i, st in zip(t, strides))
+            entries.extend((row + r, p * d + r, c) for r in range(d))
+    iota = SMat.from_entries(strides[k], sub.dim, entries)
+    return sub, iota, iota.transpose().scale(Fraction(1, factorial(k)))
+
+
+def whiskered_word_module(atoms, base):
+    """``word_module`` composing every cable the generic way: whisker the
+    inclusion and projection so far through the cable's letters with
+    ``_lift_matrix`` (one block-diagonal copy per coset) and multiply by
+    the cut's own inclusion and projection; a P cable is the entries-built
+    orbit sums, a Q cable ``q_lambda``.  Same return as ``word_module``."""
+    sub, letters = base, ""
+    iota = pi = SMat.identity(base.dim)
+    for side, lam in atoms:
+        lam = Partition(lam)
+        cable = side * lam.size()
+        cut, i_c, p_c = (entries_built_p_cable if side == "P"
+                         else q_lambda)(lam, sub)
+        iota = _lift_matrix(iota, sub.degree, cable) @ i_c
+        pi = p_c @ _lift_matrix(pi, sub.degree, cable)
+        sub, letters = cut, letters + cable
+    return sub, iota, pi, PlainWord(base, letters)
+
+
 # -- the helper ----------------------------------------------------------------
 
 
@@ -474,6 +519,34 @@ def test_row_column_words_match_the_young_product(key, total_degree):
         assert dead  # words that restrict past degree 0 are among them
 
 
+def _dies(letters, degree):
+    """Whether the plain word restricts past degree 0."""
+    for ch in letters:
+        if ch == "Q" and not degree:
+            return True
+        degree += 1 if ch == "P" else -1
+    return False
+
+
+@pytest.mark.parametrize("key", ["trivial:0", "trivial:1", "trivial:2",
+                                 "trivial:3", "S:2,1", "S:2,2", "S:3,1",
+                                 "reg:3"])
+def test_kronecker_composition_matches_the_whiskered_product(key):
+    base = MODULES[key]()
+    dead = 0
+    for size in range(7 - base.degree):
+        for atoms in row_column_atom_lists(size):
+            sub, iota, pi, word = word_module(atoms, base)
+            want, w_iota, w_pi, w_word = whiskered_word_module(atoms, base)
+            assert word.letters == w_word.letters, atoms
+            assert sub.gens == want.gens, atoms
+            assert iota == w_iota, atoms
+            assert pi == w_pi, atoms
+            dead += _dies(word.letters, base.degree)
+    if 6 - base.degree > base.degree:
+        assert dead  # words that restrict past degree 0 are among them
+
+
 CELL_DIM_MODULES = ["trivial:0", "trivial:1", "trivial:2", "trivial:3",
                     "trivial:4", "S:2", "S:1,1", "S:2,1", "S:3,1", "S:2,2",
                     "reg:3"]
@@ -565,6 +638,18 @@ def test_closed_form_p_cables_match_the_eigenspace_route(key):
             assert sub.dim == m.dim * comb(m.degree + k, k), lam
 
 
+@pytest.mark.parametrize("key", ["trivial:0", "trivial:2", "S:2,1",
+                                 "S:2,2", "reg:3"])
+def test_p_lambda_rows_and_columns_are_the_entries_built_cut(key):
+    m = MODULES[key]()
+    for k in range(5):
+        for lam in _row_column_shapes(k):
+            sub, inc, prj = p_lambda(lam, m)
+            want, w_inc, w_prj = entries_built_p_cable(Partition(lam), m)
+            assert sub.gens == want.gens, lam
+            assert (inc, prj) == (w_inc, w_prj), lam
+
+
 @pytest.mark.parametrize("key", ["trivial:4", "S:3,1", "S:2,2",
                                  "S:1,1,1,1", "induce(S:2,1)"])
 def test_q_lambda_rows_and_columns_match_the_young_box(key):
@@ -603,3 +688,63 @@ def test_two_cable_words_run_no_elimination_as_wide_as_the_word(
     sub, _, _, word = word_module(atoms, specht_module([2, 1]))
     assert 0 < sub.dim < word.top.dim
     assert widths and max(widths) < word.top.dim
+
+
+def test_creation_words_whisker_no_p_cable(monkeypatch):
+    # a row or column P cable composes as a Kronecker product of its orbit
+    # table, so word_module makes no block-diagonal copy of the inclusion
+    # or the projection so far
+    active, calls, copies = [], [], []
+    real_word_module, real_block_diag = word_module, SMat.block_diag
+
+    def recording_word_module(atoms, base):
+        active.append(atoms)
+        calls.append(atoms)
+        try:
+            return real_word_module(atoms, base)
+        finally:
+            active.pop()
+
+    def recording_block_diag(mats):
+        if active:
+            copies.append((active[-1], len(mats)))
+        return real_block_diag(mats)
+
+    monkeypatch.setattr(catbernstein, "word_module", recording_word_module)
+    monkeypatch.setattr(SMat, "block_diag",
+                        staticmethod(recording_block_diag))
+    for n in range(1, 5):
+        for lam in enumerate_partitions(n):
+            assert catbernstein.specht_creation_check(lam).passed, lam
+    assert any(side == "P" for atoms in calls for side, _ in atoms)
+    assert not copies, copies[:3]
+
+
+def corrupted_orbit_table(real, corruption):
+    """``symrep._orbit_table`` with one row corrupted: "sign" flips the
+    entry of row 0, "row" copies row 0 over the first row of another
+    column, so one orbit holds a coset twice and another misses one."""
+    def build(n, k, column):
+        table = real(n, k, column)
+        rows = [dict(r) for r in table.rows]
+        if corruption == "sign":
+            rows[0] = {j: -v for j, v in rows[0].items()}
+        else:
+            other = next(i for i, r in enumerate(rows)
+                         if r.keys() != rows[0].keys())
+            rows[other] = dict(rows[0])
+        return SMat(table.nrows, table.ncols, rows)
+    return build
+
+
+@pytest.mark.parametrize("corruption", ["sign", "row"])
+@pytest.mark.parametrize("lam", [(3,), (1, 1, 1)])
+def test_corrupted_orbit_table_is_refused(monkeypatch, corruption, lam):
+    monkeypatch.setattr(symrep, "_orbit_table", corrupted_orbit_table(
+        symrep._orbit_table, corruption))
+    message = (f"^{format_partition(Partition(lam))} orbit sums: "
+               r"O\^T O != 6·I or a column of O does not sum to Σ_σ ε\(σ\)$")
+    for cut in (lambda m: word_module([("P", lam)], m),
+                lambda m: p_lambda(lam, m)):
+        with pytest.raises(IdempotentError, match=message):
+            cut(trivial_module(1))

@@ -304,6 +304,58 @@ class TestBlockPlacement:
             SMat.block([[dense([[1]]), dense([[1, 2]])]], [1], [1, 1])
 
 
+def reference_kron(a, b):
+    """The Kronecker product on dense Fraction rows: row i·p + r, column
+    j·q + c holds a[i][j] · b[r][c]."""
+    return [[x * y for x in ra for y in rb]
+            for ra in a.to_dense() for rb in b.to_dense()]
+
+
+def shapes(max_dim=3):
+    return st.tuples(st.integers(0, max_dim), st.integers(0, max_dim))
+
+
+class TestKron:
+    @given(shapes().flatmap(lambda s: sized(*s)),
+           shapes().flatmap(lambda s: sized(*s)))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_dense_product(self, a, b):
+        got = a.kron(b)
+        assert (got.nrows, got.ncols) == (a.nrows * b.nrows,
+                                          a.ncols * b.ncols)
+        assert got.to_dense() == reference_kron(a, b)
+        # lowest terms: equal to the same matrix built entry by entry
+        assert got == SMat.from_entries(got.nrows, got.ncols, [
+            (i, j, v) for i, row in enumerate(reference_kron(a, b))
+            for j, v in enumerate(row)])
+        assert shares_no_row(got, [a, b])
+
+    @given(shapes().flatmap(lambda s: sized(*s)), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_identity_factors(self, a, n):
+        assert SMat.identity(n).kron(a) == SMat.block_diag([a] * n)
+        assert SMat.identity(1).kron(a) == a == a.kron(SMat.identity(1))
+        got = a.kron(SMat.identity(n))
+        assert got == SMat.from_entries(a.nrows * n, a.ncols * n, [
+            (i * n + r, j * n + r, a.entry(i, j)) for i, row in
+            enumerate(a.rows) for j in row for r in range(n)])
+
+    @given(st.tuples(*[st.integers(0, 3)] * 6).flatmap(
+        lambda d: st.tuples(sized(d[0], d[1]), sized(d[1], d[2]),
+                            sized(d[3], d[4]), sized(d[4], d[5]))))
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_product(self, mats):
+        a, c, b, d = mats
+        assert a.kron(b) @ c.kron(d) == (a @ c).kron(b @ d)
+
+    def test_zero_shapes(self):
+        a = dense([[1, F(1, 2)], [0, 3]])
+        for z in (SMat.zeros(0, 2), SMat.zeros(2, 0), SMat.zeros(0, 0)):
+            for got in (a.kron(z), z.kron(a)):
+                assert (got.nrows, got.ncols) == (2 * z.nrows, 2 * z.ncols)
+                assert got.is_zero() and got.den == 1
+
+
 class ReferenceEliminator:
     """Row reduction on Fraction rows, each pivot row divided by its pivot
     before it is used: the rational elimination the fraction-free
@@ -808,11 +860,19 @@ class TestGatesUnderOptimizedPython:
             "linalg.independent_columns = lambda m: next(pivots)\n"
             "symfunc._p_to_schur = lambda mu: ((mu, Fraction(1, 2)),)\n"
             "symfunc._h_to_schur = lambda lam: ((lam, 1), (Partition((5,)), 1))\n"
+            "from bosonfermion import symrep\n"
+            "orbit_table = symrep._orbit_table\n"
+            "def flipped(n, k, column):\n"
+            "    t = orbit_table(n, k, column)\n"
+            "    return SMat(t.nrows, t.ncols, [{j: -v for j, v in r.items()}\n"
+            "                                   for r in t.rows[:1]] + t.rows[1:])\n"
+            "symrep._orbit_table = flipped\n"
             "cases = [\n"
             "    lambda: linalg.idempotent_image(SMat.identity(2)),\n"
             "    lambda: symfunc.character((2, 1), (2,)),\n"
             "    lambda: symfunc.character((2,), (2,)),\n"
             "    lambda: symfunc._schur_to_h(Partition((2,))),\n"
+            "    lambda: symrep.p_lambda((1, 1), symrep.trivial_module(1)),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
@@ -840,4 +900,6 @@ class TestGatesUnderOptimizedPython:
             "CharacterError chi^2(2) = 1/2 is not an integer",
             "CharacterError s_2 in the h basis has a term h_5 of another "
             "degree",
+            "IdempotentError 1,1 orbit sums: O^T O != 2·I or a column of O "
+            "does not sum to Σ_σ ε(σ)",
         ]

@@ -25,13 +25,16 @@ from bosonfermion.errors import (
     RepresentationError,
 )
 from bosonfermion.linalg import SMat, idempotent_image, nullspace
+from bosonfermion.catbernstein import _BernsteinOp, _sigma_cell
 from bosonfermion.partition_core import (
     Partition,
+    centralizer_order,
+    cycle_type_representative,
     enumerate_partitions,
     partitions_up_to,
     syt_count,
 )
-from bosonfermion.symfunc import multiply, schur, skew
+from bosonfermion.symfunc import SymFunc, from_basis, multiply, schur, skew
 from bosonfermion.symrep import (
     GroupAlgebraElement,
     ModuleMap,
@@ -287,6 +290,32 @@ class TestModules:
         bogus = RepModule(2, 1, [SMat.zeros(1, 1)])
         with pytest.raises(CharacterError, match="multiplicity 1/2 at 2$"):
             frobenius_char(bogus)
+
+    def test_int_sums_match_the_powersum_route(self):
+        modules = [specht_module(lam) for lam in partitions_up_to(6)
+                   if lam.size()]
+        modules += [regular_module(3), induce(specht_module([2, 1])),
+                    induce(trivial_module(2), 2), induce(sign_module(2), 3),
+                    zero_module(2)]
+        for m in (trivial_module(2), specht_module([2, 1]),
+                  regular_module(2)):
+            for a in (-1, 0, 2):
+                for star in (False, True):
+                    cells = _BernsteinOp(a, star).cells(m).values()
+                    modules += [cell.sub for cell in cells]
+            modules += [_sigma_cell(m, k).sub for k in range(m.degree + 1)]
+        for m in modules:
+            assert frobenius_char(m) == powersum_frobenius_char(m), m
+
+    def test_refused_characters_name_the_same_multiplicity(self):
+        # s_1 acting by 3 has character 2 s_2 - s_11; acting by 0, a half
+        for scale in (3, 0, -5):
+            bogus = RepModule(2, 1, [SMat.identity(1).scale(scale)])
+            with pytest.raises(CharacterError) as new:
+                frobenius_char(bogus)
+            with pytest.raises(CharacterError) as old:
+                powersum_frobenius_char(bogus)
+            assert str(new.value) == str(old.value), scale
 
     def test_regular_module_cap(self):
         with pytest.raises(DimensionCapExceeded):
@@ -642,6 +671,28 @@ def module_route_lift(mat, s_mod, t_mod, rest):
                 f = SMat.zeros(t2.dim, s2.dim)
             s, t = s2, t2
     return f
+
+
+def powersum_frobenius_char(m):
+    """Σ_mu z_mu^{-1} tr(sigma_mu) p_mu summed with ``Fraction``
+    coefficients by ``from_basis("powersum", ...)``: the route that
+    ``frobenius_char``'s int sums replaced, with the same gate."""
+    if m.dim == 0:
+        return SymFunc.zero()
+    n = m.degree
+    coeffs = {}
+    for mu in enumerate_partitions(n):
+        mat = m.act_perm(cycle_type_representative(mu, n))
+        tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(mat.rows)),
+                      mat.den)
+        if tr:
+            coeffs[mu] = tr / centralizer_order(mu)
+    f = from_basis("powersum", coeffs)
+    for lam, c in f.terms.items():
+        if c.denominator != 1 or c < 0:
+            raise CharacterError(
+                f"non-integral or negative multiplicity {c} at {lam}")
+    return SymFunc({lam: c.numerator for lam, c in f.terms.items()})
 
 
 LIFT_BASES = {
