@@ -55,7 +55,6 @@ from .symrep import (
     right_mult_map,
     sideways_pq_to_qp,
     sideways_qp_to_pq,
-    unit_pq,
     unit_qp,
     young_idempotent,
     zero_module,
@@ -161,11 +160,6 @@ def move_cap_pq(word, i):
     """Cap an adjacent (Q,P) pair: the action map (k, v) -> r_k v."""
     _expect(word, i, "QP", "move_cap_pq")
     return _move(word, i, 2, "", counit_pq(word.stage(i)))
-
-
-def move_cup_pq(word, i):
-    """Cup creating a (Q,P) pair at position i: v -> sum_k (k, r_k^{-1} v)."""
-    return _move(word, i, 0, "QP", unit_pq(word.stage(i)))
 
 
 def slide_p_right(word):

@@ -5,11 +5,14 @@ words: homological degree ``x`` carries a width-``(x + a)`` symmetrized
 row cable over a height-``x`` antisymmetrized column cable, and the
 differential contracts one strand pair across the cable boundary with an
 adjunction cap.  Annihilation mirrors this with transposed cables and cup
-differentials.  Applying an operator to an existing complex produces a
-bicomplex whose totalization (alternating twist on the pre-existing
-differential) is the composite; iterated composites categorify products of
-the corresponding symmetric-function operators, which is checked through
-the Euler characteristic on every construction.
+differentials.  Each chain group is built on the (S, u) basis of
+``symrep.induce`` over the cut of its Q cable, with the caps, cups and
+lifted maps in closed form; only the evaluation map of the mixed relation
+suite rebuilds the plain word.  Applying an operator to an existing
+complex produces a bicomplex whose totalization (alternating twist on the
+pre-existing differential) is the composite; iterated composites
+categorify products of the corresponding symmetric-function operators,
+which is checked through the Euler characteristic on every construction.
 
 Also here: the projector complexes, summed over the partitions of each
 degree k into one chain group, the module induced from S_{n-k} x S_k with
@@ -28,14 +31,14 @@ graded comparisons are tolerance-zero.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import comb
+from itertools import combinations
+from math import comb, lcm
 
 from .branching import (
     PlainWord,
     _lift_matrix,
     move_cap_pq,
     move_cap_qp,
-    move_cup_pq,
     word_module,
 )
 from .errors import ChainComplexError
@@ -94,37 +97,39 @@ __all__ = [
 
 
 # --------------------------------------------------------------------------
-# chain cells
+# one-step operators (shared protocol)
 # --------------------------------------------------------------------------
-
-
-# one chain group cut out of a plain induction/restriction word: the summand
-# ``sub`` with its inclusion ``iota`` and projection ``pi`` into ``word``, so
-# differentials compile as ``pi_target @ (strand moves on word) @ iota_source``
-WordCell = namedtuple("WordCell", "label sub iota pi word")
 
 
 def _differential(op, cs, ct):
-    """The differential from cell ``cs`` to cell ``ct``: ``op.block(cs, ct)``,
-    or the zero matrix when either cell has dimension zero."""
-    if cs.sub.dim and ct.sub.dim:
-        return op.block(cs, ct)
-    return SMat.zeros(ct.sub.dim, cs.sub.dim)
+    """The differential from cell ``cs`` to cell ``ct``."""
+    return op.block(cs, ct)
 
 
-# --------------------------------------------------------------------------
-# one-step operators (shared protocol)
-# --------------------------------------------------------------------------
+# one Bernstein chain group on the (S, u) basis of ``symrep.induce``: ``sub``
+# is induced from the cut (U, q_iota, q_pi) of the Q cable out of ``base``;
+# ``atoms`` name its decorated word, which only the evaluation map rebuilds
+BernsteinCell = namedtuple("BernsteinCell", "label sub q_iota q_pi atoms base")
 
 
 class _BernsteinOp:
     """Charge-``a`` creation (or, with ``star``, annihilation) operator.
 
-    Creation at inner degree ``x`` is the word  Q^(1^x) P^(x+a)  (column
-    cable under row cable); the differential caps the innermost strand
-    pair across the Q/P boundary.  Annihilation at inner degree ``-x`` is
-    the transposed word  Q^(x+a) P^(1^x), and the differential *adds* a
-    strand pair with a cup (so it still lowers the homological degree).
+    Creation at inner degree ``x`` is the decorated word  Q^(1^x) P^(x+a)
+    on M (degree n): the column cut (U, ι, π) of x removed letters, and
+    over it a row of x+a added letters, the module ``induce(U, x+a)`` on
+    the (S, u) basis, S an (x+a)-subset of {1..n+a}.  The differential
+    caps the innermost strand pair across the Q/P boundary:
+    (S, u) ↦ Σ_{s∈S} (S∖s, π' r_j ι u), where s sits at position pos of S,
+    j = s − pos is its position among the letters outside S∖s, and
+    r_j = ``coset_rep(j, n−x+1)`` acts through M.  Annihilation at inner
+    degree ``-x`` is the transposed word  Q^(x+a) P^(1^x), the cell
+    ``induce(U, x, [−I]*(x−1))`` over the row cut of x+a removed letters,
+    and the differential *adds* a strand pair with a cup (so it still
+    lowers the homological degree): (S, u) ↦ Σ_{c∉S} (−1)^pos/(x+1)
+    (S∪c, π' r_j⁻¹ ι u), pos the position of c in S∪c and j = c − pos.
+    A map f of modules lifts to one copy of π' f ι per subset.  A cell
+    whose cut is zero is not built.
     """
 
     def __init__(self, a, star=False):
@@ -136,31 +141,63 @@ class _BernsteinOp:
 
     def cells(self, m):
         n, a = m.degree, self.a
-        lo = max(0, -a)
-        hi = (n - a) if self.star else n
         out = {}
-        for x in range(lo, hi + 1):
+        for x in range(max(0, -a), (n - a if self.star else n) + 1):
             row = (x + a,) if x + a else ()
-            if self.star:
-                atoms = [("Q", row), ("P", (1,) * x)]
-            else:
-                atoms = [("Q", (1,) * x), ("P", row)]
-            out[-x if self.star else x] = WordCell(x, *word_module(atoms, m))
+            q, p = (row, (1,) * x) if self.star else ((1,) * x, row)
+            u, q_iota, q_pi, _ = word_module([("Q", q)], m)
+            if not u.dim:
+                continue
+            sub = (induce(u, x, [-SMat.identity(u.dim)] * (x - 1))
+                   if self.star else induce(u, x + a))
+            out[-x if self.star else x] = BernsteinCell(
+                x, sub, q_iota, q_pi, [("Q", q), ("P", p)], m)
         return out
 
     def block(self, cs, ct):
-        if self.star:
-            word, g = move_cup_pq(cs.word, cs.label + self.a)
-        else:
-            word, g = move_cap_pq(cs.word, cs.label - 1)
-        if word.letters != ct.word.letters:
+        step = 1 if self.star else -1
+        if ct.label != cs.label + step:
+            kind = "an annihilation cup" if self.star else "a creation cap"
             raise ChainComplexError(
-                f"differential lands in the word {word.letters!r}, but the "
-                f"target cell {ct.label!r} carries {ct.word.letters!r}")
-        return ct.pi @ g @ cs.iota
+                f"{kind} maps cell {cs.label} to cell {cs.label + step}, "
+                f"not {ct.label}")
+        # B runs over the larger subsets, of the source (cap) or the target
+        # (cup), and each B minus one entry leaves t letters outside
+        big = ct.label if self.star else cs.label + self.a
+        letters = range(1, cs.sub.degree + 1)
+        t = len(letters) - big + 1
+        gens = cs.base.gens
+        # r_j = s_j r_(j+1) and r_t = 1: the block of j is π' r_j ι (cap) or
+        # π' r_j⁻¹ ι (cup), one product per j from the block of j + 1
+        inner, acc = {}, ct.q_pi if self.star else cs.q_iota
+        for j in range(t, 0, -1):
+            if j < t:
+                acc = acc @ gens[j - 1] if self.star else gens[j - 1] @ acc
+            inner[j] = acc @ cs.q_iota if self.star else ct.q_pi @ acc
+        common = lcm(*(b.den for b in inner.values()))
+        triples = {j: [(r, c, v * (common // b.den))
+                       for r, row in enumerate(b.rows) for c, v in row.items()]
+                   for j, b in inner.items()}
+        h, w = ct.q_pi.nrows, cs.q_iota.ncols
+        small = {s: q for q, s in enumerate(combinations(letters, big - 1))}
 
-    def lift(self, cs, ct, f, degree):
-        return ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
+        def entries():
+            for p, b in enumerate(combinations(letters, big)):
+                for pos, e in enumerate(b):
+                    q = small[b[:pos] + b[pos + 1:]]
+                    src, tgt = (q, p) if self.star else (p, q)
+                    sign = -1 if self.star and pos % 2 else 1
+                    r0, c0 = tgt * h, src * w
+                    for r, c, v in triples[e - pos]:
+                        yield r0 + r, c0 + c, sign * v
+
+        return SMat.from_entries(ct.sub.dim, cs.sub.dim, entries(),
+                                 den=common * (big if self.star else 1))
+
+    def lift(self, cs, ct, f):
+        width = cs.label if self.star else cs.label + self.a
+        return SMat.block_diag([ct.q_pi @ f @ cs.q_iota]
+                               * comb(cs.sub.degree, width))
 
 
 # the degree-``label`` projector chain group over ``base``, on the (S, v)
@@ -211,7 +248,7 @@ class _SigmaOp:
                 f"{cs.label} to cell {cs.label + step}, not {ct.label}")
         return subset_move(cs.base, cs.label, self.cup)
 
-    def lift(self, cs, ct, f, degree):
+    def lift(self, cs, ct, f):
         # every complex built here has S_n-equivariant differentials, so the
         # lift is f on each subset
         return SMat.block_diag([f] * comb(cs.base.degree, cs.label))
@@ -257,10 +294,9 @@ def _operator_complex(op, m):
     return cx, columns.get(0, {})
 
 
-def _functor_on_map(op, cs, ct, f, degree):
+def _functor_on_map(op, cs, ct, f):
     """Apply the functor of cell ``cs`` to a module map ``f`` landing in the
-    module of cell ``ct``: ``op.lift(cs, ct, f, degree)``, or the zero matrix
-    when either cell has dimension zero.
+    module of cell ``ct``: ``op.lift(cs, ct, f)``.
 
     The two cells must carry one label (they do: a cell depends only on the
     operator and the group degree, which all modules of a complex share).
@@ -268,9 +304,7 @@ def _functor_on_map(op, cs, ct, f, degree):
     if cs.label != ct.label:
         raise ChainComplexError(f"source cell {cs.label} is not aligned with "
                                 f"target cell {ct.label}")
-    if cs.sub.dim and ct.sub.dim:
-        return op.lift(cs, ct, f, degree)
-    return SMat.zeros(ct.sub.dim, cs.sub.dim)
+    return op.lift(cs, ct, f)
 
 
 def _apply_operator(op, cx):
@@ -288,16 +322,15 @@ def _apply_operator(op, cx):
     columns = {y: op.cells(cx.module(y)) for y in cx.degrees()}
     modules, d_h, d_v = {}, {}, {}
     for y, cells in columns.items():
+        below = columns.get(y - 1, {})
         for k, cell in cells.items():
-            if cell.sub.dim:
-                modules[(k, y)] = cell.sub
+            modules[(k, y)] = cell.sub
             if (k - 1) in cells:
                 mat = _differential(op, cell, cells[k - 1])
                 if mat.nnz():
                     d_h[(k, y)] = mat
-            if y in cx.diffs and (y - 1) in columns:
-                mat = _functor_on_map(op, cell, columns[y - 1][k], cx.d(y),
-                                      cx.group_degree)
+            if y in cx.diffs and k in below:
+                mat = _functor_on_map(op, cell, below[k], cx.d(y))
                 if mat.nnz():
                     d_v[(k, y)] = mat
     out = totalize(modules, d_h, d_v, gd)
@@ -536,7 +569,7 @@ def _counit_chain_map(a, m):
         return ChainMap(total, target, {}), total
 
     dims = {(x, y): cell.sub.dim for y, cells in columns.items()
-            for x, cell in cells.items() if cell.sub.dim}
+            for x, cell in cells.items()}
     cells0 = sorted(xy for xy in dims if xy[0] + xy[1] == 0)
     blocks = [_pair_evaluation(columns[y][x], inner_cells[y], a)
               for x, y in cells0]
@@ -559,16 +592,18 @@ def _counit_chain_map(a, m):
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):
-    """One block of the evaluation map: flatten and contract all strands,
-    with the sign (−1)^(x(x−1)/2) of reversing the x column letters."""
-    m = inner_cell.word.base
+    """One block of the evaluation map: rebuild both cells' decorated words
+    on their plain words, flatten and contract all strands, with the sign
+    (−1)^(x(x−1)/2) of reversing the x column letters."""
+    m = inner_cell.base
     x = outer_cell.label
     y2 = x + a + 1
-    flat = PlainWord(m, inner_cell.word.letters + outer_cell.word.letters)
-    lift = _lift_matrix(inner_cell.iota, inner_cell.sub.degree,
-                        outer_cell.word.letters)
-    mat = lift @ outer_cell.iota
-    word = flat
+    _, inner_iota, _, inner_word = word_module(inner_cell.atoms, m)
+    _, outer_iota, _, outer_word = word_module(outer_cell.atoms,
+                                               outer_cell.base)
+    word = PlainWord(m, inner_word.letters + outer_word.letters)
+    mat = _lift_matrix(inner_iota, outer_cell.base.degree,
+                       outer_word.letters) @ outer_iota
     for c in range(x):
         word, g = move_cap_qp(word, y2 + x - c - 1)
         mat = g @ mat

@@ -6,7 +6,7 @@ differential lowers the chain degree by one and squares to zero exactly
 pass over the incoming differential and the cycles picks a boundary basis and
 the cycles completing it, and one solve re-expresses the action on them.
 
-Also here: shifts, direct sums, mapping cones, bicomplex totalization with
+Also here: direct sums of modules, mapping cones, bicomplex totalization with
 the alternating-sign rule, and reduction by repeated cancellation of
 invertible differential entries (which preserves homotopy type and, on a
 bounded complex, terminates in a complex with zero differential).
@@ -111,17 +111,6 @@ class Complex:
                     raise ChainComplexError(
                         f"differential at degree {k} is not equivariant")
 
-    # -- constructions -----------------------------------------------------------
-
-    def shifted(self, s):
-        """Degree shift: the result has chain group C_{k-s} in degree k and
-        differential scaled by (-1)^s."""
-        return Complex(
-            self.group_degree,
-            {k + s: m for k, m in self.modules.items()},
-            {k + s: mat.scale((-1) ** s) for k, mat in self.diffs.items()},
-        )
-
     # -- homology ----------------------------------------------------------------
 
     def homology_module(self, k):
@@ -196,21 +185,6 @@ def zero_complex(group_degree):
 
 def single_module_complex(m, at=0):
     return Complex(m.degree, {at: m}, {})
-
-
-def direct_sum(complexes, group_degree=None):
-    complexes = list(complexes)
-    if group_degree is None:
-        group_degree = complexes[0].group_degree
-    keys = sorted({k for c in complexes for k in c.modules})
-    mods, diffs = {}, {}
-    for k in keys:
-        mods[k] = module_direct_sum([c.module(k) for c in complexes],
-                                    group_degree)
-    for k in keys + [keys[-1] + 1 if keys else 0]:
-        if any((k in c.diffs) for c in complexes):
-            diffs[k] = SMat.block_diag([c.d(k) for c in complexes])
-    return Complex(group_degree, mods, diffs)
 
 
 class ChainMap:

@@ -13,9 +13,8 @@ to j), and the identity representative comes last; iterated-induction
 cosets are peeled by arithmetic on the values of image tuples.
 ``subset_move`` gives the caps and cups between the layouts of k and k-1
 subsets: the pq adjunction maps and the projector differentials.  On top
-of the two functors also live the qp adjunction maps, the strand crossing
-(right multiplication by the first added-letter transposition), sideways
-crossings, and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
+of the two functors also live the qp adjunction maps, sideways crossings,
+and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
 letters, with plain inclusion and projection matrices: O ⊗ I, O the
 signed orbit table (``orbit_table``), for a row or a column of added
@@ -436,14 +435,6 @@ class ModuleMap:
                 f"nnz={self.matrix.nnz()})")
 
 
-def identity_map(m):
-    return ModuleMap(m, m, SMat.identity(m.dim))
-
-
-def zero_map(source, target):
-    return ModuleMap(source, target, SMat.zeros(target.dim, source.dim))
-
-
 # -- induction and restriction ------------------------------------------------------
 
 
@@ -495,17 +486,6 @@ def restrict(m):
     return RepModule(m.degree - 1, m.dim, m.gens[:-1])
 
 
-def induce_map(f):
-    """Apply the induction functor to a map: block-diagonal extension."""
-    return ModuleMap(induce(f.source), induce(f.target),
-                     SMat.block_diag([f.matrix] * (f.source.degree + 1)))
-
-
-def restrict_map(f):
-    """Apply the restriction functor to a map: same matrix, lower degree."""
-    return ModuleMap(restrict(f.source), restrict(f.target), f.matrix)
-
-
 def subset_move(m, k, cup):
     """The cap (``cup`` false) from the k-subsets of {1..n} to the
     (k-1)-subsets, or the cup to the (k+1)-subsets, on the (S, v) layout of
@@ -548,14 +528,6 @@ def counit_pq(m):
     if m.degree == 0:
         return ModuleMap(zero_module(0), m, SMat.zeros(m.dim, 0))
     return ModuleMap(induce(restrict(m)), m, subset_move(m, 1, cup=False))
-
-
-def unit_pq(m):
-    """M -> induce(restrict(M)): m ↦ Σ_k r_k ⊗ r_k^{-1} m (the cup from
-    the empty subset)."""
-    if m.degree == 0:
-        return ModuleMap(m, zero_module(0), SMat.zeros(0, m.dim))
-    return ModuleMap(m, induce(restrict(m)), subset_move(m, 0, cup=True))
 
 
 def unit_qp(m):
@@ -659,55 +631,6 @@ def right_mult_map(m, levels, elem):
             for c, x in row.items():
                 entries.append((row_base + r, col_base + c, mult * x))
     return SMat.from_entries(dim, dim, entries, den=den)
-
-
-def crossing(m):
-    """The swap of the two added strands on induce²(M): right multiplication
-    by the adjacent transposition of the two new letters."""
-    n = m.degree
-    s = adjacent_transposition(n + 1, n + 2)
-    top = induce(induce(m))
-    return ModuleMap(top, top, right_mult_map(
-        m, 2, GroupAlgebraElement(n + 2, {s: ONE})))
-
-
-def right_twist_curl(m):
-    """Cup, crossing, cap on the restriction-side adjunction: identically
-    zero in this calculus (the crossing moves the identity block away)."""
-    pm = induce(m)
-    cup = unit_qp(pm)
-    crossing_lifted = restrict_map(crossing(m))
-    cap = counit_qp(pm)
-    return cap @ crossing_lifted @ cup
-
-
-def left_twist_curl(m):
-    """The opposite twist: cup and cap from the other adjunction.  Equals
-    right multiplication by the sum of transpositions moving the new letter
-    (checked in the tests), so it is genuinely nonzero in degree > 0."""
-    n = m.degree
-    if n == 0:
-        ind = induce(m)
-        return zero_map(ind, ind)
-    step1 = induce_map(unit_pq(m))
-    rm = restrict(m)
-    cross = crossing(rm)
-    step3 = induce_map(counit_pq(m))
-    return step3 @ cross @ step1
-
-
-def jucys_murphy_map(m):
-    """Right multiplication on induce(M) by the sum of transpositions
-    (i, n+1); this commutes with the subgroup, hence is an intertwiner."""
-    n = m.degree
-    terms = {}
-    for i in range(1, n + 1):
-        img = list(range(1, n + 2))
-        img[i - 1], img[n] = n + 1, i
-        terms[tuple(img)] = ONE
-    top = induce(m)
-    return ModuleMap(top, top, right_mult_map(
-        m, 1, GroupAlgebraElement(n + 1, terms)))
 
 
 # -- isotypic functors --------------------------------------------------------------

@@ -46,12 +46,13 @@ from bosonfermion.symrep import (
     p_lambda,
     q_lambda,
     regular_module,
-    right_twist_curl,
     specht_module,
     trivial_module,
     unit_qp,
     young_idempotent,
 )
+
+from strand_oracles import right_twist_curl
 
 
 def test_criterion_01_schur_creation_annihilation_words():

@@ -423,7 +423,7 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"
         "        lambda: _differential(_SigmaOp(-1), sigma[2], sigma[2]),\n"
         "        lambda: _functor_on_map(\n"
-        "            _SigmaOp(-1), sigma[1], sigma[2], eye, 2),\n"
+        "            _SigmaOp(-1), sigma[1], sigma[2], eye),\n"
         "        lambda: _pair_evaluation(columns[0][0], inner[0], -1)):\n"
         "    try:\n"
         "        attempt()\n"
@@ -437,8 +437,7 @@ def test_misaligned_cells_are_refused_under_optimized_python():
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.splitlines() == [
-        "differential lands in the word 'P', but the target cell 1 carries "
-        "'QPP'",
+        "a creation cap maps cell 1 to cell 0, not 1",
         "a sigma cap maps cell 2 to cell 1, not 2",
         "source cell 1 is not aligned with target cell 2",
         "contracting cell 0 over cell 0 leaves the word 'QP', not the base",
@@ -461,6 +460,7 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
 
     monkeypatch.setattr(SMat, "__init__", checked)
     assert specht_creation_check((2, 1)).passed
+    assert specht_annihilation_check((2, 1)).passed
     assert sigma_idempotence_check(specht_module([2, 1])).passed
     assert sigma_vanishing_check(specht_module([2, 1])).passed
     assert not bad
@@ -468,20 +468,35 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
 
 
 def test_chain_cells_build_no_induced_stage_of_their_plain_words(monkeypatch):
-    # a creation cap and an annihilation cup act at a stage that only
-    # restricts the base, and a lift reads only the letters, so the plain
-    # word under a chain cell never induces
-    from bosonfermion import branching
+    # the creation and annihilation cells, caps, cups and lifts are built on
+    # the (S, u) basis: word_module cuts only the Q cable and returns its
+    # plain word unbuilt, and no P cable is cut, so no stage of a plain word
+    # is built and no orbit table either; only the evaluation map reads one
+    from bosonfermion import branching, symrep
+    from bosonfermion.branching import PlainWord
 
-    induced = []
+    stages, tables = [], []
+    real_stage, real_table = PlainWord.stage, symrep.orbit_table
 
-    def counted(m, *args, **kwargs):
-        induced.append(m.dim)
-        return induce(m, *args, **kwargs)
+    def recording_stage(self, i):
+        stages.append((self.letters, i))
+        return real_stage(self, i)
 
-    monkeypatch.setattr(branching, "induce", counted)
-    for n in range(5):
+    def recording_table(lam, m):
+        tables.append(lam)
+        return real_table(lam, m)
+
+    monkeypatch.setattr(PlainWord, "stage", recording_stage)
+    monkeypatch.setattr(branching, "orbit_table", recording_table)
+    monkeypatch.setattr(symrep, "orbit_table", recording_table)
+    for n in range(6):
         for lam in enumerate_partitions(n):
-            assert specht_creation_check(lam).passed
-    assert specht_annihilation_check((3, 1)).passed
-    assert induced == []
+            assert specht_creation_check(lam).passed, lam
+            assert specht_annihilation_check(lam).passed, lam
+    for a, b in ((0, 0), (1, 1), (2, 1), (1, 2)):
+        for m in (trivial_module(2), specht_module([2, 1])):
+            for star in (False, True):
+                assert relation_suite_bb(a, b, m, star=star).passed, (a, b)
+    assert (stages, tables) == ([], [])
+    assert relation_suite_bbstar(0, 0, trivial_module(2)).passed
+    assert stages and tables

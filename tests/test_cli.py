@@ -378,6 +378,10 @@ class TestDeterminismAndCache:
         # Kronecker products of their orbit tables
         (("cat", "specht", "2,2,2,1", "--max-degree", "8", "--json"),
          "d6e70c6b689fa34f43125c3224300d539f74c19d96431c5b26373be2e73e539d"),
+        # a degree-10 word: its largest plain word has 3,628,800 dimensions,
+        # its largest cell on the (S, u) basis 252
+        (("cat", "specht", "5,5", "--max-degree", "10", "--json"),
+         "4d2cebd20f28e3a325ec944fe7c65d20b7639c0f6db17ff568de0d68667735a4"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         clear_env(monkeypatch)

@@ -34,7 +34,6 @@ from bosonfermion.branching import (
     _q_box,
     _strand_route,
     move_cap_pq,
-    move_cup_pq,
     word_module,
 )
 from bosonfermion.catbernstein import (
@@ -74,6 +73,7 @@ from bosonfermion.symrep import (
     trivial_module,
     young_idempotent,
 )
+from strand_oracles import move_cup_pq
 
 MODULES = {
     "trivial:0": lambda: trivial_module(0),
@@ -434,7 +434,7 @@ def _sigma_lifts(m):
         f, src, tgt = minus.d(y), minus.module(y), minus.module(y - 1)
         for k in range(m.degree + 1):
             lift = _functor_on_map(op, _sigma_cell(src, k),
-                                   _sigma_cell(tgt, k), f, m.degree)
+                                   _sigma_cell(tgt, k), f)
             cs, ct = orbit_sum_sigma_cell(src, k), orbit_sum_sigma_cell(tgt, k)
             yield y, k, lift, cs, ct, _lift_matrix(f, m.degree, cs.word.letters)
 
@@ -693,7 +693,8 @@ def test_two_cable_words_run_no_elimination_as_wide_as_the_word(
 def test_creation_words_whisker_no_p_cable(monkeypatch):
     # a row or column P cable composes as a Kronecker product of its orbit
     # table, so word_module makes no block-diagonal copy of the inclusion
-    # or the projection so far
+    # or the projection so far; the evaluation map of the mixed relation
+    # suite cuts the creation and annihilation words with their P cables
     active, calls, copies = [], [], []
     real_word_module, real_block_diag = word_module, SMat.block_diag
 
@@ -713,10 +714,12 @@ def test_creation_words_whisker_no_p_cable(monkeypatch):
     monkeypatch.setattr(catbernstein, "word_module", recording_word_module)
     monkeypatch.setattr(SMat, "block_diag",
                         staticmethod(recording_block_diag))
-    for n in range(1, 5):
-        for lam in enumerate_partitions(n):
-            assert catbernstein.specht_creation_check(lam).passed, lam
-    assert any(side == "P" for atoms in calls for side, _ in atoms)
+    for key in ("trivial:1", "trivial:2", "S:2", "S:2,1", "S:3,1"):
+        for a in range(3):
+            rep = catbernstein.relation_suite_bbstar(a, a, MODULES[key]())
+            assert rep.passed, (key, a)
+    assert any(side == "P" and len(lam) > 1 for atoms in calls
+               for side, lam in atoms)
     assert not copies, copies[:3]
 
 

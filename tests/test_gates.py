@@ -20,9 +20,10 @@ from bosonfermion.catbernstein import (
     sigma_complex,
 )
 from bosonfermion.errors import ChainComplexError
-from bosonfermion.homalg import direct_sum, single_module_complex
+from bosonfermion.homalg import single_module_complex
 from bosonfermion.linalg import SMat
 from bosonfermion.symrep import specht_module, trivial_module
+from strand_oracles import direct_sum, shifted
 
 GATE_SWITCHES = {"check", "validate", "inject_sign_flip", "_flip_sign"}
 
@@ -101,7 +102,7 @@ def test_corrupted_differential_is_refused(name, monkeypatch):
 
 
 @pytest.mark.parametrize("rebuild", [
-    lambda cx: cx.shifted(1),
+    lambda cx: shifted(cx, 1),
     lambda cx: direct_sum([cx]),
 ], ids=["shifted", "direct_sum"])
 def test_constructions_recheck_their_input(rebuild):

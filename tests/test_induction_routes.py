@@ -28,9 +28,9 @@ from bosonfermion.symrep import (
     perm_inverse,
     subset_move,
     trivial_module,
-    unit_pq,
 )
 
+from strand_oracles import unit_pq
 from test_eigenspace_routes import stacked_word_module
 
 POOL = ["trivial:0", "trivial:1", "trivial:3", "S:2,1", "S:3,1", "S:3,2",

@@ -46,33 +46,35 @@ from bosonfermion.symrep import (
     coset_rep,
     counit_pq,
     counit_qp,
-    crossing,
     frobenius_char,
-    identity_map,
     identity_perm,
     induce,
-    induce_map,
-    jucys_murphy_map,
     left_mult_matrix,
-    left_twist_curl,
     p_lambda,
     perm_inverse,
     perm_mult,
     q_lambda,
     regular_module,
     restrict,
-    restrict_map,
     right_mult_map,
-    right_twist_curl,
     sideways_pq_to_qp,
     sideways_qp_to_pq,
     sign_module,
     specht_module,
     trivial_module,
-    unit_pq,
     unit_qp,
     young_idempotent,
     zero_module,
+)
+from strand_oracles import (
+    crossing,
+    identity_map,
+    induce_map,
+    jucys_murphy_map,
+    left_twist_curl,
+    restrict_map,
+    right_twist_curl,
+    unit_pq,
 )
 from test_eigenspace_routes import stacked_word_module
 
