@@ -223,10 +223,11 @@ def word_module(atoms, base):
     (``orbit_table``), and whiskered through its letters the inclusion ι
     so far is I ⊗ ι ((n+1)⋯(n+k) copies): so ι becomes (I ⊗ ι)(O ⊗ I) =
     O ⊗ ι, and the projection π becomes O' ⊗ π.  Other cables are cut by
-    ``p_lambda``/``q_lambda``.  Boxes of different cables commute (P boxes
-    multiply on the right, Q boxes act on other letters), so the product of
-    the cables' Young idempotent boxes on the plain word, returned unbuilt,
-    is inclusion∘projection."""
+    ``p_lambda``/``q_lambda`` (the first as it is, later ones whiskered).
+    Boxes of different cables commute (P boxes multiply on the right, Q
+    boxes act on other letters), so the product of the cables' Young
+    idempotent boxes on the plain word, returned unbuilt, is
+    inclusion∘projection."""
     sub, letters = base, ""
     iota = pi = SMat.identity(base.dim)
     for side, lam in atoms:
@@ -242,8 +243,8 @@ def word_module(atoms, base):
             iota, pi = table.kron(iota), proj.kron(pi)
         else:
             cut, i_c, p_c = (p_lambda if side == "P" else q_lambda)(lam, sub)
-            iota = _lift_matrix(iota, n, cable) @ i_c
-            pi = p_c @ _lift_matrix(pi, n, cable)
+            iota = _lift_matrix(iota, n, cable) @ i_c if letters else i_c
+            pi = p_c @ _lift_matrix(pi, n, cable) if letters else p_c
         sub, letters = cut, letters + cable
     return sub, iota, pi, PlainWord(base, letters)
 

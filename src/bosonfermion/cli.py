@@ -29,7 +29,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .catbernstein import (
     creation_word,
@@ -196,6 +195,9 @@ def run_tasks(descs, jobs=1):
     does not depend on the worker count or completion order.
     """
     if jobs > 1 and len(descs) > 1:
+        # the pool stack (multiprocessing, logging, ...) loads only here
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(descs))) as pool:
             reports = list(pool.map(_run_one, descs))
     else:

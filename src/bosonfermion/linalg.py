@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from .errors import IdempotentError
@@ -195,28 +196,32 @@ class SMat:
     @staticmethod
     def block(grid, row_dims, col_dims):
         """Assemble a block matrix over the lcm of the blocks' denominators;
-        None entries are zero blocks.
+        None entries are zero blocks and cost nothing.
 
         ``grid[i][j]`` must be ``row_dims[i] x col_dims[j]`` (ValueError
-        otherwise).  The result has fresh rows: it shares no dict with the
-        blocks.
+        otherwise).  A band's first block supplies its rows as shifted
+        copies, so the result shares no dict with the blocks.
         """
         den = lcm(*(b.den for line in grid for b in line if b is not None))
+        *offsets, ncols = accumulate(col_dims, initial=0)
         rows = []
         for bi, (line, rdim) in enumerate(zip(grid, row_dims, strict=True)):
-            band = [{} for _ in range(rdim)]
-            coff = 0
-            for bj, (blk, cdim) in enumerate(zip(line, col_dims, strict=True)):
+            band = None
+            for bj, (blk, cdim, coff) in enumerate(
+                    zip(line, col_dims, offsets, strict=True)):
                 if blk is not None:
                     if (blk.nrows, blk.ncols) != (rdim, cdim):
                         raise ValueError(
                             f"block ({bi}, {bj}) is {blk.nrows}x{blk.ncols}, "
                             f"expected {rdim}x{cdim}")
-                    for row, r in zip(band, blk.rows):
-                        row.update(_shifted(r, coff, den // blk.den))
-                coff += cdim
-            rows.extend(band)
-        return SMat(len(rows), sum(col_dims), rows, den)
+                    new = (_shifted(r, coff, den // blk.den) for r in blk.rows)
+                    if band is None:
+                        band = list(new)
+                    else:
+                        for row, r in zip(band, new):
+                            row.update(r)
+            rows.extend(band or ({} for _ in range(rdim)))
+        return SMat(len(rows), ncols, rows, den)
 
     @staticmethod
     def block_diag(mats):

@@ -37,7 +37,7 @@ from .errors import (
     IdempotentError,
     RepresentationError,
 )
-from .linalg import SMat, idempotent_image, joint_eigenspace
+from .linalg import SMat, _shifted, idempotent_image, joint_eigenspace
 from .partition_core import (
     Partition,
     centralizer_order,
@@ -88,6 +88,12 @@ def coset_rep(k, n):
         out[i - 1] = i + 1
     out[n - 1] = k
     return tuple(out)
+
+
+def _peel_descent(p):
+    """(i, p s_i) for the first descent i of p; (None, p) at the identity."""
+    i = next((i for i in range(1, len(p)) if p[i - 1] > p[i]), None)
+    return i, p if i is None else p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]
 
 
 def relabel_perm(p, letters, degree):
@@ -271,14 +277,13 @@ class RepModule:
         hit = self._perm_cache.get(p)
         if hit is not None:
             return hit
+        if set(p) != set(range(1, self.degree + 1)):
+            raise ValueError(f"{p} is not a permutation of 1..{self.degree}")
         # p = p' s_i for its first descent i, with p' one letter shorter:
         # one product on the cached p' per new p
-        i = next((i for i in range(1, len(p)) if p[i - 1] > p[i]), None)
-        if i is None:
-            out = SMat.identity(self.dim)
-        else:
-            out = self.act_perm(perm_mult(
-                p, adjacent_transposition(i, self.degree))) @ self.gens[i - 1]
+        i, shorter = _peel_descent(p)
+        out = (SMat.identity(self.dim) if i is None
+               else self.act_perm(shorter) @ self.gens[i - 1])
         self._perm_cache[p] = out
         return out
 
@@ -450,8 +455,9 @@ def induce(m, k=1, high=None):
     listing the values outside S, then S, ascending.  s_i exchanges i and
     i+1 in S when exactly one of them lies in S; otherwise it acts on block
     S by m.act_gen(i - below) or high[below], below = #{x in S : x < i}.
-    At k = 1, b_{j} is the coset representative r_j, so the blocks run
-    r_1, ..., r_n, r_{n+1} = identity."""
+    So s_i permutes the blocks, one per block row.  At k = 1, b_{j} is the
+    coset representative r_j, so the blocks run r_1, ..., r_n, r_{n+1} =
+    identity."""
     n, d = m.degree, m.dim
     # S as a bit mask: bit x is set when x lies in S
     masks = [sum(s) for s in combinations(
@@ -460,20 +466,22 @@ def induce(m, k=1, high=None):
     eye = SMat.identity(d)
     low = [None] + m.gens
     top = [eye] * k if high is None else high
-    dims = [d] * len(masks)
     gens = []
     for i in range(1, n + k):
         pair, lower = 3 << i, (1 << i) - 1
-        grid = [[None] * len(masks) for _ in masks]
+        bands = []  # (column offset, block) of each block row
         for p, mask in enumerate(masks):
             both = mask & pair
             if both == pair:
-                grid[p][p] = top[(mask & lower).bit_count()]
+                bands.append((p * d, top[(mask & lower).bit_count()]))
             elif both:
-                grid[index[mask ^ pair]][p] = eye
+                bands.append((index[mask ^ pair] * d, eye))
             else:
-                grid[p][p] = low[i - (mask & lower).bit_count()]
-        gens.append(SMat.block(grid, dims, dims))
+                bands.append((p * d, low[i - (mask & lower).bit_count()]))
+        den = lcm(*(blk.den for _, blk in bands))
+        gens.append(SMat(d * len(masks), d * len(masks), [
+            _shifted(r, coff, den // blk.den)
+            for coff, blk in bands for r in blk.rows], den))
     return RepModule(n + k, d * len(masks), gens)
 
 
@@ -494,9 +502,9 @@ def subset_move(m, k, cup):
     Let B run over the larger subsets and S = B minus its entry j at
     position p.  The cap sends (B, v) to (S, (-1)^p b_S^-1 b_B v) and the
     cup sends (S, v) to (B, (-1)^p/|B| b_B^-1 b_S v), summed over all such
-    pairs."""
+    pairs, each block's rows written straight into the result."""
     letters = range(1, m.degree + 1)
-    size = k + 1 if cup else k
+    d, size = m.dim, k + 1 if cup else k
     big = list(combinations(letters, size))
     small = list(combinations(letters, size - 1))
     rows, cols = (big, small) if cup else (small, big)
@@ -506,19 +514,21 @@ def subset_move(m, k, cup):
 
     inverse = {t: perm_inverse(coset(t)) for t in rows}
     forward = {s: coset(s) for s in cols}
-    row_at = {t: q for q, t in enumerate(rows)}
-    col_at = {s: p for p, s in enumerate(cols)}
-    grid = [[None] * len(cols) for _ in rows]
+    row_at = {t: q * d for q, t in enumerate(rows)}
+    col_at = {s: p * d for p, s in enumerate(cols)}
+    blocks = []  # (row offset, column offset, sign, block) per pair
     for b in big:
         for pos in range(size):
             s = b[:pos] + b[pos + 1:]
             src, tgt = (s, b) if cup else (b, s)
-            a = m.act_perm(perm_mult(inverse[tgt], forward[src]))
-            c = -1 if pos % 2 else 1
-            if cup and size > 1:
-                c = Fraction(c, size)
-            grid[row_at[tgt]][col_at[src]] = a if c == 1 else a.scale(c)
-    return SMat.block(grid, [m.dim] * len(rows), [m.dim] * len(cols))
+            blocks.append((row_at[tgt], col_at[src], -1 if pos % 2 else 1,
+                           m.act_perm(perm_mult(inverse[tgt], forward[src]))))
+    common = lcm(*(a.den for *_, a in blocks))
+    out = [{} for _ in range(len(rows) * d)]
+    for roff, coff, c, a in blocks:
+        for target, row in zip(out[roff:roff + d], a.rows):
+            target.update(_shifted(row, coff, c * (common // a.den)))
+    return SMat(len(out), len(cols) * d, out, common * (size if cup else 1))
 
 
 def counit_pq(m):
@@ -739,21 +749,33 @@ def q_lambda(lam, m):
 # -- characters ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _class_table(n):
+    """Per cycle type mu of n: (i, p', n!/z_mu, p_mu's Schur terms) for the
+    representative p' s_i of mu, i its first descent (None: the identity)."""
+    return [(*_peel_descent(cycle_type_representative(mu, n)),
+             factorial(n) // centralizer_order(mu),
+             tuple(powersum(mu).terms.items()))
+            for mu in enumerate_partitions(n)]
+
+
 def frobenius_char(m):
     """The symmetric function Σ_mu z_mu^{-1} tr(sigma_mu) p_mu in the Schur
     basis, its multiplicities Σ_mu (n!/z_mu) tr(sigma_mu) chi^lam(mu) / n!
-    summed in ints; they must be nonnegative integers."""
+    summed in ints; they must be nonnegative integers (CharacterError).
+    Each tr(sigma_mu), sigma_mu = p' s_i, is Σ_{r,j} ρ(p')[r][j]·s_i[j][r]."""
     if m.dim == 0:
         return SymFunc.zero()
-    n = m.degree
-    order, sums, terms = factorial(n), {}, {}
-    for mu in enumerate_partitions(n):
-        mat = m.act_perm(cycle_type_representative(mu, n))
-        tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(mat.rows)),
-                      mat.den) * (order // centralizer_order(mu))
+    order, sums, terms = factorial(m.degree), {}, {}
+    for i, p, weight, schur_row in _class_table(m.degree):
+        a = m.act_perm(p)
+        s = m.gens[i - 1] if i else a  # tr(I·I) = dim at the identity
+        tr = Fraction(weight * sum(
+            x * s.rows[j].get(r, 0) for r, row in enumerate(a.rows)
+            for j, x in row.items()), a.den * s.den)
         if tr:
             tr = tr.numerator if tr.denominator == 1 else tr
-            for lam, chi in powersum(mu).terms.items():
+            for lam, chi in schur_row:
                 sums[lam] = sums.get(lam, 0) + tr * chi
     for lam, c in sums.items():
         terms[lam], rem = divmod(c, order)

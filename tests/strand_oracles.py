@@ -1,5 +1,6 @@
 """Strand-calculus maps and complex constructions that no report reaches,
-kept here as references for the tests.
+and the block-grid and product-trace routes of the kernels that replaced
+them, kept here as references for the tests.
 
 The package builds its chain groups on the (S, v) layout of
 ``symrep.induce`` and needs none of these: the strand crossing on
@@ -7,25 +8,124 @@ induce²(M), both twist curls, the Jucys-Murphy map, the induction and
 restriction functors on maps, the unit of the pq adjunction and the cup
 move it whiskers, and the shift and direct sum of complexes.  The tests
 still use them to state the identities of the strand calculus and the gates
-of the complex constructors.
+of the complex constructors.  ``grid_induce``, ``grid_subset_move`` and
+``product_frobenius_char`` are the routes ``symrep.induce``,
+``symrep.subset_move`` and ``symrep.frobenius_char`` replaced: a grid of
+blocks for ``SMat.block`` and the trace of each class representative's
+full matrix.
 """
 
+from fractions import Fraction
+from itertools import combinations
+from math import factorial
+
 from bosonfermion.branching import _move
+from bosonfermion.errors import CharacterError
 from bosonfermion.homalg import Complex, module_direct_sum
 from bosonfermion.linalg import SMat
+from bosonfermion.partition_core import (
+    centralizer_order,
+    cycle_type_representative,
+    enumerate_partitions,
+)
+from bosonfermion.symfunc import SymFunc, powersum
 from bosonfermion.symrep import (
     GroupAlgebraElement,
     ModuleMap,
+    RepModule,
     adjacent_transposition,
     counit_pq,
     counit_qp,
     induce,
+    perm_inverse,
+    perm_mult,
     restrict,
     right_mult_map,
     subset_move,
     unit_qp,
     zero_module,
 )
+
+
+def grid_induce(m, k=1, high=None):
+    """``symrep.induce`` as a C(n+k, k)² grid of blocks for ``SMat.block``:
+    s_i swaps the blocks of S and S with i, i+1 exchanged when exactly one
+    lies in S, and acts inside block S by m's or ``high``'s generator."""
+    n, d = m.degree, m.dim
+    masks = [sum(s) for s in combinations(
+        [1 << x for x in range(1, n + k + 1)], k)]
+    index = {mask: p for p, mask in enumerate(masks)}
+    eye = SMat.identity(d)
+    low = [None] + m.gens
+    top = [eye] * k if high is None else high
+    dims = [d] * len(masks)
+    gens = []
+    for i in range(1, n + k):
+        pair, lower = 3 << i, (1 << i) - 1
+        grid = [[None] * len(masks) for _ in masks]
+        for p, mask in enumerate(masks):
+            both = mask & pair
+            if both == pair:
+                grid[p][p] = top[(mask & lower).bit_count()]
+            elif both:
+                grid[index[mask ^ pair]][p] = eye
+            else:
+                grid[p][p] = low[i - (mask & lower).bit_count()]
+        gens.append(SMat.block(grid, dims, dims))
+    return RepModule(n + k, d * len(masks), gens)
+
+
+def grid_subset_move(m, k, cup):
+    """``symrep.subset_move`` as a grid of scaled blocks for ``SMat.block``,
+    one block per (B, position) pair."""
+    letters = range(1, m.degree + 1)
+    size = k + 1 if cup else k
+    big = list(combinations(letters, size))
+    small = list(combinations(letters, size - 1))
+    rows, cols = (big, small) if cup else (small, big)
+
+    def coset(s):
+        return tuple([v for v in letters if v not in s]) + s
+
+    inverse = {t: perm_inverse(coset(t)) for t in rows}
+    forward = {s: coset(s) for s in cols}
+    row_at = {t: q for q, t in enumerate(rows)}
+    col_at = {s: p for p, s in enumerate(cols)}
+    grid = [[None] * len(cols) for _ in rows]
+    for b in big:
+        for pos in range(size):
+            s = b[:pos] + b[pos + 1:]
+            src, tgt = (s, b) if cup else (b, s)
+            a = m.act_perm(perm_mult(inverse[tgt], forward[src]))
+            c = -1 if pos % 2 else 1
+            if cup and size > 1:
+                c = Fraction(c, size)
+            grid[row_at[tgt]][col_at[src]] = a if c == 1 else a.scale(c)
+    return SMat.block(grid, [m.dim] * len(rows), [m.dim] * len(cols))
+
+
+def product_frobenius_char(m):
+    """``symrep.frobenius_char`` from the trace of each class
+    representative's full matrix ``m.act_perm(rep)``, with the same int
+    sums and the same CharacterError."""
+    if m.dim == 0:
+        return SymFunc.zero()
+    n = m.degree
+    order, sums, terms = factorial(n), {}, {}
+    for mu in enumerate_partitions(n):
+        mat = m.act_perm(cycle_type_representative(mu, n))
+        tr = Fraction(sum(row.get(i, 0) for i, row in enumerate(mat.rows)),
+                      mat.den) * (order // centralizer_order(mu))
+        if tr:
+            tr = tr.numerator if tr.denominator == 1 else tr
+            for lam, chi in powersum(mu).terms.items():
+                sums[lam] = sums.get(lam, 0) + tr * chi
+    for lam, c in sums.items():
+        terms[lam], rem = divmod(c, order)
+        if rem or c < 0:
+            raise CharacterError(f"non-integral or negative multiplicity "
+                                 f"{Fraction(c, order)} at {lam}")
+    return SymFunc(terms)
 
 
 def identity_map(m):

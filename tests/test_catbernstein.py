@@ -459,7 +459,10 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
             bad.append((self, self.rows[:3], self.den))
 
     monkeypatch.setattr(SMat, "__init__", checked)
+    # (2, 2) keeps the count above the floor now that the kernels build
+    # fewer intermediate matrices
     assert specht_creation_check((2, 1)).passed
+    assert specht_creation_check((2, 2)).passed
     assert specht_annihilation_check((2, 1)).passed
     assert sigma_idempotence_check(specht_module([2, 1])).passed
     assert sigma_vanishing_check(specht_module([2, 1])).passed

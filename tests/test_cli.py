@@ -445,11 +445,23 @@ class TestDeterminismAndCache:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr("bosonfermion.cli.ProcessPoolExecutor",
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                             SerialPool)
         code, _, _ = run(capsys, "cat", "specht", "2,1", "--jobs", "8")
         assert code == EXIT_OK
         assert sizes == [2]
+
+    def test_import_loads_no_worker_pool(self):
+        # only --jobs > 1 with several tasks needs the process pool stack
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = ("import sys, bosonfermion.cli\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in\n"
+                "             ('multiprocessing', 'concurrent')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
 
     def test_env_json_switch(self, capsys, monkeypatch):
         monkeypatch.setenv("BOSONFERMION_JSON", "1")

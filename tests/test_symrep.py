@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -177,6 +178,15 @@ class TestPermutations:
                 assert word[-1] == next(
                     i for i in range(1, len(p)) if p[i - 1] > p[i])
             assert m.act_perm(p) == word_route_act_perm(m, p), p
+
+    @pytest.mark.parametrize("p", [(1, 1, 3), (0, 1, 2), (2, 2, 1)])
+    def test_act_perm_refuses_tuples_that_are_not_permutations(self, p):
+        # the descent walk would read (1, 1, 3) and (0, 1, 2) as the
+        # identity and (2, 2, 1) as a product of generators
+        m = specht_module([2, 1])
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))} is not"):
+            m.act_perm(p)
+        assert p not in m._perm_cache
 
 
 class TestYoungIdempotents:
