@@ -42,7 +42,6 @@ from .symrep import (
     GroupAlgebraElement,
     added_letters_embedding,
     adjacent_transposition,
-    counit_pq,
     counit_qp,
     identity_perm,
     induce,
@@ -154,12 +153,6 @@ def move_cap_qp(word, i):
 def move_cup_qp(word, i):
     """Cup creating a (P,Q) pair at position i."""
     return _move(word, i, 0, "PQ", unit_qp(word.stage(i)))
-
-
-def move_cap_pq(word, i):
-    """Cap an adjacent (Q,P) pair: the action map (k, v) -> r_k v."""
-    _expect(word, i, "QP", "move_cap_pq")
-    return _move(word, i, 2, "", counit_pq(word.stage(i)))
 
 
 def slide_p_right(word):

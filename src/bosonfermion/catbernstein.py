@@ -6,9 +6,9 @@ row cable over a height-``x`` antisymmetrized column cable, and the
 differential contracts one strand pair across the cable boundary with an
 adjunction cap.  Annihilation mirrors this with transposed cables and cup
 differentials.  Each chain group is built on the (S, u) basis of
-``symrep.induce`` over the cut of its Q cable, with the caps, cups and
-lifted maps in closed form; only the evaluation map of the mixed relation
-suite rebuilds the plain word.  Applying an operator to an existing
+``symrep.induce`` over the cut of its Q cable, with the caps, cups,
+lifted maps and the evaluation map of the mixed relation suite in closed
+form; no plain word is built.  Applying an operator to an existing
 complex produces a bicomplex whose totalization (alternating twist on the
 pre-existing differential) is the composite; iterated composites
 categorify products of the corresponding symmetric-function operators,
@@ -32,15 +32,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import comb, lcm
+from math import comb, factorial, lcm
 
-from .branching import (
-    PlainWord,
-    _lift_matrix,
-    move_cap_pq,
-    move_cap_qp,
-    word_module,
-)
+# _lift_matrix is bound here only because perfbench/test_perfbench.py
+# checks that the harness rebinds it in this module
+from .branching import _lift_matrix, word_module  # noqa: F401
 from .errors import ChainComplexError
 from .fock import BosonState
 from .homalg import (
@@ -108,8 +104,8 @@ def _differential(op, cs, ct):
 
 # one Bernstein chain group on the (S, u) basis of ``symrep.induce``: ``sub``
 # is induced from the cut (U, q_iota, q_pi) of the Q cable out of ``base``;
-# ``atoms`` name its decorated word, which only the evaluation map rebuilds
-BernsteinCell = namedtuple("BernsteinCell", "label sub q_iota q_pi atoms base")
+# differentials, lifts and the evaluation map read only these
+BernsteinCell = namedtuple("BernsteinCell", "label sub q_iota q_pi base")
 
 
 class _BernsteinOp:
@@ -143,15 +139,15 @@ class _BernsteinOp:
         n, a = m.degree, self.a
         out = {}
         for x in range(max(0, -a), (n - a if self.star else n) + 1):
-            row = (x + a,) if x + a else ()
-            q, p = (row, (1,) * x) if self.star else ((1,) * x, row)
+            # the Q cable: a row of x + a letters, or a column of x
+            q = ((x + a,) if x + a else ()) if self.star else (1,) * x
             u, q_iota, q_pi, _ = word_module([("Q", q)], m)
             if not u.dim:
                 continue
             sub = (induce(u, x, [-SMat.identity(u.dim)] * (x - 1))
                    if self.star else induce(u, x + a))
             out[-x if self.star else x] = BernsteinCell(
-                x, sub, q_iota, q_pi, [("Q", q), ("P", p)], m)
+                x, sub, q_iota, q_pi, m)
         return out
 
     def block(self, cs, ct):
@@ -545,14 +541,15 @@ def _counit_chain_map(a, m):
     """Evaluation map  (creation at a+1)(annihilation at a+1)(M) -> [M].
 
     Total degree 0 of the composite is a sum of cells carrying the word
-    Q^(a+1+x) P^x Q^(1^x) P^(x+a+1) over M; flattening each cell into
-    that plain word and contracting all strand pairs with nested caps
-    (the inner P block against the outer Q block first, then the outer
-    pairs) gives one block of the evaluation.  Block x carries the sign
-    (−1)^(x(x−1)/2).  d_1 sends the degree-1 cell with x outer pairs to
-    blocks x − 1 (outer cap) and x (inner cup) only, so f0 @ d_1 = 0 fixes
-    each block's sign relative to the one before; it is (−1)^(x−1), and the
-    product over 1..x is the sign of the permutation reversing x letters.
+    Q^(a+1+x) P^x Q^(1^x) P^(x+a+1) over M; contracting all strand pairs
+    with nested caps (the inner P block against the outer Q block first,
+    then the outer pairs) gives one block of the evaluation, which
+    ``_pair_evaluation`` writes in closed form on the cells.  Block x
+    carries the sign (−1)^(x(x−1)/2).  d_1 sends the degree-1 cell with x
+    outer pairs to blocks x − 1 (outer cap) and x (inner cup) only, so
+    f0 @ d_1 = 0 fixes each block's sign relative to the one before; it is
+    (−1)^(x−1), and the product over 1..x is the sign of the permutation
+    reversing x letters.
     On the antisymmetrized inner column that reversal acts by this very
     sign, so a signed block closes the column's letters in the opposite
     order.  The signed blocks side by side are the chain map;
@@ -592,29 +589,34 @@ def _counit_chain_map(a, m):
 
 
 def _pair_evaluation(outer_cell, inner_cell, a):
-    """One block of the evaluation map: rebuild both cells' decorated words
-    on their plain words, flatten and contract all strands, with the sign
-    (−1)^(x(x−1)/2) of reversing the x column letters."""
-    m = inner_cell.base
-    x = outer_cell.label
-    y2 = x + a + 1
-    _, inner_iota, _, inner_word = word_module(inner_cell.atoms, m)
-    _, outer_iota, _, outer_word = word_module(outer_cell.atoms,
-                                               outer_cell.base)
-    word = PlainWord(m, inner_word.letters + outer_word.letters)
-    mat = _lift_matrix(inner_iota, outer_cell.base.degree,
-                       outer_word.letters) @ outer_iota
-    for c in range(x):
-        word, g = move_cap_qp(word, y2 + x - c - 1)
-        mat = g @ mat
-    for c in range(y2):
-        word, g = move_cap_pq(word, y2 - c - 1)
-        mat = g @ mat
-    if word.letters or mat.nrows != m.dim:
+    """One block of the evaluation map, on the (S, u) bases of both cells.
+
+    With x the outer label, a' = a + 1, ι' the outer Q cut (V → N, N the
+    inner cell's module) and ι the inner one (U → M): capping the x column
+    strands keeps N's last block (the identity coset of its top x letters),
+    where the map is ι; capping the x + a' row strands sends block T through
+    b_T (the values outside T, then T), once for each of the (x + a')!
+    orbit-table rows of the row, as U is trivial on those letters.  So the
+    block is (−1)^(x(x−1)/2) (x + a')! [ρ_M(b_T) ι ι'_N]_T, ι'_N the last
+    dim U rows of ι', the sign reversing the x column letters (see
+    ``_counit_chain_map``).  ChainComplexError unless the cells pair: one
+    label, and both change the degree by a'."""
+    m, x, charge = inner_cell.base, outer_cell.label, a + 1
+    up = outer_cell.sub.degree - outer_cell.base.degree
+    down = m.degree - inner_cell.sub.degree
+    if inner_cell.label != x or (up, down) != (charge, charge):
         raise ChainComplexError(
-            f"contracting cell {x} over cell {inner_cell.label} leaves the "
-            f"word {word.letters!r}, not the base")
-    return mat.scale((-1) ** (x * (x - 1) // 2))
+            f"creation cell {x} (degree change {up}) does not pair with "
+            f"annihilation cell {inner_cell.label} (degree change {down}) "
+            f"at charge {charge}")
+    iota, inner_iota = outer_cell.q_iota, inner_cell.q_iota
+    w = inner_iota @ iota.submatrix(
+        range(iota.nrows - inner_iota.ncols, iota.nrows), range(iota.ncols))
+    letters = range(1, m.degree + 1)
+    blocks = [m.act_perm(tuple(v for v in letters if v not in t) + t) @ w
+              for t in combinations(letters, x + charge)]
+    return SMat.hstack(blocks).scale(
+        (-1) ** (x * (x - 1) // 2) * factorial(x + charge))
 
 
 def relation_suite_bbstar(a, b, m):

@@ -531,15 +531,6 @@ def subset_move(m, k, cup):
     return SMat(len(out), len(cols) * d, out, common * (size if cup else 1))
 
 
-def counit_pq(m):
-    """induce(restrict(M)) -> M, the action map: block k maps by r_k (the
-    cap from the 1-subsets).  At degree 0 the source is the zero module
-    (nothing to restrict)."""
-    if m.degree == 0:
-        return ModuleMap(zero_module(0), m, SMat.zeros(m.dim, 0))
-    return ModuleMap(induce(restrict(m)), m, subset_move(m, 1, cup=False))
-
-
 def unit_qp(m):
     """M -> restrict(induce(M)): into the identity-representative block."""
     tgt = restrict(induce(m))

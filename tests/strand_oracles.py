@@ -5,10 +5,10 @@ them, kept here as references for the tests.
 The package builds its chain groups on the (S, v) layout of
 ``symrep.induce`` and needs none of these: the strand crossing on
 induce²(M), both twist curls, the Jucys-Murphy map, the induction and
-restriction functors on maps, the unit of the pq adjunction and the cup
-move it whiskers, and the shift and direct sum of complexes.  The tests
-still use them to state the identities of the strand calculus and the gates
-of the complex constructors.  ``grid_induce``, ``grid_subset_move`` and
+restriction functors on maps, both maps of the pq adjunction and the cap
+and cup moves they whisker, and the shift and direct sum of complexes.  The
+tests still use them to state the identities of the strand calculus and the
+gates of the complex constructors.  ``grid_induce``, ``grid_subset_move`` and
 ``product_frobenius_char`` are the routes ``symrep.induce``,
 ``symrep.subset_move`` and ``symrep.frobenius_char`` replaced: a grid of
 blocks for ``SMat.block`` and the trace of each class representative's
@@ -19,7 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import factorial
 
-from bosonfermion.branching import _move
+from bosonfermion.branching import _expect, _move
 from bosonfermion.errors import CharacterError
 from bosonfermion.homalg import Complex, module_direct_sum
 from bosonfermion.linalg import SMat
@@ -34,7 +34,6 @@ from bosonfermion.symrep import (
     ModuleMap,
     RepModule,
     adjacent_transposition,
-    counit_pq,
     counit_qp,
     induce,
     perm_inverse,
@@ -149,6 +148,21 @@ def unit_pq(m):
     if m.degree == 0:
         return ModuleMap(m, zero_module(0), SMat.zeros(0, m.dim))
     return ModuleMap(m, induce(restrict(m)), subset_move(m, 0, cup=True))
+
+
+def counit_pq(m):
+    """induce(restrict(M)) -> M, the action map: block k maps by r_k (the
+    cap from the 1-subsets).  At degree 0 the source is the zero module
+    (nothing to restrict)."""
+    if m.degree == 0:
+        return ModuleMap(zero_module(0), m, SMat.zeros(m.dim, 0))
+    return ModuleMap(induce(restrict(m)), m, subset_move(m, 1, cup=False))
+
+
+def move_cap_pq(word, i):
+    """Cap an adjacent (Q,P) pair: the action map (k, v) -> r_k v."""
+    _expect(word, i, "QP", "move_cap_pq")
+    return _move(word, i, 2, "", counit_pq(word.stage(i)))
 
 
 def move_cup_pq(word, i):

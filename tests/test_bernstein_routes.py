@@ -9,7 +9,9 @@ forms build the same cells on the (S, u) basis of ``symrep.induce`` over
 the Q cut, and never build the plain word.  Generators, differentials and
 lifts must equal the word route's exactly, over every module of degree at
 most 5 and every charge in -2..3; a cell the word route cuts to zero must
-be the one the closed form leaves out.
+be the one the closed form leaves out.  So must every block of the
+evaluation map of the mixed relation suite, which the word route got by
+flattening both cells into one plain word and capping every strand pair.
 """
 
 from collections import namedtuple
@@ -17,19 +19,22 @@ from collections import namedtuple
 import pytest
 
 from bosonfermion.branching import (
+    PlainWord,
     _lift_matrix,
-    move_cap_pq,
+    move_cap_qp,
     word_module,
 )
 from bosonfermion.catbernstein import (
     _BernsteinOp,
     _apply_operator,
     _functor_on_map,
+    _operator_complex,
+    _pair_evaluation,
 )
 from bosonfermion.homalg import single_module_complex
 from bosonfermion.partition_core import enumerate_partitions, format_partition
 from bosonfermion.symrep import regular_module, specht_module, trivial_module
-from strand_oracles import move_cup_pq
+from strand_oracles import move_cap_pq, move_cup_pq
 
 CHARGES = range(-2, 4)
 
@@ -49,14 +54,18 @@ MODULES.update({f"S:{format_partition(lam)}":
 WordCell = namedtuple("WordCell", "label sub iota pi word")
 
 
-def word_cell(op, m, key):
-    """The cell of ``op`` on ``m`` at ``key`` (x, or -x for annihilation)
-    cut out of its plain word Q^(1^x) P^(x+a), or Q^(x+a) P^(1^x)."""
+def word_atoms(op, key):
+    """The decorated word Q^(1^x) P^(x+a), or Q^(x+a) P^(1^x), of the cell
+    of ``op`` at ``key`` (x, or -x for annihilation)."""
     x, a = abs(key), op.a
     row = (x + a,) if x + a else ()
-    atoms = ([("Q", row), ("P", (1,) * x)] if op.star
-             else [("Q", (1,) * x), ("P", row)])
-    return WordCell(x, *word_module(atoms, m))
+    return ([("Q", row), ("P", (1,) * x)] if op.star
+            else [("Q", (1,) * x), ("P", row)])
+
+
+def word_cell(op, m, key):
+    """The cell of ``op`` on ``m`` at ``key`` cut out of its plain word."""
+    return WordCell(abs(key), *word_module(word_atoms(op, key), m))
 
 
 def word_cells(op, m):
@@ -81,6 +90,30 @@ def word_block(op, cs, ct):
 def word_lift(cs, ct, f, degree):
     """A map of base modules whiskered through the source's plain word."""
     return ct.pi @ _lift_matrix(f, degree, cs.word.letters) @ cs.iota
+
+
+def word_pair_evaluation(outer_cell, inner_cell, a):
+    """One block of the evaluation map: rebuild both cells' decorated words
+    on their plain words, flatten and contract all strands, with the sign
+    (−1)^(x(x−1)/2) of reversing the x column letters."""
+    m = inner_cell.base
+    x = outer_cell.label
+    y2 = x + a + 1
+    inner_atoms = word_atoms(_BernsteinOp(a + 1, star=True), -x)
+    outer_atoms = word_atoms(_BernsteinOp(a + 1), x)
+    _, inner_iota, _, inner_word = word_module(inner_atoms, m)
+    _, outer_iota, _, outer_word = word_module(outer_atoms, outer_cell.base)
+    word = PlainWord(m, inner_word.letters + outer_word.letters)
+    mat = _lift_matrix(inner_iota, outer_cell.base.degree,
+                       outer_word.letters) @ outer_iota
+    for c in range(x):
+        word, g = move_cap_qp(word, y2 + x - c - 1)
+        mat = g @ mat
+    for c in range(y2):
+        word, g = move_cap_pq(word, y2 - c - 1)
+        mat = g @ mat
+    assert not word.letters and mat.nrows == m.dim, word.letters
+    return mat.scale((-1) ** (x * (x - 1) // 2))
 
 
 # -- closed forms against it --------------------------------------------------
@@ -142,4 +175,26 @@ def test_lifts_match_the_whiskered_map(key):
     for op, cs, ct, f, ws, wt, degree in _lifted_pairs(MODULES[key]()):
         assert _functor_on_map(op, cs, ct, f) == word_lift(ws, wt, f, degree)
         compared += 1
+    assert compared
+
+
+def _evaluation_pairs(m, a):
+    """(outer cell, inner cell) of every degree-0 block of the evaluation
+    map  (creation at a+1)(annihilation at a+1)(M) -> [M]."""
+    inner_cx, inner_cells = _operator_complex(_BernsteinOp(a + 1, True), m)
+    _, columns = _apply_operator(_BernsteinOp(a + 1), inner_cx)
+    for y, cells in sorted(columns.items()):
+        if -y in cells:
+            yield cells[-y], inner_cells[y]
+
+
+@pytest.mark.parametrize("key", sorted(MODULES))
+def test_evaluation_blocks_match_the_word_route(key):
+    m = MODULES[key]()
+    compared = 0
+    for a in CHARGES:
+        for outer, inner in _evaluation_pairs(m, a):
+            assert (_pair_evaluation(outer, inner, a)
+                    == word_pair_evaluation(outer, inner, a)), (a, outer.label)
+            compared += 1
     assert compared

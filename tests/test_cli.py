@@ -382,6 +382,14 @@ class TestDeterminismAndCache:
         # its largest cell on the (S, u) basis 252
         (("cat", "specht", "5,5", "--max-degree", "10", "--json"),
          "4d2cebd20f28e3a325ec944fe7c65d20b7639c0f6db17ff568de0d68667735a4"),
+        # equal-charge mixed relations, hashed on the plain-word evaluation
+        # route the closed form replaced
+        (("cat", "bbstar", "--a", "1", "--b", "1", "--module", "S:3,2",
+          "--json"),
+         "4e838a9cfb1b1c42c5a83788015a32ea059a76dcdf157496f31f47672b5f1444"),
+        (("cat", "bbstar", "--a", "3", "--b", "3", "--module", "S:2,2,1",
+          "--max-degree", "8", "--json"),
+         "55c3c4743ebdb471477141d570ed4ceb6b1c2bb11edb5eb9a16adb7544d49f45"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         clear_env(monkeypatch)

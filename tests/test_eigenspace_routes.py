@@ -33,7 +33,6 @@ from bosonfermion.branching import (
     _p_box,
     _q_box,
     _strand_route,
-    move_cap_pq,
     word_module,
 )
 from bosonfermion.catbernstein import (
@@ -73,7 +72,7 @@ from bosonfermion.symrep import (
     trivial_module,
     young_idempotent,
 )
-from strand_oracles import move_cup_pq
+from strand_oracles import move_cap_pq, move_cup_pq
 
 MODULES = {
     "trivial:0": lambda: trivial_module(0),
@@ -693,33 +692,27 @@ def test_two_cable_words_run_no_elimination_as_wide_as_the_word(
 def test_creation_words_whisker_no_p_cable(monkeypatch):
     # a row or column P cable composes as a Kronecker product of its orbit
     # table, so word_module makes no block-diagonal copy of the inclusion
-    # or the projection so far; the evaluation map of the mixed relation
-    # suite cuts the creation and annihilation words with their P cables
-    active, calls, copies = [], [], []
-    real_word_module, real_block_diag = word_module, SMat.block_diag
-
-    def recording_word_module(atoms, base):
-        active.append(atoms)
-        calls.append(atoms)
-        try:
-            return real_word_module(atoms, base)
-        finally:
-            active.pop()
+    # or the projection so far, on the creation and annihilation words
+    # Q^(1^x) P^(x+a) and Q^(x+a) P^(1^x) that the word route of the
+    # evaluation map cut (tests/test_bernstein_routes.py keeps it)
+    copies, real_block_diag = [], SMat.block_diag
 
     def recording_block_diag(mats):
-        if active:
-            copies.append((active[-1], len(mats)))
+        copies.append(len(mats))
         return real_block_diag(mats)
 
-    monkeypatch.setattr(catbernstein, "word_module", recording_word_module)
     monkeypatch.setattr(SMat, "block_diag",
                         staticmethod(recording_block_diag))
+    p_columns = 0  # nonzero cuts whose P cable is a column of 2+ letters
     for key in ("trivial:1", "trivial:2", "S:2", "S:2,1", "S:3,1"):
-        for a in range(3):
-            rep = catbernstein.relation_suite_bbstar(a, a, MODULES[key]())
-            assert rep.passed, (key, a)
-    assert any(side == "P" and len(lam) > 1 for atoms in calls
-               for side, lam in atoms)
+        m = MODULES[key]()
+        for a in range(1, 4):
+            for x in range(m.degree + 1):
+                row, column = (x + a,), (1,) * x
+                for q, p in ((column, row), (row, column)):
+                    sub = word_module([("Q", q), ("P", p)], m)[0]
+                    p_columns += bool(sub.dim) and len(p) > 1
+    assert p_columns
     assert not copies, copies[:3]
 
 

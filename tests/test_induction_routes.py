@@ -21,7 +21,6 @@ from bosonfermion.symfunc import multiply, schur
 from bosonfermion.symrep import (
     ModuleMap,
     coset_rep,
-    counit_pq,
     frobenius_char,
     induce,
     p_lambda,
@@ -87,7 +86,7 @@ def test_induce_equals_the_coset_block_route(spec):
 @pytest.mark.parametrize("spec", [s for s in POOL if s != "trivial:0"])
 def test_pq_adjunction_maps_equal_the_stacked_route(spec):
     m = parse_module_spec(spec)
-    assert counit_pq(m).matrix == stacked_counit_pq(m)
+    assert subset_move(m, 1, cup=False) == stacked_counit_pq(m)
     assert unit_pq(m).matrix == stacked_unit_pq(m)
 
 

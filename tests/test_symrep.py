@@ -45,7 +45,6 @@ from bosonfermion.symrep import (
     added_letters_embedding,
     adjacent_transposition,
     coset_rep,
-    counit_pq,
     counit_qp,
     frobenius_char,
     identity_perm,
@@ -68,6 +67,7 @@ from bosonfermion.symrep import (
     zero_module,
 )
 from strand_oracles import (
+    counit_pq,
     crossing,
     identity_map,
     induce_map,
@@ -642,20 +642,24 @@ class TestWordModules:
     def test_move_letter_gate_survives_optimized_python(self, move, pair,
                                                         letters, i, found):
         # python -O strips assert statements; a move must still refuse a
-        # position that does not hold its pair of letters
+        # position that does not hold its pair of letters (the pq cap is a
+        # test oracle now, with the same gate)
+        owner = "strand_oracles" if move == "move_cap_pq" else "branching"
         code = (
+            "import strand_oracles\n"
             "from bosonfermion import branching\n"
             "from bosonfermion.symrep import trivial_module\n"
             f"word = branching.PlainWord(trivial_module(2), {letters!r})\n"
             "try:\n"
-            f"    branching.{move}(word, {i})\n"
+            f"    {owner}.{move}(word, {i})\n"
             "except ValueError as exc:\n"
             "    print(exc)\n"
             "else:\n"
             "    print('accepted')\n")
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [SRC, env.get("PYTHONPATH")]))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            SRC, str(Path(__file__).resolve().parent),
+            env.get("PYTHONPATH")]))
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.splitlines() == [
