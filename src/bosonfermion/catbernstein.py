@@ -255,8 +255,12 @@ def _sigma_cell(m, k):
     S_{n-k} x S_k of m restricted to it, with the top k letters twisted by
     the sign (S_k acts by m's top k-1 generators, negated)."""
     n = m.degree
-    low = RepModule(n - k, m.dim, m.gens[:max(0, n - k - 1)])
-    return SigmaCell(k, induce(low, k, [-g for g in m.gens[n - k:]]), m)
+
+    def gens():
+        low = RepModule(n - k, m.dim, m.gens[:max(0, n - k - 1)])
+        return induce(low, k, [-g for g in m.gens[n - k:]]).gens
+
+    return SigmaCell(k, RepModule(n, m.dim * comb(n, k), gens), m)
 
 
 def sigma_cell_dims(m):

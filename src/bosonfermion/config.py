@@ -14,8 +14,8 @@ Environment variables::
     BOSONFERMION_JSON           1/true/yes       emit JSON instead of text
     BOSONFERMION_JOBS           positive int     parallel worker count
 
-Windows may be empty (``lo > hi`` runs no instances); both ends must be
-finite integers.
+A window needs integer ends with ``lo <= hi``; a reversed window would
+check nothing, so it is refused.
 """
 
 from __future__ import annotations
@@ -77,10 +77,13 @@ class RunConfig:
             raise ValueError("max_degree must be positive")
         if self.jobs <= 0:
             raise ValueError("jobs must be positive")
-        for w in (self.charge_window, self.index_window):
+        for name, w in (("charge", self.charge_window),
+                        ("index", self.index_window)):
             lo, hi = w
             if not (isinstance(lo, int) and isinstance(hi, int)):
                 raise ValueError(f"window bounds must be integers, got {w!r}")
+            if lo > hi:
+                raise ValueError(f"{name} window {lo}:{hi} is reversed")
 
     def to_json_obj(self):
         """The parameters that determine the run's mathematical content.

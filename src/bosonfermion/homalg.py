@@ -32,11 +32,11 @@ from .symrep import RepModule, frobenius_char, zero_module
 
 
 def module_direct_sum(mods, group_degree):
-    """Block-diagonal direct sum of modules of one group degree."""
+    """Block-diagonal direct sum; its generators are built on first read."""
     mods = list(mods)
-    gens = [SMat.block_diag([m.gens[i] for m in mods])
-            for i in range(max(0, group_degree - 1))]
-    return RepModule(group_degree, sum(m.dim for m in mods), gens)
+    return RepModule(group_degree, sum(m.dim for m in mods), lambda: [
+        SMat.block_diag([m.gens[i] for m in mods])
+        for i in range(max(0, group_degree - 1))])
 
 
 class Complex:

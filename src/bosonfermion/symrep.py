@@ -29,7 +29,7 @@ from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from .errors import (
     CharacterError,
@@ -234,22 +234,33 @@ def _young_idempotent(lam):
 
 
 class RepModule:
-    """An exact matrix representation of S_degree on a dim-dimensional space."""
+    """An exact matrix representation of S_degree on a dim-dimensional space.
+    ``gens`` are checked when given, or built and checked on first read."""
 
-    __slots__ = ("degree", "dim", "gens", "_perm_cache")
+    __slots__ = ("degree", "dim", "_gens", "_perm_cache")
 
     def __init__(self, degree, dim, gens):
         self.degree = int(degree)
         self.dim = int(dim)
-        self.gens = list(gens)
         self._perm_cache = {}
-        if len(self.gens) != max(0, self.degree - 1):
+        self._gens = gens if callable(gens) else self._checked(gens)
+
+    @property
+    def gens(self):
+        if callable(self._gens):
+            self._gens = self._checked(self._gens())
+        return self._gens
+
+    def _checked(self, gens):
+        gens = list(gens)
+        if len(gens) != max(0, self.degree - 1):
             raise RepresentationError(
                 f"{self!r} needs {max(0, self.degree - 1)} generators, "
-                f"got {len(self.gens)}")
-        for i, g in enumerate(self.gens, start=1):
+                f"got {len(gens)}")
+        for i, g in enumerate(gens, start=1):
             if g.nrows != self.dim or g.ncols != self.dim:
                 raise ValueError(f"{self!r}: s_{i} is {g!r}")
+        return gens
 
     def validate(self):
         """Coxeter relations; RepresentationError names the failing s_i."""
@@ -447,7 +458,7 @@ def induce(m, k=1, high=None):
     """Induction along S_n x S_k -> S_{n+k} of m ⊠ H (n = deg m).  H is
     trivial, or, when ``high`` is given, S_k acts on m's own space by the
     matrices ``high`` for its adjacent transpositions (they must commute
-    with m's generators).
+    with m's generators).  Generators are built on the first read of ``gens``.
 
     The basis is (S, v), block S at rows/cols p*dim .. (p+1)*dim - 1 for
     the position p of S: S runs over the k-subsets of {1..n+k} in
@@ -459,30 +470,32 @@ def induce(m, k=1, high=None):
     coset representative r_j, so the blocks run r_1, ..., r_n, r_{n+1} =
     identity."""
     n, d = m.degree, m.dim
-    # S as a bit mask: bit x is set when x lies in S
-    masks = [sum(s) for s in combinations(
-        [1 << x for x in range(1, n + k + 1)], k)]
-    index = {mask: p for p, mask in enumerate(masks)}
-    eye = SMat.identity(d)
-    low = [None] + m.gens
-    top = [eye] * k if high is None else high
-    gens = []
-    for i in range(1, n + k):
-        pair, lower = 3 << i, (1 << i) - 1
-        bands = []  # (column offset, block) of each block row
-        for p, mask in enumerate(masks):
-            both = mask & pair
-            if both == pair:
-                bands.append((p * d, top[(mask & lower).bit_count()]))
-            elif both:
-                bands.append((index[mask ^ pair] * d, eye))
-            else:
-                bands.append((p * d, low[i - (mask & lower).bit_count()]))
-        den = lcm(*(blk.den for _, blk in bands))
-        gens.append(SMat(d * len(masks), d * len(masks), [
-            _shifted(r, coff, den // blk.den)
-            for coff, blk in bands for r in blk.rows], den))
-    return RepModule(n + k, d * len(masks), gens)
+
+    def gens():
+        # S as a bit mask: bit x is set when x lies in S
+        masks = [sum(s) for s in combinations(
+            [1 << x for x in range(1, n + k + 1)], k)]
+        index = {mask: p for p, mask in enumerate(masks)}
+        eye = SMat.identity(d)
+        low = [None] + m.gens
+        top = [eye] * k if high is None else high
+        for i in range(1, n + k):
+            pair, lower = 3 << i, (1 << i) - 1
+            bands = []  # (column offset, block) of each block row
+            for p, mask in enumerate(masks):
+                both = mask & pair
+                if both == pair:
+                    bands.append((p * d, top[(mask & lower).bit_count()]))
+                elif both:
+                    bands.append((index[mask ^ pair] * d, eye))
+                else:
+                    bands.append((p * d, low[i - (mask & lower).bit_count()]))
+            den = lcm(*(blk.den for _, blk in bands))
+            yield SMat(d * len(masks), d * len(masks), [
+                _shifted(r, coff, den // blk.den)
+                for coff, blk in bands for r in blk.rows], den)
+
+    return RepModule(n + k, d * comb(n + k, k), gens)
 
 
 def restrict(m):

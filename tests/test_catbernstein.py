@@ -467,6 +467,13 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     assert specht_annihilation_check((2, 1)).passed
     assert sigma_idempotence_check(specht_module([2, 1])).passed
     assert sigma_vanishing_check(specht_module([2, 1])).passed
+    # the checks above only rank most projector chain groups, so their
+    # generators are never built; validate() reads every chain group's
+    # generators, which puts those matrices under the check too
+    minus = sigma_complex(-1, specht_module([2, 1]))
+    for cx in (minus, apply_sigma(-1, minus),
+               sigma_complex(1, specht_module([2, 1]))):
+        cx.validate()
     assert not bad
     assert seen[0] > 500 and seen[1] > 100, seen
 

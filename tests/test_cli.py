@@ -147,16 +147,33 @@ class TestCliffordCommand:
                          "--charge-window", "1", "--index-window", "2")
         assert code == EXIT_CHECK_FAILED
 
-    def test_empty_window_gives_empty_report(self, capsys):
+    def test_reversed_window_is_refused(self, capsys, monkeypatch):
+        # a reversed window would run no instance and pass vacuously
+        clear_env(monkeypatch)
+        for flags, named in (
+                (("--charge-window=1:-1",), "charge window 1:-1"),
+                (("--charge-window", "2:1"), "charge window 2:1"),
+                (("--index-window", "3:-3"), "index window 3:-3")):
+            code, out, err = run(capsys, "clifford", "--max-degree", "2",
+                                 *flags, "--json")
+            assert code == EXIT_PARSE_ERROR, flags
+            assert not out and named in err, (flags, err)
+        monkeypatch.setenv("BOSONFERMION_CHARGE_WINDOW", "3:1")
+        code, out, err = run(capsys, "clifford", "--max-degree", "2")
+        assert code == EXIT_PARSE_ERROR
+        assert not out and "charge window 3:1" in err
+        with pytest.raises(ValueError, match="index window 1:0"):
+            RunConfig("cat", index_window=(1, 0))
+
+    def test_single_point_window_passes(self, capsys, monkeypatch):
+        clear_env(monkeypatch)
         code, out, _ = run(capsys, "clifford", "--max-degree", "2",
-                           "--charge-window=1:-1", "--index-window", "2",
+                           "--charge-window", "0:0", "--index-window", "0:0",
                            "--json")
         assert code == EXIT_OK
-        doc = json.loads(out)
-        for rep in doc["reports"]:
-            for check in rep["checks"]:
-                assert check["details"].get("checked", 0) == 0 or \
-                    check["details"].get("vectors", 0) == 0
+        details = [check["details"] for rep in json.loads(out)["reports"]
+                   for check in rep["checks"]]
+        assert details[0]["checked"] > 0 and details[1]["vectors"] > 0
 
 
 class TestCatCommand:

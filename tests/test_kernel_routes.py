@@ -6,19 +6,26 @@ trace off the product it never forms.  ``strand_oracles`` keeps the block
 grids for ``SMat.block`` and the full-product traces; results must be
 equal exactly, and a module that is not a representation must still be
 refused with the same message.  The guards at the end count the work a
-creation check does.
+creation check does, and the generator builds a ranked complex does not.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from bosonfermion import branching, catbernstein
 from bosonfermion.catbernstein import (
+    apply_sigma,
     bernstein_complex,
     bernstein_star_complex,
     sigma_complex,
     specht_creation_check,
 )
-from bosonfermion.errors import CharacterError
+from bosonfermion.errors import CharacterError, RepresentationError
+from bosonfermion.homalg import module_direct_sum
 from bosonfermion.linalg import SMat
 from bosonfermion.partition_core import enumerate_partitions
 from bosonfermion.symrep import (
@@ -38,6 +45,8 @@ from strand_oracles import (
     product_frobenius_char,
 )
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
 MODULES = {
     **{f"trivial:{n}": (trivial_module, n) for n in range(5)},
     **{f"sign:{n}": (sign_module, n) for n in range(2, 5)},
@@ -52,15 +61,56 @@ def build(key):
     return make(arg)
 
 
+def count_generator_builds(monkeypatch):
+    """The modules of positive dimension whose generator list is made from
+    now on: a list passed to ``RepModule`` counts at construction, a
+    builder when it runs."""
+    builds, init = [], RepModule.__init__
+
+    def counted(self, degree, dim, gens):
+        if not callable(gens):
+            if dim:
+                builds.append(self)
+            return init(self, degree, dim, gens)
+
+        def build():
+            builds.append(self)
+            return gens()
+        return init(self, degree, dim, build)
+
+    monkeypatch.setattr(RepModule, "__init__", counted)
+    return builds
+
+
 @pytest.mark.parametrize("key", MODULES)
-def test_induce_equals_the_block_grid(key):
+def test_induce_equals_the_block_grid(key, monkeypatch):
+    # the generators are built on their first read, and only then
     m = build(key)
+    builds = count_generator_builds(monkeypatch)
     for k in range(4):
         sign = [-SMat.identity(m.dim)] * (k - 1) if k else []
         for high in (None, sign):
-            fast, slow = induce(m, k, high), grid_induce(m, k, high)
+            fast = induce(m, k, high)
+            assert not builds, (k, high is None)
+            slow = grid_induce(m, k, high)
             assert (fast.degree, fast.dim) == (slow.degree, slow.dim)
+            builds.clear()
             assert fast.gens == slow.gens, (k, high is None)
+            assert builds == [fast] and fast.gens is fast.gens
+            builds.clear()
+
+
+@pytest.mark.parametrize("key", MODULES)
+def test_direct_sum_is_built_on_first_read_as_block_diag(key, monkeypatch):
+    m, point = build(key), trivial_module(0)
+    builds = count_generator_builds(monkeypatch)
+    parts = [m, induce(point, m.degree), m]
+    total = module_direct_sum(parts, m.degree)
+    assert not builds and total.dim == sum(p.dim for p in parts)
+    assert total.gens == [SMat.block_diag([p.gens[i] for p in parts])
+                          for i in range(max(0, m.degree - 1))]
+    # the sum's builder reads the lazy summand's generators, if it has any
+    assert builds == [total, parts[1]][:1 + (m.degree > 1)]
 
 
 @pytest.mark.parametrize("key", MODULES)
@@ -131,7 +181,62 @@ def test_induce_and_subset_move_assemble_no_block_grid(monkeypatch):
 
     monkeypatch.setattr(SMat, "block", staticmethod(refuse))
     m = specht_module((2, 1))
-    induce(m, 2)
-    induce(m, 2, [-SMat.identity(m.dim)])
+    induce(m, 2).gens
+    induce(m, 2, [-SMat.identity(m.dim)]).gens
     subset_move(m, 2, cup=False)
     subset_move(m, 1, cup=True)
+
+
+@pytest.mark.parametrize("key", ["S:2,1", "trivial:3", "reg:3"])
+def test_ranked_projector_complexes_build_no_generators(key, monkeypatch):
+    # betti() reads the differentials only; the caps and cups act through
+    # the input's generators, which exist before the count starts
+    m = build(key)
+    builds = count_generator_builds(monkeypatch)
+    minus = sigma_complex(-1, m)
+    once, plus = minus.betti(), sigma_complex(1, m).betti()
+    assert {-k: v for k, v in plus.items()} == once
+    assert not builds
+    # as in the idempotence check, the input's chain groups are read
+    # (for its Euler characteristic) before the projector is applied again
+    for group in minus.modules.values():
+        group.gens
+    builds.clear()
+    assert apply_sigma(-1, minus).betti() == once
+    assert not builds
+
+
+def test_a_wrong_builder_is_refused_on_first_read_under_optimized_python():
+    # python -O strips assert statements; the count and shape gate must
+    # still run on a built list
+    code = (
+        "from bosonfermion.errors import RepresentationError\n"
+        "from bosonfermion.linalg import SMat\n"
+        "from bosonfermion.symrep import RepModule\n"
+        "for gens in ([SMat.identity(1)],\n"
+        "             [SMat.identity(1), SMat.identity(2)]):\n"
+        "    m = RepModule(3, 1, lambda: gens)\n"
+        "    try:\n"
+        "        m.gens\n"
+        "    except (RepresentationError, ValueError) as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+        "    else:\n"
+        "        print('accepted')\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "RepresentationError RepModule(degree=3, dim=1) needs 2 generators, "
+        "got 1",
+        "ValueError RepModule(degree=3, dim=1): s_2 is "
+        + repr(SMat.identity(2)),
+    ]
+    for gens, error in (([SMat.identity(1)], RepresentationError),
+                        ([SMat.identity(1), SMat.identity(2)], ValueError)):
+        m = RepModule(3, 1, lambda: gens)
+        with pytest.raises(error):
+            m.gens
+        with pytest.raises(error):
+            RepModule(3, 1, gens)
