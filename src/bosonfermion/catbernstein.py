@@ -54,7 +54,7 @@ from .partition_core import (
     syt_count,
 )
 from .reports import Report
-from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skew
+from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skews
 from .symrep import (
     RepModule,
     frobenius_char,
@@ -268,17 +268,14 @@ def sigma_cell_dims(m):
     ``lam`` over the transposed column cable) the projector chain groups
     decompose into, keyed by degree then partition.  The cell of ``lam``
     has the character s_lam s_{lam'}^perp ch(m) = sum_mu c_mu s_mu, so its
-    dimension is sum_mu c_mu f^mu."""
-    ch = frobenius_char(m)
-    out = {}
-    for k in range(m.degree + 1):
-        row = {}
-        for lam in sorted(enumerate_partitions(k)):
-            cell = multiply(skew(schur(lam.conjugate()), ch), schur(lam))
-            dim = sum(c * syt_count(mu) for mu, c in cell.terms.items())
-            if dim:
-                row[format_partition(lam)] = dim
-        out[k] = row
+    dimension is sum_mu c_mu f^mu; every skew is read off one ``skews`` table."""
+    out = {k: {} for k in range(m.degree + 1)}
+    lams = [lam for k in out for lam in sorted(enumerate_partitions(k))]
+    skewed = skews(frobenius_char(m), [schur(lam.conjugate()) for lam in lams])
+    for lam, g in zip(lams, skewed):
+        dim = sum(c * syt_count(mu) for mu, c in multiply(g, schur(lam)).terms.items())
+        if dim:
+            out[lam.size()][format_partition(lam)] = dim
     return out
 
 
@@ -418,14 +415,13 @@ def word_character(word, f):
 
 
 def sigma_character(f, n):
-    """Symmetric-function shadow of the projector complex at truncation n."""
+    """Symmetric-function shadow of the projector complex at truncation n,
+    sum_{|lam| <= n} (-1)^|lam| s_lam s_{lam'}^perp f, on one ``skews`` table."""
+    lams = [lam for k in range(n + 1) for lam in enumerate_partitions(k)]
     total = SymFunc.zero()
-    for k in range(n + 1):
-        for lam in enumerate_partitions(k):
-            term = multiply(schur(lam), skew(schur(lam.conjugate()), f))
-            if k % 2:
-                term = term.scale(-1)
-            total = total + term
+    for lam, g in zip(lams, skews(f, [schur(lam.conjugate()) for lam in lams])):
+        term = multiply(schur(lam), g)
+        total = total + (term.scale(-1) if lam.size() % 2 else term)
     return total
 
 

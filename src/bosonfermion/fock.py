@@ -19,7 +19,8 @@ bit clear and psi_star needs it set.
 The bosonic side is a charge-indexed family of symmetric functions; the
 dictionary sends (c, lambda) to t^c s_lambda, fermionic modes to the
 charge-shifted creation/annihilation operators.  The two sides share no
-code, so ``verify_correspondence`` compares two independent routes.
+code, so ``verify_correspondence`` compares two independent routes: the
+mask steps against the memoized Pieri tables of B_a s_lambda and B*_a s_lambda.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from fractions import Fraction
 
 from .partition_core import Partition, format_partition, parse_partition, partitions_up_to
 from .reports import Report
-from .symfunc import (SymFunc, _coeff, _integral, bernstein, bernstein_star,
-                      schur)
+from .symfunc import (SymFunc, _bernstein_schur, _bernstein_star_schur, _coeff,
+                      _integral, bernstein, bernstein_star, schur)
 
 
 class FermionBasisVector:
@@ -361,25 +362,26 @@ def _window(pair):
     return range(lo, hi + 1)
 
 
-def _on_slot(state, charge, f):
-    """Whether a fermion state is t^charge f under the dictionary: every term
-    sits at that charge with f's coefficient of its shape, and no term of f
-    is missing."""
-    want = f.terms
-    return len(state.terms) == len(want) and all(
-        vec.charge == charge and want.get(vec.shape) == coeff
-        for vec, coeff in state.terms.items())
+def _is_image(hit, lo, charge, table):
+    """Whether the signed mask hit (None is zero) above the floor lo is
+    t^charge times the Schur expansion ``table`` (one term, or none)."""
+    if hit is None or len(table) != 1:
+        return hit is None and not table
+    vec = _from_maya(hit[1], lo)
+    return vec.charge == charge and ((vec.shape, hit[0]),) == table
 
 
 def verify_correspondence(max_degree, charge_window, index_window):
     """Check that the charge-partition dictionary intertwines the fermionic
     modes with the charge-shifted creation/annihilation operators, vector by
     vector: psi(i) on (c, lambda) must be t^{c+1} B_{i-(c+1)} s_lambda and
-    psi_star(i) must be t^{c-1} B*_{i-c} s_lambda.  Each fermionic image is
-    compared with the Schur expansion on its one charge slot; only a
-    mismatch builds the two ``BosonState``s (``sigma_iso`` of the image and
-    ``boson_psi``/``boson_psi_star`` of the vector), whose JSON becomes the
-    entry's lhs and rhs.  The report passes iff there is no mismatch."""
+    psi_star(i) must be t^{c-1} B*_{i-c} s_lambda.  Each vector is one Maya
+    mask with its floor below the window; a mode's mask step on it must hit
+    the memoized Pieri table of B_a s_lambda or B*_a s_lambda.  Only a
+    mismatch builds the two ``BosonState``s (``sigma_iso`` of the ``psi``/
+    ``psi_star`` image and ``boson_psi``/``boson_psi_star`` of the vector),
+    whose JSON becomes the entry's lhs and rhs.  The report passes iff
+    there is no mismatch."""
     report = Report(
         "fermion-boson correspondence",
         config={
@@ -389,23 +391,24 @@ def verify_correspondence(max_degree, charge_window, index_window):
         },
     )
     shapes = partitions_up_to(max_degree)
+    # mask step, Schur table at i - c - shift, charge step, mismatch routes
+    modes = (("psi", _insert_bit, _bernstein_schur, 1, 1, psi, boson_psi),
+             ("psi_star", _remove_bit, _bernstein_star_schur, 0, -1, psi_star,
+              boson_psi_star))
     for c in _window(charge_window):
         for lam in shapes:
             vec = FermionBasisVector(c, lam)
-            f = schur(lam)
+            lo = min(c - len(lam), index_window[0] - 1)
+            v = (1, _maya(vec, lo))
             for i in _window(index_window):
-                img = psi(i, vec)
-                if not _on_slot(img, c + 1, bernstein(i - (c + 1), f)):
-                    lhs, rhs = sigma_iso(img), boson_psi(i, sigma_iso(vec))
-                    report.add(f"psi[i={i}] on (c={c}, {format_partition(lam)})",
-                               False, lhs=boson_state_to_json(lhs),
-                               rhs=boson_state_to_json(rhs))
-                img = psi_star(i, vec)
-                if not _on_slot(img, c - 1, bernstein_star(i - c, f)):
-                    lhs, rhs = sigma_iso(img), boson_psi_star(i, sigma_iso(vec))
-                    report.add(f"psi_star[i={i}] on (c={c}, {format_partition(lam)})",
-                               False, lhs=boson_state_to_json(lhs),
-                               rhs=boson_state_to_json(rhs))
+                for name, step, table, shift, dc, fermion, boson in modes:
+                    if not _is_image(step(v, i - 1 - lo), lo, c + dc,
+                                     table(i - c - shift, lam)):
+                        lhs = sigma_iso(fermion(i, vec))
+                        rhs = boson(i, sigma_iso(vec))
+                        report.add(f"{name}[i={i}] on (c={c}, {format_partition(lam)})",
+                                   False, lhs=boson_state_to_json(lhs),
+                                   rhs=boson_state_to_json(rhs))
     report.add(
         "correspondence window complete",
         True,
@@ -420,7 +423,8 @@ def clifford_relation_report(max_degree, charge_window, index_window):
     Maya masks with the mask steps that ``psi`` and ``psi_star`` apply.
     Each step runs once per image; each anticommutator is decided on its two
     signed masks (``_sum_is``) against zero or, for psi_i psi*_i +
-    psi*_i psi_i, the vector itself."""
+    psi*_i psi_i, the vector itself.  The psi-psi and psi*-psi* sums are
+    symmetric in (i, j), so each unordered pair is decided once."""
     report = Report(
         "clifford anticommutators",
         config={
@@ -442,15 +446,19 @@ def clifford_relation_report(max_degree, charge_window, index_window):
             down = {j: _remove_bit(v, bit[j]) for j in idx}
             upup = {(i, j): _insert_bit(up[j], bit[i]) for i in idx for j in idx}
             downdown = {(i, j): _remove_bit(down[j], bit[i]) for i in idx for j in idx}
+            same = {}  # the two symmetric sums of (i, j), reused at (j, i)
             for i in idx:
                 for j in idx:
-                    for name, ok in (
-                            ("psi-psi", _sum_is(upup[i, j], upup[j, i], None)),
-                            ("psi*-psi*", _sum_is(downdown[i, j], downdown[j, i], None)),
-                            ("psi-psi*", _sum_is(_insert_bit(down[j], bit[i]),
-                                                 _remove_bit(up[i], bit[j]),
-                                                 v if i == j else None))):
-                        total += 1
+                    both, stars = same[i, j] = same.get((j, i)) or (
+                        _sum_is(upup[i, j], upup[j, i], None),
+                        _sum_is(downdown[i, j], downdown[j, i], None))
+                    mixed = _sum_is(_insert_bit(down[j], bit[i]),
+                                    _remove_bit(up[i], bit[j]), v if i == j else None)
+                    total += 3
+                    if both and stars and mixed:
+                        continue
+                    for name, ok in (("psi-psi", both), ("psi*-psi*", stars),
+                                     ("psi-psi*", mixed)):
                         if not ok:
                             bad += 1
                             report.add(f"{name} i={i} j={j} c={c} lam={format_partition(lam)}", False)
@@ -459,8 +467,9 @@ def clifford_relation_report(max_degree, charge_window, index_window):
 
 
 def alpha_window_sum(vec):
-    """The bounded-window evaluation of the first lowering oscillator mode,
-    sum_j psi(j+1) psi_star(j) over the window where it can act on ``vec``."""
+    """The bounded-window evaluation of the first raising oscillator mode
+    alpha_{-1}, multiplication by p_1: sum_j psi(j+1) psi_star(j), which
+    moves one particle up one code, over the window where it acts on ``vec``."""
     c, lam = vec.charge, vec.shape
     lo = c - len(lam) - 1
     hi = c + lam.row(1) + 1

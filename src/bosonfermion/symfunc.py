@@ -383,19 +383,15 @@ def _acc(d, k, v):
 # -- products and skews --------------------------------------------------------
 
 
-def _over_h_basis(step, f, g):
-    """Σ_μ c_μ step^μ(f) for g = Σ_μ c_μ h_μ, where step^μ applies
-    ``step(k, -)`` once for each part k of μ, in order.
+def _over_h_basis(step, f, gs):
+    """[Σ_μ c_μ step^μ(f) for each g = Σ_μ c_μ h_μ in gs], where step^μ
+    applies ``step(k, -)`` once for each part k of μ, in order.
 
-    The h-coefficients c_μ of g are collected first, so each μ is walked
-    once; the chains of distinct μ share their common prefixes, each applied
-    to f once within the call, and c_μ scales the end of the chain."""
-    if f.is_zero() or g.is_zero():
-        return SymFunc.zero()
-    coeffs = {}
-    for lam, c in g.terms.items():
-        for mu, d in _schur_to_h(lam):
-            _acc(coeffs, mu, c * d)
+    The h-coefficients c_μ of each g are collected first, so each μ is
+    walked once per g; the chains of every g share one table of prefixes,
+    each applied to f once within the call, and c_μ scales a chain's end."""
+    if f.is_zero():
+        return [SymFunc.zero() for _ in gs]
     chains = {(): f}
 
     def chain(mu):
@@ -404,22 +400,35 @@ def _over_h_basis(step, f, g):
             piece = chains[mu] = step(mu[-1], chain(mu[:-1]))
         return piece
 
-    out = {}
-    for mu, c in coeffs.items():
-        for lam, d in chain(mu).terms.items():
-            _acc(out, lam, c * d)
-    return _symfunc(out)
+    outs = []
+    for g in gs:
+        coeffs = {}
+        for lam, c in g.terms.items():
+            for mu, d in _schur_to_h(lam):
+                _acc(coeffs, mu, c * d)
+        out = {}
+        for mu, c in coeffs.items():
+            for lam, d in chain(mu).terms.items():
+                _acc(out, lam, c * d)
+        outs.append(_symfunc(out))
+    return outs
 
 
 def multiply(f, g):
     """Product f*g: expand g into the h basis, then iterated Pieri on f."""
-    return _over_h_basis(_mult_h, f, g)
+    return _over_h_basis(_mult_h, f, [g])[0]
 
 
 def skew(g, f):
     """g^⊥ f, defined by ⟨g^⊥f, s_ν⟩ = ⟨f, g·s_ν⟩ for every partition ν:
     expand g into the h basis, then iterated co-Pieri skews h_k^⊥ on f."""
-    return _over_h_basis(_skew_h, f, g)
+    return skews(f, [g])[0]
+
+
+def skews(f, gs):
+    """[g^⊥ f for g in gs], all read off one table of co-Pieri chains h_μ^⊥ f,
+    so a chain shared by several g is skewed once."""
+    return _over_h_basis(_skew_h, f, gs)
 
 
 # -- Heisenberg-type operators ---------------------------------------------------

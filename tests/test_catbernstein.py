@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -44,7 +45,8 @@ from bosonfermion.partition_core import (
     format_partition,
     syt_count,
 )
-from bosonfermion.symfunc import SymFunc, bernstein, bernstein_star, schur
+from bosonfermion.symfunc import (SymFunc, bernstein, bernstein_star, multiply,
+                                  schur, skew)
 from bosonfermion.symrep import (
     frobenius_char,
     induce,
@@ -193,6 +195,37 @@ class TestSigmaComplexes:
     def test_vanishes_on_induced_modules(self, pool):
         ind = sigma_complex(-1, induce(pool["S1"]))
         assert ind.betti() == {}
+
+
+def per_lambda_sigma_cell_dims(m):
+    """The former ``sigma_cell_dims`` loop, kept as an oracle: one ``skew``
+    of ch(m) per partition lam, each walking a chain table of its own."""
+    ch = frobenius_char(m)
+    out = {}
+    for k in range(m.degree + 1):
+        row = {}
+        for lam in sorted(enumerate_partitions(k)):
+            cell = multiply(skew(schur(lam.conjugate()), ch), schur(lam))
+            dim = sum(c * syt_count(mu) for mu, c in cell.terms.items())
+            if dim:
+                row[format_partition(lam)] = dim
+        out[k] = row
+    return out
+
+
+SMALL_MODULE_SPECS = (
+    [f"trivial:{n}" for n in range(5)]
+    + [f"S:{format_partition(lam)}" for n in range(1, 5)
+       for lam in enumerate_partitions(n)]
+    + [f"reg:{n}" for n in range(1, 4)])
+
+
+@pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)
+def test_cell_dims_match_the_per_lambda_route(spec):
+    m = parse_module_spec(spec)
+    got, want = sigma_cell_dims(m), per_lambda_sigma_cell_dims(m)
+    # the same cells in the same order, as a report serializes them
+    assert json.dumps(got) == json.dumps(want)
 
 
 class TestComposites:

@@ -407,6 +407,10 @@ class TestDeterminismAndCache:
         (("cat", "bbstar", "--a", "3", "--b", "3", "--module", "S:2,2,1",
           "--max-degree", "8", "--json"),
          "55c3c4743ebdb471477141d570ed4ceb6b1c2bb11edb5eb9a16adb7544d49f45"),
+        # the degree-8 window the benchmark's correspondence workload runs
+        (("clifford", "--json", "--max-degree", "8", "--charge-window=-2:2",
+          "--index-window=-4:4"),
+         "16a47c84bf6ef2f59c16f210bd31f599355ea95202d4b5452245bd6c4c343bb2"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         clear_env(monkeypatch)

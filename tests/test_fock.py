@@ -30,7 +30,8 @@ from bosonfermion.fock import (
 from bosonfermion.partition_core import (Partition, format_partition,
                                          partitions_up_to)
 from bosonfermion.reports import Report
-from bosonfermion.symfunc import SymFunc, multiply, powersum, schur
+from bosonfermion.symfunc import (SymFunc, bernstein, bernstein_star,
+                                  heis_alpha, multiply, powersum, schur)
 
 
 def basis(c, parts):
@@ -237,6 +238,15 @@ class TestCliffordRelations:
         assert up.call_count == states * (width + 2 * width ** 2)
         assert down.call_count == states * (width + 2 * width ** 2)
 
+    def test_battery_decides_each_symmetric_sum_once(self):
+        # per basis vector: psi-psi and psi*-psi* once per unordered pair
+        # (i, j), the diagonal included, and psi-psi* once per ordered pair
+        states, width = 3 * len(partitions_up_to(3)), 7
+        with mock.patch.object(fock, "_sum_is", wraps=fock._sum_is) as sums:
+            rep = clifford_relation_report(3, (-1, 1), (-3, 3))
+        assert rep.passed
+        assert sums.call_count == states * (2 * width ** 2 + width)
+
     @given(small_charges, small_partitions,
            st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
@@ -339,6 +349,54 @@ def boson_route_correspondence(max_degree, charge_window, index_window):
     return report
 
 
+def _on_slot(state, charge, f):
+    """Whether a fermion state is t^charge f under the dictionary: every term
+    sits at that charge with f's coefficient of its shape, and no term of f
+    is missing."""
+    want = f.terms
+    return len(state.terms) == len(want) and all(
+        vec.charge == charge and want.get(vec.shape) == coeff
+        for vec, coeff in state.terms.items())
+
+
+def slot_route_correspondence(max_degree, charge_window, index_window):
+    """The former ``verify_correspondence`` body, kept as an oracle: each
+    image is a ``FermionState`` built by ``psi``/``psi_star`` and compared
+    with ``bernstein``/``bernstein_star`` of s_lambda on its one charge
+    slot; only a mismatch builds the two ``BosonState``s."""
+    report = Report(
+        "fermion-boson correspondence",
+        config={
+            "max_degree": max_degree,
+            "charge_window": list(charge_window),
+            "index_window": list(index_window),
+        },
+    )
+    shapes = partitions_up_to(max_degree)
+    charges = range(charge_window[0], charge_window[1] + 1)
+    indices = range(index_window[0], index_window[1] + 1)
+    for c in charges:
+        for lam in shapes:
+            vec = FermionBasisVector(c, lam)
+            f = schur(lam)
+            for i in indices:
+                img = psi(i, vec)
+                if not _on_slot(img, c + 1, bernstein(i - (c + 1), f)):
+                    lhs, rhs = sigma_iso(img), boson_psi(i, sigma_iso(vec))
+                    report.add(f"psi[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs),
+                               rhs=boson_state_to_json(rhs))
+                img = psi_star(i, vec)
+                if not _on_slot(img, c - 1, bernstein_star(i - c, f)):
+                    lhs, rhs = sigma_iso(img), boson_psi_star(i, sigma_iso(vec))
+                    report.add(f"psi_star[i={i}] on (c={c}, {format_partition(lam)})",
+                               False, lhs=boson_state_to_json(lhs),
+                               rhs=boson_state_to_json(rhs))
+    report.add("correspondence window complete", True,
+               vectors=len(shapes) * len(charges), indices=len(indices))
+    return report
+
+
 CORRESPONDENCE_WINDOWS = [
     (3, (-2, 2), (-3, 3)),
     (4, (-1, 1), (-5, 4)),
@@ -364,6 +422,37 @@ class TestCorrespondence:
         assert failures and all(chk.details["lhs"] != chk.details["rhs"]
                                 for chk in failures)
         assert got.to_json() == boson_route_correspondence(*window).to_json()
+
+    @pytest.mark.parametrize("window", CORRESPONDENCE_WINDOWS)
+    def test_mask_route_matches_slot_route(self, window):
+        assert (verify_correspondence(*window).to_json()
+                == slot_route_correspondence(*window).to_json())
+
+    @pytest.mark.parametrize("window", CORRESPONDENCE_WINDOWS)
+    def test_mask_route_matches_slot_route_under_sign_flip(
+            self, window, psi_sign_flipped):
+        assert (verify_correspondence(*window).to_json()
+                == slot_route_correspondence(*window).to_json())
+
+    def test_passing_window_masks_each_vector_once(self):
+        # one Maya mask per (c, lambda); no mode builds a FermionState and
+        # no Bernstein operator extends a table to a SymFunc
+        vectors = 5 * len(partitions_up_to(3))
+        with mock.patch.object(fock, "_maya", wraps=fock._maya) as maya, \
+                mock.patch.object(fock, "psi", wraps=fock.psi) as up, \
+                mock.patch.object(fock, "psi_star",
+                                  wraps=fock.psi_star) as down, \
+                mock.patch.object(fock, "bernstein",
+                                  wraps=fock.bernstein) as b, \
+                mock.patch.object(fock, "bernstein_star",
+                                  wraps=fock.bernstein_star) as b_star:
+            rep = verify_correspondence(3, (-2, 2), (-3, 3))
+            assert rep.passed
+            assert maya.call_count == vectors
+            assert not (up.called or down.called or b.called or b_star.called)
+            # the slot route masks each vector again for every mode it applies
+            slot_route_correspondence(3, (-2, 2), (-3, 3))
+            assert maya.call_count > 2 * vectors
 
     def test_passing_window_builds_no_boson_state(self, monkeypatch):
         built = []
@@ -405,6 +494,12 @@ class TestOscillatorMode:
         got = sigma_iso(alpha_window_sum(vec))
         want = BosonState.of(c, multiply(powersum([1]), schur(lam)))
         assert got == want
+
+    @given(small_charges, small_partitions)
+    @settings(max_examples=30, deadline=None)
+    def test_window_sum_is_the_raising_oscillator_mode(self, c, lam):
+        got = sigma_iso(alpha_window_sum(basis(c, lam)))
+        assert got == BosonState.of(c, heis_alpha(-1, schur(lam)))
 
 
 class TestSerialization:

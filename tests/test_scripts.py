@@ -5,6 +5,7 @@ Both run under ``python -O``, which strips ``assert`` statements, with every
 and map its errors to the exit codes of the ``bosonfermion`` command.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -50,6 +51,15 @@ def test_run_all_checks_passes_under_optimized_python():
     doc = json.loads(out.stdout)
     assert doc["passed"] is True
     assert out.stdout.count("\n") == 1
+
+
+def test_run_all_checks_prints_the_pinned_report():
+    # sha256 of the default run's JSON at the commit that introduced this
+    # pin; a refactor must keep it byte-identical
+    out = run_script("run_all_checks.py", "--json")
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == \
+        "9fa0ac41427d5d8d01c96fd371f8e162b71af37d7e1c2ce97ace4ca884a2c183"
 
 
 def test_demo_agrees_under_optimized_python():

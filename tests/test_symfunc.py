@@ -227,6 +227,43 @@ def test_multiply_steps_each_chain_prefix_once(monkeypatch):
     assert len(calls) > 2 * len(prefixes)
 
 
+@given(multi_term_st(6), st.lists(multi_term_st(3), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_skews_match_per_term_route(f, gs):
+    got = sf.skews(f, gs)
+    assert len(got) == len(gs)
+    for g, h in zip(gs, got):
+        assert to_json_records(h) == to_json_records(skew_per_term(g, f))
+
+
+def test_skews_of_zero_are_zero():
+    assert sf.skews(SymFunc.zero(), [s(1), one]) == [SymFunc.zero()] * 2
+    assert sf.skews(s(2, 1), [SymFunc.zero(), s(1)]) == [
+        SymFunc.zero(), s(2) + s(1, 1)]
+    assert sf.skews(s(2, 1), []) == []
+
+
+def test_skews_step_each_chain_prefix_once_across_all_functions(monkeypatch):
+    f = s(3, 2, 1) + s(4, 1).scale(2) - s(2, 2, 1, 1)
+    gs = [s(2, 1), s(1, 1, 1), s(3) + s(2, 1).scale(Fraction(1, 2)), s(2, 2)]
+    prefixes = {mu[:n] for g in gs for mu in to_basis(g, "complete")
+                for n in range(1, len(mu) + 1)}
+    calls = []
+    step = sf._skew_h
+
+    def counting(k, piece):
+        calls.append(k)
+        return step(k, piece)
+
+    monkeypatch.setattr(sf, "_skew_h", counting)
+    got = sf.skews(f, gs)
+    assert len(calls) == len(prefixes)
+    # one skew per function walks a chain table of its own
+    calls.clear()
+    assert got == [skew(g, f) for g in gs]
+    assert len(calls) > len(prefixes)
+
+
 # -- skew / adjointness ----------------------------------------------------------
 
 
@@ -587,6 +624,26 @@ def test_sigma_character_is_the_constant_term_from_its_degree_on():
         for lam in enumerate_partitions(d):
             for n in range(d, 7):
                 assert sigma_character(schur(lam), n) == want, (lam, n)
+
+
+def test_sigma_character_skews_each_chain_prefix_once(monkeypatch):
+    # every s_{lam'}^perp f with |lam| <= n reads one table of chains
+    # h_mu^perp f, so a prefix shared by several lam is skewed once
+    f = s(3, 2, 1) + s(4, 1).scale(2) - s(2, 2, 1, 1)
+    n = 5
+    prefixes = {mu[:k] for d in range(n + 1) for lam in enumerate_partitions(d)
+                for mu in to_basis(schur(lam.conjugate()), "complete")
+                for k in range(1, len(mu) + 1)}
+    calls = []
+    step = sf._skew_h
+
+    def counting(k, piece):
+        calls.append(k)
+        return step(k, piece)
+
+    monkeypatch.setattr(sf, "_skew_h", counting)
+    sigma_character(f, n)
+    assert len(calls) == len(prefixes)
 
 
 def _sigma_character_per_term(f, n):
