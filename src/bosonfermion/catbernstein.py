@@ -8,11 +8,14 @@ adjunction cap.  Annihilation mirrors this with transposed cables and cup
 differentials.  Each chain group is built on the (S, u) basis of
 ``symrep.induce`` over the cut of its Q cable, with the caps, cups,
 lifted maps and the evaluation map of the mixed relation suite in closed
-form; no plain word is built.  Applying an operator to an existing
-complex produces a bicomplex whose totalization (alternating twist on the
-pre-existing differential) is the composite; iterated composites
-categorify products of the corresponding symmetric-function operators,
-which is checked through the Euler characteristic on every construction.
+form; no plain word is built.  One kernel, ``symrep.cap_cup``, writes
+every cap and cup here and in the projector complexes below, and both
+kinds of chain group are one ``Cell`` type (a projector cell has no cut).
+Applying an operator to an existing complex produces a bicomplex whose
+totalization (alternating twist on the pre-existing differential) is the
+composite; iterated composites categorify products of the corresponding
+symmetric-function operators, which is checked through the Euler
+characteristic on every construction.
 
 Also here: the projector complexes, summed over the partitions of each
 degree k into one chain group, the module induced from S_{n-k} x S_k with
@@ -32,7 +35,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import combinations
-from math import comb, factorial, lcm
+from math import comb, factorial
 
 # _lift_matrix is bound here only because perfbench/test_perfbench.py
 # checks that the harness rebinds it in this module
@@ -57,6 +60,7 @@ from .reports import Report
 from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skews
 from .symrep import (
     RepModule,
+    cap_cup,
     frobenius_char,
     induce,
     specht_module,
@@ -98,14 +102,19 @@ __all__ = [
 
 
 def _differential(op, cs, ct):
-    """The differential from cell ``cs`` to cell ``ct``."""
+    """The differential from cell ``cs`` to cell ``ct``, which must be the
+    next cell along ``op.step``."""
+    if ct.label != cs.label + op.step:
+        raise ChainComplexError(f"{op.kind} maps cell {cs.label} to cell "
+                                f"{cs.label + op.step}, not {ct.label}")
     return op.block(cs, ct)
 
 
-# one Bernstein chain group on the (S, u) basis of ``symrep.induce``: ``sub``
-# is induced from the cut (U, q_iota, q_pi) of the Q cable out of ``base``;
+# one chain group on the subset basis of ``symrep.induce``: ``sub`` is induced
+# from the cut (U, q_iota, q_pi) of the Q cable out of ``base``, or, for a
+# projector cell, which has no cut (both maps None), from ``base`` itself;
 # differentials, lifts and the evaluation map read only these
-BernsteinCell = namedtuple("BernsteinCell", "label sub q_iota q_pi base")
+Cell = namedtuple("Cell", "label sub q_iota q_pi base")
 
 
 class _BernsteinOp:
@@ -124,13 +133,15 @@ class _BernsteinOp:
     and the differential *adds* a strand pair with a cup (so it still
     lowers the homological degree): (S, u) ↦ Σ_{c∉S} (−1)^pos/(x+1)
     (S∪c, π' r_j⁻¹ ι u), pos the position of c in S∪c and j = c − pos.
-    A map f of modules lifts to one copy of π' f ι per subset.  A cell
+    Both are ``symrep.cap_cup`` with the blocks π' r_j^(±1) ι.  A cell
     whose cut is zero is not built.
     """
 
     def __init__(self, a, star=False):
         self.a = int(a)
         self.star = bool(star)
+        self.step = 1 if self.star else -1
+        self.kind = "an annihilation cup" if self.star else "a creation cap"
 
     def out_degree(self, n):
         return n - self.a if self.star else n + self.a
@@ -146,22 +157,14 @@ class _BernsteinOp:
                 continue
             sub = (induce(u, x, [-SMat.identity(u.dim)] * (x - 1))
                    if self.star else induce(u, x + a))
-            out[-x if self.star else x] = BernsteinCell(
-                x, sub, q_iota, q_pi, m)
+            out[-x if self.star else x] = Cell(x, sub, q_iota, q_pi, m)
         return out
 
     def block(self, cs, ct):
-        step = 1 if self.star else -1
-        if ct.label != cs.label + step:
-            kind = "an annihilation cup" if self.star else "a creation cap"
-            raise ChainComplexError(
-                f"{kind} maps cell {cs.label} to cell {cs.label + step}, "
-                f"not {ct.label}")
-        # B runs over the larger subsets, of the source (cap) or the target
-        # (cup), and each B minus one entry leaves t letters outside
-        big = ct.label if self.star else cs.label + self.a
-        letters = range(1, cs.sub.degree + 1)
-        t = len(letters) - big + 1
+        # the larger subsets are the source's (cap) or the target's (cup),
+        # and each one minus one entry leaves t letters outside
+        size = ct.label if self.star else cs.label + self.a
+        t = cs.sub.degree - size + 1
         gens = cs.base.gens
         # r_j = s_j r_(j+1) and r_t = 1: the block of j is π' r_j ι (cap) or
         # π' r_j⁻¹ ι (cup), one product per j from the block of j + 1
@@ -170,36 +173,9 @@ class _BernsteinOp:
             if j < t:
                 acc = acc @ gens[j - 1] if self.star else gens[j - 1] @ acc
             inner[j] = acc @ cs.q_iota if self.star else ct.q_pi @ acc
-        common = lcm(*(b.den for b in inner.values()))
-        triples = {j: [(r, c, v * (common // b.den))
-                       for r, row in enumerate(b.rows) for c, v in row.items()]
-                   for j, b in inner.items()}
-        h, w = ct.q_pi.nrows, cs.q_iota.ncols
-        small = {s: q for q, s in enumerate(combinations(letters, big - 1))}
-
-        def entries():
-            for p, b in enumerate(combinations(letters, big)):
-                for pos, e in enumerate(b):
-                    q = small[b[:pos] + b[pos + 1:]]
-                    src, tgt = (q, p) if self.star else (p, q)
-                    sign = -1 if self.star and pos % 2 else 1
-                    r0, c0 = tgt * h, src * w
-                    for r, c, v in triples[e - pos]:
-                        yield r0 + r, c0 + c, sign * v
-
-        return SMat.from_entries(ct.sub.dim, cs.sub.dim, entries(),
-                                 den=common * (big if self.star else 1))
-
-    def lift(self, cs, ct, f):
-        width = cs.label if self.star else cs.label + self.a
-        return SMat.block_diag([ct.q_pi @ f @ cs.q_iota]
-                               * comb(cs.sub.degree, width))
-
-
-# the degree-``label`` projector chain group over ``base``, on the (S, v)
-# basis of ``symrep.induce``: S a ``label``-subset of {1..n}, v a basis
-# vector of ``base``
-SigmaCell = namedtuple("SigmaCell", "label sub base")
+        return cap_cup(cs.sub.degree, size, cup=self.star, signed=self.star,
+                       block=lambda b, pos: inner[b[pos] - pos],
+                       shape=(ct.q_pi.nrows, cs.q_iota.ncols))
 
 
 class _SigmaOp:
@@ -228,6 +204,8 @@ class _SigmaOp:
         if sign not in (1, -1):
             raise ValueError(f"sigma sign must be +1 or -1, got {sign!r}")
         self.cup = sign == 1
+        self.step = sign
+        self.kind = f"a sigma {'cup' if self.cup else 'cap'}"
 
     def out_degree(self, n):
         return n
@@ -237,17 +215,7 @@ class _SigmaOp:
                 for k in range(m.degree + 1)}
 
     def block(self, cs, ct):
-        step = 1 if self.cup else -1
-        if ct.label != cs.label + step:
-            raise ChainComplexError(
-                f"a sigma {'cup' if self.cup else 'cap'} maps cell "
-                f"{cs.label} to cell {cs.label + step}, not {ct.label}")
         return subset_move(cs.base, cs.label, self.cup)
-
-    def lift(self, cs, ct, f):
-        # every complex built here has S_n-equivariant differentials, so the
-        # lift is f on each subset
-        return SMat.block_diag([f] * comb(cs.base.degree, cs.label))
 
 
 def _sigma_cell(m, k):
@@ -260,7 +228,7 @@ def _sigma_cell(m, k):
         low = RepModule(n - k, m.dim, m.gens[:max(0, n - k - 1)])
         return induce(low, k, [-g for g in m.gens[n - k:]]).gens
 
-    return SigmaCell(k, RepModule(n, m.dim * comb(n, k), gens), m)
+    return Cell(k, RepModule(n, m.dim * comb(n, k), gens), None, None, m)
 
 
 def sigma_cell_dims(m):
@@ -291,9 +259,11 @@ def _operator_complex(op, m):
     return cx, columns.get(0, {})
 
 
-def _functor_on_map(op, cs, ct, f):
+def _functor_on_map(cs, ct, f):
     """Apply the functor of cell ``cs`` to a module map ``f`` landing in the
-    module of cell ``ct``: ``op.lift(cs, ct, f)``.
+    module of cell ``ct``: one copy of π' f ι per subset, or of f for a cell
+    without a cut (a projector cell: every complex built here has
+    S_n-equivariant differentials, so the lift is f on each subset).
 
     The two cells must carry one label (they do: a cell depends only on the
     operator and the group degree, which all modules of a complex share).
@@ -301,7 +271,9 @@ def _functor_on_map(op, cs, ct, f):
     if cs.label != ct.label:
         raise ChainComplexError(f"source cell {cs.label} is not aligned with "
                                 f"target cell {ct.label}")
-    return op.lift(cs, ct, f)
+    if cs.q_iota is not None:
+        f = ct.q_pi @ f @ cs.q_iota
+    return SMat.block_diag([f] * (cs.sub.dim // f.ncols))
 
 
 def _apply_operator(op, cx):
@@ -314,8 +286,6 @@ def _apply_operator(op, cx):
     alternating twist on the pre-existing (vertical) differential.
     """
     gd = op.out_degree(cx.group_degree)
-    if cx.is_zero_complex():
-        return zero_complex(max(gd, 0)), {}
     columns = {y: op.cells(cx.module(y)) for y in cx.degrees()}
     modules, d_h, d_v = {}, {}, {}
     for y, cells in columns.items():
@@ -327,7 +297,7 @@ def _apply_operator(op, cx):
                 if mat.nnz():
                     d_h[(k, y)] = mat
             if y in cx.diffs and k in below:
-                mat = _functor_on_map(op, cell, below[k], cx.d(y))
+                mat = _functor_on_map(cell, below[k], cx.d(y))
                 if mat.nnz():
                     d_v[(k, y)] = mat
     out = totalize(modules, d_h, d_v, gd)

@@ -29,8 +29,8 @@ from fractions import Fraction
 
 from .partition_core import Partition, format_partition, parse_partition, partitions_up_to
 from .reports import Report
-from .symfunc import (SymFunc, _bernstein_schur, _bernstein_star_schur, _coeff,
-                      _integral, bernstein, bernstein_star, schur)
+from .symfunc import (SymFunc, _acc, _bernstein_schur, _bernstein_star_schur,
+                      _coeff, _integral, bernstein, bernstein_star, schur)
 
 
 class FermionBasisVector:
@@ -134,15 +134,6 @@ def _state(terms):
     res = FermionState.__new__(FermionState)
     res.terms = terms
     return res
-
-
-def _acc(out, vec, c):
-    """Add c * vec into the accumulator dict ``out``, dropping zeros."""
-    w = out.get(vec, 0) + c
-    if w:
-        out[vec] = w
-    else:
-        out.pop(vec, None)
 
 
 def _terms(v):
@@ -358,7 +349,11 @@ def boson_state_from_json(recs):
 
 
 def _window(pair):
+    """The inclusive window lo..hi; ValueError if it is reversed, which
+    would make every check over it pass without checking anything."""
     lo, hi = pair
+    if lo > hi:
+        raise ValueError(f"window {lo}:{hi} is reversed")
     return range(lo, hi + 1)
 
 
@@ -382,6 +377,7 @@ def verify_correspondence(max_degree, charge_window, index_window):
     ``psi_star`` image and ``boson_psi``/``boson_psi_star`` of the vector),
     whose JSON becomes the entry's lhs and rhs.  The report passes iff
     there is no mismatch."""
+    charges, indices = _window(charge_window), _window(index_window)
     report = Report(
         "fermion-boson correspondence",
         config={
@@ -395,12 +391,12 @@ def verify_correspondence(max_degree, charge_window, index_window):
     modes = (("psi", _insert_bit, _bernstein_schur, 1, 1, psi, boson_psi),
              ("psi_star", _remove_bit, _bernstein_star_schur, 0, -1, psi_star,
               boson_psi_star))
-    for c in _window(charge_window):
+    for c in charges:
         for lam in shapes:
             vec = FermionBasisVector(c, lam)
             lo = min(c - len(lam), index_window[0] - 1)
             v = (1, _maya(vec, lo))
-            for i in _window(index_window):
+            for i in indices:
                 for name, step, table, shift, dc, fermion, boson in modes:
                     if not _is_image(step(v, i - 1 - lo), lo, c + dc,
                                      table(i - c - shift, lam)):
@@ -412,8 +408,8 @@ def verify_correspondence(max_degree, charge_window, index_window):
     report.add(
         "correspondence window complete",
         True,
-        vectors=len(shapes) * len(list(_window(charge_window))),
-        indices=len(list(_window(index_window))),
+        vectors=len(shapes) * len(charges),
+        indices=len(indices),
     )
     return report
 

@@ -165,10 +165,6 @@ class Complex:
                 mods[k] = hm
         return Complex(self.group_degree, mods, {})
 
-    def homology_characters(self):
-        return {k: frobenius_char(self.homology_module(k))
-                for k in self.betti()}
-
     def euler_frobenius(self):
         """Alternating sum of chain-group characters (equals the alternating
         sum over homology)."""

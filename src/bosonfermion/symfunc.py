@@ -373,6 +373,7 @@ def from_basis(basis, coeffs):
 
 
 def _acc(d, k, v):
+    """Add v at key k of the accumulator dict d, dropping zeros."""
     w = d.get(k, 0) + v
     if w:
         d[k] = w

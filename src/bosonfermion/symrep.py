@@ -11,8 +11,11 @@ S.  A single induction is k = 1: b_{j} is the coset representative r_j
 (the cycle j -> j+1 -> ... -> n+1 -> j, so that r_j sends the top letter
 to j), and the identity representative comes last; iterated-induction
 cosets are peeled by arithmetic on the values of image tuples.
-``subset_move`` gives the caps and cups between the layouts of k and k-1
-subsets: the pq adjunction maps and the projector differentials.  On top
+``cap_cup`` writes every cap and cup between the layouts of k and k-1
+subsets, one block per (j, pos) key; ``subset_move`` is its case with
+blocks acting through a module (the pq adjunction maps and the projector
+differentials), and ``catbernstein`` builds the Bernstein caps and cups
+on it from the blocks of a Q cut.  On top
 of the two functors also live the qp adjunction maps, sideways crossings,
 and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
@@ -507,41 +510,65 @@ def restrict(m):
     return RepModule(m.degree - 1, m.dim, m.gens[:-1])
 
 
+def cap_cup(n, size, cup, signed, block, shape):
+    """The cap (``cup`` false) from the size-subsets of {1..n} to the
+    (size-1)-subsets, or the cup back, on the subset layout of ``induce``
+    with blocks of ``shape`` (rows, columns); the only writer of caps and
+    cups.
+
+    Let B run over the size-subsets and S = B minus its entry at position
+    pos.  The cap puts block(B, pos) at (S, B) and the cup puts
+    block(B, pos)/size at (B, S), times (-1)^pos when ``signed``.  A pair's
+    block depends only on pos and j = B[pos] - pos, the place of the dropped
+    letter among the letters outside S, so ``block`` is called on the first
+    pair of each (j, pos): (n - size + 1)·size calls."""
+    h, w = shape
+    letters = range(1, n + 1)
+    big = list(combinations(letters, size))
+    small = {s: q for q, s in enumerate(combinations(letters, size - 1))}
+    blocks = {}
+    for b in big:
+        for pos, e in enumerate(b):
+            if (e - pos, pos) not in blocks:
+                blocks[e - pos, pos] = block(b, pos)
+    common = lcm(*(a.den for a in blocks.values()))
+    triples = {}  # a key's block as int (row, column, value) over common
+    for (j, pos), a in blocks.items():
+        mult = common // a.den * (-1 if signed and pos % 2 else 1)
+        triples[j, pos] = [(r, c, mult * v) for r, row in enumerate(a.rows)
+                           for c, v in row.items()]
+
+    def entries():
+        for p, b in enumerate(big):
+            for pos, e in enumerate(b):
+                q = small[b[:pos] + b[pos + 1:]]
+                r0, c0 = (p * h, q * w) if cup else (q * h, p * w)
+                for r, c, v in triples[e - pos, pos]:
+                    yield r0 + r, c0 + c, v
+
+    rows, cols = (len(big), len(small)) if cup else (len(small), len(big))
+    return SMat.from_entries(rows * h, cols * w, entries(),
+                             den=common * (size if cup else 1))
+
+
 def subset_move(m, k, cup):
     """The cap (``cup`` false) from the k-subsets of {1..n} to the
     (k-1)-subsets, or the cup to the (k+1)-subsets, on the (S, v) layout of
-    ``induce`` (n = deg m), with blocks acting through m.
-
-    Let B run over the larger subsets and S = B minus its entry j at
-    position p.  The cap sends (B, v) to (S, (-1)^p b_S^-1 b_B v) and the
-    cup sends (S, v) to (B, (-1)^p/|B| b_B^-1 b_S v), summed over all such
-    pairs, each block's rows written straight into the result."""
+    ``induce`` (n = deg m): ``cap_cup`` with signed blocks acting through m.
+    The cap sends (B, v) to (S, (-1)^pos b_S^-1 b_B v) and the cup sends
+    (S, v) to (B, (-1)^pos/|B| b_B^-1 b_S v)."""
     letters = range(1, m.degree + 1)
-    d, size = m.dim, k + 1 if cup else k
-    big = list(combinations(letters, size))
-    small = list(combinations(letters, size - 1))
-    rows, cols = (big, small) if cup else (small, big)
 
     def coset(s):
         return tuple([v for v in letters if v not in s]) + s
 
-    inverse = {t: perm_inverse(coset(t)) for t in rows}
-    forward = {s: coset(s) for s in cols}
-    row_at = {t: q * d for q, t in enumerate(rows)}
-    col_at = {s: p * d for p, s in enumerate(cols)}
-    blocks = []  # (row offset, column offset, sign, block) per pair
-    for b in big:
-        for pos in range(size):
-            s = b[:pos] + b[pos + 1:]
-            src, tgt = (s, b) if cup else (b, s)
-            blocks.append((row_at[tgt], col_at[src], -1 if pos % 2 else 1,
-                           m.act_perm(perm_mult(inverse[tgt], forward[src]))))
-    common = lcm(*(a.den for *_, a in blocks))
-    out = [{} for _ in range(len(rows) * d)]
-    for roff, coff, c, a in blocks:
-        for target, row in zip(out[roff:roff + d], a.rows):
-            target.update(_shifted(row, coff, c * (common // a.den)))
-    return SMat(len(out), len(cols) * d, out, common * (size if cup else 1))
+    def block(b, pos):
+        s = b[:pos] + b[pos + 1:]
+        src, tgt = (s, b) if cup else (b, s)
+        return m.act_perm(perm_mult(perm_inverse(coset(tgt)), coset(src)))
+
+    return cap_cup(m.degree, k + 1 if cup else k, cup=cup, signed=True,
+                   block=block, shape=(m.dim, m.dim))
 
 
 def unit_qp(m):

@@ -173,7 +173,7 @@ LIFT_MODULES = ["S:1", "S:2", "S:1,1", "S:3", "S:2,1", "S:1,1,1", "S:2,2"]
 def test_lifts_match_the_whiskered_map(key):
     compared = 0
     for op, cs, ct, f, ws, wt, degree in _lifted_pairs(MODULES[key]()):
-        assert _functor_on_map(op, cs, ct, f) == word_lift(ws, wt, f, degree)
+        assert _functor_on_map(cs, ct, f) == word_lift(ws, wt, f, degree)
         compared += 1
     assert compared
 

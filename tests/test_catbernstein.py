@@ -455,8 +455,7 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "for attempt in (\n"
         "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"
         "        lambda: _differential(_SigmaOp(-1), sigma[2], sigma[2]),\n"
-        "        lambda: _functor_on_map(\n"
-        "            _SigmaOp(-1), sigma[1], sigma[2], eye),\n"
+        "        lambda: _functor_on_map(sigma[1], sigma[2], eye),\n"
         "        lambda: _pair_evaluation(columns[0][0], inner[0], -1)):\n"
         "    try:\n"
         "        attempt()\n"

@@ -36,7 +36,6 @@ from bosonfermion.branching import (
     word_module,
 )
 from bosonfermion.catbernstein import (
-    _SigmaOp,
     _functor_on_map,
     _sigma_cell,
     sigma_cell_dims,
@@ -428,12 +427,11 @@ def test_sigma_caps_and_cups_match_the_ambient_moves(key):
 def _sigma_lifts(m):
     """(y, k, closed-form lift, source and target oracle cells, ambient
     lift) for every functor block of apply_sigma(-1, sigma_complex(-1, m))."""
-    op, minus = _SigmaOp(-1), sigma_complex(-1, m)
+    minus = sigma_complex(-1, m)
     for y in minus.diffs:
         f, src, tgt = minus.d(y), minus.module(y), minus.module(y - 1)
         for k in range(m.degree + 1):
-            lift = _functor_on_map(op, _sigma_cell(src, k),
-                                   _sigma_cell(tgt, k), f)
+            lift = _functor_on_map(_sigma_cell(src, k), _sigma_cell(tgt, k), f)
             cs, ct = orbit_sum_sigma_cell(src, k), orbit_sum_sigma_cell(tgt, k)
             yield y, k, lift, cs, ct, _lift_matrix(f, m.degree, cs.word.letters)
 

@@ -196,8 +196,8 @@ BATTERY_WINDOWS = [
     (3, (-1, 1), (-3, 3)),
     (4, (-3, 3), (-6, 5)),
     (2, (0, 0), (3, 3)),
-    (2, (1, 0), (-2, 2)),   # empty charge window
-    (2, (-1, 1), (2, -2)),  # reversed index window
+    (2, (1, 1), (-2, 2)),   # one charge
+    (2, (-1, 1), (-2, -2)),  # one index, below every vacuum code
     (0, (-2, 2), (-1, 1)),
 ]
 
@@ -401,8 +401,8 @@ CORRESPONDENCE_WINDOWS = [
     (3, (-2, 2), (-3, 3)),
     (4, (-1, 1), (-5, 4)),
     (2, (0, 0), (3, 3)),
-    (2, (1, 0), (-2, 2)),   # empty charge window
-    (2, (-1, 1), (2, -2)),  # reversed index window
+    (2, (1, 1), (-2, 2)),   # one charge
+    (2, (-1, 1), (-2, -2)),  # one index, below every vacuum code
     (0, (-2, 2), (-1, 1)),
 ]
 
@@ -474,11 +474,15 @@ class TestCorrespondence:
         rep = verify_correspondence(3, (-2, 2), (-3, 3))
         assert rep.passed, rep.render_text()
 
-    def test_empty_window_passes(self):
-        rep = verify_correspondence(2, (1, 0), (-2, 2))
-        assert rep.passed
-        rep = verify_correspondence(2, (-1, 1), (2, -2))
-        assert rep.passed
+    def test_reversed_window_is_refused(self):
+        # a reversed window would pass without checking anything
+        for check, window in (
+                (verify_correspondence, (2, (1, 0), (-2, 2))),
+                (verify_correspondence, (2, (-1, 1), (3, -3))),
+                (clifford_relation_report, (2, (2, 1), (-2, 2))),
+                (clifford_relation_report, (2, (-1, 1), (2, -2)))):
+            with pytest.raises(ValueError, match="is reversed"):
+                check(*window)
 
     def test_sign_mutation_is_detected(self, psi_sign_flipped):
         rep = verify_correspondence(2, (-1, 1), (-2, 2))

@@ -125,7 +125,8 @@ class TestHomology:
     def test_euler_character_matches_homology(self):
         c = augmentation_complex()
         total = SymFunc.zero()
-        for k, ch in c.homology_characters().items():
+        for k in c.betti():
+            ch = frobenius_char(c.homology_module(k))
             total = total + (ch if k % 2 == 0 else ch.scale(-1))
         assert c.euler_frobenius() == total
 

@@ -1,12 +1,13 @@
 """The row-by-row kernels against the routes they replaced.
 
-``symrep.induce`` and ``symrep.subset_move`` write each block's rows
-straight into their result, and ``symrep.frobenius_char`` reads each class
-trace off the product it never forms.  ``strand_oracles`` keeps the block
-grids for ``SMat.block`` and the full-product traces; results must be
-equal exactly, and a module that is not a representation must still be
-refused with the same message.  The guards at the end count the work a
-creation check does, and the generator builds a ranked complex does not.
+``symrep.induce`` writes each block's rows straight into its result,
+``symrep.cap_cup`` writes every cap and cup from one block per key, and
+``symrep.frobenius_char`` reads each class trace off the product it never
+forms.  ``strand_oracles`` keeps the block grids for ``SMat.block`` and the
+full-product traces; results must be equal exactly, and a module that is
+not a representation must still be refused with the same message.  The
+guards at the end count the work a creation check and a cap or cup does,
+and the generator builds a ranked complex does not.
 """
 
 import os
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from bosonfermion import branching, catbernstein
+from bosonfermion import branching, catbernstein, symrep
 from bosonfermion.catbernstein import (
     apply_sigma,
     bernstein_complex,
@@ -185,6 +186,31 @@ def test_induce_and_subset_move_assemble_no_block_grid(monkeypatch):
     induce(m, 2, [-SMat.identity(m.dim)]).gens
     subset_move(m, 2, cup=False)
     subset_move(m, 1, cup=True)
+
+
+@pytest.mark.parametrize("make, arg", [
+    (trivial_module, 4), (specht_module, (2, 1, 1)), (specht_module, (2, 2)),
+    (trivial_module, 5), (specht_module, (3, 2)), (specht_module, (3, 1, 1))])
+def test_caps_and_cups_build_one_block_per_key(make, arg, monkeypatch):
+    # a pair's block depends only on (j, pos), j = B[pos] - pos, so the
+    # kernel asks for (n - size + 1)·size blocks, not size·C(n, size)
+    kernel, keys = symrep.cap_cup, []
+
+    def counted(n, size, cup, signed, block, shape):
+        def counted_block(b, pos):
+            keys.append((b[pos] - pos, pos))
+            return block(b, pos)
+        return kernel(n, size, cup, signed, counted_block, shape)
+
+    monkeypatch.setattr(symrep, "cap_cup", counted)
+    m = make(arg)
+    n = m.degree
+    for k, cup in [(k, False) for k in range(1, n + 1)] + [
+            (k, True) for k in range(n + 1)]:
+        keys.clear()
+        subset_move(m, k, cup)
+        size = k + 1 if cup else k
+        assert len(keys) == len(set(keys)) == (n - size + 1) * size, (k, cup)
 
 
 @pytest.mark.parametrize("key", ["S:2,1", "trivial:3", "reg:3"])
