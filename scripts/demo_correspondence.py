@@ -29,7 +29,8 @@ from bosonfermion.catbernstein import (
 from bosonfermion.cli import _admit, exit_code
 from bosonfermion.config import RunConfig
 from bosonfermion.fock import FermionBasisVector, boson_psi, sigma_inv, sigma_iso
-from bosonfermion.partition_core import format_partition, parse_partition
+from bosonfermion.partition_core import (format_partition, parse_partition,
+                                         syt_count)
 from bosonfermion.symfunc import bernstein, schur
 from bosonfermion.symrep import frobenius_char, trivial_module
 
@@ -89,12 +90,19 @@ def tour(text):
     print(f"\n=== level 3: the categorified creation word ===")
     cx = compose_bernstein(creation_word(lam), trivial_module(0))
     print(f"  chain groups: {cx.dims()}")
-    print(f"  homology: {cx.betti()}  (concentrated in degree 0)")
-    print(f"  degree-0 character: {show(frobenius_char(cx.homology_module(0)))}")
-    print(f"  Euler characteristic: {show(cx.euler_frobenius())}")
-    if cx.euler_frobenius() != schur(lam):
-        return mismatch("level 3", show(cx.euler_frobenius()),
-                        show(schur(lam)))
+    betti = cx.betti()
+    ch0 = frobenius_char(cx.homology_module(0))
+    euler = cx.euler_frobenius()
+    print(f"  homology: {betti}")
+    print(f"  degree-0 character: {show(ch0)}")
+    print(f"  Euler characteristic: {show(euler)}")
+    dim = syt_count(lam)
+    if betti != {0: dim} or ch0 != schur(lam) or euler != schur(lam):
+        return mismatch(
+            "level 3", f"homology {betti}, characters {show(ch0)} and "
+            f"{show(euler)}", f"homology {{0: {dim}}}, both characters s[{name}]")
+    print("  homology is concentrated in degree 0 and both characters are "
+          f"s[{name}]")
 
     v = fermionic_apply(1, vacuum_vector())
     print(f"\n  charged layer: one generator on the vacuum family gives "

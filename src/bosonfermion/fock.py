@@ -429,6 +429,7 @@ def clifford_relation_report(max_degree, charge_window, index_window):
             "index_window": list(index_window),
         },
     )
+    insert, remove, sum_is = _insert_bit, _remove_bit, _sum_is
     shapes = partitions_up_to(max_degree)
     idx = list(_window(index_window))
     bad = 0
@@ -437,19 +438,19 @@ def clifford_relation_report(max_degree, charge_window, index_window):
         for lam in shapes:
             lo = min(c - len(lam), index_window[0] - 1)
             v = (1, _maya(FermionBasisVector(c, lam), lo))
-            bit = {j: j - 1 - lo for j in idx}
-            up = {j: _insert_bit(v, bit[j]) for j in idx}
-            down = {j: _remove_bit(v, bit[j]) for j in idx}
-            upup = {(i, j): _insert_bit(up[j], bit[i]) for i in idx for j in idx}
-            downdown = {(i, j): _remove_bit(down[j], bit[i]) for i in idx for j in idx}
-            same = {}  # the two symmetric sums of (i, j), reused at (j, i)
-            for i in idx:
-                for j in idx:
-                    both, stars = same[i, j] = same.get((j, i)) or (
-                        _sum_is(upup[i, j], upup[j, i], None),
-                        _sum_is(downdown[i, j], downdown[j, i], None))
-                    mixed = _sum_is(_insert_bit(down[j], bit[i]),
-                                    _remove_bit(up[i], bit[j]), v if i == j else None)
+            bits = [j - 1 - lo for j in idx]  # by position p in idx
+            up = [insert(v, b) for b in bits]
+            down = [remove(v, b) for b in bits]
+            upup = [[insert(u, b) for u in up] for b in bits]  # [p][q]: psi_i psi_j v
+            downdown = [[remove(d, b) for d in down] for b in bits]
+            same = [[None] * len(idx) for _ in idx]  # sums of (p, q) reused at (q, p)
+            for p, i in enumerate(idx):
+                for q, j in enumerate(idx):
+                    both, stars = same[p][q] = same[q][p] or (
+                        sum_is(upup[p][q], upup[q][p], None),
+                        sum_is(downdown[p][q], downdown[q][p], None))
+                    mixed = sum_is(insert(down[q], bits[p]),
+                                   remove(up[p], bits[q]), v if p == q else None)
                     total += 3
                     if both and stars and mixed:
                         continue

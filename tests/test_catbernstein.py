@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,15 +40,20 @@ from bosonfermion.catbernstein import (
 from bosonfermion.cli import parse_module_spec
 from bosonfermion.errors import ChainComplexError
 from bosonfermion.fock import BosonState, boson_psi, boson_psi_star
-from bosonfermion.homalg import Complex, single_module_complex
+from bosonfermion.homalg import (Complex, random_complex_with_known_homology,
+                                 single_module_complex)
+from bosonfermion.linalg import SMat
 from bosonfermion.partition_core import (
+    Partition,
     enumerate_partitions,
     format_partition,
     syt_count,
 )
+from bosonfermion.reports import Report
 from bosonfermion.symfunc import (SymFunc, bernstein, bernstein_star, multiply,
                                   schur, skew)
 from bosonfermion.symrep import (
+    RepModule,
     frobenius_char,
     induce,
     regular_module,
@@ -396,6 +402,100 @@ def test_each_complex_is_ranked_once_per_report(name, monkeypatch):
     assert counts and max(counts.values()) == 1, counts
 
 
+def homology_route_creation_check(lam):
+    """The former body of specht_creation_check, kept as an oracle: it takes
+    the degree-0 character from H_0 built with its induced action."""
+    lam = Partition(lam)
+    report = Report(
+        "categorified creation word",
+        config={"partition": format_partition(lam),
+                "reduce_intermediate": True},
+    )
+    word = creation_word(lam)
+    cx = compose_bernstein(word, trivial_module(0))
+    betti = cx.betti()
+    report.add("homology concentrated in degree 0",
+               set(betti) <= {0}, betti=catbernstein._betti_obj(betti))
+    expected_dim = syt_count(lam)
+    dim0 = betti.get(0, 0)
+    report.add("degree-0 homology has the standard-tableau dimension",
+               dim0 == expected_dim, computed=dim0, expected=expected_dim)
+    if dim0:
+        ch = frobenius_char(cx.homology_module(0))
+    else:
+        ch = SymFunc.zero()
+    report.add("degree-0 character is the matching Schur function",
+               ch == schur(lam), computed=catbernstein._euler_obj(ch))
+    euler = cx.euler_frobenius()
+    shadow = word_character(word, schur(()))
+    report.add("Euler characteristic matches the operator shadow",
+               euler == shadow,
+               computed=catbernstein._euler_obj(euler),
+               expected=catbernstein._euler_obj(shadow))
+    return report
+
+
+def _entry(report, name):
+    return next(c for c in json.loads(report.to_json())["checks"]
+                if c["name"] == name)
+
+
+def _counted_homology_modules(monkeypatch):
+    calls = []
+    real = Complex.homology_module
+
+    def counted(self, k):
+        calls.append(k)
+        return real(self, k)
+
+    monkeypatch.setattr(Complex, "homology_module", counted)
+    return calls
+
+
+class TestEulerRouteCreationCheck:
+    CHARACTER = "degree-0 character is the matching Schur function"
+    EULER = "Euler characteristic matches the operator shadow"
+
+    def test_matches_the_homology_route_up_to_degree_seven(self):
+        shapes = [lam for n in range(8) for lam in enumerate_partitions(n)]
+        assert len(shapes) == 45
+        for lam in shapes:
+            assert (specht_creation_check(lam).to_json()
+                    == homology_route_creation_check(lam).to_json()), lam
+
+    def test_spread_homology_falls_back_to_the_module(self, monkeypatch):
+        cx, planted = random_complex_with_known_homology(random.Random(0))
+        assert planted == {0: 1, 1: 1, 3: 1}
+        monkeypatch.setattr(catbernstein, "compose_bernstein",
+                            lambda word, seed: cx)
+        calls = _counted_homology_modules(monkeypatch)
+        rep = specht_creation_check((1,))
+        assert calls == [0]
+        assert _entry(rep, self.CHARACTER)["details"]["computed"] == [["0", "1"]]
+        assert _entry(rep, self.EULER)["details"]["computed"] == [["0", "-1"]]
+        assert not rep.passed
+
+    def test_acyclic_complex_has_the_zero_character(self, monkeypatch):
+        one = RepModule(0, 1, [])
+        cx = Complex(0, {0: one, 1: one}, {1: SMat.identity(1)})
+        assert cx.betti() == {}
+        monkeypatch.setattr(catbernstein, "compose_bernstein",
+                            lambda word, seed: cx)
+        calls = _counted_homology_modules(monkeypatch)
+        rep = specht_creation_check((1,))
+        assert calls == []
+        assert _entry(rep, self.CHARACTER)["details"]["computed"] == []
+        assert not rep.passed
+
+    @pytest.mark.parametrize("lam", [(1,), (3,), (5,)])
+    def test_one_part_word_builds_no_homology_module(self, lam, monkeypatch):
+        # a one-letter word has no intermediate step, and its homology is
+        # concentrated, so no homology module is built at all
+        calls = _counted_homology_modules(monkeypatch)
+        assert specht_creation_check(lam).passed
+        assert calls == []
+
+
 class TestChargedLayer:
     def test_vacuum_vector_shape(self):
         v = vacuum_vector()
@@ -479,7 +579,6 @@ def test_misaligned_cells_are_refused_under_optimized_python():
 
 def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     # SMat stores {col: int} rows over one den >= 1 coprime to the entries
-    from bosonfermion.linalg import SMat
     from test_linalg import in_lowest_terms
 
     init, seen, bad = SMat.__init__, [0, 0], []

@@ -411,6 +411,12 @@ class TestDeterminismAndCache:
         (("clifford", "--json", "--max-degree", "8", "--charge-window=-2:2",
           "--index-window=-4:4"),
          "16a47c84bf6ef2f59c16f210bd31f599355ea95202d4b5452245bd6c4c343bb2"),
+        # the degree-10 frontier, hashed while the degree-0 character was
+        # still taken from the homology module with its induced action
+        (("cat", "specht", "4,3,2,1", "--max-degree", "10", "--json"),
+         "60d8b2ee4149ea9b91098cce51ff5465a86e3e4586df76c5ad99f280fa51cf0c"),
+        (("cat", "specht", "4,4,2", "--max-degree", "10", "--json"),
+         "ca0f95285141215701700acb15d6bfd9ecf78bd052f7a6f2fde022058003e61f"),
     ])
     def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
         clear_env(monkeypatch)

@@ -77,6 +77,18 @@ def test_demo_reports_a_mismatch_and_exits_one(monkeypatch, capsys):
     assert "all three levels agree" not in out
 
 
+def test_demo_checks_the_degree_zero_character(monkeypatch, capsys):
+    # level 3 compares the character of the computed H_0 module with s_λ,
+    # not only the Euler characteristic
+    demo = load_script("demo_correspondence")
+    monkeypatch.setattr(demo, "frobenius_char",
+                        lambda m: demo.schur((m.degree,)))
+    assert demo.main(["2,1"]) == 1
+    out = capsys.readouterr().out
+    assert "MISMATCH at level 3: " in out
+    assert "all three levels agree" not in out
+
+
 def _refused(out, code, prefix):
     assert out.returncode == code, out.stderr
     assert out.stderr.startswith(prefix), out.stderr
