@@ -106,7 +106,7 @@ def tour(text):
 
     v = fermionic_apply(1, vacuum_vector())
     print(f"\n  charged layer: one generator on the vacuum family gives "
-          f"homology {v.betti()}")
+          f"homology { {c: cx.betti() for c, cx in sorted(v.items())} }")
     print(f"  decategorified: "
           f"{ {c: show(g) for c, g in decategorify(v).terms.items()} }")
     print("\nall three levels agree.")

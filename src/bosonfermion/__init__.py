@@ -18,9 +18,11 @@ Layers, bottom to top:
   Gaussian elimination, equivariant homology.
 - ``catbernstein``: chain-complex-valued creation/annihilation operators,
   partition-indexed projector complexes, their relation suites, and the
-  charged layer whose Euler characteristic recovers ``fock``.
-- ``reports`` / ``config`` / ``cli``: deterministic check reports, run
-  configuration, and the command-line entry point.
+  charged layer (``{charge: Complex}`` dicts) whose Euler characteristic
+  recovers ``fock``.
+- ``reports`` / ``config`` / ``cli`` / ``errors``: deterministic check
+  reports, run configuration, the command-line entry point, and the typed
+  errors the gates raise.
 
 All arithmetic is exact (``int`` and ``fractions.Fraction``); nothing is
 floating point.

@@ -23,8 +23,8 @@ the top k letters twisted by the sign, which ``symrep.induce`` builds on
 its (S, v) basis of k-subsets of {1..n}, with ``symrep.subset_move`` caps
 and cups as differentials and f on every subset as functor blocks;
 homology-level relation suites for the commutation rules between the
-lifted operators; and charge-indexed families of complexes that realize
-the fermionic generators one charge slot at a time.
+lifted operators; and charged families, plain ``{charge: Complex}`` dicts,
+on which the fermionic generators act one charge slot at a time.
 
 Everything is exact: differentials pass a ``d^2 = 0`` gate on
 construction, homology is computed by exact column reduction, and all
@@ -41,7 +41,7 @@ from math import comb, factorial
 # checks that the harness rebinds it in this module
 from .branching import _lift_matrix, word_module  # noqa: F401
 from .errors import ChainComplexError
-from .fock import BosonState
+from .fock import BosonState, boson_psi, boson_psi_star
 from .homalg import (
     ChainMap,
     cone,
@@ -70,7 +70,6 @@ from .symrep import (
 
 
 __all__ = [
-    "ChargedComplexVector",
     "annihilation_word",
     "apply_bernstein",
     "apply_bernstein_star",
@@ -252,13 +251,6 @@ def sigma_cell_dims(m):
 # --------------------------------------------------------------------------
 
 
-def _operator_complex(op, m):
-    """One-step complex of ``op`` on a single module, plus its cells keyed
-    by inner degree."""
-    cx, columns = _apply_operator(op, single_module_complex(m))
-    return cx, columns.get(0, {})
-
-
 def _functor_on_map(cs, ct, f):
     """Apply the functor of cell ``cs`` to a module map ``f`` landing in the
     module of cell ``ct``: one copy of π' f ι per subset, or of f for a cell
@@ -308,22 +300,20 @@ def _apply_operator(op, cx):
 
 def bernstein_complex(a, m):
     """Chain-complex lift of the charge-``a`` creation operator on ``m``."""
-    cx, _ = _operator_complex(_BernsteinOp(a, star=False), m)
-    return cx
+    return _apply_operator(_BernsteinOp(a), single_module_complex(m))[0]
 
 
 def bernstein_star_complex(a, m):
     """Chain-complex lift of the charge-``a`` annihilation operator on ``m``."""
-    cx, _ = _operator_complex(_BernsteinOp(a, star=True), m)
-    return cx
+    return _apply_operator(_BernsteinOp(a, star=True),
+                           single_module_complex(m))[0]
 
 
 def sigma_complex(sign, m):
     """Partition-indexed projector complex (sign -1: corner removal
     differentials in non-negative degrees; sign +1: the mirror with
     corner insertions in non-positive degrees)."""
-    cx, _ = _operator_complex(_SigmaOp(sign), m)
-    return cx
+    return _apply_operator(_SigmaOp(sign), single_module_complex(m))[0]
 
 
 def apply_bernstein(a, cx):
@@ -413,7 +403,8 @@ def specht_creation_check(lam):
     """Creation word of a partition applied to the charge-0 vacuum module:
     homology must be the corresponding irreducible in degree 0.  Q[S_n] is
     semisimple, so if homology sits in degree 0 alone, ch H_0 is the Euler
-    characteristic (Euler–Poincaré); only spread homology builds H_0."""
+    characteristic (Euler–Poincaré); only spread homology builds H_0 (the
+    zero module when H_0 = 0)."""
     lam = Partition(lam)
     report = Report(
         "categorified creation word",
@@ -431,12 +422,7 @@ def specht_creation_check(lam):
     report.add("degree-0 homology has the standard-tableau dimension",
                dim0 == expected_dim, computed=dim0, expected=expected_dim)
     euler = cx.euler_frobenius()
-    if set(betti) <= {0}:
-        ch = euler
-    elif dim0:
-        ch = frobenius_char(cx.homology_module(0))
-    else:
-        ch = SymFunc.zero()
+    ch = euler if set(betti) <= {0} else frobenius_char(cx.homology_module(0))
     report.add("degree-0 character is the matching Schur function",
                ch == schur(lam), computed=_euler_obj(ch))
     shadow = word_character(word, schur(()))
@@ -483,32 +469,39 @@ def relation_suite_bb(a, b, m, star=False):
                 "module_degree": m.degree, "module_dim": m.dim},
     )
     ch = frobenius_char(m)
-    if star:
-        word1 = [(a + 1, True), (b, True)]
-        word2 = [(b + 1, True), (a, True)]
-    else:
-        word1 = [(a - 1, False), (b, False)]
-        word2 = [(b - 1, False), (a, False)]
-    c1 = compose_bernstein(word1, m)
-    euler1, betti1 = c1.euler_frobenius(), c1.betti()
-    report.add("Euler characteristic (first composite) matches shadow",
-               euler1 == word_character(word1, ch),
-               computed=_euler_obj(euler1))
+    d = 1 if star else -1  # the staircase shift of the outer charge
+    c1, _ = _composite_entry(report, "first composite",
+                             [(a + d, star), (b, star)], m, ch)
+    betti1 = c1.betti()
     if a == b:
         report.add("equal-charge composite is acyclic",
                    not betti1, betti=_betti_obj(betti1))
         return report
-    c2 = compose_bernstein(word2, m)
-    euler2, betti2 = c2.euler_frobenius(), c2.betti()
-    report.add("Euler characteristic (swapped composite) matches shadow",
-               euler2 == word_character(word2, ch),
-               computed=_euler_obj(euler2))
-    shift = -1 if a > b else 1
+    c2, _ = _composite_entry(report, "swapped composite",
+                             [(b + d, star), (a, star)], m, ch)
+    _shift_entry(report, betti1, c2.betti(), -1 if a > b else 1)
+    return report
+
+
+def _composite_entry(report, label, word, m, ch, cx=None):
+    """Add the entry comparing the Euler characteristic of ``word`` on
+    ``m`` (its complex ``cx``, composed here if not given) with the shadow
+    of ``word`` on ``ch``; returns (complex, Euler characteristic)."""
+    if cx is None:
+        cx = compose_bernstein(word, m)
+    euler = cx.euler_frobenius()
+    report.add(f"Euler characteristic ({label}) matches shadow",
+               euler == word_character(word, ch), computed=_euler_obj(euler))
+    return cx, euler
+
+
+def _shift_entry(report, betti1, betti2, shift):
+    """Add the entry requiring ``betti1`` to be ``betti2`` moved up by
+    ``shift`` degrees."""
     report.add("swapping the pair shifts graded homology by one degree",
                betti1 == {k + shift: v for k, v in betti2.items()},
                first=_betti_obj(betti1), second=_betti_obj(betti2),
                shift=shift)
-    return report
 
 
 def _counit_chain_map(a, m):
@@ -532,9 +525,10 @@ def _counit_chain_map(a, m):
     """
     inner_op = _BernsteinOp(a + 1, star=True)
     outer_op = _BernsteinOp(a + 1, star=False)
-    inner_cx, inner_cells = _operator_complex(inner_op, m)
-    total, columns = _apply_operator(outer_op, inner_cx)
     target = single_module_complex(m)
+    inner_cx, inner_columns = _apply_operator(inner_op, target)
+    inner_cells = inner_columns.get(0, {})
+    total, columns = _apply_operator(outer_op, inner_cx)
     if total.is_zero_complex():
         total = zero_complex(m.degree)
         return ChainMap(total, target, {}), total
@@ -607,28 +601,14 @@ def relation_suite_bbstar(a, b, m):
                 "module_degree": m.degree, "module_dim": m.dim},
     )
     ch = frobenius_char(m)
-    word1 = [(a + 1, False), (b + 1, True)]
-    word2 = [(b, True), (a, False)]
-    c2 = compose_bernstein(word2, m)
-    euler2, betti2 = c2.euler_frobenius(), c2.betti()
-    report.add("Euler characteristic (annihilate-then-create) matches shadow",
-               euler2 == word_character(word2, ch),
-               computed=_euler_obj(euler2))
+    c2, euler2 = _composite_entry(report, "annihilate-then-create",
+                                  [(b, True), (a, False)], m, ch)
+    betti2 = c2.betti()
+    evaluation, c1 = _counit_chain_map(a, m) if a == b else (None, None)
+    c1, euler1 = _composite_entry(report, "create-then-annihilate",
+                                  [(a + 1, False), (b + 1, True)], m, ch, c1)
     if a != b:
-        c1 = compose_bernstein(word1, m)
-    else:
-        evaluation, c1 = _counit_chain_map(a, m)
-    euler1 = c1.euler_frobenius()
-    report.add("Euler characteristic (create-then-annihilate) matches shadow",
-               euler1 == word_character(word1, ch),
-               computed=_euler_obj(euler1))
-    if a != b:
-        betti1 = c1.betti()
-        shift = 1 if a > b else -1
-        report.add("swapping the pair shifts graded homology by one degree",
-                   betti1 == {k + shift: v for k, v in betti2.items()},
-                   first=_betti_obj(betti1), second=_betti_obj(betti2),
-                   shift=shift)
+        _shift_entry(report, c1.betti(), betti2, 1 if a > b else -1)
         return report
     tri = cone(evaluation).betti()
     report.add("evaluation cone has the graded homology of the swap",
@@ -701,96 +681,62 @@ def sigma_vanishing_check(m):
 # --------------------------------------------------------------------------
 
 
-class ChargedComplexVector:
-    """Finite family of chain complexes indexed by charge."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components=None):
-        self.components = {}
-        for c, cx in (components or {}).items():
-            if cx.modules:
-                self.components[int(c)] = cx
-
-    @staticmethod
-    def of(charge, cx):
-        return ChargedComplexVector({charge: cx})
-
-    def charges(self):
-        return sorted(self.components)
-
-    def component(self, charge):
-        return self.components.get(int(charge))
-
-    def is_zero(self):
-        return not self.components
-
-    def betti(self):
-        return {c: cx.betti() for c, cx in sorted(self.components.items())}
-
-    def __repr__(self):
-        parts = ", ".join(f"{c}: dims={cx.dims()}"
-                          for c, cx in sorted(self.components.items()))
-        return f"ChargedComplexVector({{{parts}}})"
-
-
 def vacuum_vector(charge=0):
-    """The charge-``charge`` vacuum: one degree-0 module in degree 0."""
-    return ChargedComplexVector(
-        {charge: single_module_complex(trivial_module(0))})
+    """The charge-``charge`` vacuum as a charged family (a dict from charge
+    to complex): one degree-0 module in degree 0."""
+    return {int(charge): single_module_complex(trivial_module(0))}
+
+
+def _charged_step(i, v, star):
+    """The body of ``fermionic_apply`` and (with ``star``) of
+    ``fermionic_star_apply``: each slot's image is reduced to its homology,
+    and slots whose homology is zero are dropped."""
+    out = {}
+    for c, cx in v.items():
+        to = c - 1 if star else c + 1
+        cx = _apply_operator(_BernsteinOp(i - max(c, to), star), cx)[0]
+        cx = cx.homology_complex()
+        if cx.modules:
+            out[to] = cx
+    return out
 
 
 def fermionic_apply(i, v):
-    """Charged creation generator: on the charge-``c`` slot it acts as the
-    creation operator of charge ``i - (c + 1)`` and lands in charge c+1,
-    reduced to its homology."""
-    out = {}
-    for c, cx in v.components.items():
-        nxt, _ = _apply_operator(_BernsteinOp(i - (c + 1), star=False), cx)
-        nxt = nxt.homology_complex()
-        if nxt.modules:
-            out[c + 1] = nxt
-    return ChargedComplexVector(out)
+    """Charged creation generator on a charged family ``v`` (a dict from
+    charge to complex): the charge-``c`` slot goes through the creation
+    operator of charge ``i - (c + 1)`` to charge c+1, reduced to its
+    homology.  Returns a new family."""
+    return _charged_step(i, v, star=False)
 
 
 def fermionic_star_apply(i, v):
-    """Charged annihilation generator: on the charge-``c`` slot it acts as
-    the annihilation operator of charge ``i - c`` and lands in charge c-1,
-    reduced to its homology."""
-    out = {}
-    for c, cx in v.components.items():
-        nxt, _ = _apply_operator(_BernsteinOp(i - c, star=True), cx)
-        nxt = nxt.homology_complex()
-        if nxt.modules:
-            out[c - 1] = nxt
-    return ChargedComplexVector(out)
+    """Charged annihilation generator on a charged family ``v`` (a dict from
+    charge to complex): the charge-``c`` slot goes through the annihilation
+    operator of charge ``i - c`` to charge c-1, reduced to its homology.
+    Returns a new family."""
+    return _charged_step(i, v, star=True)
 
 
 def decategorify(v):
-    """Euler characteristic of every charge slot, as a charged state."""
-    return BosonState({c: cx.euler_frobenius()
-                       for c, cx in v.components.items()})
+    """Euler characteristic of every charge slot of the family ``v``, as a
+    charged state."""
+    return BosonState({c: cx.euler_frobenius() for c, cx in v.items()})
 
 
 def fermionic_relation_check(i, v):
-    """Square-zero and shadow checks for one charged generator on one
-    charged family."""
+    """Square-zero and shadow checks for one charged generator on the
+    charged family ``v`` (a dict from charge to complex)."""
     report = Report(
         "charged generator relations",
-        config={"index": int(i), "charges": v.charges()},
+        config={"index": int(i), "charges": sorted(v)},
     )
-    once = fermionic_apply(i, v)
-    twice = fermionic_apply(i, once)
-    report.add("double creation application is homologically zero",
-               twice.is_zero(), betti=twice.betti())
-    from .fock import boson_psi, boson_psi_star
-
-    report.add("creation shadow matches the charged operator",
-               decategorify(once) == boson_psi(i, decategorify(v)))
-    once_star = fermionic_star_apply(i, v)
-    twice_star = fermionic_star_apply(i, once_star)
-    report.add("double annihilation application is homologically zero",
-               twice_star.is_zero(), betti=twice_star.betti())
-    report.add("annihilation shadow matches the charged operator",
-               decategorify(once_star) == boson_psi_star(i, decategorify(v)))
+    for star, kind, shadow in ((False, "creation", boson_psi),
+                               (True, "annihilation", boson_psi_star)):
+        once = _charged_step(i, v, star)
+        twice = _charged_step(i, once, star)
+        report.add(f"double {kind} application is homologically zero",
+                   not twice,
+                   betti={c: cx.betti() for c, cx in sorted(twice.items())})
+        report.add(f"{kind} shadow matches the charged operator",
+                   decategorify(once) == shadow(i, decategorify(v)))
     return report

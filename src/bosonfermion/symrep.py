@@ -129,18 +129,6 @@ class GroupAlgebraElement:
     def unit(degree):
         return GroupAlgebraElement(degree, {identity_perm(degree): ONE})
 
-    def __add__(self, other):
-        out = dict(self.terms)
-        for p, c in other.terms.items():
-            w = out.get(p, ZERO) + c
-            if w:
-                out[p] = w
-            else:
-                out.pop(p, None)
-        res = GroupAlgebraElement(self.degree)
-        res.terms = out
-        return res
-
     def scale(self, c):
         c = Fraction(c)
         return GroupAlgebraElement(
@@ -430,10 +418,6 @@ class ModuleMap:
             raise ValueError(f"cannot compose {self!r} after {other!r}")
         return ModuleMap(other.source, self.target,
                          self.matrix @ other.matrix)
-
-    def __add__(self, other):
-        return ModuleMap(self.source, self.target,
-                         self.matrix + other.matrix)
 
     def __sub__(self, other):
         return ModuleMap(self.source, self.target,

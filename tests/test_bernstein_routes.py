@@ -28,7 +28,6 @@ from bosonfermion.catbernstein import (
     _BernsteinOp,
     _apply_operator,
     _functor_on_map,
-    _operator_complex,
     _pair_evaluation,
 )
 from bosonfermion.homalg import single_module_complex
@@ -181,11 +180,12 @@ def test_lifts_match_the_whiskered_map(key):
 def _evaluation_pairs(m, a):
     """(outer cell, inner cell) of every degree-0 block of the evaluation
     map  (creation at a+1)(annihilation at a+1)(M) -> [M]."""
-    inner_cx, inner_cells = _operator_complex(_BernsteinOp(a + 1, True), m)
+    inner_cx, inner_columns = _apply_operator(_BernsteinOp(a + 1, True),
+                                              single_module_complex(m))
     _, columns = _apply_operator(_BernsteinOp(a + 1), inner_cx)
     for y, cells in sorted(columns.items()):
         if -y in cells:
-            yield cells[-y], inner_cells[y]
+            yield cells[-y], inner_columns[0][y]
 
 
 @pytest.mark.parametrize("key", sorted(MODULES))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 
 from bosonfermion import catbernstein
 from bosonfermion.catbernstein import (
-    ChargedComplexVector,
     annihilation_word,
     apply_bernstein,
     apply_bernstein_star,
@@ -74,8 +74,11 @@ def unreduced_compose(word, seed):
 
 
 def unreduced_fermionic_apply(i, v):
-    return ChargedComplexVector({c + 1: apply_bernstein(i - (c + 1), cx)
-                                 for c, cx in v.components.items()})
+    return {c + 1: apply_bernstein(i - (c + 1), cx) for c, cx in v.items()}
+
+
+def charged_betti(v):
+    return {c: cx.betti() for c, cx in sorted(v.items())}
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +347,37 @@ class TestPairRelations:
             relation_suite_bbstar(0, 0, pool["S2"])
 
 
+def _digest(reports):
+    return hashlib.sha256(
+        "".join(rep.to_json() for rep in reports).encode()).hexdigest()
+
+
+# sha256 of the concatenated reports at the commit that introduced these
+# pins; a refactor of the relation checks must keep them byte-identical.
+def test_pair_suite_reports_are_pinned():
+    charges = range(-2, 3)
+    reports = [
+        rep
+        for m in map(parse_module_spec, ["trivial:0", "S:1", "S:2", "S:1,1"])
+        for a in charges for b in charges
+        for rep in (relation_suite_bb(a, b, m),
+                    relation_suite_bb(a, b, m, star=True),
+                    relation_suite_bbstar(a, b, m))]
+    assert len(reports) == 300
+    assert _digest(reports) == (
+        "807574000948234c43c08b52e1a6c9e0635232e5f3ee041c248258407c4c79b0")
+
+
+def test_charged_relation_reports_are_pinned():
+    vac = vacuum_vector()
+    families = [vac, fermionic_apply(1, vac), fermionic_star_apply(0, vac),
+                fermionic_apply(2, fermionic_apply(1, vac))]
+    reports = [fermionic_relation_check(i, v)
+               for v in families for i in range(-2, 3)]
+    assert _digest(reports) == (
+        "925fcd524f6a96f460baeb5a60ddbae1315b5c72d7c2f9d1ceacf137d79a3c6d")
+
+
 class TestVerificationReports:
     def test_specht_creation_report(self):
         rep = specht_creation_check((2, 1))
@@ -499,23 +533,23 @@ class TestEulerRouteCreationCheck:
 class TestChargedLayer:
     def test_vacuum_vector_shape(self):
         v = vacuum_vector()
-        assert v.charges() == [0]
-        assert v.betti() == {0: {0: 1}}
+        assert sorted(v) == [0]
+        assert charged_betti(v) == {0: {0: 1}}
 
     def test_two_generators_raise_charge(self):
         v = fermionic_apply(2, fermionic_apply(1, vacuum_vector()))
-        assert v.betti() == {2: {0: 1}}
+        assert charged_betti(v) == {2: {0: 1}}
 
     def test_star_lowers_charge_back(self):
         v = fermionic_apply(2, fermionic_apply(1, vacuum_vector()))
         down = fermionic_star_apply(2, v)
-        assert down.betti() == {1: {0: 1}}
+        assert charged_betti(down) == {1: {0: 1}}
 
     def test_double_application_vanishes(self):
         v = vacuum_vector()
-        assert fermionic_apply(1, fermionic_apply(1, v)).is_zero()
+        assert fermionic_apply(1, fermionic_apply(1, v)) == {}
         w = fermionic_apply(3, fermionic_apply(1, v))
-        assert fermionic_star_apply(2, fermionic_star_apply(2, w)).is_zero()
+        assert fermionic_star_apply(2, fermionic_star_apply(2, w)) == {}
 
     def test_decategorified_shadow_matches_charged_operators(self):
         v = fermionic_apply(1, vacuum_vector())
@@ -528,11 +562,24 @@ class TestChargedLayer:
         rep = fermionic_relation_check(2, vacuum_vector())
         assert rep.passed, rep.render_text()
 
+    def test_empty_slots_are_dropped(self):
+        # an input slot whose image has zero homology leaves no key behind
+        v = {0: single_module_complex(trivial_module(0)),
+             1: Complex(0, {}, {})}
+        assert sorted(fermionic_apply(1, v)) == [1]
+        assert fermionic_star_apply(0, {5: Complex(0, {}, {})}) == {}
+
     def test_unreduced_application_same_homology(self):
         v = vacuum_vector()
         fast = fermionic_apply(1, v)
         slow = unreduced_fermionic_apply(1, v)
-        assert fast.betti() == slow.betti()
+        assert charged_betti(fast) == charged_betti(slow)
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in catbernstein.__all__
+               if not hasattr(catbernstein, name)]
+    assert missing == []
 
 
 def test_misaligned_cells_are_refused_under_optimized_python():
@@ -540,23 +587,23 @@ def test_misaligned_cells_are_refused_under_optimized_python():
     code = (
         "from bosonfermion.catbernstein import (\n"
         "    _BernsteinOp, _SigmaOp, _apply_operator, _differential,\n"
-        "    _functor_on_map, _operator_complex, _pair_evaluation,\n"
-        "    _sigma_cell)\n"
+        "    _functor_on_map, _pair_evaluation, _sigma_cell)\n"
+        "from bosonfermion.homalg import single_module_complex\n"
         "from bosonfermion.errors import ChainComplexError\n"
         "from bosonfermion.linalg import SMat\n"
         "from bosonfermion.symrep import trivial_module\n"
         "m = trivial_module(2)\n"
         "cells = _BernsteinOp(1).cells(m)\n"
         "sigma = [_sigma_cell(m, k) for k in range(3)]\n"
-        "inner_cx, inner = _operator_complex(\n"
-        "    _BernsteinOp(1, star=True), trivial_module(1))\n"
+        "inner_cx, inner = _apply_operator(_BernsteinOp(1, star=True),\n"
+        "    single_module_complex(trivial_module(1)))\n"
         "_, columns = _apply_operator(_BernsteinOp(1), inner_cx)\n"
         "eye = SMat.identity(1)\n"
         "for attempt in (\n"
         "        lambda: _differential(_BernsteinOp(1), cells[1], cells[1]),\n"
         "        lambda: _differential(_SigmaOp(-1), sigma[2], sigma[2]),\n"
         "        lambda: _functor_on_map(sigma[1], sigma[2], eye),\n"
-        "        lambda: _pair_evaluation(columns[0][0], inner[0], -1)):\n"
+        "        lambda: _pair_evaluation(columns[0][0], inner[0][0], -1)):\n"
         "    try:\n"
         "        attempt()\n"
         "    except ChainComplexError as exc:\n"

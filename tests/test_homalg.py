@@ -22,6 +22,7 @@ from bosonfermion.homalg import (
     Complex,
     cone,
     elimination_fuzz_report,
+    eliminate_entry,
     forget_action,
     module_direct_sum,
     random_complex_with_known_homology,
@@ -336,6 +337,28 @@ class TestReduction:
             "{1: 1}",
             "d_1[0, 1] is zero; only an invertible entry can be eliminated",
         ]
+
+    def test_eliminating_above_a_lower_differential_keeps_homology(self):
+        # reduce_complex cancels the lowest differential first, so it never
+        # eliminates in a d_k below which d_(k-1) is still present; here the
+        # first nonzero entry of such a d_k is cancelled directly, and the
+        # complex it leaves (d∘d = 0 gated on construction) keeps the
+        # planted homology
+        reached = 0
+        for seed in range(100):
+            c, planted = random_complex_with_known_homology(
+                random.Random(seed), span=5)
+            ks = [k for k in sorted(c.diffs) if k - 1 in c.diffs]
+            if not ks:
+                continue
+            k = ks[0]
+            r, row = next((r, row) for r, row in enumerate(c.d(k).rows) if row)
+            out = eliminate_entry(c, k, r, min(row))
+            assert out.dim(k) == c.dim(k) - 1, seed
+            assert out.dim(k - 1) == c.dim(k - 1) - 1, seed
+            assert out.betti() == planted, seed
+            reached += 1
+        assert reached >= 50
 
     def test_forget_action_keeps_differential(self):
         c = augmentation_complex()
