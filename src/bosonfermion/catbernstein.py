@@ -285,13 +285,9 @@ def _apply_operator(op, cx):
         for k, cell in cells.items():
             modules[(k, y)] = cell.sub
             if (k - 1) in cells:
-                mat = _differential(op, cell, cells[k - 1])
-                if mat.nnz():
-                    d_h[(k, y)] = mat
+                d_h[(k, y)] = _differential(op, cell, cells[k - 1])
             if y in cx.diffs and k in below:
-                mat = _functor_on_map(cell, below[k], cx.d(y))
-                if mat.nnz():
-                    d_v[(k, y)] = mat
+                d_v[(k, y)] = _functor_on_map(cell, below[k], cx.d(y))
     out = totalize(modules, d_h, d_v, gd)
     if not out.modules:
         out = zero_complex(max(gd, 0))

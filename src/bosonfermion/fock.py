@@ -357,6 +357,14 @@ def _window(pair):
     return range(lo, hi + 1)
 
 
+def _shapes(max_degree):
+    """Every partition of size 0..max_degree; ValueError if max_degree is
+    negative (the size window 0:max_degree is reversed), which would leave
+    no vector to check."""
+    _window((0, max_degree))
+    return partitions_up_to(max_degree)
+
+
 def _is_image(hit, lo, charge, table):
     """Whether the signed mask hit (None is zero) above the floor lo is
     t^charge times the Schur expansion ``table`` (one term, or none)."""
@@ -386,7 +394,7 @@ def verify_correspondence(max_degree, charge_window, index_window):
             "index_window": list(index_window),
         },
     )
-    shapes = partitions_up_to(max_degree)
+    shapes = _shapes(max_degree)
     # mask step, Schur table at i - c - shift, charge step, mismatch routes
     modes = (("psi", _insert_bit, _bernstein_schur, 1, 1, psi, boson_psi),
              ("psi_star", _remove_bit, _bernstein_star_schur, 0, -1, psi_star,
@@ -430,7 +438,7 @@ def clifford_relation_report(max_degree, charge_window, index_window):
         },
     )
     insert, remove, sum_is = _insert_bit, _remove_bit, _sum_is
-    shapes = partitions_up_to(max_degree)
+    shapes = _shapes(max_degree)
     idx = list(_window(index_window))
     bad = 0
     total = 0

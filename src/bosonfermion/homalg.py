@@ -6,10 +6,14 @@ differential lowers the chain degree by one and squares to zero exactly
 pass over the incoming differential and the cycles picks a boundary basis and
 the cycles completing it, and one solve re-expresses the action on them.
 
-Also here: direct sums of modules, mapping cones, bicomplex totalization with
-the alternating-sign rule, and reduction by repeated cancellation of
-invertible differential entries (which preserves homotopy type and, on a
-bounded complex, terminates in a complex with zero differential).
+The ``Complex`` constructor is the one place that drops zero chain groups and
+zero differentials, so every construction hands it whatever it built.
+
+Also here: direct sums of modules, bicomplex totalization with the
+alternating-sign rule, mapping cones (target ⊕ source, as a two-column
+totalization), and reduction by repeated cancellation of invertible
+differential entries (which preserves homotopy type and, on a bounded
+complex, terminates in a complex with zero differential).
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class Complex:
         return got if got is not None else zero_module(self.group_degree)
 
     def dim(self, k):
-        return self.module(k).dim
+        got = self.modules.get(int(k))
+        return got.dim if got is not None else 0
 
     def dims(self):
         return {k: m.dim for k, m in sorted(self.modules.items())}
@@ -142,28 +147,19 @@ class Complex:
         # d_k enters the homology of degrees k and k - 1: rank it once
         ranks = {k: rank(d) for k, d in self.diffs.items()}
         out = {}
-        for k in self._support_range():
+        for k in self.degrees():
             h = self.dim(k) - ranks.get(k, 0) - ranks.get(k + 1, 0)
             if h:
                 out[k] = h
         return out
 
-    def _support_range(self):
-        if not self.modules:
-            return range(0)
-        ks = self.degrees()
-        return range(ks[0], ks[-1] + 1)
-
     def homology_complex(self):
         """The complex of homology modules with zero differential (the
         minimal model; over the rational group algebra every bounded complex
-        is homotopy-equivalent to it)."""
-        mods = {}
-        for k in self._support_range():
-            hm = self.homology_module(k)
-            if hm.dim:
-                mods[k] = hm
-        return Complex(self.group_degree, mods, {})
+        is homotopy-equivalent to it).  The Betti numbers say which degrees
+        carry homology; only those build a module."""
+        return Complex(self.group_degree,
+                       {k: self.homology_module(k) for k in self.betti()})
 
     def euler_frobenius(self):
         """Alternating sum of chain-group characters (equals the alternating
@@ -221,23 +217,17 @@ class ChainMap:
 
 
 def cone(f):
-    """Mapping cone: degree k carries source_{k-1} ⊕ target_k with
-    differential [[-d_src, 0], [f, d_tgt]]."""
+    """Mapping cone, as the totalization of the two-column bicomplex with
+    the target in column 0, the source in column 1 and f as the horizontal
+    map; the (-1)^x twist supplies -d_src.  Degree k carries
+    target_k ⊕ source_{k-1} with differential [[d_tgt, f], [0, -d_src]]."""
     a, b = f.source, f.target
-    gd = a.group_degree
-    keys = sorted({k + 1 for k in a.modules} | set(b.modules))
-    mods, diffs = {}, {}
-    for k in keys:
-        mods[k] = module_direct_sum([a.module(k - 1), b.module(k)], gd)
-    all_k = sorted({k for k in keys} | {k + 1 for k in keys})
-    for k in all_k:
-        mat = SMat.block([[a.d(k - 1).scale(-1), None],
-                          [f.mat(k - 1), b.d(k)]],
-                         [a.dim(k - 2), b.dim(k - 1)],
-                         [a.dim(k - 1), b.dim(k)])
-        if mat.nnz():
-            diffs[k] = mat
-    return Complex(gd, mods, diffs)
+    modules = {(0, k): m for k, m in b.modules.items()}
+    modules.update({(1, k): m for k, m in a.modules.items()})
+    d_v = {(0, k): mat for k, mat in b.diffs.items()}
+    d_v.update({(1, k): mat for k, mat in a.diffs.items()})
+    d_h = {(1, k): mat for k, mat in f.mats.items()}
+    return totalize(modules, d_h, d_v, a.group_degree)
 
 
 def totalize(modules, d_h, d_v, group_degree):
@@ -266,20 +256,14 @@ def totalize(modules, d_h, d_v, group_degree):
     diffs = {}
     for k, src_cells in by_total.items():
         tgt_cells = by_total.get(k - 1, [])
-        mat = SMat.block([[block(s, t) for s in src_cells] for t in tgt_cells],
-                         [cells[t].dim for t in tgt_cells],
-                         [cells[s].dim for s in src_cells])
-        if mat.nnz():
-            diffs[k] = mat
+        diffs[k] = SMat.block(
+            [[block(s, t) for s in src_cells] for t in tgt_cells],
+            [cells[t].dim for t in tgt_cells],
+            [cells[s].dim for s in src_cells])
     return Complex(group_degree, mods, diffs)
 
 
 # -- reduction by invertible-entry cancellation ---------------------------------------
-
-
-def _drop_indices(n, removed):
-    keep = [i for i in range(n) if i != removed]
-    return keep
 
 
 def eliminate_entry(c, k, r, col):
@@ -287,9 +271,9 @@ def eliminate_entry(c, k, r, col):
 
     The chain groups lose one generator each in degrees k and k-1; the
     degree-k differential picks up the Schur-complement correction, the
-    adjacent differentials just lose a row/column.  Module structure is not
-    carried (reduction bases are not equivariant); the result is for
-    dimension work only.
+    adjacent differentials just lose a row/column.  The result is a complex
+    of plain vector spaces (degree-0 modules): reduction bases are not
+    equivariant, so it is for dimension work only.
     """
     dmat = c.d(k)
     alpha = dmat.entry(r, col)
@@ -297,42 +281,16 @@ def eliminate_entry(c, k, r, col):
         raise ValueError(
             f"d_{k}[{r}, {col}] is zero; only an invertible entry can be "
             f"eliminated")
-    keep_cols = _drop_indices(c.dim(k), col)
-    keep_rows = _drop_indices(c.dim(k - 1), r)
+    gone = {(k, col), (k - 1, r)}
+    keep = {j: [i for i in range(n) if (j, i) not in gone]
+            for j, n in c.dims().items()}
+    diffs = {j: mat.submatrix(keep[j - 1], keep[j])
+             for j, mat in c.diffs.items()}
     # Schur complement on d_k
-    new_dk = dmat.submatrix(keep_rows, keep_cols)
-    col_part = dmat.submatrix(keep_rows, [col])
-    row_part = dmat.submatrix([r], keep_cols)
-    corr = col_part @ row_part
-    new_dk = new_dk - corr.scale(1 / alpha)
-    mods = dict(c.modules)
-    diffs = dict(c.diffs)
-
-    def plain(dim):
-        return RepModule(0, dim, [])
-
-    mods[k] = plain(c.dim(k) - 1)
-    mods[k - 1] = plain(c.dim(k - 1) - 1)
-    for kk in (k, k - 1):
-        if mods[kk].dim == 0:
-            del mods[kk]
-    if new_dk.nnz():
-        diffs[k] = new_dk
-    else:
-        diffs.pop(k, None)
-    if (k + 1) in diffs:
-        up = diffs[k + 1].submatrix(keep_cols, range(c.dim(k + 1)))
-        if up.nnz():
-            diffs[k + 1] = up
-        else:
-            del diffs[k + 1]
-    if (k - 1) in diffs:
-        down = diffs[k - 1].submatrix(range(c.dim(k - 2)), keep_rows)
-        if down.nnz():
-            diffs[k - 1] = down
-        else:
-            del diffs[k - 1]
-    return Complex(0, mods, diffs)
+    corr = dmat.submatrix(keep[k - 1], [col]) @ dmat.submatrix([r], keep[k])
+    diffs[k] = diffs[k] - corr.scale(1 / alpha)
+    return Complex(0, {j: RepModule(0, len(ix), []) for j, ix in keep.items()},
+                   diffs)
 
 
 def forget_action(c):
@@ -397,8 +355,6 @@ def random_complex_with_known_homology(rng, span=4):
     diffs = {}
     for k in range(1, span):
         p = pairs[k]
-        if p == 0 or dims[k] == 0 or dims[k - 1] == 0:
-            continue
         # pair block sits after the planted block in degree k, and after
         # planted + incoming-pair blocks in degree k - 1
         diffs[k] = SMat.block(
@@ -408,7 +364,7 @@ def random_complex_with_known_homology(rng, span=4):
     scrambled = {}
     for k, mat in diffs.items():
         scrambled[k] = basis[k - 1] @ mat @ inverse(basis[k])
-    mods = {k: RepModule(0, d, []) for k, d in dims.items() if d > 0}
+    mods = {k: RepModule(0, d, []) for k, d in dims.items()}
     betti = {k: v for k, v in planted.items() if v > 0}
     return Complex(0, mods, scrambled), betti
 

@@ -624,22 +624,44 @@ def test_misaligned_cells_are_refused_under_optimized_python():
     ]
 
 
+# Where the matrices of the checks below are built: the function that calls
+# SMat.__init__ (a comprehension stands for the function it sits in), and
+# those of its matrices that have den > 1.
+MATRIX_SITES = {
+    "linalg.from_entries", "linalg.identity", "linalg.zeros",
+    "linalg.__matmul__", "linalg.__neg__", "linalg.transpose",
+    "linalg.submatrix", "linalg.block", "linalg.block_diag",
+    "linalg.nullspace", "linalg.solve", "linalg._minus_diagonal",
+    "symrep.gens",
+}
+FRACTION_SITES = MATRIX_SITES - {
+    "linalg.identity", "linalg.zeros", "linalg.submatrix"}
+
+
+def _construction_site():
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    module = frame.f_globals["__name__"].rpartition(".")[2]
+    return f"{module}.{frame.f_code.co_name}"
+
+
 def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     # SMat stores {col: int} rows over one den >= 1 coprime to the entries
     from test_linalg import in_lowest_terms
 
-    init, seen, bad = SMat.__init__, [0, 0], []
+    init, sites, fractions, bad = SMat.__init__, set(), set(), []
 
     def checked(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        seen[0] += 1
-        seen[1] += self.den > 1
+        site = _construction_site()
+        sites.add(site)
+        if self.den > 1:
+            fractions.add(site)
         if not in_lowest_terms(self) and len(bad) < 5:
             bad.append((self, self.rows[:3], self.den))
 
     monkeypatch.setattr(SMat, "__init__", checked)
-    # (2, 2) keeps the count above the floor now that the kernels build
-    # fewer intermediate matrices
     assert specht_creation_check((2, 1)).passed
     assert specht_creation_check((2, 2)).passed
     assert specht_annihilation_check((2, 1)).passed
@@ -653,7 +675,10 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
                sigma_complex(1, specht_module([2, 1]))):
         cx.validate()
     assert not bad
-    assert seen[0] > 500 and seen[1] > 100, seen
+    # every kernel that builds matrices here is under the check, and every
+    # one that makes fractions here made some
+    assert MATRIX_SITES <= sites, MATRIX_SITES - sites
+    assert FRACTION_SITES <= fractions, FRACTION_SITES - fractions
 
 
 def test_chain_cells_build_no_induced_stage_of_their_plain_words(monkeypatch):

@@ -475,12 +475,15 @@ class TestCorrespondence:
         assert rep.passed, rep.render_text()
 
     def test_reversed_window_is_refused(self):
-        # a reversed window would pass without checking anything
+        # a reversed window, or a negative max_degree (the size window
+        # 0:max_degree reversed), would pass without checking anything
         for check, window in (
                 (verify_correspondence, (2, (1, 0), (-2, 2))),
                 (verify_correspondence, (2, (-1, 1), (3, -3))),
+                (verify_correspondence, (-1, (-1, 1), (-2, 2))),
                 (clifford_relation_report, (2, (2, 1), (-2, 2))),
-                (clifford_relation_report, (2, (-1, 1), (2, -2)))):
+                (clifford_relation_report, (2, (-1, 1), (2, -2))),
+                (clifford_relation_report, (-1, (-1, 1), (-2, 2)))):
             with pytest.raises(ValueError, match="is reversed"):
                 check(*window)
 

@@ -19,7 +19,7 @@ from bosonfermion.catbernstein import (
     sigma_complex,
 )
 from bosonfermion.errors import ChainComplexError
-from bosonfermion.homalg import single_module_complex
+from bosonfermion.homalg import ChainMap, cone, single_module_complex
 from bosonfermion.linalg import SMat
 from bosonfermion.symrep import specht_module, trivial_module
 from strand_oracles import direct_sum, shifted
@@ -99,14 +99,24 @@ def test_corrupted_differential_is_refused(name, monkeypatch):
         build()
 
 
-@pytest.mark.parametrize("rebuild", [
-    lambda cx: shifted(cx, 1),
-    lambda cx: direct_sum([cx]),
-], ids=["shifted", "direct_sum"])
-def test_constructions_recheck_their_input(rebuild):
+def _cone_from(cx):
+    # the identity onto a separate copy: only the source gets corrupted,
+    # after the chain map is built
+    copy = bernstein_complex(0, _s21())
+    f = ChainMap(cx, copy, {k: SMat.identity(cx.dim(k)) for k in cx.degrees()})
+    return lambda: cone(f)
+
+
+@pytest.mark.parametrize("prepare", [
+    lambda cx: lambda: shifted(cx, 1),
+    lambda cx: lambda: direct_sum([cx]),
+    _cone_from,
+], ids=["shifted", "direct_sum", "cone"])
+def test_constructions_recheck_their_input(prepare):
     cx = bernstein_complex(0, _s21())
-    rebuild(cx)
+    rebuild = prepare(cx)
+    rebuild()
     for k in cx.diffs:
         cx.diffs[k] = _plus_one_at_origin(cx.diffs[k])
     with pytest.raises(ChainComplexError, match="d∘d"):
-        rebuild(cx)
+        rebuild()
