@@ -373,6 +373,8 @@ def word_character(word, f):
 def sigma_character(f, n):
     """Symmetric-function shadow of the projector complex at truncation n,
     sum_{|lam| <= n} (-1)^|lam| s_lam s_{lam'}^perp f, on one ``skews`` table."""
+    if n < 0:
+        raise ValueError(f"truncation degree {n} is negative")
     lams = [lam for k in range(n + 1) for lam in enumerate_partitions(k)]
     total = SymFunc.zero()
     for lam, g in zip(lams, skews(f, [schur(lam.conjugate()) for lam in lams])):

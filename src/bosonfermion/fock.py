@@ -167,20 +167,22 @@ def _from_maya(mask, lo):
     return vec
 
 
-def _flip(hit, b):
-    """Toggle bit b of hit = (coefficient, mask), times (-1)^{set bits above b}."""
-    c, mask = hit
-    return (-c if (mask >> (b + 1)).bit_count() & 1 else c), mask ^ (1 << b)
-
-
 def _insert_bit(hit, b):
-    """psi on a signed Maya mask (None is zero): set bit b, or None if set."""
-    return None if hit is None or hit[1] >> b & 1 else _flip(hit, b)
+    """psi on a signed Maya mask (None is zero): set bit b, with the sign
+    (-1)^{set bits above b}, or None if it is set."""
+    if hit is None or hit[1] >> b & 1:
+        return None
+    c, mask = hit
+    return (-c if (mask >> b).bit_count() & 1 else c), mask | (1 << b)
 
 
 def _remove_bit(hit, b):
-    """psi_star on a signed Maya mask (None is zero): clear bit b, or None."""
-    return _flip(hit, b) if hit is not None and hit[1] >> b & 1 else None
+    """psi_star on a signed Maya mask (None is zero): clear bit b, with the
+    sign (-1)^{set bits above b}, or None if it is clear."""
+    if hit is None or not hit[1] >> b & 1:
+        return None
+    c, mask = hit
+    return (-c if (mask >> (b + 1)).bit_count() & 1 else c), mask ^ (1 << b)
 
 
 def _sum_is(a, b, want):

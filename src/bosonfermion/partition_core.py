@@ -11,8 +11,10 @@ Conventions, fixed once and used everywhere:
 - Text form: comma-separated parts, with "0" for the empty partition.
 
 Every Pieri strip, above or below a partition, horizontal or vertical, and
-every added or removed box comes from one walk over weakly decreasing rows
-held between two bounds (``_bounded_rows``); only the bounds differ.
+every added or removed box comes from a walk over the runs of equal parts:
+a run gains t boxes (t descending) or loses t (t ascending), among the t the
+later runs can complete, so every list is in canonical order and no branch
+dies.
 """
 
 from __future__ import annotations
@@ -147,26 +149,28 @@ def boxes_added(lam):
     Rows are 1-based; adding below the last row reports row length(lam)+1.
     Listed top row first.
     """
-    lam = Partition(lam)
     return [(mu, _changed_row(lam, mu)) for mu in horizontal_strips(lam, 1)]
 
 
 def boxes_removed(lam):
     """All partitions obtained by removing one corner box, as (Partition, row).
     Listed top row first."""
-    lam = Partition(lam)
     return [(mu, _changed_row(lam, mu))
             for mu in reversed(horizontal_strips_below(lam, 1))]
 
 
 @lru_cache(maxsize=None)
-def _partitions_of(n):
-    return tuple(_bounded_rows((0,) * n, (n,) * n, n))
+def _partitions_of(n, most):  # parts at most ``most``, largest first part first
+    if not n:
+        return (Partition(),)
+    return tuple(tuple.__new__(Partition, (a,) + rest)
+                 for a in range(min(n, most), 0, -1)
+                 for rest in _partitions_of(n - a, a))
 
 
 def enumerate_partitions(n):
     """All partitions of n in canonical (descending lexicographic) order."""
-    return list(_partitions_of(n)) if n >= 0 else []
+    return list(_partitions_of(n, n)) if n >= 0 else []
 
 
 def partitions_up_to(n):
@@ -277,73 +281,83 @@ def enumerate_syt(lam):
     return [StandardTableau(rows) for rows in build(lam)]
 
 
-def _bounded_rows(lo, hi, size):
-    """Partitions of ``size`` with weakly decreasing rows lo[i] <= x[i] <= hi[i],
-    in canonical order.
+def horizontal_strips(lam, k):
+    """Partitions mu >= lam with |mu| = |lam| + k and mu_1 >= lam_1 >= mu_2 >=
+    lam_2 >= ... (a horizontal strip): a run's top row grows by at most the gap
+    above it (k for the first run), a new last row by at most lam's last part."""
+    lam, out = Partition(lam), []
+    rows = lam + (0,)
 
-    ``lo`` and ``hi`` are weakly decreasing tuples of one length with
-    lo <= hi.  Each row takes its values from high to low and stops once the
-    later rows, capped by it, cannot absorb what is left, so no branch dies
-    and the rows come out in descending lexicographic order.  Once no boxes
-    are left, every later row sits at its lower bound, so the walk ends
-    there; zero rows are dropped.
-    """
-    n, out = len(lo), []
-    nonzero = n - lo.count(0)  # lo's zero rows come last
-    room = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        room[i] = room[i + 1] + hi[i] - lo[i]
-
-    def walk(i, cap, left, built):
+    def walk(p, left, built, cap):
         if not left:
-            out.append(tuple.__new__(Partition, built + lo[i:nonzero]))
-            return
-        for v in range(min(hi[i], cap, lo[i] + left), lo[i] - 1, -1):
-            rest, spare, j = left - (v - lo[i]), room[i + 1], i + 1
-            while j < n and hi[j] > v:
-                spare -= hi[j] - v
-                j += 1
-            if rest > spare:
-                break
-            walk(i + 1, v, rest, built + (v,))
+            out.append(tuple.__new__(Partition, built + lam[p:]))
+        elif p == len(lam):
+            out.append(tuple.__new__(Partition, built + (left,)))
+        else:
+            v, e = lam[p], p + lam.count(lam[p])
+            for t in range(min(cap, left), max(0, left - v) - 1, -1):
+                walk(e, left - t, built + (v + t,) + lam[p + 1:e], v - rows[e])
 
-    left = size - sum(lo)
-    if n or not left:
-        walk(0, hi[0] if n else 0, left, ())
+    if k >= 0:
+        walk(0, k, (), k)
     return out
 
 
-def horizontal_strips(lam, k):
-    """Partitions mu >= lam with |mu| = |lam| + k and mu/lam a horizontal strip.
-
-    A horizontal strip has at most one added box per column, i.e.
-    mu_1 >= lam_1 >= mu_2 >= lam_2 >= ...  Returned in canonical order.
-    """
-    lam = Partition(lam)
-    hi = (lam.row(1) + k,) + lam
-    return _bounded_rows(lam + (0,), hi, lam.size() + k)
-
-
 def vertical_strips(lam, k):
-    """Partitions mu >= lam with mu/lam a vertical strip of size k (one box per
-    row).  Returned in canonical order."""
-    lam = Partition(lam)
-    lo = lam + (0,) * k
-    return _bounded_rows(lo, tuple(p + 1 for p in lo), lam.size() + k)
+    """Partitions mu >= lam with mu/lam a vertical strip of size k: a run of s
+    parts gains t <= s boxes on its top t rows, and new rows of 1 the rest."""
+    lam, out = Partition(lam), []
+
+    def walk(p, left, built):
+        if not left:
+            out.append(tuple.__new__(Partition, built + lam[p:]))
+        elif p == len(lam):
+            out.append(tuple.__new__(Partition, built + (1,) * left))
+        else:
+            v, e = lam[p], p + lam.count(lam[p])
+            for t in range(min(e - p, left), -1, -1):
+                walk(e, left - t, built + (v + 1,) * t + lam[p + t:e])
+
+    if k >= 0:
+        walk(0, k, ())
+    return out
 
 
 def horizontal_strips_below(lam, k):
-    """Partitions mu <= lam with lam/mu a horizontal strip of size k, i.e.
-    lam_1 >= mu_1 >= lam_2 >= mu_2 >= ...  Returned in canonical order."""
-    lam = Partition(lam)
-    return _bounded_rows((lam + (0,))[1:], lam, lam.size() - k)
+    """Partitions mu <= lam with lam/mu a horizontal strip of size k, lam_1 >=
+    mu_1 >= lam_2 >= ...: a run's last row shortens, down to the next run."""
+    lam, out = Partition(lam), []
+    rows = lam + (0,)
+
+    def walk(p, left, built):
+        if not left:
+            out.append(tuple.__new__(Partition, built + lam[p:]))
+            return
+        v, e = lam[p], p + lam.count(lam[p])
+        for t in range(max(0, left - rows[e]), min(v - rows[e], left) + 1):
+            walk(e, left - t, built + lam[p:e - 1] + ((v - t,) if t < v else ()))
+
+    if 0 <= k <= rows[0]:
+        walk(0, k, ())
+    return out
 
 
 def vertical_strips_below(lam, k):
-    """Partitions mu <= lam with lam/mu a vertical strip of size k.  Returned
-    in canonical order."""
-    lam = Partition(lam)
-    return _bounded_rows(tuple(p - 1 for p in lam), lam, lam.size() - k)
+    """Partitions mu <= lam with lam/mu a vertical strip of size k: a run of s
+    parts loses t <= s boxes from its bottom t rows."""
+    lam, out = Partition(lam), []
+
+    def walk(p, left, built):
+        if not left:
+            out.append(tuple.__new__(Partition, built + lam[p:]))
+            return
+        v, e = lam[p], p + lam.count(lam[p])
+        for t in range(max(0, left - len(lam) + e), min(e - p, left) + 1):
+            walk(e, left - t, built + lam[p:e - t] + ((v - 1,) * t if v > 1 else ()))
+
+    if 0 <= k <= len(lam):
+        walk(0, k, ())
+    return out
 
 
 def cycle_type_representative(mu, n=None):

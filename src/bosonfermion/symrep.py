@@ -232,6 +232,8 @@ class RepModule:
 
     def __init__(self, degree, dim, gens):
         self.degree = int(degree)
+        if self.degree < 0:
+            raise ValueError(f"module degree {degree} is negative")
         self.dim = int(dim)
         self._perm_cache = {}
         self._gens = gens if callable(gens) else self._checked(gens)

@@ -41,8 +41,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def psi_sign_flipped(monkeypatch):
     """Corrupt the one insertion step on Maya masks by negating its sign,
     so that ``fock.psi`` and the Clifford battery both apply the fault.
-    (Negating ``_flip`` would corrupt removals too, and the two signs would
-    cancel in the mixed anticommutator.)"""
+    (``_insert_bit`` computes its own sign: negating the removal step too
+    would let the two signs cancel in the mixed anticommutator.)"""
     insert = fock._insert_bit
 
     def flipped(mask, b):

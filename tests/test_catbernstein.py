@@ -122,6 +122,12 @@ class TestCreationComplexes:
         assert cx.dims() == {}
         assert cx.betti() == {}
 
+    def test_negative_truncation_is_refused(self):
+        # the empty sum would be the zero function for any f
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            sigma_character(schur([2]), -1)
+        assert sigma_character(schur([2]), 0) == schur([2])
+
     def test_differentials_are_equivariant(self, pool):
         bernstein_complex(1, pool["S2"]).validate()
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bosonfermion import fock
+from bosonfermion import fock, symfunc
+from bosonfermion.catbernstein import sigma_character
 from bosonfermion.fock import (
     BosonState,
     FermionBasisVector,
@@ -27,8 +28,8 @@ from bosonfermion.fock import (
     vacuum,
     verify_correspondence,
 )
-from bosonfermion.partition_core import (Partition, format_partition,
-                                         partitions_up_to)
+from bosonfermion.partition_core import (Partition, enumerate_partitions,
+                                         format_partition, partitions_up_to)
 from bosonfermion.reports import Report
 from bosonfermion.symfunc import (SymFunc, bernstein, bernstein_star,
                                   heis_alpha, multiply, powersum, schur)
@@ -486,6 +487,31 @@ class TestCorrespondence:
                 (clifford_relation_report, (-1, (-1, 1), (-2, 2)))):
             with pytest.raises(ValueError, match="is reversed"):
                 check(*window)
+
+    def test_reports_do_not_depend_on_the_cache_state(self):
+        # the benchmark's windows, once with every Pieri and Bernstein table
+        # cold and once after a degree-7 projector-shadow sweep has filled
+        # the h tables that the Bernstein tables read
+        tables = [getattr(symfunc, name) for name in (
+            "_pieri_h", "_pieri_e", "_copieri_h", "_copieri_e",
+            "_bernstein_schur", "_bernstein_star_schur")]
+        window = (8, (-2, 2), (-4, 4))
+
+        def reports():
+            return [check(*window).to_json()
+                    for check in (verify_correspondence,
+                                  clifford_relation_report)]
+
+        for table in tables:
+            table.cache_clear()
+        cold = reports()
+        for table in tables:
+            table.cache_clear()
+        for lam in enumerate_partitions(7):
+            sigma_character(schur(lam), 7)
+        assert symfunc._pieri_h.cache_info().currsize
+        assert symfunc._copieri_h.cache_info().currsize
+        assert reports() == cold
 
     def test_sign_mutation_is_detected(self, psi_sign_flipped):
         rep = verify_correspondence(2, (-1, 1), (-2, 2))

@@ -1,13 +1,20 @@
 """Pieri strips and single boxes against the routes they replaced.
 
 ``partition_core`` enumerates every strip, and every added or removed box,
-with one walk over weakly decreasing rows between two bounds.  The routes
-it replaced are kept here as oracles: the horizontal-strip recursion that
-explored dead branches and then sorted, the interleaved-rows recursion
-below a partition, the conjugation route for vertical strips, the
-row-by-row box loops, and the row helpers that ``branching`` carried.  On
-every partition of size at most 9 and every strip size -1..6 the lists must
-be equal, order included.
+with a walk over the runs of equal parts.  The routes it replaced are kept
+here as oracles:
+
+- the walk over weakly decreasing rows held between two bounds, with the
+  bounds of each strip kind and of the partitions of n;
+- the horizontal-strip recursion that explored dead branches and then
+  sorted, the interleaved-rows recursion below a partition, and the
+  conjugation route for vertical strips;
+- the row-by-row box loops, and the row helpers that ``branching`` carried.
+
+The lists must be equal, order included, on every partition of size at
+most 10 and every strip size -1..16 (the degree-8 Bernstein tables ask for
+strips of up to 15 boxes), and on every partition of size at most 9 and
+strip size -1..6 for the recursions.
 """
 
 import pytest
@@ -16,6 +23,7 @@ from bosonfermion.partition_core import (
     Partition,
     boxes_added,
     boxes_removed,
+    enumerate_partitions,
     horizontal_strips,
     horizontal_strips_below,
     partitions_up_to,
@@ -34,6 +42,68 @@ STRIP_SIZES = range(-1, 7)
 
 
 # -- the replaced routes -------------------------------------------------------
+
+
+def bounded_rows(lo, hi, size):
+    """Partitions of ``size`` with weakly decreasing rows lo[i] <= x[i] <= hi[i],
+    in canonical order.
+
+    ``lo`` and ``hi`` are weakly decreasing tuples of one length with
+    lo <= hi.  Each row takes its values from high to low and stops once the
+    later rows, capped by it, cannot absorb what is left, so no branch dies
+    and the rows come out in descending lexicographic order.  Once no boxes
+    are left, every later row sits at its lower bound, so the walk ends
+    there; zero rows are dropped.
+    """
+    n, out = len(lo), []
+    nonzero = n - lo.count(0)  # lo's zero rows come last
+    room = [0] * (n + 1)
+    for i in range(n - 1, -1, -1):
+        room[i] = room[i + 1] + hi[i] - lo[i]
+
+    def walk(i, cap, left, built):
+        if not left:
+            out.append(Partition(built + lo[i:nonzero]))
+            return
+        for v in range(min(hi[i], cap, lo[i] + left), lo[i] - 1, -1):
+            rest, spare, j = left - (v - lo[i]), room[i + 1], i + 1
+            while j < n and hi[j] > v:
+                spare -= hi[j] - v
+                j += 1
+            if rest > spare:
+                break
+            walk(i + 1, v, rest, built + (v,))
+
+    left = size - sum(lo)
+    if n or not left:
+        walk(0, hi[0] if n else 0, left, ())
+    return out
+
+
+def bounded_horizontal_strips(lam, k):
+    lam = Partition(lam)
+    return bounded_rows(lam + (0,), (lam.row(1) + k,) + lam, lam.size() + k)
+
+
+def bounded_vertical_strips(lam, k):
+    lam = Partition(lam)
+    lo = lam + (0,) * k
+    return bounded_rows(lo, tuple(p + 1 for p in lo), lam.size() + k)
+
+
+def bounded_horizontal_strips_below(lam, k):
+    lam = Partition(lam)
+    return bounded_rows((lam + (0,))[1:], lam, lam.size() - k)
+
+
+def bounded_vertical_strips_below(lam, k):
+    lam = Partition(lam)
+    return bounded_rows(tuple(p - 1 for p in lam), lam, lam.size() - k)
+
+
+def bounded_partitions(n):
+    return bounded_rows((0,) * n, (n,) * n, n)
+
 
 
 def recursive_strips(lam, k):
@@ -125,6 +195,34 @@ ROUTES = {
     "vertical_strips_below": (vertical_strips_below,
                               conjugated(recursive_strips_below)),
 }
+
+
+BOUNDED_ROUTES = {
+    "horizontal_strips": (horizontal_strips, bounded_horizontal_strips),
+    "vertical_strips": (vertical_strips, bounded_vertical_strips),
+    "horizontal_strips_below": (horizontal_strips_below,
+                                bounded_horizontal_strips_below),
+    "vertical_strips_below": (vertical_strips_below,
+                              bounded_vertical_strips_below),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDED_ROUTES))
+def test_strips_match_the_bounded_rows_walk_through_size_ten(name):
+    new, old = BOUNDED_ROUTES[name]
+    for lam in partitions_up_to(10):
+        for k in range(-1, 17):
+            got = new(lam, k)
+            assert got == old(lam, k), (name, lam, k)
+            assert all(type(mu) is Partition for mu in got), (name, lam, k)
+
+
+def test_partitions_match_the_bounded_rows_walk_through_twelve():
+    assert enumerate_partitions(-1) == []
+    for n in range(13):
+        got = enumerate_partitions(n)
+        assert got == bounded_partitions(n), n
+        assert all(type(mu) is Partition for mu in got), n
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

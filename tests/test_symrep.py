@@ -292,6 +292,16 @@ class TestModules:
         want = (schur([3]) + schur([2, 1]).scale(2) + schur([1, 1, 1]))
         assert got == want
 
+    @pytest.mark.parametrize("build", [
+        lambda: RepModule(-1, 1, []), lambda: trivial_module(-1),
+        lambda: sign_module(-1), lambda: regular_module(-1)],
+        ids=["RepModule", "trivial", "sign", "regular"])
+    def test_negative_degree_is_refused(self, build):
+        # a "module of S_-1" would make every complex over it empty, and
+        # every check on that complex pass without checking anything
+        with pytest.raises(ValueError, match="degree -1 is negative"):
+            build()
+
     def test_trivial_and_sign_characters(self):
         assert frobenius_char(trivial_module(4)) == schur([4])
         assert frobenius_char(sign_module(4)) == schur([1, 1, 1, 1])
