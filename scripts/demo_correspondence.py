@@ -78,14 +78,14 @@ def tour(text):
     print(f"  charge-0 wedge labelled {name}: occupied codes "
           f"{vec.codes(6)} ...")
     bos = sigma_iso(vec)
-    print(f"  charge-partition dictionary sends it to {show(bos.component(0))}"
+    print(f"  charge-partition dictionary sends it to {show(bos[0])}"
           f" at charge 0")
     moved = boson_psi(1, bos)
     print(f"  one fermionic generator raises the charge: "
-          f"{ {c: show(g) for c, g in moved.terms.items()} }")
+          f"{ {c: show(g) for c, g in moved.items()} }")
     back = sigma_inv(bos)
-    if back.terms != {vec: 1}:
-        return mismatch("level 2", back.terms, {vec: 1})
+    if back != {vec: 1}:
+        return mismatch("level 2", back, {vec: 1})
 
     print(f"\n=== level 3: the categorified creation word ===")
     cx = compose_bernstein(creation_word(lam), trivial_module(0))
@@ -108,7 +108,7 @@ def tour(text):
     print(f"\n  charged layer: one generator on the vacuum family gives "
           f"homology { {c: cx.betti() for c, cx in sorted(v.items())} }")
     print(f"  decategorified: "
-          f"{ {c: show(g) for c, g in decategorify(v).terms.items()} }")
+          f"{ {c: show(g) for c, g in decategorify(v).items()} }")
     print("\nall three levels agree.")
     return 0
 

@@ -24,7 +24,8 @@ its (S, v) basis of k-subsets of {1..n}, with ``symrep.subset_move`` caps
 and cups as differentials and f on every subset as functor blocks;
 homology-level relation suites for the commutation rules between the
 lifted operators; and charged families, plain ``{charge: Complex}`` dicts,
-on which the fermionic generators act one charge slot at a time.
+on which the fermionic generators act one charge slot at a time and whose
+Euler characteristics are the ``{charge: SymFunc}`` dicts of ``fock``.
 
 Everything is exact: differentials pass a ``d^2 = 0`` gate on
 construction, homology is computed by exact column reduction, and all
@@ -41,7 +42,7 @@ from math import comb, factorial
 # checks that the harness rebinds it in this module
 from .branching import _lift_matrix, word_module  # noqa: F401
 from .errors import ChainComplexError
-from .fock import BosonState, boson_psi, boson_psi_star
+from .fock import _nonzero, boson_psi, boson_psi_star
 from .homalg import (
     ChainMap,
     cone,
@@ -230,20 +231,39 @@ def _sigma_cell(m, k):
     return Cell(k, RepModule(n, m.dim * comb(n, k), gens), None, None, m)
 
 
+def _sigma_terms(f, n):
+    """[(lam, s_lam s_{lam'}^perp f) for |lam| <= n], degree by degree, with
+    every skew read off one ``skews`` table."""
+    lams = [lam for k in range(n + 1) for lam in enumerate_partitions(k)]
+    skewed = skews(f, [schur(lam.conjugate()) for lam in lams])
+    return [(lam, multiply(schur(lam), g)) for lam, g in zip(lams, skewed)]
+
+
+def _cell_dims(terms, n):
+    """``sigma_cell_dims`` of a degree-n module, from ``_sigma_terms``."""
+    out = {k: {} for k in range(n + 1)}
+    for lam, cell in sorted(terms, key=lambda t: (t[0].size(), t[0])):
+        dim = sum(c * syt_count(mu) for mu, c in cell.terms.items())
+        if dim:
+            out[lam.size()][format_partition(lam)] = dim
+    return out
+
+
+def _shadow(terms):
+    """``sigma_character``, from ``_sigma_terms``."""
+    total = SymFunc.zero()
+    for lam, term in terms:
+        total = total + (term.scale(-1) if lam.size() % 2 else term)
+    return total
+
+
 def sigma_cell_dims(m):
     """Dimensions of the partition-labelled cells (row cable of shape
     ``lam`` over the transposed column cable) the projector chain groups
     decompose into, keyed by degree then partition.  The cell of ``lam``
     has the character s_lam s_{lam'}^perp ch(m) = sum_mu c_mu s_mu, so its
     dimension is sum_mu c_mu f^mu; every skew is read off one ``skews`` table."""
-    out = {k: {} for k in range(m.degree + 1)}
-    lams = [lam for k in out for lam in sorted(enumerate_partitions(k))]
-    skewed = skews(frobenius_char(m), [schur(lam.conjugate()) for lam in lams])
-    for lam, g in zip(lams, skewed):
-        dim = sum(c * syt_count(mu) for mu, c in multiply(g, schur(lam)).terms.items())
-        if dim:
-            out[lam.size()][format_partition(lam)] = dim
-    return out
+    return _cell_dims(_sigma_terms(frobenius_char(m), m.degree), m.degree)
 
 
 # --------------------------------------------------------------------------
@@ -375,12 +395,7 @@ def sigma_character(f, n):
     sum_{|lam| <= n} (-1)^|lam| s_lam s_{lam'}^perp f, on one ``skews`` table."""
     if n < 0:
         raise ValueError(f"truncation degree {n} is negative")
-    lams = [lam for k in range(n + 1) for lam in enumerate_partitions(k)]
-    total = SymFunc.zero()
-    for lam, g in zip(lams, skews(f, [schur(lam.conjugate()) for lam in lams])):
-        term = multiply(schur(lam), g)
-        total = total + (term.scale(-1) if lam.size() % 2 else term)
-    return total
+    return _shadow(_sigma_terms(f, n))
 
 
 def _betti_obj(betti):
@@ -620,17 +635,18 @@ def relation_suite_bbstar(a, b, m):
 def sigma_idempotence_check(m):
     """Repeating the projector complex (or mirroring it) must not change
     the graded homology; the Euler characteristic must match the
-    symmetric-function shadow."""
+    symmetric-function shadow.  The shadow and the cell dimensions are read
+    off one table of ``_sigma_terms``."""
     report = Report(
         "projector idempotence",
         config={"module_degree": m.degree, "module_dim": m.dim},
     )
     minus = sigma_complex(-1, m)
     euler = minus.euler_frobenius()
+    terms = _sigma_terms(frobenius_char(m), m.degree)
     report.add("Euler characteristic matches the projector shadow",
-               euler == sigma_character(frobenius_char(m), m.degree),
-               computed=_euler_obj(euler))
-    cell_dims = sigma_cell_dims(m)
+               euler == _shadow(terms), computed=_euler_obj(euler))
+    cell_dims = _cell_dims(terms, m.degree)
     report.add("chain groups match the partition-cell dimensions",
                all(minus.dim(k) == sum(cell_dims.get(k, {}).values())
                    for k in range(m.degree + 1)),
@@ -717,8 +733,9 @@ def fermionic_star_apply(i, v):
 
 def decategorify(v):
     """Euler characteristic of every charge slot of the family ``v``, as a
-    charged state."""
-    return BosonState({c: cx.euler_frobenius() for c, cx in v.items()})
+    bosonic state (a dict from charge to SymFunc); a slot whose Euler
+    characteristic is zero is dropped."""
+    return _nonzero((c, cx.euler_frobenius()) for c, cx in v.items())
 
 
 def fermionic_relation_check(i, v):

@@ -16,8 +16,14 @@ A mode on code t >= lo toggles bit t - lo with one flip of sign (-1)^{set
 bits above}, which for a removal at slot s is the slot sign: psi needs the
 bit clear and psi_star needs it set.
 
-The bosonic side is a charge-indexed family of symmetric functions; the
-dictionary sends (c, lambda) to t^c s_lambda, fermionic modes to the
+A Fock state is a plain ``{FermionBasisVector: coefficient}`` dict and a
+bosonic state a plain ``{charge: SymFunc}`` dict, as the charged families
+of ``catbernstein`` are ``{charge: Complex}`` dicts; no state stores a zero
+coefficient or a zero slot.  The modes and ``sigma_iso`` also take a bare
+basis vector, and a coefficient from a caller's dict enters as stored
+(``_coeff``: a float or bool becomes an exact ``Fraction``).
+
+The dictionary sends (c, lambda) to t^c s_lambda, fermionic modes to the
 charge-shifted creation/annihilation operators.  The two sides share no
 code, so ``verify_correspondence`` compares two independent routes: the
 mask steps against the memoized Pieri tables of B_a s_lambda and B*_a s_lambda.
@@ -65,81 +71,12 @@ def vacuum(charge):
     return FermionBasisVector(charge, ())
 
 
-def charge_of(v):
-    return v.charge
-
-
-def principal_degree(v):
-    """The energy above the charge-c vacuum: |lambda|."""
-    return v.shape.size()
-
-
-class FermionState:
-    """A finite rational linear combination of basis vectors, stored as
-    ``{FermionBasisVector: coefficient}``.  Clifford signs are ±1, so a
-    coefficient stays a plain ``int`` unless a ``Fraction`` was passed in."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for vec, c in (terms or {}).items():
-            c = _coeff(c)
-            if c:
-                clean[vec] = c
-        self.terms = clean
-
-    @staticmethod
-    def of(vec, coeff=1):
-        return FermionState({vec: coeff})
-
-    @staticmethod
-    def zero():
-        return FermionState()
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            _acc(out, v, c)
-        return _state(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for v, c in other.terms.items():
-            _acc(out, v, -c)
-        return _state(out)
-
-    def scale(self, c):
-        c = _coeff(c)
-        if not c:
-            return FermionState.zero()
-        return _state({v: c * w for v, w in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, FermionState) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "FermionState(0)"
-        bits = [f"{c}*{v!r}" for v, c in sorted(
-            self.terms.items(), key=lambda t: (t[0].charge, t[0].shape.sort_key()))]
-        return "FermionState(" + " + ".join(bits) + ")"
-
-
-def _state(terms):
-    """Wrap an accumulator dict whose coefficients are already nonzero."""
-    res = FermionState.__new__(FermionState)
-    res.terms = terms
-    return res
-
-
 def _terms(v):
+    """The (vector, coefficient) pairs of a basis vector or of a state dict,
+    each coefficient taken as stored (``_coeff``) and zeros skipped."""
     if isinstance(v, FermionBasisVector):
         return ((v, 1),)
-    return v.terms.items()
+    return [(vec, _coeff(c)) for vec, c in v.items() if c]
 
 
 def _maya(vec, lo):
@@ -204,7 +141,7 @@ def _apply_mode(step, t, v):
         hit = step((coeff, _maya(vec, lo)), t - lo)
         if hit is not None:
             _acc(out, _from_maya(hit[1], lo), hit[0])
-    return _state(out)
+    return out
 
 
 def psi(j, v):
@@ -220,52 +157,9 @@ def psi_star(j, v):
 # -- bosonic side ---------------------------------------------------------------
 
 
-class BosonState:
-    """A finite family {charge: SymFunc}, i.e. an element of the charged ring."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        clean = {}
-        for c, f in (terms or {}).items():
-            if not f.is_zero():
-                clean[int(c)] = f
-        self.terms = clean
-
-    @staticmethod
-    def of(charge, f):
-        return BosonState({charge: f})
-
-    def component(self, charge):
-        return self.terms.get(charge, SymFunc.zero())
-
-    def is_zero(self):
-        return not self.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for c, f in other.terms.items():
-            g = out.get(c, SymFunc.zero()) + f
-            if g.is_zero():
-                out.pop(c, None)
-            else:
-                out[c] = g
-        return BosonState(out)
-
-    def __sub__(self, other):
-        return self + BosonState({c: -f for c, f in other.terms.items()})
-
-    def scale(self, c):
-        return BosonState({k: f.scale(c) for k, f in self.terms.items()})
-
-    def __eq__(self, other):
-        return isinstance(other, BosonState) and self.terms == other.terms
-
-    def __repr__(self):
-        if not self.terms:
-            return "BosonState(0)"
-        bits = [f"t^{c}*({f!r})" for c, f in sorted(self.terms.items())]
-        return "BosonState(" + " + ".join(bits) + ")"
+def _nonzero(slots):
+    """A bosonic state from (charge, SymFunc) pairs, without its zero slots."""
+    return {c: f for c, f in slots if not f.is_zero()}
 
 
 def sigma_iso(v):
@@ -273,46 +167,36 @@ def sigma_iso(v):
     out = {}
     for vec, coeff in _terms(v):
         c = vec.charge
-        add = schur(vec.shape).scale(coeff)
-        out[c] = out.get(c, SymFunc.zero()) + add
-    return BosonState(out)
+        out[c] = out.get(c, SymFunc.zero()) + schur(vec.shape).scale(coeff)
+    return _nonzero(out.items())
 
 
 def sigma_inv(b):
+    """The inverse of ``sigma_iso``: t^c s_lambda -> (c, lambda)."""
     out = {}
-    for c, f in b.terms.items():
+    for c, f in b.items():
         for lam, coeff in f.terms.items():
             _acc(out, FermionBasisVector(c, lam), coeff)
-    return _state(out)
+    return out
 
 
 def boson_psi(i, b):
     """The bosonic realization of psi(i): t^c f -> t^{c+1} B_{i-(c+1)} f."""
-    return BosonState({c + 1: bernstein(i - (c + 1), f) for c, f in b.terms.items()})
+    return _nonzero((c + 1, bernstein(i - (c + 1), f)) for c, f in b.items())
 
 
 def boson_psi_star(i, b):
     """The bosonic realization of psi_star(i): t^c f -> t^{c-1} B*_{i-c} f."""
-    return BosonState({c - 1: bernstein_star(i - c, f) for c, f in b.terms.items()})
+    return _nonzero((c - 1, bernstein_star(i - c, f)) for c, f in b.items())
 
 
 # -- serialization -----------------------------------------------------------------
 
 
 def fermion_state_to_json(v):
-    recs = []
-    for vec, c in sorted(
-        _terms(v),
-        key=lambda t: (t[0].charge, t[0].shape.sort_key()),
-    ):
-        recs.append(
-            {
-                "charge": vec.charge,
-                "partition": format_partition(vec.shape),
-                "coefficient": str(c),
-            }
-        )
-    return recs
+    terms = sorted(_terms(v), key=lambda t: (t[0].charge, t[0].shape.sort_key()))
+    return [{"charge": vec.charge, "partition": format_partition(vec.shape),
+             "coefficient": str(c)} for vec, c in terms]
 
 
 def fermion_state_from_json(recs):
@@ -320,22 +204,13 @@ def fermion_state_from_json(recs):
     for r in recs:
         vec = FermionBasisVector(int(r["charge"]), parse_partition(r["partition"]))
         _acc(out, vec, Fraction(r["coefficient"]))
-    return _state({v: _integral(c) for v, c in out.items()})
+    return {v: _integral(c) for v, c in out.items()}
 
 
 def boson_state_to_json(b):
-    recs = []
-    for c in sorted(b.terms):
-        f = b.terms[c]
-        for lam in f.support():
-            recs.append(
-                {
-                    "charge": c,
-                    "partition": format_partition(lam),
-                    "coefficient": str(f.terms[lam]),
-                }
-            )
-    return recs
+    return [{"charge": c, "partition": format_partition(lam),
+             "coefficient": str(f.terms[lam])}
+            for c, f in sorted(b.items()) for lam in f.support()]
 
 
 def boson_state_from_json(recs):
@@ -343,8 +218,8 @@ def boson_state_from_json(recs):
     for r in recs:
         _acc(terms.setdefault(int(r["charge"]), {}),
              parse_partition(r["partition"]), Fraction(r["coefficient"]))
-    return BosonState({c: SymFunc({l: _integral(x) for l, x in f.items()})
-                       for c, f in terms.items()})
+    return _nonzero((c, SymFunc({l: _integral(x) for l, x in f.items()}))
+                    for c, f in terms.items())
 
 
 # -- verification suites -------------------------------------------------------------
@@ -383,7 +258,7 @@ def verify_correspondence(max_degree, charge_window, index_window):
     psi_star(i) must be t^{c-1} B*_{i-c} s_lambda.  Each vector is one Maya
     mask with its floor below the window; a mode's mask step on it must hit
     the memoized Pieri table of B_a s_lambda or B*_a s_lambda.  Only a
-    mismatch builds the two ``BosonState``s (``sigma_iso`` of the ``psi``/
+    mismatch builds the two bosonic states (``sigma_iso`` of the ``psi``/
     ``psi_star`` image and ``boson_psi``/``boson_psi_star`` of the vector),
     whose JSON becomes the entry's lhs and rhs.  The report passes iff
     there is no mismatch."""
@@ -482,6 +357,6 @@ def alpha_window_sum(vec):
     hi = c + lam.row(1) + 1
     out = {}
     for j in range(lo, hi + 1):
-        for w, coeff in psi(j + 1, psi_star(j, vec)).terms.items():
+        for w, coeff in psi(j + 1, psi_star(j, vec)).items():
             _acc(out, w, coeff)
-    return _state(out)
+    return out

@@ -8,19 +8,15 @@ from hypothesis import strategies as st
 from bosonfermion import fock, symfunc
 from bosonfermion.catbernstein import sigma_character
 from bosonfermion.fock import (
-    BosonState,
     FermionBasisVector,
-    FermionState,
     alpha_window_sum,
     boson_psi,
     boson_psi_star,
     boson_state_from_json,
     boson_state_to_json,
-    charge_of,
     clifford_relation_report,
     fermion_state_from_json,
     fermion_state_to_json,
-    principal_degree,
     psi,
     psi_star,
     sigma_inv,
@@ -31,12 +27,20 @@ from bosonfermion.fock import (
 from bosonfermion.partition_core import (Partition, enumerate_partitions,
                                          format_partition, partitions_up_to)
 from bosonfermion.reports import Report
-from bosonfermion.symfunc import (SymFunc, bernstein, bernstein_star,
+from bosonfermion.symfunc import (SymFunc, _acc, bernstein, bernstein_star,
                                   heis_alpha, multiply, powersum, schur)
 
 
 def basis(c, parts):
     return FermionBasisVector(c, parts)
+
+
+def add(u, v):
+    """The sum of two Fock state dicts, without zero coefficients."""
+    out = dict(u)
+    for vec, c in v.items():
+        _acc(out, vec, c)
+    return out
 
 
 small_partitions = st.sampled_from(partitions_up_to(4))
@@ -46,28 +50,28 @@ small_charges = st.integers(min_value=-2, max_value=2)
 class TestModesOnVacuum:
     def test_create_just_above_vacuum(self):
         for c in range(-3, 4):
-            assert psi(c + 1, vacuum(c)) == FermionState.of(vacuum(c + 1))
+            assert psi(c + 1, vacuum(c)) == {vacuum(c + 1): 1}
 
     def test_create_on_occupied_slot_vanishes(self):
         for c in range(-2, 3):
             for j in range(c - 3, c + 1):
-                assert psi(j, vacuum(c)).is_zero()
+                assert psi(j, vacuum(c)) == {}
 
     def test_annihilate_absent_slot_vanishes(self):
         for c in range(-2, 3):
             for j in range(c + 1, c + 4):
-                assert psi_star(j, vacuum(c)).is_zero()
+                assert psi_star(j, vacuum(c)) == {}
 
     def test_annihilate_top_of_vacuum(self):
         for c in range(-3, 4):
-            assert psi_star(c, vacuum(c)) == FermionState.of(vacuum(c - 1))
+            assert psi_star(c, vacuum(c)) == {vacuum(c - 1): 1}
 
     def test_deep_annihilation_sign_alternates(self):
         # removing the s-th occupied slot of the vacuum carries sign (-1)^{s+1}
         for s in range(1, 5):
             got = psi_star(0 - s + 1, vacuum(0))
-            assert len(got.terms) == 1
-            ((vec, coeff),) = got.terms.items()
+            assert len(got) == 1
+            ((vec, coeff),) = got.items()
             assert coeff == Fraction((-1) ** (s + 1))
             assert vec.charge == -1
             # the gap left at depth s shows up as a width-(s-1) column
@@ -76,7 +80,7 @@ class TestModesOnVacuum:
     def test_create_above_everything(self):
         # inserting k slots above the top of the charge-0 vacuum makes a row
         got = psi(3, vacuum(0))
-        assert got == FermionState.of(basis(1, [2]))
+        assert got == {basis(1, [2]): 1}
 
 
 # -- reference routes: each mode on an explicit occupied-code list -----------
@@ -122,9 +126,9 @@ def _remove_code_by_codes(vec, t):
 
 def _as_hit(state):
     """A one-term state as (sign, vector); the zero state as None."""
-    if state.is_zero():
+    if not state:
         return None
-    ((vec, coeff),) = state.terms.items()
+    ((vec, coeff),) = state.items()
     return coeff, vec
 
 
@@ -153,7 +157,7 @@ class TestClosedFormsMatchCodeLists:
 
 def dict_route_battery(max_degree, charge_window, index_window):
     """The former battery body, kept as an oracle: every image is a
-    ``FermionState`` built by ``psi``/``psi_star`` and summed as a dict."""
+    Fock state dict built by ``psi``/``psi_star`` and summed with ``add``."""
     report = Report(
         "clifford anticommutators",
         config={
@@ -168,7 +172,7 @@ def dict_route_battery(max_degree, charge_window, index_window):
     total = 0
     for c in range(charge_window[0], charge_window[1] + 1):
         for lam in shapes:
-            state = FermionState.of(FermionBasisVector(c, lam))
+            state = {FermionBasisVector(c, lam): 1}
             up = {j: psi(j, state) for j in idx}
             down = {j: psi_star(j, state) for j in idx}
             upup = {(i, j): psi(i, up[j]) for i in idx for j in idx}
@@ -176,17 +180,14 @@ def dict_route_battery(max_degree, charge_window, index_window):
             for i in idx:
                 for j in idx:
                     total += 3
-                    acc = upup[i, j] + upup[j, i]
-                    if not acc.is_zero():
+                    if add(upup[i, j], upup[j, i]):
                         bad += 1
                         report.add(f"psi-psi i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = downdown[i, j] + downdown[j, i]
-                    if not acc.is_zero():
+                    if add(downdown[i, j], downdown[j, i]):
                         bad += 1
                         report.add(f"psi*-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
-                    acc = psi(i, down[j]) + psi_star(j, up[i])
-                    expect = state if i == j else FermionState.zero()
-                    if acc != expect:
+                    acc = add(psi(i, down[j]), psi_star(j, up[i]))
+                    if acc != (state if i == j else {}):
                         bad += 1
                         report.add(f"psi-psi* i={i} j={j} c={c} lam={format_partition(lam)}", False)
     report.add("clifford relations", bad == 0, checked=total, failed=bad)
@@ -252,17 +253,16 @@ class TestCliffordRelations:
            st.integers(-3, 3), st.integers(-3, 3))
     @settings(max_examples=60, deadline=None)
     def test_mixed_anticommutator(self, c, lam, i, j):
-        state = FermionState.of(basis(c, lam))
-        acc = psi(i, psi_star(j, state)) + psi_star(j, psi(i, state))
-        expect = state if i == j else FermionState.zero()
-        assert acc == expect
+        state = {basis(c, lam): 1}
+        acc = add(psi(i, psi_star(j, state)), psi_star(j, psi(i, state)))
+        assert acc == (state if i == j else {})
 
     @given(small_charges, small_partitions, st.integers(-3, 3))
     @settings(max_examples=40, deadline=None)
     def test_square_zero(self, c, lam, i):
-        state = FermionState.of(basis(c, lam))
-        assert psi(i, psi(i, state)).is_zero()
-        assert psi_star(i, psi_star(i, state)).is_zero()
+        state = {basis(c, lam): 1}
+        assert psi(i, psi(i, state)) == {}
+        assert psi_star(i, psi_star(i, state)) == {}
 
 
 class TestChargeAndDegree:
@@ -270,23 +270,19 @@ class TestChargeAndDegree:
     @settings(max_examples=40, deadline=None)
     def test_modes_shift_charge_by_one(self, c, lam, i):
         vec = basis(c, lam)
-        for new_vec in psi(i, vec).terms:
-            assert charge_of(new_vec) == c + 1
-        for new_vec in psi_star(i, vec).terms:
-            assert charge_of(new_vec) == c - 1
-
-    def test_principal_degree(self):
-        assert principal_degree(vacuum(5)) == 0
-        assert principal_degree(basis(-2, [3, 1])) == 4
+        for new_vec in psi(i, vec):
+            assert new_vec.charge == c + 1
+        for new_vec in psi_star(i, vec):
+            assert new_vec.charge == c - 1
 
 
 class TestSigma:
     def test_vacuum_goes_to_unit(self):
-        assert sigma_iso(vacuum(2)) == BosonState.of(2, SymFunc.one())
+        assert sigma_iso(vacuum(2)) == {2: SymFunc.one()}
 
     def test_basis_vector_goes_to_schur(self):
         vec = basis(-1, [2, 1])
-        assert sigma_iso(vec) == BosonState.of(-1, schur([2, 1]))
+        assert sigma_iso(vec) == {-1: schur([2, 1])}
 
     @given(st.lists(
         st.tuples(small_charges, small_partitions,
@@ -294,28 +290,28 @@ class TestSigma:
         min_size=0, max_size=4))
     @settings(max_examples=40, deadline=None)
     def test_round_trip(self, spec_list):
-        state = FermionState.zero()
+        state = {}
         for c, lam, coeff in spec_list:
-            state = state + FermionState.of(basis(c, lam), coeff)
+            _acc(state, basis(c, lam), coeff)
         assert sigma_inv(sigma_iso(state)) == state
 
     def test_boson_creation_examples(self):
-        one = BosonState.of(0, SymFunc.one())
+        one = {0: SymFunc.one()}
         # psi(1) on the charge-0 vacuum: index matches the new top slot
-        assert boson_psi(1, one) == BosonState.of(1, SymFunc.one())
+        assert boson_psi(1, one) == {1: SymFunc.one()}
         # psi(2) adds one unit of energy
-        assert boson_psi(2, one) == BosonState.of(1, schur([1]))
-        assert boson_psi_star(0, one) == BosonState.of(-1, SymFunc.one())
-        # index 0 is vacant on the single-box vector, so annihilation vanishes
-        assert boson_psi_star(0, BosonState.of(0, schur([1]))).is_zero()
+        assert boson_psi(2, one) == {1: schur([1])}
+        assert boson_psi_star(0, one) == {-1: SymFunc.one()}
+        # index 0 is vacant on the single-box vector, so annihilation
+        # vanishes and leaves no zero slot behind
+        assert boson_psi_star(0, {0: schur([1])}) == {}
         # index 1 is its top occupied slot
-        assert boson_psi_star(1, BosonState.of(0, schur([1]))) == BosonState.of(
-            -1, SymFunc.one())
+        assert boson_psi_star(1, {0: schur([1])}) == {-1: SymFunc.one()}
 
 
 def boson_route_correspondence(max_degree, charge_window, index_window):
     """The former ``verify_correspondence`` body, kept as an oracle: both
-    sides of every entry are ``BosonState``s, built by ``sigma_iso`` and
+    sides of every entry are bosonic state dicts, built by ``sigma_iso`` and
     ``boson_psi``/``boson_psi_star`` and compared as a whole."""
     report = Report(
         "fermion-boson correspondence",
@@ -355,16 +351,16 @@ def _on_slot(state, charge, f):
     sits at that charge with f's coefficient of its shape, and no term of f
     is missing."""
     want = f.terms
-    return len(state.terms) == len(want) and all(
+    return len(state) == len(want) and all(
         vec.charge == charge and want.get(vec.shape) == coeff
-        for vec, coeff in state.terms.items())
+        for vec, coeff in state.items())
 
 
 def slot_route_correspondence(max_degree, charge_window, index_window):
     """The former ``verify_correspondence`` body, kept as an oracle: each
-    image is a ``FermionState`` built by ``psi``/``psi_star`` and compared
+    image is a Fock state dict built by ``psi``/``psi_star`` and compared
     with ``bernstein``/``bernstein_star`` of s_lambda on its one charge
-    slot; only a mismatch builds the two ``BosonState``s."""
+    slot; only a mismatch builds the two bosonic states."""
     report = Report(
         "fermion-boson correspondence",
         config={
@@ -436,7 +432,7 @@ class TestCorrespondence:
                 == slot_route_correspondence(*window).to_json())
 
     def test_passing_window_masks_each_vector_once(self):
-        # one Maya mask per (c, lambda); no mode builds a FermionState and
+        # one Maya mask per (c, lambda); no mode builds a Fock state and
         # no Bernstein operator extends a table to a SymFunc
         vectors = 5 * len(partitions_up_to(3))
         with mock.patch.object(fock, "_maya", wraps=fock._maya) as maya, \
@@ -455,21 +451,19 @@ class TestCorrespondence:
             slot_route_correspondence(3, (-2, 2), (-3, 3))
             assert maya.call_count > 2 * vectors
 
-    def test_passing_window_builds_no_boson_state(self, monkeypatch):
-        built = []
-        init = BosonState.__init__
-
-        def counting(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(BosonState, "__init__", counting)
-        rep = verify_correspondence(3, (-2, 2), (-3, 3))
-        assert rep.passed
-        assert not built
-        # the oracle route builds them, so the counter does see them
-        boson_route_correspondence(1, (0, 0), (0, 0))
-        assert built
+    def test_passing_window_builds_no_boson_state(self):
+        # only a mismatch builds its two sides through sigma_iso
+        with mock.patch.object(fock, "sigma_iso",
+                               wraps=fock.sigma_iso) as iso:
+            rep = verify_correspondence(3, (-2, 2), (-3, 3))
+            assert rep.passed
+            assert not iso.called
+            # a forced mismatch on each of the 2 vectors, for both modes,
+            # does build them, so the counter does see them
+            with mock.patch.object(fock, "_is_image", return_value=False):
+                rep = verify_correspondence(1, (0, 0), (0, 0))
+        assert len(rep.failures()) == 4
+        assert iso.call_count == 2 * 4
 
     def test_window_passes(self):
         rep = verify_correspondence(3, (-2, 2), (-3, 3))
@@ -525,20 +519,64 @@ class TestOscillatorMode:
     def test_window_sum_matches_first_power_sum(self, c, lam):
         vec = basis(c, lam)
         got = sigma_iso(alpha_window_sum(vec))
-        want = BosonState.of(c, multiply(powersum([1]), schur(lam)))
+        want = {c: multiply(powersum([1]), schur(lam))}
         assert got == want
 
     @given(small_charges, small_partitions)
     @settings(max_examples=30, deadline=None)
     def test_window_sum_is_the_raising_oscillator_mode(self, c, lam):
         got = sigma_iso(alpha_window_sum(basis(c, lam)))
-        assert got == BosonState.of(c, heis_alpha(-1, schur(lam)))
+        assert got == {c: heis_alpha(-1, schur(lam))}
+
+
+# coefficients as a caller may write them: zeros of every type, floats, bools
+loose_coefficients = st.sampled_from(
+    [0, 0.0, False, Fraction(0), 1, -1, True, 0.5, Fraction(-2, 3)])
+loose_states = st.lists(
+    st.tuples(small_charges, small_partitions, loose_coefficients),
+    max_size=4).map(lambda terms: {basis(c, lam): x for c, lam, x in terms})
+
+
+class TestPlainDictStates:
+    @given(loose_states, st.integers(-3, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_no_state_holds_a_zero(self, state, j):
+        b = sigma_iso(state)
+        fermion = [psi(j, state), psi_star(j, state), sigma_inv(b),
+                   fermion_state_from_json(fermion_state_to_json(state))]
+        fermion += [alpha_window_sum(vec) for vec in state]
+        boson = [b, boson_psi(j, b), boson_psi_star(j, b),
+                 boson_psi(j, {**b, 5: SymFunc.zero()}),
+                 boson_state_from_json(boson_state_to_json(b))]
+        for out in fermion:
+            assert all(c and type(c) in (int, Fraction)
+                       for c in out.values()), out
+        for out in boson:
+            assert not any(f.is_zero() for f in out.values()), out
+        assert sigma_inv(b) == {v: c for v, c in state.items() if c}
+
+    def test_cancelling_records_leave_no_entry(self):
+        recs = [{"charge": 0, "partition": "1", "coefficient": "1/2"},
+                {"charge": 0, "partition": "1", "coefficient": "-1/2"}]
+        assert fermion_state_from_json(recs) == {}
+        assert boson_state_from_json(recs) == {}
+        assert fermion_state_to_json({basis(0, [1]): 0}) == []
+
+    def test_float_and_bool_coefficients_enter_exact(self):
+        vec = basis(0, [1])
+        for loose, exact in ((True, 1), (0.5, Fraction(1, 2)),
+                             (-0.25, Fraction(-1, 4))):
+            ((_, c),) = psi(3, {vec: loose}).items()  # code 2: none above
+            assert c == exact and type(c) is Fraction
+            ((_, c),) = sigma_iso({vec: loose})[0].terms.items()
+            assert c == exact and type(c) in (int, Fraction)
+            (rec,) = fermion_state_to_json({vec: loose})
+            assert rec["coefficient"] == str(exact)
 
 
 class TestSerialization:
     def test_fermion_round_trip(self):
-        state = (FermionState.of(basis(0, [2, 1]), Fraction(3, 2))
-                 + FermionState.of(basis(-1, []), Fraction(-1)))
+        state = {basis(0, [2, 1]): Fraction(3, 2), basis(-1, []): Fraction(-1)}
         recs = fermion_state_to_json(state)
         assert recs == [
             {"charge": -1, "partition": "0", "coefficient": "-1"},
@@ -547,8 +585,8 @@ class TestSerialization:
         assert fermion_state_from_json(recs) == state
 
     def test_boson_round_trip(self):
-        state = (BosonState.of(1, schur([3]).scale(Fraction(1, 3)))
-                 + BosonState.of(-2, schur([1, 1]) + schur([2])))
+        state = {1: schur([3]).scale(Fraction(1, 3)),
+                 -2: schur([1, 1]) + schur([2])}
         recs = boson_state_to_json(state)
         assert boson_state_from_json(recs) == state
         charges = [r["charge"] for r in recs]
