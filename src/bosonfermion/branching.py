@@ -13,11 +13,13 @@ each direct-sum decomposition on the plain words ``word_module`` returns,
 verified by a biorthogonality battery.
 
 Cable elements: a group-algebra element acting on a cable of k strands is
-written on the cable's own letters 1..k (strand i, left to right, carries
-letter i), and only ``_p_box``/``_q_box`` embed it into a word.  On a
-P-cable it acts by right multiplication, which reverses products; on a
-Q-cable by the module action, which keeps them.  A strand route is a list
-of adjacent swaps, turned into one cable element by ``_strand_route``.
+a ``{permutation: Fraction}`` dict written on the cable's own letters 1..k
+(strand i, left to right, carries letter i), and only ``_p_box``/``_q_box``
+embed it into a word.  On a P-cable it acts by right multiplication, which
+reverses products and never acts through the module under the cable
+(``symrep.right_mult_map``); on a Q-cable by the module action, which keeps
+them.  A strand route is a list of adjacent swaps, turned into one cable
+element by ``_strand_route``.
 
 Scalar policy: each inclusion is built with its documented scalar.  The
 battery computes projection∘inclusion = c·id; if c is neither 0 nor 1 the
@@ -39,7 +41,6 @@ from .partition_core import (
 )
 from .reports import Report
 from .symrep import (
-    GroupAlgebraElement,
     added_letters_embedding,
     adjacent_transposition,
     counit_qp,
@@ -49,6 +50,7 @@ from .symrep import (
     p_lambda,
     perm_mult,
     q_lambda,
+    relabel,
     removed_letters_embedding,
     restrict,
     right_mult_map,
@@ -183,10 +185,10 @@ def _p_box(word, start, elem):
     strands carry the element's letters 1..k left to right (strand i is
     group letter base+k+1-i).  Right multiplication reverses products:
     _p_box(a*b) = _p_box(b) @ _p_box(a)."""
-    k = elem.degree
+    k = len(next(iter(elem)))
     w_in = word.stage(start)
     degree = w_in.degree + k
-    emb = elem.relabel(added_letters_embedding(k, w_in.degree), degree)
+    emb = relabel(elem, added_letters_embedding(k, w_in.degree), degree)
     return _lift_matrix(right_mult_map(w_in, k, emb), degree,
                         word.letters[start + k:])
 
@@ -198,12 +200,12 @@ def _q_box(word, start, elem):
     letter top-k+i).  The action keeps products:
     _q_box(a*b) = _q_box(a) @ _q_box(b).  The word dies inside the cable
     exactly when the stage where it starts has degree below k."""
-    k = elem.degree
+    k = len(next(iter(elem)))
     w_in = word.stage(start)
     if w_in.degree < k:
         return SMat.zeros(0, 0)
-    f = w_in.act_algebra(elem.relabel(
-        removed_letters_embedding(k, w_in.degree), w_in.degree))
+    f = w_in.act_algebra(relabel(
+        elem, removed_letters_embedding(k, w_in.degree), w_in.degree))
     return _lift_matrix(f, w_in.degree - k, word.letters[start + k:])
 
 
@@ -253,14 +255,13 @@ def _strand_route(n, swaps):
     w = identity_perm(n)
     for p in swaps:
         w = perm_mult(adjacent_transposition(p, n), w)
-    return GroupAlgebraElement(n, {w: ONE})
+    return {w: ONE}
 
 
 def _row_symmetrizer(n, lo, hi):
     """(1/m!) Σ w over the m! permutations w of cable letters lo..hi in S_n
     (m = hi - lo + 1 >= 1): the symmetrizer box of one row."""
-    return young_idempotent([hi - lo + 1]).relabel(
-        range(lo, hi + 1), n)
+    return relabel(young_idempotent([hi - lo + 1]), range(lo, hi + 1), n)
 
 
 def _cable_cross_swaps(a, b):

@@ -31,12 +31,10 @@ mask steps against the memoized Pieri tables of B_a s_lambda and B*_a s_lambda.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .partition_core import Partition, format_partition, parse_partition, partitions_up_to
+from .partition_core import Partition, format_partition, partitions_up_to
 from .reports import Report
 from .symfunc import (SymFunc, _acc, _bernstein_schur, _bernstein_star_schur,
-                      _coeff, _integral, bernstein, bernstein_star, schur)
+                      _coeff, bernstein, bernstein_star, schur)
 
 
 class FermionBasisVector:
@@ -193,33 +191,10 @@ def boson_psi_star(i, b):
 # -- serialization -----------------------------------------------------------------
 
 
-def fermion_state_to_json(v):
-    terms = sorted(_terms(v), key=lambda t: (t[0].charge, t[0].shape.sort_key()))
-    return [{"charge": vec.charge, "partition": format_partition(vec.shape),
-             "coefficient": str(c)} for vec, c in terms]
-
-
-def fermion_state_from_json(recs):
-    out = {}
-    for r in recs:
-        vec = FermionBasisVector(int(r["charge"]), parse_partition(r["partition"]))
-        _acc(out, vec, Fraction(r["coefficient"]))
-    return {v: _integral(c) for v, c in out.items()}
-
-
 def boson_state_to_json(b):
     return [{"charge": c, "partition": format_partition(lam),
              "coefficient": str(f.terms[lam])}
             for c, f in sorted(b.items()) for lam in f.support()]
-
-
-def boson_state_from_json(recs):
-    terms = {}
-    for r in recs:
-        _acc(terms.setdefault(int(r["charge"]), {}),
-             parse_partition(r["partition"]), Fraction(r["coefficient"]))
-    return _nonzero((c, SymFunc({l: _integral(x) for l, x in f.items()}))
-                    for c, f in terms.items())
 
 
 # -- verification suites -------------------------------------------------------------

@@ -10,7 +10,7 @@ standing for the coset of b_S, which lists the values outside S and then
 S.  A single induction is k = 1: b_{j} is the coset representative r_j
 (the cycle j -> j+1 -> ... -> n+1 -> j, so that r_j sends the top letter
 to j), and the identity representative comes last; iterated-induction
-cosets are peeled by arithmetic on the values of image tuples.
+coset words are built by arithmetic on the values of image tuples.
 ``cap_cup`` writes every cap and cup between the layouts of k and k-1
 subsets, one block per (j, pos) key; ``subset_move`` is its case with
 blocks acting through a module (the pq adjunction maps and the projector
@@ -19,10 +19,14 @@ on it from the blocks of a Q cut.  On top
 of the two functors also live the qp adjunction maps, sideways crossings,
 and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
 one irreducible constituent per partition on the added (resp. removed)
-letters, with plain inclusion and projection matrices: O ⊗ I, O the
-signed orbit table (``orbit_table``), for a row or a column of added
-letters, the joint eigenspace of M's top generators for one of removed
-letters, and a Young idempotent's image for the other shapes.
+letters, with plain inclusion and projection matrices.  A group-algebra
+element is a ``{permutation: Fraction}`` dict.  A box on added letters
+(``right_mult_map``) never acts through M: it is a matrix on the coset
+space spread over dim M copies, f ⊗ I, and so is the added-letter cut,
+with f the signed orbit table (``orbit_table``) for a row or a column and a
+Young idempotent's image for the other shapes.  A cut on removed letters
+is the joint eigenspace of M's top generators for a row or a column and
+the image of the idempotent acting through M for the other shapes.
 """
 
 from __future__ import annotations
@@ -99,72 +103,41 @@ def _peel_descent(p):
     return i, p if i is None else p[:i - 1] + (p[i], p[i - 1]) + p[i + 1:]
 
 
-def relabel_perm(p, letters, degree):
-    """Transport p along the injection abstract letter j -> letters[j-1],
-    viewed inside S_degree."""
-    out = list(range(1, degree + 1))
-    for j, v in enumerate(p, start=1):
-        out[letters[j - 1] - 1] = letters[v - 1]
-    return tuple(out)
-
-
 # -- group algebra -----------------------------------------------------------------
+#
+# A group-algebra element is a ``{permutation: Fraction}`` dict with no zero
+# terms; its degree is the length of any of its permutations.
 
 
-class GroupAlgebraElement:
-    """A finite rational combination of permutations of fixed degree."""
+def relabel(elem, letters, degree):
+    """Transport elem along the injection abstract letter j -> letters[j-1],
+    viewed inside S_degree."""
+    out = {}
+    for p, c in elem.items():
+        img = list(range(1, degree + 1))
+        for j, v in enumerate(p, start=1):
+            img[letters[j - 1] - 1] = letters[v - 1]
+        out[tuple(img)] = c
+    return out
 
-    __slots__ = ("degree", "terms")
 
-    def __init__(self, degree, terms=None):
-        self.degree = degree
-        clean = {}
-        for p, c in (terms or {}).items():
-            c = Fraction(c)
-            if c:
-                clean[tuple(p)] = c
-        self.terms = clean
-
-    @staticmethod
-    def unit(degree):
-        return GroupAlgebraElement(degree, {identity_perm(degree): ONE})
-
-    def scale(self, c):
-        c = Fraction(c)
-        return GroupAlgebraElement(
-            self.degree, {p: c * w for p, w in self.terms.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for p, a in self.terms.items():
-            for q, b in other.terms.items():
-                r = perm_mult(p, q)
-                w = out.get(r, ZERO) + a * b
-                if w:
-                    out[r] = w
-                else:
-                    out.pop(r, None)
-        res = GroupAlgebraElement(self.degree)
-        res.terms = out
-        return res
-
-    def __eq__(self, other):
-        return (isinstance(other, GroupAlgebraElement)
-                and self.degree == other.degree and self.terms == other.terms)
-
-    def relabel(self, letters, degree):
-        """Transport onto the letters ``letters`` inside S_degree."""
-        return GroupAlgebraElement(
-            degree,
-            {relabel_perm(p, letters, degree): c
-             for p, c in self.terms.items()},
-        )
+def _product(a, b):
+    """The product a*b of two elements, dropping each term that cancels."""
+    out = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            r = perm_mult(p, q)
+            if w := out.get(r, ZERO) + x * y:
+                out[r] = w
+            else:
+                out.pop(r, None)
+    return out
 
 
 def _stabilizer_sum(groups, n, signed):
     """Sum over the direct product of symmetric groups on the given letter
     blocks, optionally weighted by sign."""
-    elem = GroupAlgebraElement.unit(n)
+    elem = {identity_perm(n): ONE}
     for block in groups:
         if len(block) < 2:
             continue
@@ -183,7 +156,7 @@ def _stabilizer_sum(groups, n, signed):
                 )
                 coeff = Fraction((-1) ** inv)
             terms[tuple(img)] = coeff
-        elem = elem * GroupAlgebraElement(n, terms)
+        elem = _product(elem, terms)
     return elem
 
 
@@ -194,7 +167,8 @@ def young_idempotent(lam):
 
     The normalization #SYT(lam)/n! is exactly what makes the element
     idempotent; for n <= 5 the e*e = e gate raises IdempotentError if not.
-    It is built and gated once per shape and shared: callers must not mutate it.
+    It is a ``{permutation: Fraction}`` dict, built and gated once per
+    shape and shared: callers must not mutate it.
     """
     return _young_idempotent(Partition(lam))
 
@@ -210,14 +184,13 @@ def _young_idempotent(lam):
         cols.append(col)
     a = _stabilizer_sum(rows, n, signed=False)
     b = _stabilizer_sum(cols, n, signed=True)
-    e = (a * b).scale(Fraction(syt_count(lam), factorial(n)))
-    if n <= 5 and (sq := e * e) != e:
-        p = min(p for p in sq.terms.keys() | e.terms.keys()
-                if sq.terms.get(p) != e.terms.get(p))
+    c = Fraction(syt_count(lam), factorial(n))
+    e = {p: c * w for p, w in _product(a, b).items()}
+    if n <= 5 and (sq := _product(e, e)) != e:
+        p = min(p for p in sq.keys() | e.keys() if sq.get(p) != e.get(p))
         raise IdempotentError(
             f"young idempotent for {lam} has e*e != e: coefficient "
-            f"{sq.terms.get(p, ZERO)} of {p} in e*e, "
-            f"{e.terms.get(p, ZERO)} in e")
+            f"{sq.get(p, ZERO)} of {p} in e*e, {e.get(p, ZERO)} in e")
     return e
 
 
@@ -292,11 +265,8 @@ class RepModule:
         return out
 
     def act_algebra(self, elem):
-        if elem.degree != self.degree:
-            raise ValueError(f"an element of degree {elem.degree} cannot act "
-                             f"on a module of degree {self.degree}")
         out = SMat.zeros(self.dim, self.dim)
-        for p, c in elem.terms.items():
+        for p, c in elem.items():
             out = out + self.act_perm(p).scale(c)
         return out
 
@@ -343,12 +313,12 @@ def regular_module(n):
 def left_mult_matrix(elem):
     """Left multiplication by a group-algebra element on the group algebra,
     in the sorted-permutation basis used by regular_module."""
-    n = elem.degree
+    n = len(next(iter(elem)))
     _check_regular_cap(n)
     elems = sorted(iter_permutations(range(1, n + 1)))
     index = {p: i for i, p in enumerate(elems)}
     entries = []
-    for q, c in elem.terms.items():
+    for q, c in elem.items():
         for p in elems:
             entries.append((index[perm_mult(q, p)], index[p], c))
     return SMat.from_entries(len(elems), len(elems), entries)
@@ -488,12 +458,12 @@ def induce(m, k=1, high=None):
 
 
 def restrict(m):
-    """Restriction along S_{n-1} -> S_n: same space, drop the top generator.
-    Restricting a degree-0 module yields the zero module (the bottom of the
+    """Restriction along S_{n-1} -> S_n: same space, drop the top generator
+    (on the first read of ``gens``).  Restricting a degree-0 module yields the zero module (the bottom of the
     charge lattice has nothing below it)."""
     if m.degree == 0:
         return zero_module(0)
-    return RepModule(m.degree - 1, m.dim, m.gens[:-1])
+    return RepModule(m.degree - 1, m.dim, lambda: m.gens[:-1])
 
 
 def cap_cup(n, size, cup, signed, block, shape):
@@ -611,53 +581,37 @@ def _coset_word(keys, n, strides):
     return w, offset
 
 
-def _peel_cosets(w, strides):
-    """Inverse of _coset_word: factor w = r_{k_levels} ··· r_{k_1} tau, tau in
-    S_n, into (offset of the keys' block, tau).  From the top, k is the top
-    value; drop it and lower every value above k by one."""
-    v = list(w)
-    offset = 0
-    for stride in reversed(strides):
-        k = v.pop()
-        v = [x - (x > k) for x in v]
-        offset += (k - 1) * stride
-    return offset, tuple(v)
-
-
 def right_mult_map(m, levels, elem):
     """Right multiplication by a group-algebra element supported on the top
     ``levels`` letters, as the matrix of an endomorphism of induce^levels(M)
     (of size dim(M)·(n+1)···(n+levels) with n = deg M).
 
-    Block (k_1, ..., k_levels) holds the coset of w = r_{k_levels} ··· r_{k_1};
-    g sends it to the block of w g = r_{k'_levels} ··· r_{k'_1} tau, with tau
-    acting through M (how crossings and added-strand idempotent boxes act).
-    Both w and the peeling of w g are value arithmetic on image tuples.
+    Block (k_1, ..., k_levels) holds the coset of w = r_{k_levels} ··· r_{k_1},
+    which keeps 1..n in order.  An element g that fixes 1..n keeps that
+    order, so w g is the coset word of another block, the one with the
+    added values of w g, and no box on added letters acts through M: the
+    matrix is the one on the coset space, spread over dim M diagonal copies.
+    ValueError if a permutation of elem moves a letter in 1..n.
     """
-    n, d = m.degree, m.dim
-    if elem.degree != n + levels:
-        raise ValueError(f"right multiplication on {levels} inductions of a "
-                         f"degree-{n} module needs degree {n + levels}, got "
-                         f"an element of degree {elem.degree}")
+    n, low = m.degree, identity_perm(m.degree)
+    for g in elem:
+        if len(g) != n + levels or g[:n] != low:
+            raise ValueError(f"right multiplication on {levels} inductions of "
+                             f"a degree-{n} module needs permutations of "
+                             f"degree {n + levels} fixing 1..{n}, got {g}")
     radices = range(n + 1, n + levels + 1)
-    strides = [d * prod(radices[:lvl]) for lvl in range(levels)]
-    dim = d * prod(radices)
-    blocks = []
+    strides = [prod(radices[:lvl]) for lvl in range(levels)]
     # key tuples (k_1, ..., k_levels) with k_1 outermost
-    for keys in product(*(range(1, b + 1) for b in radices)):
-        w, col_base = _coset_word(keys, n, strides)
-        for g, coeff in elem.terms.items():
-            row_base, tau = _peel_cosets([w[i - 1] for i in g], strides)
-            blocks.append((row_base, col_base, coeff, m.act_perm(tau)))
-    # int numerators over the lcm of the coefficient and block denominators
-    den = lcm(*(coeff.denominator * a.den for _, _, coeff, a in blocks))
-    entries = []
-    for row_base, col_base, coeff, a in blocks:
-        mult = coeff.numerator * (den // (coeff.denominator * a.den))
-        for r, row in enumerate(a.rows):
-            for c, x in row.items():
-                entries.append((row_base + r, col_base + c, mult * x))
-    return SMat.from_entries(dim, dim, entries, den=den)
+    words = [_coset_word(keys, n, strides)
+             for keys in product(*(range(1, b + 1) for b in radices))]
+    block = {tuple(w[n:]): offset for w, offset in words}
+    # int numerators over the lcm of the coefficient denominators
+    den = lcm(*(c.denominator for c in elem.values()))
+    table = SMat.from_entries(len(words), len(words), (
+        (block[tuple([w[i - 1] for i in g[n:]])], col,
+         c.numerator * (den // c.denominator))
+        for w, col in words for g, c in elem.items()), den=den)
+    return table.kron(SMat.identity(m.dim))
 
 
 # -- isotypic functors --------------------------------------------------------------
@@ -675,17 +629,6 @@ def removed_letters_embedding(k, top_degree):
     strand j; strand i carries letter top-k+i, ascending:
     abstract j -> top_degree - k + j."""
     return [top_degree - k + j for j in range(1, k + 1)]
-
-
-def _isotypic_cut(lam, amb, box):
-    """(sub, iota, pi) of the lam-isotypic part of ``amb`` for a shape that
-    is neither a row nor a column: the image of the Young idempotent,
-    which ``box`` turns from an element on the cable's letters 1..|lam|
-    into a matrix on amb.  Only the branching families cut such shapes;
-    ``p_lambda`` and ``q_lambda`` cut rows and columns directly."""
-    iota, pi = idempotent_image(box(young_idempotent(lam)))
-    sub = RepModule(amb.degree, iota.ncols, [pi @ g @ iota for g in amb.gens])
-    return sub, iota, pi
 
 
 def _orbit_table(n, k, column):
@@ -726,20 +669,28 @@ def orbit_table(lam, m):
 def p_lambda(lam, m):
     """(sub, iota, pi): the lam-isotypic creation functor on M, cut on the
     added letters, with iota and pi ``SMat``s between sub and induce^k(M)
-    (k = |lam|).  A row or a column of any width is ``orbit_table``'s
-    O ⊗ I and O' ⊗ I; the ambient is never built.  Any other shape is the
-    Young-idempotent image in the built ambient."""
+    (k = |lam|).  A box on added letters never acts through M, so the cut is
+    one on the coset space, spread as f ⊗ I over dim M copies: for a row or
+    a column of any width f is ``orbit_table``'s O and O', for any other
+    shape the Young-idempotent image of ``right_mult_map`` on the trivial
+    module of M's degree, and sub's generators are built on first read."""
     lam = Partition(lam)
     k, n = lam.size(), m.degree
-    if len(lam) > 1 and lam[0] > 1:
+    eye = SMat.identity(m.dim)
+    if len(lam) < 2 or lam[0] == 1:
+        sub, table, proj = orbit_table(lam, m)
+        return sub, table.kron(eye), proj.kron(eye)
+    e = relabel(young_idempotent(lam), added_letters_embedding(k, n), n + k)
+    iota, pi = (f.kron(eye) for f in idempotent_image(
+        right_mult_map(trivial_module(n), k, e)))
+
+    def gens():
         amb = m
         for _ in range(k):
             amb = induce(amb)
-        letters = added_letters_embedding(k, n)
-        return _isotypic_cut(lam, amb, lambda e: right_mult_map(
-            m, k, e.relabel(letters, amb.degree)))
-    sub, table, proj = orbit_table(lam, m)
-    return sub, *(f.kron(SMat.identity(m.dim)) for f in (table, proj))
+        return [pi @ g @ iota for g in amb.gens]
+
+    return RepModule(n + k, iota.ncols, gens), iota, pi
 
 
 def q_lambda(lam, m):
@@ -753,13 +704,13 @@ def q_lambda(lam, m):
     if k > n:
         # restrict^k passes through degree 0, which kills everything
         return zero_module(0), SMat.identity(0), SMat.identity(0)
-    low = m.gens[:max(n - k - 1, 0)]  # the generators of restrict^k(M)
     if len(lam) > 1 and lam[0] > 1:
-        letters = removed_letters_embedding(k, n)
-        return _isotypic_cut(lam, RepModule(n - k, m.dim, low), lambda e:
-                             m.act_algebra(e.relabel(letters, n)))
-    eps = -1 if len(lam) > 1 else 1
-    iota, pi = joint_eigenspace(m.dim, [(g, eps) for g in m.gens[n - k:]])
+        iota, pi = idempotent_image(m.act_algebra(relabel(
+            young_idempotent(lam), removed_letters_embedding(k, n), n)))
+    else:
+        eps = -1 if len(lam) > 1 else 1
+        iota, pi = joint_eigenspace(m.dim, [(g, eps) for g in m.gens[n - k:]])
+    low = m.gens[:max(n - k - 1, 0)]  # the generators of restrict^k(M)
     return RepModule(n - k, iota.ncols, [pi @ g @ iota for g in low]), iota, pi
 
 

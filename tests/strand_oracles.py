@@ -12,36 +12,47 @@ gates of the complex constructors.  ``grid_induce``, ``grid_subset_move`` and
 ``product_frobenius_char`` are the routes ``symrep.induce``,
 ``symrep.subset_move`` and ``symrep.frobenius_char`` replaced: a grid of
 blocks for ``SMat.block`` and the trace of each class representative's
-full matrix.
+full matrix.  ``coset_route_right_mult`` and ``reference_p_lambda`` are the
+right multiplication and added-letter cut that acted through the module
+before ``symrep.right_mult_map`` and ``symrep.p_lambda`` moved onto the
+coset space; the coset route also takes elements that move the low
+letters, which the Jucys-Murphy map needs.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
 from bosonfermion.branching import _expect, _move
 from bosonfermion.errors import CharacterError
 from bosonfermion.homalg import Complex, module_direct_sum
-from bosonfermion.linalg import SMat
+from bosonfermion.linalg import SMat, idempotent_image
 from bosonfermion.partition_core import (
+    Partition,
     centralizer_order,
     cycle_type_representative,
     enumerate_partitions,
 )
 from bosonfermion.symfunc import SymFunc, powersum
 from bosonfermion.symrep import (
-    GroupAlgebraElement,
     ModuleMap,
     RepModule,
+    added_letters_embedding,
     adjacent_transposition,
+    coset_rep,
     counit_qp,
+    identity_perm,
     induce,
     perm_inverse,
     perm_mult,
+    relabel,
     restrict,
     right_mult_map,
     subset_move,
     unit_qp,
+    young_idempotent,
     zero_module,
 )
 
@@ -127,6 +138,95 @@ def product_frobenius_char(m):
     return SymFunc(terms)
 
 
+def embed_perm(p, n):
+    """View p (on letters 1..k) inside S_n, fixing the letters above k."""
+    return tuple(p) + tuple(range(len(p) + 1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _inverse_coset_rep(k, top, degree):
+    """r_k^{-1} of S_top, viewed inside S_degree."""
+    return perm_inverse(embed_perm(coset_rep(k, top), degree))
+
+
+def coset_route_peel(w, base_degree, levels):
+    """Factor w in S_{base_degree + levels} as r_{k_levels} ... r_{k_1} * tau
+    by multiplying with r_k^{-1}; returns (keys, tau) with keys[0] = k_1."""
+    keys = []
+    for lvl in range(levels, 0, -1):
+        top = base_degree + lvl
+        k = w[top - 1]
+        keys.append(k)
+        w = perm_mult(_inverse_coset_rep(k, top, len(w)), w)
+    keys.reverse()
+    tau = tuple(w[:base_degree])
+    assert all(w[i] == i + 1 for i in range(base_degree, len(w))), w
+    return keys, tau
+
+
+def coset_route_block_index(keys, blocks_per_level, base_dim):
+    idx = 0
+    stride = base_dim
+    for lvl, k in enumerate(keys):
+        idx += (k - 1) * stride
+        stride *= blocks_per_level[lvl]
+    return idx
+
+
+def coset_route_right_mult(m, levels, elem):
+    """The former right multiplication, kept as an oracle: it composes the
+    coset representatives of every block as permutation tuples, peels w g
+    by left multiplication with r_k^{-1}, one level at a time, and applies
+    the residual tau in S_n through M, so ``elem`` may move the low letters."""
+    n, d = m.degree, m.dim
+    blocks_per_level = [n + lvl + 1 for lvl in range(levels)]
+    dim = d * prod(blocks_per_level)
+    entries = []
+    deg_top = n + levels
+    for keys in product(*(range(1, b + 1) for b in blocks_per_level)):
+        w = identity_perm(deg_top)
+        for lvl in range(levels, 0, -1):
+            w = perm_mult(w, embed_perm(coset_rep(keys[lvl - 1], n + lvl),
+                                        deg_top))
+        col_base = coset_route_block_index(keys, blocks_per_level, d)
+        for g, coeff in elem.items():
+            new_keys, tau = coset_route_peel(perm_mult(w, g), n, levels)
+            row_base = coset_route_block_index(new_keys, blocks_per_level, d)
+            block = m.act_perm(tau)
+            for r, row in enumerate(block.rows):
+                for c in row:
+                    entries.append((row_base + r, col_base + c,
+                                    coeff * block.entry(r, c)))
+    return SMat.from_entries(dim, dim, entries)
+
+
+def peel_cosets(w, strides):
+    """Inverse of ``symrep._coset_word``: factor w = r_{k_levels} ··· r_{k_1}
+    tau, tau in S_n, into (offset of the keys' block, tau).  From the top,
+    k is the top value; drop it and lower every value above k by one."""
+    v = list(w)
+    offset = 0
+    for stride in reversed(strides):
+        k = v.pop()
+        v = [x - (x > k) for x in v]
+        offset += (k - 1) * stride
+    return offset, tuple(v)
+
+
+def reference_p_lambda(lam, m):
+    """``symrep.p_lambda`` for a shape that is neither a row nor a column,
+    as it was: the Young-idempotent image of the coset route's right
+    multiplication on the built ambient induce^k(M)."""
+    k, n = Partition(lam).size(), m.degree
+    amb = m
+    for _ in range(k):
+        amb = induce(amb)
+    e = relabel(young_idempotent(lam), added_letters_embedding(k, n), n + k)
+    iota, pi = idempotent_image(coset_route_right_mult(m, k, e))
+    return (RepModule(amb.degree, iota.ncols, [pi @ g @ iota for g in amb.gens]),
+            iota, pi)
+
+
 def identity_map(m):
     return ModuleMap(m, m, SMat.identity(m.dim))
 
@@ -177,8 +277,7 @@ def crossing(m):
     n = m.degree
     s = adjacent_transposition(n + 1, n + 2)
     top = induce(induce(m))
-    return ModuleMap(top, top, right_mult_map(
-        m, 2, GroupAlgebraElement(n + 2, {s: 1})))
+    return ModuleMap(top, top, right_mult_map(m, 2, {s: 1}))
 
 
 def right_twist_curl(m):
@@ -207,8 +306,7 @@ def jucys_murphy_map(m):
         img[i - 1], img[n] = n + 1, i
         terms[tuple(img)] = 1
     top = induce(m)
-    return ModuleMap(top, top, right_mult_map(
-        m, 1, GroupAlgebraElement(n + 1, terms)))
+    return ModuleMap(top, top, coset_route_right_mult(m, 1, terms))
 
 
 def shifted(cx, s):

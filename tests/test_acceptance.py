@@ -40,6 +40,7 @@ from bosonfermion.symfunc import (
     schur,
 )
 from bosonfermion.symrep import (
+    _product,
     counit_qp,
     frobenius_char,
     induce,
@@ -100,7 +101,7 @@ def test_criterion_05_idempotent_calculus():
         if lam.size() == 0:
             continue
         e = young_idempotent(lam)
-        assert e * e == e, lam
+        assert _product(e, e) == e, lam
     # sandwich orthogonality: a column-cut after a row-cut of the vacuum
     # survives exactly when the two labels agree
     vac = trivial_module(0)

@@ -13,6 +13,7 @@ builder's: there the new family must pass and the other summands must
 still agree.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -36,9 +37,9 @@ from bosonfermion.linalg import SMat
 from bosonfermion.partition_core import Partition, format_partition
 from bosonfermion.reports import Report
 from bosonfermion.symrep import (
-    GroupAlgebraElement,
     identity_perm,
     perm_mult,
+    relabel,
     right_mult_map,
     young_idempotent,
 )
@@ -92,8 +93,7 @@ def q_route_element(n_letters, top_degree, swaps):
 
 
 def _right_mult_on_plain(base, n_letters, perm):
-    elem = GroupAlgebraElement(base.degree + n_letters, {perm: ONE})
-    return right_mult_map(base, n_letters, elem)
+    return right_mult_map(base, n_letters, {perm: ONE})
 
 
 def _removable_rows(mu):
@@ -218,7 +218,7 @@ def q_lambda_p_family(mu, base):
         box = _symmetrizer_box(row_len)
         row_letters = [w1.degree - n + j
                        for j in range(sums[s - 1] + 1, sums[s] + 1)]
-        f_box = w1.act_algebra(box.relabel(row_letters, w1.degree))
+        f_box = w1.act_algebra(relabel(box, row_letters, w1.degree))
         w = word0
         f = f_box
         for i in range(n - sums[s]):
@@ -234,7 +234,7 @@ def q_lambda_p_family(mu, base):
             box2 = _symmetrizer_box(row_len - 1)
             row2 = [base.degree - (n - 1) + j
                     for j in range(sums[s - 1] + 1, sums[s])]
-            f2 = base.act_algebra(box2.relabel(row2, base.degree)) @ f2
+            f2 = base.act_algebra(relabel(box2, row2, base.degree)) @ f2
         w2, g2 = move_cup_qp(w2, n - sums[s])
         f2 = g2 @ f2
         for i in range(n - sums[s] - 1, -1, -1):
@@ -268,7 +268,7 @@ def p_lambda_p_family(lam, base):
             box = _symmetrizer_box(row_len)
             row_letters = [base.degree + n + 1 - j
                            for j in range(sums[s - 1] + 1, sums[s] + 1)]
-            emb = box.relabel(row_letters, base.degree + n)
+            emb = relabel(box, row_letters, base.degree + n)
             f = right_mult_map(base, n, emb) @ f
         w_route = p_route_element(n, base.degree, _route_swaps(n, r_s + 1))
         f = _right_mult_on_plain(base, n, w_route) @ f
@@ -277,7 +277,7 @@ def p_lambda_p_family(lam, base):
         box2 = _symmetrizer_box(row_len + 1)
         row2 = [base.degree + n + 1 - j
                 for j in range(sums[s - 1] + 1, sums[s - 1] + row_len + 2)]
-        f2 = right_mult_map(base, n, box2.relabel(row2, base.degree + n))
+        f2 = right_mult_map(base, n, relabel(box2, row2, base.degree + n))
         w_out = p_route_element(n, base.degree, _route_swaps(r_s + 1, n))
         f2 = _right_mult_on_plain(base, n, w_out) @ f2
         iota = s_pi @ f2 @ t_iota
@@ -313,14 +313,14 @@ def q_lambda_q_family(lam, base):
             box = _symmetrizer_box(row_len)
             row_letters = [top_deg - n + j
                            for j in range(sums[s - 1] + 1, sums[s] + 1)]
-            f = base.act_algebra(box.relabel(row_letters, top_deg)) @ f
+            f = base.act_algebra(relabel(box, row_letters, top_deg)) @ f
         w_route = q_route_element(n, top_deg, _route_swaps(n, r_s + 1))
         f = base.act_perm(w_route) @ f
         rho = t_pi @ f @ s_iota
         box2 = _symmetrizer_box(row_len + 1)
         row2 = [top_deg - n + j
                 for j in range(sums[s - 1] + 1, sums[s - 1] + row_len + 2)]
-        f2 = base.act_algebra(box2.relabel(row2, top_deg))
+        f2 = base.act_algebra(relabel(box2, row2, top_deg))
         w_out = q_route_element(n, top_deg, _route_swaps(r_s + 1, n))
         f2 = base.act_perm(w_out) @ f2
         iota = s_pi @ f2 @ t_iota
@@ -413,3 +413,16 @@ def test_family_matches_the_replaced_route(which, sizes, make_base, mended):
         assert new.iotas[s] == old.iotas[s], label
         assert new.rhos[s] == old.rhos[s], label
         assert new.pinned_scalars[s] == old.pinned_scalars[s], label
+
+
+def test_battery_reports_are_pinned():
+    # every report of the acceptance battery, then of BRANCHING_CASES,
+    # joined: the digest the families gave before right multiplication
+    # moved onto the coset space
+    reports = [branching_iso_check(which, sizes, make())[1].to_json()
+               for which, sizes, make in BRANCHING_BATTERY]
+    reports += [branching_iso_check(which, sizes, BRANCHING_BASES[key]())[1]
+                .to_json() for which, sizes, key in BRANCHING_CASES]
+    assert len(reports) == 65
+    digest = hashlib.sha256("".join(reports).encode()).hexdigest()
+    assert digest[:8] == "e48b4252"

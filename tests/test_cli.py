@@ -29,8 +29,7 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-GENERAL_SHAPE_CUT = ("GroupAlgebraElement", "young_idempotent",
-                     "right_mult_map", "idempotent_image")
+GENERAL_SHAPE_CUT = ("young_idempotent", "right_mult_map", "idempotent_image")
 
 
 def forbid_general_shape_cut(monkeypatch):

@@ -22,10 +22,7 @@ from bosonfermion.fock import (
     FermionBasisVector,
     boson_psi,
     boson_psi_star,
-    boson_state_from_json,
     boson_state_to_json,
-    fermion_state_from_json,
-    fermion_state_to_json,
     psi,
     psi_star,
     sigma_inv,
@@ -116,7 +113,7 @@ def _records(x):
         return to_json_records(x)
     if _is_boson(x):
         return boson_state_to_json(x)
-    return fermion_state_to_json(x)
+    return sorted((v.charge, v.shape.sort_key(), str(c)) for v, c in x.items())
 
 
 # -- corpus ----------------------------------------------------------------------
@@ -225,9 +222,7 @@ def _level_one_two_outputs(f, g, v):
         outs.append(from_json_records(to_json_records(f, basis)))
     vac = FermionBasisVector(0, ())
     outs += [psi(1, {vac: True}), psi_star(0, {vac: 0.25}),
-             sigma_iso({vac: True}), sigma_iso({vac: 0.5}), sigma_inv(b),
-             fermion_state_from_json(fermion_state_to_json(v)),
-             boson_state_from_json(boson_state_to_json(b))]
+             sigma_iso({vac: True}), sigma_iso({vac: 0.5}), sigma_inv(b)]
     for j in range(-3, 4):
         outs += [psi(j, v), psi_star(j, v), boson_psi(j, b),
                  boson_psi_star(j, b)]
@@ -265,10 +260,9 @@ def test_integral_inputs_keep_int_coefficients(f, v):
     # read back from JSON, through every basis (powersum records are
     # quotients whose sums are integral)
     outs += [from_json_records(to_json_records(f, basis)) for basis in BASES]
-    outs += [fermion_state_from_json(fermion_state_to_json(v)),
-             boson_state_from_json(boson_state_to_json(b))]
     for out in outs:
         assert all(type(c) is int for c in _coefficients(out))
+    assert all("/" not in r["coefficient"] for r in boson_state_to_json(b))
 
 
 def test_frobenius_characters_have_int_coefficients():

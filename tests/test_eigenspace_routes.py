@@ -55,9 +55,7 @@ from bosonfermion.partition_core import (
     format_partition,
 )
 from bosonfermion.symrep import (
-    GroupAlgebraElement,
     RepModule,
-    _peel_cosets,
     added_letters_embedding,
     frobenius_char,
     induce,
@@ -65,13 +63,14 @@ from bosonfermion.symrep import (
     regular_module,
     p_lambda,
     q_lambda,
+    relabel,
     removed_letters_embedding,
     right_mult_map,
     specht_module,
     trivial_module,
     young_idempotent,
 )
-from strand_oracles import move_cap_pq, move_cup_pq
+from strand_oracles import move_cap_pq, move_cup_pq, peel_cosets
 
 MODULES = {
     "trivial:0": lambda: trivial_module(0),
@@ -112,7 +111,7 @@ def signed_diagonal_projector(m, k):
         for i, wi in enumerate(w, start=1):
             full[n - k + i - 1] = n - k + wi
         full = tuple(full)
-        term = (right_mult_map(stage_q, k, GroupAlgebraElement(n, {full: 1}))
+        term = (right_mult_map(stage_q, k, {full: 1})
                 @ _lift_matrix(m.act_perm(perm_inverse(full)),
                                stage_q.degree, "P" * k))
         acc = acc + term.scale(_perm_sign(w))
@@ -144,8 +143,9 @@ def eigenspace_p_cable(lam, m):
     letters = added_letters_embedding(k, m.degree)
     eps = 1 if len(lam.parts) == 1 else -1
     return joint_eigenspace(top.dim, [
-        (right_mult_map(m, k, _strand_route(k, [i]).relabel(
-            letters, top.degree)), eps) for i in range(1, k)])
+        (right_mult_map(m, k, relabel(_strand_route(k, [i]), letters,
+                                      top.degree)), eps)
+        for i in range(1, k)])
 
 
 OrbitSumCell = namedtuple("OrbitSumCell", "sub iota pi word rows")
@@ -178,11 +178,11 @@ def orbit_sum_sigma_cell(m, k):
     for subset in combinations(range(1, n + 1), k):
         rest = [v for v in range(1, n + 1) if v not in subset]
         col = len(pi_rows)
-        first = _peel_cosets(rest + list(subset), strides)[0]
+        first = peel_cosets(rest + list(subset), strides)[0]
         rows.extend(range(first, first + d))
         block = [{} for _ in range(d)]
         for w, sgn, inv, fwd in moves:
-            off, tau = _peel_cosets(rest + [subset[i] for i in w], strides)
+            off, tau = peel_cosets(rest + [subset[i] for i in w], strides)
             assert tau == keep
             x = sgn * (den // inv.den)
             for u, r in enumerate(inv.rows):
@@ -230,8 +230,9 @@ def young_product(atoms, base):
         w_in = word.stage(start)
         rest = word.letters[start + k:]
         if side == "P":
-            elem = young_idempotent(lam).relabel(
-                added_letters_embedding(k, w_in.degree), w_in.degree + k)
+            elem = relabel(young_idempotent(lam),
+                           added_letters_embedding(k, w_in.degree),
+                           w_in.degree + k)
             box = _lift_matrix(right_mult_map(w_in, k, elem),
                                w_in.degree + k, rest)
         else:
@@ -239,8 +240,9 @@ def young_product(atoms, base):
             if w_in.degree < k or out.dim != w_in.dim:
                 f = SMat.zeros(out.dim, out.dim)
             else:
-                elem = young_idempotent(lam).relabel(
-                    removed_letters_embedding(k, w_in.degree), w_in.degree)
+                elem = relabel(young_idempotent(lam),
+                               removed_letters_embedding(k, w_in.degree),
+                               w_in.degree)
                 f = w_in.act_algebra(elem)
             box = _lift_matrix(f, out.degree, rest)
         e_total = box @ e_total
@@ -613,8 +615,9 @@ def test_p_lambda_rows_and_columns_match_the_young_box(key):
         amb = PlainWord(m, "P" * k).top
         for lam in _row_column_shapes(k):
             sub, inc, prj = p_lambda(lam, m)
-            box = right_mult_map(m, k, young_idempotent(lam).relabel(
-                added_letters_embedding(k, m.degree), m.degree + k))
+            box = right_mult_map(m, k, relabel(
+                young_idempotent(lam), added_letters_embedding(k, m.degree),
+                m.degree + k))
             assert inc @ prj == box, lam
             assert prj @ inc == SMat.identity(sub.dim), lam
             assert sub.gens == _compressed_gens(prj, amb, inc), lam
@@ -660,8 +663,9 @@ def test_q_lambda_rows_and_columns_match_the_young_box(key):
                 assert amb.dim == sub.dim == 0, lam
                 assert inc == prj == SMat.identity(0), lam
                 continue
-            box = m.act_algebra(young_idempotent(lam).relabel(
-                removed_letters_embedding(k, m.degree), m.degree))
+            box = m.act_algebra(relabel(
+                young_idempotent(lam), removed_letters_embedding(k, m.degree),
+                m.degree))
             assert inc @ prj == box, lam
             assert prj @ inc == SMat.identity(sub.dim), lam
             assert sub.gens == _compressed_gens(prj, amb, inc), lam
