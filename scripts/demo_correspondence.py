@@ -10,13 +10,14 @@ creation word, whose homology is the irreducible labelled by λ and whose
 Euler characteristic recovers level 1.
 
 Usage:
-    python3 scripts/demo_correspondence.py [partition]   (default 2,1)
+    python3 scripts/demo_correspondence.py [partition] [--max-degree N]
 
-The partition size is capped by ``BOSONFERMION_MAX_DEGREE`` (default 6).
-Exit codes as for the ``bosonfermion`` command: 0 all levels agree, 1 a
-mismatch or a failed gate, 2 malformed input, 3 above the cap.
+The partition defaults to 2,1, and its size is capped by ``--max-degree``
+(default 6).  Exit codes as for the ``bosonfermion`` command: 0 all levels
+agree, 1 a mismatch or a failed gate, 2 malformed input, 3 above the cap.
 """
 
+import argparse
 import sys
 
 from bosonfermion.catbernstein import (
@@ -52,15 +53,20 @@ def mismatch(level, got, want):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    return exit_code(lambda: tour(argv[0] if argv else "2,1"))
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("partition", nargs="?", default="2,1",
+                        help="partition, e.g. 3,1 (default 2,1)")
+    parser.add_argument("--max-degree", dest="max_degree", type=int,
+                        default=None, metavar="N",
+                        help="partition-size cap (default 6)")
+    args = parser.parse_args(argv)
+    return exit_code(lambda: tour(args))
 
 
-def tour(text):
-    cfg = RunConfig.resolve("demo", None)
-    lam = parse_partition(text)
-    _admit("partition size", lam.size(), cfg.max_degree,
-           "BOSONFERMION_MAX_DEGREE")
+def tour(args):
+    cfg = RunConfig.resolve("demo", args)
+    lam = parse_partition(args.partition)
+    _admit("partition size", lam.size(), cfg.max_degree)
     name = format_partition(lam)
 
     print(f"=== level 1: creation operators on symmetric functions ===")

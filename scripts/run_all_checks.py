@@ -30,9 +30,6 @@ from bosonfermion.homalg import elimination_fuzz_report
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0],
                                      parents=[common_flags()])
-    parser.add_argument("--fuzz", type=int, default=100,
-                        help="number of fuzzed complexes for the "
-                             "elimination battery")
     args = parser.parse_args(argv)
     return exit_code(lambda: run(args))
 
@@ -45,7 +42,7 @@ def run(args):
                                  cfg.index_window),
         verify_correspondence(cfg.max_degree, cfg.charge_window,
                               cfg.index_window),
-        elimination_fuzz_report(instances=args.fuzz),
+        elimination_fuzz_report(),
     ]
     reports.extend(run_tasks(_default_suite(cfg), jobs=cfg.jobs))
     elapsed = time.time() - t0

@@ -19,7 +19,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed (a report
 check, or a gate raising one of ``GATE_ERRORS``), 2 malformed input, 3 a
 requested instance exceeds the configured caps.
 
-Common flags (see ``config`` for the matching environment variables):
+Common flags, the only run configuration (defaults in ``config``):
 ``--max-degree``, ``--charge-window lo:hi``, ``--index-window lo:hi``,
 ``--json``, ``--jobs``.
 """

@@ -1,18 +1,13 @@
 """Run configuration shared by the command-line front end and the scripts.
 
-A value is looked up in three places, most specific first:
+A run is configured by its flags alone; a flag that is not given takes its
+built-in default::
 
-1. an explicit command-line flag,
-2. an environment variable (``BOSONFERMION_*``, listed below),
-3. the built-in default.
-
-Environment variables::
-
-    BOSONFERMION_MAX_DEGREE     positive int     partition-size / degree cap
-    BOSONFERMION_CHARGE_WINDOW  "lo:hi" or "k"   charge range, inclusive
-    BOSONFERMION_INDEX_WINDOW   "lo:hi" or "k"   generator-index range
-    BOSONFERMION_JSON           1/true/yes       emit JSON instead of text
-    BOSONFERMION_JOBS           positive int     parallel worker count
+    --max-degree N        positive int     partition-size / degree cap (6)
+    --charge-window LO:HI "lo:hi" or "k"   charge range, inclusive (-2:2)
+    --index-window LO:HI  "lo:hi" or "k"   generator-index range (-4:4)
+    --json                                 emit JSON instead of text
+    --jobs K              positive int     parallel worker count (1)
 
 A window needs integer ends with ``lo <= hi``; a reversed window would
 check nothing, so it is refused.
@@ -20,17 +15,12 @@ check nothing, so it is refused.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-
-ENV_PREFIX = "BOSONFERMION_"
 
 DEFAULT_MAX_DEGREE = 6
 DEFAULT_CHARGE_WINDOW = (-2, 2)
 DEFAULT_INDEX_WINDOW = (-4, 4)
 DEFAULT_JOBS = 1
-
-_TRUTHY = {"1", "true", "yes", "on"}
 
 
 def parse_window(text):
@@ -50,15 +40,6 @@ def parse_window(text):
     except ValueError as exc:
         raise ValueError(f"window bounds must be integers, got {text!r}") from exc
     raise ValueError(f"window must look like 'lo:hi' or 'k', got {text!r}")
-
-
-def _env(env, key):
-    return env.get(ENV_PREFIX + key)
-
-
-def _env_flag(env, key):
-    raw = _env(env, key)
-    return raw is not None and raw.strip().lower() in _TRUTHY
 
 
 @dataclass(frozen=True)
@@ -100,44 +81,25 @@ class RunConfig:
         }
 
     @staticmethod
-    def resolve(command, args, env=None):
-        """Merge parsed CLI flags over environment variables over defaults.
+    def resolve(command, args):
+        """Read the parsed flags, each one's default where it is not given.
 
         ``args`` is any object with optional attributes ``max_degree``,
         ``charge_window``, ``index_window``, ``json`` and ``jobs`` (missing
-        or ``None`` means "not given").
+        or ``None`` means "not given"); windows arrive as text.
         Raises ValueError on malformed values.
         """
-        env = os.environ if env is None else env
+        def pick(name, default, convert):
+            flag = getattr(args, name, None)
+            return default if flag is None else convert(flag)
 
-        def pick(flag_name, env_key, default, convert):
-            flag = getattr(args, flag_name, None)
-            if flag is not None:
-                return convert(flag)
-            raw = _env(env, env_key)
-            if raw is not None:
-                return convert(raw)
-            return default
-
-        max_degree = pick("max_degree", "MAX_DEGREE", DEFAULT_MAX_DEGREE, int)
-        charge_window = pick("charge_window", "CHARGE_WINDOW",
-                             DEFAULT_CHARGE_WINDOW, _as_window)
-        index_window = pick("index_window", "INDEX_WINDOW",
-                            DEFAULT_INDEX_WINDOW, _as_window)
-        jobs = pick("jobs", "JOBS", DEFAULT_JOBS, int)
-        json_output = bool(getattr(args, "json", False)) or \
-            _env_flag(env, "JSON")
         return RunConfig(
             command=command,
-            max_degree=max_degree,
-            charge_window=charge_window,
-            index_window=index_window,
-            json_output=json_output,
-            jobs=jobs,
+            max_degree=pick("max_degree", DEFAULT_MAX_DEGREE, int),
+            charge_window=pick("charge_window", DEFAULT_CHARGE_WINDOW,
+                               parse_window),
+            index_window=pick("index_window", DEFAULT_INDEX_WINDOW,
+                              parse_window),
+            json_output=bool(getattr(args, "json", False)),
+            jobs=pick("jobs", DEFAULT_JOBS, int),
         )
-
-
-def _as_window(value):
-    if isinstance(value, tuple):
-        return value
-    return parse_window(value)

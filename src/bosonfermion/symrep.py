@@ -511,20 +511,19 @@ def subset_move(m, k, cup):
     """The cap (``cup`` false) from the k-subsets of {1..n} to the
     (k-1)-subsets, or the cup to the (k+1)-subsets, on the (S, v) layout of
     ``induce`` (n = deg m): ``cap_cup`` with signed blocks acting through m.
-    The cap sends (B, v) to (S, (-1)^pos b_S^-1 b_B v) and the cup sends
-    (S, v) to (B, (-1)^pos/|B| b_B^-1 b_S v)."""
-    letters = range(1, m.degree + 1)
-
-    def coset(s):
-        return tuple([v for v in letters if v not in s]) + s
+    The cap sends (B, v) to (S, (-1)^pos w v) and the cup sends (S, v) to
+    (B, (-1)^pos/|B| w^-1 v), where w = b_S^-1 b_B is r_j = ``coset_rep(j,
+    t)`` on the first t = n - |B| + 1 + pos letters, fixing the rest, and
+    j = B[pos] - pos."""
+    n, size = m.degree, k + 1 if cup else k
 
     def block(b, pos):
-        s = b[:pos] + b[pos + 1:]
-        src, tgt = (s, b) if cup else (b, s)
-        return m.act_perm(perm_mult(perm_inverse(coset(tgt)), coset(src)))
+        t = n - size + 1 + pos
+        w = coset_rep(b[pos] - pos, t) + tuple(range(t + 1, n + 1))
+        return m.act_perm(perm_inverse(w) if cup else w)
 
-    return cap_cup(m.degree, k + 1 if cup else k, cup=cup, signed=True,
-                   block=block, shape=(m.dim, m.dim))
+    return cap_cup(n, size, cup=cup, signed=True, block=block,
+                   shape=(m.dim, m.dim))
 
 
 def unit_qp(m):

@@ -12,18 +12,20 @@ gates of the complex constructors.  ``grid_induce``, ``grid_subset_move`` and
 ``product_frobenius_char`` are the routes ``symrep.induce``,
 ``symrep.subset_move`` and ``symrep.frobenius_char`` replaced: a grid of
 blocks for ``SMat.block`` and the trace of each class representative's
-full matrix.  ``coset_route_right_mult`` and ``reference_p_lambda`` are the
-right multiplication and added-letter cut that acted through the module
-before ``symrep.right_mult_map`` and ``symrep.p_lambda`` moved onto the
-coset space; the coset route also takes elements that move the low
-letters, which the Jucys-Murphy map needs.
+full matrix.  ``subset_coset_word`` composes a cap or cup block's
+permutation from two coset representatives, as ``subset_move`` did before
+it read the block off ``symrep.coset_rep``.  ``coset_route_right_mult``
+and ``reference_p_lambda`` are the right multiplication and added-letter
+cut that acted through the module before ``symrep.right_mult_map`` and
+``symrep.p_lambda`` moved onto the coset space; the coset route also takes
+elements that move the low letters, which the Jucys-Murphy map needs.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from bosonfermion.branching import _expect, _move
 from bosonfermion.errors import CharacterError
@@ -85,20 +87,27 @@ def grid_induce(m, k=1, high=None):
     return RepModule(n + k, d * len(masks), gens)
 
 
+def subset_coset_word(n, b, pos, cup):
+    """The permutation a ``symrep.subset_move`` block acts by, composed from
+    the two coset representatives as it first was: b_S^-1 b_B for the cap
+    and b_B^-1 b_S for the cup, S = b minus its entry at ``pos`` and b_X
+    listing the letters of 1..n outside X, then X, ascending."""
+    def coset(x):
+        return tuple([v for v in range(1, n + 1) if v not in x]) + x
+
+    s = b[:pos] + b[pos + 1:]
+    src, tgt = (s, b) if cup else (b, s)
+    return perm_mult(perm_inverse(coset(tgt)), coset(src))
+
+
 def grid_subset_move(m, k, cup):
     """``symrep.subset_move`` as a grid of scaled blocks for ``SMat.block``,
-    one block per (B, position) pair."""
+    one block per (B, position) pair, each from ``subset_coset_word``."""
     letters = range(1, m.degree + 1)
     size = k + 1 if cup else k
     big = list(combinations(letters, size))
     small = list(combinations(letters, size - 1))
     rows, cols = (big, small) if cup else (small, big)
-
-    def coset(s):
-        return tuple([v for v in letters if v not in s]) + s
-
-    inverse = {t: perm_inverse(coset(t)) for t in rows}
-    forward = {s: coset(s) for s in cols}
     row_at = {t: q for q, t in enumerate(rows)}
     col_at = {s: p for p, s in enumerate(cols)}
     grid = [[None] * len(cols) for _ in rows]
@@ -106,7 +115,7 @@ def grid_subset_move(m, k, cup):
         for pos in range(size):
             s = b[:pos] + b[pos + 1:]
             src, tgt = (s, b) if cup else (b, s)
-            a = m.act_perm(perm_mult(inverse[tgt], forward[src]))
+            a = m.act_perm(subset_coset_word(m.degree, b, pos, cup))
             c = -1 if pos % 2 else 1
             if cup and size > 1:
                 c = Fraction(c, size)
@@ -177,11 +186,13 @@ def coset_route_right_mult(m, levels, elem):
     """The former right multiplication, kept as an oracle: it composes the
     coset representatives of every block as permutation tuples, peels w g
     by left multiplication with r_k^{-1}, one level at a time, and applies
-    the residual tau in S_n through M, so ``elem`` may move the low letters."""
+    the residual tau in S_n through M, so ``elem`` may move the low letters.
+    Entries are int numerators over one lcm of coefficient times block
+    denominators."""
     n, d = m.degree, m.dim
     blocks_per_level = [n + lvl + 1 for lvl in range(levels)]
     dim = d * prod(blocks_per_level)
-    entries = []
+    placed = []  # (row offset, column offset, coefficient, block)
     deg_top = n + levels
     for keys in product(*(range(1, b + 1) for b in blocks_per_level)):
         w = identity_perm(deg_top)
@@ -192,12 +203,15 @@ def coset_route_right_mult(m, levels, elem):
         for g, coeff in elem.items():
             new_keys, tau = coset_route_peel(perm_mult(w, g), n, levels)
             row_base = coset_route_block_index(new_keys, blocks_per_level, d)
-            block = m.act_perm(tau)
-            for r, row in enumerate(block.rows):
-                for c in row:
-                    entries.append((row_base + r, col_base + c,
-                                    coeff * block.entry(r, c)))
-    return SMat.from_entries(dim, dim, entries)
+            placed.append((row_base, col_base, coeff, m.act_perm(tau)))
+    den = lcm(*(c.denominator * blk.den for _, _, c, blk in placed))
+    entries = []
+    for row_base, col_base, coeff, block in placed:
+        scale = coeff.numerator * (den // (coeff.denominator * block.den))
+        for r, row in enumerate(block.rows):
+            for c, v in row.items():
+                entries.append((row_base + r, col_base + c, scale * v))
+    return SMat.from_entries(dim, dim, entries, den=den)
 
 
 def peel_cosets(w, strides):

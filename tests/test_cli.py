@@ -43,12 +43,6 @@ def forbid_general_shape_cut(monkeypatch):
                 monkeypatch.setattr(module, name, refuse)
 
 
-def clear_env(monkeypatch):
-    for key in list(os.environ):
-        if key.startswith("BOSONFERMION_"):
-            monkeypatch.delenv(key)
-
-
 class TestWindowParsing:
     def test_explicit_range(self):
         assert parse_window("-1:3") == (-1, 3)
@@ -67,28 +61,21 @@ class TestWindowParsing:
 
 class TestRunConfig:
     def test_defaults(self):
-        cfg = RunConfig.resolve("cat", argparse.Namespace(), env={})
+        cfg = RunConfig.resolve("cat", argparse.Namespace())
         assert cfg.max_degree == 6
         assert cfg.charge_window == (-2, 2)
         assert cfg.index_window == (-4, 4)
         assert not cfg.json_output and cfg.jobs == 1
 
-    def test_env_overrides_default(self):
-        env = {"BOSONFERMION_MAX_DEGREE": "3",
-               "BOSONFERMION_CHARGE_WINDOW": "0:1",
-               "BOSONFERMION_JSON": "true",
-               "BOSONFERMION_JOBS": "2"}
-        cfg = RunConfig.resolve("cat", argparse.Namespace(), env=env)
-        assert cfg.max_degree == 3
+    def test_flag_overrides_default(self):
+        args = argparse.Namespace(max_degree=7, charge_window="0:1",
+                                  json=True, jobs=2)
+        cfg = RunConfig.resolve("cat", args)
+        assert cfg.max_degree == 7
         assert cfg.charge_window == (0, 1)
+        assert cfg.index_window == (-4, 4)
         assert cfg.json_output
         assert cfg.jobs == 2
-
-    def test_flag_overrides_env(self):
-        env = {"BOSONFERMION_MAX_DEGREE": "3"}
-        args = argparse.Namespace(max_degree=7)
-        cfg = RunConfig.resolve("cat", args, env=env)
-        assert cfg.max_degree == 7
 
     def test_invariants(self):
         with pytest.raises(ValueError):
@@ -146,9 +133,8 @@ class TestCliffordCommand:
                          "--charge-window", "1", "--index-window", "2")
         assert code == EXIT_CHECK_FAILED
 
-    def test_reversed_window_is_refused(self, capsys, monkeypatch):
+    def test_reversed_window_is_refused(self, capsys):
         # a reversed window would run no instance and pass vacuously
-        clear_env(monkeypatch)
         for flags, named in (
                 (("--charge-window=1:-1",), "charge window 1:-1"),
                 (("--charge-window", "2:1"), "charge window 2:1"),
@@ -157,15 +143,10 @@ class TestCliffordCommand:
                                  *flags, "--json")
             assert code == EXIT_PARSE_ERROR, flags
             assert not out and named in err, (flags, err)
-        monkeypatch.setenv("BOSONFERMION_CHARGE_WINDOW", "3:1")
-        code, out, err = run(capsys, "clifford", "--max-degree", "2")
-        assert code == EXIT_PARSE_ERROR
-        assert not out and "charge window 3:1" in err
         with pytest.raises(ValueError, match="index window 1:0"):
             RunConfig("cat", index_window=(1, 0))
 
-    def test_single_point_window_passes(self, capsys, monkeypatch):
-        clear_env(monkeypatch)
+    def test_single_point_window_passes(self, capsys):
         code, out, _ = run(capsys, "clifford", "--max-degree", "2",
                            "--charge-window", "0:0", "--index-window", "0:0",
                            "--json")
@@ -241,7 +222,6 @@ class TestCatCommand:
         # cap at it admits the request unless the closed-form reach is
         # loose.  It is loose once: annihilation at charge 0 kills S^(1),
         # so nothing is built above degree 1
-        clear_env(monkeypatch)
         built = [0]
         init = symrep.RepModule.__init__
 
@@ -417,8 +397,7 @@ class TestDeterminismAndCache:
         (("cat", "specht", "4,4,2", "--max-degree", "10", "--json"),
          "ca0f95285141215701700acb15d6bfd9ecf78bd052f7a6f2fde022058003e61f"),
     ])
-    def test_pinned_report_digests(self, capsys, monkeypatch, argv, digest):
-        clear_env(monkeypatch)
+    def test_pinned_report_digests(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -431,7 +410,6 @@ class TestDeterminismAndCache:
     ])
     def test_pinned_reports_cut_no_general_shape(self, capsys, monkeypatch,
                                                  argv, digest):
-        clear_env(monkeypatch)
         forbid_general_shape_cut(monkeypatch)
         code, out, _ = run(capsys, *argv)
         assert code == EXIT_OK
@@ -439,8 +417,7 @@ class TestDeterminismAndCache:
 
     def test_optimized_python_prints_the_pinned_report(self):
         # python -O strips assert statements; the report must not change
-        env = {k: v for k, v in os.environ.items()
-               if not k.startswith("BOSONFERMION_")}
+        env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [SRC, env.get("PYTHONPATH")]))
         for argv, digest in [
@@ -497,15 +474,20 @@ class TestDeterminismAndCache:
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
 
-    def test_env_json_switch(self, capsys, monkeypatch):
+    # flags are the only run configuration: a variable of the shell, even
+    # one named like a flag, changes nothing
+    def test_environment_leaves_text_output(self, capsys, monkeypatch):
         monkeypatch.setenv("BOSONFERMION_JSON", "1")
         code, out, _ = run(capsys, "schur", "2")
         assert code == EXIT_OK
+        assert out.splitlines()[0] == "s[2]"
+        code, out, _ = run(capsys, "schur", "2", "--json")
+        assert code == EXIT_OK
         assert json.loads(out)["passed"] is True
 
-    def test_env_cap_applies(self, capsys, monkeypatch):
+    def test_environment_sets_no_cap(self, capsys, monkeypatch):
         monkeypatch.setenv("BOSONFERMION_MAX_DEGREE", "2")
         code, _, _ = run(capsys, "cat", "specht", "3")
-        assert code == EXIT_CAP_EXCEEDED
-        code, _, _ = run(capsys, "cat", "specht", "3", "--max-degree", "5")
         assert code == EXIT_OK
+        code, _, _ = run(capsys, "cat", "specht", "3", "--max-degree", "2")
+        assert code == EXIT_CAP_EXCEEDED

@@ -1,18 +1,21 @@
 """The row-by-row kernels against the routes they replaced.
 
 ``symrep.induce`` writes each block's rows straight into its result,
-``symrep.cap_cup`` writes every cap and cup from one block per key, and
+``symrep.cap_cup`` writes every cap and cup from one block per key, each
+``symrep.subset_move`` block acts by a padded ``coset_rep``, and
 ``symrep.frobenius_char`` reads each class trace off the product it never
-forms.  ``strand_oracles`` keeps the block grids for ``SMat.block`` and the
-full-product traces; results must be equal exactly, and a module that is
-not a representation must still be refused with the same message.  The
-guards at the end count the work a creation check and a cap or cup does,
-and the generator builds a ranked complex does not.
+forms.  ``strand_oracles`` keeps the block grids for ``SMat.block``, the
+composed coset words and the full-product traces; results must be equal
+exactly, and a module that is not a representation must still be refused
+with the same message.  The guards at the end count the work a creation
+check and a cap or cup does, and the generator builds a ranked complex
+does not.
 """
 
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -44,6 +47,7 @@ from strand_oracles import (
     grid_induce,
     grid_subset_move,
     product_frobenius_char,
+    subset_coset_word,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -114,15 +118,46 @@ def test_direct_sum_is_built_on_first_read_as_block_diag(key, monkeypatch):
     assert builds == [total, parts[1]][:1 + (m.degree > 1)]
 
 
-@pytest.mark.parametrize("key", MODULES)
+@pytest.mark.parametrize("key", [*MODULES, "reg:1", "reg:2", "reg:4"])
 def test_caps_and_cups_equal_the_block_grid(key):
-    m = build(key)
+    m = build(key) if key in MODULES else regular_module(int(key[4:]))
     for k in range(1, m.degree + 1):
         assert (subset_move(m, k, cup=False)
                 == grid_subset_move(m, k, cup=False)), k
     for k in range(m.degree + 1):
         assert (subset_move(m, k, cup=True)
                 == grid_subset_move(m, k, cup=True)), k
+
+
+class _WordModule:
+    """A stand-in module of degree n whose action returns the permutation
+    itself, so a block shows the word it acts by."""
+
+    def __init__(self, n):
+        self.degree, self.dim = n, 1
+
+    def act_perm(self, p):
+        return p
+
+
+def test_cap_and_cup_words_equal_the_coset_composition(monkeypatch):
+    # every (size, B, pos) triple on n <= 8 letters, not only the first
+    # pair of each (j, pos) key that cap_cup asks for
+    words = []
+
+    def every_pair(n, size, cup, signed, block, shape):
+        for b in combinations(range(1, n + 1), size):
+            for pos in range(size):
+                words.append((n, b, pos, cup, block(b, pos)))
+
+    monkeypatch.setattr(symrep, "cap_cup", every_pair)
+    for n in range(1, 9):
+        for size in range(1, n + 1):
+            subset_move(_WordModule(n), size, cup=False)
+            subset_move(_WordModule(n), size - 1, cup=True)
+    assert len(words) == 2 * sum(n << (n - 1) for n in range(1, 9))
+    for n, b, pos, cup, w in words:
+        assert w == subset_coset_word(n, b, pos, cup), (n, b, pos, cup)
 
 
 @pytest.mark.parametrize("key", MODULES)

@@ -1,8 +1,8 @@
 """The two scripts, run as a user runs them.
 
-Both run under ``python -O``, which strips ``assert`` statements, with every
-``BOSONFERMION_*`` variable cleared; each must still check what it prints,
-and map its errors to the exit codes of the ``bosonfermion`` command.
+Both run under ``python -O``, which strips ``assert`` statements; each
+must still check what it prints, and map its errors to the exit codes of
+the ``bosonfermion`` command.
 """
 
 import hashlib
@@ -21,16 +21,14 @@ from bosonfermion.cli import (
 )
 from bosonfermion.errors import ChainComplexError, IdempotentError
 
-from test_cli import clear_env, forbid_general_shape_cut
+from test_cli import forbid_general_shape_cut
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
 
 def run_script(name, *argv, **env_vars):
-    env = {k: v for k, v in os.environ.items()
-           if not k.startswith("BOSONFERMION_")}
-    env.update(env_vars)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-O", str(SCRIPTS / name), *argv],
@@ -45,8 +43,7 @@ def load_script(name):
 
 
 def test_run_all_checks_passes_under_optimized_python():
-    out = run_script("run_all_checks.py", "--max-degree", "3", "--fuzz", "5",
-                     "--json")
+    out = run_script("run_all_checks.py", "--max-degree", "3", "--json")
     assert out.returncode == 0, out.stderr
     doc = json.loads(out.stdout)
     assert doc["passed"] is True
@@ -99,24 +96,33 @@ def test_malformed_input_exits_two_without_a_traceback():
     for argv in (("--max-degree", "0"), ("--charge-window", "x")):
         _refused(run_script("run_all_checks.py", *argv), EXIT_PARSE_ERROR,
                  "error: ")
-    for text in ("2,3", "x"):
-        _refused(run_script("demo_correspondence.py", text),
+    for argv in (("2,3",), ("x",), ("--max-degree", "0")):
+        _refused(run_script("demo_correspondence.py", *argv),
                  EXIT_PARSE_ERROR, "error: ")
-    _refused(run_script("demo_correspondence.py",
-                        BOSONFERMION_MAX_DEGREE="z"), EXIT_PARSE_ERROR,
-             "error: ")
+    # argparse refuses a cap that is not an integer, after its usage line
+    out = run_script("demo_correspondence.py", "--max-degree", "z")
+    _refused(out, EXIT_PARSE_ERROR, "usage: ")
+    assert "invalid int value: 'z'" in out.stderr
+
+
+def test_the_demo_reads_no_window():
+    # flags are the only run configuration, so a malformed window variable
+    # in the shell cannot stop the demo, which has no window
+    out = run_script("demo_correspondence.py", "2,1",
+                     BOSONFERMION_CHARGE_WINDOW="x")
+    assert out.returncode == EXIT_OK, out.stderr
+    assert out.stdout.rstrip().endswith("all three levels agree.")
 
 
 def test_demo_refuses_a_partition_above_the_cap_before_any_level():
     out = run_script("demo_correspondence.py", "6,6")
     _refused(out, EXIT_CAP_EXCEEDED, "cap exceeded: ")
     assert out.stdout == ""
-    out = run_script("demo_correspondence.py", "2,1",
-                     BOSONFERMION_MAX_DEGREE="2")
+    out = run_script("demo_correspondence.py", "2,1", "--max-degree", "2")
     _refused(out, EXIT_CAP_EXCEEDED, "cap exceeded: ")
+    assert "exceeds --max-degree 2" in out.stderr
     assert out.stdout == ""
-    out = run_script("demo_correspondence.py", "2,1",
-                     BOSONFERMION_MAX_DEGREE="3")
+    out = run_script("demo_correspondence.py", "2,1", "--max-degree", "3")
     assert out.returncode == EXIT_OK, out.stderr
 
 
@@ -127,12 +133,10 @@ def _raising(exc):
 
 
 def test_a_failed_gate_exits_one_with_a_message(monkeypatch, capsys):
-    clear_env(monkeypatch)
     checks = load_script("run_all_checks")
     monkeypatch.setattr(checks, "clifford_relation_report",
                         _raising(IdempotentError("pi @ iota != identity")))
-    assert checks.main(["--max-degree", "2", "--fuzz", "1"]) == \
-        EXIT_CHECK_FAILED
+    assert checks.main(["--max-degree", "2"]) == EXIT_CHECK_FAILED
     demo = load_script("demo_correspondence")
     monkeypatch.setattr(demo, "compose_bernstein",
                         _raising(ChainComplexError("d∘d != 0")))
@@ -142,10 +146,9 @@ def test_a_failed_gate_exits_one_with_a_message(monkeypatch, capsys):
 
 
 def test_scripts_cut_no_general_shape(monkeypatch, capsys):
-    clear_env(monkeypatch)
     forbid_general_shape_cut(monkeypatch)
     checks = load_script("run_all_checks")
-    assert checks.main(["--max-degree", "4", "--fuzz", "2"]) == EXIT_OK
+    assert checks.main(["--max-degree", "4"]) == EXIT_OK
     assert load_script("demo_correspondence").main(["3,2"]) == EXIT_OK
     assert capsys.readouterr().out.rstrip().endswith(
         "all three levels agree.")

@@ -790,9 +790,10 @@ class TestDegreeLift:
 
 def ordered_rows(mat):
     """Shape and every row's entries in insertion order, which fixes the
-    pivots that elimination picks downstream."""
-    return mat.nrows, mat.ncols, [[(j, mat.entry(i, j)) for j in r]
-                                  for i, r in enumerate(mat.rows)]
+    pivots that elimination picks downstream: the int numerators and their
+    denominator, which ``SMat`` keeps in lowest terms, so two matrices give
+    equal lists exactly when every entry is equal."""
+    return mat.nrows, mat.ncols, mat.den, [list(r.items()) for r in mat.rows]
 
 
 def top_letter_elements(n, k):
