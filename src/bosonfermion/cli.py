@@ -246,13 +246,12 @@ def cmd_cat(cfg, args):
         descs = [("specht_creation", (text,)),
                  ("specht_annihilation", (text,))]
     elif mode == "sigma":
-        _admit("module degree", module_spec_degree(args.module),
-               cfg.max_degree)
+        _admit("module degree", _reach(mode, args.module), cfg.max_degree)
         descs = [("sigma", (args.module,))]
     elif mode in ("bb", "bbstar"):
-        reach = module_spec_degree(args.module) + _pair_peak(
-            mode, args.a, args.b, args.star)
-        _admit("degree reached", reach, cfg.max_degree)
+        _admit("degree reached",
+               _reach(mode, args.module, args.a, args.b, args.star),
+               cfg.max_degree)
         if mode == "bb":
             descs = [("bb", (args.a, args.b, bool(args.star), args.module))]
         else:
@@ -264,40 +263,48 @@ def cmd_cat(cfg, args):
     return run_tasks(descs, cfg.jobs), None
 
 
-def _pair_peak(mode, a, b, star):
-    """How far above the module's degree a pair suite builds.  A word acts
-    right to left, creation at charge c adding c to the degree and
+def _reach(mode, spec, a=0, b=0, star=False):
+    """The largest degree a sigma or pair suite on ``spec`` builds, read
+    from the text alone: the module's degree plus the peak of the words.  A
+    word acts right to left, creation at charge c adding c to the degree and
     annihilation subtracting c, and peaks at its largest prefix: bb's words
     (a-1)(b) and (b-1)(a) at b, a and a+b-1, with ``--star`` (a+1)*(b)*
     and (b+1)*(a)* at -b, -a and -a-b-1, and bbstar's (b*)(a) and
     (a+1)(b+1)* at a, -b-1 and a-b.  The evaluation that replaces the
     latter at a = b stays at the module's degree."""
-    if mode == "bbstar":
-        return max(0, a, -b - 1, a - b)
-    if star:
-        a, b = -a, -b
-    return max(0, a, b, a + b - 1)
+    if mode == "sigma":
+        peak = 0
+    elif mode == "bbstar":
+        peak = max(0, a, -b - 1, a - b)
+    else:
+        peak = max(0, -a, -b, -a - b - 1) if star else max(0, a, b, a + b - 1)
+    return module_spec_degree(spec) + peak
 
 
 def _default_suite(cfg):
-    """The default categorical battery, bounded by the degree cap."""
+    """The default categorical battery, each entry within the degree cap
+    that ``cat`` would apply to it alone."""
     from .partition_core import enumerate_partitions
 
+    cap = cfg.max_degree
     descs = []
-    for k in range(1, min(cfg.max_degree, 4) + 1):
+    for k in range(1, min(cap, 4) + 1):
         for lam in enumerate_partitions(k):
             text = format_partition(lam)
             descs.append(("specht_creation", (text,)))
             if k <= 3:
                 descs.append(("specht_annihilation", (text,)))
     for spec in ("trivial:0", "trivial:1", "S:2"):
-        descs.append(("sigma", (spec,)))
+        if _reach("sigma", spec) <= cap:
+            descs.append(("sigma", (spec,)))
     for a, b, spec in ((1, 1, "S:1"), (2, 1, "trivial:0"),
                        (0, 1, "trivial:0")):
-        descs.append(("bb", (a, b, False, spec)))
-        descs.append(("bb", (a, b, True, spec)))
+        for star in (False, True):
+            if _reach("bb", spec, a, b, star) <= cap:
+                descs.append(("bb", (a, b, star, spec)))
     for a, b in ((0, 0), (1, 1), (1, 0), (0, 1)):
-        descs.append(("bbstar", (a, b, "S:1")))
+        if _reach("bbstar", "S:1", a, b) <= cap:
+            descs.append(("bbstar", (a, b, "S:1")))
     descs.append(("fermionic", (2,)))
     return descs
 

@@ -2,9 +2,11 @@
 
 Chain groups are matrix representations of one fixed symmetric group; the
 differential lowers the chain degree by one and squares to zero exactly
-(checked on construction).  Homology inherits the group action: one pivot
-pass over the incoming differential and the cycles picks a boundary basis and
-the cycles completing it, and one solve re-expresses the action on them.
+(checked on construction).  Homology inherits the group action, computed in
+the coordinates of the cycles: one elimination of the outgoing differential
+gives the cycles, and one rref of the incoming differential beside the
+identity picks a boundary basis, the cycles completing it, and the
+coordinates of every moved cycle on them.
 
 The ``Complex`` constructor is the one place that drops zero chain groups and
 zero differentials, so every construction hands it whatever it built.
@@ -21,15 +23,7 @@ from __future__ import annotations
 import random
 
 from .errors import ChainComplexError
-from .linalg import (
-    SMat,
-    bareiss_rank,
-    independent_columns,
-    inverse,
-    nullspace,
-    rank,
-    solve,
-)
+from .linalg import SMat, bareiss_rank, inverse, nullspace, rank, rref
 from .reports import Report
 from .symfunc import SymFunc
 from .symrep import RepModule, frobenius_char, zero_module
@@ -119,29 +113,33 @@ class Complex:
     # -- homology ----------------------------------------------------------------
 
     def homology_module(self, k):
-        """H_k with its inherited action.  One pivot pass over
-        [d_{k+1} | cycles] picks the boundary basis (its pivots among
-        d_{k+1}'s columns) and the cycles completing it; one solve
-        expresses every generator on that basis."""
+        """H_k with its inherited action, in cycle coordinates: the kernel
+        basis Z of d_k is the identity on its free rows.  One rref of
+        [d_{k+1} on the free rows | I] picks the boundary basis (its pivots
+        among d_{k+1}'s columns), the cycles completing it (its pivots among
+        I's columns) and, in the latter's rows, each cycle's coordinates."""
         if self.dim(k) == 0:
             return zero_module(self.group_degree)
-        cycles = nullspace(self.d(k))
+        cycles, free = nullspace(self.d(k))
         incoming = self.d(k + 1)
-        aug = SMat.hstack([incoming, cycles])
-        pivots = independent_columns(aug)
-        b = sum(1 for p in pivots if p < incoming.ncols)
+        m, z = incoming.ncols, len(free)
+        red, pivots = rref(SMat.hstack(
+            [incoming.submatrix(free, range(m)), SMat.identity(z)]))
+        b = sum(1 for p in pivots if p < m)
         h = len(pivots) - b
         if h == 0:
             return zero_module(self.group_degree)
-        gens = self.module(k).gens
-        if not gens:
-            return RepModule(self.group_degree, h, [])
-        mixed = aug.columns(pivots)
-        basis = mixed.columns(range(b, b + h))
-        coords = solve(mixed, SMat.hstack([g @ basis for g in gens]))
-        return RepModule(self.group_degree, h, [
-            coords.submatrix(range(b, b + h), range(i * h, (i + 1) * h))
-            for i in range(len(gens))])
+        basis = cycles.columns([p - m for p in pivots[b:]])
+        coords = red.submatrix(range(b, b + h), range(m, m + z))
+        gens = []
+        for g in self.module(k).gens:
+            moved = g @ basis
+            if not (self.d(k) @ moved).is_zero():
+                raise ChainComplexError(
+                    f"s_{len(gens) + 1} moves a cycle of degree {k} off the "
+                    f"cycles: d_{k} is not equivariant")
+            gens.append(coords @ moved.submatrix(free, range(h)))
+        return RepModule(self.group_degree, h, gens)
 
     def betti(self):
         # d_k enters the homology of degrees k and k - 1: rank it once

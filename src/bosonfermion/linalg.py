@@ -292,10 +292,9 @@ class _Eliminator:
         self.pivots = []  # (row, col), in column order
         self.used = set()
 
-    def reduce(self, upto_col=None):
-        limit = self.ncols if upto_col is None else upto_col
+    def reduce(self):
         rows, occ, used = self.rows, self.occ, self.used
-        for col in range(limit):
+        for col in range(self.ncols):
             cand = [i for i in occ.get(col, ()) if i not in used]
             if not cand:
                 continue
@@ -355,7 +354,9 @@ def independent_columns(mat):
 
 
 def nullspace(mat):
-    """Matrix whose columns are a basis of the kernel (ncols x nullity)."""
+    """(Z, free): Z's columns are a basis of the kernel (ncols x nullity),
+    ``free`` lists the non-pivot columns, and Z is the identity on the rows
+    ``free``, so a kernel vector's coordinates on Z are its entries there."""
     el = _Eliminator(mat).reduce()
     den = lcm(*(el.rows[r][c] for r, c in el.pivots))
     pivot_cols = {c for _, c in el.pivots}
@@ -366,39 +367,19 @@ def nullspace(mat):
     for r, c in el.pivots:
         x = -den // el.rows[r][c]
         rows[c] = {free[j]: x * v for j, v in el.rows[r].items() if j in free}
-    return SMat(mat.ncols, len(free), rows, den)
-
-
-def solve(a, b):
-    """One exact solution X of A @ X = B; ValueError if none or misshapen."""
-    if a.nrows != b.nrows:
-        raise ValueError(f"cannot solve {a!r} @ X = {b!r}")
-    aug = SMat.hstack([a, b])
-    el = _Eliminator(aug).reduce(upto_col=a.ncols)
-    # rows never chosen as pivots have an empty A-part after the reduction;
-    # a nonzero B-part there means the system is inconsistent.
-    for i in range(a.nrows):
-        if i not in el.used and el.rows[i]:
-            raise ValueError("inconsistent linear system")
-    den = lcm(*(el.rows[r][c] for r, c in el.pivots))
-    rows = [{} for _ in range(a.ncols)]
-    for r, c in el.pivots:
-        x = den // el.rows[r][c]
-        rows[c] = {j - a.ncols: x * v
-                   for j, v in el.rows[r].items() if j >= a.ncols}
-    return SMat(a.ncols, b.ncols, rows, den)
+    return SMat(mat.ncols, len(free), rows, den), list(free)
 
 
 def inverse(mat):
-    """Exact inverse; ValueError if mat is not square or is singular."""
-    if mat.nrows != mat.ncols:
+    """Exact inverse, read off rref([mat | I]); ValueError if mat is not
+    square or is singular."""
+    n = mat.nrows
+    if n != mat.ncols:
         raise ValueError(f"cannot invert non-square {mat!r}")
-    eye = SMat.identity(mat.nrows)
-    try:
-        x = solve(mat, eye)
-    except ValueError:
-        x = None
-    if x is None or mat @ x != eye:
+    eye = SMat.identity(n)
+    red, _ = rref(SMat.hstack([mat, eye]))
+    x = red.submatrix(range(n), range(n, 2 * n))
+    if mat @ x != eye:
         raise ValueError(f"{mat!r} is singular")
     return x
 
@@ -441,9 +422,10 @@ def joint_eigenspace(dim, gens):
             raise ValueError(f"{g!r} does not act on dimension {dim}")
     blocks = [_minus_diagonal(g, eps) for g, eps in gens]
     stack, dual_stack = SMat.vstack(blocks), SMat.hstack(blocks).transpose()
-    iota = nullspace(stack)
+    iota = nullspace(stack)[0]
     # symmetric generators (permutation bases) pose the same problem twice
-    dual = (iota if dual_stack == stack else nullspace(dual_stack)).transpose()
+    dual = (iota if dual_stack == stack
+            else nullspace(dual_stack)[0]).transpose()
     return iota, inverse(dual @ iota) @ dual
 
 

@@ -19,6 +19,8 @@ and ``reference_p_lambda`` are the right multiplication and added-letter
 cut that acted through the module before ``symrep.right_mult_map`` and
 ``symrep.p_lambda`` moved onto the coset space; the coset route also takes
 elements that move the low letters, which the Jucys-Murphy map needs.
+``solve`` is the linear solve the homology route used before it read H_k
+in the coordinates of the cycles; the reference homology route still uses it.
 """
 
 from fractions import Fraction
@@ -30,7 +32,7 @@ from math import factorial, lcm, prod
 from bosonfermion.branching import _expect, _move
 from bosonfermion.errors import CharacterError
 from bosonfermion.homalg import Complex, module_direct_sum
-from bosonfermion.linalg import SMat, idempotent_image
+from bosonfermion.linalg import SMat, idempotent_image, rref
 from bosonfermion.partition_core import (
     Partition,
     centralizer_order,
@@ -346,3 +348,18 @@ def direct_sum(complexes, group_degree=None):
         if any((k in c.diffs) for c in complexes):
             diffs[k] = SMat.block_diag([c.d(k) for c in complexes])
     return Complex(group_degree, mods, diffs)
+
+
+def solve(a, b):
+    """One exact solution X of A @ X = B, read off rref([A | B]);
+    ValueError if misshapen, or if a pivot falls among B's columns (the
+    system is inconsistent)."""
+    if a.nrows != b.nrows:
+        raise ValueError(f"cannot solve {a!r} @ X = {b!r}")
+    red, pivots = rref(SMat.hstack([a, b]))
+    if pivots and pivots[-1] >= a.ncols:
+        raise ValueError("inconsistent linear system")
+    rows = [{} for _ in range(a.ncols)]
+    for row, c in zip(red.rows, pivots):
+        rows[c] = {j - a.ncols: v for j, v in row.items() if j >= a.ncols}
+    return SMat(a.ncols, b.ncols, rows, red.den)

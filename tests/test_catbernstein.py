@@ -645,7 +645,7 @@ MATRIX_SITES = {
     "linalg.from_entries", "linalg.identity", "linalg.zeros",
     "linalg.__matmul__", "linalg.__neg__", "linalg.transpose",
     "linalg.submatrix", "linalg.block", "linalg.block_diag",
-    "linalg.nullspace", "linalg.solve", "linalg._minus_diagonal",
+    "linalg.nullspace", "linalg.rref", "linalg._minus_diagonal",
     "symrep.gens",
 }
 FRACTION_SITES = MATRIX_SITES - {

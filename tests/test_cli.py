@@ -257,6 +257,36 @@ class TestCatCommand:
         assert loose == [("cat", "bbstar", "--a", "0", "--b", "-1",
                           "--module", "S:1")]
 
+    def test_suite_keeps_only_the_entries_cat_admits_alone(
+            self, capsys, monkeypatch):
+        # at --max-degree 1 the five sigma and pair entries that reach
+        # degree 2 leave the suite; every entry left is admitted alone
+        def requests(cap):
+            _, out, _ = run(capsys, "cat", "suite", "--max-degree", str(cap),
+                            "--json")
+            asked = set()
+            for r in json.loads(out)["reports"]:
+                c = r["config"]
+                if "module" not in c:
+                    continue
+                if "a" not in c:
+                    argv = ("sigma",)
+                else:
+                    argv = ("bb" if "star" in c else "bbstar",
+                            "--a", str(c["a"]), "--b", str(c["b"]))
+                    argv += ("--star",) if c.get("star") else ()
+                asked.add(argv + ("--module", c["module"]))
+            return asked
+
+        kept, wider = requests(1), requests(2)
+        monkeypatch.setattr("bosonfermion.cli.run_tasks",
+                            lambda descs, jobs=1: [])
+        assert len(kept) == 8 and len(wider - kept) == 5 and kept < wider
+        for argv in sorted(wider):
+            code, _, _ = run(capsys, "cat", *argv, "--max-degree", "1")
+            assert code == (EXIT_OK if argv in kept else EXIT_CAP_EXCEEDED), \
+                argv
+
     def test_unknown_flag_is_parse_error(self, capsys):
         for flag in ("--frobnicate", "--cache-dir=x", "--no-cache"):
             code = main(["cat", "specht", "2", flag])

@@ -22,8 +22,8 @@ from bosonfermion.linalg import (
     nullspace,
     rank,
     rref,
-    solve,
 )
+from strand_oracles import solve
 
 F = Fraction
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -490,7 +490,8 @@ class TestRankAndSpans:
         assert r.to_dense()[0] == [F(0), F(1), F(2)]
 
     def test_nullspace(self):
-        ns = nullspace(dense([[1, 2, 3]]))
+        ns, free = nullspace(dense([[1, 2, 3]]))
+        assert free == [1, 2]
         assert ns.ncols == 2
         assert (dense([[1, 2, 3]]) @ ns).is_zero()
         assert rank(ns) == 2
@@ -508,12 +509,12 @@ class TestRankAndSpans:
     @given(matrices())
     @settings(max_examples=40, deadline=None)
     def test_rank_nullity(self, m):
-        assert rank(m) + nullspace(m).ncols == m.ncols
+        assert rank(m) + nullspace(m)[0].ncols == m.ncols
 
     @given(matrices(6))
     @settings(max_examples=60, deadline=None)
     def test_nullspace_matches_column_by_column_assembly(self, m):
-        assert agrees(nullspace(m), reference_nullspace(frac(m)))
+        assert agrees(nullspace(m)[0], reference_nullspace(frac(m)))
 
 
 wide_entries = st.fractions(min_value=-7, max_value=7, max_denominator=7)
@@ -611,7 +612,15 @@ class TestIntegerRoutesMatchRational:
         assert rank(m) == len(want_piv)
         assert independent_columns(m) == want_piv
         # the oracle assembles column by column: same entries, other order
-        assert agrees(nullspace(m), reference_nullspace(frac(m)))
+        assert agrees(nullspace(m)[0], reference_nullspace(frac(m)))
+
+    @given(mixed_matrices())
+    @settings(max_examples=200, deadline=None)
+    def test_nullspace_is_the_identity_on_its_free_rows(self, m):
+        z, free = nullspace(m)
+        pivots = set(independent_columns(m))
+        assert free == [j for j in range(m.ncols) if j not in pivots]
+        assert z.submatrix(free, range(z.ncols)) == SMat.identity(len(free))
 
     @given(st.tuples(*[st.integers(0, 5)] * 3).flatmap(
         lambda s: st.tuples(mixed_matrices(s[0], s[1]),
@@ -624,6 +633,7 @@ class TestIntegerRoutesMatchRational:
     @given(systems())
     @settings(max_examples=150, deadline=None)
     def test_solve(self, system):
+        # the solve of the reference homology route, on rref([A | B])
         a, b = system
         want = reference_solve(frac(a), frac(b))
         if want is None:
@@ -736,6 +746,8 @@ class TestFractionRowsOracle:
 
 
 class TestSolveInverse:
+    """``inverse``, and the ``solve`` of the reference homology route."""
+
     def test_solve_example(self):
         a = dense([[2, 1], [1, 1]])
         b = dense([[3], [2]])
@@ -824,8 +836,6 @@ class TestGatesUnderOptimizedPython:
             inverse(dense([[1, 2], [2, 4]]))
         with pytest.raises(ValueError, match=r"non-square SMat\(1x2"):
             inverse(dense([[1, 2]]))
-        with pytest.raises(ValueError, match=r"cannot solve SMat\(1x1"):
-            solve(dense([[1]]), dense([[1], [2]]))
         with pytest.raises(ValueError, match=r"SMat\(1x2, nnz=2\) is not"):
             idempotent_image(dense([[1, 2]]))
 
@@ -834,7 +844,6 @@ class TestGatesUnderOptimizedPython:
         code = (
             "from bosonfermion.errors import IdempotentError\n"
             "from bosonfermion.linalg import SMat, idempotent_image, inverse\n"
-            "from bosonfermion.linalg import solve\n"
             "cases = [\n"
             "    lambda: SMat.identity(2) @ SMat.identity(3),\n"
             "    lambda: SMat.identity(2) + SMat.identity(3),\n"
@@ -844,7 +853,6 @@ class TestGatesUnderOptimizedPython:
             "    lambda: idempotent_image(SMat.from_dense([[1, 2]])),\n"
             "    lambda: inverse(SMat.from_dense([[1, 2], [2, 4]])),\n"
             "    lambda: inverse(SMat.from_dense([[1, 2]])),\n"
-            "    lambda: solve(SMat.identity(1), SMat.identity(2)),\n"
             "]\n"
             "for case in cases:\n"
             "    try:\n"
@@ -894,7 +902,6 @@ class TestGatesUnderOptimizedPython:
             "ValueError idempotent SMat(1x2, nnz=2) is not square",
             "ValueError SMat(2x2, nnz=4) is singular",
             "ValueError cannot invert non-square SMat(1x2, nnz=2)",
-            "ValueError cannot solve SMat(1x1, nnz=1) @ X = SMat(2x2, nnz=2)",
             "IdempotentError 1 independent rows in a rank-2 image",
             "ValueError chi^2,1 at cycle type 2: the sizes differ",
             "CharacterError chi^2(2) = 1/2 is not an integer",

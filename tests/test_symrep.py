@@ -258,7 +258,7 @@ def intertwiner_space_dim(old, new):
                 for k in g_new.rows[r]:
                     entries.append((eq, k * d + c, -g_new.entry(r, k)))
                 eq += 1
-    return nullspace(SMat.from_entries(eq, d * d, entries)).ncols
+    return nullspace(SMat.from_entries(eq, d * d, entries))[0].ncols
 
 
 class TestModules:
