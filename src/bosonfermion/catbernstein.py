@@ -129,7 +129,7 @@ class _BernsteinOp:
     j = s − pos is its position among the letters outside S∖s, and
     r_j = ``coset_rep(j, n−x+1)`` acts through M.  Annihilation at inner
     degree ``-x`` is the transposed word  Q^(x+a) P^(1^x), the cell
-    ``induce(U, x, [−I]*(x−1))`` over the row cut of x+a removed letters,
+    ``induce(U, x, −1)`` over the row cut of x+a removed letters,
     and the differential *adds* a strand pair with a cup (so it still
     lowers the homological degree): (S, u) ↦ Σ_{c∉S} (−1)^pos/(x+1)
     (S∪c, π' r_j⁻¹ ι u), pos the position of c in S∪c and j = c − pos.
@@ -155,8 +155,7 @@ class _BernsteinOp:
             u, q_iota, q_pi, _ = word_module([("Q", q)], m)
             if not u.dim:
                 continue
-            sub = (induce(u, x, [-SMat.identity(u.dim)] * (x - 1))
-                   if self.star else induce(u, x + a))
+            sub = induce(u, x, -1) if self.star else induce(u, x + a)
             out[-x if self.star else x] = Cell(x, sub, q_iota, q_pi, m)
         return out
 
@@ -221,14 +220,15 @@ class _SigmaOp:
 def _sigma_cell(m, k):
     """The degree-``k`` sigma cell over ``m``: the module induced from
     S_{n-k} x S_k of m restricted to it, with the top k letters twisted by
-    the sign (S_k acts by m's top k-1 generators, negated)."""
+    the sign (S_k acts by m's top k-1 generators, negated), m ⊗ Ind(1⊠sgn)."""
     n = m.degree
 
     def gens():
         low = RepModule(n - k, m.dim, m.gens[:max(0, n - k - 1)])
         return induce(low, k, [-g for g in m.gens[n - k:]]).gens
 
-    return Cell(k, RepModule(n, m.dim * comb(n, k), gens), None, None, m)
+    return Cell(k, RepModule(n, m.dim * comb(n, k), gens, ("twist", m, k)),
+                None, None, m)
 
 
 def _sigma_terms(f, n):

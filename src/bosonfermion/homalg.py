@@ -30,11 +30,11 @@ from .symrep import RepModule, frobenius_char, zero_module
 
 
 def module_direct_sum(mods, group_degree):
-    """Block-diagonal direct sum; its generators are built on first read."""
+    """Block-diagonal direct sum, built on first read; parts ("sum", mods)."""
     mods = list(mods)
     return RepModule(group_degree, sum(m.dim for m in mods), lambda: [
         SMat.block_diag([m.gens[i] for m in mods])
-        for i in range(max(0, group_degree - 1))])
+        for i in range(max(0, group_degree - 1))], ("sum", mods))
 
 
 class Complex:
@@ -160,12 +160,11 @@ class Complex:
                        {k: self.homology_module(k) for k in self.betti()})
 
     def euler_frobenius(self):
-        """Alternating sum of chain-group characters (equals the alternating
-        sum over homology)."""
+        """Alternating sum of chain-group characters, each read off its
+        construction (equals the alternating sum over homology)."""
         total = SymFunc.zero()
         for k, m in self.modules.items():
-            ch = frobenius_char(m)
-            total = total + (ch if k % 2 == 0 else ch.scale(-1))
+            total = total + frobenius_char(m).scale(-1 if k % 2 else 1)
         return total
 
 

@@ -288,9 +288,9 @@ def _power_sum_schur(k):
 
 @lru_cache(maxsize=None)
 def _p_to_schur(mu):
-    f = SymFunc.one()
-    for k in mu:
-        f = multiply(f, _power_sum_schur(k))
+    """p_mu in the Schur basis: p of the last part times the memoized rest."""
+    f = multiply(_symfunc(dict(_p_to_schur(mu[:-1]))),
+                 _power_sum_schur(mu[-1])) if mu else SymFunc.one()
     return tuple(sorted(f.terms.items(), key=lambda t: t[0].sort_key()))
 
 

@@ -2,41 +2,44 @@
 induction/restriction calculus on them.
 
 Permutations are image tuples: ``p[i-1] = p(i)`` on letters 1..n.  A
-``RepModule`` is a degree (which symmetric group), a dimension, and exact
-generator matrices for the adjacent transpositions.  Induction from a Young
-subgroup S_n x S_k (``induce``) lays the induced module out on the basis
-(S, v): one block per k-subset S of {1..n+k} in ``combinations`` order,
-standing for the coset of b_S, which lists the values outside S and then
-S.  A single induction is k = 1: b_{j} is the coset representative r_j
-(the cycle j -> j+1 -> ... -> n+1 -> j, so that r_j sends the top letter
-to j), and the identity representative comes last; iterated-induction
-coset words are built by arithmetic on the values of image tuples.
-``cap_cup`` writes every cap and cup between the layouts of k and k-1
-subsets, one block per (j, pos) key; ``subset_move`` is its case with
-blocks acting through a module (the pq adjunction maps and the projector
-differentials), and ``catbernstein`` builds the Bernstein caps and cups
-on it from the blocks of a Q cut.  On top
-of the two functors also live the qp adjunction maps, sideways crossings,
-and the isotypic functors ``p_lambda``/``q_lambda`` cutting out
-one irreducible constituent per partition on the added (resp. removed)
-letters, with plain inclusion and projection matrices.  A group-algebra
-element is a ``{permutation: Fraction}`` dict.  A box on added letters
-(``right_mult_map``) never acts through M: it is a matrix on the coset
-space spread over dim M copies, f ⊗ I, and so is the added-letter cut,
-with f the signed orbit table (``orbit_table``) for a row or a column and a
-Young idempotent's image for the other shapes.  A cut on removed letters
-is the joint eigenspace of M's top generators for a row or a column and
-the image of the idempotent acting through M for the other shapes.
+``RepModule`` is a degree (which symmetric group), a dimension, exact
+generator matrices for the adjacent transpositions, and the construction it
+came from, if any (``parts``: an induction, a direct sum or a sigma cell),
+off which ``frobenius_char`` reads class traces by Mackey's formula, so that
+no character builds induced generators.  Induction from a Young subgroup
+S_n x S_k (``induce``) lays the induced module out on the basis (S, v): one
+block per k-subset S of {1..n+k} in ``combinations`` order, standing for the
+coset of b_S, which lists the values outside S and then S.  At k = 1 the
+blocks are the coset representatives r_j (``coset_rep``), the identity last;
+iterated-induction coset words are built by arithmetic on the values of
+image tuples.  ``cap_cup`` writes every cap and cup between the layouts of k
+and k-1 subsets, one block per (j, pos) key; ``subset_move`` is its case
+with blocks acting through a module (the pq adjunction maps and the
+projector differentials), and ``catbernstein`` builds the Bernstein caps and
+cups on it from the blocks of a Q cut.  On top of the two functors also live
+the qp adjunction maps, sideways crossings, and the isotypic functors
+``p_lambda``/``q_lambda`` cutting out one irreducible constituent per
+partition on the added (resp. removed) letters, with plain inclusion and
+projection matrices.  A group-algebra element is a
+``{permutation: Fraction}`` dict.  A box on added letters
+(``right_mult_map``) never acts through M: it is a matrix on the coset space
+spread over dim M copies, f ⊗ I, and so is the added-letter cut, with f the
+signed orbit table (``orbit_table``) for a row or a column and a Young
+idempotent's image for the other shapes.  A cut on removed letters is the
+joint eigenspace of M's top generators for a row or a column and the image
+of the idempotent acting through M for the other shapes.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import permutations as iter_permutations
 from itertools import product
 from math import comb, factorial, lcm, prod
+from operator import mul
 
 from .errors import (
     CharacterError,
@@ -198,17 +201,18 @@ def _young_idempotent(lam):
 
 
 class RepModule:
-    """An exact matrix representation of S_degree on a dim-dimensional space.
-    ``gens`` are checked when given, or built and checked on first read."""
+    """An exact representation of S_degree on a dim-dimensional space: ``gens``
+    are checked when given or on first read; ``parts`` is its construction."""
 
-    __slots__ = ("degree", "dim", "_gens", "_perm_cache")
+    __slots__ = ("degree", "dim", "_gens", "_perm_cache", "parts")
 
-    def __init__(self, degree, dim, gens):
+    def __init__(self, degree, dim, gens, parts=None):
         self.degree = int(degree)
         if self.degree < 0:
             raise ValueError(f"module degree {degree} is negative")
         self.dim = int(dim)
         self._perm_cache = {}
+        self.parts = parts
         self._gens = gens if callable(gens) else self._checked(gens)
 
     @property
@@ -415,7 +419,7 @@ class ModuleMap:
 
 def induce(m, k=1, high=None):
     """Induction along S_n x S_k -> S_{n+k} of m ⊠ H (n = deg m).  H is
-    trivial, or, when ``high`` is given, S_k acts on m's own space by the
+    trivial (None), the sign (-1), or S_k acts on m's own space by the
     matrices ``high`` for its adjacent transpositions (they must commute
     with m's generators).  Generators are built on the first read of ``gens``.
 
@@ -437,7 +441,7 @@ def induce(m, k=1, high=None):
         index = {mask: p for p, mask in enumerate(masks)}
         eye = SMat.identity(d)
         low = [None] + m.gens
-        top = [eye] * k if high is None else high
+        top = high if isinstance(high, list) else [eye.scale(high or 1)] * k
         for i in range(1, n + k):
             pair, lower = 3 << i, (1 << i) - 1
             bands = []  # (column offset, block) of each block row
@@ -454,7 +458,8 @@ def induce(m, k=1, high=None):
                 _shifted(r, coff, den // blk.den)
                 for coff, blk in bands for r in blk.rows], den)
 
-    return RepModule(n + k, d * comb(n + k, k), gens)
+    return RepModule(n + k, d * comb(n + k, k), gens, None if isinstance(
+        high, list) else ("induce", m, k, high or 1))
 
 
 def restrict(m):
@@ -655,7 +660,7 @@ def orbit_table(lam, m):
     0) that the signs are right; IdempotentError otherwise."""
     lam = Partition(lam)
     k, column = lam.size(), len(lam) > 1
-    sub = induce(m, k, [-SMat.identity(m.dim)] * (k - 1) if column else None)
+    sub = induce(m, k, -1 if column else None)
     table = _orbit_table(m.degree, k, column)
     tr, order = table.transpose(), factorial(k)
     if tr @ table != SMat.identity(tr.nrows).scale(order) or any(
@@ -717,33 +722,69 @@ def q_lambda(lam, m):
 
 
 @lru_cache(maxsize=None)
-def _class_table(n):
-    """Per cycle type mu of n: (i, p', n!/z_mu, p_mu's Schur terms) for the
-    representative p' s_i of mu, i its first descent (None: the identity)."""
-    return [(*_peel_descent(cycle_type_representative(mu, n)),
-             factorial(n) // centralizer_order(mu),
-             tuple(powersum(mu).terms.items()))
+def _class_reps(n):
+    """(i, p') per cycle type of n, whose representative is p' s_i."""
+    return [_peel_descent(cycle_type_representative(mu, n))
             for mu in enumerate_partitions(n)]
 
 
-def frobenius_char(m):
-    """The symmetric function Σ_mu z_mu^{-1} tr(sigma_mu) p_mu in the Schur
-    basis, its multiplicities Σ_mu (n!/z_mu) tr(sigma_mu) chi^lam(mu) / n!
-    summed in ints; they must be nonnegative integers (CharacterError).
-    Each tr(sigma_mu), sigma_mu = p' s_i, is Σ_{r,j} ρ(p')[r][j]·s_i[j][r]."""
-    if m.dim == 0:
-        return SymFunc.zero()
-    order, sums, terms = factorial(m.degree), {}, {}
-    for i, p, weight, schur_row in _class_table(m.degree):
+@lru_cache(maxsize=None)
+def _schur_rows(n):
+    """p_mu's Schur terms times n!/z_mu, per cycle type mu of n."""
+    return [[(lam, factorial(n) // centralizer_order(mu) * chi)
+             for lam, chi in powersum(mu).terms.items()]
+            for mu in enumerate_partitions(n)]
+
+
+@lru_cache(maxsize=None)
+def _induce_rows(n, k, eps):
+    """Mackey's formula for ``induce(m, k, eps)``: per mu ⊢ n + k, (index of
+    nu ⊢ n, weight) pairs.  A k-subset fixed by sigma_mu joins j_i of its m_i
+    i-cycles: Π C(m_i, j_i) subsets, H traces eps^(k - Σ j_i), nu = mu - j."""
+    at, rows = {nu: p for p, nu in enumerate(enumerate_partitions(n))}, []
+    for mu in enumerate_partitions(n + k):
+        cyc = Counter(mu)  # m_i by cycle length i, descending
+        rows.append([
+            (at[tuple(i for i, j in zip(cyc, js) for _ in range(cyc[i] - j))],
+             eps ** (k - sum(js)) * prod(map(comb, cyc.values(), js)))
+            for js in product(*(range(c + 1) for c in cyc.values()))
+            if sum(map(mul, cyc, js)) == k])
+    return rows
+
+
+def _class_traces(m):
+    """tr ρ(sigma_mu) per mu ⊢ deg m off ``m.parts``: a sum adds, ``induce``
+    is Mackey's, a twist m ⊗ Ind(1 ⊠ sgn) scales by the sign's row sums, and
+    with no parts tr(p' s_i) = Σ_{r,j} ρ(p')[r][j]·s_i[j][r]."""
+    kind, inner, *rest = m.parts or ("traced", m)
+    if kind == "sum":
+        return [sum(col) for col in zip(*map(_class_traces, inner))]
+    if kind != "traced":
+        chi, k = _class_traces(inner), rest[0]
+        if kind == "twist":
+            return [x * sum(c for _, c in row) for x, row in zip(
+                chi, _induce_rows(m.degree - k, k, -1))]
+        return [sum(c * chi[p] for p, c in row)
+                for row in _induce_rows(inner.degree, k, rest[1])]
+    out = []
+    for i, p in _class_reps(m.degree):
         a = m.act_perm(p)
         s = m.gens[i - 1] if i else a  # tr(I·I) = dim at the identity
-        tr = Fraction(weight * sum(
-            x * s.rows[j].get(r, 0) for r, row in enumerate(a.rows)
-            for j, x in row.items()), a.den * s.den)
-        if tr:
-            tr = tr.numerator if tr.denominator == 1 else tr
-            for lam, chi in schur_row:
-                sums[lam] = sums.get(lam, 0) + tr * chi
+        tr, den = sum(x * s.rows[j].get(r, 0) for r, row in enumerate(
+            a.rows) for j, x in row.items()), a.den * s.den
+        out.append(tr // den if tr % den == 0 else Fraction(tr, den))
+    return out
+
+
+def frobenius_char(m):
+    """Σ_mu z_mu^{-1} tr(sigma_mu) p_mu in the Schur basis, with traces read
+    off m's construction (``_class_traces``; none for a zero module) and
+    nonnegative integer multiplicities, summed in ints (CharacterError)."""
+    order, sums, terms = factorial(m.degree), {}, {}
+    traces = _class_traces(m) if m.dim else []
+    for tr, row in zip(traces, _schur_rows(m.degree)):
+        for lam, chi in row if tr else ():
+            sums[lam] = sums.get(lam, 0) + tr * chi
     for lam, c in sums.items():
         terms[lam], rem = divmod(c, order)
         if rem or c < 0:

@@ -225,8 +225,8 @@ class TestCatCommand:
         built = [0]
         init = symrep.RepModule.__init__
 
-        def record(self, degree, dim, gens):
-            init(self, degree, dim, gens)
+        def record(self, degree, dim, gens, parts=None):
+            init(self, degree, dim, gens, parts)
             if self.dim:
                 built[0] = max(built[0], self.degree)
 

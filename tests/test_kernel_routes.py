@@ -7,9 +7,11 @@
 forms.  ``strand_oracles`` keeps the block grids for ``SMat.block``, the
 composed coset words and the full-product traces; results must be equal
 exactly, and a module that is not a representation must still be refused
-with the same message.  The guards at the end count the work a creation
+with the same message.  A module's character is read off its construction
+(``parts``); the same module with its generators alone is traced, and the
+two must agree.  The guards at the end count the work a creation
 check and a cap or cup does, and the generator builds a ranked complex
-does not.
+or a creation Euler characteristic does not.
 """
 
 import os
@@ -20,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from bosonfermion import branching, catbernstein, symrep
+from bosonfermion import branching, catbernstein, cli, homalg, symrep
 from bosonfermion.catbernstein import (
     apply_sigma,
     bernstein_complex,
@@ -32,6 +34,7 @@ from bosonfermion.errors import CharacterError, RepresentationError
 from bosonfermion.homalg import module_direct_sum
 from bosonfermion.linalg import SMat
 from bosonfermion.partition_core import enumerate_partitions
+from bosonfermion.symfunc import schur
 from bosonfermion.symrep import (
     RepModule,
     frobenius_char,
@@ -72,16 +75,16 @@ def count_generator_builds(monkeypatch):
     builder when it runs."""
     builds, init = [], RepModule.__init__
 
-    def counted(self, degree, dim, gens):
+    def counted(self, degree, dim, gens, parts=None):
         if not callable(gens):
             if dim:
                 builds.append(self)
-            return init(self, degree, dim, gens)
+            return init(self, degree, dim, gens, parts)
 
         def build():
             builds.append(self)
             return gens()
-        return init(self, degree, dim, build)
+        return init(self, degree, dim, build, parts)
 
     monkeypatch.setattr(RepModule, "__init__", counted)
     return builds
@@ -94,13 +97,14 @@ def test_induce_equals_the_block_grid(key, monkeypatch):
     builds = count_generator_builds(monkeypatch)
     for k in range(4):
         sign = [-SMat.identity(m.dim)] * (k - 1) if k else []
-        for high in (None, sign):
+        # the scalar -1 stands for the sign matrices
+        for high, grid_high in ((None, None), (sign, sign), (-1, sign)):
             fast = induce(m, k, high)
-            assert not builds, (k, high is None)
-            slow = grid_induce(m, k, high)
+            assert not builds, (k, high)
+            slow = grid_induce(m, k, grid_high)
             assert (fast.degree, fast.dim) == (slow.degree, slow.dim)
             builds.clear()
-            assert fast.gens == slow.gens, (k, high is None)
+            assert fast.gens == slow.gens, (k, high)
             assert builds == [fast] and fast.gens is fast.gens
             builds.clear()
 
@@ -187,6 +191,59 @@ def test_non_representations_are_refused_by_both_routes(entry):
     assert str(new.value) == str(old.value)
 
 
+def traced_char(m):
+    """``frobenius_char`` of m's generators alone: a module with no
+    ``parts`` is traced class by class."""
+    return frobenius_char(RepModule(m.degree, m.dim, m.gens))
+
+
+@pytest.mark.parametrize("key", MODULES)
+def test_cells_and_cables_read_off_their_construction_equal_the_traces(key):
+    # sigma cells (twist), annihilation cells and column cuts (sign-induced),
+    # the row cables of the vanishing check (trivially induced) and the
+    # sigma cells over the first one (a twist of an induced module)
+    m = build(key)
+    mods = [catbernstein._sigma_cell(base, k).sub
+            for base in (m, induce(m)) for k in range(base.degree + 1)]
+    for a in (-1, 0, 1):
+        op = catbernstein._BernsteinOp(a, star=True)
+        mods += [cell.sub for cell in op.cells(m).values()]
+    mods += [symrep.orbit_table((1,) * k, m)[0] for k in (2, 3)]
+    mods += [induce(m, k) for k in (1, 2)]
+    assert {mod.parts[0] for mod in mods} == {"twist", "induce"}
+    assert {mod.parts[3] for mod in mods if mod.parts[0] == "induce"} == {
+        1, -1}
+    for mod in mods:
+        assert frobenius_char(mod) == traced_char(mod), mod.parts[:3:2]
+
+
+def test_cat_suite_chain_group_characters_equal_the_traces(
+        monkeypatch, capsys):
+    # every character the default battery takes, chain groups included
+    seen, read = [], symrep.frobenius_char
+
+    def recorded(m):
+        seen.append(m)
+        return read(m)
+
+    for module in (homalg, catbernstein):
+        monkeypatch.setattr(module, "frobenius_char", recorded)
+    assert cli.main(["cat", "suite", "--json"]) == 0
+    capsys.readouterr()
+    kinds = {(m.parts or ("traced",))[0] for m in seen}
+    assert kinds == {"sum", "traced"}, kinds
+    for m in seen:
+        assert read(m) == traced_char(m), m
+
+
+def test_the_integrality_gate_runs_on_an_induced_character():
+    # s_1 = [2] is no representation: the induced class function puts 3/2
+    # on s_3, and the character read off the construction is refused too
+    bogus = induce(RepModule(2, 1, [SMat.from_dense([[2]])]), 1)
+    with pytest.raises(CharacterError, match="3/2"):
+        frobenius_char(bogus)
+
+
 # -- work-count guards -----------------------------------------------------------
 
 
@@ -246,6 +303,17 @@ def test_caps_and_cups_build_one_block_per_key(make, arg, monkeypatch):
         subset_move(m, k, cup)
         size = k + 1 if cup else k
         assert len(keys) == len(set(keys)) == (n - size + 1) * size, (k, cup)
+
+
+def test_creation_euler_characteristic_builds_no_generators(monkeypatch):
+    # the final chain groups are sums of induced cells: their characters
+    # are read off the construction and the cut modules' traces
+    builds = count_generator_builds(monkeypatch)
+    cx = catbernstein.compose_bernstein(
+        catbernstein.creation_word((3, 2)), trivial_module(0))
+    builds.clear()
+    assert cx.euler_frobenius() == schur((3, 2))
+    assert not builds
 
 
 @pytest.mark.parametrize("key", ["S:2,1", "trivial:3", "reg:3"])

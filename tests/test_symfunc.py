@@ -109,6 +109,30 @@ def test_powersum_matches_product_of_power_sums():
             assert powersum(mu) == want
 
 
+def test_p_to_schur_extends_the_memoized_prefix(monkeypatch):
+    # cold, each p_mu takes one product: p of mu without its last part,
+    # read from the table, times p of that part; the terms and their order
+    # are those of the product from 1
+    calls, product = [], sf.multiply
+
+    def counted(f, g):
+        calls.append(1)
+        return product(f, g)
+
+    sf._p_to_schur.cache_clear()
+    monkeypatch.setattr(sf, "multiply", counted)
+    shapes = [mu for n in range(8) for mu in enumerate_partitions(n)]
+    got = {mu: sf._p_to_schur(mu) for mu in shapes}
+    assert len(calls) == len(shapes) - 1
+    monkeypatch.undo()
+    for mu in shapes:
+        want = one
+        for k in mu:
+            want = multiply(want, sf._power_sum_schur(k))
+        assert got[mu] == tuple(sorted(
+            want.terms.items(), key=lambda t: t[0].sort_key())), mu
+
+
 def test_pieri_examples():
     assert multiply(complete(2), s(1)) == s(3) + s(2, 1)
     assert multiply(elementary(2), s(1)) == s(2, 1) + s(1, 1, 1)
