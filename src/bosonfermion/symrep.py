@@ -204,7 +204,7 @@ class RepModule:
     """An exact representation of S_degree on a dim-dimensional space: ``gens``
     are checked when given or on first read; ``parts`` is its construction."""
 
-    __slots__ = ("degree", "dim", "_gens", "_perm_cache", "parts")
+    __slots__ = ("degree", "dim", "_gens", "_perm_cache", "parts", "traces")
 
     def __init__(self, degree, dim, gens, parts=None):
         self.degree = int(degree)
@@ -213,6 +213,7 @@ class RepModule:
         self.dim = int(dim)
         self._perm_cache = {}
         self.parts = parts
+        self.traces = None
         self._gens = gens if callable(gens) else self._checked(gens)
 
     @property
@@ -753,9 +754,16 @@ def _induce_rows(n, k, eps):
 
 
 def _class_traces(m):
-    """tr ρ(sigma_mu) per mu ⊢ deg m off ``m.parts``: a sum adds, ``induce``
-    is Mackey's, a twist m ⊗ Ind(1 ⊠ sgn) scales by the sign's row sums, and
-    with no parts tr(p' s_i) = Σ_{r,j} ρ(p')[r][j]·s_i[j][r]."""
+    """tr ρ(sigma_mu) per mu ⊢ deg m, read once per module (``m.traces``)."""
+    if m.traces is None:
+        m.traces = _read_traces(m)
+    return m.traces
+
+
+def _read_traces(m):
+    """``_class_traces`` off ``m.parts``: a sum adds, ``induce`` is Mackey's,
+    a twist m ⊗ Ind(1 ⊠ sgn) scales by the sign's row sums, and with no
+    parts tr(p' s_i) = Σ_{r,j} ρ(p')[r][j]·s_i[j][r]."""
     kind, inner, *rest = m.parts or ("traced", m)
     if kind == "sum":
         return [sum(col) for col in zip(*map(_class_traces, inner))]

@@ -408,9 +408,9 @@ class TestVerificationReports:
         assert a == b
 
 
+# the projector reports rank no complex of positive group degree: see
+# test_projector_reports_rank_only_group_degree_zero
 RANKED_ONCE_REPORTS = {
-    "sigma_idempotence": lambda: sigma_idempotence_check(specht_module([2, 1])),
-    "sigma_vanishing": lambda: sigma_vanishing_check(specht_module([2, 1])),
     "specht_creation": lambda: specht_creation_check((2, 1)),
     "specht_annihilation": lambda: specht_annihilation_check((2, 1)),
     "bb_equal": lambda: relation_suite_bb(1, 1, trivial_module(1)),
@@ -440,6 +440,131 @@ def test_each_complex_is_ranked_once_per_report(name, monkeypatch):
     rep = RANKED_ONCE_REPORTS[name]()
     assert rep.passed, rep.render_text()
     assert counts and max(counts.values()) == 1, counts
+
+
+PROJECTOR_REPORTS = {"sigma_idempotence": sigma_idempotence_check,
+                     "sigma_vanishing": sigma_vanishing_check}
+
+
+@pytest.mark.parametrize("name", sorted(PROJECTOR_REPORTS))
+def test_projector_reports_rank_only_group_degree_zero(name, monkeypatch):
+    # on a module of positive degree no complex is ranked and only minus,
+    # sigma_complex(-1, m), is totalized (by the idempotence check); at
+    # degree 0 the idempotence check totalizes and ranks each complex once,
+    # and the vanishing check induces to degree 1 first
+    ranked, totals, alive = [], [], []
+    betti, total = Complex.betti, catbernstein.totalize
+
+    def counted_betti(self):
+        ranked.append(id(self))
+        alive.append(self)
+        return betti(self)
+
+    def counted_totalize(*args):
+        totals.append(total(*args))
+        return totals[-1]
+
+    monkeypatch.setattr(Complex, "betti", counted_betti)
+    monkeypatch.setattr(catbernstein, "totalize", counted_totalize)
+    for spec in ("S:2,1", "reg:2", "trivial:1", "trivial:0"):
+        m = parse_module_spec(spec)
+        minus = sigma_complex(-1, m).dims()
+        ranked.clear()
+        totals.clear()
+        rep = PROJECTOR_REPORTS[name](m)
+        assert rep.passed, rep.render_text()
+        if m.degree or name == "sigma_vanishing":
+            assert not ranked, spec
+            want = [minus] if name == "sigma_idempotence" else []
+            assert [cx.dims() for cx in totals] == want, spec
+        else:  # minus, twice and plus, each ranked once
+            assert sorted(ranked) == sorted(map(id, totals)), spec
+            assert len(set(ranked)) == 3
+
+
+@pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)
+def test_cone_certificate_matches_the_rank(spec):
+    # the certificate against rank on the totalized complex, for both signs
+    # on each module and both row cables of it, and for twice
+    m = parse_module_spec(spec)
+    for base in (m, induce(m), induce(m, 2)):
+        one = single_module_complex(base)
+        for sign in (-1, 1):
+            assert catbernstein._sigma_betti(sign, one) == \
+                sigma_complex(sign, base).betti()
+        if base.degree <= 4:
+            minus = sigma_complex(-1, base)
+            assert catbernstein._sigma_betti(-1, minus) == \
+                apply_sigma(-1, minus).betti()
+
+
+def test_a_singular_matched_block_is_refused(monkeypatch):
+    # zeroing every block that drops the top letter keeps d∘d = 0 and splits
+    # the complex into its two halves; on one letter they are not acyclic,
+    # and on more the certificate refuses to decide them
+    from bosonfermion import symrep
+
+    cap_cup = symrep.cap_cup
+
+    def unmatched(n, size, cup, signed, block, shape):
+        def cut(b, pos):
+            return SMat.zeros(*shape) if b[pos] == n else block(b, pos)
+        return cap_cup(n, size, cup, signed, cut, shape)
+
+    monkeypatch.setattr(symrep, "cap_cup", unmatched)
+    one = trivial_module(1)
+    assert sigma_complex(-1, one).betti() == {0: 1, 1: 1}
+    with pytest.raises(ChainComplexError, match=r"\(k, y\) = \(1, 0\)"):
+        sigma_idempotence_check(one)
+    for check in (sigma_idempotence_check, sigma_vanishing_check):
+        with pytest.raises(ChainComplexError, match=r"\(k, y\) = \(\d, 0\)"):
+            check(specht_module([2, 1]))
+
+
+def test_a_sign_flipped_lift_is_refused_at_its_bidegree(monkeypatch):
+    lift = catbernstein._functor_on_map
+
+    def flipped(cs, ct, f):
+        out = lift(cs, ct, f)
+        return -out if cs.label == 1 else out
+
+    monkeypatch.setattr(catbernstein, "_functor_on_map", flipped)
+    with pytest.raises(ChainComplexError,
+                       match=r"from bidegree \((1|2), 1\) to"):
+        sigma_idempotence_check(specht_module([2, 1]))
+
+
+def test_every_truncated_sigma_character_vanishes():
+    # the shadow of the certificate: sum_{|lam| <= n} (-1)^|lam|
+    # s_lam s_lam'^perp f = 0 for f of degree n >= 1, and f at n = 0
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            assert sigma_character(schur(lam), n).is_zero(), lam
+    f = schur((2, 1)) + schur((3,)).scale(2)
+    assert sigma_character(f, 0) == f
+
+
+@pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)
+def test_certified_complexes_have_zero_euler_characteristic(spec):
+    m = parse_module_spec(spec)
+    if catbernstein._sigma_betti(-1, single_module_complex(m)) == {}:
+        assert sigma_complex(-1, m).euler_frobenius().is_zero()
+    else:
+        assert m.degree == 0
+
+
+def test_each_module_is_traced_once(monkeypatch):
+    from bosonfermion import symrep
+
+    traced, read = [], symrep._read_traces
+
+    def counted(m):
+        traced.append(m)
+        return read(m)
+
+    monkeypatch.setattr(symrep, "_read_traces", counted)
+    assert sigma_idempotence_check(specht_module([2, 1])).passed
+    assert traced and len({id(m) for m in traced}) == len(traced)
 
 
 def homology_route_creation_check(lam):
@@ -681,9 +806,9 @@ def test_every_matrix_built_holds_int_rows_in_lowest_terms(monkeypatch):
     assert specht_annihilation_check((2, 1)).passed
     assert sigma_idempotence_check(specht_module([2, 1])).passed
     assert sigma_vanishing_check(specht_module([2, 1])).passed
-    # the checks above only rank most projector chain groups, so their
-    # generators are never built; validate() reads every chain group's
-    # generators, which puts those matrices under the check too
+    # the checks above decide most projector complexes on their caps, so
+    # their chain groups' generators are never built; validate() reads every
+    # chain group's generators, which puts those matrices under the check too
     minus = sigma_complex(-1, specht_module([2, 1]))
     for cx in (minus, apply_sigma(-1, minus),
                sigma_complex(1, specht_module([2, 1]))):

@@ -426,6 +426,11 @@ class TestDeterminismAndCache:
          "60d8b2ee4149ea9b91098cce51ff5465a86e3e4586df76c5ad99f280fa51cf0c"),
         (("cat", "specht", "4,4,2", "--max-degree", "10", "--json"),
          "ca0f95285141215701700acb15d6bfd9ecf78bd052f7a6f2fde022058003e61f"),
+        # hashed before the projector complexes were certified on their cells
+        (("cat", "sigma", "--module", "S:3,1,1", "--json"),
+         "1bcc98961c2f390aa6fd1ba12c9e3cec02b94e7d9666c4650bc5a1ef0b389a60"),
+        (("cat", "sigma", "--module", "S:2,2,1", "--json"),
+         "67e7a89911228d8e08f8ff7807e2bc3dc0b4f538ab9dd366f8d40cb1d21d0e9f"),
     ])
     def test_pinned_report_digests(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

@@ -152,3 +152,12 @@ def test_scripts_cut_no_general_shape(monkeypatch, capsys):
     assert load_script("demo_correspondence").main(["3,2"]) == EXIT_OK
     assert capsys.readouterr().out.rstrip().endswith(
         "all three levels agree.")
+
+
+def test_every_mutant_edit_applies_exactly_once():
+    # the mutants themselves run in scripts/mutation_check.py, not here
+    mutants = load_script("mutation_check").MUTANTS
+    assert mutants
+    for m in mutants:
+        assert (ROOT / m.path).read_text().count(m.old) == 1, m.name
+        assert m.new != m.old and m.tests, m.name
