@@ -9,13 +9,12 @@ the copy.  A mutant is killed when every listed test fails; it survives
 when one of them passes or does not run.
 
 Exit codes: 0 every mutant killed, 1 a mutant survived, 2 an ``old``
-snippet does not occur exactly once, or a name is unknown.
+snippet does not occur exactly once.
 
 Usage:
-    python3 scripts/mutation_check.py [NAME ...]
+    python3 scripts/mutation_check.py
 """
 
-import argparse
 import os
 import re
 import shutil
@@ -97,30 +96,20 @@ def run_mutant(mutant):
     return not alive, alive
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("names", nargs="*",
-                        help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    known = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in known]
-    if unknown:
-        print(f"unknown mutants: {unknown}", file=sys.stderr)
-        return 2
-    chosen = [known[n] for n in args.names] or MUTANTS
-    for m in chosen:
+def main():
+    for m in MUTANTS:
         if occurrences(m) != 1:
             print(f"{m.name}: the old snippet occurs {occurrences(m)} times "
                   f"in {m.path}", file=sys.stderr)
             return 2
     survivors = 0
-    for m in chosen:
+    for m in MUTANTS:
         t0 = time.perf_counter()
         killed, alive = run_mutant(m)
         survivors += not killed
         verdict = "killed" if killed else f"SURVIVED (did not fail: {alive})"
         print(f"{m.name}: {verdict} [{time.perf_counter() - t0:.1f}s]")
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
     return 1 if survivors else 0
 
 
