@@ -69,6 +69,75 @@ MUTANTS = [
         "mask | (1 << b)\n",
         ["tests/test_fock.py::TestCliffordRelations::test_relation_battery",
          "tests/test_acceptance.py::test_criterion_02_clifford_relations"]),
+    Mutant(
+        "cycle coordinates read one row low",
+        "src/bosonfermion/homalg.py",
+        "coords = red.submatrix(range(b, b + h), range(m, m + z))",
+        "coords = red.submatrix(range(b + 1, b + 1 + h), range(m, m + z))",
+        ["tests/test_homalg.py::TestHomologyRoute::"
+         "test_matches_the_reference_route[creation-2,1]",
+         "tests/test_homalg.py::TestHomologyRoute::"
+         "test_matches_the_reference_route[annihilation-2,1]"]),
+    Mutant(
+        "moved cycles not restricted to the free rows",
+        "src/bosonfermion/homalg.py",
+        "gens.append(coords @ moved.submatrix(free, range(h)))",
+        "gens.append(coords @ moved)",
+        ["tests/test_homalg.py::TestHomology::"
+         "test_augmentation_homology_is_sign",
+         "tests/test_homalg.py::TestConesAndMaps::"
+         "test_cone_long_exact_consistency"]),
+    Mutant(
+        "no refusal of a generator that moves a cycle off the cycles",
+        "src/bosonfermion/homalg.py",
+        "            if not (self.d(k) @ moved).is_zero():\n",
+        "            if False:\n",
+        ["tests/test_homalg.py::TestHomologyRoute::"
+         "test_refuses_a_cycle_space_the_generators_do_not_keep"]),
+    Mutant(
+        "epsilon dropped from Mackey's rows",
+        "src/bosonfermion/symrep.py",
+        "             eps ** (k - sum(js)) * prod(map(comb, cyc.values(), js)))",
+        "             prod(map(comb, cyc.values(), js)))",
+        ["tests/test_kernel_routes.py::"
+         "test_cells_and_cables_read_off_their_construction_equal_the_traces"
+         "[S:2,1]",
+         "tests/test_acceptance.py::test_criterion_09_projector_properties"]),
+    Mutant(
+        "C(m_i, j_i) replaced by 1 in Mackey's rows",
+        "src/bosonfermion/symrep.py",
+        "             eps ** (k - sum(js)) * prod(map(comb, cyc.values(), js)))",
+        "             eps ** (k - sum(js)))",
+        ["tests/test_induction_routes.py::"
+         "test_induce_k_is_the_row_cable_of_width_k[2-S:2,1]",
+         "tests/test_kernel_routes.py::"
+         "test_cells_and_cables_read_off_their_construction_equal_the_traces"
+         "[S:2,1]"]),
+    Mutant(
+        "epsilon = +1 in the twist rows",
+        "src/bosonfermion/symrep.py",
+        "chi, _induce_rows(m.degree - k, k, -1))]",
+        "chi, _induce_rows(m.degree - k, k, 1))]",
+        ["tests/test_kernel_routes.py::"
+         "test_cat_suite_chain_group_characters_equal_the_traces",
+         "tests/test_acceptance.py::test_criterion_09_projector_properties"]),
+    Mutant(
+        "integrality gate without its remainder test",
+        "src/bosonfermion/symrep.py",
+        "        if rem or c < 0:\n",
+        "        if c < 0:\n",
+        ["tests/test_kernel_routes.py::"
+         "test_the_integrality_gate_runs_on_an_induced_character"]),
+    Mutant(
+        "no homology for a projector complex of group degree 0",
+        "src/bosonfermion/catbernstein.py",
+        "        return cx.betti()\n",
+        "        return {}\n",
+        ["tests/test_catbernstein.py::"
+         "test_cone_certificate_matches_the_rank[trivial:0]",
+         "tests/test_catbernstein.py::"
+         "test_projector_reports_rank_only_group_degree_zero"
+         "[sigma_idempotence]"]),
 ]
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.M)

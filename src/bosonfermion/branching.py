@@ -30,7 +30,7 @@ c = 0 is a hard failure (the split collapsed).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial
 
 from .linalg import SMat
 from .partition_core import (
@@ -58,7 +58,6 @@ from .symrep import (
     sideways_qp_to_pq,
     unit_qp,
     young_idempotent,
-    zero_module,
 )
 
 ONE = Fraction(1)
@@ -222,18 +221,13 @@ def word_module(atoms, base):
     Boxes of different cables commute (P boxes multiply on the right, Q
     boxes act on other letters), so the product of the cables' Young
     idempotent boxes on the plain word, returned unbuilt, is
-    inclusion∘projection."""
+    inclusion∘projection.  A zero cut takes the same branches."""
     sub, letters = base, ""
     iota = pi = SMat.identity(base.dim)
     for side, lam in atoms:
         lam, n = Partition(lam), sub.degree
-        k, cable = lam.size(), side * lam.size()
-        if not sub.dim:  # nothing is left to cut; only the word grows
-            cut = zero_module(n + k if side == "P" else max(n - k, 0))
-            dim = iota.nrows * (prod(range(n + 1, n + k + 1)) if side == "P"
-                                else k <= n)
-            iota, pi = SMat.zeros(dim, 0), SMat.zeros(0, dim)
-        elif side == "P" and (len(lam) < 2 or lam[0] == 1):
+        cable = side * lam.size()
+        if side == "P" and (len(lam) < 2 or lam[0] == 1):
             cut, table, proj = orbit_table(lam, sub)
             iota, pi = table.kron(iota), proj.kron(pi)
         else:

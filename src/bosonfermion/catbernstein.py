@@ -31,7 +31,7 @@ Everything is exact: differentials pass a ``d^2 = 0`` gate, homology is
 computed by exact column reduction, and all graded comparisons are
 tolerance-zero.  A projector complex of positive degree N is gated by
 bidegree and certified acyclic as the cone of an isomorphism on the letter
-N; it is never ranked.
+N; it is never ranked.  At degree 0 its one cell, k = 0, is its input.
 """
 
 from __future__ import annotations
@@ -390,10 +390,10 @@ def _cone_certificate(cup, cx, d_h):
 
 
 def _sigma_betti(sign, cx):
-    """Betti numbers of ``apply_sigma(sign, cx)``: ranked at group degree 0,
-    which has no letter to match, and otherwise decided on the cells."""
+    """Betti numbers of ``apply_sigma(sign, cx)``, decided on the cells; at
+    group degree 0 the one cell, k = 0, is ``cx`` with each f lifted to f."""
     if not cx.group_degree:
-        return apply_sigma(sign, cx).betti()
+        return cx.betti()
     op = _SigmaOp(sign)
     _, d_h, d_v = _bicomplex(op, cx)
     _gate_bidegrees(cx, d_h, d_v)

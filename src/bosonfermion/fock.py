@@ -1,9 +1,9 @@
 """Charged fermionic Fock space, the Clifford operators, and the
 charge-graded isomorphism onto symmetric functions.
 
-A semi-infinite wedge with charge c is encoded by its (charge, partition)
-pair alone: the occupied energies are i_s = lambda_s + c - s + 1/2 for
-s = 1, 2, ...; equivalently the integer codes m_s = lambda_s + c - s,
+A semi-infinite wedge with charge c is the ``FermionBasisVector`` tuple
+(charge, partition): the occupied energies are i_s = lambda_s + c - s + 1/2
+for s = 1, 2, ...; equivalently the integer codes m_s = lambda_s + c - s,
 which are strictly decreasing and eventually equal to c - s.  The fermionic
 mode psi(j) inserts the code j-1 (if free) with sign (-1)^{number of
 occupied codes above}, and psi_star(j) removes it (if present) at 1-based
@@ -31,38 +31,26 @@ mask steps against the memoized Pieri tables of B_a s_lambda and B*_a s_lambda.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .partition_core import Partition, format_partition, partitions_up_to
 from .reports import Report
 from .symfunc import (SymFunc, _acc, _bernstein_schur, _bernstein_star_schur,
                       _coeff, bernstein, bernstein_star, schur)
 
 
-class FermionBasisVector:
-    """A charged-partition basis vector of fermionic Fock space."""
+class FermionBasisVector(namedtuple("FermionBasisVector", "charge shape")):
+    """A charged-partition basis vector: the tuple (charge, Partition)."""
 
-    __slots__ = ("charge", "shape")
+    __slots__ = ()
 
-    def __init__(self, charge, shape=()):
-        self.charge = int(charge)
-        self.shape = Partition(shape)
+    def __new__(cls, charge, shape=()):
+        return super().__new__(cls, int(charge), Partition(shape))
 
     def codes(self, count):
         """The first ``count`` occupied integer codes m_s = lambda_s + c - s."""
         lam, c = self.shape, self.charge
         return [lam.row(s) + c - s for s in range(1, count + 1)]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FermionBasisVector)
-            and self.charge == other.charge
-            and self.shape == other.shape
-        )
-
-    def __hash__(self):
-        return hash((self.charge, self.shape))
-
-    def __repr__(self):
-        return f"FermionBasisVector({self.charge}, {self.shape.parts})"
 
 
 def vacuum(charge):
@@ -89,8 +77,7 @@ def _maya(vec, lo):
 def _from_maya(mask, lo):
     """The basis vector of a Maya mask above the floor lo."""
     n = mask.bit_count()
-    vec = FermionBasisVector.__new__(FermionBasisVector)
-    vec.charge, parts = lo + n, []
+    charge, parts = lo + n, []
     while mask:
         b = mask.bit_length() - 1
         n -= 1  # the set bits left below b
@@ -98,8 +85,8 @@ def _from_maya(mask, lo):
             break
         parts.append(b - n)
         mask ^= 1 << b
-    vec.shape = tuple.__new__(Partition, parts)
-    return vec
+    return tuple.__new__(FermionBasisVector,
+                         (charge, tuple.__new__(Partition, parts)))
 
 
 def _insert_bit(hit, b):

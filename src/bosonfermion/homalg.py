@@ -117,9 +117,8 @@ class Complex:
         basis Z of d_k is the identity on its free rows.  One rref of
         [d_{k+1} on the free rows | I] picks the boundary basis (its pivots
         among d_{k+1}'s columns), the cycles completing it (its pivots among
-        I's columns) and, in the latter's rows, each cycle's coordinates."""
-        if self.dim(k) == 0:
-            return zero_module(self.group_degree)
+        I's columns) and, in the latter's rows, each cycle's coordinates.
+        An empty degree or no homology: the same steps give the zero module."""
         cycles, free = nullspace(self.d(k))
         incoming = self.d(k + 1)
         m, z = incoming.ncols, len(free)
@@ -127,8 +126,6 @@ class Complex:
             [incoming.submatrix(free, range(m)), SMat.identity(z)]))
         b = sum(1 for p in pivots if p < m)
         h = len(pivots) - b
-        if h == 0:
-            return zero_module(self.group_degree)
         basis = cycles.columns([p - m for p in pivots[b:]])
         coords = red.submatrix(range(b, b + h), range(m, m + z))
         gens = []

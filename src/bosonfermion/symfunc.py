@@ -482,14 +482,10 @@ def gamma_half(sign, k, f, inverse=False):
     """
     if sign not in ("+", "-"):
         raise ValueError(f"sign must be '+' or '-', got {sign!r}")
-    _check_order(k)
-    if sign == "-":
-        if inverse:
-            return _mult_e(k, f).scale((-1) ** k)
-        return _mult_h(k, f)
     if inverse:
-        return _skew_e(k, f).scale((-1) ** k)
-    return _skew_h(k, f)
+        return (heis_p_col if sign == "-" else heis_q_col)(k, f).scale(
+            (-1) ** k)
+    return (heis_p if sign == "-" else heis_q)(k, f)
 
 
 # -- Bernstein operators ---------------------------------------------------------

@@ -21,6 +21,8 @@ cut that acted through the module before ``symrep.right_mult_map`` and
 elements that move the low letters, which the Jucys-Murphy map needs.
 ``solve`` is the linear solve the homology route used before it read H_k
 in the coordinates of the cycles; the reference homology route still uses it.
+``empty_cut_word`` is the branch ``branching.word_module`` took once its cut
+was zero-dimensional, before that cut went through the general branches.
 """
 
 from fractions import Fraction
@@ -29,7 +31,7 @@ from itertools import combinations
 from itertools import product
 from math import factorial, lcm, prod
 
-from bosonfermion.branching import _expect, _move
+from bosonfermion.branching import _expect, _move, word_module
 from bosonfermion.errors import CharacterError
 from bosonfermion.homalg import Complex, module_direct_sum
 from bosonfermion.linalg import SMat, idempotent_image, rref
@@ -363,3 +365,25 @@ def solve(a, b):
     for row, c in zip(red.rows, pivots):
         rows[c] = {j - a.ncols: v for j, v in row.items() if j >= a.ncols}
     return SMat(a.ncols, b.ncols, rows, red.den)
+
+
+def empty_cut_word(atoms, base):
+    """(cut, iota, pi) of ``word_module(atoms, base)`` by its deleted
+    empty-cut branch, or None when no cut along the word is empty: the
+    package builds the word up to its first zero-dimensional cut, and each
+    later cable only grows the word, a P cable of k letters on degree n by
+    (n+1)⋯(n+k) copies, a Q cable keeping its one copy unless it restricts
+    past degree 0."""
+    for i in range(len(atoms) + 1):
+        sub, iota, _, _ = word_module(atoms[:i], base)
+        if not sub.dim:
+            break
+    else:
+        return None
+    for side, lam in atoms[i:]:
+        k, n = Partition(lam).size(), sub.degree
+        sub = zero_module(n + k if side == "P" else max(n - k, 0))
+        dim = iota.nrows * (prod(range(n + 1, n + k + 1)) if side == "P"
+                            else k <= n)
+        iota = SMat.zeros(dim, 0)
+    return sub, iota, SMat.zeros(0, iota.nrows)

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import pytest
 
+from bosonfermion import branching
 from bosonfermion.branching import (
     PlainWord,
     SplitFamily,
@@ -41,8 +42,10 @@ from bosonfermion.symrep import (
     perm_mult,
     relabel,
     right_mult_map,
+    trivial_module,
     young_idempotent,
 )
+from strand_oracles import empty_cut_word
 from test_acceptance import BRANCHING_BATTERY
 from test_symrep import BRANCHING_BASES, BRANCHING_CASES
 
@@ -426,3 +429,46 @@ def test_battery_reports_are_pinned():
     assert len(reports) == 65
     digest = hashlib.sha256("".join(reports).encode()).hexdigest()
     assert digest[:8] == "e48b4252"
+
+
+# Q^(1,1) of the trivial module is zero, so every later cable meets an
+# empty cut: a Q row or column within and past the degree, a Q box, and a
+# P box, which the families' words never put after an empty cut
+EMPTY_WORDS = [
+    [("Q", (1, 1)), ("Q", (1,)), ("Q", (2,))],
+    [("Q", (1, 1)), ("P", (3,)), ("Q", (2, 1)), ("Q", (1, 1))],
+    [("Q", (1, 1)), ("P", (2, 1)), ("Q", (2, 2, 1))],
+]
+
+
+def test_empty_cuts_match_the_deleted_branch(monkeypatch):
+    # every word_module call of the families on the cases, the dead cases
+    # and the battery, and EMPTY_WORDS; on each prefix of a word whose cut
+    # is already empty the general branches must give the cut, and the ι
+    # and π shapes, of the branch that once handled an empty cut
+    calls = [(atoms, trivial_module(3)) for atoms in EMPTY_WORDS]
+    built = branching.word_module
+
+    def recorded(atoms, base):
+        calls.append((list(atoms), base))
+        return built(atoms, base)
+
+    monkeypatch.setattr(branching, "word_module", recorded)
+    for which, sizes, key in BRANCHING_CASES + DEAD_CASES:
+        branching_iso_check(which, sizes, BRANCHING_BASES[key]())
+    for which, sizes, make in BRANCHING_BATTERY:
+        branching_iso_check(which, sizes, make())
+
+    def shapes(cut, iota, pi):
+        return cut.degree, cut.dim, iota.nrows, iota.ncols, pi.nrows, pi.ncols
+
+    sides = set()
+    for atoms, base in calls:
+        for i in range(1, len(atoms) + 1):
+            if word_module(atoms[:i - 1], base)[0].dim:
+                continue  # the branch fired only on a cut already empty
+            side, lam = atoms[i - 1]
+            sides.add((side, len(lam) < 2 or lam[0] == 1))
+            got = word_module(atoms[:i], base)[:3]
+            assert shapes(*got) == shapes(*empty_cut_word(atoms[:i], base))
+    assert sides == {(side, line) for side in "PQ" for line in (True, False)}

@@ -450,10 +450,12 @@ PROJECTOR_REPORTS = {"sigma_idempotence": sigma_idempotence_check,
 def test_projector_reports_rank_only_group_degree_zero(name, monkeypatch):
     # on a module of positive degree no complex is ranked and only minus,
     # sigma_complex(-1, m), is totalized (by the idempotence check); at
-    # degree 0 the idempotence check totalizes and ranks each complex once,
-    # and the vanishing check induces to degree 1 first
-    ranked, totals, alive = [], [], []
+    # degree 0 the idempotence check totalizes minus alone and ranks only
+    # its inputs, one and minus, since the projector there is the identity;
+    # the vanishing check induces to degree 1 first
+    ranked, totals, inputs, alive = [], [], [], []
     betti, total = Complex.betti, catbernstein.totalize
+    sigma_betti = catbernstein._sigma_betti
 
     def counted_betti(self):
         ranked.append(id(self))
@@ -464,22 +466,34 @@ def test_projector_reports_rank_only_group_degree_zero(name, monkeypatch):
         totals.append(total(*args))
         return totals[-1]
 
+    def counted_sigma_betti(sign, cx):
+        inputs.append(cx)
+        return sigma_betti(sign, cx)
+
+    def no_apply_sigma(sign, cx):
+        raise AssertionError("apply_sigma built a projector complex")
+
     monkeypatch.setattr(Complex, "betti", counted_betti)
     monkeypatch.setattr(catbernstein, "totalize", counted_totalize)
+    monkeypatch.setattr(catbernstein, "_sigma_betti", counted_sigma_betti)
+    monkeypatch.setattr(catbernstein, "apply_sigma", no_apply_sigma)
     for spec in ("S:2,1", "reg:2", "trivial:1", "trivial:0"):
         m = parse_module_spec(spec)
         minus = sigma_complex(-1, m).dims()
         ranked.clear()
         totals.clear()
+        inputs.clear()
         rep = PROJECTOR_REPORTS[name](m)
         assert rep.passed, rep.render_text()
         if m.degree or name == "sigma_vanishing":
             assert not ranked, spec
             want = [minus] if name == "sigma_idempotence" else []
             assert [cx.dims() for cx in totals] == want, spec
-        else:  # minus, twice and plus, each ranked once
-            assert sorted(ranked) == sorted(map(id, totals)), spec
-            assert len(set(ranked)) == 3
+        else:  # minus totalized once; only one and minus are ranked
+            assert [cx.dims() for cx in totals] == [minus], spec
+            one = [cx for cx in inputs if cx is not totals[0]]
+            assert len(one) == 1 and one[0].modules == {0: m}, spec
+            assert ranked and set(ranked) <= {id(totals[0]), id(one[0])}
 
 
 @pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)

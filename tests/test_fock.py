@@ -562,6 +562,21 @@ class TestPlainDictStates:
             (rec,) = boson_state_to_json(sigma_iso({vec: loose}))
             assert rec["coefficient"] == str(exact)
 
+    def test_basis_vectors_are_charge_shape_tuples(self):
+        vec = FermionBasisVector(0, (2, 1))
+        assert vec == (0, (2, 1)) and hash(vec) == hash((0, (2, 1)))
+        assert (vec.charge, vec.shape) == (0, (2, 1))
+        # the charge becomes an int and the shape a Partition
+        loose = FermionBasisVector(Fraction(3), [2, 1, 0])
+        assert loose == (3, (2, 1)) and loose.codes(3) == [4, 2, 0]
+        assert type(loose.charge) is int and type(loose.shape) is Partition
+        with pytest.raises(ValueError):
+            FermionBasisVector(0, (1, 2))
+        for lo in (-4, -2):
+            back = fock._from_maya(fock._maya(vec, lo), lo)
+            assert type(back) is FermionBasisVector and back == vec
+            assert type(back.shape) is Partition
+
 
 class TestSerialization:
     def test_boson_records(self):
