@@ -36,17 +36,6 @@ from bosonfermion.symfunc import bernstein, schur
 from bosonfermion.symrep import frobenius_char, trivial_module
 
 
-def show(f):
-    if f.is_zero():
-        return "0"
-    bits = []
-    for lam in f.support():
-        c = f.terms[lam]
-        name = f"s[{format_partition(lam)}]" if lam.parts else "1"
-        bits.append(name if c == 1 else f"{c}*{name}")
-    return " + ".join(bits)
-
-
 def mismatch(level, got, want):
     print(f"MISMATCH at {level}: got {got}, expected {want}")
     return 1
@@ -73,9 +62,9 @@ def tour(args):
     f = schur(())
     for a, _ in reversed(creation_word(lam)):
         f = bernstein(a, f)
-        print(f"  apply charge {a}: {show(f)}")
+        print(f"  apply charge {a}: {f}")
     if f != schur(lam):
-        return mismatch("level 1", show(f), show(schur(lam)))
+        return mismatch("level 1", f, schur(lam))
     print(f"  word of charges {[a for a, _ in creation_word(lam)]} "
           f"applied to 1 gives s[{name}]")
 
@@ -84,11 +73,11 @@ def tour(args):
     print(f"  charge-0 wedge labelled {name}: occupied codes "
           f"{vec.codes(6)} ...")
     bos = sigma_iso(vec)
-    print(f"  charge-partition dictionary sends it to {show(bos[0])}"
+    print(f"  charge-partition dictionary sends it to {bos[0]}"
           f" at charge 0")
     moved = boson_psi(1, bos)
     print(f"  one fermionic generator raises the charge: "
-          f"{ {c: show(g) for c, g in moved.items()} }")
+          f"{ {c: str(g) for c, g in moved.items()} }")
     back = sigma_inv(bos)
     if back != {vec: 1}:
         return mismatch("level 2", back, {vec: 1})
@@ -100,13 +89,13 @@ def tour(args):
     ch0 = frobenius_char(cx.homology_module(0))
     euler = cx.euler_frobenius()
     print(f"  homology: {betti}")
-    print(f"  degree-0 character: {show(ch0)}")
-    print(f"  Euler characteristic: {show(euler)}")
+    print(f"  degree-0 character: {ch0}")
+    print(f"  Euler characteristic: {euler}")
     dim = syt_count(lam)
     if betti != {0: dim} or ch0 != schur(lam) or euler != schur(lam):
         return mismatch(
-            "level 3", f"homology {betti}, characters {show(ch0)} and "
-            f"{show(euler)}", f"homology {{0: {dim}}}, both characters s[{name}]")
+            "level 3", f"homology {betti}, characters {ch0} and "
+            f"{euler}", f"homology {{0: {dim}}}, both characters s[{name}]")
     print("  homology is concentrated in degree 0 and both characters are "
           f"s[{name}]")
 
@@ -114,7 +103,7 @@ def tour(args):
     print(f"\n  charged layer: one generator on the vacuum family gives "
           f"homology { {c: cx.betti() for c, cx in sorted(v.items())} }")
     print(f"  decategorified: "
-          f"{ {c: show(g) for c, g in decategorify(v).items()} }")
+          f"{ {c: str(g) for c, g in decategorify(v).items()} }")
     print("\nall three levels agree.")
     return 0
 

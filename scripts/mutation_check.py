@@ -138,6 +138,56 @@ MUTANTS = [
          "tests/test_catbernstein.py::"
          "test_projector_reports_rank_only_group_degree_zero"
          "[sigma_idempotence]"]),
+    Mutant(
+        "no factorial in the evaluation blocks",
+        "src/bosonfermion/catbernstein.py",
+        "        (-1) ** (x * (x - 1) // 2) * factorial(x + charge))",
+        "        (-1) ** (x * (x - 1) // 2))",
+        ["tests/test_bernstein_routes.py::"
+         "test_evaluation_blocks_match_the_word_route[S:2,1]",
+         "tests/test_catbernstein.py::test_every_complex_built_is_equivariant"]),
+    Mutant(
+        "no sign in the evaluation blocks",
+        "src/bosonfermion/catbernstein.py",
+        "        (-1) ** (x * (x - 1) // 2) * factorial(x + charge))",
+        "        factorial(x + charge))",
+        ["tests/test_bernstein_routes.py::"
+         "test_evaluation_blocks_match_the_word_route[S:2,1]",
+         "tests/test_catbernstein.py::TestPairRelations::"
+         "test_evaluation_triangle_on_every_small_module[reg:3]"]),
+    Mutant(
+        "vertical strips of a negative size",
+        "src/bosonfermion/partition_core.py",
+        "                walk(e, left - t, built + (v + 1,) * t + lam[p + t:e])\n"
+        "\n    if k >= 0:\n",
+        "                walk(e, left - t, built + (v + 1,) * t + lam[p + t:e])\n"
+        "\n    if True:\n",
+        ["tests/test_strip_routes.py::"
+         "test_strips_match_the_bounded_rows_walk_through_size_ten"
+         "[vertical_strips]"]),
+    Mutant(
+        "tableau columns not checked",
+        "src/bosonfermion/partition_core.py",
+        "            if any(r1[j] >= r2[j] for j in range(len(r2))):\n",
+        "            if False:\n",
+        ["tests/test_partition_core.py::test_tableau_is_the_tuple_of_its_rows"]),
+    Mutant(
+        "m in place of m! in the centralizer order",
+        "src/bosonfermion/partition_core.py",
+        "i**m * factorial(m)",
+        "i**m * m",
+        ["tests/test_partition_core.py::test_centralizer_order",
+         "tests/test_partition_core.py::"
+         "test_centralizer_order_is_n_factorial_over_the_class_size"]),
+    Mutant(
+        "one factor short in the QP dimension",
+        "src/bosonfermion/branching.py",
+        "perm(deg + p_size, p_size)",
+        "perm(deg + p_size - 1, p_size)",
+        ["tests/test_symrep.py::TestBranching::"
+         "test_dimension_identity_frozen_example",
+         "tests/test_branching_routes.py::"
+         "test_qp_dimension_identity_matches_the_loop_route"]),
 ]
 
 _OUTCOME = re.compile(r"^(PASSED|FAILED|ERROR) (\S+)", re.M)

@@ -30,7 +30,7 @@ c = 0 is a hard failure (the split collapsed).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, perm
 
 from .linalg import SMat
 from .partition_core import (
@@ -566,22 +566,16 @@ def qp_dimension_identity(q_size, p_size, base):
                 "base_dim": base.dim},
     )
     deg = base.degree
-    lhs = base.dim
-    for i in range(p_size):
-        lhs *= deg + 1 + i
+    lhs = base.dim * perm(deg + p_size, p_size)
     if q_size > deg + p_size:
         lhs = 0
     rhs = 0
     pieces = {}
     for s in range(min(q_size, p_size) + 1):
         coeff = factorial(s) * comb(q_size, s) * comb(p_size, s)
-        term = base.dim
         dq = q_size - s
-        if dq > deg:
-            term = 0
-        else:
-            for i in range(p_size - s):
-                term *= deg - dq + 1 + i
+        term = (0 if dq > deg
+                else base.dim * perm(deg - dq + p_size - s, p_size - s))
         pieces[f"s={s}"] = f"{coeff}*{term}"
         rhs += coeff * term
     report.add("dim Q^q P^p = sum of crossed pieces", lhs == rhs,

@@ -213,7 +213,8 @@ def run_tasks(descs, jobs=1):
 
 
 def cmd_schur(cfg, partition_text):
-    """Creation-operator word applied to 1, compared with the Schur basis."""
+    """Creation-operator word applied to 1, compared with the Schur basis;
+    both are reported, and printed, in the text form ``str(f)``."""
     lam = parse_partition(partition_text)
     _admit("partition size", lam.size(), cfg.max_degree)
     computed = word_character(creation_word(lam), schur(()))
@@ -222,9 +223,8 @@ def cmd_schur(cfg, partition_text):
                     config={"partition": format_partition(lam)})
     report.add("operator word equals the basis element",
                computed == expected,
-               computed=_symfunc_text(computed),
-               expected=_symfunc_text(expected))
-    return [report], _symfunc_text(computed)
+               computed=str(computed), expected=str(expected))
+    return [report], str(computed)
 
 
 def cmd_clifford(cfg):
@@ -312,20 +312,6 @@ def _default_suite(cfg):
 # --------------------------------------------------------------------------
 # emission and entry point
 # --------------------------------------------------------------------------
-
-
-def _symfunc_text(f):
-    if f.is_zero():
-        return "0"
-    bits = []
-    for lam in f.support():
-        c = f.terms[lam]
-        if not lam:
-            bits.append(str(c))
-            continue
-        head = "" if c == 1 else f"{c}*"
-        bits.append(f"{head}s[{format_partition(lam)}]")
-    return " + ".join(bits)
 
 
 def emit(reports, cfg, stream=None, extra_line=None):

@@ -87,9 +87,6 @@ class Complex:
             return got
         return SMat.zeros(self.dim(k - 1), self.dim(k))
 
-    def is_zero_complex(self):
-        return not self.modules
-
     def total_dim(self):
         return sum(m.dim for m in self.modules.values())
 

@@ -9,6 +9,8 @@ Conventions, fixed once and used everywhere:
 - The canonical order on partitions of the same size is descending
   lexicographic: (4), (3,1), (2,2), (2,1,1), (1,1,1,1).  It refines dominance.
 - Text form: comma-separated parts, with "0" for the empty partition.
+- A standard tableau, like a partition, is a ``tuple``: ``StandardTableau``
+  is the tuple of its rows and equals and hashes like it.
 
 Every Pieri strip, above or below a partition, horizontal or vertical, and
 every added or removed box comes from a walk over the runs of equal parts:
@@ -21,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import factorial, prod
 
 
 def _by_sort_key(compare):
@@ -194,14 +198,8 @@ def hook_lengths(lam):
 def syt_count(lam):
     """Number of standard Young tableaux of shape lam, by the hook-length formula."""
     lam = Partition(lam)
-    n = lam.size()
-    num = 1
-    for k in range(1, n + 1):
-        num *= k
-    den = 1
-    for row in hook_lengths(lam):
-        for h in row:
-            den *= h
+    num = factorial(lam.size())
+    den = prod(h for row in hook_lengths(lam) for h in row)
     q, r = divmod(num, den)
     if r:
         raise ValueError(
@@ -210,40 +208,39 @@ def syt_count(lam):
     return q
 
 
-class StandardTableau:
-    """A standard Young tableau: rows of entries, increasing along rows and columns."""
+class StandardTableau(tuple):
+    """A standard Young tableau: a ``tuple`` of its rows, each a tuple of the
+    entries 1..n, increasing along rows and down columns.  It equals and
+    hashes like the plain tuple of its rows."""
 
-    __slots__ = ("rows",)
+    __slots__ = ()
 
-    def __init__(self, rows):
-        self.rows = tuple(tuple(int(x) for x in row) for row in rows)
-        n = sum(len(r) for r in self.rows)
-        seen = sorted(x for row in self.rows for x in row)
+    def __new__(cls, rows):
+        rows = tuple(tuple(int(x) for x in row) for row in rows)
+        n = sum(len(r) for r in rows)
+        seen = sorted(x for row in rows for x in row)
         if seen != list(range(1, n + 1)):
-            raise ValueError(f"entries must be 1..{n}: {self.rows}")
-        for row in self.rows:
+            raise ValueError(f"entries must be 1..{n}: {rows}")
+        for row in rows:
             if any(a >= b for a, b in zip(row, row[1:])):
-                raise ValueError(f"row {row} does not increase: {self.rows}")
-        for r1, r2 in zip(self.rows, self.rows[1:]):
+                raise ValueError(f"row {row} does not increase: {rows}")
+        for r1, r2 in zip(rows, rows[1:]):
             if len(r1) < len(r2):
-                raise ValueError(f"rows are not a partition shape: {self.rows}")
+                raise ValueError(f"rows are not a partition shape: {rows}")
             if any(r1[j] >= r2[j] for j in range(len(r2))):
-                raise ValueError(f"a column does not increase: {self.rows}")
+                raise ValueError(f"a column does not increase: {rows}")
+        return tuple.__new__(cls, rows)
+
+    @property
+    def rows(self):
+        """The rows as a plain tuple."""
+        return tuple(self)
 
     def shape(self):
-        return Partition(len(r) for r in self.rows)
+        return Partition(len(r) for r in self)
 
     def size(self):
-        return sum(len(r) for r in self.rows)
-
-    def __eq__(self, other):
-        return isinstance(other, StandardTableau) and self.rows == other.rows
-
-    def __hash__(self):
-        return hash(("StandardTableau", self.rows))
-
-    def __repr__(self):
-        return f"StandardTableau({self.rows!r})"
+        return sum(len(r) for r in self)
 
 
 def row_reading_tableau(lam):
@@ -382,13 +379,4 @@ def cycle_type_representative(mu, n=None):
 
 def centralizer_order(mu):
     """z_mu = prod_i i^{m_i} m_i!  (order of the centralizer of cycle type mu)."""
-    mu = Partition(mu)
-    mult = {}
-    for p in mu:
-        mult[p] = mult.get(p, 0) + 1
-    z = 1
-    for i, m in mult.items():
-        z *= i**m
-        for j in range(1, m + 1):
-            z *= j
-    return z
+    return prod(i**m * factorial(m) for i, m in Counter(Partition(mu)).items())

@@ -12,6 +12,10 @@ factor into the complete-homogeneous basis (inverse Kostka, a triangular
 solve along the canonical order refining dominance) and then apply iterated
 Pieri rules; skewing, the adjoint of multiplication, expands the skewing
 function the same way and applies iterated co-Pieri rules.
+
+Text form, the one that reports, scripts and ``repr`` print: ``str(f)`` joins
+the terms ``c*s[λ]`` in canonical order by " + ", leaves out a coefficient 1,
+writes the degree-0 term as its bare coefficient, and zero as "0".
 """
 
 from __future__ import annotations
@@ -127,14 +131,16 @@ class SymFunc:
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
 
-    def __repr__(self):
-        if not self.terms:
-            return "SymFunc(0)"
+    def __str__(self):
         bits = []
-        for l in self.support():
-            c = self.terms[l]
-            bits.append(f"{c}*s[{format_partition(l)}]")
-        return "SymFunc(" + " + ".join(bits) + ")"
+        for lam in self.support():
+            c = self.terms[lam]
+            head = "" if c == 1 else f"{c}*"
+            bits.append(f"{head}s[{format_partition(lam)}]" if lam else str(c))
+        return " + ".join(bits) or "0"
+
+    def __repr__(self):
+        return f"SymFunc({self})"
 
 
 def _symfunc(terms):
@@ -213,8 +219,6 @@ def _copieri_e(k, lam):
 def _strip_sum(strips, k, f):
     """Σ_λ c_λ Σ_{μ ∈ strips(k, λ)} s_μ for f = Σ_λ c_λ s_λ: one Pieri
     product or skew, read off a kernel table."""
-    if k == 0:
-        return f
     out = {}
     for lam, c in f.terms.items():
         for mu in strips(k, lam):
@@ -391,8 +395,6 @@ def _over_h_basis(step, f, gs):
     The h-coefficients c_μ of each g are collected first, so each μ is
     walked once per g; the chains of every g share one table of prefixes,
     each applied to f once within the call, and c_μ scales a chain's end."""
-    if f.is_zero():
-        return [SymFunc.zero() for _ in gs]
     chains = {(): f}
 
     def chain(mu):

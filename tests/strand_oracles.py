@@ -23,13 +23,17 @@ elements that move the low letters, which the Jucys-Murphy map needs.
 in the coordinates of the cycles; the reference homology route still uses it.
 ``empty_cut_word`` is the branch ``branching.word_module`` took once its cut
 was zero-dimensional, before that cut went through the general branches.
+``symfunc_text`` is the command line's own printer of a symmetric function,
+before ``SymFunc.__str__`` became the one text form, and
+``loop_qp_dimension_identity`` is ``branching.qp_dimension_identity`` with
+each falling factorial multiplied out in a loop.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from itertools import product
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 
 from bosonfermion.branching import _expect, _move, word_module
 from bosonfermion.errors import CharacterError
@@ -40,7 +44,9 @@ from bosonfermion.partition_core import (
     centralizer_order,
     cycle_type_representative,
     enumerate_partitions,
+    format_partition,
 )
+from bosonfermion.reports import Report
 from bosonfermion.symfunc import SymFunc, powersum
 from bosonfermion.symrep import (
     ModuleMap,
@@ -387,3 +393,49 @@ def empty_cut_word(atoms, base):
                             else k <= n)
         iota = SMat.zeros(dim, 0)
     return sub, iota, SMat.zeros(0, iota.nrows)
+
+
+def symfunc_text(f):
+    """The text form of f, walked term by term as the command line did."""
+    if f.is_zero():
+        return "0"
+    bits = []
+    for lam in f.support():
+        c = f.terms[lam]
+        if not lam:
+            bits.append(str(c))
+            continue
+        head = "" if c == 1 else f"{c}*"
+        bits.append(f"{head}s[{format_partition(lam)}]")
+    return " + ".join(bits)
+
+
+def loop_qp_dimension_identity(q_size, p_size, base):
+    """``qp_dimension_identity`` with its falling factorials as loops."""
+    report = Report(
+        "QP dimension identity",
+        config={"q": q_size, "p": p_size, "base_degree": base.degree,
+                "base_dim": base.dim},
+    )
+    deg = base.degree
+    lhs = base.dim
+    for i in range(p_size):
+        lhs *= deg + 1 + i
+    if q_size > deg + p_size:
+        lhs = 0
+    rhs = 0
+    pieces = {}
+    for s in range(min(q_size, p_size) + 1):
+        coeff = factorial(s) * comb(q_size, s) * comb(p_size, s)
+        term = base.dim
+        dq = q_size - s
+        if dq > deg:
+            term = 0
+        else:
+            for i in range(p_size - s):
+                term *= deg - dq + 1 + i
+        pieces[f"s={s}"] = f"{coeff}*{term}"
+        rhs += coeff * term
+    report.add("dim Q^q P^p = sum of crossed pieces", lhs == rhs,
+               lhs=lhs, rhs=rhs, pieces=pieces)
+    return report

@@ -30,6 +30,7 @@ from bosonfermion.branching import (
     move_cup_qp,
     move_x,
     move_xp,
+    qp_dimension_identity,
     slide_p_left,
     slide_p_right,
     word_module,
@@ -45,7 +46,7 @@ from bosonfermion.symrep import (
     trivial_module,
     young_idempotent,
 )
-from strand_oracles import empty_cut_word
+from strand_oracles import empty_cut_word, loop_qp_dimension_identity
 from test_acceptance import BRANCHING_BATTERY
 from test_symrep import BRANCHING_BASES, BRANCHING_CASES
 
@@ -472,3 +473,16 @@ def test_empty_cuts_match_the_deleted_branch(monkeypatch):
             got = word_module(atoms[:i], base)[:3]
             assert shapes(*got) == shapes(*empty_cut_word(atoms[:i], base))
     assert sides == {(side, line) for side in "PQ" for line in (True, False)}
+
+
+def test_qp_dimension_identity_matches_the_loop_route():
+    bases = [build() for build in BRANCHING_BASES.values()]
+    bases += [trivial_module(3), trivial_module(4)]
+    assert {b.degree for b in bases} == {0, 1, 2, 3, 4}
+    for base in bases:
+        for q in range(5):
+            for p in range(5):
+                got = qp_dimension_identity(q, p, base)
+                assert got.passed
+                assert got.to_json() == loop_qp_dimension_identity(
+                    q, p, base).to_json(), (q, p, base.degree, base.dim)

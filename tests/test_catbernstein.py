@@ -581,6 +581,41 @@ def test_each_module_is_traced_once(monkeypatch):
     assert traced and len({id(m) for m in traced}) == len(traced)
 
 
+def test_every_complex_built_is_equivariant(monkeypatch):
+    # no report calls Complex.validate(): record every complex the default
+    # battery, a sigma run and the equal-charge pair suites build, and run
+    # the full gate on each
+    from bosonfermion.cli import _default_suite, run_tasks
+    from bosonfermion.config import RunConfig
+    from bosonfermion.symrep import ModuleMap
+
+    built, init = [], Complex.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(Complex, "__init__", recorded)
+    counts = []
+    run_tasks(_default_suite(RunConfig("cat")))
+    counts.append(len(built))
+    run_tasks([("sigma", ("S:2,1",))])
+    counts.append(len(built))
+    evaluations = []
+    for spec in ("S:2", "S:2,1", "trivial:2"):
+        m = parse_module_spec(spec)
+        for a in (0, 1):
+            assert relation_suite_bbstar(a, a, m).passed
+            evaluations.append((m, *catbernstein._counit_chain_map(a, m)))
+    counts.append(len(built))
+    assert 0 < counts[0] < counts[1] < counts[2]
+    assert any(cx.diffs for cx in built)
+    for cx in built:
+        cx.validate()
+    for m, evaluation, total in evaluations:
+        ModuleMap(total.module(0), m, evaluation.mats[0]).validate()
+
+
 def homology_route_creation_check(lam):
     """The former body of specht_creation_check, kept as an oracle: it takes
     the degree-0 character from H_0 built with its induced action."""

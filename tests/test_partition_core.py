@@ -6,6 +6,7 @@ import pickle
 import subprocess
 import sys
 from fractions import Fraction
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -192,6 +193,23 @@ def test_row_reading_tableau():
     assert t.shape() == Partition((3, 2))
 
 
+def test_tableau_is_the_tuple_of_its_rows():
+    t = StandardTableau(((1, 2), (3,)))
+    assert t == ((1, 2), (3,)) and hash(t) == hash(((1, 2), (3,)))
+    assert StandardTableau([[1, 2], [3]]) == t
+    back = pickle.loads(pickle.dumps(t))
+    assert back == t and type(back) is StandardTableau
+    assert t.rows == ((1, 2), (3,)) and type(t.rows) is tuple
+    assert t.shape() == Partition((2, 1)) and t.size() == 3
+    assert all(type(u) is StandardTableau for u in enumerate_syt((3, 2)))
+    for rows, message in [([[1, 3], [3]], "entries must be"),
+                          ([[2, 1]], "does not increase"),
+                          ([[1], [2, 3]], "not a partition shape"),
+                          ([[2, 3], [1]], "a column does not increase")]:
+        with pytest.raises(ValueError, match=message):
+            StandardTableau(rows)
+
+
 def _brute_horizontal_strips(lam, k):
     """Oracle: filter all partitions of |lam|+k by containment + interleaving."""
     lam = Partition(lam)
@@ -253,6 +271,30 @@ def test_centralizer_order():
         for i in range(1, n + 1):
             fact *= i
         assert sum(fact // centralizer_order(m) for m in enumerate_partitions(n)) == fact
+
+
+def _cycle_type(w):
+    seen, lengths = set(), []
+    for start in range(len(w)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i, length = w[i], length + 1
+        if length:
+            lengths.append(length)
+    return Partition(sorted(lengths, reverse=True))
+
+
+def test_centralizer_order_is_n_factorial_over_the_class_size():
+    # each class of S_n counted permutation by permutation
+    for n in range(7):
+        sizes = {}
+        for w in itertools.permutations(range(n)):
+            mu = _cycle_type(w)
+            sizes[mu] = sizes.get(mu, 0) + 1
+        assert sorted(sizes) == sorted(enumerate_partitions(n))
+        for mu, size in sizes.items():
+            assert centralizer_order(mu) * size == factorial(n), mu
 
 
 def test_partitions_up_to():

@@ -19,6 +19,7 @@ from bosonfermion.partition_core import (
     enumerate_partitions,
     horizontal_strips,
     parse_partition,
+    partitions_up_to,
     vertical_strips,
 )
 from bosonfermion import symfunc as sf
@@ -48,6 +49,7 @@ from bosonfermion.symfunc import (
     to_basis,
     to_json_records,
 )
+from strand_oracles import symfunc_text
 
 one = SymFunc.one()
 
@@ -700,3 +702,53 @@ def test_truncated_sigma_characters_match_the_per_term_route():
 def test_pinned_basis_records(name, basis):
     recs = to_json_records(MIXED_DEGREE[name], basis)
     assert _records_digest(recs) == BASIS_DIGESTS[name, basis]
+
+
+# -- one text form, and the general routes of deleted shortcuts ----------------
+
+TEXT_CASES = [
+    SymFunc.zero(),
+    one,
+    SymFunc({(): -3}),
+    SymFunc({(): Fraction(2, 3)}),
+    s(2),
+    SymFunc({(2, 1): -1, (3,): 2}),
+    SymFunc({(): Fraction(-1, 2), (1,): 1, (2, 2): Fraction(5, 3),
+             (1, 1, 1): -4}),
+    bernstein(0, s(2)) + bernstein(-1, s(1)),
+    multiply(s(1), s(1)) - one.scale(7),
+]
+
+
+@pytest.mark.parametrize("f", TEXT_CASES)
+def test_text_form_is_the_deleted_printer(f):
+    assert str(f) == symfunc_text(f)
+    assert repr(f) == f"SymFunc({f})"
+
+
+def test_text_form_examples():
+    assert repr(s(2)) == "SymFunc(s[2])"
+    assert str(TEXT_CASES[6]) == "-1/2 + s[1] + -4*s[1,1,1] + 5/3*s[2,2]"
+    assert repr(SymFunc.zero()) == "SymFunc(0)"
+
+
+@pytest.mark.parametrize("kernel", [sf._pieri_h, sf._pieri_e,
+                                    sf._copieri_h, sf._copieri_e])
+def test_a_strip_of_zero_boxes_is_the_identity(kernel):
+    for lam in partitions_up_to(6):
+        assert list(kernel(0, lam)) == [lam]
+    fs = TEXT_CASES + [sum((s(*lam).scale(i + 1) for i, lam
+                            in enumerate(partitions_up_to(4))), SymFunc.zero())]
+    for f in fs:
+        g = sf._strip_sum(kernel, 0, f)
+        assert g == f
+        assert list(map(type, g.terms.values())) == list(
+            map(type, f.terms.values()))
+
+
+def test_products_and_skews_of_zero_are_zero():
+    gs = TEXT_CASES + [s(*lam) for lam in partitions_up_to(3)]
+    for g in gs:
+        assert multiply(SymFunc.zero(), g).is_zero()
+    outs = sf.skews(SymFunc.zero(), gs)
+    assert len(outs) == len(gs) and all(h.is_zero() for h in outs)
