@@ -43,19 +43,30 @@ MUTANTS = [
          "tests/test_catbernstein.py::"
          "test_cone_certificate_matches_the_rank[S:2,1]"]),
     Mutant(
-        "flipped (-1)^x twist in the bidegree gate",
+        "one path's sign dropped in the d_h² class check",
         "src/bosonfermion/catbernstein.py",
-        "d_h[(x, y - 1)] @ d_v[(x, y)] != d_v[(x - 1, y)] @ dh):",
-        "d_h[(x, y - 1)] @ d_v[(x, y)] != -(d_v[(x - 1, y)] @ dh)):",
+        "negated[jq + 1, q - 1], big[jp, p]):",
+        "small[jq + 1, q - 1], big[jp, p]):",
         ["tests/test_catbernstein.py::TestVerificationReports::"
          "test_sigma_idempotence_report",
          "tests/test_catbernstein.py::"
-         "test_cone_certificate_matches_the_rank[S:2,1]"]),
+         "test_the_key_gate_agrees_with_the_bidegree_oracle[S:2,1-clean]"]),
+    Mutant(
+        "equivariance compared against a negated product",
+        "src/bosonfermion/homalg.py",
+        "                if gt @ mat != mat @ gs:\n",
+        "                if gt @ mat != -(mat @ gs):\n",
+        ["tests/test_catbernstein.py::TestVerificationReports::"
+         "test_sigma_idempotence_report",
+         "tests/test_catbernstein.py::"
+         "test_cone_certificate_matches_the_rank[S:2,1]",
+         "tests/test_catbernstein.py::"
+         "test_the_key_gate_agrees_with_the_bidegree_oracle[S:2,1-clean]"]),
     Mutant(
         "dropped subset_move sign",
         "src/bosonfermion/symrep.py",
-        "    return cap_cup(n, size, cup=cup, signed=True, block=block,\n",
-        "    return cap_cup(n, size, cup=cup, signed=False, block=block,\n",
+        "    return n, size, cup, True, block\n",
+        "    return n, size, cup, False, block\n",
         ["tests/test_catbernstein.py::TestVerificationReports::"
          "test_sigma_idempotence_report",
          "tests/test_catbernstein.py::TestVerificationReports::"
@@ -170,7 +181,8 @@ MUTANTS = [
         "src/bosonfermion/partition_core.py",
         "            if any(r1[j] >= r2[j] for j in range(len(r2))):\n",
         "            if False:\n",
-        ["tests/test_partition_core.py::test_tableau_is_the_tuple_of_its_rows"]),
+        ["tests/test_partition_core.py::test_tableau_is_the_tuple_of_its_rows",
+         "tests/test_partition_core.py::test_gates_survive_optimized_python"]),
     Mutant(
         "m in place of m! in the centralizer order",
         "src/bosonfermion/partition_core.py",

@@ -8,9 +8,10 @@ adjunction cap.  Annihilation mirrors this with transposed cables and cup
 differentials.  Each chain group is built on the (S, u) basis of
 ``symrep.induce`` over the cut of its Q cable, with the caps, cups,
 lifted maps and the evaluation map of the mixed relation suite in closed
-form; no plain word is built.  One kernel, ``symrep.cap_cup``, writes
-every cap and cup here and in the projector complexes below, and both
-kinds of chain group are one ``Cell`` type (a projector cell has no cut).
+form; no plain word is built.  One kernel, ``symrep.cap_cup_blocks``,
+gives the key blocks of every cap and cup here and in the projector
+complexes below, ``symrep.cap_cup`` assembles them, and both kinds of chain
+group are one ``Cell`` type (a projector cell has no cut).
 Applying an operator to an existing complex produces a bicomplex whose
 totalization (alternating twist on the pre-existing differential) is the
 composite; iterated composites categorify products of the corresponding
@@ -29,9 +30,13 @@ Euler characteristics are the ``{charge: SymFunc}`` dicts of ``fock``.
 
 Everything is exact: differentials pass a ``d^2 = 0`` gate, homology is
 computed by exact column reduction, and all graded comparisons are
-tolerance-zero.  A projector complex of positive degree N is gated by
-bidegree and certified acyclic as the cone of an isomorphism on the letter
-N; it is never ranked.  At degree 0 its one cell, k = 0, is its input.
+tolerance-zero.  A projector complex of positive degree N is decided on the
+key blocks of its caps or cups (``symrep.subset_move_blocks``) and never
+assembled: d_h² is checked once per class of keys, the commuting squares
+by the equivariance of the input's differentials, and acyclicity is
+certified as the cone of an isomorphism on the letter N, one matched key
+block ranked per chain group.  At degree 0 its one cell, k = 0, is its
+input.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .symrep import (
     induce,
     specht_module,
     subset_move,
+    subset_move_blocks,
     trivial_module,
 )
 
@@ -351,53 +357,70 @@ def apply_sigma(sign, cx):
     return _apply_operator(_SigmaOp(sign), cx)[0]
 
 
-def _gate_bidegrees(cx, d_h, d_v):
-    """d∘d = 0 on the total complex of a projector ``_bicomplex`` over
-    ``cx``, by bidegree: d_h² into (x − 2, y), and (−1)^x (d_h d_v − d_v
-    d_h) into (x − 1, y − 1), so the squares commute.  d_v² is the input's
-    d(y − 1) d(y) on every subset, which the ``Complex`` constructor of
-    ``cx`` already gated.  A ChainComplexError names the source bidegree."""
-    for (x, y), dh in d_h.items():
-        after = d_h.get((x - 1, y))
-        if after is not None and not (after @ dh).is_zero():
-            raise ChainComplexError(f"d_h∘d_h != 0 from bidegree {(x, y)}")
-        # every column has every inner degree, so the square is whole
-        if (x, y) in d_v and (
-                d_h[(x, y - 1)] @ d_v[(x, y)] != d_v[(x - 1, y)] @ dh):
-            raise ChainComplexError(
-                f"d∘d != 0 from bidegree {(x, y)} to {(x - 1, y - 1)}: "
-                f"d_h and d_v do not commute")
+def _key_gate(cup, cx):
+    """d∘d = 0 on the total complex of the projector bicomplex over ``cx``
+    (group degree N ≥ 1), read off the key blocks of its caps (or cups)
+    without assembling them: {y: {s: the key blocks of size s over
+    cx.module(y)}}, s = 1..N the larger subset size, or ChainComplexError.
 
-
-def _cone_certificate(cup, cx, d_h):
-    """{} for a gated projector bicomplex over ``cx`` (group degree N ≥ 1),
-    or ChainComplexError naming (k, y).  The cells whose subset K holds N
-    are a quotient complex (caps) or a subcomplex (cups), and the part of d
-    between the halves, K ∋ N to K ∖ N or back, is a chain map with one
-    block per (k, y): ``cap_cup``'s key (N − k + 1, k − 1) for the cap from
-    size k, (N − k, k) for the cup.  Its cone is the total complex, acyclic
-    if each block is invertible.  A block sits at (1..s−1) and (1..s−1, N),
-    s the larger size: the first (s−1)-subset and the (N−s)-th s-subset."""
+    Each block of d_h∘d_h from a size-s subset B (cap) or into one (cup)
+    sums the two paths that move B[p] and B[q], p < q, in either order: the
+    keys (B[q] − q, q) at size s and (B[p] − p, p) at size s − 1, or
+    (B[p] − p, p) at size s and (B[q] − q + 1, q − 1) at size s − 1.  So it
+    depends only on the class (B[p] − p, p, B[q] − q, q), and each class is
+    checked once: the two paths must cancel.  The (S, B) block of
+    d_h d_v − d_v d_h is blk(key) d(y) − d(y) blk(key), each block ±c ρ(w)
+    along one word on both modules, so it vanishes when d(y) is
+    equivariant, which is checked instead; it is also what lifts d(y) to
+    d(y) on every subset.  d_v² is the input's d², which the ``Complex``
+    constructor of ``cx`` gated."""
     n = cx.group_degree
-    for (k, y), d in d_h.items():
-        s, w = (1 - k if cup else k), cx.dim(y)
-        big, small = range((n - s) * w, (n - s + 1) * w), range(w)
-        if rank(d.submatrix(big, small) if cup else
-                d.submatrix(small, big)) < w:
-            raise ChainComplexError(f"the matched block at (k, y) = {(k, y)} "
-                                    f"is singular: no acyclicity certificate")
-    return {}
+    cx.check_equivariant()
+
+    def path(small, big):  # a size-s and a size-(s-1) block, as d_h runs
+        return big @ small if cup else small @ big
+
+    out = {}
+    for y in cx.degrees():
+        kb = out[y] = {s: subset_move_blocks(cx.module(y), s - cup, cup)
+                       for s in range(1, n + 1)}
+        for s in range(2, n + 1):
+            big, small = kb[s], kb[s - 1]
+            negated = {key: -a for key, a in small.items()}
+            for jp, p, jq, q in {
+                    (b[p] - p, p, b[q] - q, q)
+                    for b in combinations(range(1, n + 1), s)
+                    for p, q in combinations(range(s), 2)}:
+                if path(small[jp, p], big[jq, q]) != path(
+                        negated[jq + 1, q - 1], big[jp, p]):
+                    raise ChainComplexError(
+                        f"d_h∘d_h != 0 from bidegree {(2 - s if cup else s, y)}")
+    return out
 
 
 def _sigma_betti(sign, cx):
-    """Betti numbers of ``apply_sigma(sign, cx)``, decided on the cells; at
-    group degree 0 the one cell, k = 0, is ``cx`` with each f lifted to f."""
+    """Betti numbers of ``apply_sigma(sign, cx)``, decided on the key blocks
+    of its caps (or cups); at group degree 0 the one cell, k = 0, is ``cx``
+    with each f lifted to f.
+
+    At group degree N ≥ 1, once ``_key_gate`` passes, the cells whose subset
+    K holds N are a quotient complex (caps) or a subcomplex (cups), and the
+    part of d between the halves, K ∋ N to K ∖ N or back, is a chain map
+    with one block per (k, y), the key (N − s + 1, s − 1) of size s: s = k
+    for the cap from degree k, s = 1 − k for the cup from degree k ≤ 0.  Its
+    cone is the total complex, acyclic (``{}``) if each block has full rank;
+    else ChainComplexError names (k, y).  No cap, cup or lift is assembled
+    and nothing is totalized."""
     if not cx.group_degree:
         return cx.betti()
-    op = _SigmaOp(sign)
-    _, d_h, d_v = _bicomplex(op, cx)
-    _gate_bidegrees(cx, d_h, d_v)
-    return _cone_certificate(op.cup, cx, d_h)
+    cup, n = _SigmaOp(sign).cup, cx.group_degree
+    for y, kb in _key_gate(cup, cx).items():
+        for s, blocks in kb.items():
+            if rank(blocks[n - s + 1, s - 1]) < cx.dim(y):
+                raise ChainComplexError(
+                    f"the matched block at (k, y) = {(1 - s if cup else s, y)} "
+                    f"is singular: no acyclicity certificate")
+    return {}
 
 
 # --------------------------------------------------------------------------
@@ -705,10 +728,8 @@ def sigma_idempotence_check(m):
                    for k in range(m.degree + 1)),
                cells={str(k): v for k, v in cell_dims.items()},
                chain={str(k): v for k, v in minus.dims().items()})
-    # only minus is totalized: its constructor gated d∘d, its d(k) is d_h
-    caps = {(k, 0): minus.d(k) for k in range(1, m.degree + 1)}
     one = single_module_complex(m)
-    once = _cone_certificate(False, one, caps) if m.degree else minus.betti()
+    once = _sigma_betti(-1, one)
     twice = _sigma_betti(-1, minus)
     report.add("repeated application preserves graded homology",
                twice == once, once=_betti_obj(once), twice=_betti_obj(twice))

@@ -100,6 +100,10 @@ class Complex:
     def validate(self):
         """Full gate: shapes, d² = 0, and equivariance of every differential."""
         self.check_differential()
+        self.check_equivariant()
+
+    def check_equivariant(self):
+        """d(k) s_i = s_i d(k) for every differential and generator."""
         for k, mat in self.diffs.items():
             src, tgt = self.module(k), self.module(k - 1)
             for gs, gt in zip(src.gens, tgt.gens):

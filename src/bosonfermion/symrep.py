@@ -13,11 +13,14 @@ coset of b_S, which lists the values outside S and then S.  At k = 1 the
 blocks are the coset representatives r_j (``coset_rep``), the identity last;
 iterated-induction coset words are built by arithmetic on the values of
 image tuples.  ``cap_cup`` writes every cap and cup between the layouts of k
-and k-1 subsets, one block per (j, pos) key; ``subset_move`` is its case
-with blocks acting through a module (the pq adjunction maps and the
-projector differentials), and ``catbernstein`` builds the Bernstein caps and
-cups on it from the blocks of a Q cut.  On top of the two functors also live
-the qp adjunction maps, sideways crossings, and the isotypic functors
+and k-1 subsets from one block per (j, pos) key, which its kernel
+``cap_cup_blocks`` returns with the key of each pair of subsets;
+``subset_move`` is its case with blocks acting through a module (the pq
+adjunction maps and the projector differentials), whose key blocks alone
+(``subset_move_blocks``) decide the projector complexes, and
+``catbernstein`` builds the Bernstein caps and cups on it from the blocks of
+a Q cut.  On top of the two functors also live the qp adjunction maps,
+sideways crossings, and the isotypic functors
 ``p_lambda``/``q_lambda`` cutting out one irreducible constituent per
 partition on the added (resp. removed) letters, with plain inclusion and
 projection matrices.  A group-algebra element is a
@@ -472,45 +475,70 @@ def restrict(m):
     return RepModule(m.degree - 1, m.dim, lambda: m.gens[:-1])
 
 
-def cap_cup(n, size, cup, signed, block, shape):
-    """The cap (``cup`` false) from the size-subsets of {1..n} to the
-    (size-1)-subsets, or the cup back, on the subset layout of ``induce``
-    with blocks of ``shape`` (rows, columns); the only writer of caps and
-    cups.
+def cap_cup_blocks(n, size, cup, signed, block):
+    """The key kernel of ``cap_cup``: (blocks, pairs) for the cap (``cup``
+    false) from the size-subsets of {1..n} to the (size-1)-subsets, or the
+    cup back.
 
     Let B run over the size-subsets and S = B minus its entry at position
-    pos.  The cap puts block(B, pos) at (S, B) and the cup puts
-    block(B, pos)/size at (B, S), times (-1)^pos when ``signed``.  A pair's
-    block depends only on pos and j = B[pos] - pos, the place of the dropped
-    letter among the letters outside S, so ``block`` is called on the first
-    pair of each (j, pos): (n - size + 1)·size calls."""
-    h, w = shape
-    letters = range(1, n + 1)
-    big = list(combinations(letters, size))
-    small = {s: q for q, s in enumerate(combinations(letters, size - 1))}
+    pos.  The pair's key is (j, pos), j = B[pos] - pos the place of the
+    dropped letter among the letters outside S, and ``pairs`` yields (p, q,
+    key) for B the p-th size-subset and S the q-th (size-1)-subset, in
+    ``combinations`` order.  ``blocks[key]`` is block(B, pos) of the first
+    pair of that key, B = (1..pos, j+pos..j+size-1) ((n - size + 1)·size
+    calls), over size for a cup and times (-1)^pos when ``signed``: the
+    block of every pair of that key."""
+    scale = Fraction(1, size if cup else 1)
     blocks = {}
-    for b in big:
-        for pos, e in enumerate(b):
-            if (e - pos, pos) not in blocks:
-                blocks[e - pos, pos] = block(b, pos)
+    for pos in range(size):
+        c = -scale if signed and pos % 2 else scale
+        for j in range(1, n - size + 2):
+            a = block((*range(1, pos + 1), *range(j + pos, j + size)), pos)
+            blocks[j, pos] = a if c == 1 else a.scale(c)
+
+    def pairs():
+        letters = range(1, n + 1)
+        small = {s: q for q, s in enumerate(combinations(letters, size - 1))}
+        for p, b in enumerate(combinations(letters, size)):
+            for pos, e in enumerate(b):
+                yield p, small[b[:pos] + b[pos + 1:]], (e - pos, pos)
+
+    return blocks, pairs()
+
+
+def cap_cup(n, size, cup, signed, block, shape):
+    """The cap or cup of ``cap_cup_blocks`` assembled on the subset layout of
+    ``induce``, with blocks of ``shape`` (rows, columns): the block of each
+    pair's key at (S, B) for the cap and at (B, S) for the cup; the only
+    writer of caps and cups."""
+    h, w = shape
+    blocks, pairs = cap_cup_blocks(n, size, cup, signed, block)
     common = lcm(*(a.den for a in blocks.values()))
-    triples = {}  # a key's block as int (row, column, value) over common
-    for (j, pos), a in blocks.items():
-        mult = common // a.den * (-1 if signed and pos % 2 else 1)
-        triples[j, pos] = [(r, c, mult * v) for r, row in enumerate(a.rows)
-                           for c, v in row.items()]
+    triples = {  # a key's block as int (row, column, value) over common
+        key: [(r, c, common // a.den * v) for r, row in enumerate(a.rows)
+              for c, v in row.items()] for key, a in blocks.items()}
 
     def entries():
-        for p, b in enumerate(big):
-            for pos, e in enumerate(b):
-                q = small[b[:pos] + b[pos + 1:]]
-                r0, c0 = (p * h, q * w) if cup else (q * h, p * w)
-                for r, c, v in triples[e - pos, pos]:
-                    yield r0 + r, c0 + c, v
+        for p, q, key in pairs:
+            r0, c0 = (p * h, q * w) if cup else (q * h, p * w)
+            for r, c, v in triples[key]:
+                yield r0 + r, c0 + c, v
 
-    rows, cols = (len(big), len(small)) if cup else (len(small), len(big))
-    return SMat.from_entries(rows * h, cols * w, entries(),
-                             den=common * (size if cup else 1))
+    big, small = comb(n, size), comb(n, size - 1)
+    rows, cols = (big, small) if cup else (small, big)
+    return SMat.from_entries(rows * h, cols * w, entries(), den=common)
+
+
+def _subset_move_args(m, k, cup):
+    """The ``cap_cup_blocks`` arguments of ``subset_move``."""
+    n, size = m.degree, k + 1 if cup else k
+
+    def block(b, pos):
+        t = n - size + 1 + pos
+        w = coset_rep(b[pos] - pos, t) + tuple(range(t + 1, n + 1))
+        return m.act_perm(perm_inverse(w) if cup else w)
+
+    return n, size, cup, True, block
 
 
 def subset_move(m, k, cup):
@@ -521,15 +549,13 @@ def subset_move(m, k, cup):
     (B, (-1)^pos/|B| w^-1 v), where w = b_S^-1 b_B is r_j = ``coset_rep(j,
     t)`` on the first t = n - |B| + 1 + pos letters, fixing the rest, and
     j = B[pos] - pos."""
-    n, size = m.degree, k + 1 if cup else k
+    return cap_cup(*_subset_move_args(m, k, cup), shape=(m.dim, m.dim))
 
-    def block(b, pos):
-        t = n - size + 1 + pos
-        w = coset_rep(b[pos] - pos, t) + tuple(range(t + 1, n + 1))
-        return m.act_perm(perm_inverse(w) if cup else w)
 
-    return cap_cup(n, size, cup=cup, signed=True, block=block,
-                   shape=(m.dim, m.dim))
+def subset_move_blocks(m, k, cup):
+    """The key blocks of ``subset_move(m, k, cup)``, {(j, pos): block}, from
+    ``cap_cup_blocks``, without assembling the map."""
+    return cap_cup_blocks(*_subset_move_args(m, k, cup))[0]
 
 
 def unit_qp(m):

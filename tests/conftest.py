@@ -7,10 +7,16 @@ through the full test listing.
 """
 
 import re
+from pathlib import Path
 
 import pytest
 
+import bosonfermion
 from bosonfermion import fock
+
+# the sources under test, found from the package as imported: the tests that
+# start a subprocess put them on its PYTHONPATH, so it runs the same copy
+SRC = str(Path(bosonfermion.__file__).resolve().parent.parent)
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 

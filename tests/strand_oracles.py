@@ -26,7 +26,10 @@ was zero-dimensional, before that cut went through the general branches.
 ``symfunc_text`` is the command line's own printer of a symmetric function,
 before ``SymFunc.__str__`` became the one text form, and
 ``loop_qp_dimension_identity`` is ``branching.qp_dimension_identity`` with
-each falling factorial multiplied out in a loop.
+each falling factorial multiplied out in a loop.  ``gate_bidegrees`` is
+the d∘d gate the projector decision ran on the assembled caps, cups and
+lifts of ``catbernstein._bicomplex`` before it read them off their key
+blocks.
 """
 
 from fractions import Fraction
@@ -36,7 +39,7 @@ from itertools import product
 from math import comb, factorial, lcm, prod
 
 from bosonfermion.branching import _expect, _move, word_module
-from bosonfermion.errors import CharacterError
+from bosonfermion.errors import CharacterError, ChainComplexError
 from bosonfermion.homalg import Complex, module_direct_sum
 from bosonfermion.linalg import SMat, idempotent_image, rref
 from bosonfermion.partition_core import (
@@ -439,3 +442,22 @@ def loop_qp_dimension_identity(q_size, p_size, base):
     report.add("dim Q^q P^p = sum of crossed pieces", lhs == rhs,
                lhs=lhs, rhs=rhs, pieces=pieces)
     return report
+
+
+def gate_bidegrees(d_h, d_v):
+    """d∘d = 0 on the total complex of a projector ``catbernstein._bicomplex``
+    (d_h, d_v), by bidegree on the assembled maps: d_h² into (x − 2, y), and
+    (−1)^x (d_h d_v − d_v d_h) into (x − 1, y − 1), so the squares commute.
+    d_v² is the input's d(y − 1) d(y) on every subset, which the input's
+    ``Complex`` constructor already gated.  A ChainComplexError names the
+    source bidegree."""
+    for (x, y), dh in d_h.items():
+        after = d_h.get((x - 1, y))
+        if after is not None and not (after @ dh).is_zero():
+            raise ChainComplexError(f"d_h∘d_h != 0 from bidegree {(x, y)}")
+        # every column has every inner degree, so the square is whole
+        if (x, y) in d_v and (
+                d_h[(x, y - 1)] @ d_v[(x, y)] != d_v[(x - 1, y)] @ dh):
+            raise ChainComplexError(
+                f"d∘d != 0 from bidegree {(x, y)} to {(x - 1, y - 1)}: "
+                f"d_h and d_v do not commute")

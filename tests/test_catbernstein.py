@@ -5,7 +5,6 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,7 +60,8 @@ from bosonfermion.symrep import (
     trivial_module,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC
+from strand_oracles import gate_bidegrees
 
 
 # The unreduced routes: the operators chained without passing to homology
@@ -491,9 +491,9 @@ def test_projector_reports_rank_only_group_degree_zero(name, monkeypatch):
             assert [cx.dims() for cx in totals] == want, spec
         else:  # minus totalized once; only one and minus are ranked
             assert [cx.dims() for cx in totals] == [minus], spec
-            one = [cx for cx in inputs if cx is not totals[0]]
-            assert len(one) == 1 and one[0].modules == {0: m}, spec
-            assert ranked and set(ranked) <= {id(totals[0]), id(one[0])}
+            one = {id(cx): cx for cx in inputs if cx is not totals[0]}
+            assert [cx.modules for cx in one.values()] == [{0: m}], spec
+            assert ranked and set(ranked) <= {id(totals[0]), *one}
 
 
 @pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)
@@ -512,21 +512,29 @@ def test_cone_certificate_matches_the_rank(spec):
                 apply_sigma(-1, minus).betti()
 
 
+def _planted(kernel, unsigned=False, unmatched=False):
+    """``symrep.cap_cup_blocks`` with a planted fault: every block unsigned,
+    or every block that drops the top letter zeroed."""
+    def planted(n, size, cup, signed, block):
+        def cut(b, pos):
+            a = block(b, pos)
+            return SMat.zeros(a.nrows, a.ncols) if (
+                unmatched and b[pos] == n) else a
+        return kernel(n, size, cup, signed and not unsigned, cut)
+    return planted
+
+
 def test_a_singular_matched_block_is_refused(monkeypatch):
-    # zeroing every block that drops the top letter keeps d∘d = 0 and splits
-    # the complex into its two halves; on one letter they are not acyclic,
-    # and on more the certificate refuses to decide them
+    # zeroing every key block that drops the top letter, in the kernel that
+    # both the decision and cap_cup read, keeps d∘d = 0 and splits the
+    # complex into its two halves; on one letter they are not acyclic, and
+    # on more the certificate refuses to decide them
     from bosonfermion import symrep
 
-    cap_cup = symrep.cap_cup
-
-    def unmatched(n, size, cup, signed, block, shape):
-        def cut(b, pos):
-            return SMat.zeros(*shape) if b[pos] == n else block(b, pos)
-        return cap_cup(n, size, cup, signed, cut, shape)
-
-    monkeypatch.setattr(symrep, "cap_cup", unmatched)
+    monkeypatch.setattr(symrep, "cap_cup_blocks",
+                        _planted(symrep.cap_cup_blocks, unmatched=True))
     one = trivial_module(1)
+    # cap_cup reads the patched kernel: the assembled complex splits
     assert sigma_complex(-1, one).betti() == {0: 1, 1: 1}
     with pytest.raises(ChainComplexError, match=r"\(k, y\) = \(1, 0\)"):
         sigma_idempotence_check(one)
@@ -536,16 +544,114 @@ def test_a_singular_matched_block_is_refused(monkeypatch):
 
 
 def test_a_sign_flipped_lift_is_refused_at_its_bidegree(monkeypatch):
+    # the decision reads no lift; the totalized twice does, and its
+    # constructor refuses the lift negated on cell 1, which sits in total
+    # degree 2
     lift = catbernstein._functor_on_map
 
     def flipped(cs, ct, f):
         out = lift(cs, ct, f)
         return -out if cs.label == 1 else out
 
+    minus = sigma_complex(-1, specht_module([2, 1]))
     monkeypatch.setattr(catbernstein, "_functor_on_map", flipped)
     with pytest.raises(ChainComplexError,
-                       match=r"from bidegree \((1|2), 1\) to"):
-        sigma_idempotence_check(specht_module([2, 1]))
+                       match=r"d∘d != 0 between degrees 2 and 0"):
+        apply_sigma(-1, minus)
+
+
+def _skewed(cx):
+    """The first two chain groups of ``cx`` (its one module twice, if it has
+    one) with the matrix unit E_00 between them, equivariant only by luck."""
+    low, high = cx.module(0), cx.module(1 if 1 in cx.modules else 0)
+    return Complex(cx.group_degree, {0: low, 1: high},
+                   {1: SMat.from_entries(low.dim, high.dim, [(0, 0, 1)])})
+
+
+def test_a_non_equivariant_input_differential_is_refused():
+    # s_1 is diagonal on S^(2,1) and s_2 is not, so E_00 commutes with s_1
+    # alone; lifting it to every subset would not be a chain map
+    cx = _skewed(single_module_complex(specht_module([2, 1])))
+    for sign in (-1, 1):
+        with pytest.raises(ChainComplexError,
+                           match=r"differential at degree 1 is not"):
+            catbernstein._sigma_betti(sign, cx)
+
+
+def test_the_decision_assembles_no_map(monkeypatch):
+    # at positive group degree _sigma_betti reads key blocks only: no lift,
+    # no totalization and no assembled cap or cup, on twice, plus and both
+    # vanishing cables
+    from bosonfermion import symrep
+
+    m = specht_module([2, 1])
+    minus = sigma_complex(-1, m)
+    called = []
+
+    def refused(name):
+        def refuse(*args, **kwargs):
+            called.append(name)
+            raise AssertionError(f"{name} ran")
+        return refuse
+
+    for owner, name in ((catbernstein, "_functor_on_map"),
+                        (catbernstein, "totalize"), (symrep, "cap_cup"),
+                        (catbernstein, "cap_cup")):
+        monkeypatch.setattr(owner, name, refused(name))
+    assert catbernstein._sigma_betti(-1, minus) == {}
+    assert catbernstein._sigma_betti(1, single_module_complex(m)) == {}
+    for k in (1, 2):
+        assert catbernstein._sigma_betti(
+            -1, single_module_complex(induce(m, k))) == {}
+    assert called == []
+
+
+def _gate_passes(gate):
+    try:
+        gate()
+    except ChainComplexError:
+        return False
+    return True
+
+
+KEY_GATE_FAULTS = ("clean", "dropped_subset_move_sign",
+                   "zeroed_matched_block", "non_equivariant_d")
+
+
+@pytest.mark.parametrize("fault", KEY_GATE_FAULTS)
+@pytest.mark.parametrize("spec", SMALL_MODULE_SPECS)
+def test_the_key_gate_agrees_with_the_bidegree_oracle(spec, fault,
+                                                      monkeypatch):
+    # the key gate against gate_bidegrees on the assembled _bicomplex, for
+    # both signs over m and both row cables of it, and over minus (whose
+    # projector complex is twice) up to degree 4; two faults are planted in
+    # the key kernel both gates read, the third in the input complex
+    from bosonfermion import symrep
+
+    m = parse_module_spec(spec)
+    inputs = []
+    for base in (m, induce(m), induce(m, 2)):
+        if base.degree:
+            inputs.append(single_module_complex(base))
+            if base.degree <= 4:
+                inputs.append(sigma_complex(-1, base))
+    if fault == "non_equivariant_d":
+        inputs = [_skewed(cx) for cx in inputs]
+    monkeypatch.setattr(symrep, "cap_cup_blocks", _planted(
+        symrep.cap_cup_blocks, unsigned=fault == "dropped_subset_move_sign",
+        unmatched=fault == "zeroed_matched_block"))
+    verdicts = []
+    for cx in inputs:
+        for sign in (-1, 1):
+            op = catbernstein._SigmaOp(sign)
+            keys = _gate_passes(lambda: catbernstein._key_gate(op.cup, cx))
+            oracle = _gate_passes(
+                lambda: gate_bidegrees(*catbernstein._bicomplex(op, cx)[1:]))
+            assert keys == oracle, (cx.dims(), sign)
+            verdicts.append(keys)
+    # each fault that either gate can see is seen somewhere
+    seen = fault in ("dropped_subset_move_sign", "non_equivariant_d")
+    assert all(verdicts) != seen
 
 
 def test_every_truncated_sigma_character_vanishes():
@@ -809,6 +915,44 @@ def test_misaligned_cells_are_refused_under_optimized_python():
         "source cell 1 is not aligned with target cell 2",
         "creation cell 0 (degree change 1) does not pair with annihilation "
         "cell 0 (degree change 1) at charge 0",
+    ]
+
+
+def test_the_projector_decision_refuses_under_optimized_python():
+    # python -O strips assert statements; a non-equivariant input, a d_h²
+    # class that does not cancel and a singular matched block must still
+    # raise
+    code = (
+        "from bosonfermion import catbernstein, symrep\n"
+        "from bosonfermion.errors import ChainComplexError\n"
+        "from bosonfermion.homalg import Complex, single_module_complex\n"
+        "from bosonfermion.linalg import SMat\n"
+        "m = symrep.specht_module([2, 1])\n"
+        "one = single_module_complex(m)\n"
+        "skew = Complex(3, {0: m, 1: m},\n"
+        "               {1: SMat.from_entries(2, 2, [(0, 0, 1)])})\n"
+        "kernel = symrep.cap_cup_blocks\n"
+        "def unsigned(n, size, cup, signed, block):\n"
+        "    return kernel(n, size, cup, False, block)\n"
+        "def unmatched(n, size, cup, signed, block):\n"
+        "    return kernel(n, size, cup, signed,\n"
+        "                  lambda b, pos: block(b, pos).scale(b[pos] < n))\n"
+        "for cx, patch in ((skew, kernel), (one, unsigned), (one, unmatched)):\n"
+        "    symrep.cap_cup_blocks = patch\n"
+        "    try:\n"
+        "        print('returned', catbernstein._sigma_betti(-1, cx))\n"
+        "    except ChainComplexError as exc:\n"
+        "        print(exc)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [SRC, env.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines() == [
+        "differential at degree 1 is not equivariant",
+        "d_h∘d_h != 0 from bidegree (2, 0)",
+        "the matched block at (k, y) = (1, 0) is singular: no acyclicity "
+        "certificate",
     ]
 
 

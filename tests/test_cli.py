@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -20,7 +19,7 @@ from bosonfermion.cli import (
 )
 from bosonfermion.config import RunConfig, parse_window
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC
 
 
 def run(capsys, *argv):
@@ -431,6 +430,10 @@ class TestDeterminismAndCache:
          "1bcc98961c2f390aa6fd1ba12c9e3cec02b94e7d9666c4650bc5a1ef0b389a60"),
         (("cat", "sigma", "--module", "S:2,2,1", "--json"),
          "67e7a89911228d8e08f8ff7807e2bc3dc0b4f538ab9dd366f8d40cb1d21d0e9f"),
+        # hashed while the projector complexes were still gated on their
+        # assembled caps and lifts
+        (("cat", "sigma", "--module", "S:4,2", "--json"),
+         "322256e34cc0d800336c24e247e8051e21b46c37e1de6650f3615da7d1a64292"),
     ])
     def test_pinned_report_digests(self, capsys, argv, digest):
         code, out, _ = run(capsys, *argv)

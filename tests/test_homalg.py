@@ -2,7 +2,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -49,9 +48,8 @@ from bosonfermion.symrep import (
 
 import random
 
+from conftest import SRC
 from strand_oracles import direct_sum, shifted, solve
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def augmentation_complex():

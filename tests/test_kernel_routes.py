@@ -18,7 +18,6 @@ import os
 import subprocess
 import sys
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
@@ -53,7 +52,7 @@ from strand_oracles import (
     subset_coset_word,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC
 
 MODULES = {
     **{f"trivial:{n}": (trivial_module, n) for n in range(5)},

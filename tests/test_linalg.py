@@ -5,7 +5,6 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -23,10 +22,10 @@ from bosonfermion.linalg import (
     rank,
     rref,
 )
+from conftest import SRC
 from strand_oracles import solve
 
 F = Fraction
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def dense(data):

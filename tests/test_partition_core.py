@@ -7,7 +7,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from math import factorial
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -35,7 +34,7 @@ from bosonfermion.partition_core import (
     vertical_strips_below,
 )
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+from conftest import SRC
 
 partitions_st = st.integers(0, 8).flatmap(
     lambda n: st.sampled_from(enumerate_partitions(n)) if n else st.just(Partition(()))

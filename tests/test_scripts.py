@@ -21,6 +21,7 @@ from bosonfermion.cli import (
 )
 from bosonfermion.errors import ChainComplexError, IdempotentError
 
+from conftest import SRC
 from test_cli import forbid_general_shape_cut
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -30,7 +31,7 @@ SCRIPTS = ROOT / "scripts"
 def run_script(name, *argv, **env_vars):
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+        filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, "-O", str(SCRIPTS / name), *argv],
                           env=env, capture_output=True, text=True, timeout=120)
 

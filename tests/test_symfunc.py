@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,11 +48,10 @@ from bosonfermion.symfunc import (
     to_basis,
     to_json_records,
 )
+from conftest import SRC
 from strand_oracles import symfunc_text
 
 one = SymFunc.one()
-
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def s(*parts):

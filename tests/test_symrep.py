@@ -66,6 +66,7 @@ from bosonfermion.symrep import (
     young_idempotent,
     zero_module,
 )
+from conftest import SRC
 from strand_oracles import (
     coset_route_right_mult,
     counit_pq,
@@ -84,7 +85,6 @@ from test_eigenspace_routes import stacked_word_module
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
-SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def perms_st(n):
