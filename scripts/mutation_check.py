@@ -65,12 +65,28 @@ MUTANTS = [
     Mutant(
         "dropped subset_move sign",
         "src/bosonfermion/symrep.py",
-        "    return n, size, cup, True, block\n",
-        "    return n, size, cup, False, block\n",
+        "    return cap_cup_blocks(n, size, cup, True, block)\n",
+        "    return cap_cup_blocks(n, size, cup, False, block)\n",
         ["tests/test_catbernstein.py::TestVerificationReports::"
          "test_sigma_idempotence_report",
          "tests/test_catbernstein.py::TestVerificationReports::"
          "test_sigma_vanishing_report"]),
+    Mutant(
+        "the d_h² class walk skips the classes with jp = jq",
+        "src/bosonfermion/catbernstein.py",
+        "for jq in range(jp, n - s + 2):",
+        "for jq in range(jp + 1, n - s + 2):",
+        ["tests/test_catbernstein.py::"
+         "test_the_key_gate_walks_the_classes_of_the_subset_scan[False]",
+         "tests/test_catbernstein.py::"
+         "test_the_key_gate_walks_the_classes_of_the_subset_scan[True]"]),
+    Mutant(
+        "an input differential lifted without its equivariance check",
+        "src/bosonfermion/catbernstein.py",
+        "    cx.check_equivariant()\n    columns = {",
+        "    columns = {",
+        ["tests/test_catbernstein.py::"
+         "test_a_non_equivariant_differential_is_refused_before_its_lift"]),
     Mutant(
         "psi sign flip",
         "src/bosonfermion/fock.py",

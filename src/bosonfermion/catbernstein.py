@@ -69,6 +69,7 @@ from .symfunc import SymFunc, bernstein, bernstein_star, multiply, schur, skews
 from .symrep import (
     RepModule,
     cap_cup,
+    cap_cup_blocks,
     frobenius_char,
     induce,
     specht_module,
@@ -180,9 +181,10 @@ class _BernsteinOp:
             if j < t:
                 acc = acc @ gens[j - 1] if self.star else gens[j - 1] @ acc
             inner[j] = acc @ cs.q_iota if self.star else ct.q_pi @ acc
-        return cap_cup(cs.sub.degree, size, cup=self.star, signed=self.star,
-                       block=lambda b, pos: inner[b[pos] - pos],
-                       shape=(ct.q_pi.nrows, cs.q_iota.ncols))
+        n = cs.sub.degree
+        return cap_cup(n, size, self.star, cap_cup_blocks(
+            n, size, self.star, self.star, lambda b, pos: inner[b[pos] - pos]),
+            (ct.q_pi.nrows, cs.q_iota.ncols))
 
 
 class _SigmaOp:
@@ -300,7 +302,9 @@ def _bicomplex(op, cx):
     """A one-step operator on a whole complex, not totalized: (cells keyed by
     chain degree y and then inner degree k, d_h, d_v).  The cell ``k`` over
     chain group ``y`` sits at (k, y); d_h[(k, y)] maps it to (k - 1, y) and
-    d_v[(k, y)], the map of the input's d(y), to (k, y - 1)."""
+    d_v[(k, y)], the map of the input's d(y), to (k, y - 1).  Lifting d(y)
+    to d(y) on every subset is right only if it is equivariant: checked."""
+    cx.check_equivariant()
     columns = {y: op.cells(cx.module(y)) for y in cx.degrees()}
     d_h, d_v = {}, {}
     for y, cells in columns.items():
@@ -319,9 +323,9 @@ def _apply_operator(op, cx):
     by chain degree y and then inner degree k)."""
     gd = op.out_degree(cx.group_degree)
     columns, d_h, d_v = _bicomplex(op, cx)
-    out = totalize({(k, y): cell.sub for y, cells in columns.items()
-                    for k, cell in cells.items()}, d_h, d_v, gd)
-    return out if out.modules else zero_complex(max(gd, 0)), columns
+    cells = {(k, y): cell.sub for y, col in columns.items()
+             for k, cell in col.items()}
+    return totalize(cells, d_h, d_v, max(gd, 0)), columns
 
 
 def bernstein_complex(a, m):
@@ -357,6 +361,15 @@ def apply_sigma(sign, cx):
     return _apply_operator(_SigmaOp(sign), cx)[0]
 
 
+def _key_classes(n, s):
+    """The classes (B[p] − p, p, B[q] − q, q) of ``_key_gate``: B[i] − i is
+    nondecreasing in 1..n − s + 1 and reaches every jp ≤ jq at p < q."""
+    for p, q in combinations(range(s), 2):
+        for jp in range(1, n - s + 2):
+            for jq in range(jp, n - s + 2):
+                yield jp, p, jq, q
+
+
 def _key_gate(cup, cx):
     """d∘d = 0 on the total complex of the projector bicomplex over ``cx``
     (group degree N ≥ 1), read off the key blocks of its caps (or cups)
@@ -367,13 +380,13 @@ def _key_gate(cup, cx):
     sums the two paths that move B[p] and B[q], p < q, in either order: the
     keys (B[q] − q, q) at size s and (B[p] − p, p) at size s − 1, or
     (B[p] − p, p) at size s and (B[q] − q + 1, q − 1) at size s − 1.  So it
-    depends only on the class (B[p] − p, p, B[q] − q, q), and each class is
-    checked once: the two paths must cancel.  The (S, B) block of
-    d_h d_v − d_v d_h is blk(key) d(y) − d(y) blk(key), each block ±c ρ(w)
-    along one word on both modules, so it vanishes when d(y) is
-    equivariant, which is checked instead; it is also what lifts d(y) to
-    d(y) on every subset.  d_v² is the input's d², which the ``Complex``
-    constructor of ``cx`` gated."""
+    depends only on the class (B[p] − p, p, B[q] − q, q), and each class
+    (``_key_classes``, in closed form) is checked once: the two paths must
+    cancel.  The (S, B) block of d_h d_v − d_v d_h is blk(key) d(y) − d(y)
+    blk(key), each block ±c ρ(w) along one word on both modules, so it
+    vanishes when d(y) is equivariant, which is checked instead (it is also
+    what lifts d(y) to every subset).  d_v² is the input's d², which the
+    ``Complex`` constructor of ``cx`` gated."""
     n = cx.group_degree
     cx.check_equivariant()
 
@@ -387,10 +400,7 @@ def _key_gate(cup, cx):
         for s in range(2, n + 1):
             big, small = kb[s], kb[s - 1]
             negated = {key: -a for key, a in small.items()}
-            for jp, p, jq, q in {
-                    (b[p] - p, p, b[q] - q, q)
-                    for b in combinations(range(1, n + 1), s)
-                    for p, q in combinations(range(s), 2)}:
+            for jp, p, jq, q in _key_classes(n, s):
                 if path(small[jp, p], big[jq, q]) != path(
                         negated[jq + 1, q - 1], big[jp, p]):
                     raise ChainComplexError(

@@ -256,10 +256,8 @@ def cmd_cat(cfg, args):
             descs = [("bb", (args.a, args.b, bool(args.star), args.module))]
         else:
             descs = [("bbstar", (args.a, args.b, args.module))]
-    elif mode == "suite":
-        descs = _default_suite(cfg)
     else:
-        raise ValueError(f"unknown cat mode {mode!r}")
+        descs = _default_suite(cfg)
     return run_tasks(descs, cfg.jobs), None
 
 

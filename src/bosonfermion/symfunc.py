@@ -111,10 +111,7 @@ class SymFunc:
         return _symfunc(out)
 
     def __sub__(self, other):
-        out = dict(self.terms)
-        for l, c in other.terms.items():
-            _acc(out, l, -c)
-        return _symfunc(out)
+        return self + -other
 
     def __neg__(self):
         return _symfunc({l: -c for l, c in self.terms.items()})
@@ -230,17 +227,9 @@ def _mult_h(k, f):
     return _strip_sum(_pieri_h, k, f)
 
 
-def _mult_e(k, f):
-    return _strip_sum(_pieri_e, k, f)
-
-
 def _skew_h(k, f):
     """h_k^⊥ f: the pairing ⟨f, h_k s_ν⟩ evaluated by the transposed Pieri incidence."""
     return _strip_sum(_copieri_h, k, f)
-
-
-def _skew_e(k, f):
-    return _strip_sum(_copieri_e, k, f)
 
 
 # -- basis conversions ---------------------------------------------------------
@@ -457,13 +446,13 @@ def heis_q(n, f):
 def heis_p_col(n, f):
     """Column (antisymmetric) raising operator: multiplication by e_n."""
     _check_order(n)
-    return _mult_e(n, f)
+    return _strip_sum(_pieri_e, n, f)
 
 
 def heis_q_col(n, f):
     """Column lowering operator: e_n^⊥."""
     _check_order(n)
-    return _skew_e(n, f)
+    return _strip_sum(_copieri_e, n, f)
 
 
 def heis_alpha(k, f):

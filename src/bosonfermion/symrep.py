@@ -13,11 +13,10 @@ coset of b_S, which lists the values outside S and then S.  At k = 1 the
 blocks are the coset representatives r_j (``coset_rep``), the identity last;
 iterated-induction coset words are built by arithmetic on the values of
 image tuples.  ``cap_cup`` writes every cap and cup between the layouts of k
-and k-1 subsets from one block per (j, pos) key, which its kernel
-``cap_cup_blocks`` returns with the key of each pair of subsets;
-``subset_move`` is its case with blocks acting through a module (the pq
-adjunction maps and the projector differentials), whose key blocks alone
-(``subset_move_blocks``) decide the projector complexes, and
+and k-1 subsets from the one block per (j, pos) key that ``cap_cup_blocks``
+returns; ``subset_move`` assembles ``subset_move_blocks``, the key blocks
+acting through a module (the pq adjunction maps and the projector
+differentials), which alone decide the projector complexes, and
 ``catbernstein`` builds the Bernstein caps and cups on it from the blocks of
 a Q cut.  On top of the two functors also live the qp adjunction maps,
 sideways crossings, and the isotypic functors
@@ -145,8 +144,6 @@ def _stabilizer_sum(groups, n, signed):
     blocks, optionally weighted by sign."""
     elem = {identity_perm(n): ONE}
     for block in groups:
-        if len(block) < 2:
-            continue
         terms = {}
         for p in iter_permutations(block):
             img = list(range(1, n + 1))
@@ -476,18 +473,14 @@ def restrict(m):
 
 
 def cap_cup_blocks(n, size, cup, signed, block):
-    """The key kernel of ``cap_cup``: (blocks, pairs) for the cap (``cup``
+    """The key blocks of ``cap_cup``, {(j, pos): block}, for the cap (``cup``
     false) from the size-subsets of {1..n} to the (size-1)-subsets, or the
-    cup back.
-
-    Let B run over the size-subsets and S = B minus its entry at position
-    pos.  The pair's key is (j, pos), j = B[pos] - pos the place of the
-    dropped letter among the letters outside S, and ``pairs`` yields (p, q,
-    key) for B the p-th size-subset and S the q-th (size-1)-subset, in
-    ``combinations`` order.  ``blocks[key]`` is block(B, pos) of the first
-    pair of that key, B = (1..pos, j+pos..j+size-1) ((n - size + 1)·size
-    calls), over size for a cup and times (-1)^pos when ``signed``: the
-    block of every pair of that key."""
+    cup back.  Let B run over the size-subsets and S = B minus its entry at
+    position pos: the pair's key is (j, pos), j = B[pos] - pos the place of
+    the dropped letter among the letters outside S.  The block of (j, pos)
+    is block(B, pos) of the first pair of that key, B = (1..pos,
+    j+pos..j+size-1) ((n - size + 1)·size calls), over size for a cup and
+    times (-1)^pos when ``signed``: the block of every pair of that key."""
     scale = Fraction(1, size if cup else 1)
     blocks = {}
     for pos in range(size):
@@ -495,42 +488,38 @@ def cap_cup_blocks(n, size, cup, signed, block):
         for j in range(1, n - size + 2):
             a = block((*range(1, pos + 1), *range(j + pos, j + size)), pos)
             blocks[j, pos] = a if c == 1 else a.scale(c)
-
-    def pairs():
-        letters = range(1, n + 1)
-        small = {s: q for q, s in enumerate(combinations(letters, size - 1))}
-        for p, b in enumerate(combinations(letters, size)):
-            for pos, e in enumerate(b):
-                yield p, small[b[:pos] + b[pos + 1:]], (e - pos, pos)
-
-    return blocks, pairs()
+    return blocks
 
 
-def cap_cup(n, size, cup, signed, block, shape):
-    """The cap or cup of ``cap_cup_blocks`` assembled on the subset layout of
-    ``induce``, with blocks of ``shape`` (rows, columns): the block of each
-    pair's key at (S, B) for the cap and at (B, S) for the cup; the only
-    writer of caps and cups."""
+def cap_cup(n, size, cup, blocks, shape):
+    """The cap or cup of the key blocks ``blocks`` of ``cap_cup_blocks`` on
+    the subset layout of ``induce``, with blocks of ``shape`` (rows,
+    columns): the block of each pair's key at (S, B) for the cap and at
+    (B, S) for the cup; the only writer of caps and cups."""
     h, w = shape
-    blocks, pairs = cap_cup_blocks(n, size, cup, signed, block)
     common = lcm(*(a.den for a in blocks.values()))
     triples = {  # a key's block as int (row, column, value) over common
         key: [(r, c, common // a.den * v) for r, row in enumerate(a.rows)
               for c, v in row.items()] for key, a in blocks.items()}
+    letters = range(1, n + 1)
+    small = {s: q for q, s in enumerate(combinations(letters, size - 1))}
 
     def entries():
-        for p, q, key in pairs:
-            r0, c0 = (p * h, q * w) if cup else (q * h, p * w)
-            for r, c, v in triples[key]:
-                yield r0 + r, c0 + c, v
+        for p, b in enumerate(combinations(letters, size)):
+            for pos, e in enumerate(b):
+                q = small[b[:pos] + b[pos + 1:]]
+                r0, c0 = (p * h, q * w) if cup else (q * h, p * w)
+                for r, c, v in triples[e - pos, pos]:
+                    yield r0 + r, c0 + c, v
 
-    big, small = comb(n, size), comb(n, size - 1)
-    rows, cols = (big, small) if cup else (small, big)
+    big = comb(n, size)
+    rows, cols = (big, len(small)) if cup else (len(small), big)
     return SMat.from_entries(rows * h, cols * w, entries(), den=common)
 
 
-def _subset_move_args(m, k, cup):
-    """The ``cap_cup_blocks`` arguments of ``subset_move``."""
+def subset_move_blocks(m, k, cup):
+    """The key blocks of ``subset_move(m, k, cup)``: the signed
+    ``cap_cup_blocks`` acting through m by its word w (w^-1 for a cup)."""
     n, size = m.degree, k + 1 if cup else k
 
     def block(b, pos):
@@ -538,24 +527,19 @@ def _subset_move_args(m, k, cup):
         w = coset_rep(b[pos] - pos, t) + tuple(range(t + 1, n + 1))
         return m.act_perm(perm_inverse(w) if cup else w)
 
-    return n, size, cup, True, block
+    return cap_cup_blocks(n, size, cup, True, block)
 
 
 def subset_move(m, k, cup):
     """The cap (``cup`` false) from the k-subsets of {1..n} to the
     (k-1)-subsets, or the cup to the (k+1)-subsets, on the (S, v) layout of
-    ``induce`` (n = deg m): ``cap_cup`` with signed blocks acting through m.
+    ``induce`` (n = deg m): ``cap_cup`` of ``subset_move_blocks``.
     The cap sends (B, v) to (S, (-1)^pos w v) and the cup sends (S, v) to
     (B, (-1)^pos/|B| w^-1 v), where w = b_S^-1 b_B is r_j = ``coset_rep(j,
     t)`` on the first t = n - |B| + 1 + pos letters, fixing the rest, and
     j = B[pos] - pos."""
-    return cap_cup(*_subset_move_args(m, k, cup), shape=(m.dim, m.dim))
-
-
-def subset_move_blocks(m, k, cup):
-    """The key blocks of ``subset_move(m, k, cup)``, {(j, pos): block}, from
-    ``cap_cup_blocks``, without assembling the map."""
-    return cap_cup_blocks(*_subset_move_args(m, k, cup))[0]
+    return cap_cup(m.degree, k + 1 if cup else k, cup,
+                   subset_move_blocks(m, k, cup), (m.dim, m.dim))
 
 
 def unit_qp(m):

@@ -29,7 +29,9 @@ before ``SymFunc.__str__`` became the one text form, and
 each falling factorial multiplied out in a loop.  ``gate_bidegrees`` is
 the d∘d gate the projector decision ran on the assembled caps, cups and
 lifts of ``catbernstein._bicomplex`` before it read them off their key
-blocks.
+blocks, and ``subset_key_classes`` is the scan over every subset that found
+the classes of key pairs that gate checks, before it walked them in closed
+form.
 """
 
 from fractions import Fraction
@@ -461,3 +463,12 @@ def gate_bidegrees(d_h, d_v):
             raise ChainComplexError(
                 f"d∘d != 0 from bidegree {(x, y)} to {(x - 1, y - 1)}: "
                 f"d_h and d_v do not commute")
+
+
+def subset_key_classes(n, s):
+    """The classes (B[p] − p, p, B[q] − q, q), p < q, of
+    ``catbernstein._key_gate`` at subset size s, read off every size-s
+    subset B of {1..n}."""
+    return {(b[p] - p, p, b[q] - q, q)
+            for b in combinations(range(1, n + 1), s)
+            for p, q in combinations(range(s), 2)}

@@ -61,7 +61,7 @@ from bosonfermion.symrep import (
 )
 
 from conftest import SRC
-from strand_oracles import gate_bidegrees
+from strand_oracles import gate_bidegrees, subset_key_classes
 
 
 # The unreduced routes: the operators chained without passing to homology
@@ -568,6 +568,39 @@ def _skewed(cx):
                    {1: SMat.from_entries(low.dim, high.dim, [(0, 0, 1)])})
 
 
+def test_a_non_equivariant_differential_is_refused_before_its_lift():
+    # one cell, k = 0, over each chain group: no square of the bicomplex
+    # reads d, so only the equivariance check sees that E_00 is no map of
+    # modules; the unchecked lift gave a complex with Betti numbers {1: 1}
+    d = SMat.from_entries(2, 3, [(0, 0, 1)])
+    cx = Complex(3, {1: induce(specht_module((2,)), 1),
+                     0: specht_module((2, 1))}, {1: d})
+    with pytest.raises(ChainComplexError,
+                       match=r"differential at degree 1 is not equivariant"):
+        apply_bernstein_star(3, cx)
+
+
+@pytest.mark.parametrize("cup", (False, True))
+def test_the_key_gate_walks_the_classes_of_the_subset_scan(cup, monkeypatch):
+    # each d_h² class the gate walks at size s, for 2 <= s <= N <= 9, is a
+    # class of the subset scan, walked once, and every class is walked
+    walk, walked = catbernstein._key_classes, []
+
+    def recorded(n, s):
+        for c in walk(n, s):
+            walked.append((s, c))
+            yield c
+
+    monkeypatch.setattr(catbernstein, "_key_classes", recorded)
+    for n in range(2, 10):
+        walked.clear()
+        catbernstein._key_gate(cup, single_module_complex(trivial_module(n)))
+        for s in range(2, n + 1):
+            got = [c for t, c in walked if t == s]
+            assert len(got) == len(set(got)), (n, s)
+            assert set(got) == subset_key_classes(n, s), (n, s)
+
+
 def test_a_non_equivariant_input_differential_is_refused():
     # s_1 is diagonal on S^(2,1) and s_2 is not, so E_00 commutes with s_1
     # alone; lifting it to every subset would not be a chain map
@@ -645,8 +678,12 @@ def test_the_key_gate_agrees_with_the_bidegree_oracle(spec, fault,
         for sign in (-1, 1):
             op = catbernstein._SigmaOp(sign)
             keys = _gate_passes(lambda: catbernstein._key_gate(op.cup, cx))
-            oracle = _gate_passes(
-                lambda: gate_bidegrees(*catbernstein._bicomplex(op, cx)[1:]))
+            # the oracle reads the assembled maps alone, without the
+            # equivariance check that _bicomplex runs first
+            with monkeypatch.context() as plain:
+                plain.setattr(Complex, "check_equivariant", lambda self: None)
+                oracle = _gate_passes(lambda: gate_bidegrees(
+                    *catbernstein._bicomplex(op, cx)[1:]))
             assert keys == oracle, (cx.dims(), sign)
             verdicts.append(keys)
     # each fault that either gate can see is seen somewhere

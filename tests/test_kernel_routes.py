@@ -42,6 +42,7 @@ from bosonfermion.symrep import (
     sign_module,
     specht_module,
     subset_move,
+    subset_move_blocks,
     trivial_module,
 )
 
@@ -145,19 +146,19 @@ class _WordModule:
 
 def test_cap_and_cup_words_equal_the_coset_composition(monkeypatch):
     # every (size, B, pos) triple on n <= 8 letters, not only the first
-    # pair of each (j, pos) key that cap_cup asks for
+    # pair of each (j, pos) key that cap_cup_blocks asks for
     words = []
 
-    def every_pair(n, size, cup, signed, block, shape):
+    def every_pair(n, size, cup, signed, block):
         for b in combinations(range(1, n + 1), size):
             for pos in range(size):
                 words.append((n, b, pos, cup, block(b, pos)))
 
-    monkeypatch.setattr(symrep, "cap_cup", every_pair)
+    monkeypatch.setattr(symrep, "cap_cup_blocks", every_pair)
     for n in range(1, 9):
         for size in range(1, n + 1):
-            subset_move(_WordModule(n), size, cup=False)
-            subset_move(_WordModule(n), size - 1, cup=True)
+            subset_move_blocks(_WordModule(n), size, cup=False)
+            subset_move_blocks(_WordModule(n), size - 1, cup=True)
     assert len(words) == 2 * sum(n << (n - 1) for n in range(1, 9))
     for n, b, pos, cup, w in words:
         assert w == subset_coset_word(n, b, pos, cup), (n, b, pos, cup)
@@ -285,15 +286,15 @@ def test_induce_and_subset_move_assemble_no_block_grid(monkeypatch):
 def test_caps_and_cups_build_one_block_per_key(make, arg, monkeypatch):
     # a pair's block depends only on (j, pos), j = B[pos] - pos, so the
     # kernel asks for (n - size + 1)·size blocks, not size·C(n, size)
-    kernel, keys = symrep.cap_cup, []
+    kernel, keys = symrep.cap_cup_blocks, []
 
-    def counted(n, size, cup, signed, block, shape):
+    def counted(n, size, cup, signed, block):
         def counted_block(b, pos):
             keys.append((b[pos] - pos, pos))
             return block(b, pos)
-        return kernel(n, size, cup, signed, counted_block, shape)
+        return kernel(n, size, cup, signed, counted_block)
 
-    monkeypatch.setattr(symrep, "cap_cup", counted)
+    monkeypatch.setattr(symrep, "cap_cup_blocks", counted)
     m = make(arg)
     n = m.degree
     for k, cup in [(k, False) for k in range(1, n + 1)] + [

@@ -403,7 +403,7 @@ def _bernstein_pieri(a, f):
     max_m = max((len(l.parts) for l in f.terms), default=0)
     out = SymFunc.zero()
     for m in range(max(0, -a), max_m + 1):
-        term = sf._mult_h(a + m, sf._skew_e(m, f))
+        term = sf._mult_h(a + m, sf.heis_q_col(m, f))
         out = out + (term if m % 2 == 0 else -term)
     return out
 
@@ -413,7 +413,7 @@ def _bernstein_star_pieri(a, f):
     max_row = max((l.row(1) for l in f.terms), default=0)
     out = SymFunc.zero()
     for n in range(max(0, -a), max_row - a + 1):
-        term = sf._mult_e(n, sf._skew_h(n + a, f))
+        term = sf.heis_p_col(n, sf._skew_h(n + a, f))
         out = out + (term if n % 2 == 0 else -term)
     return out
 
